@@ -1,18 +1,12 @@
-// Fleet-scale sweep for the sharded simulation core: 1 -> 256 homogeneous
-// nodes behind one dispatcher, measuring how far ONE simulated fleet can
-// scale and what the worker pool buys on wall-clock.
+// Fleet-scale sweep: 1 -> 256 homogeneous nodes behind one dispatcher,
+// measuring how far ONE simulated fleet scales on the single event queue.
 //
-//   fleet_scale [--tasks-per-node=N] [--threads=N] [--seed=N]
-//               [--out=BENCH_fleet.json]
+//   fleet_scale [--tasks-per-node=N] [--seed=N] [--out=BENCH_fleet.json]
 //
-// Unlike every other bench, --threads here is the SIMULATION worker pool
-// (the pagoda_cli --threads flag), not threads-per-task: each sweep point
-// runs on the sequential sharded core, and the 64-node point runs again
-// under --threads=N workers. The virtual-time outcome (completed count, end
-// time) must be identical between the two; wall-clock is what changes. The
-// JSON artifact carries both the stable simulated outcomes and the
-// (machine-dependent) wall-clock milliseconds + speedup that
-// tools/check.sh gates.
+// Each point offers the same per-node load. The JSON artifact carries the
+// stable simulated outcomes (completed count, virtual end time) and the
+// machine-dependent wall-clock milliseconds; tools/check.sh gates the
+// sweep's total wall-clock.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -38,16 +32,12 @@ struct Outcome {
   double wall_ms = 0.0;          // real
   std::int64_t completed = 0;
   double throughput_rps = 0.0;   // virtual
-  std::uint64_t windows = 0;     // parallel windows run (0 = sequential)
-  std::uint64_t window_events = 0;
-  std::uint64_t posts = 0;
 };
 
 struct RunBox {
-  static engine::SessionConfig clock_only(int threads) {
+  static engine::SessionConfig clock_only() {
     engine::SessionConfig c;
     c.device = false;  // GpuNodes bring up their own device sub-sessions
-    c.sim_threads = threads;
     return c;
   }
 
@@ -58,8 +48,8 @@ struct RunBox {
   sim::Time end_time = 0;
   bool done = false;
 
-  RunBox(int nodes, int threads, const cluster::NodeConfig& proto)
-      : session(clock_only(threads)),
+  RunBox(int nodes, const cluster::NodeConfig& proto)
+      : session(clock_only()),
         fleet(sim, cluster::Cluster::homogeneous(nodes, proto)),
         disp(fleet, cluster::make_policy("round-robin"), [] {
           cluster::DispatcherConfig dc;
@@ -85,7 +75,7 @@ sim::Process drainer(RunBox& box) {
   box.done = true;
 }
 
-Outcome run_point(int nodes, int threads, int requests, std::uint64_t seed) {
+Outcome run_point(int nodes, int requests, std::uint64_t seed) {
   cluster::NodeConfig proto;
   proto.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
   proto.pcie.latency = sim::microseconds(2.0);
@@ -95,7 +85,7 @@ Outcome run_point(int nodes, int threads, int requests, std::uint64_t seed) {
   acfg.kind = cluster::ArrivalKind::Poisson;
   acfg.rate_per_sec = 200.0e3 * nodes;  // constant offered load per node
 
-  RunBox box(nodes, threads, proto);
+  RunBox box(nodes, proto);
   box.fleet.start();
   box.sim.spawn(source(box, acfg, profile, requests, seed));
   box.sim.spawn(drainer(box));
@@ -114,10 +104,6 @@ Outcome run_point(int nodes, int threads, int requests, std::uint64_t seed) {
   if (elapsed_s > 0.0) {
     o.throughput_rps = static_cast<double>(o.completed) / elapsed_s;
   }
-  const sim::ShardStats& ss = box.sim.shard_stats();
-  o.windows = ss.windows;
-  o.window_events = ss.window_events;
-  o.posts = ss.posts;
   box.fleet.shutdown();
   return o;
 }
@@ -127,84 +113,42 @@ Outcome run_point(int nodes, int threads, int requests, std::uint64_t seed) {
 int main(int argc, char** argv) {
   const harness::Flags flags(argc, argv);
   const std::string bad =
-      flags.unknown({"tasks-per-node", "threads", "seed", "out", "help"});
+      flags.unknown({"tasks-per-node", "seed", "out", "help"});
   if (!bad.empty()) {
     std::fprintf(stderr, "error: unknown argument '%s'\n", bad.c_str());
     return 1;
   }
   if (flags.has("help")) {
-    std::printf(
-        "fleet_scale [--tasks-per-node=N] [--threads=N] [--seed=N] "
-        "[--out=FILE]\n");
+    std::printf("fleet_scale [--tasks-per-node=N] [--seed=N] [--out=FILE]\n");
     return 0;
   }
   const int per_node = static_cast<int>(flags.get_int("tasks-per-node", 64));
-  const int threads = static_cast<int>(flags.get_int("threads", 4));
   const auto seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA));
   const std::string out_path = flags.get("out", "BENCH_fleet.json");
   PAGODA_CHECK_MSG(per_node > 0, "--tasks-per-node must be positive");
-  PAGODA_CHECK_MSG(threads >= 1, "--threads must be >= 1");
 
   std::printf("=== fleet scale: %d requests/node, seed %llu ===\n", per_node,
               static_cast<unsigned long long>(seed));
-  std::printf("%-6s %-8s %12s %12s %12s %10s\n", "nodes", "threads",
-              "thr (k/s)", "sim (ms)", "wall (ms)", "windows");
+  std::printf("%-6s %12s %12s %12s\n", "nodes", "thr (k/s)", "sim (ms)",
+              "wall (ms)");
 
   std::ofstream json(out_path);
   json << "{\n  \"bench\": \"fleet_scale\", \"tasks_per_node\": " << per_node
-       << ", \"threads\": " << threads << ", \"seed\": " << seed
-       << ",\n  \"sweep\": [\n";
+       << ", \"seed\": " << seed << ",\n  \"sweep\": [\n";
 
   bool first = true;
-  Outcome base64;  // the 64-node sequential point anchors the speedup
   for (const int nodes : {1, 4, 16, 64, 256}) {
-    const Outcome o = run_point(nodes, 1, per_node * nodes, seed);
-    if (nodes == 64) base64 = o;
-    std::printf("%-6d %-8d %12.1f %12.1f %12.1f %10llu\n", nodes, 1,
-                o.throughput_rps / 1e3, o.elapsed_ms, o.wall_ms,
-                static_cast<unsigned long long>(o.windows));
+    const Outcome o = run_point(nodes, per_node * nodes, seed);
+    std::printf("%-6d %12.1f %12.1f %12.1f\n", nodes, o.throughput_rps / 1e3,
+                o.elapsed_ms, o.wall_ms);
     if (!first) json << ",\n";
     first = false;
-    json << "    {\"nodes\": " << nodes << ", \"threads\": 1"
-         << ", \"completed\": " << o.completed << ", \"sim_ms\": "
-         << obs::format_metric_double(o.elapsed_ms)
+    json << "    {\"nodes\": " << nodes << ", \"completed\": " << o.completed
+         << ", \"sim_ms\": " << obs::format_metric_double(o.elapsed_ms)
          << ", \"wall_ms\": " << obs::format_metric_double(o.wall_ms) << "}";
   }
-
-  // The worker-pool pass: same 64-node fleet, N-thread conservative-window
-  // execution. Virtual-time outcomes must not move; wall-clock should.
-  const Outcome par = run_point(64, threads, per_node * 64, seed);
-  std::printf("%-6d %-8d %12.1f %12.1f %12.1f %10llu\n", 64, threads,
-              par.throughput_rps / 1e3, par.elapsed_ms, par.wall_ms,
-              static_cast<unsigned long long>(par.windows));
-  PAGODA_CHECK_MSG(par.completed == base64.completed,
-                   "worker pool changed the completed-request count");
-  PAGODA_CHECK_MSG(par.elapsed_ms == base64.elapsed_ms,
-                   "worker pool changed the virtual end time");
-  const double speedup = par.wall_ms > 0.0 ? base64.wall_ms / par.wall_ms : 0.0;
-
-  json << ",\n    {\"nodes\": 64, \"threads\": " << threads
-       << ", \"completed\": " << par.completed << ", \"sim_ms\": "
-       << obs::format_metric_double(par.elapsed_ms)
-       << ", \"wall_ms\": " << obs::format_metric_double(par.wall_ms)
-       << ", \"windows\": " << par.windows
-       << ", \"window_events\": " << par.window_events
-       << ", \"posts\": " << par.posts << "}";
-  json << "\n  ],\n  \"speedup_64\": " << obs::format_metric_double(speedup)
-       << "\n}\n";
-
-  std::printf("\n64-node wall-clock: %.1f ms sequential, %.1f ms with %d "
-              "threads (%.2fx); %llu windows, %llu window events, %llu "
-              "cross-shard posts\n",
-              base64.wall_ms, par.wall_ms, threads, speedup,
-              static_cast<unsigned long long>(par.windows),
-              static_cast<unsigned long long>(par.window_events),
-              static_cast<unsigned long long>(par.posts));
+  json << "\n  ]\n}\n";
   std::printf("-> %s\n", out_path.c_str());
-  if (threads > 1) {
-    PAGODA_CHECK_MSG(par.windows > 0,
-                     "worker pool ran but no parallel window executed");
-  }
   return 0;
 }

@@ -45,15 +45,13 @@ struct ClusterRunState {
 
   ClusterRunState(const RunConfig& cfg,
                   std::unique_ptr<cluster::PlacementPolicy> policy)
-      : session(clock_only(cfg)),
+      : session(clock_only()),
         fleet(sim, node_configs(cfg)),
         dispatcher(fleet, std::move(policy), dispatcher_config(cfg)) {}
 
-  static engine::SessionConfig clock_only(const RunConfig& cfg) {
+  static engine::SessionConfig clock_only() {
     engine::SessionConfig c;
     c.device = false;
-    c.sim_threads = cfg.cluster.sim_threads;
-    c.sim_sharding = !cfg.cluster.global_queue;
     return c;
   }
 

@@ -83,13 +83,6 @@ struct ClusterOptions {
   /// Rolling-resize plan "AT_US:NODES[,...]" (see
   /// migrate::parse_resize_spec); "" means no plan. Same requirements.
   std::string resize;
-  /// Worker threads for the sharded simulation core (--threads). 1 keeps
-  /// the sequential-sharded driver, whose pop order is exactly the legacy
-  /// single-queue order.
-  int sim_threads = 1;
-  /// Run on the historical single global event queue instead of per-node
-  /// shards (--sim-core=global); the determinism-soak reference mode.
-  bool global_queue = false;
 };
 
 struct RunConfig {

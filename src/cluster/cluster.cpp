@@ -7,7 +7,6 @@ namespace pagoda::cluster {
 GpuNode::GpuNode(sim::Simulation& sim, const NodeConfig& cfg, int index)
     : index_(index),
       cfg_(cfg),
-      shard_(sim.current_shard()),
       session_(sim,
                [&] {
                  engine::SessionConfig sc;
@@ -51,32 +50,19 @@ void GpuNode::cache_clear() {
 Cluster::Cluster(sim::Simulation& sim, const std::vector<NodeConfig>& nodes)
     : sim_(&sim) {
   PAGODA_CHECK_MSG(!nodes.empty(), "a cluster needs at least one GPU");
-  // One event shard per node (shard 0 stays the host/dispatcher shard). All
-  // the device-internal traffic of node i then lives on shard 1+i, which is
-  // what lets the coordinator drain nodes concurrently. When sharding is
-  // disabled the call is a no-op and the scopes degrade to the host shard.
-  sim.configure_shards(static_cast<int>(nodes.size()));
   nodes_.reserve(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    sim::Simulation::ShardScope scope(sim,
-                                      static_cast<sim::ShardId>(1 + i));
     nodes_.push_back(
         std::make_unique<GpuNode>(sim, nodes[i], static_cast<int>(i)));
   }
 }
 
 void Cluster::start() {
-  for (auto& n : nodes_) {
-    sim::Simulation::ShardScope scope(*sim_, n->shard());
-    n->session().start();
-  }
+  for (auto& n : nodes_) n->session().start();
 }
 
 void Cluster::shutdown() {
-  for (auto& n : nodes_) {
-    sim::Simulation::ShardScope scope(*sim_, n->shard());
-    n->session().shutdown();
-  }
+  for (auto& n : nodes_) n->session().shutdown();
 }
 
 double Cluster::executor_busy_warp_seconds() const {

@@ -55,10 +55,6 @@ class GpuNode {
   GpuNode& operator=(const GpuNode&) = delete;
 
   int index() const { return index_; }
-  /// The simulation shard this node's events live on (kHostShard when the
-  /// simulation runs unsharded). Recorded at construction: the Cluster
-  /// builds node i inside ShardScope(sim, 1 + i).
-  sim::ShardId shard() const { return shard_; }
   /// The node's engine session (shares the cluster-wide Simulation). The
   /// cluster driver attaches observability through it, per node prefix.
   engine::Session& session() { return session_; }
@@ -191,7 +187,6 @@ class GpuNode {
  private:
   int index_;
   NodeConfig cfg_;
-  sim::ShardId shard_;
   engine::Session session_;
   engine::StagePipeline pipe_;  // the node's dedicated H2D/D2H data streams
   std::unique_ptr<power::NodePower> power_;  // nullptr = power plane off

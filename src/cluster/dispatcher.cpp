@@ -98,10 +98,6 @@ Dispatcher::Dispatcher(Cluster& cluster,
     cluster.sim().spawn(flush_timer(i));
   }
   if (fault_armed_) {
-    // Crash/wedge injection and the watchdog couple host and node state at
-    // zero lookahead (a crash freezes node counters the instant it fires);
-    // run those plans on the exact sequential driver.
-    sim().require_serial("fault plan armed");
     PAGODA_CHECK_MSG(!cfg_.faults.needs_deadline() || cfg_.task_timeout > 0,
                      "fault plans with wedge/crash faults need a per-task "
                      "deadline (task_timeout / --task-timeout-us > 0): a "
@@ -138,9 +134,6 @@ Dispatcher::Dispatcher(Cluster& cluster,
   }
   power_armed_ = cfg_.power.enabled();
   if (power_armed_) {
-    // P/C-state edges fire from node-side SMM transitions straight into the
-    // governor's fleet view — another zero-lookahead coupling.
-    sim().require_serial("power plane attached");
     const power::PowerSpec& spec = *cfg_.power.spec;
     for (int i = 0; i < cluster.size(); ++i) {
       GpuNode& node = cluster.node(i);
@@ -164,9 +157,6 @@ Dispatcher::Dispatcher(Cluster& cluster,
   }
   migrate_armed_ = cfg_.migration.enabled;
   if (migrate_armed_) {
-    // A drain sweep revokes TaskTable entries and recalls queued waiters the
-    // instant it fires — zero lookahead against the node's own events.
-    sim().require_serial("migration plane armed");
     migration_ = std::make_unique<migrate::MigrationManager>(cfg_.migration);
   }
   if (cfg_.autoscale.armed()) {
@@ -1203,8 +1193,6 @@ void Dispatcher::export_metrics(obs::MetricsRegistry& m) const {
 void Dispatcher::set_tracer(obs::RequestTracer* tracer) {
   tracer_ = tracer;
   if (tracer_ == nullptr) return;
-  // Claim observers append to the shared tracer from node-side events.
-  sim().require_serial("request tracer attached");
   for (int i = 0; i < cluster_->size(); ++i) {
     cluster_->node(i).rt().set_claim_observer(
         [this, i](runtime::TaskId id, sim::Time now) {

@@ -9,12 +9,15 @@ namespace pagoda::cluster {
 
 namespace {
 
-/// Full-consumption double parse; nullopt on garbage or empty input.
+/// Full-consumption double parse; nullopt on garbage, empty or non-finite
+/// input (NaN would slip past every `<= 0` range check).
 std::optional<double> parse_double(std::string_view s) {
   double v = 0.0;
   const char* end = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v)) {
+    return std::nullopt;
+  }
   return v;
 }
 

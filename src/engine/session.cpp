@@ -8,8 +8,6 @@ namespace pagoda::engine {
 Session::Session(const SessionConfig& cfg)
     : cfg_(cfg), owned_sim_(std::make_unique<sim::Simulation>()) {
   sim_ = owned_sim_.get();
-  sim_->set_sharding_enabled(cfg.sim_sharding);
-  if (cfg.sim_threads > 1) sim_->set_worker_threads(cfg.sim_threads);
   build(cfg);
 }
 

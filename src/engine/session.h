@@ -48,13 +48,6 @@ struct SessionConfig {
   /// Build a host::CpuCluster with this many cores (0 = none).
   int cpu_cores = 0;
   double cpu_core_ops_per_sec = 0.0;
-  /// Worker threads for the sharded simulation core (only meaningful for an
-  /// OWNING session whose Simulation later grows shards — i.e. the cluster
-  /// driver's clock-only session). 1 = sequential-sharded, the default.
-  int sim_threads = 1;
-  /// When false the owned Simulation ignores configure_shards and runs the
-  /// historical single global event queue (--sim-core=global).
-  bool sim_sharding = true;
   /// When set, the constructor attaches everything it builds (see
   /// attach_collector). Multi-session drivers leave this null and attach
   /// later, at the point their pre-port code did.

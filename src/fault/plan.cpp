@@ -1,5 +1,6 @@
 #include "fault/plan.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -14,11 +15,13 @@ std::vector<std::string> split(const std::string& s, char delim) {
   return out;
 }
 
+/// Full-consumption, finite double parse (NaN would slip past every `<= 0`
+/// range check).
 bool parse_double(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
+  if (end == nullptr || *end != '\0' || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -45,10 +46,13 @@ class Flags {
     });
   }
 
-  /// Floating-point flag value, with the same full-consumption rule.
+  /// Floating-point flag value, with the same full-consumption rule. `nan`
+  /// and `inf` are errors too: NaN would slip past every range check.
   double get_double(std::string_view name, double def) const {
-    return strict_parse(name, def,
-                        [](const char* s, char** end) { return std::strtod(s, end); });
+    const double v = strict_parse(
+        name, def, [](const char* s, char** end) { return std::strtod(s, end); });
+    if (!std::isfinite(v)) bad_value(name, get(name));
+    return v;
   }
 
   /// Enumerated string flag. The value must match one of `choices` exactly;

@@ -30,14 +30,6 @@ void Collector::ensure_sampler(sim::Simulation& sim) {
     return;
   }
   sim_ = &sim;
-  // Timeline spans and protocol traces record the exact pop order of
-  // same-timestamp events from observers that fire on node shards; only the
-  // sequential driver reproduces that order bit-for-bit, so these modes pin
-  // the simulation to it. Metrics-only collection reads node counters from
-  // the host phase (workers parked, barrier-ordered) and stays parallel.
-  if (cfg_.timeline || trace_enabled() || cfg_.spans) {
-    sim.require_serial("observability timeline/trace recording");
-  }
   last_sample_ = sim.now();
   if (cfg_.timeline) track_tasks_ = timeline_.track("tasks");
   schedule_tick();

@@ -587,17 +587,8 @@ sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
       trace(TraceKind::kCompleted, gpu_table_.id_of(mtb.column, row),
             mtb.column);
       if (completion_observer_) {
-        // The observer mutates host-side (dispatcher) state. Under the
-        // sharded worker pool this executor event runs on the node's shard,
-        // so the call crosses shards through the typed channel: sequential
-        // modes invoke it synchronously (the historical behavior,
-        // byte-identical), parallel windows post it to the host shard in
-        // deterministic merge order.
-        const runtime::TaskId done_id = gpu_table_.id_of(mtb.column, row);
-        const sim::Time done_at = dev_.sim().now();
-        dev_.sim().invoke_on(sim::kHostShard, [this, done_id, done_at] {
-          completion_observer_(done_id, done_at);
-        });
+        completion_observer_(gpu_table_.id_of(mtb.column, row),
+                             dev_.sim().now());
       }
     }
     touch_busy(mtb, -1);

@@ -88,9 +88,8 @@ struct PagodaConfig {
   /// F x its entries, with spill-on-pressure to a backing store.
   double oversub = 1.0;
 
-  /// Transfer rate charged for vres spill/reclaim traffic (modeled as a
-  /// PCIe-rate DMA local to the node; the shard-crossing link itself is not
-  /// contended, keeping spills lookahead-free).
+  /// Transfer rate charged for vres spill/reclaim traffic (modeled as an
+  /// uncontended PCIe-rate DMA local to the node).
   double vres_spill_gbps = 12.0;
 
   // GPU-side scheduling cost constants (cycles on the SMM pipeline).

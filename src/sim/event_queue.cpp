@@ -31,8 +31,8 @@ std::uint32_t EventQueue::acquire_slot() {
     free_slots_.pop_back();
     return slot;
   }
-  PAGODA_CHECK_MSG(nodes_.size() < kMaxSlots,
-                   "event slab exceeded the shard-taggable slot range");
+  PAGODA_CHECK_MSG(nodes_.size() < 0xFFFFFFFFu,
+                   "event slab exceeded the 32-bit slot range");
   nodes_.emplace_back();
   return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
@@ -47,34 +47,24 @@ void EventQueue::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-EventId EventQueue::push(Time at, std::uint32_t slot, std::uint64_t seq) {
+EventId EventQueue::push(Time at, std::uint32_t slot) {
   Node& n = nodes_[slot];
   n.live = true;
-  heap_.push(HeapItem{at, seq, slot, n.gen});
+  heap_.push(HeapItem{at, next_seq_++, slot, n.gen});
   live_ += 1;
   return (static_cast<EventId>(slot) + 1) << 32 | n.gen;
 }
 
 EventId EventQueue::schedule(Time at, std::function<void()> fn) {
-  return schedule(at, std::move(fn), next_seq_++);
+  const std::uint32_t slot = acquire_slot();
+  nodes_[slot].fn = std::move(fn);
+  return push(at, slot);
 }
 
 EventId EventQueue::schedule_resume(Time at, std::coroutine_handle<> h) {
-  return schedule_resume(at, h, next_seq_++);
-}
-
-EventId EventQueue::schedule(Time at, std::function<void()> fn,
-                             std::uint64_t seq) {
-  const std::uint32_t slot = acquire_slot();
-  nodes_[slot].fn = std::move(fn);
-  return push(at, slot, seq);
-}
-
-EventId EventQueue::schedule_resume(Time at, std::coroutine_handle<> h,
-                                    std::uint64_t seq) {
   const std::uint32_t slot = acquire_slot();
   nodes_[slot].resume = h;
-  return push(at, slot, seq);
+  return push(at, slot);
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -112,13 +102,6 @@ Time EventQueue::next_time() const {
   auto* self = const_cast<EventQueue*>(this);
   self->skim();
   return heap_.empty() ? kTimeMax : heap_.top().at;
-}
-
-EventKey EventQueue::next_key() const {
-  auto* self = const_cast<EventQueue*>(this);
-  self->skim();
-  if (heap_.empty()) return EventKey{};
-  return EventKey{heap_.top().at, heap_.top().seq};
 }
 
 EventQueue::Popped EventQueue::pop() {

@@ -7,12 +7,8 @@
 // not ordered. Protocol code relies on this "signal then observe" sequencing
 // within a timestep; it is also what makes whole runs bit-reproducible.
 //
-// Sharded simulations keep one EventQueue per shard and merge heads by the
-// exposed (time, seq) key. The sequence number can therefore be supplied by
-// the caller: the Simulation stamps a single global counter across all shard
-// queues in sequential modes (so the merged order is exactly the historical
-// single-queue order), and disjoint per-window ranges under the worker pool.
-// The internal counter remains for standalone use (tests, direct users).
+// A Simulation owns exactly one EventQueue, so this counter is the global
+// sequence of the whole run.
 //
 // Storage is pooled: event bodies live in a slab of reusable nodes (a free
 // list recycles slots), and the heap orders small POD keys. Steady-state
@@ -38,43 +34,14 @@
 namespace pagoda::sim {
 
 /// Handle to a scheduled event, usable for cancellation. Packs
-/// (slot+1) << 32 | generation; id 0 is never issued. The top bits above
-/// kSlotBits stay zero so a Simulation can tag the owning shard there.
+/// (slot+1) << 32 | generation; id 0 is never issued.
 using EventId = std::uint64_t;
-
-/// Merge key of a pending event. Total order (at, seq); two events never
-/// share a seq within one Simulation, so comparisons are never ambiguous.
-struct EventKey {
-  Time at = kTimeMax;
-  std::uint64_t seq = ~std::uint64_t{0};
-
-  bool operator<(const EventKey& o) const {
-    if (at != o.at) return at < o.at;
-    return seq < o.seq;
-  }
-  bool operator<=(const EventKey& o) const { return !(o < *this); }
-  bool valid() const { return at != kTimeMax || seq != ~std::uint64_t{0}; }
-};
 
 class EventQueue {
  public:
-  /// Slot indices are bounded so EventIds leave room for a shard tag: bits
-  /// [32, 32+kSlotBits) hold slot+1, bits [0,32) the generation, and bits
-  /// [32+kSlotBits, 64) are free for the owner. 2^21 simultaneously pending
-  /// events per shard is far beyond anything the simulator reaches.
-  static constexpr int kSlotBits = 21;
-  static constexpr std::uint64_t kMaxSlots = (1ull << kSlotBits) - 2;
-
   EventId schedule(Time at, std::function<void()> fn);
   /// Fast path for "resume this coroutine at t": no callable is stored.
   EventId schedule_resume(Time at, std::coroutine_handle<> h);
-
-  // Explicit-seq variants for sharded owners (see file comment). seq values
-  // must be unique per queue; relative order within a queue must be
-  // monotone in schedule time for the FIFO contract to hold.
-  EventId schedule(Time at, std::function<void()> fn, std::uint64_t seq);
-  EventId schedule_resume(Time at, std::coroutine_handle<> h,
-                          std::uint64_t seq);
 
   /// Cancels a pending event. Returns true if the event was still pending;
   /// cancelling an already-fired, already-cancelled or unknown id is a
@@ -83,7 +50,7 @@ class EventQueue {
   /// slot had when the event was scheduled, and a slot's generation is
   /// bumped on every release, so a stale id can never cancel the unrelated
   /// event that now occupies the recycled slot (pinned by
-  /// EventCancelSlabReuse in tests/shard_test.cpp).
+  /// EventCancelSlabReuse in tests/sim_test.cpp).
   bool cancel(EventId id);
 
   bool empty() const { return live_ == 0; }
@@ -91,10 +58,6 @@ class EventQueue {
 
   /// Time of the earliest pending event; kTimeMax when empty.
   Time next_time() const;
-
-  /// Full merge key of the earliest pending event; an invalid() key when
-  /// empty. Sharded owners merge queue heads on this.
-  EventKey next_key() const;
 
   struct Popped {
     Time at;
@@ -141,7 +104,7 @@ class EventQueue {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  EventId push(Time at, std::uint32_t slot, std::uint64_t seq);
+  EventId push(Time at, std::uint32_t slot);
 
   /// Drops stale (cancelled/fired) keys from the top of the heap.
   void skim();

@@ -6,13 +6,8 @@
 // at 32K-task scale. Frames recycle through per-size free lists instead:
 // steady state performs no heap allocation at all.
 //
-// The pool is thread_local, which stays correct under the sharded worker
-// pool (ShardCoordinator): a coroutine frame is only allocated and freed by
-// whichever thread is executing its shard's events at that moment, and
-// cross-window migration just means a frame allocated from one thread's pool
-// is returned to another's — each list only ever sees frames with matching
-// bucket sizes, and no list is touched concurrently. It is compiled out
-// entirely under sanitizers (ASan keeps use-after-free of coroutine frames
+// The pool is thread_local, so simulations driven from different threads
+// never share a free list. It is compiled out entirely under sanitizers (ASan keeps use-after-free of coroutine frames
 // detectable — a recycled frame would otherwise mask UAF as silent
 // corruption — and TSan sees every frame as a fresh allocation).
 #pragma once

@@ -8,31 +8,17 @@
 #include <memory>
 #include <vector>
 
-#include "sim/shard.h"
-
 namespace pagoda::sim {
 
 class Simulation;
 
-/// The shard whose context is currently executing on `sim` (kHostShard when
-/// sim is null). Out-of-line so this header stays independent of
-/// simulation.h (which includes it).
-ShardId current_shard_of(const Simulation* sim);
-
 /// Completion state shared between a (self-destroying) process frame and any
-/// outstanding Process tokens / join handles. `home` is the shard the
-/// process was spawned on; joiners record their own home so completion can
-/// wake each of them on the right shard.
+/// outstanding Process tokens / join handles.
 struct ProcessState {
   Simulation* sim = nullptr;
   bool spawned = false;
   bool done = false;
-  ShardId home = kHostShard;
-  struct Joiner {
-    std::coroutine_handle<> handle;
-    ShardId home;
-  };
-  std::vector<Joiner> joiners;
+  std::vector<std::coroutine_handle<>> joiners;
 };
 
 /// Copyable handle for awaiting completion of a spawned process.
@@ -51,8 +37,7 @@ class Joinable {
       std::shared_ptr<ProcessState> st;
       bool await_ready() const noexcept { return st->done; }
       void await_suspend(std::coroutine_handle<> h) {
-        st->joiners.push_back(
-            ProcessState::Joiner{h, current_shard_of(st->sim)});
+        st->joiners.push_back(h);
       }
       void await_resume() const noexcept {}
     };

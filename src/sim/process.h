@@ -43,8 +43,8 @@ class [[nodiscard]] Process {
         st->done = true;
         if (!st->joiners.empty()) {
           PAGODA_CHECK(st->sim != nullptr);
-          for (const ProcessState::Joiner& j : st->joiners) {
-            st->sim->resume_on(j.home, j.handle);
+          for (const std::coroutine_handle<> j : st->joiners) {
+            st->sim->defer_resume(j);
           }
           st->joiners.clear();
         }

@@ -1,256 +1,27 @@
 #include "sim/simulation.h"
 
-#include <utility>
-
 #include "common/check.h"
 #include "sim/process.h"
-#include "sim/shard_coordinator.h"
 
 namespace pagoda::sim {
-
-namespace {
-
-/// Set for the duration of one shard drain inside a parallel window; null on
-/// the coordinator thread and in every sequential mode. One simulation runs
-/// per thread at a time, so a bare pointer suffices.
-thread_local Simulation::Shard* t_window_shard = nullptr;
-
-const ShardStats kNoStats{};
-
-}  // namespace
-
-Simulation::Simulation() {
-  auto host = std::make_unique<Shard>();
-  host->id = kHostShard;
-  shards_.push_back(std::move(host));
-  host_ = shards_[0].get();
-}
-
-Simulation::~Simulation() = default;
-
-Simulation::Shard* Simulation::window_shard() const {
-  Simulation::Shard* s = t_window_shard;
-  // A stale pointer from another Simulation is impossible: the coordinator
-  // clears the TLS before its barrier completes.
-  return s;
-}
-
-Time Simulation::sharded_now() const {
-  const Shard* w = window_shard();
-  return w != nullptr ? w->now : now_;
-}
-
-std::uint64_t Simulation::window_seq(Shard& s) {
-  PAGODA_CHECK_MSG(s.window_seq < s.window_seq_end,
-                   "shard exhausted its window sequence range");
-  return s.window_seq++;
-}
-
-EventId Simulation::sharded_at(Time t, std::function<void()> fn) {
-  if (Shard* w = window_shard()) {
-    PAGODA_CHECK_MSG(t >= w->now, "cannot schedule events in the past");
-    return compose(w->id, w->queue.schedule(t, std::move(fn), window_seq(*w)));
-  }
-  PAGODA_CHECK_MSG(t >= now_, "cannot schedule events in the past");
-  Shard& tgt = shard(cur_shard_);
-  PAGODA_CHECK_MSG(t >= tgt.now,
-                   "scheduling into a shard's drained past (a parallel "
-                   "window ran this shard ahead of the scheduling time)");
-  return compose(cur_shard_, tgt.queue.schedule(t, std::move(fn), next_seq_++));
-}
-
-EventId Simulation::sharded_at_resume(Time t, std::coroutine_handle<> h) {
-  if (Shard* w = window_shard()) {
-    PAGODA_CHECK_MSG(t >= w->now, "cannot schedule events in the past");
-    return compose(w->id, w->queue.schedule_resume(t, h, window_seq(*w)));
-  }
-  PAGODA_CHECK_MSG(t >= now_, "cannot schedule events in the past");
-  Shard& tgt = shard(cur_shard_);
-  PAGODA_CHECK_MSG(t >= tgt.now,
-                   "scheduling into a shard's drained past (a parallel "
-                   "window ran this shard ahead of the scheduling time)");
-  return compose(cur_shard_, tgt.queue.schedule_resume(t, h, next_seq_++));
-}
-
-bool Simulation::sharded_cancel(EventId id) {
-  if (id == 0) return false;
-  const auto s = static_cast<ShardId>(id >> kShardShift);
-  const EventId qid = id & ((EventId{1} << kShardShift) - 1);
-  PAGODA_CHECK_MSG(s < shards_.size(), "cancel with a foreign event id");
-  if (Shard* w = window_shard()) {
-    // Inside a window a worker may only touch its own shard's queue.
-    PAGODA_CHECK_MSG(s == w->id,
-                     "cross-shard cancel from inside a parallel window");
-  }
-  return shard(s).queue.cancel(qid);
-}
 
 Joinable Simulation::spawn(Process p) {
   PAGODA_CHECK_MSG(!p.state_->spawned, "process spawned twice");
   p.state_->sim = this;
   p.state_->spawned = true;
-  p.state_->home = current_shard();
   defer_resume(p.handle_);
   return Joinable(p.state_);
 }
 
-// --- sharding ---------------------------------------------------------------
-
-void Simulation::configure_shards(int node_shards) {
-  if (!sharding_enabled_ || node_shards <= 0) return;
-  PAGODA_CHECK_MSG(shards_.size() == 1,
-                   "configure_shards may only grow a fresh simulation");
-  PAGODA_CHECK_MSG(1 + node_shards <= kMaxShards, "too many shards");
-  for (int i = 0; i < node_shards; ++i) {
-    auto s = std::make_unique<Shard>();
-    s->id = static_cast<ShardId>(1 + i);
-    s->now = now_;
-    shards_.push_back(std::move(s));
-  }
-  multi_shard_ = true;
-}
-
-void Simulation::set_worker_threads(int n) {
-  PAGODA_CHECK_MSG(n >= 1, "worker pool needs at least one thread");
-  PAGODA_CHECK_MSG(coordinator_ == nullptr,
-                   "worker pool already running; set threads before the run");
-  worker_threads_ = n;
-}
-
-void Simulation::require_serial(const char* why) {
-  if (serial_reason_ == nullptr) serial_reason_ = why;
-}
-
-ShardId Simulation::sharded_current_shard() const {
-  const Shard* w = window_shard();
-  return w != nullptr ? w->id : cur_shard_;
-}
-
-Simulation::ShardScope::ShardScope(Simulation& sim, ShardId s)
-    : sim_(&sim), prev_(sim.cur_shard_) {
-  PAGODA_CHECK_MSG(t_window_shard == nullptr,
-                   "ShardScope inside a parallel window");
-  // With sharding disabled (or fewer shards than nodes) scopes degrade to
-  // the host shard: everything still runs, just unsharded.
-  sim.cur_shard_ =
-      s < sim.shards_.size() ? s : kHostShard;
-}
-
-Simulation::ShardScope::~ShardScope() { sim_->cur_shard_ = prev_; }
-
-// --- typed cross-shard channels ---------------------------------------------
-
-EventId Simulation::resume_on(ShardId home, std::coroutine_handle<> h) {
-  PAGODA_CHECK_MSG(home < shards_.size(), "resume_on unknown shard");
-  if (Shard* w = window_shard()) {
-    if (home == w->id) {
-      return compose(home,
-                     w->queue.schedule_resume(w->now, h, window_seq(*w)));
-    }
-    w->outbox.push_back(Post{w->now, home, w->id, w->post_order++, {}, h});
-    w->stop = true;
-    return 0;
-  }
-  Shard& tgt = shard(home);
-  PAGODA_CHECK_MSG(now_ >= tgt.now,
-                   "cross-shard wake into the target shard's drained past "
-                   "(causality violation: a parallel window outran this "
-                   "coupling's lookahead)");
-  return compose(home, tgt.queue.schedule_resume(now_, h, next_seq_++));
-}
-
-void Simulation::defer_on(ShardId home, std::function<void()> fn) {
-  PAGODA_CHECK_MSG(home < shards_.size(), "defer_on unknown shard");
-  if (Shard* w = window_shard()) {
-    if (home == w->id) {
-      w->queue.schedule(w->now, std::move(fn), window_seq(*w));
-      return;
-    }
-    w->outbox.push_back(
-        Post{w->now, home, w->id, w->post_order++, std::move(fn), nullptr});
-    w->stop = true;
-    return;
-  }
-  Shard& tgt = shard(home);
-  PAGODA_CHECK_MSG(now_ >= tgt.now,
-                   "cross-shard defer into the target shard's drained past "
-                   "(causality violation: a parallel window outran this "
-                   "coupling's lookahead)");
-  tgt.queue.schedule(now_, std::move(fn), next_seq_++);
-}
-
-void Simulation::invoke_on(ShardId target, std::function<void()> fn) {
-  PAGODA_CHECK_MSG(target < shards_.size(), "invoke_on unknown shard");
-  Shard* w = window_shard();
-  if (w == nullptr || target == w->id) {
-    // Sequential context (all shards coherent) or same shard: the
-    // historical direct call.
-    fn();
-    return;
-  }
-  w->outbox.push_back(
-      Post{w->now, target, w->id, w->post_order++, std::move(fn), nullptr});
-  w->stop = true;
-}
-
-const ShardStats& Simulation::shard_stats() const {
-  return coordinator_ != nullptr ? coordinator_->stats() : kNoStats;
-}
-
-// --- drivers ----------------------------------------------------------------
-
-void Simulation::step_shard(Shard& s) {
-  EventQueue::Popped e = s.queue.pop();
-  now_ = e.at;
-  s.now = e.at;
-  const ShardId prev = cur_shard_;
-  cur_shard_ = s.id;
-  e.run();
-  cur_shard_ = prev;
-}
-
 bool Simulation::step() {
-  if (shards_.size() == 1) {  // the unsharded fast path — byte-for-byte legacy
-    Shard& s = *shards_[0];
-    if (s.queue.empty()) return false;
-    step_shard(s);
-    return true;
-  }
-  Shard* best = nullptr;
-  EventKey best_key;
-  for (auto& sp : shards_) {
-    const EventKey k = sp->queue.next_key();
-    if (k.valid() && (best == nullptr || k < best_key)) {
-      best = sp.get();
-      best_key = k;
-    }
-  }
-  if (best == nullptr) return false;
-  step_shard(*best);
+  if (queue_.empty()) return false;
+  EventQueue::Popped e = queue_.pop();
+  now_ = e.at;
+  e.run();
   return true;
 }
 
-bool Simulation::parallel_eligible() const {
-  return worker_threads_ > 1 && shards_.size() > 1 &&
-         serial_reason_ == nullptr;
-}
-
-ShardCoordinator& Simulation::coordinator() {
-  if (coordinator_ == nullptr) {
-    coordinator_ = std::make_unique<ShardCoordinator>(*this, worker_threads_);
-  }
-  return *coordinator_;
-}
-
 Time Simulation::run() {
-  if (parallel_eligible()) {
-    coordinator().run_until(kTimeMax - 1);
-    Time last = now_;
-    for (auto& s : shards_) last = s->now > last ? s->now : last;
-    now_ = last;
-    for (auto& s : shards_) s->now = last;
-    return now_;
-  }
   while (step()) {
   }
   return now_;
@@ -258,44 +29,8 @@ Time Simulation::run() {
 
 void Simulation::run_until(Time t) {
   PAGODA_CHECK(t >= now_);
-  if (parallel_eligible()) {
-    coordinator().run_until(t);
-  } else {
-    if (shards_.size() == 1) {
-      Shard& s = *shards_[0];
-      while (s.queue.next_time() <= t) step_shard(s);
-    } else {
-      for (;;) {
-        Shard* best = nullptr;
-        EventKey best_key;
-        for (auto& sp : shards_) {
-          const EventKey k = sp->queue.next_key();
-          if (k.valid() && (best == nullptr || k < best_key)) {
-            best = sp.get();
-            best_key = k;
-          }
-        }
-        if (best == nullptr || best_key.at > t) break;
-        step_shard(*best);
-      }
-    }
-  }
+  while (queue_.next_time() <= t) step();
   now_ = t;
-  for (auto& s : shards_) s->now = t;
 }
-
-std::size_t Simulation::pending_events() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->queue.size();
-  return n;
-}
-
-ShardId current_shard_of(const Simulation* sim) {
-  return sim != nullptr ? sim->current_shard() : kHostShard;
-}
-
-namespace internal {
-void set_window_shard(Simulation::Shard* s) { t_window_shard = s; }
-}  // namespace internal
 
 }  // namespace pagoda::sim

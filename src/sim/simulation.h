@@ -1,76 +1,43 @@
-// The simulation kernel: a virtual clock driving partitioned event queues.
+// The simulation kernel: a virtual clock driving one event queue.
 //
 // Everything in the Pagoda reproduction — host CPU threads, PCIe transfers,
-// GPU scheduler warps and executor warps — is a coroutine process advanced by
-// one Simulation instance. Runs are deterministic: same inputs, same event
-// trace, same timings, regardless of sharding or worker threads.
-//
-// Sharding model (see src/sim/shard.h and DESIGN.md §14):
-//
-//  * Default (unsharded) — one shard, one queue: the historical
-//    single-threaded simulator, bit-for-bit.
-//  * Sharded sequential (configure_shards(), worker_threads == 1) — one
-//    queue per shard, but every schedule stamps ONE global sequence counter
-//    and the driver pops the globally least (time, seq) head. Execution
-//    order is therefore EXACTLY the single-queue order; sharding is a
-//    storage partition and a determinism proof, not a behavior change.
-//  * Sharded parallel (set_worker_threads(N>1)) — a conservative-lookahead
-//    window loop (ShardCoordinator): whenever the host shard holds the
-//    globally least key the coordinator runs host events serially (they may
-//    touch any shard — all others are parked strictly behind them); when
-//    node shards lead, workers drain each node shard's events up to the
-//    host head key in parallel. Node events may only touch their own
-//    shard's state; anything host-facing goes through invoke_on/resume_on/
-//    defer_on, which post a (timestamp, src_shard, src_seq)-stamped message
-//    merged deterministically at the window barrier — and stop the posting
-//    shard's drain so the host's reaction can never land in its past.
-//
-// Planes that couple shards at zero lookahead (the obs timeline/tracer, the
-// power plane's edge sampling, fault plans) call require_serial(): windows
-// are disabled and the run follows the sharded-sequential order exactly.
+// GPU scheduler warps and executor warps, every node of a cluster — is a
+// coroutine process advanced by one Simulation instance on one thread. Runs
+// are deterministic: same inputs, same event trace, same timings. Events at
+// equal timestamps fire in schedule order (the queue's global sequence
+// number breaks ties; see event_queue.h and DESIGN.md §14).
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
+#include <utility>
 
 #include "common/check.h"
 #include "common/time_types.h"
 #include "sim/event_queue.h"
 #include "sim/joinable.h"
-#include "sim/shard.h"
 
 namespace pagoda::sim {
 
 class Process;
-class ShardCoordinator;
 
 class Simulation {
  public:
-  Simulation();
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
-  ~Simulation();
 
-  // The unsharded single-queue simulator is the hot path for every
-  // single-device experiment (fig5_overall schedules tens of millions of
-  // events); each of the accessors below therefore branches on multi_shard_
-  // inline and touches only now_/host_/next_seq_ in that case — no TLS
-  // window lookup, no shard indirection, no out-of-line call. The sharded
-  // variants carry the full routing logic in simulation.cpp.
+  // The scheduling accessors below are the hot path for every experiment
+  // (fig5_overall schedules tens of millions of events), so they stay inline.
 
-  /// Current virtual time. Inside a parallel window this is the executing
-  /// shard's local clock (shards run ahead independently within the
-  /// window); everywhere else it is the global clock.
-  Time now() const { return multi_shard_ ? sharded_now() : now_; }
+  /// Current virtual time.
+  Time now() const { return now_; }
 
   /// Schedules fn at absolute time t (must be >= now()).
   EventId at(Time t, std::function<void()> fn) {
-    if (multi_shard_) return sharded_at(t, std::move(fn));
     PAGODA_CHECK_MSG(t >= now_, "cannot schedule events in the past");
-    return host_->queue.schedule(t, std::move(fn), next_seq_++);
+    return queue_.schedule(t, std::move(fn));
   }
 
   /// Schedules fn after duration d (>= 0).
@@ -87,9 +54,8 @@ class Simulation {
   // path in the simulator (delay, sync primitives, process joins) goes
   // through these.
   EventId at_resume(Time t, std::coroutine_handle<> h) {
-    if (multi_shard_) return sharded_at_resume(t, h);
     PAGODA_CHECK_MSG(t >= now_, "cannot schedule events in the past");
-    return host_->queue.schedule_resume(t, h, next_seq_++);
+    return queue_.schedule_resume(t, h);
   }
   EventId after_resume(Duration d, std::coroutine_handle<> h) {
     PAGODA_CHECK_MSG(d >= 0, "negative delay");
@@ -99,16 +65,13 @@ class Simulation {
     return at_resume(now(), h);
   }
 
-  bool cancel(EventId id) {
-    // Unsharded ids carry no shard tag; they go straight to the host queue
-    // (whose generation check rejects stale or foreign ids).
-    return multi_shard_ ? sharded_cancel(id) : host_->queue.cancel(id);
-  }
+  /// Cancels a pending event; false when it already fired, was already
+  /// cancelled or is unknown (see EventQueue::cancel).
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Starts a coroutine process. The process body begins executing at now()
-  /// (after currently pending same-time events) on the current shard, which
-  /// becomes the process's home shard. Returns a handle on which other
-  /// processes can `co_await handle.join()`.
+  /// (after currently pending same-time events). Returns a handle on which
+  /// other processes can `co_await handle.join()`.
   Joinable spawn(Process p);
 
   /// Awaitable: suspends the awaiting process for duration d.
@@ -126,159 +89,20 @@ class Simulation {
     return Awaiter{this, d};
   }
 
-  /// Runs until every event queue drains. Returns the final time.
+  /// Runs until the event queue drains. Returns the final time.
   Time run();
 
   /// Runs events with timestamp <= t, then sets now() = t.
   void run_until(Time t);
 
-  /// Runs a single event if one exists; returns false when drained. Always
-  /// follows the global (time, seq) merge order, even when sharded.
+  /// Runs a single event if one exists; returns false when drained.
   bool step();
 
-  std::size_t pending_events() const;
-
-  // --- sharding ------------------------------------------------------------
-
-  /// Partitions the simulation into 1 host shard + `node_shards` node
-  /// shards. Must be called before any event is scheduled (the Cluster
-  /// constructor calls it before building nodes). No-op when sharding was
-  /// disabled via set_sharding_enabled(false).
-  void configure_shards(int node_shards);
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
-  /// Opt out of sharding entirely (the `--sim-core=global` escape hatch the
-  /// equivalence soak compares against). Must precede configure_shards().
-  void set_sharding_enabled(bool enabled) { sharding_enabled_ = enabled; }
-  bool sharding_enabled() const { return sharding_enabled_; }
-
-  /// Worker pool size for parallel windows. 1 (default) = sequential
-  /// sharded execution; N > 1 enables the window loop when shards exist and
-  /// no plane demanded serial order.
-  void set_worker_threads(int n);
-  int worker_threads() const { return worker_threads_; }
-
-  /// Declares that this run contains a coupling the window loop cannot
-  /// reorder around (timeline observers, power edges, fault plans). The
-  /// first caller's reason is kept for diagnostics; parallel windows are
-  /// disabled, execution follows the exact sequential merge order.
-  void require_serial(const char* why);
-  const char* serial_reason() const { return serial_reason_; }
-
-  /// Shard of the code currently executing (event body, construction scope)
-  /// — and therefore the home shard given to anything it spawns.
-  ShardId current_shard() const {
-    return multi_shard_ ? sharded_current_shard() : kHostShard;
-  }
-
-  /// True while the calling thread is draining a shard inside a parallel
-  /// window (always false in sequential modes). Sync primitives use this to
-  /// reject couplings the window loop cannot reorder around.
-  bool in_parallel_window() const {
-    return multi_shard_ && window_shard() != nullptr;
-  }
-
-  /// RAII construction/call scope: objects built and events scheduled while
-  /// a scope is active home onto its shard. The Cluster wraps each
-  /// GpuNode's construction and start in one.
-  class ShardScope {
-   public:
-    ShardScope(Simulation& sim, ShardId s);
-    ShardScope(const ShardScope&) = delete;
-    ShardScope& operator=(const ShardScope&) = delete;
-    ~ShardScope();
-
-   private:
-    Simulation* sim_;
-    ShardId prev_;
-  };
-
-  // --- typed cross-shard channels ------------------------------------------
-  // The only legal ways for a node-shard event to reach another shard. In
-  // sequential modes they collapse to the historical direct behavior
-  // (byte-identical schedules); inside a parallel window a cross-shard call
-  // becomes a post on the shard's outbox, merged at the window barrier in
-  // deterministic (time, src_shard, src_seq) order.
-
-  /// Resumes `h` on its home shard at the current time (defer semantics).
-  /// Returns the event id, or 0 when the wake was posted cross-shard
-  /// (posted wakes are not cancellable — no caller cancels wakes).
-  EventId resume_on(ShardId home, std::coroutine_handle<> h);
-
-  /// Defers `fn` onto `home` at the current time.
-  void defer_on(ShardId home, std::function<void()> fn);
-
-  /// Runs `fn` against `target`'s state: immediately (synchronously) when
-  /// that is safe — sequential modes, or already on `target` — otherwise as
-  /// a posted message. The MasterKernel routes its completion observer
-  /// (host dispatcher state) through this.
-  void invoke_on(ShardId target, std::function<void()> fn);
-
-  /// Window/merge statistics (zeroes until a parallel run happened).
-  const ShardStats& shard_stats() const;
-
-  // --- internal (public for the coordinator and the thread-local context) --
-  struct Post {
-    Time at;
-    ShardId target;
-    ShardId src;
-    std::uint64_t order;  // per-shard post index within the window
-    std::function<void()> fn;
-    std::coroutine_handle<> resume = nullptr;
-  };
-  struct Shard {
-    EventQueue queue;
-    ShardId id = 0;
-    Time now = 0;  ///< local clock; == global clock outside windows
-    // Parallel-window state (touched only by the draining worker / the
-    // coordinator at barriers):
-    std::uint64_t window_seq = 0;
-    std::uint64_t window_seq_end = 0;
-    std::uint64_t post_order = 0;
-    bool stop = false;  ///< posted this window — drain must halt
-    std::uint64_t drained = 0;  ///< events run this window (stats fold)
-    std::vector<Post> outbox;
-  };
+  std::size_t pending_events() const { return queue_.size(); }
 
  private:
-  friend class ShardCoordinator;
-
-  static constexpr int kShardShift = 32 + EventQueue::kSlotBits;
-
-  // Sharded slow paths behind the inline multi_shard_ branch above.
-  Time sharded_now() const;
-  EventId sharded_at(Time t, std::function<void()> fn);
-  EventId sharded_at_resume(Time t, std::coroutine_handle<> h);
-  bool sharded_cancel(EventId id);
-  ShardId sharded_current_shard() const;
-
-  Shard& shard(ShardId s) { return *shards_[s]; }
-  Shard* window_shard() const;  ///< TLS; non-null inside a parallel window
-  EventId compose(ShardId s, EventId queue_id) const {
-    return queue_id == 0
-               ? 0
-               : queue_id | (static_cast<EventId>(s) << kShardShift);
-  }
-  std::uint64_t window_seq(Shard& s);
-  void step_shard(Shard& s);  ///< pop + run one event of s (serial context)
-  bool parallel_eligible() const;
-  ShardCoordinator& coordinator();
-
   Time now_ = 0;
-  ShardId cur_shard_ = kHostShard;
-  std::uint64_t next_seq_ = 1;  ///< global schedule counter (serial contexts)
-  Shard* host_ = nullptr;       ///< cached shards_[0] for the inline fast path
-  bool multi_shard_ = false;    ///< true once configure_shards grew shards
-  std::vector<std::unique_ptr<Shard>> shards_;
-  bool sharding_enabled_ = true;
-  int worker_threads_ = 1;
-  const char* serial_reason_ = nullptr;
-  std::unique_ptr<ShardCoordinator> coordinator_;
+  EventQueue queue_;
 };
-
-namespace internal {
-/// Binds/clears the calling thread's active window shard (coordinator use).
-void set_window_shard(Simulation::Shard* s);
-}  // namespace internal
 
 }  // namespace pagoda::sim

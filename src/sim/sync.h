@@ -15,6 +15,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <vector>
 
 #include "common/check.h"
@@ -43,8 +44,7 @@ class Condition {
       Condition* cv;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        cv->waiters_.push_back(Waiter{cv->next_id_++, h, 0, nullptr,
-                                      cv->sim_->current_shard()});
+        cv->waiters_.push_back(Waiter{cv->next_id_++, h, 0, nullptr});
       }
       void await_resume() const noexcept {}
     };
@@ -65,8 +65,7 @@ class Condition {
           cv->drop_waiter(id);
           h.resume();
         });
-        cv->waiters_.push_back(
-            Waiter{id, h, ev, &notified, cv->sim_->current_shard()});
+        cv->waiters_.push_back(Waiter{id, h, ev, &notified});
       }
       bool await_resume() const noexcept { return notified; }
     };
@@ -95,28 +94,13 @@ class Condition {
     std::coroutine_handle<> handle;
     EventId timeout_event;     // 0 if untimed
     bool* notified_flag;       // lives in the suspended awaiter frame
-    ShardId home;              // shard the waiter suspended on; wakes land
-                               // back there (cross-shard wakes become posts)
   };
 
   void wake(std::vector<Waiter>& woken) {
     for (Waiter& w : woken) {
-      if (w.timeout_event != 0) {
-        // The timeout event lives on the waiter's home shard. A cross-shard
-        // notify from inside a parallel window cannot cancel it (the queue
-        // belongs to another worker), and deferring the cancel to the merge
-        // would race the timeout itself — so a timed wait notified across
-        // shards is only defined under the serial order. Fail with the real
-        // story instead of the generic cross-shard-cancel check.
-        PAGODA_CHECK_MSG(
-            !sim_->in_parallel_window() || w.home == sim_->current_shard(),
-            "cross-shard notify of a timed Condition waiter inside a "
-            "parallel window; a plane mixing wait_for() with cross-shard "
-            "notifies must declare Simulation::require_serial()");
-        sim_->cancel(w.timeout_event);
-      }
+      if (w.timeout_event != 0) sim_->cancel(w.timeout_event);
       if (w.notified_flag != nullptr) *w.notified_flag = true;
-      sim_->resume_on(w.home, w.handle);
+      sim_->defer_resume(w.handle);
     }
   }
 
@@ -142,19 +126,15 @@ class Trigger {
   Trigger(const Trigger&) = delete;
   Trigger& operator=(const Trigger&) = delete;
   ~Trigger() {
-    for (const Waiter& w : waiters_) w.handle.destroy();
+    for (const std::coroutine_handle<> h : waiters_) h.destroy();
   }
 
   void fire() {
     if (fired_) return;
     fired_ = true;
-    for (const Waiter& w : waiters_) {
-      sim_->resume_on(w.home, w.handle);
-    }
+    for (const std::coroutine_handle<> h : waiters_) sim_->defer_resume(h);
     waiters_.clear();
-    for (Callback& cb : callbacks_) {
-      sim_->defer_on(cb.home, std::move(cb.fn));
-    }
+    for (std::function<void()>& fn : callbacks_) sim_->defer(std::move(fn));
     callbacks_.clear();
   }
 
@@ -165,7 +145,7 @@ class Trigger {
     if (fired_) {
       sim_->defer(std::move(fn));
     } else {
-      callbacks_.push_back(Callback{std::move(fn), sim_->current_shard()});
+      callbacks_.push_back(std::move(fn));
     }
   }
 
@@ -174,7 +154,7 @@ class Trigger {
       Trigger* t;
       bool await_ready() const noexcept { return t->fired_; }
       void await_suspend(std::coroutine_handle<> h) {
-        t->waiters_.push_back(Waiter{h, t->sim_->current_shard()});
+        t->waiters_.push_back(h);
       }
       void await_resume() const noexcept {}
     };
@@ -182,19 +162,10 @@ class Trigger {
   }
 
  private:
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    ShardId home;
-  };
-  struct Callback {
-    std::function<void()> fn;
-    ShardId home;
-  };
-
   Simulation* sim_;
   bool fired_ = false;
-  std::vector<Waiter> waiters_;
-  std::vector<Callback> callbacks_;
+  std::vector<std::coroutine_handle<>> waiters_;
+  std::vector<std::function<void()>> callbacks_;
 };
 
 /// Counting semaphore with FIFO grant order.
@@ -231,7 +202,7 @@ class Semaphore {
         return false;
       }
       void await_suspend(std::coroutine_handle<> h) {
-        s->waiters_.push_back(Waiter{h, &granted, s->sim_->current_shard()});
+        s->waiters_.push_back(Waiter{h, &granted});
       }
       bool await_resume() const noexcept { return granted; }
     };
@@ -243,7 +214,7 @@ class Semaphore {
       const Waiter w = waiters_.front();
       waiters_.pop_front();
       *w.granted = true;
-      sim_->resume_on(w.home, w.handle);
+      sim_->defer_resume(w.handle);
     } else {
       ++count_;
     }
@@ -257,7 +228,7 @@ class Semaphore {
     closed_ = true;
     std::deque<Waiter> woken;
     woken.swap(waiters_);
-    for (const Waiter& w : woken) sim_->resume_on(w.home, w.handle);
+    for (const Waiter& w : woken) sim_->defer_resume(w.handle);
   }
 
   void reopen() { closed_ = false; }
@@ -269,7 +240,6 @@ class Semaphore {
   struct Waiter {
     std::coroutine_handle<> handle;
     bool* granted;  // lives in the suspended awaiter frame
-    ShardId home;   // shard the acquirer suspended on
   };
 
   Simulation* sim_;

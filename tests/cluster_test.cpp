@@ -394,6 +394,12 @@ TEST(ClusterTraffic, ArrivalSpecParsing) {
   EXPECT_FALSE(ArrivalConfig::parse("bursty:10:1").has_value());
   EXPECT_FALSE(ArrivalConfig::parse("bursty:10x").has_value());
   EXPECT_FALSE(ArrivalConfig::parse("sawtooth:10").has_value());
+  // Non-finite numbers: NaN slips past `<= 0` range checks.
+  EXPECT_FALSE(ArrivalConfig::parse("poisson:nan").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("poisson:inf").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("bursty:1000:nan").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("diurnal:1000:inf").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("diurnal:1000:4:nan").has_value());
 }
 
 TEST(ClusterTraffic, PoissonGapsMatchTheConfiguredRate) {

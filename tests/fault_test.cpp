@@ -80,6 +80,11 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
       "degrade:0:10:0",   // factor must be in (0,1]
       "degrade:0:10:2",   // factor > 1
       "seed:abc",         // non-numeric
+      "task:nan",         // non-finite rate
+      "xfer:inf",         // non-finite rate
+      "crash:0:inf",      // non-finite time
+      "degrade:1:1:nan",  // non-finite factor
+      "degrade:1:inf:0.5",  // non-finite duration
       ",",                // empty item
   };
   for (const char* spec : bad) {

@@ -48,6 +48,14 @@ TEST(FlagsDeathTest, GetDoubleRejectsTrailingGarbage) {
   const Flags f = make_flags({"--rate=1.5x"});
   EXPECT_EXIT(f.get_double("rate", 0.0), ::testing::ExitedWithCode(2),
               "invalid value for --rate: '1.5x'");
+  // Non-finite values too: NaN slips past every `< 0` range check the
+  // callers make.
+  for (const char* arg : {"--rate=nan", "--rate=inf", "--rate=-inf"}) {
+    const Flags nonfinite = make_flags({arg});
+    EXPECT_EXIT(nonfinite.get_double("rate", 0.0),
+                ::testing::ExitedWithCode(2), "invalid value for --rate")
+        << arg;
+  }
 }
 
 TEST(Experiment, GemtcGetsNoSharedMemoryVariant) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/event_queue.h"
 #include "sim/link.h"
 #include "sim/process.h"
 #include "sim/ps_resource.h"
@@ -62,6 +63,44 @@ TEST(EventQueue, EventsCanScheduleEvents) {
   sim.run();
   EXPECT_EQ(hits, 2);
   EXPECT_EQ(sim.now(), 2);
+}
+
+// --- EventQueue cancel hardening ------------------------------------------
+
+/// A cancelled id whose slot was since reused by a NEW event must not cancel
+/// the new event: the generation stamped into the id has moved on. This is
+/// the double-cancel-across-slab-reuse regression pinned by the explicit
+/// generation check in EventQueue::cancel.
+TEST(EventCancelSlabReuse, StaleIdDoesNotCancelReusedSlot) {
+  EventQueue q;
+  int fired = 0;
+  const EventId a = q.schedule(10, [&] { fired += 1; });
+  ASSERT_TRUE(q.cancel(a));
+  // The freed slot is recycled (LIFO free list): b lands in a's slab slot
+  // with a bumped generation.
+  const EventId b = q.schedule(20, [&] { fired += 10; });
+  EXPECT_FALSE(q.cancel(a)) << "stale id cancelled a reused slot";
+  EXPECT_FALSE(q.cancel(a)) << "double-cancel of a stale id succeeded";
+  while (!q.empty()) q.pop().run();
+  EXPECT_EQ(fired, 10) << "the reused slot's event must still fire";
+  (void)b;
+}
+
+TEST(EventCancelSlabReuse, CancelAfterFireIsRejected) {
+  EventQueue q;
+  const EventId a = q.schedule(5, [] {});
+  q.pop().run();
+  EXPECT_FALSE(q.cancel(a));
+  // And the slot reuse after a natural pop is likewise protected.
+  const EventId b = q.schedule(7, [] {});
+  EXPECT_FALSE(q.cancel(a));
+  EXPECT_TRUE(q.cancel(b));
+}
+
+TEST(EventCancelSlabReuse, ZeroAndForeignIdsAreRejected) {
+  EventQueue q;
+  EXPECT_FALSE(q.cancel(0));
+  EXPECT_FALSE(q.cancel(static_cast<EventId>(1) << 32));  // slot never used
 }
 
 TEST(Simulation, RunUntilStopsAtTime) {

@@ -4,7 +4,7 @@
 #
 #   tools/check.sh            # both passes
 #   tools/check.sh --fast     # Release pass only
-#   PAGODA_SANITIZE="thread" tools/check.sh   # override the sanitizer list
+#   PAGODA_SANITIZE="address" tools/check.sh  # override the sanitizer list
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -39,6 +39,23 @@ cluster_smoke() {
     grep -q "invalid value for --policy.*round-robin"
   ("${dir}/tools/pagoda_cli" --workload=MM --gpus=2 --arrival=sawtooth 2>&1 || true) |
     grep -q "poisson:RATE"
+  # Out-of-range and non-finite values must end in the CLI's usage error
+  # (exit 1, or 2 for an unparsable number), never in an internal CHECK abort.
+  local args rc
+  for args in "--gpus=2 --oversub=1e9" "--rows=0" "--blocks=0" \
+      "--task-threads=0" "--task-threads=100000" \
+      "--gpus=2 --arrival=poisson:nan" "--gpus=2 --arrival=poisson:inf" \
+      "--gpus=2 --arrival=diurnal:1000:inf" "--gpus=2 --faults=degrade:1:1:nan" \
+      "--gpus=2 --slo-us=nan" "--gpus=2 --task-timeout-us=nan"; do
+    rc=0
+    # shellcheck disable=SC2086  # args is a deliberate word list
+    "${dir}/tools/pagoda_cli" --workload=MM --tasks=32 ${args} \
+        >/dev/null 2>&1 || rc=$?
+    if [[ "${rc}" != 1 && "${rc}" != 2 ]]; then
+      echo "error: pagoda_cli ${args} exited ${rc}, want a usage error" >&2
+      exit 1
+    fi
+  done
 }
 
 qos_smoke() {
@@ -159,50 +176,18 @@ trace_smoke() {
 fleet_smoke() {
   local dir="$1"
   echo "==> fleet smoke ${dir}"
-  # A 64-node fleet must run end-to-end on the sharded core, sequential and
-  # threaded, with identical virtual-time output (the time/latency lines).
-  local seq par
-  seq=$("${dir}/tools/pagoda_cli" --workload=MM --tasks=256 --gpus=64 \
-      --arrival=poisson:2000000 --threads=1 | grep -E "^(time|latency)")
-  par=$("${dir}/tools/pagoda_cli" --workload=MM --tasks=256 --gpus=64 \
-      --arrival=poisson:2000000 --threads=2 2>/dev/null |
-      grep -E "^(time|latency)")
-  if [[ "${seq}" != "${par}" ]]; then
-    echo "error: --threads=2 changed the virtual-time outcome:" >&2
-    printf '%s\n--- vs ---\n%s\n' "${seq}" "${par}" >&2
-    exit 1
-  fi
-  # Strict validation, same style as --policy/--gpus.
-  if "${dir}/tools/pagoda_cli" --workload=MM --gpus=2 --threads=0 \
-      >/dev/null 2>&1; then
-    echo "error: --threads=0 unexpectedly accepted" >&2
-    exit 1
-  fi
-  ("${dir}/tools/pagoda_cli" --workload=MM --gpus=2 --threads=0 2>&1 || true) |
-    grep -q "threads must be >= 1"
-  # Stale scripts from when --threads meant threads-per-task (now
-  # --task-threads) must fail loudly, not spawn a workload-sized pool.
-  if "${dir}/tools/pagoda_cli" --workload=MM --gpus=2 --threads=4096 \
-      >/dev/null 2>&1; then
-    echo "error: workload-sized --threads unexpectedly accepted" >&2
-    exit 1
-  fi
-  ("${dir}/tools/pagoda_cli" --workload=MM --gpus=2 --threads=4096 2>&1 || true) |
-    grep -q -- "--task-threads"
-  if "${dir}/tools/pagoda_cli" --workload=MM --runtime=Pagoda --threads=4 \
-      >/dev/null 2>&1; then
-    echo "error: --threads outside the Cluster runtime unexpectedly accepted" >&2
-    exit 1
-  fi
-  if "${dir}/tools/pagoda_cli" --workload=MM --gpus=2 --sim-core=global \
-      --threads=4 >/dev/null 2>&1; then
-    echo "error: --sim-core=global with a worker pool unexpectedly accepted" >&2
-    exit 1
-  fi
-  ("${dir}/tools/pagoda_cli" --workload=MM --gpus=2 --sim-core=bogus 2>&1 || true) |
-    grep -q "invalid value for --sim-core"
-  # The simulation-core catalog is part of --list-policies.
-  ("${dir}/tools/pagoda_cli" --list-policies) | grep -q "sim-core"
+  # A 64-node fleet must run end-to-end on the single event queue.
+  "${dir}/tools/pagoda_cli" --workload=MM --tasks=256 --gpus=64 \
+      --arrival=poisson:2000000 >/dev/null
+  # The simulation worker pool and the sharded core are gone: stale scripts
+  # that still pass their flags must fail loudly, not run silently.
+  for stale in --threads=4 --sim-core=global; do
+    if "${dir}/tools/pagoda_cli" --workload=MM --gpus=2 "${stale}" \
+        >/dev/null 2>&1; then
+      echo "error: removed flag ${stale} unexpectedly accepted" >&2
+      exit 1
+    fi
+  done
 }
 
 power_smoke() {
@@ -432,37 +417,19 @@ engine_grep_clean() {
 
 fleet_gate() {
   # Fleet-scale gate: the 1 -> 256 node sweep (bench/fleet_scale) must
-  # complete inside a wall-clock floor, the bench itself CHECKs that the
-  # worker pool leaves the virtual-time outcome untouched, and — when the
-  # machine actually has cores to parallelize over — the 4-thread 64-node
-  # point must beat sequential by >= 1.5x.
+  # complete inside a wall-clock budget.
   local dir="$1"
   local budget_s=120
   echo "==> fleet-scale gate (bench/fleet_scale, 1->256 nodes)"
   local t0 t1 elapsed
   t0=$(date +%s%N)
-  "${dir}/bench/fleet_scale" --threads=4 --out=BENCH_fleet.json >/dev/null
+  "${dir}/bench/fleet_scale" --out=BENCH_fleet.json >/dev/null
   t1=$(date +%s%N)
   elapsed=$(awk -v a="$t0" -v b="$t1" 'BEGIN{printf "%.1f", (b-a)/1e9}')
   echo "    sweep completed in ${elapsed}s (budget ${budget_s}s)"
   if awk -v e="${elapsed}" -v b="${budget_s}" 'BEGIN{exit !(e > b)}'; then
     echo "error: fleet_scale sweep took ${elapsed}s, budget ${budget_s}s" >&2
     exit 1
-  fi
-  local speedup
-  speedup=$(grep -o '"speedup_64": [0-9.]*' BENCH_fleet.json |
-      awk '{print $2}')
-  local cores
-  cores=$(nproc 2>/dev/null || echo 1)
-  if [[ "${cores}" -ge 4 ]]; then
-    echo "    64-node speedup at --threads=4: ${speedup}x (floor 1.5x)"
-    if awk -v s="${speedup}" 'BEGIN{exit !(s < 1.5)}'; then
-      echo "error: fleet_scale 64-node --threads=4 speedup ${speedup}x < 1.5x" >&2
-      exit 1
-    fi
-  else
-    echo "    64-node speedup at --threads=4: ${speedup}x (informational:" \
-         "only ${cores} core(s), the 1.5x floor needs >= 4)"
   fi
 }
 
@@ -608,34 +575,6 @@ if [[ "${1:-}" != "--fast" ]]; then
       --out=/tmp/pagoda_sched_b.json >/dev/null
   cmp /tmp/pagoda_sched_a.json /tmp/pagoda_sched_b.json
   rm -f /tmp/pagoda_sched_a.json /tmp/pagoda_sched_b.json
-
-  # ThreadSanitizer pass over the code that actually runs multi-threaded:
-  # the shard coordinator's worker pool. Only the targets that exercise it
-  # are built (a full TSan build + test run would double the check time for
-  # single-threaded code TSan cannot see anything in).
-  echo "==> configure build-tsan (-DPAGODA_SANITIZE=thread)"
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DPAGODA_SANITIZE=thread >/dev/null
-  echo "==> build build-tsan (pagoda_cli, fleet_scale, shard_test," \
-       "migrate_test, vres_test)"
-  cmake --build build-tsan -j "${JOBS}" \
-      --target pagoda_cli fleet_scale shard_test migrate_test vres_test
-  echo "==> TSan: shard coordinator unit tests"
-  build-tsan/tests/shard_test
-  echo "==> TSan: migration plane (checkpoint/restore, autoscaler)"
-  build-tsan/tests/migrate_test
-  echo "==> TSan: virtual resource plane (ledger soak, spill/reclaim)"
-  build-tsan/tests/vres_test
-  echo "==> TSan: threaded cluster + fleet smoke"
-  build-tsan/tools/pagoda_cli --workload=MM --tasks=256 --gpus=8 \
-      --arrival=poisson:1000000 --threads=4 --metrics >/dev/null
-  # Migration arms require_serial, so a threaded run must still be exact.
-  build-tsan/tools/pagoda_cli --workload=MM --tasks=256 --gpus=8 \
-      --arrival=poisson:1000000 --threads=4 --migrate --power=default \
-      --autoscale=0.6 --metrics >/dev/null
-  build-tsan/bench/fleet_scale --tasks-per-node=8 --threads=4 \
-      --out=/tmp/pagoda_fleet_tsan.json >/dev/null
-  rm -f /tmp/pagoda_fleet_tsan.json
 fi
 
 echo "==> all checks passed"

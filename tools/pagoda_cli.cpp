@@ -2,7 +2,7 @@
 //
 //   pagoda_cli --workload=MM --runtime=Pagoda --tasks=4096 --task-threads=128
 //   pagoda_cli --workload=3DES --runtime=HyperQ --no-copies
-//   pagoda_cli --workload=MM --gpus=64 --arrival=poisson:2.0 --threads=4
+//   pagoda_cli --workload=MM --gpus=64 --arrival=poisson:2000000
 //   pagoda_cli --workload=MB --runtime=Pagoda --compute     # verify outputs
 //   pagoda_cli --workload=MM --runtime=Pagoda --trace=out.csv
 //   pagoda_cli --workload=MM --runtime=GeMTC --metrics
@@ -19,10 +19,6 @@
 // grids and counter tracks; `--trace` dumps the raw event trace for ANY
 // runtime — the Pagoda protocol trace for Pagoda runtimes, the generic
 // timeline for the rest.
-//
-// `--threads=N` (Cluster runtime only) runs the sharded simulation core on
-// an N-thread worker pool; results are identical to --threads=1.
-// `--sim-core=global` forces the pre-shard single global event queue.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -30,9 +26,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "baselines/factories.h"
 #include "cluster/placement.h"
@@ -45,6 +41,7 @@
 #include "harness/flags.h"
 #include "migrate/autoscaler.h"
 #include "obs/collector.h"
+#include "pagoda/master_kernel.h"
 #include "pagoda/trace.h"
 #include "power/governor.h"
 #include "power/power_spec.h"
@@ -81,8 +78,6 @@ int list_options() {
       "runtime)\n"
       "           --policy=NAME --arrival=SPEC --slo-us=X --queue-limit=N\n"
       "           --faults=SPEC --retry-budget=N --task-timeout-us=X\n"
-      "           --threads=N (simulation worker pool) "
-      "--sim-core=sharded|global\n"
       "           --trace-spans=out.json   (per-request causal span dump;\n"
       "            analyze with tools/trace_report)\n"
       "power:     --power=SPEC --governor=NAME --power-cap-watts=X\n"
@@ -167,15 +162,6 @@ int list_policies() {
   std::printf("  %-18s %s\n", "--resize=PLAN",
               "explicit rolling resize AT_US:NODES[,...]; each shrink "
               "drains, migrates, then S-sleeps one node at a time");
-  std::printf(
-      "\nsimulation core (--sim-core, --threads, Cluster runtime only):\n");
-  std::printf("  %-18s %s\n", "sharded",
-              "per-node event shards, lookahead barrier (the default)");
-  std::printf("  %-18s %s\n", "global",
-              "pre-shard single event queue (determinism reference)");
-  std::printf("  %-18s %s\n", "--threads=N",
-              "worker threads draining node shards; N=1 is sequential and "
-              "exact (threads per task moved to --task-threads)");
   return 0;
 }
 
@@ -310,13 +296,13 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const std::string bad = flags.unknown(
       {"list", "list-workloads", "list-policies", "help", "workload",
-       "runtime", "tasks", "threads", "task-threads", "seed", "input",
+       "runtime", "tasks", "task-threads", "seed", "input",
        "blocks", "irregular", "dynamic-threads", "no-shmem", "compute",
        "no-copies", "batch", "rows", "two-copy", "trace", "trace-format",
        "metrics", "metrics-period", "profile", "gpus", "policy", "arrival",
        "slo-us", "queue-limit", "faults", "retry-budget", "task-timeout-us",
        "sched-policy", "class", "weights", "trace-spans", "power", "governor",
-       "power-cap-watts", "sim-core", "migrate", "autoscale", "resize",
+       "power-cap-watts", "migrate", "autoscale", "resize",
        "oversub"});
   if (!bad.empty()) {
     std::fprintf(stderr, "error: unknown argument '%s' (try --help)\n",
@@ -340,8 +326,8 @@ int main(int argc, char** argv) {
   }
   for (const char* f : {"faults", "retry-budget", "task-timeout-us",
                         "trace-spans", "power", "governor",
-                        "power-cap-watts", "threads", "sim-core",
-                        "migrate", "autoscale", "resize"}) {
+                        "power-cap-watts", "migrate", "autoscale",
+                        "resize"}) {
     if (flags.has(f) && (multi || rts[0] != "Cluster")) {
       std::fprintf(stderr, "error: --%s only applies to --runtime=Cluster\n",
                    f);
@@ -354,10 +340,10 @@ int main(int argc, char** argv) {
 
   workloads::WorkloadConfig wcfg;
   wcfg.num_tasks = static_cast<int>(flags.get_int("tasks", 4096));
-  wcfg.threads_per_task = static_cast<int>(flags.get_int("task-threads", 128));
+  const std::int64_t task_threads = flags.get_int("task-threads", 128);
   wcfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA));
   wcfg.input_scale = static_cast<int>(flags.get_int("input", 0));
-  wcfg.blocks_per_task = static_cast<int>(flags.get_int("blocks", 1));
+  const std::int64_t blocks = flags.get_int("blocks", 1);
   wcfg.irregular_sizes = flags.has("irregular");
   wcfg.dynamic_threads = flags.has("dynamic-threads");
   wcfg.use_shared_memory = !flags.has("no-shmem");
@@ -368,8 +354,7 @@ int main(int argc, char** argv) {
   rcfg.include_data_copies = !flags.has("no-copies");
   rcfg.collect_latencies = true;
   rcfg.batch_size = static_cast<int>(flags.get_int("batch", 0));
-  rcfg.pagoda.rows_per_column =
-      static_cast<int>(flags.get_int("rows", 32));
+  const std::int64_t rows = flags.get_int("rows", 32);
   rcfg.pagoda.two_copy_spawn = flags.has("two-copy");
 
   // Virtual resource plane (DESIGN.md §16): ONE factor drives shared-memory
@@ -390,7 +375,7 @@ int main(int argc, char** argv) {
                    "the MasterKernel)\n");
       return 1;
     }
-    if (!std::isfinite(oversub) || oversub < 1.0) {
+    if (oversub < 1.0) {
       std::fprintf(stderr,
                    "error: --oversub must be a finite factor >= 1.0 "
                    "(1.0 = physical reservations; e.g. --oversub=1.5 "
@@ -399,6 +384,43 @@ int main(int argc, char** argv) {
     }
   }
   rcfg.pagoda.oversub = oversub;
+
+  // Task shape and TaskTable geometry: the runtimes CHECK these, so reject
+  // them here with a message instead of an abort mid-run.
+  const int max_threads = rcfg.spec.max_threads_per_block;
+  if (task_threads < 1 || task_threads > max_threads) {
+    std::fprintf(stderr, "error: --task-threads must be in [1, %d]\n",
+                 max_threads);
+    return 1;
+  }
+  if (blocks < 1 || blocks > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "error: --blocks must be in [1, %d]\n",
+                 std::numeric_limits<int>::max());
+    return 1;
+  }
+  if (rows < 1 || rows > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "error: --rows must be in [1, %d]\n",
+                 std::numeric_limits<int>::max());
+    return 1;
+  }
+  wcfg.threads_per_task = static_cast<int>(task_threads);
+  wcfg.blocks_per_task = static_cast<int>(blocks);
+  rcfg.pagoda.rows_per_column = static_cast<int>(rows);
+  // The virtual TaskTable (oversub x MTB columns x rows) is counted in int
+  // slots. Every --gpus device has at most the paper platform's SMM count,
+  // so its table bounds the factor for every node.
+  const double table_entries = static_cast<double>(rcfg.spec.num_smms) *
+                               runtime::MasterKernel::kMtbsPerSmm *
+                               static_cast<double>(rows);
+  const double max_oversub =
+      std::floor(std::numeric_limits<int>::max() / table_entries);
+  if (oversub > max_oversub) {
+    std::fprintf(stderr,
+                 "error: --oversub=%g with --rows=%lld overflows the virtual "
+                 "TaskTable; the factor must be <= %.0f\n",
+                 oversub, static_cast<long long>(rows), max_oversub);
+    return 1;
+  }
 
   // QoS scheduling: one --sched-policy flag drives every layer that orders
   // work (cluster admission, host spawn order, scheduler-warp claim order).
@@ -444,50 +466,6 @@ int main(int argc, char** argv) {
                    flags.get("gpus").c_str());
       return 1;
     }
-    // Simulation-core controls. Strict like --policy: reject nonsense
-    // outright, warn when the pool oversubscribes the machine.
-    rcfg.cluster.global_queue =
-        flags.get_enum("sim-core", "sharded", {"sharded", "global"}) ==
-        "global";
-    const std::int64_t sim_threads = flags.get_int("threads", 1);
-    if (sim_threads < 1) {
-      std::fprintf(stderr,
-                   "error: --threads must be >= 1 (1 = the sequential "
-                   "sharded core; see --list-policies)\n");
-      return 1;
-    }
-    if (rcfg.cluster.global_queue && sim_threads > 1) {
-      std::fprintf(stderr,
-                   "error: --sim-core=global is the single-queue reference "
-                   "core and cannot use a worker pool; drop --threads or "
-                   "use --sim-core=sharded\n");
-      return 1;
-    }
-    // --threads sizes the simulation worker pool; before the sharded core
-    // it meant threads-per-task (now --task-threads). A stale script passing
-    // a workload-sized value (e.g. --threads=128) must fail loudly, not
-    // silently spawn a 128-thread pool, so anything beyond both the machine
-    // and a small oversubscription floor is rejected outright.
-    const unsigned hw = std::thread::hardware_concurrency();
-    const std::int64_t pool_cap =
-        std::max<std::int64_t>(hw == 0 ? 8 : static_cast<std::int64_t>(hw), 8);
-    if (sim_threads > pool_cap) {
-      std::fprintf(stderr,
-                   "error: --threads=%lld is not a plausible worker-pool "
-                   "size on this machine (%u hardware threads, cap %lld). "
-                   "--threads sizes the simulation worker pool; if you meant "
-                   "threads per task, that flag is now --task-threads=N\n",
-                   static_cast<long long>(sim_threads), hw,
-                   static_cast<long long>(pool_cap));
-      return 1;
-    }
-    if (hw > 0 && sim_threads > static_cast<std::int64_t>(hw)) {
-      std::fprintf(stderr,
-                   "warning: --threads=%lld exceeds the machine's %u "
-                   "hardware threads; the extra workers only add contention\n",
-                   static_cast<long long>(sim_threads), hw);
-    }
-    rcfg.cluster.sim_threads = static_cast<int>(sim_threads);
     rcfg.cluster.policy =
         flags.get_enum("policy", "round-robin", cluster::all_policy_names());
     // get_enum validated the arrival *kind*; the rate/factor tail still
@@ -839,11 +817,6 @@ int main(int argc, char** argv) {
                 rcfg.cluster.specs.size(), rcfg.cluster.policy.c_str(),
                 rcfg.cluster.arrival.c_str(),
                 std::string(sched::to_string(rcfg.cluster.sched.kind)).c_str());
-    if (rcfg.cluster.global_queue || rcfg.cluster.sim_threads > 1) {
-      std::printf("sim-core   %s, %d worker thread(s)\n",
-                  rcfg.cluster.global_queue ? "global" : "sharded",
-                  rcfg.cluster.sim_threads);
-    }
     if (!rcfg.cluster.power.empty()) {
       std::printf("power      spec %s, governor %s", rcfg.cluster.power.c_str(),
                   rcfg.cluster.governor.c_str());
