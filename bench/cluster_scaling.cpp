@@ -15,16 +15,11 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "cluster/dispatcher.h"
-#include "cluster/placement.h"
-#include "cluster/traffic.h"
+#include "cluster/open_loop.h"
 #include "common/check.h"
 #include "common/stats.h"
-#include "engine/session.h"
 #include "harness/flags.h"
 #include "obs/metrics.h"
-#include "sim/process.h"
 
 using namespace pagoda;
 
@@ -53,77 +48,39 @@ struct Outcome {
   std::int64_t dropped = 0;
 };
 
-struct RunBox {
-  static engine::SessionConfig clock_only() {
-    engine::SessionConfig c;
-    c.device = false;  // GpuNodes bring up their own device sub-sessions
-    return c;
-  }
-
-  engine::Session session{clock_only()};
-  sim::Simulation& sim = session.sim();
-  cluster::Cluster fleet;
-  cluster::Dispatcher disp;
-  sim::Time end_time = 0;
-  bool done = false;
-
-  static std::vector<cluster::NodeConfig> node_configs(
-      const Scenario& sc, const cluster::NodeConfig& proto) {
-    std::vector<cluster::NodeConfig> nodes =
-        cluster::Cluster::homogeneous(sc.gpus, proto);
-    if (sc.mixed) {
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        nodes[i].spec = (i % 2 == 0) ? gpu::GpuSpec::titan_x()
-                                     : gpu::GpuSpec::tesla_k40();
-      }
-    }
-    return nodes;
-  }
-
-  RunBox(const Scenario& sc, cluster::NodeConfig proto)
-      : fleet(sim, node_configs(sc, proto)),
-        disp(fleet, cluster::make_policy(sc.policy), [] {
-          cluster::DispatcherConfig dc;
-          return dc;
-        }()) {}
-};
-
-sim::Process source(RunBox& box, const Scenario& sc) {
-  cluster::ArrivalSequence seq(sc.arrival, sc.seed);
-  for (int i = 0; i < sc.requests; ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await box.sim.delay(gap);
-    box.disp.offer(cluster::synth_request(sc.profile, sc.seed, i));
-  }
-  box.disp.close();
-}
-
-sim::Process drainer(RunBox& box) {
-  co_await box.disp.drain();
-  box.end_time = box.sim.now();
-  box.done = true;
-}
-
-Outcome run_scenario(const Scenario& sc) {
+std::vector<cluster::NodeConfig> node_configs(const Scenario& sc) {
   cluster::NodeConfig proto;
   proto.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
   proto.pcie.latency = sim::microseconds(2.0);
+  std::vector<cluster::NodeConfig> nodes =
+      cluster::Cluster::homogeneous(sc.gpus, proto);
+  if (sc.mixed) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      nodes[i].spec = (i % 2 == 0) ? gpu::GpuSpec::titan_x()
+                                   : gpu::GpuSpec::tesla_k40();
+    }
+  }
+  return nodes;
+}
 
-  RunBox box(sc, proto);
-  box.fleet.start();
-  box.sim.spawn(source(box, sc));
-  box.sim.spawn(drainer(box));
-  box.sim.run_until(sim::seconds(120.0));
-  PAGODA_CHECK_MSG(box.done, "cluster scenario did not drain");
+Outcome run_scenario(const Scenario& sc) {
+  cluster::OpenLoopRunner runner(node_configs(sc),
+                                 cluster::make_policy(sc.policy));
+  runner.run({sc.arrival, sc.seed, sc.requests,
+              [&](int i) {
+                return cluster::synth_request(sc.profile, sc.seed, i);
+              }},
+             sim::seconds(120.0));
+  PAGODA_CHECK_MSG(runner.done(), "cluster scenario did not drain");
 
-  const cluster::Dispatcher::Stats& st = box.disp.stats();
+  const cluster::Dispatcher::Stats& st = runner.dispatcher().stats();
   Outcome out;
-  out.elapsed_ms = sim::to_milliseconds(box.end_time);
-  const double elapsed_s = sim::to_seconds(box.end_time);
+  out.elapsed_ms = sim::to_milliseconds(runner.end_time());
+  const double elapsed_s = sim::to_seconds(runner.end_time());
   if (elapsed_s > 0.0) {
     out.throughput_rps = static_cast<double>(st.completed) / elapsed_s;
   }
-  const std::span<const double> lat = box.disp.latencies_us();
+  const std::span<const double> lat = runner.dispatcher().latencies_us();
   if (!lat.empty()) {
     out.p50_us = percentile(lat, 50);
     out.p99_us = percentile(lat, 99);
@@ -132,12 +89,11 @@ Outcome run_scenario(const Scenario& sc) {
     out.violation_rate = static_cast<double>(st.slo_violations) /
                          static_cast<double>(st.offered);
   }
-  out.load_imbalance = box.disp.load_imbalance();
+  out.load_imbalance = runner.dispatcher().load_imbalance();
   out.completed = st.completed;
   out.dropped = st.dropped;
   PAGODA_CHECK_MSG(st.slot_releases == st.admitted,
                    "backpressure slots leaked");
-  box.fleet.shutdown();
   return out;
 }
 

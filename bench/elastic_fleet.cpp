@@ -36,13 +36,9 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "cluster/dispatcher.h"
-#include "cluster/placement.h"
-#include "cluster/traffic.h"
+#include "cluster/open_loop.h"
 #include "common/check.h"
 #include "common/stats.h"
-#include "engine/session.h"
 #include "harness/flags.h"
 #include "migrate/autoscaler.h"
 #include "migrate/migrate.h"
@@ -50,7 +46,6 @@
 #include "power/governor.h"
 #include "power/power_spec.h"
 #include "sched/policy.h"
-#include "sim/process.h"
 
 using namespace pagoda;
 
@@ -90,94 +85,62 @@ struct Outcome {
   std::uint64_t resize_events = 0;
 };
 
-struct RunBox {
-  static engine::SessionConfig clock_only() {
-    engine::SessionConfig c;
-    c.device = false;  // each GpuNode brings up its own device sub-session
-    return c;
-  }
+std::vector<cluster::NodeConfig> node_configs(const Scenario& sc) {
+  cluster::NodeConfig nc;
+  nc.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
+  nc.pcie.latency = sim::microseconds(2.0);
+  // A shallow TaskTable keeps the backlog in the dispatcher where both
+  // placement and the autoscaler's pressure signal can see it — and gives
+  // drains a populated table to checkpoint from.
+  nc.pagoda.rows_per_column = 4;
+  return std::vector<cluster::NodeConfig>(static_cast<std::size_t>(sc.gpus),
+                                          nc);
+}
 
-  engine::Session session{clock_only()};
-  sim::Simulation& sim = session.sim();
-  cluster::Cluster fleet;
-  cluster::Dispatcher disp;
-  sim::Time end_time = 0;
-  bool done = false;
-
-  static std::vector<cluster::NodeConfig> node_configs(const Scenario& sc) {
-    cluster::NodeConfig nc;
-    nc.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
-    nc.pcie.latency = sim::microseconds(2.0);
-    // A shallow TaskTable keeps the backlog in the dispatcher where both
-    // placement and the autoscaler's pressure signal can see it — and gives
-    // drains a populated table to checkpoint from.
-    nc.pagoda.rows_per_column = 4;
-    return std::vector<cluster::NodeConfig>(
-        static_cast<std::size_t>(sc.gpus), nc);
-  }
-
-  static cluster::DispatcherConfig dispatcher_config(const Scenario& sc) {
-    cluster::DispatcherConfig dc;
-    dc.qos = true;  // per-class ledgers
-    // Power plane always armed (static governor): the diurnal baseline is
-    // "every node awake at P0 all day", so its joules are the yardstick the
-    // autoscaled run is judged against.
-    dc.power.spec = power::PowerSpec::default_spec();
-    dc.power.governor = power::GovernorKind::kStatic;
-    dc.migration.enabled = sc.migrate;
-    dc.autoscale = sc.autoscale;
-    return dc;
-  }
-
-  explicit RunBox(const Scenario& sc)
-      : fleet(sim, node_configs(sc)),
-        disp(fleet, cluster::make_policy("least-outstanding"),
-             dispatcher_config(sc)) {}
-};
+cluster::DispatcherConfig dispatcher_config(const Scenario& sc) {
+  cluster::DispatcherConfig dc;
+  dc.qos = true;  // per-class ledgers
+  // Power plane always armed (static governor): the diurnal baseline is
+  // "every node awake at P0 all day", so its joules are the yardstick the
+  // autoscaled run is judged against.
+  dc.power.spec = power::PowerSpec::default_spec();
+  dc.power.governor = power::GovernorKind::kStatic;
+  dc.migration.enabled = sc.migrate;
+  dc.autoscale = sc.autoscale;
+  return dc;
+}
 
 /// Deterministic class interleave: every 4th request is interactive, so
 /// every configuration sees the identical arrival trace for a given seed.
 bool is_interactive(int index) { return index % 4 == 0; }
 
-sim::Process source(RunBox& box, const Scenario& sc) {
-  cluster::ArrivalConfig acfg;
-  if (sc.diurnal) {
-    acfg.kind = cluster::ArrivalKind::Diurnal;
-    acfg.rate_per_sec = sc.rate_per_sec;
-    acfg.burst_factor = 8.0;                 // peak = 8x trough
-    acfg.mean_on = sim::milliseconds(20.0);  // phase half-period
-  } else {
-    acfg.kind = cluster::ArrivalKind::Poisson;
-    acfg.rate_per_sec = sc.rate_per_sec;
-  }
-  cluster::ArrivalSequence seq(acfg, sc.seed);
-  for (int i = 0; i < sc.requests; ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await box.sim.delay(gap);
-    const cluster::RequestProfile& p =
-        is_interactive(i) ? sc.interactive : sc.batch;
-    box.disp.offer(cluster::synth_request(p, sc.seed, i));
-  }
-  box.disp.close();
-}
-
-sim::Process drainer(RunBox& box) {
-  co_await box.disp.drain();
-  box.end_time = box.sim.now();
-  box.done = true;
-}
-
 Outcome run_scenario(const Scenario& sc) {
-  RunBox box(sc);
-  box.fleet.start();
-  box.sim.spawn(source(box, sc));
-  box.sim.spawn(drainer(box));
-  box.sim.run_until(sim::seconds(600.0));
-  PAGODA_CHECK_MSG(box.done, "elastic-fleet scenario did not drain");
+  cluster::OpenLoopRunner runner(node_configs(sc),
+                                 cluster::make_policy("least-outstanding"),
+                                 dispatcher_config(sc));
+  cluster::ArrivalSource src;
+  if (sc.diurnal) {
+    src.arrival.kind = cluster::ArrivalKind::Diurnal;
+    src.arrival.burst_factor = 8.0;                 // peak = 8x trough
+    src.arrival.mean_on = sim::milliseconds(20.0);  // phase half-period
+  } else {
+    src.arrival.kind = cluster::ArrivalKind::Poisson;
+  }
+  src.arrival.rate_per_sec = sc.rate_per_sec;
+  src.seed = sc.seed;
+  src.requests = sc.requests;
+  src.make = [&sc](int i) {
+    return cluster::synth_request(
+        is_interactive(i) ? sc.interactive : sc.batch, sc.seed, i);
+  };
+  runner.run(std::move(src), sim::seconds(600.0));
+  PAGODA_CHECK_MSG(runner.done(), "elastic-fleet scenario did not drain");
+  const cluster::Dispatcher& disp = runner.dispatcher();
+  const sim::Time end_time = runner.end_time();
 
-  const cluster::Dispatcher::Stats& st = box.disp.stats();
+  const cluster::Dispatcher::Stats& st = disp.stats();
   Outcome out;
-  out.elapsed_ms = sim::to_milliseconds(box.end_time);
+  out.elapsed_ms = sim::to_milliseconds(end_time);
   out.offered = st.offered;
   out.completed = st.completed;
   out.shed = st.shed;
@@ -196,32 +159,31 @@ Outcome run_scenario(const Scenario& sc) {
         static_cast<double>(out.completed - out.slo_violations) /
         static_cast<double>(out.offered);
   }
-  for (int i = 0; i < box.fleet.size(); ++i) {
-    const power::NodePower* np = box.fleet.node(i).power();
+  for (int i = 0; i < runner.fleet().size(); ++i) {
+    const power::NodePower* np = runner.fleet().node(i).power();
     PAGODA_CHECK_MSG(np != nullptr, "power plane must be armed");
-    out.energy_j += np->energy_joules(box.end_time);
+    out.energy_j += np->energy_joules(end_time);
   }
   if (out.completed > 0) {
     out.joules_per_request =
         out.energy_j / static_cast<double>(out.completed);
   }
-  if (const migrate::MigrationManager* mm = box.disp.migration()) {
+  if (const migrate::MigrationManager* mm = disp.migration()) {
     out.checkpoints = mm->stats().checkpoints;
     out.restores = mm->stats().restores;
     out.xfer_bytes = mm->stats().xfer_bytes;
   }
-  if (const migrate::Autoscaler* as = box.disp.autoscaler()) {
+  if (const migrate::Autoscaler* as = disp.autoscaler()) {
     out.nodes_slept = as->stats().nodes_slept;
     out.nodes_woken = as->stats().nodes_woken;
     out.resize_events = as->stats().resize_events;
   }
   const std::span<const double> inter =
-      box.disp.class_latencies_us(sched::Class::kInteractive);
+      disp.class_latencies_us(sched::Class::kInteractive);
   if (!inter.empty()) out.inter_p99_us = percentile(inter, 99);
   out.inter_completed =
-      box.disp.class_stats(sched::Class::kInteractive).completed;
-  out.batch_completed = box.disp.class_stats(sched::Class::kBatch).completed;
-  box.fleet.shutdown();
+      disp.class_stats(sched::Class::kInteractive).completed;
+  out.batch_completed = disp.class_stats(sched::Class::kBatch).completed;
   return out;
 }
 

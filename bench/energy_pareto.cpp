@@ -41,19 +41,14 @@
 #include <string_view>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "cluster/dispatcher.h"
-#include "cluster/placement.h"
-#include "cluster/traffic.h"
+#include "cluster/open_loop.h"
 #include "common/check.h"
 #include "common/stats.h"
-#include "engine/session.h"
 #include "harness/flags.h"
 #include "obs/metrics.h"
 #include "power/governor.h"
 #include "power/power_spec.h"
 #include "sched/policy.h"
-#include "sim/process.h"
 
 using namespace pagoda;
 
@@ -109,93 +104,61 @@ struct Outcome {
   std::uint64_t nodes_slept = 0;
 };
 
-struct RunBox {
-  static engine::SessionConfig clock_only() {
-    engine::SessionConfig c;
-    c.device = false;  // each GpuNode brings up its own device sub-session
-    return c;
-  }
+std::vector<cluster::NodeConfig> node_configs(const Scenario& sc) {
+  cluster::NodeConfig nc;
+  nc.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
+  nc.pcie.latency = sim::microseconds(2.0);
+  // A shallow TaskTable keeps the backlog in the dispatcher where placement
+  // (and the governor's backlog signal) can see it.
+  nc.pagoda.rows_per_column = 4;
+  return std::vector<cluster::NodeConfig>(static_cast<std::size_t>(sc.gpus),
+                                          nc);
+}
 
-  engine::Session session{clock_only()};
-  sim::Simulation& sim = session.sim();
-  cluster::Cluster fleet;
-  cluster::Dispatcher disp;
-  sim::Time end_time = 0;
-  bool done = false;
-
-  static std::vector<cluster::NodeConfig> node_configs(const Scenario& sc) {
-    cluster::NodeConfig nc;
-    nc.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
-    nc.pcie.latency = sim::microseconds(2.0);
-    // A shallow TaskTable keeps the backlog in the dispatcher where
-    // placement (and the governor's backlog signal) can see it.
-    nc.pagoda.rows_per_column = 4;
-    return std::vector<cluster::NodeConfig>(
-        static_cast<std::size_t>(sc.gpus), nc);
-  }
-
-  static cluster::DispatcherConfig dispatcher_config(const Scenario& sc) {
-    cluster::DispatcherConfig dc;
-    dc.qos = true;  // per-class ledgers
-    std::string err;
-    power::PowerSpec spec = power::PowerSpec::default_spec();
-    spec.p_floor = sc.point.p_floor;
-    dc.power.spec = spec;
-    dc.power.governor = sc.point.governor;
-    dc.power.cap_watts = sc.point.cap_watts;
-    dc.power.manage_sleep = sc.point.manage_sleep;
-    return dc;
-  }
-
-  explicit RunBox(const Scenario& sc)
-      : fleet(sim, node_configs(sc)),
-        disp(fleet, cluster::make_policy(sc.point.placement),
-             dispatcher_config(sc)) {}
-};
+cluster::DispatcherConfig dispatcher_config(const Scenario& sc) {
+  cluster::DispatcherConfig dc;
+  dc.qos = true;  // per-class ledgers
+  power::PowerSpec spec = power::PowerSpec::default_spec();
+  spec.p_floor = sc.point.p_floor;
+  dc.power.spec = spec;
+  dc.power.governor = sc.point.governor;
+  dc.power.cap_watts = sc.point.cap_watts;
+  dc.power.manage_sleep = sc.point.manage_sleep;
+  return dc;
+}
 
 /// Deterministic class interleave: every 4th request is interactive, so
 /// every point sees the identical arrival trace for a given seed.
 bool is_interactive(int index) { return index % 4 == 0; }
 
-sim::Process source(RunBox& box, const Scenario& sc) {
-  cluster::ArrivalConfig acfg;
-  acfg.kind = cluster::ArrivalKind::Diurnal;
-  acfg.rate_per_sec = sc.rate_per_sec;
-  acfg.burst_factor = 8.0;                     // peak = 8x trough
-  acfg.mean_on = sim::milliseconds(20.0);      // phase half-period
-  cluster::ArrivalSequence seq(acfg, sc.seed);
-  for (int i = 0; i < sc.requests; ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await box.sim.delay(gap);
-    const cluster::RequestProfile& p =
-        is_interactive(i) ? sc.interactive : sc.batch;
-    box.disp.offer(cluster::synth_request(p, sc.seed, i));
-  }
-  box.disp.close();
-}
-
-sim::Process drainer(RunBox& box) {
-  co_await box.disp.drain();
-  box.end_time = box.sim.now();
-  box.done = true;
-}
-
 Outcome run_point(const Scenario& sc) {
-  RunBox box(sc);
-  box.fleet.start();
-  box.sim.spawn(source(box, sc));
-  box.sim.spawn(drainer(box));
-  box.sim.run_until(sim::seconds(600.0));
-  PAGODA_CHECK_MSG(box.done, "energy point did not drain");
+  cluster::OpenLoopRunner runner(node_configs(sc),
+                                 cluster::make_policy(sc.point.placement),
+                                 dispatcher_config(sc));
+  cluster::ArrivalSource src;
+  src.arrival.kind = cluster::ArrivalKind::Diurnal;
+  src.arrival.rate_per_sec = sc.rate_per_sec;
+  src.arrival.burst_factor = 8.0;                 // peak = 8x trough
+  src.arrival.mean_on = sim::milliseconds(20.0);  // phase half-period
+  src.seed = sc.seed;
+  src.requests = sc.requests;
+  src.make = [&sc](int i) {
+    return cluster::synth_request(
+        is_interactive(i) ? sc.interactive : sc.batch, sc.seed, i);
+  };
+  runner.run(std::move(src), sim::seconds(600.0));
+  PAGODA_CHECK_MSG(runner.done(), "energy point did not drain");
+  const cluster::Dispatcher& disp = runner.dispatcher();
+  const sim::Time end_time = runner.end_time();
 
   Outcome out;
-  out.elapsed_ms = sim::to_milliseconds(box.end_time);
-  out.completed = box.disp.stats().completed;
-  out.dropped = box.disp.stats().dropped;
-  for (int i = 0; i < box.fleet.size(); ++i) {
-    const power::NodePower* np = box.fleet.node(i).power();
+  out.elapsed_ms = sim::to_milliseconds(end_time);
+  out.completed = disp.stats().completed;
+  out.dropped = disp.stats().dropped;
+  for (int i = 0; i < runner.fleet().size(); ++i) {
+    const power::NodePower* np = runner.fleet().node(i).power();
     PAGODA_CHECK_MSG(np != nullptr, "power plane must be armed");
-    out.energy_j += np->energy_joules(box.end_time);
+    out.energy_j += np->energy_joules(end_time);
     out.transitions += np->transitions();
     out.wakeups += np->wakeups();
   }
@@ -203,23 +166,22 @@ Outcome run_point(const Scenario& sc) {
     out.joules_per_request =
         out.energy_j / static_cast<double>(out.completed);
   }
-  const double elapsed_s = sim::to_seconds(box.end_time);
+  const double elapsed_s = sim::to_seconds(end_time);
   if (elapsed_s > 0.0) out.avg_fleet_watts = out.energy_j / elapsed_s;
-  PAGODA_CHECK_MSG(box.disp.governor() != nullptr, "governor must run");
-  out.nodes_slept = box.disp.governor()->stats().nodes_slept;
+  PAGODA_CHECK_MSG(disp.governor() != nullptr, "governor must run");
+  out.nodes_slept = disp.governor()->stats().nodes_slept;
 
   const std::span<const double> inter =
-      box.disp.class_latencies_us(sched::Class::kInteractive);
+      disp.class_latencies_us(sched::Class::kInteractive);
   const std::span<const double> batch =
-      box.disp.class_latencies_us(sched::Class::kBatch);
+      disp.class_latencies_us(sched::Class::kBatch);
   PAGODA_CHECK_MSG(!inter.empty() && !batch.empty(),
                    "both classes must complete work");
   out.inter_p99_us = percentile(inter, 99);
   out.batch_p99_us = percentile(batch, 99);
   out.inter_completed =
-      box.disp.class_stats(sched::Class::kInteractive).completed;
-  out.batch_completed = box.disp.class_stats(sched::Class::kBatch).completed;
-  box.fleet.shutdown();
+      disp.class_stats(sched::Class::kInteractive).completed;
+  out.batch_completed = disp.class_stats(sched::Class::kBatch).completed;
   return out;
 }
 

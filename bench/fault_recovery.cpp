@@ -21,16 +21,11 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "cluster/dispatcher.h"
-#include "cluster/placement.h"
-#include "cluster/traffic.h"
+#include "cluster/open_loop.h"
 #include "common/check.h"
-#include "engine/session.h"
 #include "fault/plan.h"
 #include "harness/flags.h"
 #include "obs/metrics.h"
-#include "sim/process.h"
 
 using namespace pagoda;
 
@@ -40,7 +35,7 @@ struct Scenario {
   int gpus = 2;
   std::string policy = "least-loaded";
   double rate_per_sec = 300.0e3;
-  std::string faults;  // FaultPlan spec
+  fault::FaultPlan faults{};  // default: fault plane off
   int retry_budget = 0;
   sim::Duration task_timeout = 0;
   int requests = 0;
@@ -60,67 +55,34 @@ struct Outcome {
   double elapsed_ms = 0.0;
 };
 
-struct RunBox {
-  static engine::SessionConfig clock_only() {
-    engine::SessionConfig c;
-    c.device = false;  // GpuNodes bring up their own device sub-sessions
-    return c;
-  }
-
-  engine::Session session{clock_only()};
-  sim::Simulation& sim = session.sim();
-  cluster::Cluster fleet;
-  cluster::Dispatcher disp;
-  sim::Time end_time = 0;
-  bool done = false;
-
-  static cluster::DispatcherConfig dispatcher_config(const Scenario& sc) {
-    cluster::DispatcherConfig dc;
-    std::string err;
-    const auto plan = fault::FaultPlan::parse(sc.faults, &err);
-    PAGODA_CHECK_MSG(plan.has_value(), "bad fault spec in bench scenario");
-    dc.faults = *plan;
-    if (dc.faults.seed == 0) dc.faults.seed = sc.seed;
-    dc.retry.seed = dc.faults.seed;
-    dc.retry.budget = sc.retry_budget;
-    dc.task_timeout = sc.task_timeout;
-    return dc;
-  }
-
-  explicit RunBox(const Scenario& sc)
-      : fleet(sim, cluster::Cluster::homogeneous(sc.gpus)),
-        disp(fleet, cluster::make_policy(sc.policy), dispatcher_config(sc)) {}
-};
-
-sim::Process source(RunBox& box, const Scenario& sc) {
-  cluster::ArrivalConfig acfg;
-  acfg.kind = cluster::ArrivalKind::Poisson;
-  acfg.rate_per_sec = sc.rate_per_sec;
-  cluster::ArrivalSequence seq(acfg, sc.seed);
-  cluster::RequestProfile profile;  // uniform light requests, no SLO: the
-  for (int i = 0; i < sc.requests; ++i) {  // sweep measures pure availability
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await box.sim.delay(gap);
-    box.disp.offer(cluster::synth_request(profile, sc.seed, i));
-  }
-  box.disp.close();
-}
-
-sim::Process drainer(RunBox& box) {
-  co_await box.disp.drain();
-  box.end_time = box.sim.now();
-  box.done = true;
+cluster::DispatcherConfig dispatcher_config(const Scenario& sc) {
+  cluster::DispatcherConfig dc;
+  dc.faults = sc.faults;
+  if (dc.faults.seed == 0) dc.faults.seed = sc.seed;
+  dc.retry.seed = dc.faults.seed;
+  dc.retry.budget = sc.retry_budget;
+  dc.task_timeout = sc.task_timeout;
+  return dc;
 }
 
 Outcome run_scenario(const Scenario& sc) {
-  RunBox box(sc);
-  box.fleet.start();
-  box.sim.spawn(source(box, sc));
-  box.sim.spawn(drainer(box));
-  box.sim.run_until(sim::seconds(120.0));
-  PAGODA_CHECK_MSG(box.done, "fault scenario did not drain");
+  cluster::OpenLoopRunner runner(cluster::Cluster::homogeneous(sc.gpus),
+                                 cluster::make_policy(sc.policy),
+                                 dispatcher_config(sc));
+  cluster::ArrivalSource src;
+  src.arrival.kind = cluster::ArrivalKind::Poisson;
+  src.arrival.rate_per_sec = sc.rate_per_sec;
+  src.seed = sc.seed;
+  src.requests = sc.requests;
+  // Uniform light requests, no SLO: the sweep measures pure availability.
+  const cluster::RequestProfile profile;
+  src.make = [&](int i) {
+    return cluster::synth_request(profile, sc.seed, i);
+  };
+  runner.run(std::move(src), sim::seconds(120.0));
+  PAGODA_CHECK_MSG(runner.done(), "fault scenario did not drain");
 
-  const cluster::Dispatcher::Stats& st = box.disp.stats();
+  const cluster::Dispatcher::Stats& st = runner.dispatcher().stats();
   // The exactly-once ledger must balance under every plan in the sweep.
   PAGODA_CHECK_MSG(st.completed + st.shed == st.admitted,
                    "request lost or double-resolved");
@@ -134,13 +96,12 @@ Outcome run_scenario(const Scenario& sc) {
   out.injected_task_faults = st.injected_task_faults;
   out.detected_node_deaths = st.detected_node_deaths;
   out.nodes_recovered = st.nodes_recovered;
-  out.elapsed_ms = sim::to_milliseconds(box.end_time);
+  out.elapsed_ms = sim::to_milliseconds(runner.end_time());
   if (st.offered > 0) {
     out.availability = static_cast<double>(st.completed) /
                        static_cast<double>(st.offered);
   }
   out.goodput_rps = out.availability * sc.rate_per_sec;
-  box.fleet.shutdown();
   return out;
 }
 
@@ -155,12 +116,6 @@ void write_outcome_json(std::ostream& os, const Outcome& o) {
      << ", \"node_deaths\": " << o.detected_node_deaths
      << ", \"recovered\": " << o.nodes_recovered
      << ", \"elapsed_ms\": " << format_metric_double(o.elapsed_ms);
-}
-
-std::string fault_spec(double rate) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "task:%.2f", rate);
-  return buf;
 }
 
 }  // namespace
@@ -198,7 +153,7 @@ int main(int argc, char** argv) {
   for (const double rate : rates) {
     for (const int budget : {0, 3}) {
       Scenario sc;
-      sc.faults = rate > 0.0 ? fault_spec(rate) : std::string();
+      sc.faults.task_fault_rate = rate;
       sc.retry_budget = budget;
       sc.requests = requests;
       sc.seed = seed;
@@ -233,14 +188,12 @@ int main(int argc, char** argv) {
       static_cast<long>(1e6 * requests / (3.0 * 300.0e3));
   for (const bool recovers : {false, true}) {
     Scenario sc;
-    char spec[64];
-    if (recovers) {
-      std::snprintf(spec, sizeof(spec), "crash:1:%ld:%ld", crash_us,
-                    crash_us);
-    } else {
-      std::snprintf(spec, sizeof(spec), "crash:1:%ld", crash_us);
-    }
-    sc.faults = spec;
+    fault::CrashEvent crash;
+    crash.node = 1;
+    crash.at = sim::microseconds(static_cast<double>(crash_us));
+    crash.recovers = recovers;
+    if (recovers) crash.recover_after = crash.at;
+    sc.faults.crashes.push_back(crash);
     sc.retry_budget = 3;
     sc.task_timeout = sim::microseconds(3000.0);
     sc.requests = requests;

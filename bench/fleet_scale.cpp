@@ -13,15 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "cluster/dispatcher.h"
-#include "cluster/placement.h"
-#include "cluster/traffic.h"
+#include "cluster/open_loop.h"
 #include "common/check.h"
-#include "engine/session.h"
 #include "harness/flags.h"
 #include "obs/metrics.h"
-#include "sim/process.h"
 
 using namespace pagoda;
 
@@ -34,77 +29,35 @@ struct Outcome {
   double throughput_rps = 0.0;   // virtual
 };
 
-struct RunBox {
-  static engine::SessionConfig clock_only() {
-    engine::SessionConfig c;
-    c.device = false;  // GpuNodes bring up their own device sub-sessions
-    return c;
-  }
-
-  engine::Session session;
-  sim::Simulation& sim = session.sim();
-  cluster::Cluster fleet;
-  cluster::Dispatcher disp;
-  sim::Time end_time = 0;
-  bool done = false;
-
-  RunBox(int nodes, const cluster::NodeConfig& proto)
-      : session(clock_only()),
-        fleet(sim, cluster::Cluster::homogeneous(nodes, proto)),
-        disp(fleet, cluster::make_policy("round-robin"), [] {
-          cluster::DispatcherConfig dc;
-          return dc;
-        }()) {}
-};
-
-sim::Process source(RunBox& box, const cluster::ArrivalConfig& acfg,
-                    const cluster::RequestProfile& profile, int requests,
-                    std::uint64_t seed) {
-  cluster::ArrivalSequence seq(acfg, seed);
-  for (int i = 0; i < requests; ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await box.sim.delay(gap);
-    box.disp.offer(cluster::synth_request(profile, seed, i));
-  }
-  box.disp.close();
-}
-
-sim::Process drainer(RunBox& box) {
-  co_await box.disp.drain();
-  box.end_time = box.sim.now();
-  box.done = true;
-}
-
 Outcome run_point(int nodes, int requests, std::uint64_t seed) {
   cluster::NodeConfig proto;
   proto.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
   proto.pcie.latency = sim::microseconds(2.0);
 
   cluster::RequestProfile profile;  // uniform, no SLO: pure throughput
-  cluster::ArrivalConfig acfg;
-  acfg.kind = cluster::ArrivalKind::Poisson;
-  acfg.rate_per_sec = 200.0e3 * nodes;  // constant offered load per node
+  cluster::ArrivalSource src;
+  src.arrival.kind = cluster::ArrivalKind::Poisson;
+  src.arrival.rate_per_sec = 200.0e3 * nodes;  // constant load per node
+  src.seed = seed;
+  src.requests = requests;
+  src.make = [&](int i) { return cluster::synth_request(profile, seed, i); };
 
-  RunBox box(nodes, proto);
-  box.fleet.start();
-  box.sim.spawn(source(box, acfg, profile, requests, seed));
-  box.sim.spawn(drainer(box));
-
+  cluster::OpenLoopRunner runner(cluster::Cluster::homogeneous(nodes, proto),
+                                 cluster::make_policy("round-robin"));
   const auto wall_start = std::chrono::steady_clock::now();
-  box.sim.run_until(sim::seconds(120.0));
+  runner.run(std::move(src), sim::seconds(120.0));
   const auto wall_end = std::chrono::steady_clock::now();
-  PAGODA_CHECK_MSG(box.done, "fleet point did not drain");
+  PAGODA_CHECK_MSG(runner.done(), "fleet point did not drain");
 
   Outcome o;
-  o.elapsed_ms = sim::to_milliseconds(box.end_time);
+  o.elapsed_ms = sim::to_milliseconds(runner.end_time());
   o.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
-  o.completed = box.disp.stats().completed;
-  const double elapsed_s = sim::to_seconds(box.end_time);
+  o.completed = runner.dispatcher().stats().completed;
+  const double elapsed_s = sim::to_seconds(runner.end_time());
   if (elapsed_s > 0.0) {
     o.throughput_rps = static_cast<double>(o.completed) / elapsed_s;
   }
-  box.fleet.shutdown();
   return o;
 }
 

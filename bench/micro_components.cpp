@@ -47,15 +47,11 @@ void BM_BuddyChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_BuddyChurn);
 
-engine::SessionConfig clock_only() {
-  engine::SessionConfig c;
-  c.device = false;
-  return c;
-}
-
 void BM_EventQueueThroughput(benchmark::State& state) {
+  engine::SessionConfig no_device;  // the event queue alone
+  no_device.device = false;
   for (auto _ : state) {
-    engine::Session session(clock_only());
+    engine::Session session(no_device);
     sim::Simulation& sim = session.sim();
     int fired = 0;
     for (int i = 0; i < 1000; ++i) {
@@ -69,8 +65,10 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 BENCHMARK(BM_EventQueueThroughput);
 
 void BM_PsResourceChurn(benchmark::State& state) {
+  engine::SessionConfig no_device;  // the event queue alone
+  no_device.device = false;
   for (auto _ : state) {
-    engine::Session session(clock_only());
+    engine::Session session(no_device);
     sim::Simulation& sim = session.sim();
     sim::PsResource res(sim, 4.0, 1.0);
     int done = 0;

@@ -32,18 +32,13 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "cluster/dispatcher.h"
-#include "cluster/placement.h"
-#include "cluster/traffic.h"
+#include "cluster/open_loop.h"
 #include "common/check.h"
 #include "common/stats.h"
-#include "engine/session.h"
 #include "harness/flags.h"
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
 #include "sched/policy.h"
-#include "sim/process.h"
 
 using namespace pagoda;
 
@@ -73,94 +68,57 @@ struct Outcome {
   std::int64_t batch_completed = 0;
 };
 
-struct RunBox {
-  static engine::SessionConfig clock_only() {
-    engine::SessionConfig c;
-    c.device = false;  // the GpuNode brings up its own device sub-session
-    return c;
-  }
-
-  engine::Session session{clock_only()};
-  sim::Simulation& sim = session.sim();
-  cluster::Cluster fleet;
-  cluster::Dispatcher disp;
-  sim::Time end_time = 0;
-  bool done = false;
-
-  static cluster::NodeConfig node_config(const Scenario& sc) {
-    cluster::NodeConfig nc;
-    nc.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
-    nc.pcie.latency = sim::microseconds(2.0);
-    // A small TaskTable keeps the in-flight set shallow, so the backlog —
-    // and the ordering decision — lives in the dispatcher's admission
-    // queue rather than inside the device.
-    nc.pagoda.rows_per_column = 4;
-    // One policy end-to-end: the scheduler warps claim TaskTable entries in
-    // the same order the dispatcher admits.
-    nc.pagoda.sched.kind = sc.policy;
-    return nc;
-  }
-
-  static cluster::DispatcherConfig dispatcher_config(const Scenario& sc) {
-    cluster::DispatcherConfig dc;
-    dc.sched.kind = sc.policy;
-    dc.qos = true;  // per-class ledgers under fifo too
-    return dc;
-  }
-
-  explicit RunBox(const Scenario& sc)
-      : fleet(sim, {node_config(sc)}),
-        disp(fleet, cluster::make_policy("round-robin"),
-             dispatcher_config(sc)) {}
-};
+cluster::NodeConfig node_config(const Scenario& sc) {
+  cluster::NodeConfig nc;
+  nc.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
+  nc.pcie.latency = sim::microseconds(2.0);
+  // A small TaskTable keeps the in-flight set shallow, so the backlog — and
+  // the ordering decision — lives in the dispatcher's admission queue rather
+  // than inside the device.
+  nc.pagoda.rows_per_column = 4;
+  // One policy end-to-end: the scheduler warps claim TaskTable entries in
+  // the same order the dispatcher admits.
+  nc.pagoda.sched.kind = sc.policy;
+  return nc;
+}
 
 /// Deterministic class interleave: every 4th request is interactive. The
 /// mix is a pure function of the index, so every policy sees the identical
 /// arrival trace for a given seed.
 bool is_interactive(int index) { return index % 4 == 0; }
 
-sim::Process source(RunBox& box, const Scenario& sc) {
-  cluster::ArrivalConfig acfg;
-  acfg.kind = cluster::ArrivalKind::Poisson;
-  acfg.rate_per_sec = sc.rate_per_sec;
-  cluster::ArrivalSequence seq(acfg, sc.seed);
-  for (int i = 0; i < sc.requests; ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await box.sim.delay(gap);
-    const cluster::RequestProfile& p =
-        is_interactive(i) ? sc.interactive : sc.batch;
-    box.disp.offer(cluster::synth_request(p, sc.seed, i));
-  }
-  box.disp.close();
-}
-
-sim::Process drainer(RunBox& box) {
-  co_await box.disp.drain();
-  box.end_time = box.sim.now();
-  box.done = true;
-}
-
 Outcome run_scenario(const Scenario& sc,
                      obs::RequestTracer* tracer = nullptr) {
-  RunBox box(sc);
-  if (tracer != nullptr) box.disp.set_tracer(tracer);
-  box.fleet.start();
-  box.sim.spawn(source(box, sc));
-  box.sim.spawn(drainer(box));
-  box.sim.run_until(sim::seconds(600.0));
-  PAGODA_CHECK_MSG(box.done, "qos scenario did not drain");
+  cluster::DispatcherConfig dc;
+  dc.sched.kind = sc.policy;
+  dc.qos = true;  // per-class ledgers under fifo too
+  cluster::OpenLoopRunner runner({node_config(sc)},
+                                 cluster::make_policy("round-robin"), dc);
+  cluster::Dispatcher& disp = runner.dispatcher();
+  if (tracer != nullptr) disp.set_tracer(tracer);
+  cluster::ArrivalSource src;
+  src.arrival.kind = cluster::ArrivalKind::Poisson;
+  src.arrival.rate_per_sec = sc.rate_per_sec;
+  src.seed = sc.seed;
+  src.requests = sc.requests;
+  src.make = [&sc](int i) {
+    return cluster::synth_request(
+        is_interactive(i) ? sc.interactive : sc.batch, sc.seed, i);
+  };
+  runner.run(std::move(src), sim::seconds(600.0));
+  PAGODA_CHECK_MSG(runner.done(), "qos scenario did not drain");
 
   Outcome out;
-  out.elapsed_ms = sim::to_milliseconds(box.end_time);
-  const double elapsed_s = sim::to_seconds(box.end_time);
+  out.elapsed_ms = sim::to_milliseconds(runner.end_time());
+  const double elapsed_s = sim::to_seconds(runner.end_time());
   if (elapsed_s > 0.0) {
     out.throughput_rps =
-        static_cast<double>(box.disp.stats().completed) / elapsed_s;
+        static_cast<double>(disp.stats().completed) / elapsed_s;
   }
   const std::span<const double> inter =
-      box.disp.class_latencies_us(sched::Class::kInteractive);
+      disp.class_latencies_us(sched::Class::kInteractive);
   const std::span<const double> batch =
-      box.disp.class_latencies_us(sched::Class::kBatch);
+      disp.class_latencies_us(sched::Class::kBatch);
   PAGODA_CHECK_MSG(!inter.empty() && !batch.empty(),
                    "both classes must complete work");
   out.inter_p50_us = percentile(inter, 50);
@@ -174,7 +132,7 @@ Outcome run_scenario(const Scenario& sc,
   for (const sched::Class c :
        {sched::Class::kInteractive, sched::Class::kStandard,
         sched::Class::kBatch}) {
-    const cluster::Dispatcher::ClassStats& cs = box.disp.class_stats(c);
+    const cluster::Dispatcher::ClassStats& cs = disp.class_stats(c);
     PAGODA_CHECK_MSG(cs.offered == cs.admitted && cs.dropped == 0,
                      "overload run must admit everything");
     PAGODA_CHECK_MSG(cs.slot_releases == cs.completed + cs.shed &&
@@ -184,9 +142,8 @@ Outcome run_scenario(const Scenario& sc,
                      "no losses in the unbounded-queue sweep");
   }
   out.inter_completed =
-      box.disp.class_stats(sched::Class::kInteractive).completed;
-  out.batch_completed = box.disp.class_stats(sched::Class::kBatch).completed;
-  box.fleet.shutdown();
+      disp.class_stats(sched::Class::kInteractive).completed;
+  out.batch_completed = disp.class_stats(sched::Class::kBatch).completed;
   return out;
 }
 

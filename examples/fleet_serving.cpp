@@ -20,13 +20,8 @@
 #include <cstdlib>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "cluster/dispatcher.h"
-#include "cluster/placement.h"
-#include "cluster/traffic.h"
+#include "cluster/open_loop.h"
 #include "common/stats.h"
-#include "engine/session.h"
-#include "sim/process.h"
 
 using namespace pagoda;
 
@@ -39,21 +34,10 @@ struct Tenant {
   std::uint64_t seed;
 };
 
-sim::Process tenant_source(sim::Simulation& sim, cluster::Dispatcher& disp,
-                           const Tenant& t, int requests, int* open_sources) {
-  cluster::ArrivalSequence seq(t.arrival, t.seed);
-  for (int i = 0; i < requests; ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await sim.delay(gap);
-    disp.offer(cluster::synth_request(t.profile, t.seed, i));
-  }
-  *open_sources -= 1;
-  if (*open_sources == 0) disp.close();
-}
-
-sim::Process drainer(cluster::Dispatcher& disp, bool* done) {
-  co_await disp.drain();
-  *done = true;
+/// One open-loop stream per tenant; the dispatcher closes after the last.
+cluster::ArrivalSource tenant_source(const Tenant& t, int requests) {
+  return {t.arrival, t.seed, requests,
+          [&t](int i) { return cluster::synth_request(t.profile, t.seed, i); }};
 }
 
 }  // namespace
@@ -65,20 +49,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Clock-only Session: the fleet's GpuNodes each bring up their own device
-  // sub-session on this shared Simulation.
-  engine::SessionConfig scfg;
-  scfg.device = false;
-  engine::Session session(scfg);
-  sim::Simulation& sim = session.sim();
   cluster::NodeConfig titan;
   titan.pcie.bandwidth_bytes_per_sec = 12.0e9;
   titan.pcie.latency = sim::microseconds(2.0);
   cluster::NodeConfig k40 = titan;
   k40.spec = gpu::GpuSpec::tesla_k40();
-  cluster::Cluster fleet(sim, {titan, k40});
-  cluster::Dispatcher disp(fleet, cluster::make_policy("data-affinity"), {});
-  fleet.start();
+  cluster::OpenLoopRunner runner({titan, k40},
+                                 cluster::make_policy("data-affinity"));
+  const cluster::Cluster& fleet = runner.fleet();
 
   Tenant interactive;
   interactive.name = "interactive";
@@ -103,16 +81,12 @@ int main(int argc, char** argv) {
   batch.profile.slo = sim::milliseconds(50.0);
   batch.seed = 0xBA7C;
 
-  int open_sources = 2;
-  bool done = false;
-  for (const Tenant* t : {&interactive, &batch}) {
-    sim.spawn(tenant_source(sim, disp, *t, requests, &open_sources));
-  }
-  sim.spawn(drainer(disp, &done));
-  sim.run_until(sim::seconds(60.0));
+  const bool done = runner.run({tenant_source(interactive, requests),
+                                tenant_source(batch, requests)},
+                               sim::seconds(60.0));
 
-  const cluster::Dispatcher::Stats& st = disp.stats();
-  const std::span<const double> lat = disp.latencies_us();
+  const cluster::Dispatcher::Stats& st = runner.dispatcher().stats();
+  const std::span<const double> lat = runner.dispatcher().latencies_us();
   std::printf("fleet_serving: %d requests x 2 tenants on titan_x + k40\n",
               requests);
   std::printf("  completed %lld/%lld, slo violations %lld, affinity hits "
@@ -145,7 +119,6 @@ int main(int argc, char** argv) {
   for (int i = 0; i < fleet.size(); ++i) {
     expect(fleet.node(i).completed() > 0, "both devices served requests");
   }
-  fleet.shutdown();
   std::printf("fleet_serving: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -6,23 +6,17 @@
 //
 // The "Cluster" runtime only handles wave-free workloads: a serving cluster
 // has no global barrier to express SLUD's dependency waves.
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/factories.h"
-#include "cluster/cluster.h"
-#include "cluster/dispatcher.h"
-#include "cluster/placement.h"
-#include "cluster/traffic.h"
+#include "cluster/open_loop.h"
 #include "common/check.h"
 #include "engine/result_builder.h"
-#include "fault/plan.h"
-#include "engine/session.h"
 #include "obs/collector.h"
-#include "power/governor.h"
-#include "sim/process.h"
 
 namespace pagoda::baselines {
 namespace {
@@ -35,128 +29,21 @@ std::string node_prefix(int index) {
   return buf;
 }
 
-struct ClusterRunState {
-  engine::Session session;  // clock-only; each GpuNode builds a sub-session
-  sim::Simulation& sim = session.sim();
-  cluster::Cluster fleet;
-  cluster::Dispatcher dispatcher;
-  bool done = false;
-  sim::Time end_time = 0;
-
-  ClusterRunState(const RunConfig& cfg,
-                  std::unique_ptr<cluster::PlacementPolicy> policy)
-      : session(clock_only()),
-        fleet(sim, node_configs(cfg)),
-        dispatcher(fleet, std::move(policy), dispatcher_config(cfg)) {}
-
-  static engine::SessionConfig clock_only() {
-    engine::SessionConfig c;
-    c.device = false;
-    return c;
+std::vector<cluster::NodeConfig> node_configs(const RunConfig& cfg) {
+  std::vector<gpu::GpuSpec> specs = cfg.cluster.specs;
+  if (specs.empty()) specs.push_back(cfg.spec);
+  std::vector<cluster::NodeConfig> nodes;
+  nodes.reserve(specs.size());
+  for (const gpu::GpuSpec& spec : specs) {
+    cluster::NodeConfig nc;
+    nc.spec = spec;
+    nc.pcie = cfg.pcie;
+    nc.host = cfg.host;
+    nc.pagoda = cfg.pagoda;
+    nc.pagoda.mode = cfg.mode;
+    nodes.push_back(nc);
   }
-
-  static std::vector<cluster::NodeConfig> node_configs(const RunConfig& cfg) {
-    std::vector<gpu::GpuSpec> specs = cfg.cluster.specs;
-    if (specs.empty()) specs.push_back(cfg.spec);
-    std::vector<cluster::NodeConfig> nodes;
-    nodes.reserve(specs.size());
-    for (const gpu::GpuSpec& spec : specs) {
-      cluster::NodeConfig nc;
-      nc.spec = spec;
-      nc.pcie = cfg.pcie;
-      nc.host = cfg.host;
-      nc.pagoda = cfg.pagoda;
-      nc.pagoda.mode = cfg.mode;
-      // One policy end-to-end: the scheduler warps claim in the same order
-      // the dispatcher admits.
-      nc.pagoda.sched = cfg.cluster.sched;
-      nodes.push_back(nc);
-    }
-    return nodes;
-  }
-
-  static cluster::DispatcherConfig dispatcher_config(const RunConfig& cfg) {
-    cluster::DispatcherConfig dc;
-    dc.queue_limit = cfg.cluster.queue_limit;
-    dc.default_slo = cfg.cluster.slo;
-    dc.host = cfg.host;
-    std::string err;
-    std::optional<fault::FaultPlan> plan =
-        fault::FaultPlan::parse(cfg.cluster.faults, &err);
-    PAGODA_CHECK_MSG(plan.has_value(), "bad --faults spec (CLI validates "
-                                       "first; direct callers must too)");
-    dc.faults = std::move(*plan);
-    if (dc.faults.seed == 0) dc.faults.seed = cfg.cluster.seed;
-    dc.retry.seed = dc.faults.seed;
-    if (cfg.cluster.retry_budget >= 0) {
-      dc.retry.budget = cfg.cluster.retry_budget;
-    }
-    dc.task_timeout = cfg.cluster.task_timeout;
-    dc.sched = cfg.cluster.sched;
-    dc.qos = cfg.cluster.qos;
-    // One oversubscription factor end-to-end: virtual slot admission here
-    // mirrors the per-node VirtualShmem/register virtualization.
-    dc.oversub = cfg.pagoda.oversub;
-    if (!cfg.cluster.power.empty()) {
-      dc.power.spec = power::PowerSpec::parse(cfg.cluster.power, &err);
-      PAGODA_CHECK_MSG(dc.power.spec.has_value(),
-                       "bad --power spec (CLI validates first; direct "
-                       "callers must too)");
-      const std::optional<power::GovernorKind> gov =
-          power::parse_governor(cfg.cluster.governor);
-      PAGODA_CHECK_MSG(gov.has_value(), "unknown power governor");
-      dc.power.governor = *gov;
-      dc.power.cap_watts = cfg.cluster.power_cap_watts;
-      // energy-min packs the fleet precisely so the governor can sleep the
-      // idle tail; the two are one strategy, so packing arms sleep.
-      dc.power.manage_sleep = cfg.cluster.policy == "energy-min";
-    }
-    dc.migration.enabled = cfg.cluster.migrate;
-    if (!cfg.cluster.autoscale.empty()) {
-      std::optional<migrate::AutoscaleConfig> as =
-          migrate::parse_autoscale_spec(cfg.cluster.autoscale, &err);
-      PAGODA_CHECK_MSG(as.has_value(), "bad --autoscale spec (CLI validates "
-                                       "first; direct callers must too)");
-      dc.autoscale = std::move(*as);
-    }
-    if (!cfg.cluster.resize.empty()) {
-      std::optional<std::vector<migrate::ResizeStep>> plan =
-          migrate::parse_resize_spec(cfg.cluster.resize, &err);
-      PAGODA_CHECK_MSG(plan.has_value(), "bad --resize spec (CLI validates "
-                                         "first; direct callers must too)");
-      dc.autoscale.plan = std::move(*plan);
-    }
-    return dc;
-  }
-};
-
-/// The open-loop source: offers one request per workload task, paced by the
-/// arrival process. Requests inherit the task's kernel and copy volumes.
-sim::Process source(ClusterRunState& st, const RunConfig& cfg,
-                    std::span<const TaskSpec> tasks,
-                    cluster::ArrivalConfig acfg) {
-  cluster::ArrivalSequence seq(acfg, cfg.cluster.seed);
-  for (int i = 0; i < static_cast<int>(tasks.size()); ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await st.sim.delay(gap);
-    const TaskSpec& t = tasks[static_cast<std::size_t>(i)];
-    cluster::Request r;
-    r.params = t.params;
-    if (cfg.include_data_copies) {
-      r.h2d_bytes = t.h2d_bytes;
-      r.d2h_bytes = t.d2h_bytes;
-    }
-    r.index = i;
-    r.cls = cfg.cluster.default_class;
-    st.dispatcher.offer(std::move(r));
-  }
-  st.dispatcher.close();
-}
-
-sim::Process drainer(ClusterRunState& st) {
-  co_await st.dispatcher.drain();
-  st.end_time = st.sim.now();
-  st.done = true;
+  return nodes;
 }
 
 class ClusterDriver final : public TaskRuntime {
@@ -171,54 +58,80 @@ class ClusterDriver final : public TaskRuntime {
     std::unique_ptr<cluster::PlacementPolicy> policy =
         cluster::make_policy(cfg.cluster.policy);
     PAGODA_CHECK_MSG(policy != nullptr, "unknown placement policy");
-    const std::optional<cluster::ArrivalConfig> acfg =
-        cluster::ArrivalConfig::parse(cfg.cluster.arrival);
-    PAGODA_CHECK_MSG(acfg.has_value(), "bad arrival spec");
-
-    ClusterRunState st(cfg, std::move(policy));
+    cluster::OpenLoopRunner runner(node_configs(cfg), std::move(policy),
+                                   cluster_dispatcher_config(cfg));
+    cluster::Cluster& fleet = runner.fleet();
+    cluster::Dispatcher& dispatcher = runner.dispatcher();
     if (cfg.collector != nullptr) {
-      for (int i = 0; i < st.fleet.size(); ++i) {
-        st.fleet.node(i).session().attach_collector(*cfg.collector,
-                                                    node_prefix(i));
+      for (int i = 0; i < fleet.size(); ++i) {
+        fleet.node(i).session().attach_collector(*cfg.collector,
+                                                 node_prefix(i));
       }
-      st.dispatcher.install_sampler(*cfg.collector);
+      dispatcher.install_sampler(*cfg.collector);
       if (cfg.collector->spans_enabled()) {
-        st.dispatcher.set_tracer(&cfg.collector->request_tracer());
+        dispatcher.set_tracer(&cfg.collector->request_tracer());
       }
     }
-    st.fleet.start();
-    st.sim.spawn(source(st, cfg, w.tasks(), *acfg));
-    st.sim.spawn(drainer(st));
-    st.sim.run_until(cfg.time_cap);
+    // The open-loop source offers one request per workload task; requests
+    // inherit the task's kernel and copy volumes.
+    const std::span<const TaskSpec> tasks = w.tasks();
+    cluster::ArrivalSource source;
+    source.arrival = cfg.cluster.arrival;
+    source.seed = cfg.cluster.seed;
+    source.requests = static_cast<int>(tasks.size());
+    source.make = [&](int i) {
+      const TaskSpec& t = tasks[static_cast<std::size_t>(i)];
+      cluster::Request r;
+      r.params = t.params;
+      if (cfg.include_data_copies) {
+        r.h2d_bytes = t.h2d_bytes;
+        r.d2h_bytes = t.d2h_bytes;
+      }
+      r.index = i;
+      r.cls = cfg.cluster.default_class;
+      return r;
+    };
+    runner.run(std::move(source), cfg.time_cap);
 
     engine::ResultBuilder marks(0);  // the dispatcher supplies everything
-    marks.complete(st.done, st.end_time);
-    marks.set_tasks(st.dispatcher.stats().completed);
+    marks.complete(runner.done(), runner.end_time());
+    marks.set_tasks(dispatcher.stats().completed);
     double warp_capacity = 0.0;
-    for (int i = 0; i < st.fleet.size(); ++i) {
-      gpu::Device& dev = st.fleet.node(i).device();
+    for (int i = 0; i < fleet.size(); ++i) {
+      gpu::Device& dev = fleet.node(i).device();
       marks.wires_from(dev);
       warp_capacity += static_cast<double>(dev.spec().max_resident_warps());
     }
-    marks.occupancy_integral(st.fleet.executor_busy_warp_seconds(),
+    marks.occupancy_integral(fleet.executor_busy_warp_seconds(),
                              warp_capacity);
     if (cfg.collect_latencies) {
-      marks.set_latencies({st.dispatcher.latencies_us().begin(),
-                           st.dispatcher.latencies_us().end()});
+      marks.set_latencies({dispatcher.latencies_us().begin(),
+                           dispatcher.latencies_us().end()});
     }
-    for (const cluster::Dispatcher::Span& s : st.dispatcher.spans()) {
+    for (const cluster::Dispatcher::Span& s : dispatcher.spans()) {
       marks.add_span(s.arrival, s.done);
     }
     if (cfg.collector != nullptr) {
-      st.dispatcher.export_metrics(cfg.collector->metrics());
+      dispatcher.export_metrics(cfg.collector->metrics());
     }
-    RunResult res = marks.assemble(cfg.collect_latencies, cfg.collector);
-    st.fleet.shutdown();
-    return res;
+    return marks.assemble(cfg.collect_latencies, cfg.collector);
   }
 };
 
 }  // namespace
+
+cluster::DispatcherConfig cluster_dispatcher_config(const RunConfig& cfg) {
+  cluster::DispatcherConfig dc = cfg.cluster.dispatcher;
+  dc.host = cfg.host;
+  dc.sched = cfg.pagoda.sched;
+  dc.oversub = cfg.pagoda.oversub;
+  // energy-min packs the fleet precisely so the governor can sleep the idle
+  // tail; the two are one strategy, so packing arms sleep.
+  dc.power.manage_sleep = cfg.cluster.policy == "energy-min";
+  if (dc.faults.seed == 0) dc.faults.seed = cfg.cluster.seed;
+  dc.retry.seed = dc.faults.seed;
+  return dc;
+}
 
 std::unique_ptr<TaskRuntime> make_cluster_runtime() {
   return std::make_unique<ClusterDriver>();

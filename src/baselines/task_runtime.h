@@ -20,6 +20,8 @@
 #include <string_view>
 #include <vector>
 
+#include "cluster/dispatcher.h"
+#include "cluster/traffic.h"
 #include "engine/run_result.h"
 #include "gpu/gpu_spec.h"
 #include "host/host_api.h"
@@ -35,54 +37,26 @@ namespace pagoda::baselines {
 
 /// Options for the "Cluster" runtime (src/cluster/): a fleet of simulated
 /// GPUs behind one dispatcher. Ignored by every single-device scheme.
+/// Every value is typed: spec strings are parsed once, by pagoda_cli, and
+/// the cross-plane rules live in cluster::Dispatcher::validate().
 struct ClusterOptions {
   /// One spec per GPU; empty means one device of RunConfig::spec.
   std::vector<gpu::GpuSpec> specs;
   /// Placement policy name (see cluster::all_policy_names()).
   std::string policy = "round-robin";
-  /// Arrival process spec (see cluster::ArrivalConfig::parse()).
-  std::string arrival = "closed";
-  /// Per-request deadline for SLO accounting; 0 disables it.
-  sim::Duration slo = 0;
-  /// Admission bound on the dispatcher backlog; 0 = unbounded.
-  int queue_limit = 0;
-  /// Seed for the arrival process.
+  /// Arrival process; the default is closed (back-to-back offers).
+  cluster::ArrivalConfig arrival{};
+  /// Seed for the arrival process, and for fault and retry decisions when
+  /// the fault plan names no seed of its own.
   std::uint64_t seed = 1;
-  /// Fault-plan spec (see fault::FaultPlan::parse()); "" disables injection.
-  std::string faults;
-  /// Retries per request beyond the first attempt; -1 = the fault layer's
-  /// default budget.
-  int retry_budget = -1;
-  /// Per-attempt execution deadline; 0 = none (required nonzero by plans
-  /// that wedge or crash).
-  sim::Duration task_timeout = 0;
-  /// QoS scheduling policy for the dispatcher's admission queues (and, via
-  /// TaskParams tags, the GPU-side claim order). fifo = legacy behavior.
-  sched::PolicyConfig sched{};
   /// Class stamped on every request the driver synthesizes from the
   /// workload's tasks.
   sched::Class default_class = sched::Class::kStandard;
-  /// Arms per-class sched.* metric export even under fifo.
-  bool qos = false;
-  /// Power-model spec (see power::PowerSpec::parse()); "" leaves the power
-  /// plane off and the run byte-identical to a power-unaware build.
-  std::string power;
-  /// Power governor name (see power::all_governor_names()); only read when
-  /// `power` is set.
-  std::string governor = "static";
-  /// Fleet-watt budget for the powercap governor and the power-cap
-  /// placement policy; 0 = uncapped.
-  double power_cap_watts = 0.0;
-  /// Arms migrate-not-shed drains (checkpoint/restore of in-flight
-  /// attempts); off leaves drain_node() with its finish-in-place semantics.
-  bool migrate = false;
-  /// Autoscaler spec "UTIL[:LOW:HIGH[:MIN]]" (see
-  /// migrate::parse_autoscale_spec); "" leaves utilization scaling off.
-  /// Requires `migrate` and a power spec.
-  std::string autoscale;
-  /// Rolling-resize plan "AT_US:NODES[,...]" (see
-  /// migrate::parse_resize_spec); "" means no plan. Same requirements.
-  std::string resize;
+  /// Admission, fault, QoS, power, migration and autoscale planes. Its
+  /// sched, oversub and host fields are ignored: one value end-to-end comes
+  /// from RunConfig::pagoda and RunConfig::host (see
+  /// cluster_dispatcher_config()).
+  cluster::DispatcherConfig dispatcher{};
 };
 
 struct RunConfig {
@@ -137,6 +111,13 @@ std::unique_ptr<TaskRuntime> make_runtime(std::string_view name);
 
 /// Every name make_runtime() accepts, in canonical (comparison-table) order.
 std::span<const std::string_view> all_runtime_names();
+
+/// The dispatcher config a Cluster run uses: cfg.cluster.dispatcher with
+/// the sched policy and oversub factor of cfg.pagoda (one value end-to-end:
+/// the dispatcher admits in the order the scheduler warps claim), the host
+/// costs of cfg.host, energy-min's sleep management, and the fault/retry
+/// seeds defaulted to cfg.cluster.seed.
+cluster::DispatcherConfig cluster_dispatcher_config(const RunConfig& cfg);
 
 /// Highest dependency wave in the workload (0 = all independent). Reads the
 /// value Workload::generate() cached; no task-list scan.

@@ -65,11 +65,10 @@ Dispatcher::Dispatcher(Cluster& cluster,
       drained_(cluster.sim()),
       work_cv_(cluster.sim()) {
   PAGODA_CHECK_MSG(policy_ != nullptr, "Dispatcher needs a placement policy");
+  const std::string invalid = validate(cfg_, cluster.size(), policy_->name());
+  PAGODA_CHECK_MSG(invalid.empty(), invalid.c_str());
   fault_armed_ = cfg_.faults.enabled() || cfg_.task_timeout > 0;
   qos_ = cfg_.qos || cfg_.sched.kind != sched::PolicyKind::kFifo;
-  PAGODA_CHECK_MSG(cfg_.oversub >= 1.0,
-                   "oversub < 1 would silently strand physical capacity; "
-                   "use a smaller TaskTable instead");
   vres_armed_ = cfg_.oversub > 1.0;
   node_state_.resize(static_cast<std::size_t>(cluster.size()));
   for (int i = 0; i < cluster.size(); ++i) {
@@ -98,18 +97,10 @@ Dispatcher::Dispatcher(Cluster& cluster,
     cluster.sim().spawn(flush_timer(i));
   }
   if (fault_armed_) {
-    PAGODA_CHECK_MSG(!cfg_.faults.needs_deadline() || cfg_.task_timeout > 0,
-                     "fault plans with wedge/crash faults need a per-task "
-                     "deadline (task_timeout / --task-timeout-us > 0): a "
-                     "swallowed completion is otherwise unrecoverable");
     for (const fault::CrashEvent& ev : cfg_.faults.crashes) {
-      PAGODA_CHECK_MSG(ev.node >= 0 && ev.node < cluster.size(),
-                       "crash fault names a node outside the cluster");
       sim().at(ev.at, [this, ev] { inject_crash(ev); });
     }
     for (const fault::DegradeWindow& w : cfg_.faults.degrades) {
-      PAGODA_CHECK_MSG(w.node < cluster.size(),
-                       "degrade fault names a node outside the cluster");
       sim().at(w.at, [this, w] {
         fault_event("degrade");
         set_bandwidth_scale(w.node, w.factor);
@@ -160,19 +151,78 @@ Dispatcher::Dispatcher(Cluster& cluster,
     migration_ = std::make_unique<migrate::MigrationManager>(cfg_.migration);
   }
   if (cfg_.autoscale.armed()) {
-    PAGODA_CHECK_MSG(migrate_armed_,
-                     "autoscale/resize requires the migration plane "
-                     "(--migrate): a shrink drain must migrate, not shed");
-    PAGODA_CHECK_MSG(power_armed_,
-                     "autoscale/resize requires the power plane (--power): "
-                     "parked nodes sleep in S-states");
-    PAGODA_CHECK_MSG(!cfg_.power.manage_sleep,
-                     "autoscale and energy-min sleep management are mutually "
-                     "exclusive movers of S-states: pick one");
     autoscaler_ = std::make_unique<migrate::Autoscaler>(sim(), cfg_.autoscale,
                                                         *fleet_adapter_);
     autoscaler_->start();
   }
+}
+
+std::string Dispatcher::validate(const DispatcherConfig& cfg, int num_nodes,
+                                 std::string_view policy) {
+  const auto fmt = [](const char* f, int a, int b) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), f, a, b);
+    return std::string(buf);
+  };
+  if (!(cfg.oversub >= 1.0)) {
+    return "oversub must be >= 1.0: a smaller factor would silently strand "
+           "physical capacity (use a smaller TaskTable instead)";
+  }
+  if (cfg.faults.needs_deadline() && cfg.task_timeout <= 0) {
+    return "this --faults plan wedges tasks or crashes nodes, which only a "
+           "task deadline can detect; add --task-timeout-us=X (e.g. "
+           "--task-timeout-us=2000)";
+  }
+  for (const fault::CrashEvent& ev : cfg.faults.crashes) {
+    if (ev.node < 0 || ev.node >= num_nodes) {
+      return fmt("--faults crash targets node %d but the cluster has %d "
+                 "node(s)",
+                 ev.node, num_nodes);
+    }
+  }
+  for (const fault::DegradeWindow& w : cfg.faults.degrades) {
+    if (w.node < -1 || w.node >= num_nodes) {  // -1: every node
+      return fmt("--faults degrade targets node %d but the cluster has %d "
+                 "node(s)",
+                 w.node, num_nodes);
+    }
+  }
+  if (cfg.autoscale.armed()) {
+    if (!cfg.migration.enabled) {
+      return "--autoscale/--resize resize the fleet by draining nodes, which "
+             "needs the migration plane; add --migrate (a shrink drain must "
+             "migrate, not shed)";
+    }
+    if (!cfg.power.enabled()) {
+      return "--autoscale/--resize park drained nodes in S-states, which "
+             "needs the power plane; add --power=SPEC";
+    }
+    if (cfg.power.manage_sleep || policy == "energy-min") {
+      return "--policy=energy-min manages sleep itself and cannot share the "
+             "fleet with --autoscale/--resize; pick another --policy";
+    }
+    if (cfg.autoscale.enabled && cfg.autoscale.min_nodes > num_nodes) {
+      return fmt("--autoscale MIN=%d exceeds the fleet's %d node(s)",
+                 cfg.autoscale.min_nodes, num_nodes);
+    }
+    for (const migrate::ResizeStep& step : cfg.autoscale.plan) {
+      if (step.target > num_nodes) {
+        return fmt("--resize targets %d node(s) but the cluster has %d",
+                   step.target, num_nodes);
+      }
+    }
+  }
+  if (cfg.power.cap_watts > 0.0) {
+    if (!cfg.power.enabled()) {
+      return "--power-cap-watts needs the power plane; add --power=SPEC";
+    }
+    if (cfg.power.governor != power::GovernorKind::kPowerCap &&
+        policy != "power-cap") {
+      return "--power-cap-watts needs an enforcer: --governor=powercap or "
+             "--policy=power-cap";
+    }
+  }
+  return {};
 }
 
 sim::Process Dispatcher::flush_timer(int node_index) {

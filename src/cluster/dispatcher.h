@@ -69,6 +69,8 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -109,8 +111,8 @@ struct DispatcherConfig {
   /// Retry budget + backoff shape for failed attempts.
   fault::RetryConfig retry{};
   /// Per-attempt execution deadline measured from task spawn; 0 = none.
-  /// Plans that can wedge or crash REQUIRE a deadline (checked at
-  /// construction): a swallowed completion is otherwise unrecoverable.
+  /// Plans that can wedge or crash REQUIRE a deadline (see validate()): a
+  /// swallowed completion is otherwise unrecoverable.
   sim::Duration task_timeout = 0;
   /// Heartbeat probing cadence and death threshold.
   fault::WatchdogConfig watchdog{};
@@ -219,10 +221,19 @@ class Dispatcher {
     std::int64_t slot_releases = 0;
   };
 
+  /// CHECKs validate(cfg, cluster.size(), policy->name()).
   Dispatcher(Cluster& cluster, std::unique_ptr<PlacementPolicy> policy,
              DispatcherConfig cfg = {});
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
+
+  /// The one list of cross-plane configuration rules, for a fleet of
+  /// `num_nodes` under the placement policy named `policy`. Returns the
+  /// first violated rule as a one-line message, or "" when the config is
+  /// valid. pagoda_cli prints the message as a usage error; the constructor
+  /// CHECKs it.
+  static std::string validate(const DispatcherConfig& cfg, int num_nodes,
+                              std::string_view policy);
 
   /// Offers a request at the current virtual time. Non-blocking: either
   /// admits (spawning the serving process) or drops under overload.

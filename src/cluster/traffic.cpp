@@ -59,7 +59,10 @@ std::optional<ArrivalConfig> ArrivalConfig::parse(std::string_view spec) {
       if (colon3 != std::string_view::npos) {
         const std::optional<double> on_us =
             parse_double(rest2.substr(colon3 + 1));
-        if (!on_us.has_value() || *on_us <= 0.0) return std::nullopt;
+        if (!on_us.has_value() || *on_us <= 0.0 ||
+            *on_us > sim::kMaxSpecMicroseconds) {
+          return std::nullopt;
+        }
         cfg.mean_on = sim::microseconds(*on_us);
       }
     }

@@ -19,6 +19,11 @@ using Duration = std::int64_t;
 
 inline constexpr Time kTimeMax = std::numeric_limits<Time>::max();
 
+/// Largest time a spec string may name, in microseconds (about 11.6 days).
+/// Spec parsers reject larger values: converting them to picoseconds would
+/// overflow Time, and a sum of a few bounded values stays far inside it.
+inline constexpr double kMaxSpecMicroseconds = 1e12;
+
 constexpr Duration picoseconds(std::int64_t n) { return n; }
 constexpr Duration nanoseconds(double n) {
   return static_cast<Duration>(n * 1e3);

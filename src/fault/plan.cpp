@@ -26,6 +26,12 @@ bool parse_double(const std::string& s, double* out) {
   return true;
 }
 
+/// A time in microseconds within [0, sim::kMaxSpecMicroseconds].
+bool parse_time_us(const std::string& s, double* out) {
+  return parse_double(s, out) && *out >= 0.0 &&
+         *out <= sim::kMaxSpecMicroseconds;
+}
+
 bool parse_u64(const std::string& s, std::uint64_t* out) {
   if (s.empty()) return false;
   char* end = nullptr;
@@ -82,11 +88,11 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
       double at_us = 0.0;
       double recover_us = 0.0;
       if (f.size() < 3 || f.size() > 4 || !parse_int(f[1], &ev.node) ||
-          !parse_double(f[2], &at_us) || at_us < 0.0 ||
-          (f.size() == 4 && (!parse_double(f[3], &recover_us) ||
-                             recover_us <= 0.0))) {
+          !parse_time_us(f[2], &at_us) ||
+          (f.size() == 4 &&
+           (!parse_time_us(f[3], &recover_us) || recover_us <= 0.0))) {
         *error = "crash wants crash:NODE:T_US[:RECOVER_US] with T_US >= 0 "
-                 "and RECOVER_US > 0, got '" + item + "'";
+                 "and RECOVER_US > 0 (both <= 1e12), got '" + item + "'";
         return std::nullopt;
       }
       ev.at = sim::microseconds(at_us);
@@ -99,12 +105,13 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
       DegradeWindow w;
       double at_us = 0.0;
       double dur_us = 0.0;
-      if (f.size() < 4 || f.size() > 5 || !parse_double(f[1], &at_us) ||
-          at_us < 0.0 || !parse_double(f[2], &dur_us) || dur_us <= 0.0 ||
+      if (f.size() < 4 || f.size() > 5 || !parse_time_us(f[1], &at_us) ||
+          !parse_time_us(f[2], &dur_us) || dur_us <= 0.0 ||
           !parse_double(f[3], &w.factor) || w.factor <= 0.0 ||
           w.factor > 1.0 || (f.size() == 5 && !parse_int(f[4], &w.node))) {
         *error = "degrade wants degrade:T_US:DUR_US:FACTOR[:NODE] with "
-                 "DUR_US > 0 and FACTOR in (0,1], got '" + item + "'";
+                 "DUR_US > 0, times <= 1e12 and FACTOR in (0,1], got '" +
+                 item + "'";
         return std::nullopt;
       }
       w.at = sim::microseconds(at_us);

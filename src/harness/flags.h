@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -44,6 +45,20 @@ class Flags {
     return strict_parse(name, def, [](const char* s, char** end) {
       return std::strtoll(s, end, 10);
     });
+  }
+
+  /// Int flag value in [lo, hi]. Unparsable values exit 2 as in get_int();
+  /// out-of-range values print the range and exit 1 (a usage error), so
+  /// nothing is truncated on the way to int.
+  int get_int_in(std::string_view name, int def, int lo,
+                 int hi = std::numeric_limits<int>::max()) const {
+    const std::int64_t v = get_int(name, def);
+    if (v < lo || v > hi) {
+      std::fprintf(stderr, "error: --%.*s must be in [%d, %d]\n",
+                   static_cast<int>(name.size()), name.data(), lo, hi);
+      std::exit(1);
+    }
+    return static_cast<int>(v);
   }
 
   /// Floating-point flag value, with the same full-consumption rule. `nan`

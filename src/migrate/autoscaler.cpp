@@ -1,6 +1,7 @@
 #include "migrate/autoscaler.h"
 
 #include <charconv>
+#include <limits>
 
 #include "common/check.h"
 
@@ -60,7 +61,8 @@ std::optional<AutoscaleConfig> parse_autoscale_spec(std::string_view spec,
   }
   if (parts.size() == 4) {
     std::int64_t min_nodes = 0;
-    if (!parse_i64(parts[3], &min_nodes) || min_nodes < 1) {
+    if (!parse_i64(parts[3], &min_nodes) || min_nodes < 1 ||
+        min_nodes > std::numeric_limits<int>::max()) {
       *error = "bad min-nodes (must be >= 1)";
       return std::nullopt;
     }
@@ -90,11 +92,13 @@ std::optional<std::vector<ResizeStep>> parse_resize_spec(std::string_view spec,
     }
     std::int64_t at_us = 0;
     std::int64_t target = 0;
-    if (!parse_i64(item.substr(0, colon), &at_us) || at_us < 0) {
-      *error = "bad resize instant (microseconds, >= 0)";
+    if (!parse_i64(item.substr(0, colon), &at_us) || at_us < 0 ||
+        static_cast<double>(at_us) > sim::kMaxSpecMicroseconds) {
+      *error = "bad resize instant (microseconds, in [0, 1e12])";
       return std::nullopt;
     }
-    if (!parse_i64(item.substr(colon + 1), &target) || target < 1) {
+    if (!parse_i64(item.substr(colon + 1), &target) || target < 1 ||
+        target > std::numeric_limits<int>::max()) {
       *error = "bad resize target (nodes, >= 1)";
       return std::nullopt;
     }

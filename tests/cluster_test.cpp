@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -11,9 +12,11 @@
 
 #include "cluster/cluster.h"
 #include "cluster/dispatcher.h"
+#include "cluster/open_loop.h"
 #include "cluster/placement.h"
 #include "cluster/traffic.h"
 #include "obs/metrics.h"
+#include "power/power_spec.h"
 #include "sched/policy.h"
 #include "sim/process.h"
 
@@ -55,26 +58,7 @@ struct RunOutput {
   sim::Time end_time = 0;
 };
 
-sim::Process feed(sim::Simulation& sim, Dispatcher& disp, const RunSpec& rs) {
-  ArrivalSequence seq(rs.arrival, rs.seed);
-  for (int i = 0; i < rs.requests; ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await sim.delay(gap);
-    Request r = synth_request(rs.profile, rs.seed, i);
-    if (rs.cycle_classes) r.cls = static_cast<sched::Class>(i % sched::kNumClasses);
-    disp.offer(std::move(r));
-  }
-  disp.close();
-}
-
-sim::Process settle(Dispatcher& disp, RunOutput& out, sim::Simulation& sim) {
-  co_await disp.drain();
-  out.end_time = sim.now();
-  out.done = true;
-}
-
 RunOutput run_cluster(const RunSpec& rs) {
-  sim::Simulation sim;
   std::vector<NodeConfig> nodes;
   for (const std::string& name : rs.nodes) {
     NodeConfig nc;
@@ -83,34 +67,39 @@ RunOutput run_cluster(const RunSpec& rs) {
     nc.pagoda.sched = rs.sched;
     nodes.push_back(nc);
   }
-  Cluster fleet(sim, nodes);
   DispatcherConfig dc;
   dc.queue_limit = rs.queue_limit;
   dc.sched = rs.sched;
   dc.qos = rs.qos;
-  Dispatcher disp(fleet, make_policy(rs.policy), dc);
-  fleet.start();
+  OpenLoopRunner runner(nodes, make_policy(rs.policy), dc);
+  runner.run({rs.arrival, rs.seed, rs.requests,
+              [&rs](int i) {
+                Request r = synth_request(rs.profile, rs.seed, i);
+                if (rs.cycle_classes) {
+                  r.cls = static_cast<sched::Class>(i % sched::kNumClasses);
+                }
+                return r;
+              }},
+             sim::seconds(60.0));
 
+  const Dispatcher& disp = runner.dispatcher();
   RunOutput out;
-  sim.spawn(feed(sim, disp, rs));
-  sim.spawn(settle(disp, out, sim));
-  sim.run_until(sim::seconds(60.0));
-
+  out.done = runner.done();
+  out.end_time = runner.end_time();
   out.stats = disp.stats();
   for (int c = 0; c < sched::kNumClasses; ++c) {
     out.cls[static_cast<std::size_t>(c)] =
         disp.class_stats(static_cast<sched::Class>(c));
   }
   out.placements = disp.placements();
-  for (int i = 0; i < fleet.size(); ++i) {
-    out.per_node_completed.push_back(fleet.node(i).completed());
+  for (int i = 0; i < runner.fleet().size(); ++i) {
+    out.per_node_completed.push_back(runner.fleet().node(i).completed());
   }
   obs::MetricsRegistry m;
   disp.export_metrics(m);
   std::ostringstream os;
   m.write_json(os);
   out.metrics_json = os.str();
-  fleet.shutdown();
   return out;
 }
 
@@ -334,6 +323,134 @@ TEST(ClusterQos, NonFifoPoliciesAreDeterministic) {
     EXPECT_EQ(a.placements, b.placements) << sched::to_string(kind);
     EXPECT_EQ(a.metrics_json, b.metrics_json) << sched::to_string(kind);
     EXPECT_EQ(a.end_time, b.end_time) << sched::to_string(kind);
+  }
+}
+
+// --- configuration rules ------------------------------------------------------
+
+TEST(DispatcherValidate, AcceptsValidConfigsAndNamesEachViolatedRule) {
+  constexpr int kNodes = 2;
+  EXPECT_EQ(Dispatcher::validate(DispatcherConfig{}, kNodes, "round-robin"),
+            "");
+  // A config with every prerequisite plane armed, for the elastic rules.
+  const auto elastic = [] {
+    DispatcherConfig dc;
+    dc.migration.enabled = true;
+    dc.power.spec = power::PowerSpec::default_spec();
+    dc.autoscale.enabled = true;
+    return dc;
+  };
+  struct Row {
+    const char* rule;
+    std::function<void(DispatcherConfig&)> edit;
+    std::string_view policy;
+    const char* message;  // "" = must be accepted
+  };
+  const std::vector<Row> rows = {
+      {"oversub below 1", [](DispatcherConfig& dc) { dc.oversub = 0.5; },
+       "round-robin", "oversub must be >= 1.0"},
+      {"wedge plan, no deadline",
+       [](DispatcherConfig& dc) { dc.faults.wedge_rate = 0.1; },
+       "round-robin", "--task-timeout-us"},
+      {"wedge plan with a deadline",
+       [](DispatcherConfig& dc) {
+         dc.faults.wedge_rate = 0.1;
+         dc.task_timeout = sim::microseconds(2000.0);
+       },
+       "round-robin", ""},
+      {"crash node past the fleet",
+       [](DispatcherConfig& dc) {
+         dc.faults.crashes.push_back({kNodes, 0, false, 0});
+         dc.task_timeout = sim::microseconds(2000.0);
+       },
+       "round-robin", "crash targets node 2"},
+      {"negative crash node",
+       [](DispatcherConfig& dc) {
+         dc.faults.crashes.push_back({-1, 0, false, 0});
+         dc.task_timeout = sim::microseconds(2000.0);
+       },
+       "round-robin", "crash targets node -1"},
+      {"degrade node past the fleet",
+       [](DispatcherConfig& dc) {
+         dc.faults.degrades.push_back({0, sim::microseconds(10.0), 0.5, 7});
+       },
+       "round-robin", "degrade targets node 7"},
+      {"degrade of every node",
+       [](DispatcherConfig& dc) {
+         dc.faults.degrades.push_back({0, sim::microseconds(10.0), 0.5, -1});
+       },
+       "round-robin", ""},
+      {"autoscale without migrate",
+       [](DispatcherConfig& dc) { dc.autoscale.enabled = true; },
+       "round-robin", "--migrate"},
+      {"resize without power",
+       [](DispatcherConfig& dc) {
+         dc.migration.enabled = true;
+         dc.autoscale.plan = {{sim::microseconds(100.0), 1}};
+       },
+       "round-robin", "--power"},
+      {"autoscale with energy-min placement",
+       [&](DispatcherConfig& dc) { dc = elastic(); }, "energy-min",
+       "energy-min"},
+      {"autoscale with sleep management",
+       [&](DispatcherConfig& dc) {
+         dc = elastic();
+         dc.power.manage_sleep = true;
+       },
+       "least-outstanding", "energy-min"},
+      {"autoscale MIN past the fleet",
+       [&](DispatcherConfig& dc) {
+         dc = elastic();
+         dc.autoscale.min_nodes = kNodes + 1;
+       },
+       "least-outstanding", "MIN=3"},
+      {"resize target past the fleet",
+       [&](DispatcherConfig& dc) {
+         dc = elastic();
+         dc.autoscale.plan = {{sim::microseconds(100.0), 1},
+                              {sim::microseconds(200.0), kNodes + 1}};
+       },
+       "least-outstanding", "--resize targets 3"},
+      {"autoscale and resize within the fleet",
+       [&](DispatcherConfig& dc) {
+         dc = elastic();
+         dc.autoscale.min_nodes = kNodes;
+         dc.autoscale.plan = {{sim::microseconds(100.0), kNodes}};
+       },
+       "least-outstanding", ""},
+      {"power cap without the power plane",
+       [](DispatcherConfig& dc) { dc.power.cap_watts = 100.0; },
+       "power-cap", "needs the power plane"},
+      {"power cap without an enforcer",
+       [](DispatcherConfig& dc) {
+         dc.power.spec = power::PowerSpec::default_spec();
+         dc.power.cap_watts = 100.0;
+       },
+       "least-loaded", "enforcer"},
+      {"power cap enforced by the governor",
+       [](DispatcherConfig& dc) {
+         dc.power.spec = power::PowerSpec::default_spec();
+         dc.power.governor = power::GovernorKind::kPowerCap;
+         dc.power.cap_watts = 100.0;
+       },
+       "least-loaded", ""},
+      {"power cap enforced by placement",
+       [](DispatcherConfig& dc) {
+         dc.power.spec = power::PowerSpec::default_spec();
+         dc.power.cap_watts = 100.0;
+       },
+       "power-cap", ""},
+  };
+  for (const Row& row : rows) {
+    DispatcherConfig dc;
+    row.edit(dc);
+    const std::string got = Dispatcher::validate(dc, kNodes, row.policy);
+    if (row.message[0] == '\0') {
+      EXPECT_EQ(got, "") << row.rule;
+    } else {
+      EXPECT_NE(got.find(row.message), std::string::npos)
+          << row.rule << ": got '" << got << "'";
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/dispatcher.h"
+#include "cluster/open_loop.h"
 #include "cluster/placement.h"
 #include "cluster/traffic.h"
 #include "common/rng.h"
@@ -259,33 +260,7 @@ struct FaultRunOutput {
   sim::Time end_time = 0;
 };
 
-sim::Process feed(sim::Simulation& sim, Dispatcher& disp,
-                  const FaultRunSpec& rs) {
-  ArrivalConfig acfg;
-  acfg.kind = ArrivalKind::Poisson;
-  acfg.rate_per_sec = rs.arrival_rate;
-  ArrivalSequence seq(acfg, rs.seed);
-  RequestProfile profile;
-  profile.slo = rs.slo;
-  for (int i = 0; i < rs.requests; ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await sim.delay(gap);
-    disp.offer(synth_request(profile, rs.seed, i));
-  }
-  disp.close();
-}
-
-sim::Process settle(Dispatcher& disp, FaultRunOutput& out,
-                    sim::Simulation& sim) {
-  co_await disp.drain();
-  out.end_time = sim.now();
-  out.done = true;
-}
-
 FaultRunOutput run_fault_cluster(const FaultRunSpec& rs) {
-  sim::Simulation sim;
-  std::vector<NodeConfig> nodes(static_cast<std::size_t>(rs.nodes));
-  Cluster fleet(sim, nodes);
   DispatcherConfig dc;
   std::string err;
   const auto plan = fault::FaultPlan::parse(rs.faults, &err);
@@ -296,33 +271,40 @@ FaultRunOutput run_fault_cluster(const FaultRunSpec& rs) {
   dc.retry.budget = rs.retry_budget;
   dc.task_timeout = rs.task_timeout;
   dc.watchdog.probe_period = sim::microseconds(100.0);
-  Dispatcher disp(fleet, make_policy(rs.policy), dc);
-  fleet.start();
+  const std::vector<NodeConfig> nodes(static_cast<std::size_t>(rs.nodes));
+  OpenLoopRunner runner(nodes, make_policy(rs.policy), dc);
+  Dispatcher& disp = runner.dispatcher();
   for (const auto& [t, node] : rs.drains) {
-    sim.at(t, [&disp, node = node] { disp.drain_node(node); });
+    runner.sim().at(t, [&disp, node = node] { disp.drain_node(node); });
   }
   for (const auto& [t, node] : rs.reinstates) {
-    sim.at(t, [&disp, node = node] { disp.reinstate_node(node); });
+    runner.sim().at(t, [&disp, node = node] { disp.reinstate_node(node); });
   }
+  ArrivalSource src;
+  src.arrival.kind = ArrivalKind::Poisson;
+  src.arrival.rate_per_sec = rs.arrival_rate;
+  src.seed = rs.seed;
+  src.requests = rs.requests;
+  RequestProfile profile;
+  profile.slo = rs.slo;
+  src.make = [&](int i) { return synth_request(profile, rs.seed, i); };
+  runner.run(std::move(src), sim::seconds(60.0));
 
   FaultRunOutput out;
-  sim.spawn(feed(sim, disp, rs));
-  sim.spawn(settle(disp, out, sim));
-  sim.run_until(sim::seconds(60.0));
-
+  out.done = runner.done();
+  out.end_time = runner.end_time();
   out.stats = disp.stats();
   out.placements = disp.placements();
-  for (int i = 0; i < fleet.size(); ++i) {
-    out.per_node_completed.push_back(fleet.node(i).completed());
+  for (int i = 0; i < runner.fleet().size(); ++i) {
+    out.per_node_completed.push_back(runner.fleet().node(i).completed());
     out.free_slots.push_back(disp.free_slots(i));
-    out.capacity.push_back(fleet.node(i).capacity());
+    out.capacity.push_back(runner.fleet().node(i).capacity());
   }
   obs::MetricsRegistry m;
   disp.export_metrics(m);
   std::ostringstream os;
   m.write_json(os);
   out.metrics_json = os.str();
-  fleet.shutdown();
   return out;
 }
 
@@ -526,8 +508,9 @@ TEST(FaultCompute, RetriedTasksVerifyAgainstCpuReferences) {
   rcfg.mode = gpu::ExecMode::Compute;
   rcfg.cluster.specs = {gpu::GpuSpec::titan_x(), gpu::GpuSpec::titan_x()};
   rcfg.cluster.policy = "least-loaded";
-  rcfg.cluster.faults = "task:0.15,xfer:0.1";
-  rcfg.cluster.task_timeout = sim::microseconds(3000.0);
+  rcfg.cluster.dispatcher.faults.task_fault_rate = 0.15;
+  rcfg.cluster.dispatcher.faults.transfer_fault_rate = 0.1;
+  rcfg.cluster.dispatcher.task_timeout = sim::microseconds(3000.0);
   rcfg.cluster.seed = wcfg.seed;
   const harness::Measurement m =
       harness::run_experiment("MM", "Cluster", wcfg, rcfg);

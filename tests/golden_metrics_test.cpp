@@ -88,8 +88,8 @@ TEST(GoldenMetrics, ClusterMM) {
   baselines::RunConfig rcfg = harness::paper_platform();
   rcfg.cluster.specs = {gpu::GpuSpec::titan_x(), gpu::GpuSpec::tesla_k40()};
   rcfg.cluster.policy = "least-loaded";
-  rcfg.cluster.arrival = "poisson:150000";
-  rcfg.cluster.slo = sim::microseconds(5000.0);
+  rcfg.cluster.arrival = {cluster::ArrivalKind::Poisson, 150000.0};
+  rcfg.cluster.dispatcher.default_slo = sim::microseconds(5000.0);
   rcfg.cluster.seed = kSeed;
   check_against_golden("metrics_mm_cluster",
                        run_metrics_json("Cluster", rcfg));

@@ -14,9 +14,9 @@
 
 #include "cluster/cluster.h"
 #include "cluster/dispatcher.h"
+#include "cluster/open_loop.h"
 #include "cluster/placement.h"
 #include "cluster/traffic.h"
-#include "engine/session.h"
 #include "migrate/autoscaler.h"
 #include "migrate/checkpoint.h"
 #include "migrate/migrate.h"
@@ -217,27 +217,6 @@ struct RunOutput {
   bool done = false;
 };
 
-sim::Process feed(sim::Simulation& sim, cluster::Dispatcher& disp,
-                  const RunSpec& rs) {
-  cluster::ArrivalConfig acfg;
-  acfg.kind = cluster::ArrivalKind::Poisson;
-  acfg.rate_per_sec = rs.rate_per_sec;
-  cluster::ArrivalSequence seq(acfg, rs.seed);
-  // Heavy enough that spawned entries outnumber free scheduler warps: the
-  // table holds released-but-unclaimed entries (revocable) and the slot
-  // queue holds parked waiters (the kQueued safe point) when a drain hits.
-  cluster::RequestProfile profile;
-  profile.threads_per_task = 256;
-  profile.compute_cycles = 120000.0;
-  profile.stall_cycles = 240000.0;
-  for (int i = 0; i < rs.requests; ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await sim.delay(gap);
-    disp.offer(cluster::synth_request(profile, rs.seed, i));
-  }
-  disp.close();
-}
-
 sim::Process admin(sim::Simulation& sim, cluster::Dispatcher& disp,
                    const RunSpec& rs) {
   sim::Time at = 0;
@@ -253,22 +232,11 @@ sim::Process admin(sim::Simulation& sim, cluster::Dispatcher& disp,
   }
 }
 
-sim::Process settle(cluster::Dispatcher& disp, RunOutput& out) {
-  co_await disp.drain();
-  out.done = true;
-}
-
 RunOutput run_cluster(const RunSpec& rs) {
-  engine::SessionConfig scfg;
-  scfg.device = false;
-  engine::Session session(scfg);
-  sim::Simulation& sim = session.sim();
-
   cluster::NodeConfig nc;
   nc.pagoda.rows_per_column = 4;
   std::vector<cluster::NodeConfig> nodes(static_cast<std::size_t>(rs.gpus),
                                          nc);
-  cluster::Cluster fleet(sim, nodes);
   cluster::DispatcherConfig dc;
   dc.migration.enabled = rs.migrate;
   if (rs.power) {
@@ -276,20 +244,30 @@ RunOutput run_cluster(const RunSpec& rs) {
     dc.power.governor = rs.governor;
   }
   dc.autoscale = rs.autoscale;
-  cluster::Dispatcher disp(fleet, cluster::make_policy("least-outstanding"),
-                           dc);
-  obs::RequestTracer tracer;
+  obs::RequestTracer tracer;  // outlives the runner's fleet shutdown
+  cluster::OpenLoopRunner runner(
+      nodes, cluster::make_policy("least-outstanding"), dc);
+  cluster::Dispatcher& disp = runner.dispatcher();
   if (rs.trace) disp.set_tracer(&tracer);
-  fleet.start();
+  if (!rs.drains.empty() || !rs.reinstates.empty()) {
+    runner.sim().spawn(admin(runner.sim(), disp, rs));
+  }
+  cluster::ArrivalSource src;
+  src.arrival.kind = cluster::ArrivalKind::Poisson;
+  src.arrival.rate_per_sec = rs.rate_per_sec;
+  src.seed = rs.seed;
+  src.requests = rs.requests;
+  // Heavy enough that spawned entries outnumber free scheduler warps: the
+  // table holds released-but-unclaimed entries (revocable) and the slot
+  // queue holds parked waiters (the kQueued safe point) when a drain hits.
+  cluster::RequestProfile profile;
+  profile.threads_per_task = 256;
+  profile.compute_cycles = 120000.0;
+  profile.stall_cycles = 240000.0;
+  src.make = [&](int i) { return cluster::synth_request(profile, rs.seed, i); };
 
   RunOutput out;
-  sim.spawn(feed(sim, disp, rs));
-  if (!rs.drains.empty() || !rs.reinstates.empty()) {
-    sim.spawn(admin(sim, disp, rs));
-  }
-  sim.spawn(settle(disp, out));
-  sim.run_until(sim::seconds(60.0));
-
+  out.done = runner.run(std::move(src), sim::seconds(60.0));
   out.stats = disp.stats();
   if (disp.migration() != nullptr) out.mig = disp.migration()->stats();
   if (disp.autoscaler() != nullptr) {
@@ -297,7 +275,6 @@ RunOutput run_cluster(const RunSpec& rs) {
     out.has_scale = true;
   }
   out.records = tracer.records();
-  fleet.shutdown();
   return out;
 }
 

@@ -15,6 +15,7 @@
 #include "harness/calibration.h"
 #include "harness/experiment.h"
 #include "obs/collector.h"
+#include "power/power_spec.h"
 
 namespace pagoda {
 namespace {
@@ -42,15 +43,17 @@ Dump run_once(std::uint64_t seed, Plane plane, bool want_spans) {
   rcfg.cluster.specs = {gpu::GpuSpec::titan_x(), gpu::GpuSpec::titan_x(),
                         gpu::GpuSpec::tesla_k40()};
   rcfg.cluster.policy = "least-loaded";
-  rcfg.cluster.arrival = "poisson:150000";
-  rcfg.cluster.slo = sim::microseconds(5000.0);
+  rcfg.cluster.arrival = {cluster::ArrivalKind::Poisson, 150000.0};
   rcfg.cluster.seed = seed;
+  cluster::DispatcherConfig& dc = rcfg.cluster.dispatcher;
+  dc.default_slo = sim::microseconds(5000.0);
   if (plane == Plane::kFaults) {
-    rcfg.cluster.faults = "task:0.05,xfer:0.02";
-    rcfg.cluster.task_timeout = sim::microseconds(4000.0);
+    dc.faults.task_fault_rate = 0.05;
+    dc.faults.transfer_fault_rate = 0.02;
+    dc.task_timeout = sim::microseconds(4000.0);
   } else if (plane == Plane::kPower) {
-    rcfg.cluster.power = "default";
-    rcfg.cluster.governor = "dvfs";
+    dc.power.spec = power::PowerSpec::default_spec();
+    dc.power.governor = power::GovernorKind::kDvfs;
   } else if (plane == Plane::kMigrate) {
     // A rolling resize over the arrival window: the shrink drains two nodes
     // whose in-flight attempts checkpoint and restore cross-node, then the
@@ -60,10 +63,11 @@ Dump run_once(std::uint64_t seed, Plane plane, bool want_spans) {
     wcfg.num_tasks = 192;
     wcfg.threads_per_task = 256;
     rcfg.pagoda.rows_per_column = 4;
-    rcfg.cluster.arrival = "poisson:2000000";
-    rcfg.cluster.power = "default";
-    rcfg.cluster.migrate = true;
-    rcfg.cluster.resize = "100:1,1200:3";
+    rcfg.cluster.arrival.rate_per_sec = 2000000.0;
+    dc.power.spec = power::PowerSpec::default_spec();
+    dc.migration.enabled = true;
+    dc.autoscale.plan = {{sim::microseconds(100.0), 1},
+                         {sim::microseconds(1200.0), 3}};
   } else if (plane == Plane::kVres) {
     // Oversubscribed virtual resource plane: irregular DCT declares the full
     // 8 KB slab but touches less, so admission, shmem spill/reclaim and the

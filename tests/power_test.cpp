@@ -14,9 +14,9 @@
 
 #include "cluster/cluster.h"
 #include "cluster/dispatcher.h"
+#include "cluster/open_loop.h"
 #include "cluster/placement.h"
 #include "cluster/traffic.h"
-#include "engine/session.h"
 #include "obs/trace_span.h"
 #include "power/governor.h"
 #include "power/power_model.h"
@@ -90,46 +90,26 @@ struct RunSpec {
   std::vector<sim::Time> probe_at;
 };
 
-struct RunBox {
-  static engine::SessionConfig clock_only() {
-    engine::SessionConfig c;
-    c.device = false;
-    return c;
+std::vector<cluster::NodeConfig> nodes(const RunSpec& rs) {
+  cluster::NodeConfig nc;
+  nc.pagoda.rows_per_column = 4;
+  return std::vector<cluster::NodeConfig>(static_cast<std::size_t>(rs.gpus),
+                                          nc);
+}
+
+cluster::DispatcherConfig disp_config(const RunSpec& rs) {
+  cluster::DispatcherConfig dc;
+  dc.qos = true;
+  if (rs.power_on) {
+    PowerSpec spec = PowerSpec::default_spec();
+    spec.p_floor = rs.p_floor;
+    dc.power.spec = spec;
+    dc.power.governor = rs.governor;
+    dc.power.cap_watts = rs.cap_watts;
+    dc.power.manage_sleep = rs.manage_sleep;
   }
-
-  engine::Session session{clock_only()};
-  sim::Simulation& sim = session.sim();
-  cluster::Cluster fleet;
-  cluster::Dispatcher disp;
-  sim::Time end_time = 0;
-  bool done = false;
-  int probes_run = 0;
-
-  static std::vector<cluster::NodeConfig> nodes(const RunSpec& rs) {
-    cluster::NodeConfig nc;
-    nc.pagoda.rows_per_column = 4;
-    return std::vector<cluster::NodeConfig>(
-        static_cast<std::size_t>(rs.gpus), nc);
-  }
-
-  static cluster::DispatcherConfig disp_config(const RunSpec& rs) {
-    cluster::DispatcherConfig dc;
-    dc.qos = true;
-    if (rs.power_on) {
-      PowerSpec spec = PowerSpec::default_spec();
-      spec.p_floor = rs.p_floor;
-      dc.power.spec = spec;
-      dc.power.governor = rs.governor;
-      dc.power.cap_watts = rs.cap_watts;
-      dc.power.manage_sleep = rs.manage_sleep;
-    }
-    return dc;
-  }
-
-  explicit RunBox(const RunSpec& rs)
-      : fleet(sim, nodes(rs)),
-        disp(fleet, cluster::make_policy(rs.placement), disp_config(rs)) {}
-};
+  return dc;
+}
 
 /// The conservation identity from power_model.h, recomputed from the
 /// residency and issue tables alone.
@@ -168,37 +148,13 @@ void expect_conservation(const cluster::Cluster& fleet, sim::Time now) {
   }
 }
 
-sim::Process probe(RunBox& box, std::vector<sim::Time> at) {
+sim::Process probe(sim::Simulation& sim, const cluster::Cluster& fleet,
+                   std::vector<sim::Time> at, int& probes_run) {
   for (const sim::Time t : at) {
-    if (t > box.sim.now()) co_await box.sim.delay(t - box.sim.now());
-    expect_conservation(box.fleet, box.sim.now());
-    box.probes_run += 1;
+    if (t > sim.now()) co_await sim.delay(t - sim.now());
+    expect_conservation(fleet, sim.now());
+    probes_run += 1;
   }
-}
-
-sim::Process source(RunBox& box, const RunSpec& rs,
-                    obs::RequestTracer* tracer) {
-  if (tracer != nullptr) box.disp.set_tracer(tracer);
-  cluster::ArrivalConfig acfg;
-  acfg.kind = cluster::ArrivalKind::Diurnal;
-  acfg.rate_per_sec = rs.rate_per_sec;
-  acfg.burst_factor = 8.0;
-  acfg.mean_on = sim::milliseconds(20.0);
-  cluster::ArrivalSequence seq(acfg, rs.seed);
-  cluster::RequestProfile prof;
-  prof.slo = sim::milliseconds(5.0);
-  for (int i = 0; i < rs.requests; ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await box.sim.delay(gap);
-    box.disp.offer(cluster::synth_request(prof, rs.seed, i));
-  }
-  box.disp.close();
-}
-
-sim::Process drainer(RunBox& box) {
-  co_await box.disp.drain();
-  box.end_time = box.sim.now();
-  box.done = true;
 }
 
 struct RunResultLite {
@@ -215,38 +171,52 @@ struct RunResultLite {
 
 RunResultLite run_cluster(const RunSpec& rs,
                           obs::RequestTracer* tracer = nullptr) {
-  RunBox box(rs);
-  box.fleet.start();
-  box.sim.spawn(source(box, rs, tracer));
-  box.sim.spawn(drainer(box));
-  if (!rs.probe_at.empty()) box.sim.spawn(probe(box, rs.probe_at));
-  box.sim.run_until(sim::seconds(600.0));
-  EXPECT_TRUE(box.done);
+  int probes_run = 0;  // outlives the probe process
+  cluster::OpenLoopRunner runner(nodes(rs),
+                                 cluster::make_policy(rs.placement),
+                                 disp_config(rs));
+  const cluster::Cluster& fleet = runner.fleet();
+  const cluster::Dispatcher& disp = runner.dispatcher();
+  if (tracer != nullptr) runner.dispatcher().set_tracer(tracer);
+  if (!rs.probe_at.empty()) {
+    runner.sim().spawn(probe(runner.sim(), fleet, rs.probe_at, probes_run));
+  }
+  cluster::ArrivalSource src;
+  src.arrival.kind = cluster::ArrivalKind::Diurnal;
+  src.arrival.rate_per_sec = rs.rate_per_sec;
+  src.arrival.burst_factor = 8.0;
+  src.arrival.mean_on = sim::milliseconds(20.0);
+  src.seed = rs.seed;
+  src.requests = rs.requests;
+  cluster::RequestProfile prof;
+  prof.slo = sim::milliseconds(5.0);
+  src.make = [&](int i) { return cluster::synth_request(prof, rs.seed, i); };
+  EXPECT_TRUE(runner.run(std::move(src), sim::seconds(600.0)));
+  const sim::Time end_time = runner.end_time();
 
   RunResultLite out;
-  out.placements = box.disp.placements();
-  out.latencies_us.assign(box.disp.latencies_us().begin(),
-                          box.disp.latencies_us().end());
-  out.end_time = box.end_time;
-  out.stats = box.disp.stats();
-  out.probes_run = box.probes_run;
+  out.placements = disp.placements();
+  out.latencies_us.assign(disp.latencies_us().begin(),
+                          disp.latencies_us().end());
+  out.end_time = end_time;
+  out.stats = disp.stats();
+  out.probes_run = probes_run;
   if (rs.power_on) {
-    EXPECT_NE(box.disp.governor(), nullptr);
-    out.gov = box.disp.governor()->stats();
-    for (int i = 0; i < box.fleet.size(); ++i) {
-      const NodePower* np = box.fleet.node(i).power();
+    EXPECT_NE(disp.governor(), nullptr);
+    out.gov = disp.governor()->stats();
+    for (int i = 0; i < fleet.size(); ++i) {
+      const NodePower* np = fleet.node(i).power();
       EXPECT_NE(np, nullptr);
-      out.node_energy_j.push_back(np->energy_joules(box.end_time));
+      out.node_energy_j.push_back(np->energy_joules(end_time));
       out.wakeups += np->wakeups();
       out.transitions += np->transitions();
     }
-    expect_conservation(box.fleet, box.end_time);
+    expect_conservation(fleet, end_time);
   } else {
-    for (int i = 0; i < box.fleet.size(); ++i) {
-      EXPECT_EQ(box.fleet.node(i).power(), nullptr);
+    for (int i = 0; i < fleet.size(); ++i) {
+      EXPECT_EQ(fleet.node(i).power(), nullptr);
     }
   }
-  box.fleet.shutdown();
   return out;
 }
 

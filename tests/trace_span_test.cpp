@@ -14,6 +14,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/dispatcher.h"
+#include "cluster/open_loop.h"
 #include "cluster/placement.h"
 #include "cluster/traffic.h"
 #include "common/rng.h"
@@ -74,12 +75,15 @@ struct TraceRunOutput {
   sim::Time end_time = 0;
 };
 
-sim::Process feed(sim::Simulation& sim, cluster::Dispatcher& disp,
-                  const TraceRunSpec& rs) {
-  cluster::ArrivalConfig acfg;
-  acfg.kind = cluster::ArrivalKind::Poisson;
-  acfg.rate_per_sec = rs.arrival_rate;
-  cluster::ArrivalSequence seq(acfg, rs.seed);
+/// The open-loop stream of a traced run: Poisson arrivals of plain requests,
+/// or (mixed_classes) every 4th one small and interactive, the rest heavy
+/// deadline-free batch work.
+cluster::ArrivalSource traced_source(const TraceRunSpec& rs) {
+  cluster::ArrivalSource src;
+  src.arrival.kind = cluster::ArrivalKind::Poisson;
+  src.arrival.rate_per_sec = rs.arrival_rate;
+  src.seed = rs.seed;
+  src.requests = rs.requests;
   cluster::RequestProfile plain;
   plain.slo = rs.slo;
   cluster::RequestProfile interactive;  // small, tight SLO: evicts batch
@@ -96,31 +100,21 @@ sim::Process feed(sim::Simulation& sim, cluster::Dispatcher& disp,
   batch.stall_cycles = 240000.0;
   batch.slo = 0;
   batch.cls = sched::Class::kBatch;
-  for (int i = 0; i < rs.requests; ++i) {
-    const sim::Duration gap = seq.next_gap();
-    if (gap > 0) co_await sim.delay(gap);
+  src.make = [plain, interactive, batch, mixed = rs.mixed_classes,
+              seed = rs.seed](int i) {
     const cluster::RequestProfile& p =
-        rs.mixed_classes ? (i % 4 == 0 ? interactive : batch) : plain;
-    disp.offer(cluster::synth_request(p, rs.seed, i));
-  }
-  disp.close();
-}
-
-sim::Process settle(cluster::Dispatcher& disp, TraceRunOutput& out,
-                    sim::Simulation& sim) {
-  co_await disp.drain();
-  out.end_time = sim.now();
-  out.done = true;
+        mixed ? (i % 4 == 0 ? interactive : batch) : plain;
+    return cluster::synth_request(p, seed, i);
+  };
+  return src;
 }
 
 TraceRunOutput run_traced_cluster(const TraceRunSpec& rs) {
-  sim::Simulation sim;
   std::vector<cluster::NodeConfig> nodes(static_cast<std::size_t>(rs.nodes));
   for (cluster::NodeConfig& nc : nodes) {
     nc.pagoda.sched.kind = rs.sched_kind;
     if (rs.rows_per_column > 0) nc.pagoda.rows_per_column = rs.rows_per_column;
   }
-  cluster::Cluster fleet(sim, nodes);
   cluster::DispatcherConfig dc;
   std::string err;
   const auto plan = fault::FaultPlan::parse(rs.faults, &err);
@@ -134,16 +128,15 @@ TraceRunOutput run_traced_cluster(const TraceRunSpec& rs) {
   dc.sched.kind = rs.sched_kind;
   dc.qos = rs.mixed_classes;
   dc.watchdog.probe_period = sim::microseconds(100.0);
-  cluster::Dispatcher disp(fleet, cluster::make_policy(rs.policy), dc);
-  RequestTracer tracer;
+  RequestTracer tracer;  // outlives the runner's fleet shutdown
+  cluster::OpenLoopRunner runner(nodes, cluster::make_policy(rs.policy), dc);
+  cluster::Dispatcher& disp = runner.dispatcher();
   if (rs.trace) disp.set_tracer(&tracer);
-  fleet.start();
+  runner.run(traced_source(rs), sim::seconds(60.0));
 
   TraceRunOutput out;
-  sim.spawn(feed(sim, disp, rs));
-  sim.spawn(settle(disp, out, sim));
-  sim.run_until(sim::seconds(60.0));
-
+  out.done = runner.done();
+  out.end_time = runner.end_time();
   out.stats = disp.stats();
   out.records = tracer.records();
   out.drops = tracer.drops();
@@ -157,7 +150,6 @@ TraceRunOutput run_traced_cluster(const TraceRunSpec& rs) {
   std::ostringstream metrics_os;
   m.write_json(metrics_os);
   out.metrics_json = metrics_os.str();
-  fleet.shutdown();
   return out;
 }
 
@@ -442,24 +434,16 @@ TEST(RequestTracer, TimelineExportCarriesHopsFlowsAndRequestRows) {
   TraceRunSpec rs;
   rs.faults = "task:0.25";
   rs.requests = 48;
-  sim::Simulation sim;
-  std::vector<cluster::NodeConfig> nodes(2);
-  cluster::Cluster fleet(sim, nodes);
   cluster::DispatcherConfig dc;
   std::string err;
   dc.faults = *fault::FaultPlan::parse(rs.faults, &err);
   dc.faults.seed = rs.seed;
   dc.retry.seed = rs.seed;
-  cluster::Dispatcher disp(fleet, cluster::make_policy(rs.policy), dc);
   RequestTracer tracer;
-  disp.set_tracer(&tracer);
-  fleet.start();
-  TraceRunOutput out;
-  sim.spawn(feed(sim, disp, rs));
-  sim.spawn(settle(disp, out, sim));
-  sim.run_until(sim::seconds(60.0));
-  ASSERT_TRUE(out.done);
-  fleet.shutdown();
+  cluster::OpenLoopRunner runner(std::vector<cluster::NodeConfig>(2),
+                                 cluster::make_policy(rs.policy), dc);
+  runner.dispatcher().set_tracer(&tracer);
+  ASSERT_TRUE(runner.run(traced_source(rs), sim::seconds(60.0)));
 
   Timeline tl;
   tracer.export_to_timeline(tl);

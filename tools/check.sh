@@ -41,15 +41,26 @@ cluster_smoke() {
     grep -q "poisson:RATE"
   # Out-of-range and non-finite values must end in the CLI's usage error
   # (exit 1, or 2 for an unparsable number), never in an internal CHECK abort.
+  # The case comes first: the first occurrence of a flag wins, so a case may
+  # override the defaults after it (--tasks).
   local args rc
   for args in "--gpus=2 --oversub=1e9" "--rows=0" "--blocks=0" \
       "--task-threads=0" "--task-threads=100000" \
       "--gpus=2 --arrival=poisson:nan" "--gpus=2 --arrival=poisson:inf" \
       "--gpus=2 --arrival=diurnal:1000:inf" "--gpus=2 --faults=degrade:1:1:nan" \
-      "--gpus=2 --slo-us=nan" "--gpus=2 --task-timeout-us=nan"; do
+      "--gpus=2 --slo-us=nan" "--gpus=2 --task-timeout-us=nan" \
+      "--tasks=-5" "--tasks=0" "--batch=-1" \
+      "--gpus=2 --queue-limit=-3" "--gpus=2 --queue-limit=99999999999" \
+      "--gpus=2 --retry-budget=99999999999" \
+      "--gpus=2 --faults=degrade:100:100:0.5:7" \
+      "--gpus=2 --faults=crash:2:100 --task-timeout-us=100" \
+      "--gpus=2 --migrate --power=default --autoscale=0.6:0.3:0.8:3" \
+      "--gpus=2 --migrate --power=default --resize=100:3" \
+      "--gpus=2 --faults=crash:0:1e300 --task-timeout-us=1" \
+      "--gpus=2 --slo-us=1e300" "--gpus=2 --task-timeout-us=1e300"; do
     rc=0
     # shellcheck disable=SC2086  # args is a deliberate word list
-    "${dir}/tools/pagoda_cli" --workload=MM --tasks=32 ${args} \
+    "${dir}/tools/pagoda_cli" ${args} --workload=MM --tasks=32 \
         >/dev/null 2>&1 || rc=$?
     if [[ "${rc}" != 1 && "${rc}" != 2 ]]; then
       echo "error: pagoda_cli ${args} exited ${rc}, want a usage error" >&2

@@ -19,6 +19,15 @@
 // grids and counter tracks; `--trace` dumps the raw event trace for ANY
 // runtime — the Pagoda protocol trace for Pagoda runtimes, the generic
 // timeline for the rest.
+//
+// This is the only place that parses spec strings: --faults, --power,
+// --governor, --autoscale, --resize and --arrival become the typed
+// baselines::ClusterOptions (an embedded cluster::DispatcherConfig), and the
+// cross-flag rules are cluster::Dispatcher::validate()'s single list, printed
+// here as a usage error. Int flags are range-checked (Flags::get_int_in)
+// before they narrow. Bad input ends in exit 1 (2 for an unparsable
+// number), never in a CHECK abort. The Cluster runtime drives the fleet
+// through cluster::OpenLoopRunner, the run loop every cluster caller shares.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -31,6 +40,7 @@
 #include <string>
 
 #include "baselines/factories.h"
+#include "cluster/dispatcher.h"
 #include "cluster/placement.h"
 #include "cluster/traffic.h"
 #include "common/alloc_tuning.h"
@@ -338,24 +348,35 @@ int main(int argc, char** argv) {
   const bool want_cluster = !multi && rt == "Cluster";
   const bool pagoda_rt = rt == "Pagoda" || rt == "PagodaBatching";
 
+  // Every int flag is range-checked here, before it narrows: out-of-range
+  // values are usage errors (exit 1), never a truncation, a silent
+  // "unbounded" or an abort mid-run. The runtimes CHECK the task shape and
+  // TaskTable geometry, so those bounds come from the platform.
+  // Int flags are range-checked before they narrow: out of range is a usage
+  // error (exit 1), never a truncation, a silent "unbounded" or an abort
+  // mid-run. The runtimes CHECK the task shape and TaskTable geometry, so
+  // those bounds come from the platform.
+  baselines::RunConfig rcfg = harness::paper_platform();
   workloads::WorkloadConfig wcfg;
-  wcfg.num_tasks = static_cast<int>(flags.get_int("tasks", 4096));
-  const std::int64_t task_threads = flags.get_int("task-threads", 128);
+  wcfg.num_tasks = flags.get_int_in("tasks", 4096, 1);
+  wcfg.threads_per_task = flags.get_int_in("task-threads", 128, 1,
+                                           rcfg.spec.max_threads_per_block);
   wcfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA));
-  wcfg.input_scale = static_cast<int>(flags.get_int("input", 0));
-  const std::int64_t blocks = flags.get_int("blocks", 1);
+  wcfg.input_scale = flags.get_int_in("input", 0, 0);
+  wcfg.blocks_per_task = flags.get_int_in("blocks", 1, 1);
   wcfg.irregular_sizes = flags.has("irregular");
   wcfg.dynamic_threads = flags.has("dynamic-threads");
   wcfg.use_shared_memory = !flags.has("no-shmem");
 
-  baselines::RunConfig rcfg = harness::paper_platform();
   rcfg.mode = flags.has("compute") ? gpu::ExecMode::Compute
                                    : gpu::ExecMode::Model;
   rcfg.include_data_copies = !flags.has("no-copies");
   rcfg.collect_latencies = true;
-  rcfg.batch_size = static_cast<int>(flags.get_int("batch", 0));
-  const std::int64_t rows = flags.get_int("rows", 32);
+  rcfg.batch_size = flags.get_int_in("batch", 0, 0);
+  const int rows = flags.get_int_in("rows", 32, 1);
+  rcfg.pagoda.rows_per_column = rows;
   rcfg.pagoda.two_copy_spawn = flags.has("two-copy");
+  const int period_us = flags.get_int_in("metrics-period", 20, 1);
 
   // Virtual resource plane (DESIGN.md §16): ONE factor drives shared-memory
   // and register virtualization inside every MasterKernel plus virtual
@@ -385,27 +406,6 @@ int main(int argc, char** argv) {
   }
   rcfg.pagoda.oversub = oversub;
 
-  // Task shape and TaskTable geometry: the runtimes CHECK these, so reject
-  // them here with a message instead of an abort mid-run.
-  const int max_threads = rcfg.spec.max_threads_per_block;
-  if (task_threads < 1 || task_threads > max_threads) {
-    std::fprintf(stderr, "error: --task-threads must be in [1, %d]\n",
-                 max_threads);
-    return 1;
-  }
-  if (blocks < 1 || blocks > std::numeric_limits<int>::max()) {
-    std::fprintf(stderr, "error: --blocks must be in [1, %d]\n",
-                 std::numeric_limits<int>::max());
-    return 1;
-  }
-  if (rows < 1 || rows > std::numeric_limits<int>::max()) {
-    std::fprintf(stderr, "error: --rows must be in [1, %d]\n",
-                 std::numeric_limits<int>::max());
-    return 1;
-  }
-  wcfg.threads_per_task = static_cast<int>(task_threads);
-  wcfg.blocks_per_task = static_cast<int>(blocks);
-  rcfg.pagoda.rows_per_column = static_cast<int>(rows);
   // The virtual TaskTable (oversub x MTB columns x rows) is counted in int
   // slots. Every --gpus device has at most the paper platform's SMM count,
   // so its table bounds the factor for every node.
@@ -416,9 +416,9 @@ int main(int argc, char** argv) {
       std::floor(std::numeric_limits<int>::max() / table_entries);
   if (oversub > max_oversub) {
     std::fprintf(stderr,
-                 "error: --oversub=%g with --rows=%lld overflows the virtual "
+                 "error: --oversub=%g with --rows=%d overflows the virtual "
                  "TaskTable; the factor must be <= %.0f\n",
-                 oversub, static_cast<long long>(rows), max_oversub);
+                 oversub, rows, max_oversub);
     return 1;
   }
 
@@ -453,11 +453,19 @@ int main(int argc, char** argv) {
     }
     rcfg.pagoda.sched.weights = *w;
   }
-  rcfg.cluster.sched = rcfg.pagoda.sched;
   rcfg.cluster.default_class = rcfg.task_class;
-  rcfg.cluster.qos = qos_flags;  // arm sched.* export even under fifo
 
+  // Cluster specs are parsed here, once, into typed values; the cross-plane
+  // rules are Dispatcher::validate()'s. What remains below is flag syntax:
+  // malformed specs and flags given without the plane they refine.
+  const std::string arrival = flags.get("arrival", "closed");
+  const std::string power = flags.get("power");
+  const std::string governor = flags.get("governor", "static");
+  const std::string autoscale = flags.get("autoscale");
+  const std::string resize = flags.get("resize");
   if (want_cluster) {
+    cluster::DispatcherConfig& dc = rcfg.cluster.dispatcher;
+    dc.qos = qos_flags;  // arm sched.* export even under fifo
     rcfg.cluster.specs = parse_gpus(flags.get("gpus", "1"));
     if (rcfg.cluster.specs.empty()) {
       std::fprintf(stderr,
@@ -468,22 +476,23 @@ int main(int argc, char** argv) {
     }
     rcfg.cluster.policy =
         flags.get_enum("policy", "round-robin", cluster::all_policy_names());
-    // get_enum validated the arrival *kind*; the rate/factor tail still
+    // get_enum validates the arrival *kind*; the rate/factor tail still
     // needs the full parser.
-    rcfg.cluster.arrival = flags.get_enum(
-        "arrival", "closed",
-        {"closed", "poisson:RATE", "bursty:RATE[:FACTOR]",
-         "diurnal:RATE[:FACTOR[:ON_US]]"});
-    if (!cluster::ArrivalConfig::parse(rcfg.cluster.arrival).has_value()) {
-      std::fprintf(stderr,
-                   "error: bad --arrival '%s'; valid forms: %s\n",
-                   rcfg.cluster.arrival.c_str(),
+    flags.get_enum("arrival", "closed",
+                   {"closed", "poisson:RATE", "bursty:RATE[:FACTOR]",
+                    "diurnal:RATE[:FACTOR[:ON_US]]"});
+    const std::optional<cluster::ArrivalConfig> acfg =
+        cluster::ArrivalConfig::parse(arrival);
+    if (!acfg.has_value()) {
+      std::fprintf(stderr, "error: bad --arrival '%s'; valid forms: %s\n",
+                   arrival.c_str(),
                    std::string(cluster::ArrivalConfig::choices()).c_str());
       return 1;
     }
+    rcfg.cluster.arrival = *acfg;
     const double slo_us = flags.get_double("slo-us", 0.0);
-    if (slo_us < 0.0) {
-      std::fprintf(stderr, "error: --slo-us must be >= 0\n");
+    if (slo_us < 0.0 || slo_us > sim::kMaxSpecMicroseconds) {
+      std::fprintf(stderr, "error: --slo-us must be in [0, 1e12]\n");
       return 1;
     }
     if (flags.has("slo-us") && slo_us == 0.0) {
@@ -493,197 +502,104 @@ int main(int argc, char** argv) {
                    "(e.g. --slo-us=5000)\n");
       return 1;
     }
-    rcfg.cluster.slo = sim::microseconds(slo_us);
-    rcfg.cluster.queue_limit =
-        static_cast<int>(flags.get_int("queue-limit", 0));
+    dc.default_slo = sim::microseconds(slo_us);
+    dc.queue_limit = flags.get_int_in("queue-limit", 0, 0);
     rcfg.cluster.seed = wcfg.seed;
 
-    rcfg.cluster.faults = flags.get("faults");
-    std::string fault_err;
-    const std::optional<fault::FaultPlan> plan =
-        fault::FaultPlan::parse(rcfg.cluster.faults, &fault_err);
+    std::string err;
+    std::optional<fault::FaultPlan> plan =
+        fault::FaultPlan::parse(flags.get("faults"), &err);
     if (!plan.has_value()) {
       std::fprintf(stderr,
                    "error: bad --faults spec: %s\n"
                    "valid forms (comma list): task:P xfer:P wedge:P "
                    "crash:NODE:T_US[:RECOVER_US] "
                    "degrade:T_US:DUR_US:FACTOR[:NODE] seed:N\n",
-                   fault_err.c_str());
+                   err.c_str());
       return 1;
     }
+    dc.faults = std::move(*plan);
     const double timeout_us = flags.get_double("task-timeout-us", 0.0);
-    if (timeout_us < 0.0) {
-      std::fprintf(stderr, "error: --task-timeout-us must be >= 0\n");
+    if (timeout_us < 0.0 || timeout_us > sim::kMaxSpecMicroseconds) {
+      std::fprintf(stderr, "error: --task-timeout-us must be in [0, 1e12]\n");
       return 1;
     }
-    rcfg.cluster.task_timeout = sim::microseconds(timeout_us);
-    if (plan->needs_deadline() && timeout_us == 0.0) {
-      std::fprintf(stderr,
-                   "error: this --faults plan wedges tasks or crashes nodes, "
-                   "which only a task deadline can detect; add "
-                   "--task-timeout-us=X (e.g. --task-timeout-us=2000)\n");
-      return 1;
-    }
-    rcfg.cluster.retry_budget =
-        static_cast<int>(flags.get_int("retry-budget", -1));
-    if (flags.has("retry-budget") && rcfg.cluster.retry_budget < 0) {
-      std::fprintf(stderr,
-                   "error: --retry-budget must be >= 0 (0 disables retries)\n");
-      return 1;
-    }
-    for (const fault::CrashEvent& ev : plan->crashes) {
-      if (ev.node >= static_cast<int>(rcfg.cluster.specs.size())) {
-        std::fprintf(stderr,
-                     "error: --faults crash targets node %d but the cluster "
-                     "has %zu node(s)\n",
-                     ev.node, rcfg.cluster.specs.size());
-        return 1;
-      }
-    }
+    dc.task_timeout = sim::microseconds(timeout_us);
+    dc.retry.budget = flags.get_int_in("retry-budget", dc.retry.budget, 0);
 
     // Power plane: --power arms the model; --governor and --power-cap-watts
     // refine it and are meaningless without it, so they fail fast.
-    rcfg.cluster.power = flags.get("power");
-    if (flags.has("power") && rcfg.cluster.power.empty()) {
+    if (flags.has("power") && power.empty()) {
       std::fprintf(stderr,
                    "error: --power needs a spec (e.g. --power=default or "
                    "--power=default:floor=2); see --list-policies\n");
       return 1;
     }
-    if (!rcfg.cluster.power.empty()) {
-      std::string power_err;
-      if (!power::PowerSpec::parse(rcfg.cluster.power, &power_err)
-               .has_value()) {
-        std::fprintf(stderr, "error: bad --power spec: %s\n",
-                     power_err.c_str());
+    if (!power.empty()) {
+      dc.power.spec = power::PowerSpec::parse(power, &err);
+      if (!dc.power.spec.has_value()) {
+        std::fprintf(stderr, "error: bad --power spec: %s\n", err.c_str());
         return 1;
       }
     }
-    if (flags.has("governor") && rcfg.cluster.power.empty()) {
+    if (flags.has("governor") && power.empty()) {
       std::fprintf(stderr,
                    "error: --governor needs the power plane; add "
                    "--power=SPEC (see --list-policies)\n");
       return 1;
     }
-    rcfg.cluster.governor = flags.get("governor", "static");
-    if (!power::parse_governor(rcfg.cluster.governor).has_value()) {
-      std::fprintf(stderr,
-                   "error: unknown --governor '%s'; valid governors:",
-                   rcfg.cluster.governor.c_str());
+    const std::optional<power::GovernorKind> gov =
+        power::parse_governor(governor);
+    if (!gov.has_value()) {
+      std::fprintf(stderr, "error: unknown --governor '%s'; valid governors:",
+                   governor.c_str());
       for (const std::string_view g : power::all_governor_names()) {
         std::fprintf(stderr, " %s", std::string(g).c_str());
       }
       std::fprintf(stderr, " (see --list-policies)\n");
       return 1;
     }
-    rcfg.cluster.power_cap_watts = flags.get_double("power-cap-watts", 0.0);
-    if (flags.has("power-cap-watts")) {
-      if (rcfg.cluster.power_cap_watts <= 0.0) {
-        std::fprintf(stderr, "error: --power-cap-watts must be > 0\n");
-        return 1;
-      }
-      if (rcfg.cluster.power.empty()) {
-        std::fprintf(stderr,
-                     "error: --power-cap-watts needs the power plane; add "
-                     "--power=SPEC (see --list-policies)\n");
-        return 1;
-      }
-      if (rcfg.cluster.governor != "powercap" &&
-          rcfg.cluster.policy != "power-cap") {
-        std::fprintf(stderr,
-                     "error: --power-cap-watts needs an enforcer: "
-                     "--governor=powercap or --policy=power-cap "
-                     "(see --list-policies)\n");
-        return 1;
-      }
+    dc.power.governor = *gov;
+    dc.power.cap_watts = flags.get_double("power-cap-watts", 0.0);
+    if (flags.has("power-cap-watts") && dc.power.cap_watts <= 0.0) {
+      std::fprintf(stderr, "error: --power-cap-watts must be > 0\n");
+      return 1;
     }
 
     // Elastic plane: --migrate arms checkpoint/restore drains; --autoscale
-    // and --resize additionally need the power plane (they park nodes in
-    // S-states) and are meaningless without either, so they fail fast.
-    rcfg.cluster.migrate = flags.has("migrate");
-    rcfg.cluster.autoscale = flags.get("autoscale");
-    rcfg.cluster.resize = flags.get("resize");
-    if (flags.has("autoscale") && rcfg.cluster.autoscale.empty()) {
-      std::fprintf(stderr,
-                   "error: --autoscale needs a spec "
-                   "(UTIL[:LOW:HIGH[:MIN]], e.g. --autoscale=0.6); "
-                   "see --list-policies\n");
-      return 1;
-    }
-    if (flags.has("resize") && rcfg.cluster.resize.empty()) {
-      std::fprintf(stderr,
-                   "error: --resize needs a plan (AT_US:NODES[,...], e.g. "
-                   "--resize=50000:8); see --list-policies\n");
-      return 1;
-    }
-    std::string elastic_err;
-    if (!rcfg.cluster.autoscale.empty() &&
-        !migrate::parse_autoscale_spec(rcfg.cluster.autoscale, &elastic_err)
-             .has_value()) {
-      std::fprintf(stderr, "error: bad --autoscale spec: %s\n",
-                   elastic_err.c_str());
-      return 1;
-    }
-    if (!rcfg.cluster.resize.empty() &&
-        !migrate::parse_resize_spec(rcfg.cluster.resize, &elastic_err)
-             .has_value()) {
-      std::fprintf(stderr, "error: bad --resize spec: %s\n",
-                   elastic_err.c_str());
-      return 1;
-    }
-    if ((flags.has("autoscale") || flags.has("resize")) &&
-        !rcfg.cluster.migrate) {
-      std::fprintf(stderr,
-                   "error: --%s resizes the fleet by draining nodes, which "
-                   "needs the migration plane; add --migrate "
-                   "(see --list-policies)\n",
-                   flags.has("autoscale") ? "autoscale" : "resize");
-      return 1;
-    }
-    if ((flags.has("autoscale") || flags.has("resize")) &&
-        rcfg.cluster.power.empty()) {
-      std::fprintf(stderr,
-                   "error: --%s parks drained nodes in S-states, which "
-                   "needs the power plane; add --power=SPEC "
-                   "(see --list-policies)\n",
-                   flags.has("autoscale") ? "autoscale" : "resize");
-      return 1;
-    }
-    if ((flags.has("autoscale") || flags.has("resize")) &&
-        rcfg.cluster.policy == "energy-min") {
-      std::fprintf(stderr,
-                   "error: --policy=energy-min manages sleep itself and "
-                   "cannot share the fleet with the autoscaler; pick "
-                   "another --policy (see --list-policies)\n");
-      return 1;
-    }
+    // and --resize add a utilization resizer and an explicit plan.
+    dc.migration.enabled = flags.has("migrate");
     if (flags.has("autoscale")) {
-      const std::optional<migrate::AutoscaleConfig> as =
-          migrate::parse_autoscale_spec(rcfg.cluster.autoscale, &elastic_err);
-      if (as.has_value() &&
-          as->min_nodes > static_cast<int>(rcfg.cluster.specs.size())) {
+      std::optional<migrate::AutoscaleConfig> as =
+          migrate::parse_autoscale_spec(autoscale, &err);
+      if (!as.has_value()) {
         std::fprintf(stderr,
-                     "error: --autoscale MIN=%d exceeds the fleet's %zu "
-                     "node(s)\n",
-                     as->min_nodes, rcfg.cluster.specs.size());
+                     "error: bad --autoscale spec: %s "
+                     "(want UTIL[:LOW:HIGH[:MIN]], e.g. --autoscale=0.6)\n",
+                     err.c_str());
         return 1;
       }
+      dc.autoscale = std::move(*as);
     }
     if (flags.has("resize")) {
-      const std::optional<std::vector<migrate::ResizeStep>> steps =
-          migrate::parse_resize_spec(rcfg.cluster.resize, &elastic_err);
-      if (steps.has_value()) {
-        for (const migrate::ResizeStep& s : *steps) {
-          if (s.target > static_cast<int>(rcfg.cluster.specs.size())) {
-            std::fprintf(stderr,
-                         "error: --resize targets %d node(s) but the "
-                         "cluster has %zu\n",
-                         s.target, rcfg.cluster.specs.size());
-            return 1;
-          }
-        }
+      std::optional<std::vector<migrate::ResizeStep>> steps =
+          migrate::parse_resize_spec(resize, &err);
+      if (!steps.has_value()) {
+        std::fprintf(stderr,
+                     "error: bad --resize spec: %s "
+                     "(want AT_US:NODES[,...], e.g. --resize=50000:8)\n",
+                     err.c_str());
+        return 1;
       }
+      dc.autoscale.plan = std::move(*steps);
+    }
+
+    const std::string invalid = cluster::Dispatcher::validate(
+        baselines::cluster_dispatcher_config(rcfg),
+        static_cast<int>(rcfg.cluster.specs.size()), rcfg.cluster.policy);
+    if (!invalid.empty()) {
+      std::fprintf(stderr, "error: %s\n", invalid.c_str());
+      return 1;
     }
   }
 
@@ -714,11 +630,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: --trace-spans needs a path "
                  "(--trace-spans=spans.json)\n");
-    return 1;
-  }
-  const std::int64_t period_us = flags.get_int("metrics-period", 20);
-  if (period_us <= 0) {
-    std::fprintf(stderr, "error: --metrics-period must be positive\n");
     return 1;
   }
 
@@ -813,26 +724,23 @@ int main(int argc, char** argv) {
               rcfg.include_data_copies ? "" : ", no data copies");
   std::printf("runtime    %s\n", rt.c_str());
   if (want_cluster) {
+    const cluster::DispatcherConfig& dc = rcfg.cluster.dispatcher;
     std::printf("cluster    %zu GPU(s), policy %s, arrival %s, sched %s\n",
                 rcfg.cluster.specs.size(), rcfg.cluster.policy.c_str(),
-                rcfg.cluster.arrival.c_str(),
-                std::string(sched::to_string(rcfg.cluster.sched.kind)).c_str());
-    if (!rcfg.cluster.power.empty()) {
-      std::printf("power      spec %s, governor %s", rcfg.cluster.power.c_str(),
-                  rcfg.cluster.governor.c_str());
-      if (rcfg.cluster.power_cap_watts > 0.0) {
-        std::printf(", cap %.1f W", rcfg.cluster.power_cap_watts);
+                arrival.c_str(),
+                std::string(sched::to_string(rcfg.pagoda.sched.kind)).c_str());
+    if (dc.power.enabled()) {
+      std::printf("power      spec %s, governor %s", power.c_str(),
+                  governor.c_str());
+      if (dc.power.cap_watts > 0.0) {
+        std::printf(", cap %.1f W", dc.power.cap_watts);
       }
       std::printf("\n");
     }
-    if (rcfg.cluster.migrate) {
+    if (dc.migration.enabled) {
       std::printf("elastic    migrate on");
-      if (!rcfg.cluster.autoscale.empty()) {
-        std::printf(", autoscale %s", rcfg.cluster.autoscale.c_str());
-      }
-      if (!rcfg.cluster.resize.empty()) {
-        std::printf(", resize %s", rcfg.cluster.resize.c_str());
-      }
+      if (!autoscale.empty()) std::printf(", autoscale %s", autoscale.c_str());
+      if (!resize.empty()) std::printf(", resize %s", resize.c_str());
       std::printf("\n");
     }
   }
