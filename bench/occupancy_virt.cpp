@@ -12,8 +12,8 @@
 // Under static reservation (--oversub=1.0) the declared footprint limits an
 // MTB's 32 KB arena to 4 co-resident blocks no matter how small the frames
 // are. With --oversub=F the scheduler admits declared footprints against
-// F x arena and backs only the used bytes physically, spilling cold blocks
-// to a PCIe-charged backing store on pressure.
+// F x arena and backs only the used bytes physically; a block that does not
+// fit waits for a deferred free, as it does under static reservation.
 //
 // The device is narrowed to --smms SMMs (default 4; the full Titan X has
 // 24) and host spawners are raised above the paper's two threads
@@ -58,9 +58,6 @@ struct Outcome {
   double throughput_ktasks_s = 0.0;
   double occupancy = 0.0;
   std::int64_t tasks = 0;
-  std::int64_t vres_spills = 0;
-  std::int64_t vres_reclaims = 0;
-  std::int64_t vres_spill_bytes = 0;
   std::int64_t shmem_alloc_failures = 0;
   double shmem_external_frag = 0.0;
   std::int64_t shmem_internal_frag_bytes = 0;
@@ -88,9 +85,9 @@ Outcome run_once(const BenchConfig& bc, double oversub, gpu::ExecMode mode) {
   rcfg.spec.num_smms = bc.smms;
   rcfg.pagoda.oversub = oversub;
   rcfg.spawner_threads = bc.spawners;
-  // The wire belongs to spills/reclaims and task-spawn protocol traffic:
-  // bulk input copies would serialize every configuration on PCIe and mask
-  // the resource-packing difference under measurement noise.
+  // The wire belongs to task-spawn protocol traffic: bulk input copies
+  // would serialize every configuration on PCIe and mask the
+  // resource-packing difference under measurement noise.
   rcfg.include_data_copies = false;
 
   obs::CollectorConfig ccfg;
@@ -109,9 +106,6 @@ Outcome run_once(const BenchConfig& bc, double oversub, gpu::ExecMode mode) {
       static_cast<double>(m.result.tasks) / out.elapsed_ms;
   out.occupancy = m.result.occupancy;
   obs::MetricsRegistry metrics = m.metrics;  // reads may default-create
-  out.vres_spills = metrics.counter("pagoda.vres.spills").value();
-  out.vres_reclaims = metrics.counter("pagoda.vres.reclaims").value();
-  out.vres_spill_bytes = metrics.counter("pagoda.vres.spill_bytes").value();
   out.shmem_alloc_failures =
       metrics.counter("pagoda.shmem.alloc_failures").value();
   out.shmem_external_frag =
@@ -131,9 +125,6 @@ void write_outcome_json(std::ostream& os, std::uint64_t seed,
      << format_metric_double(o.throughput_ktasks_s)
      << ", \"occupancy\": " << format_metric_double(o.occupancy)
      << ", \"tasks\": " << o.tasks
-     << ", \"vres_spills\": " << o.vres_spills
-     << ", \"vres_reclaims\": " << o.vres_reclaims
-     << ", \"vres_spill_bytes\": " << o.vres_spill_bytes
      << ", \"shmem_alloc_failures\": " << o.shmem_alloc_failures
      << ", \"shmem_external_frag\": "
      << format_metric_double(o.shmem_external_frag)
@@ -207,9 +198,8 @@ int main(int argc, char** argv) {
   std::printf("model: %d blocks/SMM declared-static -> %d at %.2fx "
               "(used 4 KB of 8 KB declared)\n\n",
               model_static.blocks_per_smm, model_virt.blocks_per_smm, gate);
-  std::printf("%-8s %-8s %10s %12s %10s %8s %8s %8s\n", "seed", "oversub",
-              "time", "ktasks/s", "occupancy", "spills", "reclaims",
-              "allocfail");
+  std::printf("%-8s %-8s %10s %12s %10s %8s\n", "seed", "oversub", "time",
+              "ktasks/s", "occupancy", "allocfail");
 
   json << "{\n  \"bench\": \"occupancy_virt\", \"tasks\": " << bc.tasks
        << ", \"threads\": " << bc.threads << ", \"input\": " << bc.input_side
@@ -231,11 +221,9 @@ int main(int argc, char** argv) {
     Outcome baseline;
     for (const double f : factors) {
       const Outcome o = run_once(bc, f, gpu::ExecMode::Model);
-      std::printf("%-8llu %-8.2f %8.3fms %12.1f %9.2f%% %8lld %8lld %8lld\n",
+      std::printf("%-8llu %-8.2f %8.3fms %12.1f %9.2f%% %8lld\n",
                   static_cast<unsigned long long>(seed), f, o.elapsed_ms,
                   o.throughput_ktasks_s, o.occupancy * 100.0,
-                  static_cast<long long>(o.vres_spills),
-                  static_cast<long long>(o.vres_reclaims),
                   static_cast<long long>(o.shmem_alloc_failures));
       if (!first) json << ",\n";
       first = false;
@@ -267,12 +255,11 @@ int main(int argc, char** argv) {
     BenchConfig verify_bc = bc;
     verify_bc.tasks = std::min(bc.tasks, 256);
     const Outcome v = run_once(verify_bc, gate, gpu::ExecMode::Compute);
-    std::printf("%-8llu %-8s %8.3fms %12s %9.2f%% %8lld %8lld  "
+    std::printf("%-8llu %-8s %8.3fms %12s %9.2f%% %8lld  "
                 "(compute-verified)\n",
                 static_cast<unsigned long long>(seed), "verify", v.elapsed_ms,
                 "-", v.occupancy * 100.0,
-                static_cast<long long>(v.vres_spills),
-                static_cast<long long>(v.vres_reclaims));
+                static_cast<long long>(v.shmem_alloc_failures));
   }
 
   json << "\n  ],\n  \"worst_gain\": "

@@ -79,12 +79,6 @@ class GpuNode {
     return static_cast<int>(static_cast<double>(capacity()) *
                             session_.rt().config().oversub);
   }
-  /// Bytes of virtual shared memory currently spilled to the backing store —
-  /// the spill-pressure signal the vres-aware placement policy reads. 0
-  /// unless the node runs with oversub > 1.
-  std::int64_t vres_spilled_bytes() const {
-    return session_.rt().master_kernel().vres_spilled_bytes_in_use();
-  }
   /// Executor warps across all MTBs (relative device muscle; a Tesla K40
   /// node has fewer than a Titan X node).
   int executor_warp_capacity() const {

@@ -611,20 +611,6 @@ void Dispatcher::on_task_claimed(int node_index, runtime::TaskId id,
   tracer_->on_claimed(ns.records[idx].uid, now);
 }
 
-void Dispatcher::on_task_vres(int node_index, runtime::TaskId id,
-                              sim::Time start, sim::Time end, bool spill) {
-  if (tracer_ == nullptr) return;
-  if (!cluster_->node(node_index).alive()) return;
-  NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
-  const std::size_t idx = static_cast<std::size_t>(id - runtime::kFirstTaskId);
-  if (idx >= ns.records.size() || !ns.records[idx].active) return;
-  if (spill) {
-    tracer_->on_vres_spill(ns.records[idx].uid, start, end);
-  } else {
-    tracer_->on_vres_reclaim(ns.records[idx].uid, start, end);
-  }
-}
-
 // --- virtual slot ledger ----------------------------------------------------
 
 void Dispatcher::vres_slot_granted(NodeState& ns) {
@@ -1213,30 +1199,16 @@ void Dispatcher::export_metrics(obs::MetricsRegistry& m) const {
     std::int64_t virt_slots = 0;
     std::int64_t phys_slots = 0;
     std::int64_t over_peak = 0;
-    std::int64_t spills = 0;
-    std::int64_t reclaims = 0;
-    std::int64_t spill_bytes = 0;
-    std::int64_t reclaim_bytes = 0;
     for (int i = 0; i < cluster_->size(); ++i) {
       const NodeState& ns = node_state_[static_cast<std::size_t>(i)];
       virt_slots += ns.slot_ledger.virtual_capacity();
       phys_slots += static_cast<std::int64_t>(ns.records.size());
       over_peak = std::max(over_peak, ns.slot_ledger.peak_spilled());
-      const runtime::MasterKernel& mk =
-          cluster_->node(i).rt().master_kernel();
-      spills += mk.vres_spills();
-      reclaims += mk.vres_reclaims();
-      spill_bytes += mk.vres_spill_bytes();
-      reclaim_bytes += mk.vres_reclaim_bytes();
     }
     m.counter("vres.slots.virtual").set(virt_slots);
     m.counter("vres.slots.physical").set(phys_slots);
     m.counter("vres.slots.over_admissions").set(stats_.vres_over_admissions);
     m.counter("vres.slots.overadmission_peak").set(over_peak);
-    m.counter("vres.shmem.spills").set(spills);
-    m.counter("vres.shmem.reclaims").set(reclaims);
-    m.counter("vres.shmem.spill_bytes").set(spill_bytes);
-    m.counter("vres.shmem.reclaim_bytes").set(reclaim_bytes);
   }
 }
 
@@ -1248,9 +1220,6 @@ void Dispatcher::set_tracer(obs::RequestTracer* tracer) {
         [this, i](runtime::TaskId id, sim::Time now) {
           on_task_claimed(i, id, now);
         });
-    cluster_->node(i).rt().set_vres_observer(
-        [this, i](runtime::TaskId id, sim::Time start, sim::Time end,
-                  bool spill) { on_task_vres(i, id, start, end, spill); });
   }
 }
 

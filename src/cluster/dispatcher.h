@@ -442,11 +442,6 @@ class Dispatcher {
   /// Claim-observer hook (tracing only): resolves the claimed TaskTable
   /// entry to its request uid and stamps the warp_wait -> exec boundary.
   void on_task_claimed(int node_index, runtime::TaskId id, sim::Time now);
-  /// Vres-observer hook (tracing only): resolves the spilling/reclaiming
-  /// task to its request uid and carves the transfer window out of the
-  /// request's open phase interval.
-  void on_task_vres(int node_index, runtime::TaskId id, sim::Time start,
-                    sim::Time end, bool spill);
   // --- virtual slot ledger (no-ops unless vres_armed_) ---------------------
   void vres_slot_granted(NodeState& ns);
   void vres_slot_spawned(NodeState& ns);

@@ -158,37 +158,24 @@ class VresAware final : public PlacementPolicy {
  public:
   std::string_view name() const override { return "vres-aware"; }
   int pick(const Cluster& cluster, const Request&) override {
-    // Score = virtual slot headroom minus expected spill cost. Headroom is
-    // measured against VIRTUAL capacity (floor(oversub x TaskTable)), so an
-    // oversubscribed node keeps absorbing work past its physical table —
-    // but each byte it currently holds in the spill backing store predicts
-    // reclaim traffic the next resident block will pay, and discounts the
-    // node accordingly. At oversub == 1 every node has zero spilled bytes
-    // and this reduces to least-outstanding headroom (ties to the lowest
-    // index, like every other scan here).
+    // Maximum virtual slot headroom. Headroom is measured against VIRTUAL
+    // capacity (floor(oversub x TaskTable)), so an oversubscribed node keeps
+    // absorbing work past its physical table. At oversub == 1 this reduces
+    // to least-outstanding headroom (ties to the lowest index, like every
+    // other scan here).
     int best = -1;
-    double best_score = 0.0;
+    int best_headroom = 0;
     for (int i = 0; i < cluster.size(); ++i) {
       const GpuNode& node = cluster.node(i);
       if (!node.eligible()) continue;
-      const double headroom =
-          static_cast<double>(node.virtual_capacity() - node.outstanding());
-      const double spill_penalty =
-          static_cast<double>(node.vres_spilled_bytes()) / kBytesPerSlot;
-      const double s = headroom - spill_penalty;
-      if (best < 0 || s > best_score) {
+      const int headroom = node.virtual_capacity() - node.outstanding();
+      if (best < 0 || headroom > best_headroom) {
         best = i;
-        best_score = s;
+        best_headroom = headroom;
       }
     }
     return best;
   }
-
- private:
-  /// One virtual slot of headroom offsets this many spilled bytes — a full
-  /// MTB arena's worth, i.e. a node drowning in spilled state must hold a
-  /// whole arena of backing-store bytes to forfeit one slot of headroom.
-  static constexpr double kBytesPerSlot = 32.0 * 1024.0;
 };
 
 constexpr std::array<std::string_view, 7> kPolicyNames = {

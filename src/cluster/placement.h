@@ -29,11 +29,9 @@
 //                        power plane is off.
 //   vres-aware         — virtual-resource headroom: maximize virtual slot
 //                        headroom (floor(oversub x TaskTable) minus
-//                        outstanding) discounted by the node's current
-//                        spill-backing-store depth, so oversubscribed nodes
-//                        absorb extra work until spill pressure makes a
-//                        cooler peer cheaper. Reduces to least-outstanding
-//                        headroom at oversub == 1.
+//                        outstanding), so oversubscribed nodes absorb extra
+//                        work past their physical tables. Reduces to
+//                        least-outstanding headroom at oversub == 1.
 #pragma once
 
 #include <memory>

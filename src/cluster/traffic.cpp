@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <numbers>
 
 #include "common/check.h"
 
@@ -19,6 +20,35 @@ std::optional<double> parse_double(std::string_view s) {
     return std::nullopt;
   }
   return v;
+}
+
+/// Largest multiple of its mean an exponential draw can reach: exp_sample
+/// maps the smallest 1 - u a 53-bit uniform yields (2^-53) to 53 ln 2.
+constexpr double kMaxDrawOverMean = 53.0 * std::numbers::ln2;
+
+/// Whether every exponential draw with mean `mean_us` converts to a
+/// sim::Duration, with the headroom every spec time keeps for sums.
+bool draw_fits(double mean_us) {
+  return mean_us * kMaxDrawOverMean <= sim::kMaxSpecMicroseconds;
+}
+
+/// Whether every draw next_gap() can make for `cfg` fits: the arrival gap
+/// at the lowest rate of the process and, when modulated, the phase lengths.
+bool gaps_fit(const ArrivalConfig& cfg) {
+  const double rate = cfg.rate_per_sec;
+  const double f = cfg.burst_factor;
+  const double on_us = sim::to_microseconds(cfg.mean_on);
+  switch (cfg.kind) {
+    case ArrivalKind::Closed:
+      return true;
+    case ArrivalKind::Poisson:
+      return draw_fits(1e6 / rate);
+    case ArrivalKind::Bursty:  // ON rate rate x f; OFF mean on_us x (f - 1)
+      return draw_fits(1e6 / (rate * f)) && draw_fits(on_us * (f - 1.0));
+    case ArrivalKind::Diurnal:  // trough rate 2 x rate / (f + 1)
+      return draw_fits(1e6 * (f + 1.0) / (2.0 * rate)) && draw_fits(on_us);
+  }
+  return false;
 }
 
 }  // namespace
@@ -43,7 +73,7 @@ std::optional<ArrivalConfig> ArrivalConfig::parse(std::string_view spec) {
   if (kind == "poisson") {
     if (colon2 != std::string_view::npos) return std::nullopt;
     cfg.kind = ArrivalKind::Poisson;
-    return cfg;
+    return gaps_fit(cfg) ? std::optional(cfg) : std::nullopt;
   }
   if (kind == "diurnal") {
     cfg.kind = ArrivalKind::Diurnal;
@@ -66,7 +96,7 @@ std::optional<ArrivalConfig> ArrivalConfig::parse(std::string_view spec) {
         cfg.mean_on = sim::microseconds(*on_us);
       }
     }
-    return cfg;
+    return gaps_fit(cfg) ? std::optional(cfg) : std::nullopt;
   }
   cfg.kind = ArrivalKind::Bursty;
   if (colon2 != std::string_view::npos) {
@@ -74,13 +104,14 @@ std::optional<ArrivalConfig> ArrivalConfig::parse(std::string_view spec) {
     if (!factor.has_value() || *factor <= 1.0) return std::nullopt;
     cfg.burst_factor = *factor;
   }
-  return cfg;
+  return gaps_fit(cfg) ? std::optional(cfg) : std::nullopt;
 }
 
 std::string_view ArrivalConfig::choices() {
   return "closed, poisson:RATE, bursty:RATE[:FACTOR], "
          "diurnal:RATE[:FACTOR[:ON_US]]  (RATE in requests/s; FACTOR > 1; "
-         "ON_US = mean phase length in us)";
+         "ON_US = mean phase length in us; 37x the slowest mean gap or "
+         "phase must stay under 1e12 us)";
 }
 
 ArrivalSequence::ArrivalSequence(const ArrivalConfig& cfg, std::uint64_t seed)

@@ -167,6 +167,11 @@ bool deserialize(std::span<const std::byte> image, TaskCheckpoint* out) {
   }
   if (!r.get(&point) || !r.get(&cp.source_node)) return false;
   if (r.pos() != body) return false;  // trailing garbage
+  // Canonical images only: every accepted image reserializes to the same
+  // bytes, so a field this build would drop or normalize is rejected — the
+  // kernel slot (always written as 0; restore re-binds the kernel) and a
+  // needs_sync byte other than 0 or 1.
+  if (fn_slot != 0 || needs_sync > 1) return false;
   if (cls >= sched::kNumClasses || point > 2) return false;
   cp.cls = static_cast<sched::Class>(cls);
   cp.params.needs_sync = needs_sync != 0;

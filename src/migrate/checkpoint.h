@@ -84,7 +84,9 @@ struct TaskCheckpoint {
 std::vector<std::byte> serialize(const TaskCheckpoint& cp);
 
 /// Restores from a byte image. Returns false on a malformed image (bad
-/// magic/version, short buffer, digest mismatch); `out` is untouched then.
+/// magic/version, short buffer, digest mismatch, or a field serialize()
+/// would not write back verbatim, such as a non-zero kernel slot); `out` is
+/// untouched then.
 /// `out->params.fn` is left null — the caller re-binds the kernel ref.
 bool deserialize(std::span<const std::byte> image, TaskCheckpoint* out);
 

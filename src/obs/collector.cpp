@@ -342,23 +342,13 @@ void Collector::finish_runtime(RuntimeSlot& slot, double elapsed) {
   metrics_.gauge(key(slot.prefix, "pagoda.shmem.peak_bytes"))
       .set(static_cast<double>(mk.shmem_peak_arena_bytes()));
   if (rt.config().oversub > 1.0) {
-    // Virtual-resource plane. The fragmentation gauges ride the same arming
-    // as the vres counters: un-virtualized runs emit no new metric keys, so
-    // every pinned golden stays byte-identical.
+    // Virtual-resource plane. The fragmentation gauges are armed with it:
+    // un-virtualized runs emit no new metric keys, so every pinned golden
+    // stays byte-identical.
     metrics_.gauge(key(slot.prefix, "pagoda.shmem.external_frag"))
         .set(mk.shmem_external_frag());
     metrics_.counter(key(slot.prefix, "pagoda.shmem.internal_frag_bytes"))
         .set(mk.shmem_internal_frag_bytes());
-    metrics_.counter(key(slot.prefix, "pagoda.vres.spills"))
-        .set(mk.vres_spills());
-    metrics_.counter(key(slot.prefix, "pagoda.vres.reclaims"))
-        .set(mk.vres_reclaims());
-    metrics_.counter(key(slot.prefix, "pagoda.vres.spill_bytes"))
-        .set(mk.vres_spill_bytes());
-    metrics_.counter(key(slot.prefix, "pagoda.vres.reclaim_bytes"))
-        .set(mk.vres_reclaim_bytes());
-    metrics_.counter(key(slot.prefix, "pagoda.vres.spilled_bytes_final"))
-        .set(mk.vres_spilled_bytes_in_use());
   }
   if (elapsed > 0.0) {
     metrics_.gauge(key(slot.prefix, "pagoda.sched.busy_fraction"))

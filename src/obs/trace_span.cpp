@@ -104,25 +104,6 @@ void RequestTracer::on_claimed(std::uint64_t uid, sim::Time now) {
   l->next = Phase::kExec;
 }
 
-void RequestTracer::on_vres_spill(std::uint64_t uid, sim::Time start,
-                                  sim::Time end) {
-  Live* l = find(uid);
-  if (l == nullptr) return;
-  // Carve [start, end) out of the open interval: time up to `start` stays in
-  // the pending phase, the transfer window lands in the vres bucket, and the
-  // pending phase resumes at `end` (l->next is untouched).
-  mark(*l, l->next, start);
-  mark(*l, Phase::kVresSpill, end);
-}
-
-void RequestTracer::on_vres_reclaim(std::uint64_t uid, sim::Time start,
-                                    sim::Time end) {
-  Live* l = find(uid);
-  if (l == nullptr) return;
-  mark(*l, l->next, start);
-  mark(*l, Phase::kVresReclaim, end);
-}
-
 void RequestTracer::on_exec_done(std::uint64_t uid, sim::Time now) {
   Live* l = find(uid);
   if (l == nullptr) return;

@@ -33,11 +33,6 @@ sim::Duration MasterKernel::stall_to_time(double cycles) const {
   return static_cast<sim::Duration>(cycles * 1e12 / dev_.spec().clock_hz);
 }
 
-sim::Duration MasterKernel::vres_xfer_time(std::int64_t bytes) const {
-  return static_cast<sim::Duration>(static_cast<double>(bytes) * 1e12 /
-                                    (cfg_.vres_spill_gbps * 1e9));
-}
-
 void MasterKernel::touch_busy(Mtb& mtb, int delta) {
   const sim::Time now = dev_.sim().now();
   busy_integral_ += static_cast<double>(busy_warps_) *
@@ -125,42 +120,6 @@ std::int64_t MasterKernel::shmem_internal_frag_bytes() const {
   for (const auto& mtb : mtbs_) {
     n += mtb->shmem.physical().internal_frag_bytes();
   }
-  return n;
-}
-
-std::int64_t MasterKernel::vres_spills() const {
-  std::int64_t n = 0;
-  for (const auto& mtb : mtbs_) n += mtb->shmem.spills();
-  return n;
-}
-
-std::int64_t MasterKernel::vres_reclaims() const {
-  std::int64_t n = 0;
-  for (const auto& mtb : mtbs_) n += mtb->shmem.reclaims();
-  return n;
-}
-
-std::int64_t MasterKernel::vres_spill_bytes() const {
-  std::int64_t n = 0;
-  for (const auto& mtb : mtbs_) n += mtb->shmem.spill_bytes_total();
-  return n;
-}
-
-std::int64_t MasterKernel::vres_reclaim_bytes() const {
-  std::int64_t n = 0;
-  for (const auto& mtb : mtbs_) n += mtb->shmem.reclaim_bytes_total();
-  return n;
-}
-
-std::int64_t MasterKernel::vres_virtual_bytes_in_use() const {
-  std::int64_t n = 0;
-  for (const auto& mtb : mtbs_) n += mtb->shmem.virtual_bytes_in_use();
-  return n;
-}
-
-std::int64_t MasterKernel::vres_spilled_bytes_in_use() const {
-  std::int64_t n = 0;
-  for (const auto& mtb : mtbs_) n += mtb->shmem.spilled_bytes_in_use();
   return n;
 }
 
@@ -401,20 +360,8 @@ sim::Task<> MasterKernel::schedule_entry(Mtb& mtb, int row) {
               mtb.shmem.allocate(p.shared_mem_bytes, p.shmem_used_bytes());
           co_await sched_charge(mtb, cfg_.shmem_alloc_cycles);
           if (res.has_value()) {
-            if (res->spilled_bytes > 0) {
-              // Cold victims were evicted to the backing store to make room:
-              // the PCIe-rate transfer is charged to the incoming task (the
-              // trigger), bracketed for the tracer's vres_spill phase.
-              const sim::Time spill_start = dev_.sim().now();
-              co_await dev_.sim().delay(vres_xfer_time(res->spilled_bytes));
-              if (vres_observer_) {
-                vres_observer_(gpu_table_.id_of(mtb.column, row), spill_start,
-                               dev_.sim().now(), /*spill=*/true);
-              }
-            }
-            block->sm_offset = res->offset;
+            block->sm_offset = *res;
             block->sm_bytes = p.shared_mem_bytes;
-            block->vid = res->vid;
             break;
           }
           if (!mtb.shmem.has_deferred() && mtb.sched_seq == seq) {
@@ -473,39 +420,6 @@ sim::Task<> MasterKernel::psched(Mtb& mtb, int row, int base_warp, int count,
   }
 }
 
-sim::Task<> MasterKernel::ensure_resident(Mtb& mtb, WarpSlot& slot) {
-  while (running_) {
-    const std::uint64_t seq = mtb.sched_seq;
-    const auto t = mtb.shmem.touch(slot.block->vid);
-    if (t.has_value()) {
-      if (t->swept > 0) {
-        // The reclaim swept deferred marks to make room. Executor-side
-        // sweeping deviates from the paper's scheduler-warp-only discipline;
-        // it is race-free here because simulation events are atomic, and the
-        // cycles are charged to this warp's own pipeline (DESIGN.md §16).
-        shmem_blocks_swept_ += t->swept;
-        co_await mtb.smm->execute(cfg_.shmem_sweep_cycles);
-        wake_scheduler(mtb);  // freed virtual capacity: let claims retry
-      }
-      if (t->reclaimed || t->spilled_bytes > 0) {
-        const sim::Time start = dev_.sim().now();
-        co_await dev_.sim().delay(
-            vres_xfer_time(t->reclaimed_bytes + t->spilled_bytes));
-        if (vres_observer_) {
-          vres_observer_(gpu_table_.id_of(mtb.column, slot.entry_row), start,
-                         dev_.sim().now(), /*spill=*/!t->reclaimed);
-        }
-      }
-      slot.sm_index = t->offset;
-      slot.block->sm_offset = t->offset;
-      co_return;
-    }
-    // No physical room and every resident block is pinned (executing):
-    // wait for a completion to free capacity, then retry.
-    if (mtb.sched_seq == seq) co_await mtb.sched_cv.wait();
-  }
-}
-
 // --- executor warps (Algorithm 1, lines 29-43) -------------------------------
 
 sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
@@ -517,14 +431,6 @@ sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
     }
     TaskEntry& entry = gpu_table_.at(mtb.column, slot.entry_row);
     const TaskParams& p = entry.params;
-    if (cfg_.oversub > 1.0 && slot.block && slot.block->sm_bytes > 0) {
-      // Reclaim-on-touch: pins the block (it can no longer spill until its
-      // deferred-deallocation mark) and pulls it back from the backing
-      // store if a colder allocation's pressure evicted it. Runs before
-      // touch_busy so reclaim waits never inflate the occupancy integral.
-      co_await ensure_resident(mtb, slot);
-      if (!running_) break;
-    }
     touch_busy(mtb, +1);
 
     gpu::WarpCtx ctx;
@@ -565,7 +471,7 @@ sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
       block->warps_remaining -= 1;
       if (block->warps_remaining == 0) {  // lastWarpInBlock()
         if (block->sm_offset >= 0) {
-          mtb.shmem.mark_for_deallocation(block->sm_offset, block->vid);
+          mtb.shmem.mark_for_deallocation(block->sm_offset, block->sm_bytes);
         }
         if (block->bar_id >= 0) {
           mtb.barriers.release(block->bar_id);

@@ -85,12 +85,9 @@ struct PagodaConfig {
   /// capacities — byte-identical to the pre-vres runtime by construction.
   /// F > 1 virtualizes each MTB arena to F x its bytes, each MTB register
   /// budget to F x its share, and each node's TaskTable admission to
-  /// F x its entries, with spill-on-pressure to a backing store.
+  /// F x its entries. Oversubscription is admission-only: nothing spills;
+  /// a claim that does not fit waits, as it does at F == 1.
   double oversub = 1.0;
-
-  /// Transfer rate charged for vres spill/reclaim traffic (modeled as an
-  /// uncontended PCIe-rate DMA local to the node).
-  double vres_spill_gbps = 12.0;
 
   // GPU-side scheduling cost constants (cycles on the SMM pipeline).
   double scan_pass_cycles = 16.0;          // one scan of the 32-row column
@@ -170,22 +167,23 @@ class MasterKernel {
   /// Highest per-arena high-water mark (bytes) across MTBs.
   std::int32_t shmem_peak_arena_bytes() const;
   std::int64_t shmem_alloc_successes() const;
+  /// Buddy allocate() calls that found no block (pagoda.shmem.alloc_failures;
+  /// each scheduler-warp retry counts again). What a failure means depends
+  /// on the oversubscription factor F. At F == 1 the buddy is asked for the
+  /// declared bytes, so every "arena full" is a failure here. At F > 1 a
+  /// claim that does not fit the F x arena virtual charge is refused before
+  /// the buddy is asked, so only physical failures (of the used bytes) are
+  /// counted. That is why the occupancy_virt series is not monotone in F
+  /// (seed 0x9A60DA, F = 1, 1.25, 1.5, 2): 3099, 228, 860, 2070 physical
+  /// failures, plus 0, 2453, 1587, 43 uncounted virtual refusals. Refusals
+  /// of either kind fall (3099, 2681, 2447, 2113) while the binding limit
+  /// moves from the virtual charge to the physical arena (EXPERIMENTS.md).
   std::int64_t shmem_alloc_failures() const;
   std::int64_t shmem_sweeps() const;
   /// Fragmentation of the physical buddy arenas: worst (lowest) per-MTB
   /// external-fragmentation gauge, and total internal rounding loss.
   double shmem_external_frag() const;
   std::int64_t shmem_internal_frag_bytes() const;
-
-  // --- virtual-resource plane (oversub > 1 only; all zero otherwise) ------
-  std::int64_t vres_spills() const;
-  std::int64_t vres_reclaims() const;
-  std::int64_t vres_spill_bytes() const;
-  std::int64_t vres_reclaim_bytes() const;
-  /// Declared bytes currently charged against the virtual arenas.
-  std::int64_t vres_virtual_bytes_in_use() const;
-  /// Bytes currently living in backing stores (spilled, not yet reclaimed).
-  std::int64_t vres_spilled_bytes_in_use() const;
 
   /// Observer invoked (GPU-side, at the moment the last warp clears the
   /// ready field) for every completed task. Instrumentation only.
@@ -201,16 +199,6 @@ class MasterKernel {
   void set_claim_observer(ClaimObserver obs) {
     claim_observer_ = std::move(obs);
   }
-
-  /// Observer invoked after a vres spill (spill = true; charged to the task
-  /// whose allocation triggered the eviction) or reclaim (spill = false;
-  /// charged to the task touching its spilled block) finishes, with the
-  /// transfer's [start, end) window. Instrumentation only — the request
-  /// tracer's vres_spill/vres_reclaim phase buckets. Never fires at
-  /// oversub == 1.
-  using VresObserver =
-      std::function<void(TaskId, sim::Time start, sim::Time end, bool spill)>;
-  void set_vres_observer(VresObserver obs) { vres_observer_ = std::move(obs); }
 
   /// Time-integrated busy executor warps (warp·seconds): the achieved
   /// task-execution occupancy is this / (elapsed * 64 * num_smms).
@@ -230,7 +218,7 @@ class MasterKernel {
     std::vector<std::byte> arena;  // backing bytes for the 32 KB shared mem
     /// The virtual facade over this MTB's physical buddy arena. At
     /// oversub == 1 every call is a verbatim delegation to the buddy
-    /// (byte-identical); above 1 it owns the virtual mapping and spills.
+    /// (byte-identical); above 1 it also charges the virtual arena.
     vres::VirtualShmem shmem;
     /// Virtual register budget (oversub x this MTB's register-file share).
     /// Passive at oversub == 1 (never charged); above 1, claims defer —
@@ -285,12 +273,6 @@ class MasterKernel {
   sim::Task<> schedule_entry(Mtb& mtb, int row);
   sim::Task<> psched(Mtb& mtb, int row, int base_warp, int count,
                      std::shared_ptr<BlockState> block);
-  /// Executor-side vres touch: reclaims the slot's block from the backing
-  /// store if spilled (waiting for physical room when everything is
-  /// pinned), refreshes slot.sm_index, and charges/reports the transfer.
-  sim::Task<> ensure_resident(Mtb& mtb, WarpSlot& slot);
-  /// Wire time of a vres spill/reclaim transfer at vres_spill_gbps.
-  sim::Duration vres_xfer_time(std::int64_t bytes) const;
 
   gpu::Device& dev_;
   TaskTable& gpu_table_;
@@ -314,7 +296,6 @@ class MasterKernel {
   std::int64_t shmem_blocks_swept_ = 0;
   CompletionObserver completion_observer_;
   ClaimObserver claim_observer_;
-  VresObserver vres_observer_;
   TraceRecorder* trace_ = nullptr;
 
   void trace(TraceKind kind, TaskId task, std::int32_t aux = 0) {

@@ -126,12 +126,6 @@ class Runtime {
     mk_.set_claim_observer(std::move(obs));
   }
 
-  /// Instrumentation: invoked after every vres spill/reclaim transfer
-  /// (oversub > 1 only; never fires at oversub == 1).
-  void set_vres_observer(MasterKernel::VresObserver obs) {
-    mk_.set_vres_observer(std::move(obs));
-  }
-
   /// Optional event tracing (host + GPU sides). Owned by the caller; must
   /// outlive the Runtime. nullptr disables tracing.
   void set_trace_recorder(TraceRecorder* trace) {

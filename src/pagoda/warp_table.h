@@ -14,10 +14,6 @@ struct BlockState {
   std::int32_t sm_offset = -1;   // shared-memory block offset, -1 = none
   std::int32_t sm_bytes = 0;
   std::int32_t bar_id = -1;      // named barrier id, -1 = none
-  /// Virtual shared-memory allocation id (oversubscribed mode only, -1
-  /// otherwise). Authoritative over sm_offset there: a spilled block's
-  /// offset moves on reclaim, and executor warps refresh it via touch().
-  std::int32_t vid = -1;
 };
 
 /// One executor-warp slot (paper Table 2).

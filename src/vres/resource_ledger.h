@@ -1,30 +1,28 @@
 // The virtual-resource ledger (Zorua-style decoupling; see DESIGN.md §16).
 //
-// One ResourceLedger tracks a single resource dimension (shared-memory bytes
-// of one MTB arena, TaskTable slots of one node, register budget of one MTB)
-// as a population of live *virtual* allocations, each of which is in exactly
-// one of two states:
+// One ResourceLedger tracks a single resource dimension (TaskTable slots of
+// one node, register budget of one MTB) as a population of live *virtual*
+// allocations, each of which is in exactly one of two states:
 //
 //   resident — backed by the physical resource right now;
-//   spilled  — evicted to the (PCIe-charged) backing store.
+//   spilled  — admitted on virtual capacity, not (or no longer) backed.
 //
 // The load-bearing invariant, asserted by the 50-seed soak in
 // tests/vres_test.cpp at every transition:
 //
 //     virtual_allocated() == physical_allocated() + spilled()
 //
-// i.e. every virtual byte is either physically backed or spilled — never
+// i.e. every virtual unit is either physically backed or spilled — never
 // both, never neither. The ledger is pure bookkeeping: it never touches the
-// buddy tree or the simulation clock. VirtualShmem drives it for shared
-// memory; the cluster Dispatcher drives one per node for TaskTable slots
-// (where "spilled" means admitted-on-virtual-capacity but not yet holding a
-// physical table entry).
+// buddy tree or the simulation clock. The cluster Dispatcher drives one per
+// node for TaskTable slots (where "spilled" means admitted-on-virtual-
+// capacity but not yet holding a physical table entry); each MTB drives one
+// for its register budget, resident-only.
 //
-// A second, independent dimension — the *declared* charge against the
-// oversubscribed capacity (`oversub x physical`) — is tracked by the caller
-// (VirtualShmem charges pow2(declared) there while backing only pow2(used)
-// physically), because declared and backed bytes differ by design; mixing
-// them into one counter would break the invariant above.
+// Shared memory does not use a ledger: VirtualShmem charges pow2(declared)
+// against the oversubscribed arena (`oversub x physical`) while the buddy
+// backs only pow2(used), because declared and backed bytes differ by design;
+// mixing them into one counter would break the invariant above.
 #pragma once
 
 #include <algorithm>

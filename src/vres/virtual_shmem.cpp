@@ -1,8 +1,6 @@
 #include "vres/virtual_shmem.h"
 
 #include <algorithm>
-#include <cstring>
-#include <limits>
 
 #include "common/check.h"
 
@@ -11,58 +9,16 @@ namespace pagoda::vres {
 VirtualShmem::VirtualShmem(std::span<std::byte> arena, double oversub,
                            std::int32_t granularity)
     : phys_(static_cast<std::int32_t>(arena.size()), granularity),
-      arena_(arena),
-      oversub_(oversub),
       virtualized_(oversub > 1.0),
       virtual_capacity_(static_cast<std::int64_t>(
-          static_cast<double>(arena.size()) * oversub)),
-      ledger_(/*virtual_capacity=*/0,
-              /*physical_capacity=*/static_cast<std::int64_t>(arena.size())) {
+          static_cast<double>(arena.size()) * oversub)) {
   PAGODA_CHECK_MSG(oversub >= 1.0, "oversubscription factor must be >= 1.0");
 }
 
-VirtualShmem::VAlloc& VirtualShmem::at(std::int32_t vid) {
-  const auto it = live_.find(vid);
-  PAGODA_CHECK_MSG(it != live_.end(), "unknown virtual shmem allocation");
-  return it->second;
-}
-
-std::int32_t VirtualShmem::pick_victim() const {
-  std::int32_t victim = -1;
-  std::uint64_t coldest = std::numeric_limits<std::uint64_t>::max();
-  for (const auto& [vid, a] : live_) {
-    if (!a.resident || a.pinned || a.deferred) continue;
-    if (a.last_touch < coldest) {  // strict <: ties keep the lowest vid
-      coldest = a.last_touch;
-      victim = vid;
-    }
-  }
-  return victim;
-}
-
-std::int64_t VirtualShmem::spill_one(std::int32_t vid) {
-  VAlloc& a = at(vid);
-  PAGODA_CHECK(a.resident && !a.pinned && !a.deferred);
-  a.backing.resize(static_cast<std::size_t>(a.used_rounded));
-  std::memcpy(a.backing.data(), arena_.data() + a.offset,
-              static_cast<std::size_t>(a.used_rounded));
-  phys_.deallocate(a.offset);
-  a.offset = -1;
-  a.resident = false;
-  ledger_.spill(a.used_rounded);
-  return a.used_rounded;
-}
-
-std::optional<VirtualShmem::AllocResult> VirtualShmem::allocate(
-    std::int32_t declared_bytes, std::int32_t used_bytes) {
-  if (!virtualized_) {
-    // Passthrough: the exact legacy call, declared bytes, used hint ignored.
-    const auto offset = phys_.allocate(declared_bytes);
-    if (!offset.has_value()) return std::nullopt;
-    AllocResult r;
-    r.offset = *offset;
-    return r;
-  }
+std::optional<std::int32_t> VirtualShmem::allocate(std::int32_t declared_bytes,
+                                                   std::int32_t used_bytes) {
+  // Passthrough: the exact legacy call, declared bytes, used hint ignored.
+  if (!virtualized_) return phys_.allocate(declared_bytes);
 
   PAGODA_CHECK(declared_bytes > 0);
   const std::int32_t declared_rounded = phys_.block_size_for(declared_bytes);
@@ -73,117 +29,22 @@ std::optional<VirtualShmem::AllocResult> VirtualShmem::allocate(
   }
   const std::int32_t used =
       used_bytes > 0 ? std::min(used_bytes, declared_bytes) : declared_bytes;
-
-  AllocResult r;
-  for (;;) {
-    const auto offset = phys_.allocate(used);
-    if (offset.has_value()) {
-      const std::int32_t vid = next_vid_++;
-      VAlloc a;
-      a.declared_rounded = declared_rounded;
-      a.used_rounded = phys_.block_size_for(used);
-      a.offset = *offset;
-      a.resident = true;
-      a.last_touch = ++clock_;
-      live_.emplace(vid, std::move(a));
-      virtual_in_use_ += declared_rounded;
-      ledger_.allocate_resident(phys_.block_size_for(used));
-      r.offset = *offset;
-      r.vid = vid;
-      return r;
-    }
-    // Physical pressure: evict the coldest unpinned resident and retry.
-    // Buddy coalescing may need several evictions before a block of this
-    // size materializes.
-    const std::int32_t victim = pick_victim();
-    if (victim < 0) return std::nullopt;  // everything pinned: caller waits
-    r.spills += 1;
-    r.spilled_bytes += spill_one(victim);
-  }
-}
-
-std::optional<VirtualShmem::TouchResult> VirtualShmem::touch(
-    std::int32_t vid) {
-  PAGODA_CHECK_MSG(virtualized_, "touch() is a virtualized-mode operation");
-  VAlloc& a = at(vid);
-  a.last_touch = ++clock_;
-  TouchResult t;
-  if (a.resident) {
-    a.pinned = true;
-    t.offset = a.offset;
-    return t;
-  }
-  // Reclaim from the backing store. The executor may sweep deferred marks
-  // here: in the event-driven simulation the sweep cannot race the scheduler
-  // warp's allocations (events are atomic) and the caller charges the sweep
-  // cycles to its own pipeline; see DESIGN.md §16 for the discipline note.
-  for (;;) {
-    const auto offset = phys_.allocate(a.used_rounded);
-    if (offset.has_value()) {
-      std::memcpy(arena_.data() + *offset, a.backing.data(),
-                  static_cast<std::size_t>(a.used_rounded));
-      a.backing.clear();
-      a.backing.shrink_to_fit();
-      a.offset = *offset;
-      a.resident = true;
-      a.pinned = true;
-      ledger_.reclaim(a.used_rounded);
-      t.offset = *offset;
-      t.reclaimed = true;
-      t.reclaimed_bytes = a.used_rounded;
-      return t;
-    }
-    if (!deferred_vids_.empty()) {
-      t.swept += sweep_virtual();
-      continue;
-    }
-    const std::int32_t victim = pick_victim();
-    if (victim < 0) return std::nullopt;  // all pinned: wait for completions
-    t.spills += 1;
-    t.spilled_bytes += spill_one(victim);
-  }
+  const auto offset = phys_.allocate(used);
+  if (offset.has_value()) virtual_in_use_ += declared_rounded;
+  return offset;
 }
 
 void VirtualShmem::mark_for_deallocation(std::int32_t offset,
-                                         std::int32_t vid) {
-  if (!virtualized_) {
-    phys_.mark_for_deallocation(offset);
-    return;
-  }
-  VAlloc& a = at(vid);
-  // Pinned-since-touch means a completed block is always resident here.
-  PAGODA_CHECK_MSG(a.resident, "deferred-freeing a spilled allocation");
-  PAGODA_CHECK(!a.deferred);
-  a.pinned = false;
-  a.deferred = true;
-  deferred_vids_.push_back(vid);
-}
-
-int VirtualShmem::sweep_virtual() {
-  int freed = 0;
-  for (const std::int32_t vid : deferred_vids_) {
-    VAlloc& a = at(vid);
-    phys_.deallocate(a.offset);
-    ledger_.free_resident(a.used_rounded);
-    virtual_in_use_ -= a.declared_rounded;
-    PAGODA_CHECK(virtual_in_use_ >= 0);
-    live_.erase(vid);
-    freed += 1;
-  }
-  deferred_vids_.clear();
-  vsweeps_ += 1;
-  vblocks_swept_ += freed;
-  return freed;
+                                         std::int32_t declared_bytes) {
+  phys_.mark_for_deallocation(offset);
+  if (virtualized_) virtual_deferred_ += phys_.block_size_for(declared_bytes);
 }
 
 int VirtualShmem::sweep_deferred() {
-  if (!virtualized_) return phys_.sweep_deferred();
-  return sweep_virtual();
-}
-
-bool VirtualShmem::has_deferred() const {
-  if (!virtualized_) return phys_.has_deferred();
-  return !deferred_vids_.empty();
+  virtual_in_use_ -= virtual_deferred_;
+  virtual_deferred_ = 0;
+  PAGODA_CHECK(virtual_in_use_ >= 0);
+  return phys_.sweep_deferred();
 }
 
 }  // namespace pagoda::vres

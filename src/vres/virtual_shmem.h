@@ -8,34 +8,28 @@
 //    allocate/fail/sweep sequences, identical offsets, no extra state, no
 //    events. Byte-identical behavior is by construction, not by testing.
 //
-//  * oversub > 1.0 — virtualized. A task's threadblock charges
-//    pow2(declared) bytes against a virtual arena of `oversub x arena`
-//    bytes, but is physically backed with only pow2(used) bytes (the
-//    TaskParams::shmem_used_256 hint; == declared when absent). When the
-//    physical buddy is exhausted, the coldest unpinned resident allocation
-//    spills to a per-allocation backing store (bytes copied out, buddy block
-//    freed; the wire time is charged by the caller at PCIe rate) and
-//    reclaims on next touch. Pinning is touch-scoped: a block is pinned from
-//    the first executor-warp touch until its deferred-deallocation mark, so
-//    a spilled block can never be one whose warps are between a touch and
-//    completion — reclaimed offsets are stable for the whole execution.
+//  * oversub > 1.0 — admission-only oversubscription. A task's threadblock
+//    charges pow2(declared) bytes against a virtual arena of
+//    `oversub x arena` bytes, but is physically backed with only pow2(used)
+//    bytes (the TaskParams::shmem_used_256 hint; == declared when absent).
+//    A full virtual arena or a full physical buddy both mean "no room": the
+//    scheduler warp waits for a deferred free, exactly as it does on a full
+//    arena at oversub == 1. Nothing is ever evicted.
 //
-// The facade owns the virtual->physical mapping and the spill victim
-// selection (deterministic LRU over a monotonically increasing touch
-// sequence; ties break toward the lowest vid). The buddy tree itself is
-// unchanged. The ResourceLedger invariant
-//     virtual == physical + spilled   (in backed bytes)
-// holds across every transition; tests/vres_test.cpp soaks it.
+// Why there is no spill path: each MTB has one scheduler warp, the only
+// caller of allocate(). It allocates block j+1 only after it has placed
+// every warp of block j, and a block's warps touch it as soon as they run.
+// So when the physical buddy is full, every resident block is in use by
+// executing warps (or about to be), and evicting one would only move its
+// bytes out and straight back in. Waiting for the block-level deferred free
+// is the right answer, and it is the one Pagoda already has.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "pagoda/shmem_allocator.h"
-#include "vres/resource_ledger.h"
 
 namespace pagoda::vres {
 
@@ -47,47 +41,24 @@ class VirtualShmem {
                std::int32_t granularity = 512);
 
   bool virtualized() const { return virtualized_; }
-  double oversub() const { return oversub_; }
-  std::int32_t arena_bytes() const { return phys_.arena_bytes(); }
-  std::int64_t virtual_arena_bytes() const { return virtual_capacity_; }
 
-  struct AllocResult {
-    std::int32_t offset = -1;       // physical offset (valid while resident)
-    std::int32_t vid = -1;          // virtual allocation id; -1 = passthrough
-    int spills = 0;                 // victims evicted to make room
-    std::int64_t spilled_bytes = 0; // physical bytes moved to backing store
-  };
+  /// Allocates a threadblock's shared memory; returns its physical offset.
+  /// Passthrough: exactly ShmemAllocator::allocate(declared). Virtualized:
+  /// charges pow2(declared) virtually and pow2(used) physically. nullopt =
+  /// no room (the scheduler warp waits, as it does today on a full arena).
+  /// A full virtual arena returns before the buddy is asked, so at
+  /// oversub > 1 alloc_failures() counts physical failures only.
+  std::optional<std::int32_t> allocate(std::int32_t declared_bytes,
+                                       std::int32_t used_bytes);
 
-  /// Allocates a threadblock's shared memory. Passthrough: exactly
-  /// ShmemAllocator::allocate(declared). Virtualized: charges
-  /// pow2(declared) virtually and pow2(used) physically, spilling cold
-  /// unpinned residents on physical pressure. nullopt = no room (the
-  /// scheduler warp waits, as it does today on a full arena).
-  std::optional<AllocResult> allocate(std::int32_t declared_bytes,
-                                      std::int32_t used_bytes);
-
-  struct TouchResult {
-    std::int32_t offset = -1;
-    bool reclaimed = false;          // was spilled; bytes copied back in
-    std::int64_t reclaimed_bytes = 0;
-    int spills = 0;                  // victims evicted to make room
-    std::int64_t spilled_bytes = 0;
-    int swept = 0;                   // deferred blocks swept to make room
-  };
-
-  /// Executor-warp touch (virtualized mode only): bumps the LRU clock, pins
-  /// the allocation, and reclaims it from the backing store if spilled.
-  /// nullopt = no physical room even after sweeping and spilling every
-  /// eligible victim (the executor waits for a completion and retries).
-  std::optional<TouchResult> touch(std::int32_t vid);
-
-  /// Executor-side deferred free (Algorithm 1 line 22). Passthrough frees by
-  /// offset; virtualized mode unpins and defers by vid.
-  void mark_for_deallocation(std::int32_t offset, std::int32_t vid = -1);
+  /// Executor-side deferred free (Algorithm 1 line 22) of the block at
+  /// `offset`, whose threadblock declared `declared_bytes`. The virtual
+  /// charge is released by the next sweep, with the physical block.
+  void mark_for_deallocation(std::int32_t offset, std::int32_t declared_bytes);
 
   /// Scheduler-side sweep of every deferred free; returns blocks freed.
   int sweep_deferred();
-  bool has_deferred() const;
+  bool has_deferred() const { return phys_.has_deferred(); }
 
   // --- forwarded physical-arena observability ----------------------------
   std::int32_t allocated_bytes() const { return phys_.allocated_bytes(); }
@@ -96,66 +67,22 @@ class VirtualShmem {
   }
   std::int64_t alloc_successes() const { return phys_.alloc_successes(); }
   std::int64_t alloc_failures() const { return phys_.alloc_failures(); }
-  std::int64_t sweeps() const {
-    return virtualized_ ? vsweeps_ : phys_.sweeps();
-  }
-  std::int64_t blocks_swept() const {
-    return virtualized_ ? vblocks_swept_ : phys_.blocks_swept();
-  }
+  std::int64_t sweeps() const { return phys_.sweeps(); }
+  std::int64_t blocks_swept() const { return phys_.blocks_swept(); }
   /// The unchanged buddy backend (fragmentation gauges live there).
   const runtime::ShmemAllocator& physical() const { return phys_; }
 
-  // --- virtual-plane observability ---------------------------------------
-  /// Declared bytes currently charged against the virtual arena.
+  /// Declared bytes currently charged against the virtual arena (0 in
+  /// passthrough mode).
   std::int64_t virtual_bytes_in_use() const { return virtual_in_use_; }
-  std::int64_t spilled_bytes_in_use() const { return ledger_.spilled(); }
-  std::int64_t spills() const { return ledger_.spills(); }
-  std::int64_t reclaims() const { return ledger_.reclaims(); }
-  std::int64_t spill_bytes_total() const {
-    return ledger_.spill_amount_total();
-  }
-  std::int64_t reclaim_bytes_total() const {
-    return ledger_.reclaim_amount_total();
-  }
-  const ResourceLedger& ledger() const { return ledger_; }
-
-  /// Live virtual allocations (resident + spilled), virtualized mode only.
-  int live_allocations() const { return static_cast<int>(live_.size()); }
 
  private:
-  struct VAlloc {
-    std::int32_t declared_rounded = 0;  // pow2(declared), virtual charge
-    std::int32_t used_rounded = 0;      // pow2(used), physical backing
-    std::int32_t offset = -1;           // valid while resident
-    bool resident = false;
-    bool pinned = false;
-    bool deferred = false;
-    std::uint64_t last_touch = 0;
-    std::vector<std::byte> backing;     // holds the bytes while spilled
-  };
-
-  VAlloc& at(std::int32_t vid);
-  /// Coldest unpinned, undeferred resident allocation, or -1.
-  std::int32_t pick_victim() const;
-  /// Spills `vid` to its backing store; returns the physical bytes freed.
-  std::int64_t spill_one(std::int32_t vid);
-  int sweep_virtual();
-
   runtime::ShmemAllocator phys_;
-  std::span<std::byte> arena_;
-  double oversub_;
   bool virtualized_;
   std::int64_t virtual_capacity_;
   std::int64_t virtual_in_use_ = 0;
-  std::uint64_t clock_ = 0;
-  std::int32_t next_vid_ = 0;
-  // std::map (not unordered_map): victim selection scans the live set, so
-  // iteration order must be deterministic across libraries and runs.
-  std::map<std::int32_t, VAlloc> live_;
-  std::vector<std::int32_t> deferred_vids_;
-  std::int64_t vsweeps_ = 0;
-  std::int64_t vblocks_swept_ = 0;
-  ResourceLedger ledger_;
+  /// Virtual charge of the blocks marked since the last sweep.
+  std::int64_t virtual_deferred_ = 0;
 };
 
 }  // namespace pagoda::vres

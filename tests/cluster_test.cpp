@@ -517,6 +517,22 @@ TEST(ClusterTraffic, ArrivalSpecParsing) {
   EXPECT_FALSE(ArrivalConfig::parse("bursty:1000:nan").has_value());
   EXPECT_FALSE(ArrivalConfig::parse("diurnal:1000:inf").has_value());
   EXPECT_FALSE(ArrivalConfig::parse("diurnal:1000:4:nan").has_value());
+  // Rates, factors and phase lengths whose largest exponential draw (about
+  // 37x its mean) would overflow sim::Duration.
+  EXPECT_FALSE(ArrivalConfig::parse("poisson:1e-300").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("poisson:1e-12").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("poisson:1e-6").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("bursty:1e-6:2").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("bursty:1000:1e300").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("bursty:1000:1e9").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("diurnal:1e-6").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("diurnal:1000:1e300").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("diurnal:1000:1e12").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("diurnal:1000:4:1e12").has_value());
+  // The bounds sit far below any rate a run can finish: these still parse.
+  EXPECT_TRUE(ArrivalConfig::parse("poisson:1e-3").has_value());
+  EXPECT_TRUE(ArrivalConfig::parse("bursty:1000:1e6").has_value());
+  EXPECT_TRUE(ArrivalConfig::parse("diurnal:1000:1e6:1e9").has_value());
 }
 
 TEST(ClusterTraffic, PoissonGapsMatchTheConfiguredRate) {

@@ -1,12 +1,13 @@
-// Run-to-run determinism soak with the planes combined.
+// Run-to-run determinism soak, one plane per seed.
 //
 // For every seed, one small cluster serving run is executed twice, and the
 // full --metrics JSON (and, on alternating seeds, the --trace-spans dump)
-// must be byte-identical between the two. Seeds rotate through a plain run,
-// a fault-plan run, a power-plane run, a migration run (a rolling resize
+// must be byte-identical between the two. Each seed arms exactly one plane:
+// seed i runs plane i % kNumPlanes, rotating through a plain run, a
+// fault-plan run, a power-plane run, a migration run (a rolling resize
 // checkpointing in-flight attempts across nodes) and an oversubscribed
-// virtual-resource run, so every plane's coupling with the event queue's
-// same-timestamp FIFO order is pinned.
+// virtual-resource run. So each plane's coupling with the event queue's
+// same-timestamp FIFO order is pinned on its own; no seed combines planes.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -70,8 +71,9 @@ Dump run_once(std::uint64_t seed, Plane plane, bool want_spans) {
                          {sim::microseconds(1200.0), 3}};
   } else if (plane == Plane::kVres) {
     // Oversubscribed virtual resource plane: irregular DCT declares the full
-    // 8 KB slab but touches less, so admission, shmem spill/reclaim and the
-    // vres-aware placement all run hot.
+    // 8 KB slab but touches less, so the virtual shmem and register charges,
+    // the oversubscribed slot admission and the vres-aware placement all
+    // run. (Oversubscription is admission-only: nothing spills.)
     wcfg.irregular_sizes = true;
     rcfg.pagoda.oversub = 1.5;
     rcfg.cluster.policy = "vres-aware";

@@ -1,6 +1,7 @@
 // Deterministic mutation test for the five spec parsers pagoda_cli feeds
 // user strings into: FaultPlan::parse, PowerSpec::parse,
-// parse_autoscale_spec, parse_resize_spec and ArrivalConfig::parse.
+// parse_autoscale_spec, parse_resize_spec and ArrivalConfig::parse; and for
+// the migration checkpoint image reader, migrate::deserialize.
 //
 // Each parser gets a fixed number of inputs derived from valid grammar
 // examples by a seeded SplitMix64: byte flips, byte inserts (biased toward
@@ -11,8 +12,11 @@
 // sanitizer pass of tools/check.sh runs this under ASan + UBSan.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "common/rng.h"
 #include "fault/plan.h"
 #include "migrate/autoscaler.h"
+#include "migrate/checkpoint.h"
 #include "power/power_spec.h"
 
 namespace pagoda {
@@ -161,7 +166,11 @@ TEST(SpecMutation, ResizeSpec) {
 TEST(SpecMutation, ArrivalSpec) {
   fuzz(0xA221,
        {"closed", "poisson:150000", "bursty:300000", "bursty:300000:2",
-        "diurnal:800000", "diurnal:800000:8:20000"},
+        "diurnal:800000", "diurnal:800000:8:20000",
+        // Near the gap bound, so mutants cross it from both sides. (Only
+        // Poisson: a modulated spec this slow takes ~gap / phase steps per
+        // draw, and would slow the test down.)
+        "poisson:1e-3"},
        [](const std::string& in) {
          const std::optional<cluster::ArrivalConfig> a =
              cluster::ArrivalConfig::parse(in);
@@ -173,7 +182,59 @@ TEST(SpecMutation, ArrivalSpec) {
                        std::isfinite(a->burst_factor));
            EXPECT_TRUE(a->mean_on > 0 && time_ok(a->mean_on));
          }
+         // Every gap the accepted spec draws is a usable time.
+         cluster::ArrivalSequence seq(*a, /*seed=*/7);
+         for (int i = 0; i < 16; ++i) {
+           const sim::Duration gap = seq.next_gap();
+           ASSERT_TRUE(time_ok(gap)) << "gap " << i << " = " << gap;
+         }
        });
+}
+
+// Checkpoint images: mutants of a valid image, re-sealed with a fresh FNV-1a
+// trailer so the reader's field checks run, not just its digest check. An
+// accepted image must be canonical: it reserializes to the same bytes, so
+// no field the reader accepted was dropped or normalized on the way in.
+std::string seal(std::string body) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a, 64-bit
+  for (const char c : body) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  for (int i = 0; i < 8; ++i) body.push_back(static_cast<char>(h >> (8 * i)));
+  return body;
+}
+
+TEST(SpecMutation, TaskCheckpointImage) {
+  migrate::TaskCheckpoint cp;
+  cp.uid = 0x1234;
+  cp.arrival = 5000;
+  cp.cls = sched::Class::kBatch;
+  cp.cost = 3.5;
+  cp.h2d_bytes = 4096;
+  cp.index = 7;
+  cp.params.num_blocks = 2;
+  cp.params.threads_per_block = 64;
+  cp.params.shared_mem_bytes = 512;
+  cp.params.needs_sync = true;
+  cp.params.set_args(std::array<std::int32_t, 3>{1, 2, 3});
+  cp.point = migrate::SafePoint::kTableParked;
+  const std::vector<std::byte> image = migrate::serialize(cp);
+  std::string body(image.size() - 8, '\0');
+  std::memcpy(body.data(), image.data(), body.size());
+  ASSERT_EQ(seal(body).size(), image.size());
+  ASSERT_EQ(std::memcmp(seal(body).data(), image.data(), image.size()), 0);
+
+  fuzz(0xC4EC, {body}, [](const std::string& in) {
+    const std::string sealed = seal(in);
+    const std::span<const std::byte> bytes(
+        reinterpret_cast<const std::byte*>(sealed.data()), sealed.size());
+    migrate::TaskCheckpoint out;
+    if (!migrate::deserialize(bytes, &out)) return;
+    const std::vector<std::byte> again = migrate::serialize(out);
+    ASSERT_EQ(again.size(), bytes.size());
+    EXPECT_EQ(std::memcmp(again.data(), bytes.data(), bytes.size()), 0);
+  });
 }
 
 }  // namespace

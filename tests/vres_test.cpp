@@ -1,10 +1,10 @@
 // The virtual resource plane (DESIGN.md §16): ResourceLedger invariants,
-// VirtualShmem passthrough byte-identity and deterministic spill/reclaim,
-// virtual occupancy arithmetic, and an end-to-end oversubscribed run in
-// compute mode (run_experiment aborts unless the CPU reference matches).
+// VirtualShmem passthrough byte-identity and admission-only virtual
+// charging, virtual occupancy arithmetic, and an end-to-end oversubscribed
+// run in compute mode (run_experiment aborts unless the CPU reference
+// matches).
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -133,7 +133,11 @@ TEST(VirtualShmem, PassthroughMatchesRawBuddy) {
   ASSERT_FALSE(virt.virtualized());
 
   SplitMix64 rng(0xBEEFULL);
-  std::vector<std::int32_t> live;
+  struct Live {
+    std::int32_t offset;
+    std::int32_t bytes;
+  };
+  std::vector<Live> live;
   for (int i = 0; i < 500; ++i) {
     const double roll = rng.next_double();
     if (roll < 0.6) {
@@ -144,115 +148,82 @@ TEST(VirtualShmem, PassthroughMatchesRawBuddy) {
       const auto want = raw.allocate(bytes);
       ASSERT_EQ(got.has_value(), want.has_value()) << "step " << i;
       if (got.has_value()) {
-        ASSERT_EQ(got->offset, *want) << "step " << i;
-        ASSERT_EQ(got->vid, -1) << "step " << i;
-        ASSERT_EQ(got->spills, 0) << "step " << i;
-        live.push_back(got->offset);
+        ASSERT_EQ(*got, *want) << "step " << i;
+        live.push_back({*got, bytes});
       }
     } else if (roll < 0.9 && !live.empty()) {
       const auto idx = static_cast<std::size_t>(rng.next_double() *
                                                 static_cast<double>(live.size()));
-      virt.mark_for_deallocation(live[idx]);
-      raw.mark_for_deallocation(live[idx]);
+      virt.mark_for_deallocation(live[idx].offset, live[idx].bytes);
+      raw.mark_for_deallocation(live[idx].offset);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     } else {
       ASSERT_EQ(virt.sweep_deferred(), raw.sweep_deferred()) << "step " << i;
     }
     ASSERT_EQ(virt.allocated_bytes(), raw.allocated_bytes()) << "step " << i;
     ASSERT_EQ(virt.has_deferred(), raw.has_deferred()) << "step " << i;
+    ASSERT_EQ(virt.virtual_bytes_in_use(), 0) << "step " << i;
   }
+  EXPECT_EQ(virt.alloc_failures(), raw.alloc_failures());
+  EXPECT_EQ(virt.sweeps(), raw.sweeps());
+  EXPECT_EQ(virt.blocks_swept(), raw.blocks_swept());
 }
 
 // ---------------------------------------------------------------------------
-// Virtualized mode: deterministic coldest-first spill, content-preserving
-// reclaim, and the ledger invariant across the whole episode.
-// ---------------------------------------------------------------------------
-
-TEST(VirtualShmem, SpillsColdestAndReclaimPreservesBytes) {
-  constexpr std::int32_t kArena = 4 * 1024;
-  constexpr std::int32_t kBlock = 2 * 1024;
-  std::vector<std::byte> arena(kArena);
-  vres::VirtualShmem virt(arena, /*oversub=*/2.0);
-  ASSERT_TRUE(virt.virtualized());
-  ASSERT_EQ(virt.virtual_arena_bytes(), 2 * kArena);
-
-  const auto a = virt.allocate(kBlock, kBlock);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->spills, 0);
-  // Scribble a recognizable pattern into A's physical window.
-  for (std::int32_t i = 0; i < kBlock; ++i) {
-    arena[static_cast<std::size_t>(a->offset + i)] =
-        static_cast<std::byte>(i * 7 + 3);
-  }
-  const auto b = virt.allocate(kBlock, kBlock);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->spills, 0);
-
-  // The arena is physically full but virtually half-used: the third block
-  // must evict the coldest unpinned resident — A (lowest vid, never touched).
-  const auto c = virt.allocate(kBlock, kBlock);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->spills, 1);
-  EXPECT_EQ(c->spilled_bytes, kBlock);
-  EXPECT_EQ(virt.spilled_bytes_in_use(), kBlock);
-  EXPECT_TRUE(virt.ledger().check_invariant());
-
-  // Simulate C's threadblock clobbering the bytes A used to own.
-  for (auto& byte : arena) byte = std::byte{0xEE};
-
-  // Touching A reclaims it (spilling the next-coldest victim, B) and must
-  // restore A's bytes exactly at its new physical offset.
-  const auto back = virt.touch(a->vid);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(back->reclaimed);
-  EXPECT_EQ(back->reclaimed_bytes, kBlock);
-  EXPECT_EQ(back->spills, 1);
-  for (std::int32_t i = 0; i < kBlock; ++i) {
-    ASSERT_EQ(arena[static_cast<std::size_t>(back->offset + i)],
-              static_cast<std::byte>(i * 7 + 3))
-        << "byte " << i;
-  }
-  EXPECT_TRUE(virt.ledger().check_invariant());
-  EXPECT_EQ(virt.spills(), 2);
-  EXPECT_EQ(virt.reclaims(), 1);
-
-  // A is pinned by its touch, so reclaiming B can only evict C — the one
-  // remaining unpinned resident.
-  const auto b2 = virt.touch(b->vid);
-  ASSERT_TRUE(b2.has_value());
-  EXPECT_TRUE(b2->reclaimed);
-  EXPECT_EQ(b2->spills, 1);
-  virt.mark_for_deallocation(-1, a->vid);
-  virt.mark_for_deallocation(-1, b->vid);
-  virt.sweep_deferred();
-  const auto c2 = virt.touch(c->vid);
-  ASSERT_TRUE(c2.has_value());
-  EXPECT_TRUE(c2->reclaimed);
-  virt.mark_for_deallocation(-1, c->vid);
-  virt.sweep_deferred();
-  EXPECT_EQ(virt.live_allocations(), 0);
-  EXPECT_EQ(virt.ledger().virtual_allocated(), 0);
-}
-
-// Declared > used: the virtual charge is pow2(declared), the physical
+// Virtualized mode: the virtual charge is pow2(declared), the physical
 // backing pow2(used) — more blocks co-reside than the declared footprints
 // could ever pack physically.
+// ---------------------------------------------------------------------------
+
 TEST(VirtualShmem, UsedFootprintPacksDenserThanDeclared) {
   constexpr std::int32_t kArena = 8 * 1024;
   std::vector<std::byte> arena(kArena);
   vres::VirtualShmem virt(arena, /*oversub=*/2.0);
+  ASSERT_TRUE(virt.virtualized());
   // Four blocks declaring 4 KB each (16 KB total — only the virtual arena
   // holds them) while using 2 KB each (8 KB — exactly the physical arena).
   for (int i = 0; i < 4; ++i) {
-    const auto r = virt.allocate(4 * 1024, 2 * 1024);
-    ASSERT_TRUE(r.has_value()) << "block " << i;
-    EXPECT_EQ(r->spills, 0) << "block " << i;
+    ASSERT_TRUE(virt.allocate(4 * 1024, 2 * 1024).has_value())
+        << "block " << i;
   }
   EXPECT_EQ(virt.virtual_bytes_in_use(), 16 * 1024);
   EXPECT_EQ(virt.allocated_bytes(), 8 * 1024);
-  EXPECT_EQ(virt.spilled_bytes_in_use(), 0);
-  // A fifth 4 KB declaration no longer fits virtually (20 KB > 16 KB).
+  // A fifth 4 KB declaration no longer fits virtually (20 KB > 16 KB), and
+  // is refused before the buddy is asked: no physical failure is counted.
   EXPECT_FALSE(virt.allocate(4 * 1024, 2 * 1024).has_value());
+  EXPECT_EQ(virt.alloc_failures(), 0);
+}
+
+// A full physical arena refuses the block (nothing is evicted), and a
+// deferred free returns the virtual charge only when the scheduler sweeps.
+TEST(VirtualShmem, PhysicalPressureWaitsForTheSweep) {
+  constexpr std::int32_t kArena = 4 * 1024;
+  constexpr std::int32_t kBlock = 2 * 1024;
+  std::vector<std::byte> arena(kArena);
+  vres::VirtualShmem virt(arena, /*oversub=*/2.0);
+  // A declares 1.5 KB: charged and backed as its 2 KB buddy block.
+  const auto a = virt.allocate(1536, 1536);
+  const auto b = virt.allocate(kBlock, kBlock);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  // Virtually half used, physically full: the third block waits.
+  EXPECT_FALSE(virt.allocate(kBlock, kBlock).has_value());
+  EXPECT_EQ(virt.alloc_failures(), 1);
+  EXPECT_EQ(virt.virtual_bytes_in_use(), 2 * kBlock);
+
+  // The last warp marks A with its declared size; until the sweep, both
+  // the bytes and the charge stay held.
+  virt.mark_for_deallocation(*a, 1536);
+  EXPECT_TRUE(virt.has_deferred());
+  EXPECT_EQ(virt.virtual_bytes_in_use(), 2 * kBlock);
+  EXPECT_FALSE(virt.allocate(kBlock, kBlock).has_value());
+  EXPECT_EQ(virt.sweep_deferred(), 1);
+  EXPECT_FALSE(virt.has_deferred());
+  EXPECT_EQ(virt.virtual_bytes_in_use(), kBlock);
+  EXPECT_EQ(virt.sweeps(), 1);
+  EXPECT_EQ(virt.blocks_swept(), 1);
+  const auto c = virt.allocate(kBlock, kBlock);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(*c, *a);  // the buddy hands back the freed block
 }
 
 // ---------------------------------------------------------------------------
@@ -293,7 +264,7 @@ TEST(OccupancyVirtual, OversubLiftsShmemBoundResidency) {
 // End to end: irregular DCT under --oversub=1.5 in Compute mode.
 // run_experiment() aborts unless every task's output matches the CPU
 // reference, so passing this test IS the correctness gate for oversubscribed
-// execution. The vres metric keys must appear iff oversub > 1.
+// execution. The fragmentation keys must appear iff oversub > 1.
 // ---------------------------------------------------------------------------
 
 std::string run_dct(double oversub) {
@@ -321,13 +292,15 @@ std::string run_dct(double oversub) {
 
 TEST(VresEndToEnd, OversubComputeVerifiesAndExportsMetrics) {
   const std::string metrics = run_dct(1.5);
-  EXPECT_NE(metrics.find("pagoda.vres.spills"), std::string::npos);
+  EXPECT_NE(metrics.find("pagoda.shmem.internal_frag_bytes"),
+            std::string::npos);
   EXPECT_NE(metrics.find("pagoda.shmem.external_frag"), std::string::npos);
 }
 
 TEST(VresEndToEnd, OversubOneEmitsNoVresKeys) {
   const std::string metrics = run_dct(1.0);
-  EXPECT_EQ(metrics.find("pagoda.vres."), std::string::npos);
+  EXPECT_EQ(metrics.find("pagoda.shmem.internal_frag_bytes"),
+            std::string::npos);
   EXPECT_EQ(metrics.find("pagoda.shmem.external_frag"), std::string::npos);
 }
 

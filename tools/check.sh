@@ -48,6 +48,9 @@ cluster_smoke() {
       "--task-threads=0" "--task-threads=100000" \
       "--gpus=2 --arrival=poisson:nan" "--gpus=2 --arrival=poisson:inf" \
       "--gpus=2 --arrival=diurnal:1000:inf" "--gpus=2 --faults=degrade:1:1:nan" \
+      "--gpus=2 --arrival=poisson:1e-12" "--gpus=2 --arrival=poisson:1e-300" \
+      "--gpus=2 --arrival=poisson:1e-6" "--gpus=2 --arrival=bursty:1000:1e300" \
+      "--gpus=2 --arrival=diurnal:1000:1e300" \
       "--gpus=2 --slo-us=nan" "--gpus=2 --task-timeout-us=nan" \
       "--tasks=-5" "--tasks=0" "--batch=-1" \
       "--gpus=2 --queue-limit=-3" "--gpus=2 --queue-limit=99999999999" \
@@ -302,20 +305,21 @@ migrate_smoke() {
 vres_smoke() {
   local dir="$1"
   echo "==> vres smoke ${dir}"
-  # Oversubscribed single-device run: the vres + fragmentation planes must
-  # export, and compute mode must still verify against the CPU references.
+  # Oversubscribed single-device run: the fragmentation gauges armed with
+  # the vres plane must export, and compute mode must still verify against
+  # the CPU references.
   local out
   out=$("${dir}/tools/pagoda_cli" --workload=DCT --tasks=256 --irregular \
       --oversub=1.5 --metrics)
-  grep -q "pagoda.vres.spills" <<<"${out}"
+  grep -q "pagoda.shmem.internal_frag_bytes" <<<"${out}"
   grep -q "pagoda.shmem.external_frag" <<<"${out}"
   "${dir}/tools/pagoda_cli" --workload=DCT --tasks=128 --irregular \
       --oversub=1.5 --compute >/dev/null
-  # --oversub=1.0 keeps the plane dark: no vres keys may appear (the
+  # --oversub=1.0 keeps the plane dark: no vres-armed keys may appear (the
   # byte-identical-by-construction contract).
   out=$("${dir}/tools/pagoda_cli" --workload=DCT --tasks=256 --irregular \
       --metrics)
-  if grep -q "pagoda.vres" <<<"${out}"; then
+  if grep -q "pagoda.shmem.internal_frag_bytes" <<<"${out}"; then
     echo "error: --oversub=1 unexpectedly exported vres metrics" >&2
     exit 1
   fi

@@ -129,7 +129,7 @@ const char* policy_desc(std::string_view name) {
     return "pack the fewest awake nodes so the governor can sleep the rest";
   }
   if (name == "vres-aware") {
-    return "virtual slot headroom minus spill pressure (pairs with --oversub)";
+    return "max virtual slot headroom (pairs with --oversub)";
   }
   return "";
 }
