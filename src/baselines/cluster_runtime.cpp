@@ -54,7 +54,7 @@ class ClusterDriver final : public TaskRuntime {
     return max_wave(w) == 0;  // no global barrier in a serving cluster
   }
 
-  RunResult run(workloads::Workload& w, const RunConfig& cfg) override {
+  RunResult do_run(workloads::Workload& w, const RunConfig& cfg) override {
     std::unique_ptr<cluster::PlacementPolicy> policy =
         cluster::make_policy(cfg.cluster.policy);
     PAGODA_CHECK_MSG(policy != nullptr, "unknown placement policy");

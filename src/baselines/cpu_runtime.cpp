@@ -121,7 +121,7 @@ class CpuRuntime final : public TaskRuntime {
     return cores_ == 1 ? "Sequential" : "PThreads";
   }
 
-  RunResult run(workloads::Workload& w, const RunConfig& cfg) override {
+  RunResult do_run(workloads::Workload& w, const RunConfig& cfg) override {
     const std::span<const workloads::TaskSpec> tasks = w.tasks();
     CpuState st(cfg, cores_, static_cast<int>(tasks.size()));
     st.sim().spawn(controller(st, cfg, tasks, max_wave(w) + 1));

@@ -128,7 +128,7 @@ class FusionRuntime final : public TaskRuntime {
     return max_wave(w) == 0;
   }
 
-  RunResult run(workloads::Workload& w, const RunConfig& cfg) override {
+  RunResult do_run(workloads::Workload& w, const RunConfig& cfg) override {
     PAGODA_CHECK_MSG(supports(w), "static fusion cannot run this workload");
     FusionState st(cfg);
     st.fused_tasks.reserve(w.tasks().size());

@@ -194,7 +194,7 @@ class GemtcRuntime final : public TaskRuntime {
     return true;
   }
 
-  RunResult run(workloads::Workload& w, const RunConfig& cfg) override {
+  RunResult do_run(workloads::Workload& w, const RunConfig& cfg) override {
     PAGODA_CHECK_MSG(supports(w), "GeMTC cannot run this workload");
     const auto num_tasks = static_cast<int>(w.tasks().size());
     GemtcState st(cfg, num_tasks);

@@ -103,7 +103,7 @@ class HyperQRuntime final : public TaskRuntime {
  public:
   std::string_view name() const override { return "HyperQ"; }
 
-  RunResult run(workloads::Workload& w, const RunConfig& cfg) override {
+  RunResult do_run(workloads::Workload& w, const RunConfig& cfg) override {
     const auto num_tasks = static_cast<int>(w.tasks().size());
     HqState st(cfg, num_tasks);
     st.sim().spawn(controller(st, cfg, w));

@@ -192,7 +192,7 @@ class PagodaDriver final : public TaskRuntime {
     return batching_ ? "PagodaBatching" : "Pagoda";
   }
 
-  RunResult run(workloads::Workload& w, const RunConfig& cfg) override {
+  RunResult do_run(workloads::Workload& w, const RunConfig& cfg) override {
     const auto num_tasks = static_cast<int>(w.tasks().size());
     RunState st(cfg, num_tasks);
     st.session.start();

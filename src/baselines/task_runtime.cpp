@@ -9,6 +9,14 @@ int max_wave(const workloads::Workload& w) { return w.max_wave(); }
 
 bool TaskRuntime::supports(const workloads::Workload&) const { return true; }
 
+RunResult TaskRuntime::run(workloads::Workload& w, const RunConfig& cfg) {
+  PAGODA_CHECK_MSG(cfg.mode != gpu::ExecMode::Compute ||
+                       w.mode() == gpu::ExecMode::Compute,
+                   "a Compute-mode run needs a Compute-generated workload: "
+                   "Model mode generates shapes only");
+  return do_run(w, cfg);
+}
+
 engine::SessionConfig device_session(const RunConfig& cfg) {
   engine::SessionConfig sc;
   sc.spec = cfg.spec;

@@ -102,7 +102,13 @@ class TaskRuntime {
   /// dependency-wave workloads like SLUD (§6.2/§6.3).
   virtual bool supports(const workloads::Workload& w) const;
 
-  virtual RunResult run(workloads::Workload& w, const RunConfig& cfg) = 0;
+  /// Executes every task of `w`. The one entry point of every driver: it
+  /// CHECKs that a Compute-mode run gets a Compute-generated workload (a
+  /// Model-mode workload has null data pointers), then calls do_run().
+  RunResult run(workloads::Workload& w, const RunConfig& cfg);
+
+ protected:
+  virtual RunResult do_run(workloads::Workload& w, const RunConfig& cfg) = 0;
 };
 
 /// Factory: "Pagoda", "PagodaBatching", "HyperQ", "GeMTC", "Fusion",

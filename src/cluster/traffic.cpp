@@ -107,6 +107,11 @@ std::optional<ArrivalConfig> ArrivalConfig::parse(std::string_view spec) {
   return gaps_fit(cfg) ? std::optional(cfg) : std::nullopt;
 }
 
+double ArrivalConfig::mean_span_s(std::int64_t requests) const {
+  if (kind == ArrivalKind::Closed) return 0.0;
+  return static_cast<double>(requests) / rate_per_sec;
+}
+
 std::string_view ArrivalConfig::choices() {
   return "closed, poisson:RATE, bursty:RATE[:FACTOR], "
          "diurnal:RATE[:FACTOR[:ON_US]]  (RATE in requests/s; FACTOR > 1; "

@@ -55,6 +55,11 @@ struct ArrivalConfig {
   static std::optional<ArrivalConfig> parse(std::string_view spec);
   /// Valid forms, for CLI error messages.
   static std::string_view choices();
+
+  /// Mean virtual time to offer `requests` arrivals, in seconds: requests /
+  /// rate (0 for Closed). A run whose mean span exceeds its time cap cannot
+  /// complete, so callers reject such a spec up front.
+  double mean_span_s(std::int64_t requests) const;
 };
 
 /// Deterministic inter-arrival gap stream for one ArrivalConfig.

@@ -65,7 +65,6 @@ class BeamFormerWorkload final : public Workload {
   }
 
   void do_generate(const WorkloadConfig& cfg) override {
-    cfg_ = cfg;
     SplitMix64 rng(cfg.seed);
     const int base_width = cfg.input_scale > 0 ? cfg.input_scale : kDefaultWidth;
     const auto n = static_cast<std::size_t>(cfg.num_tasks);
@@ -80,13 +79,15 @@ class BeamFormerWorkload final : public Workload {
       widths_[t] = w;
       total += static_cast<std::size_t>(w);
     }
-    signals_.resize(total * kChannels);
+    // Payload (Compute mode only), drawn after every shape.
+    const bool keep_data = cfg.mode == gpu::ExecMode::Compute;
+    signals_.assign(keep_data ? total * kChannels : 0, 0.0f);
     for (auto& v : signals_) v = static_cast<float>(rng.next_double()) - 0.5f;
-    fir_.resize(kChannels * kTaps);
+    fir_.assign(keep_data ? kChannels * kTaps : 0, 0.0f);
     for (auto& v : fir_) v = static_cast<float>(rng.next_double()) * 0.1f;
-    weights_.resize(kChannels);
+    weights_.assign(keep_data ? kChannels : 0, 0.0f);
     for (auto& v : weights_) v = static_cast<float>(rng.next_double());
-    outputs_.assign(total, 0.0f);
+    outputs_.assign(keep_data ? total : 0, 0.0f);
 
     tasks_.clear();
     tasks_.reserve(n);
@@ -94,10 +95,10 @@ class BeamFormerWorkload final : public Workload {
     for (std::size_t t = 0; t < n; ++t) {
       const int w = widths_[t];
       BfArgs args{};
-      args.signals = signals_.data() + off * kChannels;
-      args.fir = fir_.data();
-      args.weights = weights_.data();
-      args.out = outputs_.data() + off;
+      args.signals = payload_at(signals_, off * kChannels);
+      args.fir = payload_at(fir_, 0);
+      args.weights = payload_at(weights_, 0);
+      args.out = payload_at(outputs_, off);
       args.width = w;
       off += static_cast<std::size_t>(w);
 
@@ -124,7 +125,7 @@ class BeamFormerWorkload final : public Workload {
 
   void reset_outputs() override { outputs_.assign(outputs_.size(), 0.0f); }
 
-  bool verify() const override {
+  bool do_verify() const override {
     for (const TaskSpec& spec : tasks_) {
       BfArgs args{};
       std::memcpy(&args, spec.params.args.data(), sizeof(BfArgs));
@@ -139,7 +140,6 @@ class BeamFormerWorkload final : public Workload {
   }
 
  private:
-  WorkloadConfig cfg_;
   std::vector<int> widths_;
   std::vector<float> signals_;
   std::vector<float> fir_;

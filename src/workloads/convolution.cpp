@@ -67,15 +67,16 @@ class ConvolutionWorkload final : public Workload {
   }
 
   void do_generate(const WorkloadConfig& cfg) override {
-    cfg_ = cfg;
     SplitMix64 rng(cfg.seed);
     const int side = cfg.input_scale > 0 ? cfg.input_scale : kDefaultSide;
-    side_ = side;
     const int pixels = side * side;
     const auto n = static_cast<std::size_t>(cfg.num_tasks);
-    inputs_.resize(n * static_cast<std::size_t>(pixels));
+    // Every task has the same shape; the images and the filter are payload
+    // (Compute mode only).
+    const bool keep_data = cfg.mode == gpu::ExecMode::Compute;
+    inputs_.assign(keep_data ? n * static_cast<std::size_t>(pixels) : 0, 0.0f);
     for (auto& v : inputs_) v = static_cast<float>(rng.next_double());
-    filter_.resize(kK * kK);
+    filter_.assign(keep_data ? kK * kK : 0, 0.0f);
     for (auto& v : filter_) v = static_cast<float>(rng.next_double()) / (kK * kK);
     outputs_.assign(inputs_.size(), 0.0f);
 
@@ -83,9 +84,9 @@ class ConvolutionWorkload final : public Workload {
     tasks_.reserve(n);
     for (std::size_t t = 0; t < n; ++t) {
       ConvArgs args{};
-      args.in = inputs_.data() + t * static_cast<std::size_t>(pixels);
-      args.filter = filter_.data();
-      args.out = outputs_.data() + t * static_cast<std::size_t>(pixels);
+      args.in = payload_at(inputs_, t * static_cast<std::size_t>(pixels));
+      args.filter = payload_at(filter_, 0);
+      args.out = payload_at(outputs_, t * static_cast<std::size_t>(pixels));
       args.side = side;
 
       TaskSpec spec;
@@ -105,7 +106,7 @@ class ConvolutionWorkload final : public Workload {
 
   void reset_outputs() override { outputs_.assign(outputs_.size(), 0.0f); }
 
-  bool verify() const override {
+  bool do_verify() const override {
     for (const TaskSpec& spec : tasks_) {
       ConvArgs args{};
       std::memcpy(&args, spec.params.args.data(), sizeof(ConvArgs));
@@ -123,8 +124,6 @@ class ConvolutionWorkload final : public Workload {
   }
 
  private:
-  WorkloadConfig cfg_;
-  int side_ = kDefaultSide;
   std::vector<float> inputs_;
   std::vector<float> filter_;
   std::vector<float> outputs_;

@@ -135,10 +135,8 @@ class Dct8x8Workload final : public Workload {
   }
 
   void do_generate(const WorkloadConfig& cfg) override {
-    cfg_ = cfg;
     SplitMix64 rng(cfg.seed);
     const int base_side = cfg.input_scale > 0 ? cfg.input_scale : kDefaultSide;
-    side_ = base_side;
     const auto n = static_cast<std::size_t>(cfg.num_tasks);
     // Per-task image sides. Irregular mode varies the camera resolution per
     // task (different-but-small frames, like MM's matrix sweep) while every
@@ -159,9 +157,11 @@ class Dct8x8Workload final : public Workload {
       total_pixels += static_cast<std::size_t>(side) *
                       static_cast<std::size_t>(side);
     }
-    inputs_.resize(total_pixels);
+    // Payload (Compute mode only), drawn after every shape.
+    const bool keep_data = cfg.mode == gpu::ExecMode::Compute;
+    inputs_.assign(keep_data ? total_pixels : 0, 0.0f);
     for (auto& v : inputs_) v = static_cast<float>(rng.next_double()) * 255.0f;
-    outputs_.assign(inputs_.size(), 0.0f);
+    outputs_.assign(keep_data ? total_pixels : 0, 0.0f);
 
     tasks_.clear();
     tasks_.reserve(n);
@@ -170,8 +170,8 @@ class Dct8x8Workload final : public Workload {
       const int side = sides_[t];
       const int pixels = side * side;
       DctArgs args{};
-      args.in = inputs_.data() + offset;
-      args.out = outputs_.data() + offset;
+      args.in = payload_at(inputs_, offset);
+      args.out = payload_at(outputs_, offset);
       args.side = side;
       args.use_shmem = cfg.use_shared_memory ? 1 : 0;
       offset += static_cast<std::size_t>(pixels);
@@ -203,7 +203,7 @@ class Dct8x8Workload final : public Workload {
 
   void reset_outputs() override { outputs_.assign(outputs_.size(), 0.0f); }
 
-  bool verify() const override {
+  bool do_verify() const override {
     for (const TaskSpec& spec : tasks_) {
       DctArgs args{};
       std::memcpy(&args, spec.params.args.data(), sizeof(DctArgs));
@@ -228,8 +228,6 @@ class Dct8x8Workload final : public Workload {
   }
 
  private:
-  WorkloadConfig cfg_;
-  int side_ = kDefaultSide;
   std::vector<int> sides_;
   std::vector<float> inputs_;
   std::vector<float> outputs_;

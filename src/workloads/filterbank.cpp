@@ -123,7 +123,6 @@ class FilterBankWorkload final : public Workload {
   }
 
   void do_generate(const WorkloadConfig& cfg) override {
-    cfg_ = cfg;
     SplitMix64 rng(cfg.seed);
     const int base_width = cfg.input_scale > 0 ? cfg.input_scale : kDefaultWidth;
     const auto n = static_cast<std::size_t>(cfg.num_tasks);
@@ -139,16 +138,19 @@ class FilterBankWorkload final : public Workload {
       widths_[t] = w;
       total_width += static_cast<std::size_t>(w);
     }
-    inputs_.resize(total_width);
+    // Payload and stage scratch (Compute mode only), drawn after every shape.
+    const bool keep_data = cfg.mode == gpu::ExecMode::Compute;
+    inputs_.assign(keep_data ? total_width : 0, 0.0f);
     for (auto& v : inputs_) v = static_cast<float>(rng.next_double()) - 0.5f;
-    filters_h_.resize(kTaps);
-    filters_f_.resize(kTaps);
-    for (int k = 0; k < kTaps; ++k) {
-      filters_h_[static_cast<std::size_t>(k)] = static_cast<float>(rng.next_double());
-      filters_f_[static_cast<std::size_t>(k)] = static_cast<float>(rng.next_double());
+    filters_h_.assign(keep_data ? kTaps : 0, 0.0f);
+    filters_f_.assign(keep_data ? kTaps : 0, 0.0f);
+    for (std::size_t k = 0; k < filters_h_.size(); ++k) {
+      filters_h_[k] = static_cast<float>(rng.next_double());
+      filters_f_[k] = static_cast<float>(rng.next_double());
     }
-    scratch_.assign(total_width * 3 + total_width / kDownFactor, 0.0f);
-    outputs_.assign(total_width, 0.0f);
+    scratch_.assign(
+        keep_data ? total_width * 3 + total_width / kDownFactor : 0, 0.0f);
+    outputs_.assign(keep_data ? total_width : 0, 0.0f);
 
     tasks_.clear();
     tasks_.reserve(n);
@@ -157,13 +159,13 @@ class FilterBankWorkload final : public Workload {
     for (std::size_t t = 0; t < n; ++t) {
       const int w = widths_[t];
       FbArgs args{};
-      args.r = inputs_.data() + off;
-      args.h = filters_h_.data();
-      args.f = filters_f_.data();
-      args.vect_h = scratch_.data() + scratch_off;
-      args.vect_dn = scratch_.data() + scratch_off + w;
-      args.vect_up = scratch_.data() + scratch_off + w + w / kDownFactor;
-      args.vect_f = outputs_.data() + off;
+      args.r = payload_at(inputs_, off);
+      args.h = payload_at(filters_h_, 0);
+      args.f = payload_at(filters_f_, 0);
+      args.vect_h = payload_at(scratch_, scratch_off);
+      args.vect_dn = payload_at(scratch_, scratch_off + w);
+      args.vect_up = payload_at(scratch_, scratch_off + w + w / kDownFactor);
+      args.vect_f = payload_at(outputs_, off);
       args.width = w;
       scratch_off += static_cast<std::size_t>(2 * w + w / kDownFactor);
       off += static_cast<std::size_t>(w);
@@ -190,7 +192,7 @@ class FilterBankWorkload final : public Workload {
 
   void reset_outputs() override { outputs_.assign(outputs_.size(), 0.0f); }
 
-  bool verify() const override {
+  bool do_verify() const override {
     std::vector<float> ref;
     for (const TaskSpec& spec : tasks_) {
       FbArgs args{};
@@ -206,7 +208,6 @@ class FilterBankWorkload final : public Workload {
   }
 
  private:
-  WorkloadConfig cfg_;
   std::vector<int> widths_;
   std::vector<float> inputs_;
   std::vector<float> filters_h_;

@@ -105,18 +105,19 @@ class MandelbrotWorkload final : public Workload {
   }
 
   void do_generate(const WorkloadConfig& cfg) override {
-    cfg_ = cfg;
     const int side = cfg.input_scale > 0 ? cfg.input_scale : kDefaultSide;
     side_ = side;
     const int pixels = side * side;
     const auto n = static_cast<std::size_t>(cfg.num_tasks);
-    outputs_.assign(n * static_cast<std::size_t>(pixels), -1);
+    // Output buffer in Compute mode only; the region draws are the shape.
+    const bool keep_data = cfg.mode == gpu::ExecMode::Compute;
+    outputs_.assign(keep_data ? n * static_cast<std::size_t>(pixels) : 0, -1);
     tasks_.clear();
     tasks_.reserve(n);
     SplitMix64 rng(cfg.seed);
     for (int t = 0; t < cfg.num_tasks; ++t) {
       MbArgs args{};
-      args.out = outputs_.data() + static_cast<std::size_t>(t) * pixels;
+      args.out = payload_at(outputs_, static_cast<std::size_t>(t) * pixels);
       args.width = side;
       args.height = side;
       // Random window over an interesting band of the set.
@@ -148,7 +149,7 @@ class MandelbrotWorkload final : public Workload {
     outputs_.assign(outputs_.size(), -1);
   }
 
-  bool verify() const override {
+  bool do_verify() const override {
     const int pixels = side_ * side_;
     for (const TaskSpec& spec : tasks_) {
       MbArgs args{};
@@ -164,7 +165,6 @@ class MandelbrotWorkload final : public Workload {
   }
 
  private:
-  WorkloadConfig cfg_;
   int side_ = kDefaultSide;
   std::vector<std::int32_t> outputs_;
   std::vector<TaskSpec> tasks_;

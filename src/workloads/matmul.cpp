@@ -93,7 +93,6 @@ class MatMulWorkload final : public Workload {
   }
 
   void do_generate(const WorkloadConfig& cfg) override {
-    cfg_ = cfg;
     SplitMix64 rng(cfg.seed);
     const int base_n = cfg.input_scale > 0 ? cfg.input_scale : kDefaultN;
     const auto count = static_cast<std::size_t>(cfg.num_tasks);
@@ -109,11 +108,13 @@ class MatMulWorkload final : public Workload {
       ns_[t] = n;
       total_elems += static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
     }
-    a_.resize(total_elems);
-    b_.resize(total_elems);
+    // Payload (Compute mode only), drawn after every shape.
+    const bool keep_data = cfg.mode == gpu::ExecMode::Compute;
+    a_.assign(keep_data ? total_elems : 0, 0.0f);
+    b_.assign(keep_data ? total_elems : 0, 0.0f);
     for (auto& v : a_) v = static_cast<float>(rng.next_double()) - 0.5f;
     for (auto& v : b_) v = static_cast<float>(rng.next_double()) - 0.5f;
-    c_.assign(total_elems, 0.0f);
+    c_.assign(keep_data ? total_elems : 0, 0.0f);
 
     tasks_.clear();
     tasks_.reserve(count);
@@ -121,9 +122,9 @@ class MatMulWorkload final : public Workload {
     for (std::size_t t = 0; t < count; ++t) {
       const int n = ns_[t];
       MmArgs args{};
-      args.a = a_.data() + off;
-      args.b = b_.data() + off;
-      args.c = c_.data() + off;
+      args.a = payload_at(a_, off);
+      args.b = payload_at(b_, off);
+      args.c = payload_at(c_, off);
       args.n = n;
       args.use_shmem = cfg.use_shared_memory ? 1 : 0;
       off += static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
@@ -151,7 +152,7 @@ class MatMulWorkload final : public Workload {
 
   void reset_outputs() override { c_.assign(c_.size(), 0.0f); }
 
-  bool verify() const override {
+  bool do_verify() const override {
     for (const TaskSpec& spec : tasks_) {
       MmArgs args{};
       std::memcpy(&args, spec.params.args.data(), sizeof(MmArgs));
@@ -172,7 +173,6 @@ class MatMulWorkload final : public Workload {
   }
 
  private:
-  WorkloadConfig cfg_;
   std::vector<int> ns_;
   std::vector<float> a_;
   std::vector<float> b_;

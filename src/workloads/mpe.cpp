@@ -54,7 +54,7 @@ class MpeWorkload final : public Workload {
     for (const auto& sub : subs_) sub->reset_outputs();
   }
 
-  bool verify() const override {
+  bool do_verify() const override {
     for (const auto& sub : subs_) {
       if (!sub->verify()) return false;
     }

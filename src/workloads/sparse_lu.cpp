@@ -88,7 +88,6 @@ class SparseLuWorkload final : public Workload {
   }
 
   void do_generate(const WorkloadConfig& cfg) override {
-    cfg_ = cfg;
     SplitMix64 rng(cfg.seed);
     const int base_n = cfg.input_scale > 0 ? cfg.input_scale : kDefaultFront;
     const auto count = static_cast<std::size_t>(cfg.num_tasks);
@@ -111,31 +110,33 @@ class SparseLuWorkload final : public Workload {
       }
     }
 
-    ns_.resize(count);
+    std::vector<int> ns(count);
     std::size_t total_elems = 0;
     for (std::size_t t = 0; t < count; ++t) {
       // Fronts shrink toward the tree root but vary irregularly.
       int n = base_n / 2 + static_cast<int>(rng.next_below(
                                static_cast<std::uint64_t>(base_n)));
       n = std::max(8, (n / 8) * 8);
-      ns_[t] = n;
+      ns[t] = n;
       total_elems += static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
     }
-    fronts_.resize(total_elems);
-    seeds_.resize(count);
+    // The fronts are payload (Compute mode only). Each front has its own
+    // generator seed, drawn in both modes: it is a scalar argument.
+    const bool keep_data = cfg.mode == gpu::ExecMode::Compute;
+    fronts_.assign(keep_data ? total_elems : 0, 0.0f);
 
     tasks_.clear();
     tasks_.reserve(count);
     std::size_t off = 0;
     for (std::size_t t = 0; t < count; ++t) {
-      const int n = ns_[t];
-      seeds_[t] = rng.next();
-      fill_front(fronts_.data() + off, n, seeds_[t]);
+      const int n = ns[t];
+      const std::uint64_t seed = rng.next();
+      if (keep_data) fill_front(fronts_.data() + off, n, seed);
 
       LuArgs args{};
-      args.m = fronts_.data() + off;
+      args.m = payload_at(fronts_, off);
       args.n = n;
-      args.gen_seed = seeds_[t];
+      args.gen_seed = seed;
       off += static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
 
       TaskSpec spec;
@@ -161,15 +162,16 @@ class SparseLuWorkload final : public Workload {
   std::span<const TaskSpec> tasks() const override { return tasks_; }
 
   void reset_outputs() override {
-    std::size_t off = 0;
-    for (std::size_t t = 0; t < ns_.size(); ++t) {
-      const int n = ns_[t];
-      fill_front(fronts_.data() + off, n, seeds_[t]);
-      off += static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+    // Factoring is in place: regenerate every front from its seed (Model
+    // mode has no fronts).
+    for (const TaskSpec& spec : tasks_) {
+      LuArgs args{};
+      std::memcpy(&args, spec.params.args.data(), sizeof(LuArgs));
+      if (args.m != nullptr) fill_front(args.m, args.n, args.gen_seed);
     }
   }
 
-  bool verify() const override {
+  bool do_verify() const override {
     for (const TaskSpec& spec : tasks_) {
       LuArgs args{};
       std::memcpy(&args, spec.params.args.data(), sizeof(LuArgs));
@@ -198,9 +200,6 @@ class SparseLuWorkload final : public Workload {
   }
 
  private:
-  WorkloadConfig cfg_;
-  std::vector<int> ns_;
-  std::vector<std::uint64_t> seeds_;
   std::vector<float> fronts_;
   std::vector<TaskSpec> tasks_;
 };

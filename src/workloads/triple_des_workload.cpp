@@ -70,7 +70,6 @@ class TripleDesWorkload final : public Workload {
   }
 
   void do_generate(const WorkloadConfig& cfg) override {
-    cfg_ = cfg;
     SplitMix64 rng(cfg.seed);
     key_ = triple_des_key(rng.next(), rng.next(), rng.next());
     const auto count = static_cast<std::size_t>(cfg.num_tasks);
@@ -86,14 +85,12 @@ class TripleDesWorkload final : public Workload {
       sizes_[t] = draw_packet_bytes(rng, min_bytes, max_bytes);
       total_blocks += static_cast<std::size_t>(sizes_[t] / 8);
     }
+    // Payload (Compute mode only), drawn after every shape: Model mode runs
+    // 32K tasks x up to 64KB, gigabytes of packets no kernel reads.
     const bool keep_data = cfg.mode == gpu::ExecMode::Compute;
-    // Model mode runs 32K tasks x up to 64KB: skip the (gigabytes of)
-    // payload and keep timing only.
     in_.assign(keep_data ? total_blocks : 0, 0);
     out_.assign(keep_data ? total_blocks : 0, 0);
-    if (keep_data) {
-      for (auto& b : in_) b = rng.next();
-    }
+    for (auto& b : in_) b = rng.next();
 
     tasks_.clear();
     tasks_.reserve(count);
@@ -101,9 +98,9 @@ class TripleDesWorkload final : public Workload {
     for (std::size_t t = 0; t < count; ++t) {
       const auto blocks = static_cast<std::int32_t>(sizes_[t] / 8);
       DesArgs args{};
-      args.in = keep_data ? in_.data() + off : nullptr;
-      args.out = keep_data ? out_.data() + off : nullptr;
-      args.key = &key_;
+      args.in = payload_at(in_, off);
+      args.out = payload_at(out_, off);
+      args.key = keep_data ? &key_ : nullptr;
       args.num_blocks = blocks;
       off += static_cast<std::size_t>(blocks);
 
@@ -129,8 +126,7 @@ class TripleDesWorkload final : public Workload {
 
   void reset_outputs() override { out_.assign(out_.size(), 0); }
 
-  bool verify() const override {
-    if (cfg_.mode != gpu::ExecMode::Compute) return true;
+  bool do_verify() const override {
     for (const TaskSpec& spec : tasks_) {
       DesArgs args{};
       std::memcpy(&args, spec.params.args.data(), sizeof(DesArgs));
@@ -147,7 +143,6 @@ class TripleDesWorkload final : public Workload {
   }
 
  private:
-  WorkloadConfig cfg_;
   TripleDesKey key_{};
   std::vector<std::int64_t> sizes_;
   std::vector<std::uint64_t> in_;

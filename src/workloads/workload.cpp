@@ -10,8 +10,16 @@ namespace pagoda::workloads {
 
 void Workload::generate(const WorkloadConfig& cfg) {
   do_generate(cfg);
+  mode_ = cfg.mode;
   max_wave_ = 0;
   for (const TaskSpec& t : tasks()) max_wave_ = std::max(max_wave_, t.wave);
+}
+
+bool Workload::verify() const {
+  PAGODA_CHECK_MSG(mode_ == gpu::ExecMode::Compute,
+                   "verify() needs a Compute-mode workload: Model mode "
+                   "generates shapes only");
+  return do_verify();
 }
 
 std::int64_t Workload::total_h2d_bytes() const {

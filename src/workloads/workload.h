@@ -5,13 +5,19 @@
 // consume TaskSpecs uniformly; the harness charges each task's H2D/D2H data
 // volume and the CPU baseline consumes its scalar op count.
 //
-// Execution modes:
-//  * ExecMode::Compute — kernels perform the real math (results verifiable
-//    against the CPU reference via verify()).
-//  * ExecMode::Model   — identical control flow and *identical cycle
-//    charges*, loop bodies elided (used for the 32K-task sweeps).
-// All cycle charges come from analytic formulas evaluated in both modes, so
-// timing is mode-independent by construction (asserted by a test).
+// Execution modes (WorkloadConfig::mode, cached by generate()):
+//  * ExecMode::Compute — generate() fills every input buffer and kernels
+//    perform the real math (results verifiable against the CPU reference
+//    via verify()).
+//  * ExecMode::Model   — generate() produces shapes only: the same task list
+//    (sizes, threads, blocks, shmem, copy volumes, CPU ops, waves, scalar
+//    arguments) from the same random draws, but no payload. Every data
+//    pointer in the kernel arguments is null, so a kernel that reads data
+//    outside ctx.compute() crashes at once. Used for the 32K-task sweeps.
+// All cycle charges come from analytic formulas over the shapes, evaluated
+// in both modes, so timing is mode-independent by construction (asserted by
+// a test). Generators draw every shape before any payload from their one
+// SplitMix64, so skipping the payload leaves the shape draws unchanged.
 #pragma once
 
 #include <cstdint>
@@ -74,10 +80,14 @@ class Workload {
   virtual WorkloadTraits traits() const = 0;
 
   /// (Re)builds inputs and task list for the given configuration, then
-  /// caches derived task-list properties (dependency-wave depth). Not
-  /// virtual so the cache cannot be bypassed; subclasses implement
-  /// do_generate().
+  /// caches the generation mode and derived task-list properties
+  /// (dependency-wave depth). Not virtual so the cache cannot be bypassed;
+  /// subclasses implement do_generate().
   void generate(const WorkloadConfig& cfg);
+
+  /// Mode of the last generate(). Only a Compute-mode workload holds
+  /// payload, so only it can run in Compute mode or be verified.
+  gpu::ExecMode mode() const { return mode_; }
 
   virtual std::span<const TaskSpec> tasks() const = 0;
 
@@ -91,8 +101,10 @@ class Workload {
   virtual void reset_outputs() = 0;
 
   /// After a Compute-mode run: checks outputs against the CPU reference.
-  /// Returns true when every task's output matches.
-  virtual bool verify() const = 0;
+  /// Returns true when every task's output matches. CHECKs that the
+  /// workload was generated in Compute mode (a Model-mode workload has no
+  /// outputs to check); subclasses implement do_verify().
+  bool verify() const;
 
   std::string_view name() const { return traits().name; }
 
@@ -102,12 +114,23 @@ class Workload {
   double total_cpu_ops() const;
 
  protected:
-  /// Subclass hook: rebuild inputs and the task list.
+  /// Subclass hook: rebuild inputs and the task list. Payload only when
+  /// cfg.mode is Compute (see the header comment).
   virtual void do_generate(const WorkloadConfig& cfg) = 0;
+  /// Subclass hook: compare every task's output with the CPU reference.
+  virtual bool do_verify() const = 0;
 
  private:
+  gpu::ExecMode mode_ = gpu::ExecMode::Model;
   int max_wave_ = 0;
 };
+
+/// Argument pointer `offset` elements into a payload buffer, or null when
+/// the buffer is empty (Model mode keeps no payload).
+template <typename T>
+T* payload_at(std::vector<T>& buffer, std::size_t offset) {
+  return buffer.empty() ? nullptr : buffer.data() + offset;
+}
 
 /// Thread count for a task whose input is `size_ratio` times the nominal
 /// size: proportional, warp-granular, clamped to [32, 256] (the Fig 9

@@ -74,6 +74,30 @@ std::vector<Case> all_cases() {
 INSTANTIATE_TEST_SUITE_P(AllPairs, RuntimeWorkloadMatrix,
                          ::testing::ValuesIn(all_cases()), case_name);
 
+// A Model-mode workload holds shapes only (null data pointers). Every driver
+// enters through TaskRuntime::run, which refuses it for a Compute-mode run
+// with a message instead of a null dereference inside a kernel.
+TEST(RuntimeModeDeathTest, ComputeRunNeedsComputeGeneratedWorkload) {
+  auto wl = workloads::make_workload("MM");
+  workloads::WorkloadConfig wcfg;
+  wcfg.num_tasks = 4;
+  wcfg.mode = gpu::ExecMode::Model;
+  wl->generate(wcfg);
+  baselines::RunConfig rcfg = paper_platform();
+  rcfg.mode = gpu::ExecMode::Compute;
+  for (const char* rt : {"Sequential", "HyperQ", "Pagoda", "Cluster"}) {
+    EXPECT_DEATH(make_runtime(rt)->run(*wl, rcfg),
+                 "Compute-mode run needs a Compute-generated workload")
+        << rt;
+  }
+  // A Model-mode run of a Compute-generated workload is fine: the kernels
+  // only charge cycles.
+  wcfg.mode = gpu::ExecMode::Compute;
+  wl->generate(wcfg);
+  rcfg.mode = gpu::ExecMode::Model;
+  EXPECT_TRUE(make_runtime("Pagoda")->run(*wl, rcfg).completed);
+}
+
 // --- qualitative orderings the paper reports ---------------------------------
 
 TEST(Orderings, GemtcAndFusionCannotRunSlud) {

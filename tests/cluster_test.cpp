@@ -533,6 +533,16 @@ TEST(ClusterTraffic, ArrivalSpecParsing) {
   EXPECT_TRUE(ArrivalConfig::parse("poisson:1e-3").has_value());
   EXPECT_TRUE(ArrivalConfig::parse("bursty:1000:1e6").has_value());
   EXPECT_TRUE(ArrivalConfig::parse("diurnal:1000:1e6:1e9").has_value());
+  // A valid rate can still be too slow for a run: 32 requests at 1e-3/s
+  // take 32000 s on average, past the 3600 s default time cap, so
+  // pagoda_cli rejects the spec; at 1e-2/s they take 3200 s.
+  EXPECT_DOUBLE_EQ(ArrivalConfig::parse("poisson:1e-3")->mean_span_s(32),
+                   32000.0);
+  EXPECT_DOUBLE_EQ(ArrivalConfig::parse("poisson:1e-2")->mean_span_s(32),
+                   3200.0);
+  EXPECT_DOUBLE_EQ(ArrivalConfig::parse("bursty:1e-3:4")->mean_span_s(32),
+                   32000.0);
+  EXPECT_DOUBLE_EQ(ArrivalConfig::parse("closed")->mean_span_s(32), 0.0);
 }
 
 TEST(ClusterTraffic, PoissonGapsMatchTheConfiguredRate) {

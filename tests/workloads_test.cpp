@@ -6,8 +6,12 @@
 // Compute modes charge identical cycles.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu/kernel.h"
@@ -140,6 +144,179 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, WorkloadCorrectness,
                          ::testing::Values("MB", "FB", "BF", "CONV", "DCT",
                                            "MM", "SLUD", "3DES", "MPE"),
                          [](const auto& info) { return info.param; });
+
+// Model mode generates shapes, not bytes: the same task list as Compute mode
+// minus the payload. Every TaskSpec field and every scalar argument must
+// match Compute mode; every data pointer must be null.
+struct ShapeCase {
+  const char* workload;
+  /// "regular"; "irregular" (irregular_sizes); or "dynamic" (Fig 9's
+  /// irregular_sizes + dynamic_threads: threads follow each task's size).
+  const char* variant;
+  std::uint64_t digest;  // FNV-1a of the shape fields, pinned
+};
+
+void PrintTo(const ShapeCase& c, std::ostream* os) {
+  *os << c.workload << '_' << c.variant;
+}
+
+class WorkloadShapes : public ::testing::TestWithParam<ShapeCase> {};
+
+std::unique_ptr<Workload> generate_shape_case(const ShapeCase& c,
+                                              gpu::ExecMode mode) {
+  WorkloadConfig cfg;
+  cfg.num_tasks = 16;
+  cfg.threads_per_task = 96;
+  cfg.mode = mode;
+  cfg.dynamic_threads = std::string_view(c.variant) == "dynamic";
+  cfg.irregular_sizes =
+      cfg.dynamic_threads || std::string_view(c.variant) == "irregular";
+  auto wl = make_workload(c.workload);
+  wl->generate(cfg);
+  return wl;
+}
+
+using ArgWords = std::array<std::uint64_t, runtime::kMaxArgBytes / 8>;
+
+ArgWords arg_words(const runtime::TaskParams& p) {
+  ArgWords w{};
+  std::memcpy(w.data(), p.args.data(), sizeof(w));
+  return w;
+}
+
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ull;
+  template <typename T>
+  void add(const T& v) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+TEST_P(WorkloadShapes, ModelMatchesCompute) {
+  const ShapeCase& c = GetParam();
+  // Two live Compute-mode generations share every scalar argument but no
+  // data pointer, so the argument words where they differ are the pointers.
+  auto compute = generate_shape_case(c, gpu::ExecMode::Compute);
+  auto other = generate_shape_case(c, gpu::ExecMode::Compute);
+  auto model = generate_shape_case(c, gpu::ExecMode::Model);
+  ASSERT_EQ(model->tasks().size(), compute->tasks().size());
+  ASSERT_EQ(other->tasks().size(), compute->tasks().size());
+  EXPECT_EQ(model->max_wave(), compute->max_wave());
+
+  Fnv1a digest;
+  for (std::size_t i = 0; i < compute->tasks().size(); ++i) {
+    SCOPED_TRACE("task " + std::to_string(i));
+    const TaskSpec& cs = compute->tasks()[i];
+    const TaskSpec& ms = model->tasks()[i];
+    const runtime::TaskParams& cp = cs.params;
+    const runtime::TaskParams& mp = ms.params;
+    EXPECT_EQ(mp.fn, cp.fn);
+    EXPECT_EQ(mp.num_blocks, cp.num_blocks);
+    EXPECT_EQ(mp.threads_per_block, cp.threads_per_block);
+    EXPECT_EQ(mp.shared_mem_bytes, cp.shared_mem_bytes);
+    EXPECT_EQ(mp.needs_sync, cp.needs_sync);
+    EXPECT_EQ(mp.sched_class, cp.sched_class);
+    EXPECT_EQ(mp.shmem_used_256, cp.shmem_used_256);
+    EXPECT_EQ(mp.regs_used, cp.regs_used);
+    EXPECT_EQ(mp.args_size, cp.args_size);
+    EXPECT_EQ(mp.deadline_us, cp.deadline_us);
+    EXPECT_EQ(ms.regs_per_thread, cs.regs_per_thread);
+    EXPECT_EQ(ms.h2d_bytes, cs.h2d_bytes);
+    EXPECT_EQ(ms.d2h_bytes, cs.d2h_bytes);
+    EXPECT_EQ(ms.cpu_ops, cs.cpu_ops);
+    EXPECT_EQ(ms.wave, cs.wave);
+
+    const ArgWords cw = arg_words(cp);
+    const ArgWords ow = arg_words(other->tasks()[i].params);
+    const ArgWords mw = arg_words(mp);
+    for (std::size_t w = 0; w < cw.size(); ++w) {
+      if (cw[w] != ow[w]) {
+        EXPECT_EQ(mw[w], 0u) << "Model-mode data pointer in arg word " << w;
+      } else {
+        EXPECT_EQ(mw[w], cw[w]) << "scalar arg word " << w;
+        digest.add(mw[w]);
+      }
+    }
+    digest.add(mp.num_blocks);
+    digest.add(mp.threads_per_block);
+    digest.add(mp.shared_mem_bytes);
+    digest.add(mp.needs_sync);
+    digest.add(mp.sched_class);
+    digest.add(mp.shmem_used_256);
+    digest.add(mp.regs_used);
+    digest.add(mp.args_size);
+    digest.add(mp.deadline_us);
+    digest.add(ms.regs_per_thread);
+    digest.add(ms.h2d_bytes);
+    digest.add(ms.d2h_bytes);
+    digest.add(ms.cpu_ops);
+    digest.add(ms.wave);
+
+    double ci = 0.0;
+    double cst = 0.0;
+    double mi = 0.0;
+    double mst = 0.0;
+    run_task_inline_checked(cs, gpu::ExecMode::Compute, ci, cst);
+    run_task_inline_checked(ms, gpu::ExecMode::Model, mi, mst);
+    EXPECT_EQ(mi, ci) << "issue charges differ between modes";
+    EXPECT_EQ(mst, cst) << "stall charges differ between modes";
+  }
+  EXPECT_EQ(digest.h, c.digest) << std::hex << "0x" << digest.h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBenchmarks, WorkloadShapes,
+    ::testing::Values(ShapeCase{"MB", "regular", 0x2681948eeb8c5753ull},
+                      ShapeCase{"MB", "irregular", 0x2681948eeb8c5753ull},
+                      ShapeCase{"MB", "dynamic", 0x2681948eeb8c5753ull},
+                      ShapeCase{"FB", "regular", 0xa2b9e78ba4120b83ull},
+                      ShapeCase{"FB", "irregular", 0x26f5d38f2adcc0cull},
+                      ShapeCase{"FB", "dynamic", 0x171be8619404080cull},
+                      ShapeCase{"BF", "regular", 0xc6300de0ba2be983ull},
+                      ShapeCase{"BF", "irregular", 0x603097e43230d7d5ull},
+                      ShapeCase{"BF", "dynamic", 0xf95670f52455a4d5ull},
+                      ShapeCase{"CONV", "regular", 0x43fb2b6711871603ull},
+                      ShapeCase{"CONV", "irregular", 0x43fb2b6711871603ull},
+                      ShapeCase{"CONV", "dynamic", 0x43fb2b6711871603ull},
+                      ShapeCase{"DCT", "regular", 0x94d196f419345043ull},
+                      ShapeCase{"DCT", "irregular", 0xe0a84372c70d22ddull},
+                      ShapeCase{"DCT", "dynamic", 0xe0a84372c70d22ddull},
+                      ShapeCase{"MM", "regular", 0x1873811439586c3ull},
+                      ShapeCase{"MM", "irregular", 0xe4ef04fe22cf5831ull},
+                      ShapeCase{"MM", "dynamic", 0x774c39d6e5c34e11ull},
+                      ShapeCase{"SLUD", "regular", 0xc1a2f402ee828aa6ull},
+                      ShapeCase{"SLUD", "irregular", 0xc1a2f402ee828aa6ull},
+                      ShapeCase{"SLUD", "dynamic", 0xc4d091b7d52b0bc6ull},
+                      ShapeCase{"3DES", "regular", 0x1ed72f068238fb31ull},
+                      ShapeCase{"3DES", "irregular", 0x1ed72f068238fb31ull},
+                      ShapeCase{"3DES", "dynamic", 0x82a0217beca755f1ull},
+                      ShapeCase{"MPE", "regular", 0x6e901b83ec800e3full},
+                      ShapeCase{"MPE", "irregular", 0x59599c35eac9ed35ull},
+                      ShapeCase{"MPE", "dynamic", 0xc00732f5c9ab036ull}),
+    [](const auto& info) {
+      return std::string(info.param.workload) + "_" + info.param.variant;
+    });
+
+// verify() has nothing to check on a Model-mode workload (no outputs, null
+// data pointers): it CHECKs the generation mode instead of returning a
+// vacuous true.
+TEST(WorkloadModeDeathTest, VerifyNeedsComputeModeWorkload) {
+  for (const std::string_view name : all_workload_names()) {
+    auto wl = make_workload(name);
+    WorkloadConfig cfg;
+    cfg.num_tasks = 4;
+    cfg.mode = gpu::ExecMode::Model;
+    wl->generate(cfg);
+    EXPECT_EQ(wl->mode(), gpu::ExecMode::Model);
+    EXPECT_DEATH(wl->verify(), "verify\\(\\) needs a Compute-mode workload")
+        << name;
+  }
+}
 
 // Thread-count sweep (Fig 7's axis): work per task must be constant across
 // thread counts — only the distribution changes.

@@ -50,7 +50,7 @@ cluster_smoke() {
       "--gpus=2 --arrival=diurnal:1000:inf" "--gpus=2 --faults=degrade:1:1:nan" \
       "--gpus=2 --arrival=poisson:1e-12" "--gpus=2 --arrival=poisson:1e-300" \
       "--gpus=2 --arrival=poisson:1e-6" "--gpus=2 --arrival=bursty:1000:1e300" \
-      "--gpus=2 --arrival=diurnal:1000:1e300" \
+      "--gpus=2 --arrival=diurnal:1000:1e300" "--gpus=2 --arrival=poisson:1e-3" \
       "--gpus=2 --slo-us=nan" "--gpus=2 --task-timeout-us=nan" \
       "--tasks=-5" "--tasks=0" "--batch=-1" \
       "--gpus=2 --queue-limit=-3" "--gpus=2 --queue-limit=99999999999" \
@@ -450,11 +450,14 @@ fleet_gate() {
 
 wallclock_gate() {
   # Host wall-clock regression gate on the hot path. Median of 3 Release
-  # runs of fig5_overall --tasks=4096 must beat the pre-engine-refactor
-  # baseline (8.357 s) by at least 1.25x.
+  # runs of fig5_overall --tasks=4096 must stay within 1.5x of the 1.136 s
+  # median measured on a 4-core x86 host once Model-mode workloads stopped
+  # generating payload (shapes only). The 5.0-5.3 s median of the build
+  # that still filled payload fails it. Before that re-base the budget was
+  # a raw 6.68 s (8.357 s pre-engine-refactor baseline / 1.25).
   local dir="$1"
-  local baseline_s=8.357
-  local budget_s=6.68   # baseline / 1.25
+  local baseline_s=8.357  # pre-engine-refactor seed, for the speedup field
+  local budget_s=1.70     # 1.5 x 1.136 s
   echo "==> wall-clock gate (fig5_overall --tasks=4096, median of 3)"
   local runs=()
   local t0 t1
@@ -466,8 +469,8 @@ wallclock_gate() {
   done
   local median
   median=$(printf '%s\n' "${runs[@]}" | sort -n | sed -n 2p)
-  printf '{\n  "bench": "fig5_overall",\n  "tasks": 4096,\n  "runs_s": [%s, %s, %s],\n  "median_s": %s,\n  "pre_refactor_baseline_s": %s,\n  "speedup": %s\n}\n' \
-    "${runs[0]}" "${runs[1]}" "${runs[2]}" "${median}" "${baseline_s}" \
+  printf '{\n  "bench": "fig5_overall",\n  "tasks": 4096,\n  "runs_s": [%s, %s, %s],\n  "median_s": %s,\n  "budget_s": %s,\n  "pre_refactor_baseline_s": %s,\n  "speedup": %s\n}\n' \
+    "${runs[0]}" "${runs[1]}" "${runs[2]}" "${median}" "${budget_s}" "${baseline_s}" \
     "$(awk -v b="${baseline_s}" -v m="${median}" 'BEGIN{printf "%.2f", b/m}')" \
     > BENCH_wallclock.json
   echo "    runs: ${runs[*]} -> median ${median}s (budget ${budget_s}s)"

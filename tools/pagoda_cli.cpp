@@ -490,6 +490,18 @@ int main(int argc, char** argv) {
       return 1;
     }
     rcfg.cluster.arrival = *acfg;
+    // A valid rate can still be too slow for the run: offering every task
+    // must fit the time cap on average, or the run cannot complete.
+    const double span_s = acfg->mean_span_s(wcfg.num_tasks);
+    if (span_s > sim::to_seconds(rcfg.time_cap)) {
+      std::fprintf(stderr,
+                   "error: --arrival '%s' spreads %d tasks over %.4g s on "
+                   "average, past the run's %.0f s time cap; raise the rate "
+                   "or lower --tasks\n",
+                   arrival.c_str(), wcfg.num_tasks, span_s,
+                   sim::to_seconds(rcfg.time_cap));
+      return 1;
+    }
     const double slo_us = flags.get_double("slo-us", 0.0);
     if (slo_us < 0.0 || slo_us > sim::kMaxSpecMicroseconds) {
       std::fprintf(stderr, "error: --slo-us must be in [0, 1e12]\n");
