@@ -19,6 +19,14 @@ GpuNode::GpuNode(sim::Simulation& sim, const NodeConfig& cfg, int index)
                }()),
       pipe_(session_, {.h2d_streams = 1, .d2h_streams = 1}) {}
 
+fault::NodeSig GpuNode::live_sig() const {
+  const runtime::MasterKernel& mk = session_.rt().master_kernel();
+  pcie::PcieBus& bus = session_.pcie();
+  return {mk.heartbeats(), mk.tasks_completed(),
+          bus.link(pcie::Direction::HostToDevice).transfers_completed() +
+              bus.link(pcie::Direction::DeviceToHost).transfers_completed()};
+}
+
 void GpuNode::cache_insert(std::uint64_t key) {
   if (cfg_.cache_keys <= 0) return;
   if (const auto it = resident_index_.find(key);

@@ -25,6 +25,7 @@
 #include "engine/session.h"
 #include "engine/stage_pipeline.h"
 #include "fault/fault.h"
+#include "fault/watchdog.h"
 #include "gpu/device.h"
 #include "gpu/stream.h"
 #include "host/host_api.h"
@@ -126,8 +127,7 @@ class GpuNode {
       // Crash: snapshot the host-visible liveness signature. The device
       // keeps simulating, but the host's reads of its counters freeze here
       // — exactly the flatline the watchdog detects.
-      frozen_heartbeat_ = session_.rt().master_kernel().heartbeats();
-      frozen_completed_ = session_.rt().master_kernel().tasks_completed();
+      frozen_sig_ = live_sig();
     }
     alive_ = v;
   }
@@ -141,16 +141,11 @@ class GpuNode {
   /// Whether placement may target this node.
   bool eligible() const { return health_ == fault::NodeHealth::kHealthy; }
 
-  /// MasterKernel liveness signature for the watchdog (pure host-side read;
-  /// frozen at the crash instant while the node is down).
-  std::int64_t heartbeat() const {
-    return alive_ ? session_.rt().master_kernel().heartbeats()
-                  : frozen_heartbeat_;
-  }
-  std::int64_t visible_completed() const {
-    return alive_ ? session_.rt().master_kernel().tasks_completed()
-                  : frozen_completed_;
-  }
+  /// Liveness signature for the watchdog (pure host-side reads; frozen at
+  /// the crash instant while the node is down).
+  fault::NodeSig liveness() const { return alive_ ? live_sig() : frozen_sig_; }
+  /// Its MasterKernel heartbeat term (the sampler's per-node signal).
+  std::int64_t heartbeat() const { return liveness().heartbeat; }
 
   // --- power plane (attached by the dispatcher when --power is set) ------
   /// The node's power model; nullptr when the power plane is off. All state
@@ -179,6 +174,8 @@ class GpuNode {
   void cache_clear();
 
  private:
+  fault::NodeSig live_sig() const;
+
   int index_;
   NodeConfig cfg_;
   engine::Session session_;
@@ -186,8 +183,7 @@ class GpuNode {
   std::unique_ptr<power::NodePower> power_;  // nullptr = power plane off
   bool alive_ = true;
   fault::NodeHealth health_ = fault::NodeHealth::kHealthy;
-  std::int64_t frozen_heartbeat_ = 0;
-  std::int64_t frozen_completed_ = 0;
+  fault::NodeSig frozen_sig_;  // liveness() at the crash instant
   int outstanding_ = 0;
   double outstanding_work_ = 0.0;
   std::int64_t completed_ = 0;

@@ -67,36 +67,29 @@ Dispatcher::Dispatcher(Cluster& cluster,
   PAGODA_CHECK_MSG(policy_ != nullptr, "Dispatcher needs a placement policy");
   const std::string invalid = validate(cfg_, cluster.size(), policy_->name());
   PAGODA_CHECK_MSG(invalid.empty(), invalid.c_str());
-  fault_armed_ = cfg_.faults.enabled() || cfg_.task_timeout > 0;
   qos_ = cfg_.qos || cfg_.sched.kind != sched::PolicyKind::kFifo;
-  vres_armed_ = cfg_.oversub > 1.0;
   node_state_.resize(static_cast<std::size_t>(cluster.size()));
   for (int i = 0; i < cluster.size(); ++i) {
     GpuNode& node = cluster.node(i);
     NodeState& ns = node_state_[static_cast<std::size_t>(i)];
     // Virtual admission: the slot queue backpressures on floor(oversub x
-    // TaskTable entries), so up to (virtual - physical) extra requests per
-    // node stage inputs and pipeline behind task_spawn instead of queueing
-    // host-side. records[] stays PHYSICAL — only tasks that actually own a
-    // table entry are tracked, so entry-indexed bookkeeping is unaffected
-    // by over-admission.
-    const int slot_capacity =
-        vres_armed_ ? static_cast<int>(static_cast<double>(node.capacity()) *
-                                       cfg_.oversub)
-                    : node.capacity();
+    // TaskTable entries) (== entries at oversub 1), so up to (virtual -
+    // physical) extra requests per node stage inputs and pipeline behind
+    // task_spawn instead of queueing host-side. records[] stays PHYSICAL —
+    // only tasks that actually own a table entry are tracked, so
+    // entry-indexed bookkeeping is unaffected by over-admission.
+    ns.slot_capacity =
+        static_cast<int>(static_cast<double>(node.capacity()) * cfg_.oversub);
     ns.slots = std::make_unique<sched::ReadyQueue>(cluster.sim(),
-                                                   slot_capacity,
+                                                   ns.slot_capacity,
                                                    sched_policy_);
     ns.records.resize(static_cast<std::size_t>(node.capacity()));
-    if (vres_armed_) {
-      ns.slot_ledger = vres::ResourceLedger(slot_capacity, /*physical=*/0);
-    }
     ns.activity = std::make_unique<sim::Condition>(cluster.sim());
     node.rt().set_completion_observer(
         [this, i](runtime::TaskId id, sim::Time) { on_task_complete(i, id); });
     cluster.sim().spawn(flush_timer(i));
   }
-  if (fault_armed_) {
+  if (cfg_.faults.enabled() || cfg_.task_timeout > 0) {
     for (const fault::CrashEvent& ev : cfg_.faults.crashes) {
       sim().at(ev.at, [this, ev] { inject_crash(ev); });
     }
@@ -123,8 +116,7 @@ Dispatcher::Dispatcher(Cluster& cluster,
                                                   cluster.size());
     sim().spawn(watchdog_loop());
   }
-  power_armed_ = cfg_.power.enabled();
-  if (power_armed_) {
+  if (cfg_.power.enabled()) {
     const power::PowerSpec& spec = *cfg_.power.spec;
     for (int i = 0; i < cluster.size(); ++i) {
       GpuNode& node = cluster.node(i);
@@ -146,8 +138,7 @@ Dispatcher::Dispatcher(Cluster& cluster,
                                                        *fleet_adapter_);
     governor_->start();
   }
-  migrate_armed_ = cfg_.migration.enabled;
-  if (migrate_armed_) {
+  if (cfg_.migration.enabled) {
     migration_ = std::make_unique<migrate::MigrationManager>(cfg_.migration);
   }
   if (cfg_.autoscale.armed()) {
@@ -259,10 +250,9 @@ sim::Process Dispatcher::watchdog_loop() {
     for (int i = 0; i < cluster_->size(); ++i) {
       GpuNode& node = cluster_->node(i);
       if (node.health() == fault::NodeHealth::kDead) continue;
-      const fault::NodeSig sig{node.heartbeat(), node.visible_completed()};
       const bool has_work =
           node_state_[static_cast<std::size_t>(i)].tracked > 0;
-      if (watchdog_->observe(i, sig, has_work)) node_failed(i);
+      if (watchdog_->observe(i, node.liveness(), has_work)) node_failed(i);
     }
   }
 }
@@ -324,13 +314,7 @@ void Dispatcher::offer(Request r) {
     // arrival may instead displace the policy-worst parked request
     // (class-aware shedding — the backlog slot goes to the urgent class).
     if (sched_policy_.fifo() || !try_evict_for(r)) {
-      stats_.dropped += 1;
-      cstats(r.cls).dropped += 1;
-      if (r.slo > 0) stats_.slo_violations += 1;
-      // Dropped requests never consume a uid (that would shift the uid
-      // stream of admitted requests and change seeded fault decisions);
-      // the tracer keys them by offer ordinal instead.
-      if (tracer_ != nullptr) tracer_->on_dropped(r.cls, r.slo, sim().now());
+      drop(r);
       return;
     }
   }
@@ -338,14 +322,9 @@ void Dispatcher::offer(Request r) {
   if (node_index < 0) {
     // Whole fleet dead or draining: refuse at the door rather than queue
     // onto capacity that may never come back.
-    stats_.dropped += 1;
-    cstats(r.cls).dropped += 1;
-    if (r.slo > 0) stats_.slo_violations += 1;
-    if (tracer_ != nullptr) tracer_->on_dropped(r.cls, r.slo, sim().now());
+    drop(r);
     return;
   }
-  PAGODA_CHECK_MSG(node_index < cluster_->size(),
-                   "placement policy returned a bad node index");
   stats_.admitted += 1;
   cstats(r.cls).admitted += 1;
   cls_in_flight_[static_cast<std::size_t>(sched::index(r.cls))] += 1;
@@ -355,11 +334,19 @@ void Dispatcher::offer(Request r) {
     tracer_->on_offered(a.uid, a.r.cls, a.r.slo, a.arrival);
   }
   placements_.push_back(node_index);
-  cluster_->node(node_index).add_outstanding(a.r.cost);
   in_flight_ += 1;
-  backlog_ += 1;
   work_cv_.notify_all();  // new work: un-park the watchdog
-  sim().spawn(serve(std::move(a), node_index));
+  place(std::move(a), node_index);
+}
+
+void Dispatcher::drop(const Request& r) {
+  stats_.dropped += 1;
+  cstats(r.cls).dropped += 1;
+  if (r.slo > 0) stats_.slo_violations += 1;
+  // Dropped requests never consume a uid (that would shift the uid stream
+  // of admitted requests and change seeded fault decisions); the tracer
+  // keys them by offer ordinal instead.
+  if (tracer_ != nullptr) tracer_->on_dropped(r.cls, r.slo, sim().now());
 }
 
 void Dispatcher::dispatch_attempt(Attempt a) {
@@ -369,11 +356,73 @@ void Dispatcher::dispatch_attempt(Attempt a) {
     shed_request(std::move(a), fault::FailureCause::kNodeCrash);
     return;
   }
+  place(std::move(a), node_index);
+}
+
+void Dispatcher::place(Attempt a, int node_index) {
   PAGODA_CHECK_MSG(node_index < cluster_->size(),
                    "placement policy returned a bad node index");
   cluster_->node(node_index).add_outstanding(a.r.cost);
   backlog_ += 1;
   sim().spawn(serve(std::move(a), node_index));
+}
+
+void Dispatcher::leave(int node_index, Attempt a, Held held, Exit exit,
+                       fault::FailureCause cause) {
+  NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
+  if (held != Held::kQueued) {
+    ns.slots->release();
+    ns.granted -= 1;
+    if (held == Held::kStaged) ns.staged -= 1;
+    check_slots(ns);
+  }
+  cluster_->node(node_index).abandon_outstanding(a.r.cost);
+  switch (exit) {
+    case Exit::kRedispatch:
+      stats_.redispatched += 1;
+      fault_event("redispatch");
+      if (tracer_ != nullptr) {
+        // The time the attempt spent on this node stays charged to its
+        // in-progress phase; what follows is re-placement queue wait.
+        tracer_->mark_progress(a.uid, sim().now());
+        tracer_->on_redispatch(a.uid);
+      }
+      dispatch_attempt(std::move(a));
+      return;
+    case Exit::kFail:
+      attempt_failed(std::move(a), cause);
+      return;
+    case Exit::kMigrate: {
+      // The safe point is exactly what the attempt held on the node.
+      const migrate::SafePoint p = held == Held::kQueued
+                                       ? migrate::SafePoint::kQueued
+                                   : held == Held::kStaged
+                                       ? migrate::SafePoint::kStaged
+                                       : migrate::SafePoint::kTableParked;
+      sim().spawn(migrate_out(node_index, std::move(a), p));
+      return;
+    }
+    case Exit::kShed:
+      shed_request(std::move(a), cause);
+      return;
+  }
+}
+
+Dispatcher::Attempt Dispatcher::take_record(NodeState& ns, std::size_t idx) {
+  NodeState::Record& rec = ns.records[idx];
+  // A no-op when the deadline is the event firing right now.
+  if (rec.deadline != 0) sim().cancel(rec.deadline);
+  Attempt a = std::move(rec.att);
+  rec = NodeState::Record{};
+  ns.tracked -= 1;
+  return a;
+}
+
+void Dispatcher::check_slots(const NodeState& ns) {
+  PAGODA_CHECK_MSG(0 <= ns.staged && ns.staged <= ns.granted &&
+                       ns.granted <= ns.slot_capacity,
+                   "slot accounting broke 0 <= staged <= granted <= "
+                   "slot capacity");
 }
 
 sim::Process Dispatcher::serve(Attempt a, int node_index) {
@@ -392,39 +441,39 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
     // Displaced by a more urgent arrival (try_evict_for): resolve as a shed
     // so the exactly-once ledger balances.
     if (tracer_ != nullptr) tracer_->on_admission_block(a.uid, sim().now());
-    node.abandon_outstanding(a.r.cost);
-    shed_request(std::move(a), fault::FailureCause::kEvicted);
+    leave(node_index, std::move(a), Held::kQueued, Exit::kShed,
+          fault::FailureCause::kEvicted);
     co_return;
   }
   if (!grant.granted) {
-    if (migrate_armed_ && node.alive() &&
+    if (migration_ != nullptr && node.alive() &&
         node.health() == fault::NodeHealth::kDraining) {
       // Recalled ungranted by a migrate-not-shed drain's kick_waiters():
       // nothing of this attempt ever reached the node — checkpoint at the
       // queued safe point and re-place.
-      node.abandon_outstanding(a.r.cost);
-      sim().spawn(
-          migrate_out(node_index, std::move(a), migrate::SafePoint::kQueued));
+      leave(node_index, std::move(a), Held::kQueued, Exit::kMigrate);
       co_return;
     }
     // The node died while this attempt queued: no slot was held. Re-place
     // on a healthy peer without charging the retry budget.
-    if (tracer_ != nullptr) {
-      tracer_->on_admission_block(a.uid, sim().now());
-      tracer_->on_redispatch(a.uid);
-    }
-    node.abandon_outstanding(a.r.cost);
-    stats_.redispatched += 1;
-    fault_event("redispatch");
-    dispatch_attempt(std::move(a));
+    if (tracer_ != nullptr) tracer_->on_admission_block(a.uid, sim().now());
+    leave(node_index, std::move(a), Held::kQueued, Exit::kRedispatch);
     co_return;
   }
   stats_.slot_acquires += 1;
-  vres_slot_granted(ns);
+  ns.granted += 1;
+  ns.staged += 1;
+  ns.peak_staged = std::max(ns.peak_staged, ns.staged);
+  // The grant rode purely virtual headroom when more slots are out than
+  // the table physically holds.
+  if (ns.granted > static_cast<int>(ns.records.size())) {
+    stats_.vres_over_admissions += 1;
+  }
+  check_slots(ns);
   const std::uint64_t drain_epoch0 = ns.drain_epoch;
   if (tracer_ != nullptr) tracer_->on_granted(a.uid, sim().now());
 
-  if (power_armed_) {
+  if (governor_ != nullptr) {
     // The grant may have landed on a node still finishing its S-state
     // wake-up (the governor reinstates a waking sleeper immediately so
     // backlog can target it). The residual latency is real wait the
@@ -460,29 +509,21 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
         // The node was declared dead while this copy was on the wire, after
         // the death sweep ran — this attempt is invisible to the sweep, so
         // it must re-place itself (again without charging the budget).
-        if (tracer_ != nullptr) tracer_->on_redispatch(a.uid);
-        ns.slots->release();
-        vres_slot_freed(ns, /*spawned=*/false);
-        node.abandon_outstanding(a.r.cost);
-        stats_.redispatched += 1;
-        fault_event("redispatch");
-        dispatch_attempt(std::move(a));
+        leave(node_index, std::move(a), Held::kStaged, Exit::kRedispatch);
         co_return;
       }
       if (!copy_ok) {
         stats_.injected_transfer_faults += 1;
         fault_event("transfer_fault");
-        ns.slots->release();
-        vres_slot_freed(ns, /*spawned=*/false);
-        attempt_failed(node_index, std::move(a),
-                       fault::FailureCause::kTransferFault);
+        leave(node_index, std::move(a), Held::kStaged, Exit::kFail,
+              fault::FailureCause::kTransferFault);
         co_return;
       }
       if (a.r.data_key != 0) node.cache_insert(a.r.data_key);
     }
   }
 
-  if (migrate_armed_ && node.alive() &&
+  if (migration_ != nullptr && node.alive() &&
       node.health() == fault::NodeHealth::kDraining &&
       ns.drain_epoch != drain_epoch0) {
     // A drain began while this attempt staged its input (wake-wait or H2D
@@ -490,30 +531,21 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
     // yet. Checkpoint at the staged safe point instead of spawning into a
     // draining table. The epoch guard keeps an attempt RESTORED onto a
     // still-draining node (zero-loss fallback) from migrating forever.
-    ns.slots->release();
-    vres_slot_freed(ns, /*spawned=*/false);
-    node.abandon_outstanding(a.r.cost);
-    sim().spawn(
-        migrate_out(node_index, std::move(a), migrate::SafePoint::kStaged));
+    leave(node_index, std::move(a), Held::kStaged, Exit::kMigrate);
     co_return;
   }
 
   const runtime::TaskHandle h = co_await node.rt().task_spawn(a.r.params);
   ns.spawn_epoch += 1;
-  vres_slot_spawned(ns);
+  ns.staged -= 1;
+  check_slots(ns);
   ns.activity->notify_all();
   if (tracer_ != nullptr) tracer_->on_spawned(a.uid, sim().now());
   if (node.health() == fault::NodeHealth::kDead) {
     // Death was detected mid-spawn: the sweep never saw this attempt and
     // any completion of the spawned task will be swallowed. Re-place it;
     // the orphaned TaskTable entry resolves GPU-side on its own.
-    if (tracer_ != nullptr) tracer_->on_redispatch(a.uid);
-    ns.slots->release();
-    vres_slot_freed(ns, /*spawned=*/true);
-    node.abandon_outstanding(a.r.cost);
-    stats_.redispatched += 1;
-    fault_event("redispatch");
-    dispatch_attempt(std::move(a));
+    leave(node_index, std::move(a), Held::kSpawned, Exit::kRedispatch);
     co_return;
   }
   const std::size_t idx =
@@ -531,7 +563,7 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
   }
   rec.att = std::move(a);
   ns.tracked += 1;
-  if (migrate_armed_ && node.alive() &&
+  if (migration_ != nullptr && node.alive() &&
       node.health() == fault::NodeHealth::kDraining &&
       ns.drain_epoch != drain_epoch0) {
     // The drain sweep ran while task_spawn was in flight and never saw this
@@ -550,7 +582,7 @@ void Dispatcher::on_task_complete(int node_index, runtime::TaskId id) {
   const std::size_t idx = static_cast<std::size_t>(id - runtime::kFirstTaskId);
   PAGODA_CHECK(idx < ns.records.size());
   if (!ns.records[idx].active) return;  // not a dispatcher task
-  if (fault_armed_) {
+  if (watchdog_ != nullptr) {
     NodeState::Record& r = ns.records[idx];
     if (cfg_.faults.wedges(r.uid, r.att.attempt)) {
       // Slot wedge: the completion is swallowed. The TaskTable entry is
@@ -566,35 +598,26 @@ void Dispatcher::on_task_complete(int node_index, runtime::TaskId id) {
       return;
     }
     if (cfg_.faults.task_fails(r.uid, r.att.attempt)) {
-      Attempt a = std::move(r.att);
-      if (r.deadline != 0) sim().cancel(r.deadline);
-      ns.records[idx] = NodeState::Record{};
-      ns.tracked -= 1;
+      Attempt a = take_record(ns, idx);
       stats_.injected_task_faults += 1;
       fault_event("task_fault");
-      ns.slots->release();
-      vres_slot_freed(ns, /*spawned=*/true);
-      attempt_failed(node_index, std::move(a), fault::FailureCause::kTaskFault);
+      leave(node_index, std::move(a), Held::kSpawned, Exit::kFail,
+            fault::FailureCause::kTaskFault);
       return;
     }
   }
-  NodeState::Record rec = std::move(ns.records[idx]);
   // Erase NOW: the GPU just freed the entry, so a successor may spawn into
   // it before this request's output copy drains.
-  ns.records[idx] = NodeState::Record{};
-  ns.tracked -= 1;
-  if (rec.deadline != 0) sim().cancel(rec.deadline);
-  if (tracer_ != nullptr) tracer_->on_exec_done(rec.uid, sim().now());
+  Attempt a = take_record(ns, idx);
+  if (tracer_ != nullptr) tracer_->on_exec_done(a.uid, sim().now());
 
-  if (rec.att.r.d2h_bytes > 0) {
+  if (a.r.d2h_bytes > 0) {
+    const auto bytes = static_cast<std::size_t>(a.r.d2h_bytes);
     cluster_->node(node_index).d2h_stream().memcpy_async(
-        pcie::Direction::DeviceToHost, nullptr, nullptr,
-        static_cast<std::size_t>(rec.att.r.d2h_bytes),
-        [this, node_index, att = std::move(rec.att)] {
-          finalize(node_index, att);
-        });
+        pcie::Direction::DeviceToHost, nullptr, nullptr, bytes,
+        [this, node_index, att = std::move(a)] { finalize(node_index, att); });
   } else {
-    finalize(node_index, rec.att);
+    finalize(node_index, std::move(a));
   }
 }
 
@@ -611,61 +634,25 @@ void Dispatcher::on_task_claimed(int node_index, runtime::TaskId id,
   tracer_->on_claimed(ns.records[idx].uid, now);
 }
 
-// --- virtual slot ledger ----------------------------------------------------
-
-void Dispatcher::vres_slot_granted(NodeState& ns) {
-  if (!vres_armed_) return;
-  ns.slot_ledger.allocate_spilled(1);
-  // The grant rode purely virtual headroom when more slots are out than the
-  // table physically holds (the spilled depth is exactly that excess, since
-  // resident slots never exceed spawned-and-undrained tasks).
-  if (ns.slot_ledger.virtual_allocated() >
-      static_cast<std::int64_t>(ns.records.size())) {
-    stats_.vres_over_admissions += 1;
-  }
-}
-
-void Dispatcher::vres_slot_spawned(NodeState& ns) {
-  if (vres_armed_) ns.slot_ledger.reclaim(1);
-}
-
-void Dispatcher::vres_slot_freed(NodeState& ns, bool spawned) {
-  if (!vres_armed_) return;
-  if (spawned) {
-    ns.slot_ledger.free_resident(1);
-  } else {
-    ns.slot_ledger.free_spilled(1);
-  }
-}
-
 void Dispatcher::on_deadline(int node_index, std::size_t idx,
                              std::uint64_t uid) {
   NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
+  Attempt a;
   if (const auto it = wedged_.find(uid); it != wedged_.end()) {
-    Attempt a = std::move(it->second.att);
+    a = std::move(it->second.att);
     wedged_.erase(it);
-    stats_.detected_timeouts += 1;
-    fault_event("timeout");
-    ns.slots->release();
-    vres_slot_freed(ns, /*spawned=*/true);
-    attempt_failed(node_index, std::move(a), fault::FailureCause::kTimeout);
-    return;
+  } else if (ns.records[idx].active && ns.records[idx].uid == uid) {
+    a = take_record(ns, idx);
+  } else {
+    return;  // already resolved; stale timer
   }
-  NodeState::Record& rec = ns.records[idx];
-  if (!rec.active || rec.uid != uid) return;  // already resolved; stale timer
-  Attempt a = std::move(rec.att);
-  ns.records[idx] = NodeState::Record{};
-  ns.tracked -= 1;
   stats_.detected_timeouts += 1;
   fault_event("timeout");
-  ns.slots->release();
-  vres_slot_freed(ns, /*spawned=*/true);
-  attempt_failed(node_index, std::move(a), fault::FailureCause::kTimeout);
+  leave(node_index, std::move(a), Held::kSpawned, Exit::kFail,
+        fault::FailureCause::kTimeout);
 }
 
-void Dispatcher::attempt_failed(int node_index, Attempt a,
-                                fault::FailureCause cause) {
-  cluster_->node(node_index).abandon_outstanding(a.r.cost);
+void Dispatcher::attempt_failed(Attempt a, fault::FailureCause cause) {
   const sim::Time now = sim().now();
   // Charge the in-progress phase up to the detection instant, so e.g. a
   // timeout's wait is attributed to the phase the attempt was stuck in.
@@ -721,7 +708,8 @@ void Dispatcher::finalize(int node_index, Attempt att) {
   node.remove_outstanding(att.r.cost);
   NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
   ns.slots->release();
-  vres_slot_freed(ns, /*spawned=*/true);
+  ns.granted -= 1;
+  check_slots(ns);
   stats_.slot_releases += 1;
   stats_.completed += 1;
   ClassStats& cs = cstats(att.r.cls);
@@ -802,24 +790,9 @@ void Dispatcher::node_failed(int node_index) {
   // Sweep tracked in-flight attempts onto healthy peers, exactly once each,
   // without charging their retry budget — the requests did nothing wrong.
   for (std::size_t idx = 0; idx < ns.records.size(); ++idx) {
-    NodeState::Record& rec = ns.records[idx];
-    if (!rec.active) continue;
-    if (rec.deadline != 0) sim().cancel(rec.deadline);
-    Attempt a = std::move(rec.att);
-    ns.records[idx] = NodeState::Record{};
-    ns.tracked -= 1;
-    ns.slots->release();
-    vres_slot_freed(ns, /*spawned=*/true);
-    node.abandon_outstanding(a.r.cost);
-    stats_.redispatched += 1;
-    fault_event("redispatch");
-    if (tracer_ != nullptr) {
-      // The time the attempt spent on the dead node stays charged to its
-      // in-progress phase; what follows is re-placement queue wait.
-      tracer_->mark_progress(a.uid, sim().now());
-      tracer_->on_redispatch(a.uid);
-    }
-    dispatch_attempt(std::move(a));
+    if (!ns.records[idx].active) continue;
+    leave(node_index, take_record(ns, idx), Held::kSpawned,
+          Exit::kRedispatch);
   }
   for (auto it = wedged_.begin(); it != wedged_.end();) {
     if (it->second.node != node_index) {
@@ -829,16 +802,7 @@ void Dispatcher::node_failed(int node_index) {
     if (it->second.deadline != 0) sim().cancel(it->second.deadline);
     Attempt a = std::move(it->second.att);
     it = wedged_.erase(it);
-    ns.slots->release();
-    vres_slot_freed(ns, /*spawned=*/true);
-    node.abandon_outstanding(a.r.cost);
-    stats_.redispatched += 1;
-    fault_event("redispatch");
-    if (tracer_ != nullptr) {
-      tracer_->mark_progress(a.uid, sim().now());
-      tracer_->on_redispatch(a.uid);
-    }
-    dispatch_attempt(std::move(a));
+    leave(node_index, std::move(a), Held::kSpawned, Exit::kRedispatch);
   }
 }
 
@@ -846,11 +810,15 @@ void Dispatcher::recover_node(int node_index) {
   GpuNode& node = cluster_->node(node_index);
   if (node.alive()) return;
   node.set_alive(true);
-  node.set_health(fault::NodeHealth::kHealthy);
-  node_state_[static_cast<std::size_t>(node_index)].slots->reopen();
-  if (watchdog_) watchdog_->reset(node_index);
+  return_to_service(node_index);
   stats_.nodes_recovered += 1;
   fault_event("node_recovered");
+}
+
+void Dispatcher::return_to_service(int node_index) {
+  cluster_->node(node_index).set_health(fault::NodeHealth::kHealthy);
+  node_state_[static_cast<std::size_t>(node_index)].slots->reopen();
+  if (watchdog_ != nullptr) watchdog_->reset(node_index);
 }
 
 void Dispatcher::drain_node(int node_index) {
@@ -858,7 +826,7 @@ void Dispatcher::drain_node(int node_index) {
   if (node.health() == fault::NodeHealth::kDead) return;
   node.set_health(fault::NodeHealth::kDraining);
   fault_event("drain_node");
-  if (!migrate_armed_) return;
+  if (migration_ == nullptr) return;
   // Migrate-not-shed: walk the node's safe points instead of waiting its
   // in-flight work out.
   NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
@@ -891,17 +859,8 @@ sim::Process Dispatcher::migrate_revoke(int node_index, std::size_t idx,
   // Re-validate after the await: the death sweep may have redispatched the
   // attempt (and released its slot) while the revoke was on the wire — the
   // GPU entry is then an orphan the revoke harmlessly freed.
-  NodeState::Record& rec = ns.records[idx];
-  if (!rec.active || rec.uid != uid) co_return;
-  if (rec.deadline != 0) sim().cancel(rec.deadline);
-  Attempt a = std::move(rec.att);
-  ns.records[idx] = NodeState::Record{};
-  ns.tracked -= 1;
-  ns.slots->release();
-  vres_slot_freed(ns, /*spawned=*/true);
-  node.abandon_outstanding(a.r.cost);
-  sim().spawn(migrate_out(node_index, std::move(a),
-                          migrate::SafePoint::kTableParked));
+  if (!ns.records[idx].active || ns.records[idx].uid != uid) co_return;
+  leave(node_index, take_record(ns, idx), Held::kSpawned, Exit::kMigrate);
 }
 
 sim::Process Dispatcher::migrate_out(int source_node, Attempt a,
@@ -910,20 +869,12 @@ sim::Process Dispatcher::migrate_out(int source_node, Attempt a,
   if (tracer_ != nullptr) tracer_->on_migrated(a.uid, now);
   fault_event("migrate");
 
-  migrate::TaskCheckpoint cp;
-  cp.uid = a.uid;
-  cp.arrival = a.arrival;
-  cp.attempt = a.attempt;
-  cp.cls = a.r.cls;
-  cp.slo = a.r.slo;
-  cp.cost = a.r.cost;
-  cp.h2d_bytes = a.r.h2d_bytes;
-  cp.d2h_bytes = a.r.d2h_bytes;
-  cp.data_key = a.r.data_key;
-  cp.index = a.r.index;
-  cp.params = a.r.params;
-  cp.point = p;
-  cp.source_node = source_node;
+  const migrate::TaskCheckpoint cp{
+      .uid = a.uid, .arrival = a.arrival, .attempt = a.attempt,
+      .cls = a.r.cls, .slo = a.r.slo, .cost = a.r.cost,
+      .h2d_bytes = a.r.h2d_bytes, .d2h_bytes = a.r.d2h_bytes,
+      .data_key = a.r.data_key, .index = a.r.index, .params = a.r.params,
+      .point = p, .source_node = source_node};
 
   // Serialize, then restore from the IMAGE — the byte format is
   // load-bearing, not decorative: a field the serializer drops would show
@@ -952,20 +903,15 @@ sim::Process Dispatcher::migrate_out(int source_node, Attempt a,
   // Rebuild the attempt from the restored image; only the kernel pointer is
   // process-local and re-bound from the captured attempt (a real system
   // ships a symbol id).
-  const gpu::KernelFn fn = a.r.params.fn;
-  a.uid = restored.uid;
-  a.arrival = restored.arrival;
-  a.attempt = restored.attempt;
-  a.r.cls = restored.cls;
-  a.r.slo = restored.slo;
-  a.r.cost = restored.cost;
-  a.r.h2d_bytes = restored.h2d_bytes;
-  a.r.d2h_bytes = restored.d2h_bytes;
-  a.r.data_key = restored.data_key;
-  a.r.index = restored.index;
-  a.r.params = restored.params;
-  a.r.params.fn = fn;
-  restore_attempt(std::move(a), source_node);
+  Attempt back{
+      .r = {.params = restored.params, .h2d_bytes = restored.h2d_bytes,
+            .d2h_bytes = restored.d2h_bytes, .data_key = restored.data_key,
+            .slo = restored.slo, .cost = restored.cost, .cls = restored.cls,
+            .index = restored.index},
+      .arrival = restored.arrival, .attempt = restored.attempt,
+      .uid = restored.uid};
+  back.r.params.fn = a.r.params.fn;
+  restore_attempt(std::move(back), source_node);
 }
 
 void Dispatcher::restore_attempt(Attempt a, int source_node) {
@@ -985,16 +931,13 @@ void Dispatcher::restore_attempt(Attempt a, int source_node) {
   }
   stats_.migrated += 1;
   migration_->record_restore();
-  cluster_->node(node_index).add_outstanding(a.r.cost);
-  backlog_ += 1;
-  sim().spawn(serve(std::move(a), node_index));
+  place(std::move(a), node_index);
 }
 
 void Dispatcher::reinstate_node(int node_index) {
-  GpuNode& node = cluster_->node(node_index);
-  if (!node.alive()) return;  // still crashed: recovery will reinstate
-  node.set_health(fault::NodeHealth::kHealthy);
-  if (watchdog_) watchdog_->reset(node_index);
+  // Still crashed: recovery will reinstate.
+  if (!cluster_->node(node_index).alive()) return;
+  return_to_service(node_index);
   fault_event("reinstate_node");
 }
 
@@ -1106,7 +1049,7 @@ void Dispatcher::export_metrics(obs::MetricsRegistry& m) const {
           m, cls, cls_latencies_us_[static_cast<std::size_t>(c)]);
     }
   }
-  if (fault_armed_) {
+  if (watchdog_ != nullptr) {
     m.counter("fault.injected.task_faults").set(stats_.injected_task_faults);
     m.counter("fault.injected.transfer_faults")
         .set(stats_.injected_transfer_faults);
@@ -1118,11 +1061,9 @@ void Dispatcher::export_metrics(obs::MetricsRegistry& m) const {
     m.counter("fault.redispatched").set(stats_.redispatched);
     m.counter("fault.nodes.recovered").set(stats_.nodes_recovered);
     m.counter("fault.slot_acquires").set(stats_.slot_acquires);
-    if (watchdog_ != nullptr) {
-      m.counter("fault.watchdog.probes").set(watchdog_->probes());
-    }
+    m.counter("fault.watchdog.probes").set(watchdog_->probes());
   }
-  if (power_armed_) {
+  if (governor_ != nullptr) {
     // Extrapolate to the drain instant, not the (possibly capped) clock.
     const sim::Time now =
         drained_at_ >= 0 ? drained_at_ : cluster_->sim().now();
@@ -1154,19 +1095,17 @@ void Dispatcher::export_metrics(obs::MetricsRegistry& m) const {
       m.gauge("power.joules_per_request")
           .set(fleet_energy / static_cast<double>(stats_.completed));
     }
-    if (governor_ != nullptr) {
-      const power::PowerGovernor::Stats& gs = governor_->stats();
-      m.counter("power.governor.checks")
-          .set(static_cast<std::int64_t>(gs.checks));
-      m.counter("power.governor.sla_warnings")
-          .set(static_cast<std::int64_t>(gs.sla_warnings));
-      m.counter("power.governor.nodes_slept")
-          .set(static_cast<std::int64_t>(gs.nodes_slept));
-      m.counter("power.governor.nodes_woken")
-          .set(static_cast<std::int64_t>(gs.nodes_woken));
-    }
+    const power::PowerGovernor::Stats& gs = governor_->stats();
+    m.counter("power.governor.checks")
+        .set(static_cast<std::int64_t>(gs.checks));
+    m.counter("power.governor.sla_warnings")
+        .set(static_cast<std::int64_t>(gs.sla_warnings));
+    m.counter("power.governor.nodes_slept")
+        .set(static_cast<std::int64_t>(gs.nodes_slept));
+    m.counter("power.governor.nodes_woken")
+        .set(static_cast<std::int64_t>(gs.nodes_woken));
   }
-  if (migrate_armed_) {
+  if (migration_ != nullptr) {
     const migrate::MigrationManager::Stats& ms = migration_->stats();
     m.counter("migrate.checkpoints").set(ms.checkpoints);
     m.counter("migrate.checkpoints.queued").set(ms.queued);
@@ -1193,17 +1132,16 @@ void Dispatcher::export_metrics(obs::MetricsRegistry& m) const {
           .set(static_cast<std::int64_t>(as.resize_events));
     }
   }
-  if (vres_armed_) {
+  if (cfg_.oversub > 1.0) {
     // Gated like every other plane so oversub == 1 runs emit no vres.* keys
     // and their metric JSON stays byte-identical to the pre-vres build.
     std::int64_t virt_slots = 0;
     std::int64_t phys_slots = 0;
-    std::int64_t over_peak = 0;
-    for (int i = 0; i < cluster_->size(); ++i) {
-      const NodeState& ns = node_state_[static_cast<std::size_t>(i)];
-      virt_slots += ns.slot_ledger.virtual_capacity();
+    int over_peak = 0;
+    for (const NodeState& ns : node_state_) {
+      virt_slots += ns.slot_capacity;
       phys_slots += static_cast<std::int64_t>(ns.records.size());
-      over_peak = std::max(over_peak, ns.slot_ledger.peak_spilled());
+      over_peak = std::max(over_peak, ns.peak_staged);
     }
     m.counter("vres.slots.virtual").set(virt_slots);
     m.counter("vres.slots.physical").set(phys_slots);
@@ -1233,7 +1171,7 @@ void Dispatcher::install_sampler(obs::Collector& collector) {
       m.stat(dev_key(i, "outstanding"))
           .add(static_cast<double>(cluster_->node(i).outstanding()));
     }
-    if (fault_armed_) {
+    if (watchdog_ != nullptr) {
       // The watchdog's raw signal, recorded so a profile shows the flatline
       // of a crashed node next to the detection instant on the fault track.
       for (int i = 0; i < cluster_->size(); ++i) {
@@ -1248,9 +1186,7 @@ void Dispatcher::install_sampler(obs::Collector& collector) {
                 cls_in_flight_[static_cast<std::size_t>(c)]));
       }
     }
-    if (power_armed_) {
-      m.stat("power.fleet.watts").add(fleet_watts());
-    }
+    if (governor_ != nullptr) m.stat("power.fleet.watts").add(fleet_watts());
     if (collector.timeline_enabled()) {
       collector.timeline().counter("cluster.in_flight", now,
                                    static_cast<double>(in_flight_));
@@ -1263,14 +1199,14 @@ void Dispatcher::install_sampler(obs::Collector& collector) {
               static_cast<double>(cls_in_flight_[static_cast<std::size_t>(c)]));
         }
       }
-      if (fault_armed_) {
+      if (watchdog_ != nullptr) {
         for (int i = 0; i < cluster_->size(); ++i) {
           collector.timeline().counter(
               dev_key(i, "heartbeat"), now,
               static_cast<double>(cluster_->node(i).heartbeat()));
         }
       }
-      if (power_armed_) {
+      if (governor_ != nullptr) {
         collector.timeline().counter("power.fleet.watts", now, fleet_watts());
         for (int i = 0; i < cluster_->size(); ++i) {
           const power::NodePower* np = cluster_->node(i).power();

@@ -59,6 +59,14 @@
 // their class and absolute deadline on TaskParams, so the same policy also
 // orders the MasterKernel's scheduler-warp claims GPU-side.
 //
+// Single-unwind rule: every way an attempt leaves a node without completing
+// goes through one private step, leave(). It returns what the attempt holds
+// there exactly once (its slot, if granted; its share of the node load),
+// then takes exactly one exit: redispatch (no budget charge),
+// attempt_failed (retry or shed), migrate_out, or shed. A spawned attempt's
+// record is torn down first, once, by take_record(). A completion returns
+// both in finalize(); no other code releases a slot or node load.
+//
 // All accounting (latency percentiles, violation rate, per-device load
 // imbalance, fault.* counters) is virtual-time derived and exported into an
 // obs::MetricsRegistry, so `--metrics` / `--profile` work unchanged.
@@ -86,7 +94,6 @@
 #include "sched/policy.h"
 #include "sched/ready_queue.h"
 #include "sim/sync.h"
-#include "vres/resource_ledger.h"
 
 namespace pagoda::obs {
 class Collector;
@@ -261,8 +268,6 @@ class Dispatcher {
   std::span<const double> class_latencies_us(sched::Class c) const {
     return cls_latencies_us_[static_cast<std::size_t>(sched::index(c))];
   }
-  const sched::Policy& sched_policy() const { return sched_policy_; }
-  const PlacementPolicy& policy() const { return *policy_; }
   Cluster& cluster() { return *cluster_; }
 
   /// Node chosen for each admitted request at ADMISSION, in admission order
@@ -281,9 +286,6 @@ class Dispatcher {
   };
   std::span<const Span> spans() const { return spans_; }
 
-  /// Requests admitted and not yet DONE/SHED, cluster-wide (sampler signal).
-  int in_flight() const { return in_flight_; }
-
   /// Admitted requests still waiting for a node slot (governor signal).
   int queued_backlog() const { return backlog_; }
 
@@ -293,18 +295,10 @@ class Dispatcher {
 
   /// The power governor, when the power plane is armed (nullptr otherwise).
   const power::PowerGovernor* governor() const { return governor_.get(); }
-  bool power_armed() const { return power_armed_; }
 
   /// The migration plane, when armed (nullptr otherwise).
   const migrate::MigrationManager* migration() const {
     return migration_.get();
-  }
-  bool migrate_armed() const { return migrate_armed_; }
-  /// Virtual slot admission active (cfg.oversub > 1).
-  bool vres_armed() const { return vres_armed_; }
-  /// The per-node virtual slot ledger (tests; valid for any node index).
-  const vres::ResourceLedger& slot_ledger(int node_index) const {
-    return node_state_[static_cast<std::size_t>(node_index)].slot_ledger;
   }
   /// The autoscaler, when armed (nullptr otherwise).
   const migrate::Autoscaler* autoscaler() const { return autoscaler_.get(); }
@@ -318,9 +312,6 @@ class Dispatcher {
     return node_state_[static_cast<std::size_t>(node_index)]
         .slots->available();
   }
-
-  /// The watchdog, when the fault plane is armed (nullptr otherwise).
-  const fault::Watchdog* watchdog() const { return watchdog_.get(); }
 
   /// Max-min spread of per-device completed counts over their mean
   /// (0 = perfectly balanced, 0 when nothing completed).
@@ -384,15 +375,14 @@ class Dispatcher {
     /// checkpoint itself — while an attempt RESTORED onto a still-draining
     /// node (the zero-loss fallback) sees equal epochs and runs in place.
     std::uint64_t drain_epoch = 0;
-    /// Virtual slot accounting (oversub > 1 only; idle otherwise). A slot
-    /// grant allocates SPILLED — admitted on virtual capacity, no physical
-    /// entry yet; a landed task_spawn reclaims it to RESIDENT. The ledger's
-    /// invariant (virtual == physical + spilled) holds at every transition,
-    /// and peak_spilled() is the node's maximum over-admission depth. The
-    /// physical cap is deliberately unbounded here: a slot stays RESIDENT
-    /// through its output drain after the GPU already freed the entry, so
-    /// the real physical bound is task_spawn backpressure, not the ledger.
-    vres::ResourceLedger slot_ledger;
+    /// Slot accounting: `granted` of floor(oversub x entries) slots are
+    /// out; `staged` of those still wait for task_spawn to land. A slot
+    /// stays granted through its output drain, after the GPU freed the
+    /// entry. CHECKed: 0 <= staged <= granted <= slot_capacity.
+    int slot_capacity = 0;
+    int granted = 0;
+    int staged = 0;
+    int peak_staged = 0;  // the node's maximum over-admission depth
   };
 
   /// A wedged attempt: its TaskTable entry completed GPU-side but the
@@ -405,8 +395,21 @@ class Dispatcher {
     Attempt att;
   };
 
+  /// What an attempt holds on its node when it leaves it.
+  enum class Held {
+    kQueued,   // node load only: never granted a slot
+    kStaged,   // + a slot, but task_spawn has not landed
+    kSpawned,  // + a slot and a TaskTable entry (record already torn down)
+  };
+  /// Where an attempt goes once leave() has returned what it held.
+  enum class Exit {
+    kRedispatch,  // the node failed it: re-place, no budget charge
+    kFail,        // the attempt failed: attempt_failed (retry or shed)
+    kMigrate,     // a migrate-not-shed drain: checkpoint at the safe point
+    kShed,        // evicted from the slot queue: shed outright
+  };
+
   sim::Simulation& sim() { return cluster_->sim(); }
-  bool fault_armed() const { return fault_armed_; }
   int healthy_nodes() const;
 
   sim::Process serve(Attempt a, int node_index);
@@ -437,20 +440,29 @@ class Dispatcher {
     return cls_stats_[static_cast<std::size_t>(sched::index(c))];
   }
 
+  /// Refuses an offer at the door (queue bound hit or no eligible node).
+  void drop(const Request& r);
   void dispatch_attempt(Attempt a);
+  /// Counts `a` against `node_index`'s load and starts serving it there.
+  void place(Attempt a, int node_index);
+  /// The single unwind (see the file comment): returns what `a` holds on
+  /// `node_index` per `held`, exactly once, then takes `exit`. `cause`
+  /// names the failure for kFail and kShed.
+  void leave(int node_index, Attempt a, Held held, Exit exit,
+             fault::FailureCause cause = fault::FailureCause::kNodeCrash);
+  /// Tears down a tracked record: cancels its deadline, clears it and
+  /// un-counts it from `tracked`. Returns the attempt it held.
+  Attempt take_record(NodeState& ns, std::size_t idx);
+  /// The slot accounting bounds, CHECKed after every change.
+  static void check_slots(const NodeState& ns);
   void on_task_complete(int node_index, runtime::TaskId id);
   /// Claim-observer hook (tracing only): resolves the claimed TaskTable
   /// entry to its request uid and stamps the warp_wait -> exec boundary.
   void on_task_claimed(int node_index, runtime::TaskId id, sim::Time now);
-  // --- virtual slot ledger (no-ops unless vres_armed_) ---------------------
-  void vres_slot_granted(NodeState& ns);
-  void vres_slot_spawned(NodeState& ns);
-  /// `spawned` selects which ledger state the released slot occupied.
-  void vres_slot_freed(NodeState& ns, bool spawned);
   void on_deadline(int node_index, std::size_t idx, std::uint64_t uid);
-  /// Attempt bookkeeping is already unwound (slot released, record erased)
-  /// when this runs; it only un-counts node load and routes retry-vs-shed.
-  void attempt_failed(int node_index, Attempt a, fault::FailureCause cause);
+  /// Routes a failed attempt to retry-vs-shed; leave() has already returned
+  /// everything it held.
+  void attempt_failed(Attempt a, fault::FailureCause cause);
   void shed_request(Attempt a, fault::FailureCause cause);
   void finalize(int node_index, Attempt att);
 
@@ -474,6 +486,9 @@ class Dispatcher {
   void inject_crash(const fault::CrashEvent& ev);
   void node_failed(int node_index);
   void recover_node(int node_index);
+  /// The return-to-service step shared by recovery and reinstatement:
+  /// healthy again, slot queue reopened, watchdog history cleared.
+  void return_to_service(int node_index);
   void set_bandwidth_scale(int node_index, double scale);
   void fault_event(std::string_view name);
   /// State-transition edge hook (wired into every NodePower): cuts a
@@ -485,15 +500,14 @@ class Dispatcher {
   Cluster* cluster_;
   std::unique_ptr<PlacementPolicy> policy_;
   DispatcherConfig cfg_;
-  bool fault_armed_ = false;
   bool qos_ = false;  // sched.* export + per-class timeline armed
-  bool power_armed_ = false;  // power.* export + governor running
-  bool migrate_armed_ = false;  // migrate-not-shed drains + migrate.* export
-  bool vres_armed_ = false;  // virtual slot admission + vres.* export
   sched::Policy sched_policy_;
   std::uint64_t sched_seq_ = 0;  // global admission sequence (ties)
   std::vector<NodeState> node_state_;
   std::map<std::uint64_t, Wedged> wedged_;
+  // Each plane is armed iff its object exists: watchdog_ (fault plane),
+  // governor_ (power), migration_ (migrate-not-shed drains). The vres
+  // plane is armed iff cfg_.oversub > 1.
   std::unique_ptr<fault::Watchdog> watchdog_;
   Stats stats_;
   std::array<ClassStats, sched::kNumClasses> cls_stats_{};

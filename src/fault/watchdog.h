@@ -2,11 +2,11 @@
 //
 // The dispatcher probes each node at a fixed cadence while it has work in
 // flight. A probe samples the node's liveness signature — the MasterKernel
-// heartbeat counter plus completion count (see MasterKernel::heartbeats())
-// — and feeds it to observe(). A node whose signature freezes across
-// miss_threshold consecutive probes *while it holds in-flight work* is
-// declared dead; the transition is reported exactly once so the dispatcher
-// can run node-failure recovery exactly once.
+// heartbeat counter, its completion count (see MasterKernel::heartbeats())
+// and the node's landed PCIe transfers — and feeds it to observe(). A node
+// whose signature freezes across miss_threshold consecutive probes *while
+// it holds in-flight work* is declared dead; the transition is reported
+// exactly once so the dispatcher can run node-failure recovery exactly once.
 //
 // The state machine holds no reference to the simulation: probing cadence
 // and sampling live in the dispatcher, which keeps this unit-testable with
@@ -25,10 +25,12 @@ namespace pagoda::fault {
 struct NodeSig {
   std::int64_t heartbeat = 0;
   std::int64_t completed = 0;
+  /// H2D + D2H transfers landed. A PCIe-bound node makes progress the GPU
+  /// counters cannot see: its scheduler warps idle while TaskTable entry
+  /// copies queue behind input copies, yet the link keeps completing.
+  std::int64_t pcie_transfers = 0;
 
-  bool operator==(const NodeSig& o) const {
-    return heartbeat == o.heartbeat && completed == o.completed;
-  }
+  bool operator==(const NodeSig&) const = default;
 };
 
 struct WatchdogConfig {

@@ -11,7 +11,7 @@ namespace pagoda::migrate {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x50474d31;  // "PGM1"
-constexpr std::uint16_t kVersion = 1;
+constexpr std::uint16_t kVersion = 2;  // 2: + the vres hints
 
 // FNV-1a, 64-bit: stable across platforms, no seeding, byte-order free.
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
@@ -117,6 +117,8 @@ std::vector<std::byte> serialize(const TaskCheckpoint& cp) {
   w.put(cp.params.num_blocks);
   w.put(cp.params.threads_per_block);
   w.put(cp.params.shared_mem_bytes);
+  w.put(cp.params.shmem_used_256);
+  w.put(cp.params.regs_used);
   w.put(static_cast<std::uint8_t>(cp.params.needs_sync ? 1 : 0));
   w.put(cp.params.sched_class);
   w.put(cp.params.deadline_us);
@@ -152,7 +154,9 @@ bool deserialize(std::span<const std::byte> image, TaskCheckpoint* out) {
       !r.get(&cp.h2d_bytes) || !r.get(&cp.d2h_bytes) || !r.get(&cp.data_key) ||
       !r.get(&cp.index) || !r.get(&fn_slot) || !r.get(&cp.params.num_blocks) ||
       !r.get(&cp.params.threads_per_block) ||
-      !r.get(&cp.params.shared_mem_bytes) || !r.get(&needs_sync) ||
+      !r.get(&cp.params.shared_mem_bytes) ||
+      !r.get(&cp.params.shmem_used_256) || !r.get(&cp.params.regs_used) ||
+      !r.get(&needs_sync) ||
       !r.get(&cp.params.sched_class) || !r.get(&cp.params.deadline_us) ||
       !r.get(&cp.params.args_size)) {
     return false;

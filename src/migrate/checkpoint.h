@@ -4,12 +4,13 @@
 // dispatch flow.
 //
 // What makes narrow tasks cheap to migrate is that the host runtime already
-// owns the complete descriptor: TaskParams (kernel ref, geometry, argument
-// blob, QoS tags), the request envelope (payload sizes, data key, SLO,
-// cost), and the ledger identity (uid, arrival, attempt). A checkpoint is a
-// straight serialization of that state — no GPU context, register file or
-// shared memory is ever captured, because the safe points are exactly the
-// states in which the task has not been claimed by a scheduler warp:
+// owns the complete descriptor: TaskParams (kernel ref, geometry, vres
+// hints, argument blob, QoS tags), the request envelope (payload sizes,
+// data key, SLO, cost), and the ledger identity (uid, arrival, attempt). A
+// checkpoint is a straight serialization of that state — no GPU context,
+// register file or shared memory is ever captured, because the safe points
+// are exactly the states in which the task has not been claimed by a
+// scheduler warp:
 //
 //   kQueued       parked on the node's slot ReadyQueue; nothing staged.
 //   kStaged       H2D input copy landed; no TaskTable entry yet.

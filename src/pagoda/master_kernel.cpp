@@ -123,6 +123,12 @@ std::int64_t MasterKernel::shmem_internal_frag_bytes() const {
   return n;
 }
 
+std::int64_t MasterKernel::registers_in_use() const {
+  std::int64_t n = 0;
+  for (const auto& mtb : mtbs_) n += mtb->regs_used;
+  return n;
+}
+
 void MasterKernel::start() {
   PAGODA_CHECK_MSG(!started_, "MasterKernel started twice");
   started_ = true;
@@ -322,12 +328,13 @@ sim::Task<> MasterKernel::schedule_entry(Mtb& mtb, int row) {
     const std::int64_t reg_need =
         static_cast<std::int64_t>(p.regs_used_per_thread()) *
         p.threads_per_block * p.num_blocks;
-    while (running_ && !mtb.regs.fits_virtual(reg_need)) {
+    if (mtb.regs_used + reg_need > mtb.regs_budget) register_waits_ += 1;
+    while (running_ && mtb.regs_used + reg_need > mtb.regs_budget) {
       const std::uint64_t seq = mtb.sched_seq;
       if (mtb.sched_seq == seq) co_await mtb.sched_cv.wait();
     }
     if (!running_) co_return;
-    mtb.regs.allocate_resident(reg_need);
+    mtb.regs_used += reg_need;
   }
 
   if (p.shared_mem_bytes > 0 || p.needs_sync) {
@@ -483,9 +490,10 @@ sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
     PAGODA_CHECK(mtb.done_ctr[static_cast<std::size_t>(row)] >= 0);
     if (mtb.done_ctr[static_cast<std::size_t>(row)] == 0) {
       if (cfg_.oversub > 1.0) {
-        mtb.regs.free_resident(
-            static_cast<std::int64_t>(p.regs_used_per_thread()) *
-            p.threads_per_block * p.num_blocks);
+        mtb.regs_used -= static_cast<std::int64_t>(p.regs_used_per_thread()) *
+                         p.threads_per_block * p.num_blocks;
+        PAGODA_CHECK_MSG(mtb.regs_used >= 0,
+                         "MTB register budget freed more than it held");
       }
       entry.ready = kReadyFree;  // frees the entry; the CPU learns lazily
       tasks_completed_ += 1;

@@ -44,7 +44,6 @@
 #include "sim/process.h"
 #include "sim/sync.h"
 #include "sim/task.h"
-#include "vres/resource_ledger.h"
 #include "vres/virtual_shmem.h"
 
 namespace pagoda::runtime {
@@ -148,6 +147,11 @@ class MasterKernel {
   std::int64_t heartbeats() const { return heartbeats_; }
   std::int64_t warps_dispatched() const { return warps_dispatched_; }
   std::int64_t shmem_blocks_swept() const { return shmem_blocks_swept_; }
+  /// Registers held against the MTBs' virtual register budgets (charged
+  /// only at oversub > 1; back to 0 once every scheduled task completed).
+  std::int64_t registers_in_use() const;
+  /// Claims that waited on an exhausted register budget.
+  std::int64_t register_waits() const { return register_waits_; }
 
   // --- observability ------------------------------------------------------
   /// Executor warps currently running task work (all MTBs).
@@ -220,10 +224,12 @@ class MasterKernel {
     /// oversub == 1 every call is a verbatim delegation to the buddy
     /// (byte-identical); above 1 it also charges the virtual arena.
     vres::VirtualShmem shmem;
-    /// Virtual register budget (oversub x this MTB's register-file share).
-    /// Passive at oversub == 1 (never charged); above 1, claims defer —
-    /// wait, never spill — while the budget is exhausted.
-    vres::ResourceLedger regs;
+    /// Virtual register budget (oversub x this MTB's register-file share)
+    /// and the registers its scheduled tasks hold against it. Passive at
+    /// oversub == 1 (never charged); above 1, claims defer — wait, never
+    /// spill — while the budget is exhausted.
+    std::int64_t regs_used = 0;
+    std::int64_t regs_budget = 0;
     NamedBarrierPool barriers;
     std::vector<std::int32_t> done_ctr;  // per TaskTable row
     sim::Condition sched_cv;             // scheduler warp wakeups
@@ -246,7 +252,7 @@ class MasterKernel {
         const PagodaConfig& cfg, std::int64_t reg_virtual_capacity)
         : arena(static_cast<std::size_t>(arena_bytes)),
           shmem(std::span<std::byte>(arena), cfg.oversub),
-          regs(reg_virtual_capacity, /*physical_capacity=*/0),
+          regs_budget(reg_virtual_capacity),
           barriers(sim),
           done_ctr(static_cast<std::size_t>(rows), 0),
           sched_cv(sim),
@@ -294,6 +300,7 @@ class MasterKernel {
   std::int64_t heartbeats_ = 0;
   std::int64_t warps_dispatched_ = 0;
   std::int64_t shmem_blocks_swept_ = 0;
+  std::int64_t register_waits_ = 0;
   CompletionObserver completion_observer_;
   ClaimObserver claim_observer_;
   TraceRecorder* trace_ = nullptr;

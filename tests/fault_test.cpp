@@ -18,7 +18,9 @@
 #include "fault/plan.h"
 #include "fault/retry.h"
 #include "fault/watchdog.h"
+#include "harness/calibration.h"
 #include "harness/experiment.h"
+#include "obs/collector.h"
 #include "obs/metrics.h"
 #include "sim/process.h"
 #include "sim/sync.h"
@@ -493,6 +495,29 @@ TEST(FaultChaos, FiftySeedSoakHoldsEveryInvariant) {
       EXPECT_EQ(out.end_time, again.end_time) << rs.faults;
     }
   }
+}
+
+// A PCIe-bound node is busy, not dead. On this run both nodes' TaskTable
+// entry copies queue behind input copies for the whole run: the
+// MasterKernel heartbeat and completion count hold still across several
+// probes while the H2D link keeps landing transfers. Nothing is injected,
+// so the watchdog must declare no death and every request must complete.
+TEST(FaultCluster, PcieBoundNodeIsNotDeclaredDead) {
+  workloads::WorkloadConfig wcfg;
+  wcfg.num_tasks = 512;
+  wcfg.seed = 0x9A60DA;
+  baselines::RunConfig rcfg = harness::paper_platform();
+  rcfg.mode = gpu::ExecMode::Model;
+  rcfg.cluster.specs = {gpu::GpuSpec::titan_x(), gpu::GpuSpec::titan_x()};
+  rcfg.cluster.dispatcher.task_timeout = sim::microseconds(4000.0);
+  rcfg.cluster.seed = wcfg.seed;
+  obs::Collector collector(obs::CollectorConfig{});
+  rcfg.collector = &collector;
+  harness::Measurement m =
+      harness::run_experiment("DCT", "Cluster", wcfg, rcfg);
+  EXPECT_EQ(m.metrics.counter("cluster.requests.completed").value(), 512);
+  EXPECT_EQ(m.metrics.counter("fault.detected.node_deaths").value(), 0);
+  EXPECT_EQ(m.metrics.counter("fault.redispatched").value(), 0);
 }
 
 // --- end-to-end compute verification -------------------------------------------

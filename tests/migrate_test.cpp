@@ -45,6 +45,8 @@ TaskCheckpoint sample_checkpoint() {
   cp.params.num_blocks = 3;
   cp.params.threads_per_block = 96;
   cp.params.shared_mem_bytes = 512;
+  cp.params.shmem_used_256 = 1;  // the vres hints (image version 2)
+  cp.params.regs_used = 24;
   cp.params.needs_sync = true;
   cp.params.sched_class = 0;
   cp.params.deadline_us = 987654;
@@ -76,6 +78,8 @@ TEST(Checkpoint, RoundTripPreservesEveryField) {
   EXPECT_EQ(out.params.num_blocks, cp.params.num_blocks);
   EXPECT_EQ(out.params.threads_per_block, cp.params.threads_per_block);
   EXPECT_EQ(out.params.shared_mem_bytes, cp.params.shared_mem_bytes);
+  EXPECT_EQ(out.params.shmem_used_256, cp.params.shmem_used_256);
+  EXPECT_EQ(out.params.regs_used, cp.params.regs_used);
   EXPECT_EQ(out.params.needs_sync, cp.params.needs_sync);
   EXPECT_EQ(out.params.sched_class, cp.params.sched_class);
   EXPECT_EQ(out.params.deadline_us, cp.params.deadline_us);

@@ -289,6 +289,52 @@ TEST(PagodaRuntime, FullArenaTasksSerializePerMtb) {
 
 // --- API validation ------------------------------------------------------------
 
+// A long-running task body: holds its MTB's resources ~1 ms, far longer
+// than the spawns behind it take to land.
+KernelCoro stall_kernel(WarpCtx& ctx) {
+  ctx.charge_stall(1.0e6);
+  co_return;
+}
+
+sim::Process spawn_stalls(Runtime& rt, int num_tasks, int threads_per_block,
+                          int num_blocks, bool& done) {
+  for (int t = 0; t < num_tasks; ++t) {
+    TaskParams p;
+    p.fn = stall_kernel;
+    p.threads_per_block = threads_per_block;
+    p.num_blocks = num_blocks;
+    co_await rt.task_spawn(std::move(p));
+  }
+  co_await rt.wait_all();
+  done = true;
+}
+
+// Register oversubscription is admission-only: a claim whose registers do
+// not fit its MTB's budget (oversub x the MTB's register-file share) waits
+// for a completion instead of spilling, and every register returns to the
+// budget once the table drains.
+TEST(PagodaRuntime, RegisterBudgetDefersClaimsAndDrainsToZero) {
+  Simulation sim;
+  GpuSpec spec = GpuSpec::titan_x();
+  spec.num_smms = 1;  // two MTBs, each with a 1.5 x 32K-register budget
+  Device dev(sim, spec);
+  PagodaConfig cfg;
+  cfg.oversub = 1.5;
+  Runtime rt(dev, {}, cfg);
+  rt.start();
+  // 4 blocks x 256 threads x 32 registers = 32K registers per task, so no
+  // two tasks fit one MTB's 48K budget at once.
+  bool done = false;
+  sim.spawn(spawn_stalls(rt, /*num_tasks=*/8, /*threads_per_block=*/256,
+                         /*num_blocks=*/4, done));
+  sim.run_until(sim::seconds(1.0));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(rt.master_kernel().tasks_completed(), 8);
+  EXPECT_GT(rt.master_kernel().register_waits(), 0);
+  EXPECT_EQ(rt.master_kernel().registers_in_use(), 0);
+  rt.shutdown();
+}
+
 TEST(PagodaRuntime, ValidateRejectsBadParams) {
   const GpuSpec spec = GpuSpec::titan_x();
   TaskParams ok;

@@ -216,6 +216,8 @@ TEST(SpecMutation, TaskCheckpointImage) {
   cp.params.num_blocks = 2;
   cp.params.threads_per_block = 64;
   cp.params.shared_mem_bytes = 512;
+  cp.params.shmem_used_256 = 1;
+  cp.params.regs_used = 24;
   cp.params.needs_sync = true;
   cp.params.set_args(std::array<std::int32_t, 3>{1, 2, 3});
   cp.point = migrate::SafePoint::kTableParked;

@@ -1,8 +1,7 @@
-// The virtual resource plane (DESIGN.md §16): ResourceLedger invariants,
-// VirtualShmem passthrough byte-identity and admission-only virtual
-// charging, virtual occupancy arithmetic, and an end-to-end oversubscribed
-// run in compute mode (run_experiment aborts unless the CPU reference
-// matches).
+// The virtual resource plane (DESIGN.md §16): VirtualShmem passthrough
+// byte-identity and admission-only virtual charging, virtual occupancy
+// arithmetic, and an end-to-end oversubscribed run in compute mode
+// (run_experiment aborts unless the CPU reference matches).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -14,111 +13,10 @@
 #include "harness/experiment.h"
 #include "obs/collector.h"
 #include "pagoda/shmem_allocator.h"
-#include "vres/resource_ledger.h"
 #include "vres/virtual_shmem.h"
 
 namespace pagoda {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ResourceLedger: the 50-seed soak. Random transition sequences against a
-// shadow model; after EVERY transition the load-bearing invariant
-//     virtual_allocated == physical_allocated + spilled
-// must hold (plus non-negativity and capacity bounds).
-// ---------------------------------------------------------------------------
-
-TEST(ResourceLedgerSoak, FiftySeedsInvariantAtEveryTransition) {
-  constexpr int kSeeds = 50;
-  constexpr int kSteps = 400;
-  constexpr std::int64_t kVirtualCap = 1 << 14;
-  constexpr std::int64_t kPhysicalCap = 1 << 13;
-  for (int s = 0; s < kSeeds; ++s) {
-    SplitMix64 rng(0xA110CULL + static_cast<std::uint64_t>(s));
-    vres::ResourceLedger ledger(kVirtualCap, kPhysicalCap);
-    std::vector<std::int64_t> resident;
-    std::vector<std::int64_t> spilled;
-    const auto check = [&](const char* op) {
-      ASSERT_TRUE(ledger.check_invariant()) << "seed " << s << " op " << op;
-      ASSERT_EQ(ledger.virtual_allocated(),
-                ledger.physical_allocated() + ledger.spilled())
-          << "seed " << s << " op " << op;
-    };
-    for (int i = 0; i < kSteps; ++i) {
-      const std::int64_t amount =
-          512 * (1 + static_cast<std::int64_t>(rng.next_double() * 4.0));
-      switch (static_cast<int>(rng.next_double() * 6.0)) {
-        case 0:
-          if (ledger.fits_virtual(amount) && ledger.fits_physical(amount)) {
-            ledger.allocate_resident(amount);
-            resident.push_back(amount);
-            check("allocate_resident");
-          }
-          break;
-        case 1:
-          if (ledger.fits_virtual(amount)) {
-            ledger.allocate_spilled(amount);
-            spilled.push_back(amount);
-            check("allocate_spilled");
-          }
-          break;
-        case 2:
-          if (!resident.empty()) {
-            ledger.spill(resident.back());
-            spilled.push_back(resident.back());
-            resident.pop_back();
-            check("spill");
-          }
-          break;
-        case 3:
-          if (!spilled.empty() && ledger.fits_physical(spilled.back())) {
-            ledger.reclaim(spilled.back());
-            resident.push_back(spilled.back());
-            spilled.pop_back();
-            check("reclaim");
-          }
-          break;
-        case 4:
-          if (!resident.empty()) {
-            ledger.free_resident(resident.back());
-            resident.pop_back();
-            check("free_resident");
-          }
-          break;
-        default:
-          if (!spilled.empty()) {
-            ledger.free_spilled(spilled.back());
-            spilled.pop_back();
-            check("free_spilled");
-          }
-          break;
-      }
-    }
-    // Drain: freeing every live allocation must land the ledger on zero.
-    for (const std::int64_t a : resident) ledger.free_resident(a);
-    for (const std::int64_t a : spilled) ledger.free_spilled(a);
-    EXPECT_EQ(ledger.virtual_allocated(), 0) << "seed " << s;
-    EXPECT_EQ(ledger.physical_allocated(), 0) << "seed " << s;
-    EXPECT_EQ(ledger.spilled(), 0) << "seed " << s;
-    EXPECT_TRUE(ledger.check_invariant()) << "seed " << s;
-  }
-}
-
-TEST(ResourceLedger, CountersTrackTransitions) {
-  vres::ResourceLedger ledger;
-  ledger.allocate_resident(1024);
-  ledger.spill(1024);
-  ledger.reclaim(1024);
-  ledger.spill(512);
-  ledger.free_resident(512);
-  ledger.free_spilled(512);
-  EXPECT_EQ(ledger.spills(), 2);
-  EXPECT_EQ(ledger.reclaims(), 1);
-  EXPECT_EQ(ledger.spill_amount_total(), 1536);
-  EXPECT_EQ(ledger.reclaim_amount_total(), 1024);
-  EXPECT_EQ(ledger.peak_virtual(), 1024);
-  EXPECT_EQ(ledger.peak_spilled(), 1024);
-  EXPECT_EQ(ledger.virtual_allocated(), 0);
-}
 
 // ---------------------------------------------------------------------------
 // VirtualShmem at oversub == 1.0 is a pure passthrough: identical offsets,
@@ -302,6 +200,36 @@ TEST(VresEndToEnd, OversubOneEmitsNoVresKeys) {
   EXPECT_EQ(metrics.find("pagoda.shmem.internal_frag_bytes"),
             std::string::npos);
   EXPECT_EQ(metrics.find("pagoda.shmem.external_frag"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Virtual slot admission in a cluster: shallow TaskTables (2 rows, so 96
+// entries per Titan X) at 2x oversubscription. The closed batch fills each
+// node's 192 virtual slots before any spawn lands, so every grant past the
+// first 96 per node rides virtual headroom.
+// ---------------------------------------------------------------------------
+
+TEST(VresCluster, ShallowTableOverAdmissionCounters) {
+  workloads::WorkloadConfig wcfg;
+  wcfg.num_tasks = 2048;
+  wcfg.seed = 0x9A60DA;
+
+  baselines::RunConfig rcfg = harness::paper_platform();
+  rcfg.mode = gpu::ExecMode::Model;
+  rcfg.pagoda.rows_per_column = 2;
+  rcfg.pagoda.oversub = 2.0;
+  rcfg.cluster.specs = {gpu::GpuSpec::titan_x(), gpu::GpuSpec::titan_x()};
+  rcfg.cluster.seed = wcfg.seed;
+
+  obs::Collector collector(obs::CollectorConfig{});
+  rcfg.collector = &collector;
+  harness::Measurement m =
+      harness::run_experiment("CONV", "Cluster", wcfg, rcfg);
+  EXPECT_EQ(m.metrics.counter("cluster.requests.completed").value(), 2048);
+  EXPECT_EQ(m.metrics.counter("vres.slots.virtual").value(), 384);
+  EXPECT_EQ(m.metrics.counter("vres.slots.physical").value(), 192);
+  EXPECT_EQ(m.metrics.counter("vres.slots.over_admissions").value(), 1856);
+  EXPECT_EQ(m.metrics.counter("vres.slots.overadmission_peak").value(), 192);
 }
 
 }  // namespace

@@ -70,6 +70,22 @@ cluster_smoke() {
       exit 1
     fi
   done
+  # Faults + a shrink-then-grow resize must finish: a node returned to
+  # service reopens its slot queue, so nothing redispatches onto it forever.
+  rc=0
+  timeout 60 "${dir}/tools/pagoda_cli" --workload=DCT --irregular --gpus=2 \
+      --tasks=512 --faults=task:0.05 --task-timeout-us=4000 --migrate \
+      --power=default --resize=100:1,1200:2 >/dev/null || rc=$?
+  if [[ "${rc}" != 0 ]]; then
+    echo "error: faults + resize run exited ${rc}, want 0" >&2
+    exit 1
+  fi
+  # A healthy PCIe-bound node is busy, not dead: with nothing injected the
+  # watchdog must declare no death.
+  local out
+  out=$("${dir}/tools/pagoda_cli" --workload=DCT --gpus=2 --tasks=512 \
+      --task-timeout-us=4000 --metrics)
+  grep -Eq "fault\.detected\.node_deaths +0$" <<<"${out}"
 }
 
 qos_smoke() {
