@@ -50,8 +50,6 @@ struct Outcome {
 
 std::vector<cluster::NodeConfig> node_configs(const Scenario& sc) {
   cluster::NodeConfig proto;
-  proto.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
-  proto.pcie.latency = sim::microseconds(2.0);
   std::vector<cluster::NodeConfig> nodes =
       cluster::Cluster::homogeneous(sc.gpus, proto);
   if (sc.mixed) {

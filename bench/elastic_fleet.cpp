@@ -87,8 +87,6 @@ struct Outcome {
 
 std::vector<cluster::NodeConfig> node_configs(const Scenario& sc) {
   cluster::NodeConfig nc;
-  nc.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
-  nc.pcie.latency = sim::microseconds(2.0);
   // A shallow TaskTable keeps the backlog in the dispatcher where both
   // placement and the autoscaler's pressure signal can see it — and gives
   // drains a populated table to checkpoint from.

@@ -106,8 +106,6 @@ struct Outcome {
 
 std::vector<cluster::NodeConfig> node_configs(const Scenario& sc) {
   cluster::NodeConfig nc;
-  nc.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
-  nc.pcie.latency = sim::microseconds(2.0);
   // A shallow TaskTable keeps the backlog in the dispatcher where placement
   // (and the governor's backlog signal) can see it.
   nc.pagoda.rows_per_column = 4;

@@ -31,9 +31,6 @@ struct Outcome {
 
 Outcome run_point(int nodes, int requests, std::uint64_t seed) {
   cluster::NodeConfig proto;
-  proto.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
-  proto.pcie.latency = sim::microseconds(2.0);
-
   cluster::RequestProfile profile;  // uniform, no SLO: pure throughput
   cluster::ArrivalSource src;
   src.arrival.kind = cluster::ArrivalKind::Poisson;

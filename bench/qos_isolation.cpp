@@ -70,8 +70,6 @@ struct Outcome {
 
 cluster::NodeConfig node_config(const Scenario& sc) {
   cluster::NodeConfig nc;
-  nc.pcie.bandwidth_bytes_per_sec = 12.0e9;  // the paper's platform
-  nc.pcie.latency = sim::microseconds(2.0);
   // A small TaskTable keeps the in-flight set shallow, so the backlog — and
   // the ordering decision — lives in the dispatcher's admission queue rather
   // than inside the device.

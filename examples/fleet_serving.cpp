@@ -50,8 +50,6 @@ int main(int argc, char** argv) {
   }
 
   cluster::NodeConfig titan;
-  titan.pcie.bandwidth_bytes_per_sec = 12.0e9;
-  titan.pcie.latency = sim::microseconds(2.0);
   cluster::NodeConfig k40 = titan;
   k40.spec = gpu::GpuSpec::tesla_k40();
   cluster::OpenLoopRunner runner({titan, k40},

@@ -127,7 +127,6 @@ Dispatcher::Dispatcher(Cluster& cluster,
       }
       auto np =
           std::make_unique<power::NodePower>(sim(), spec, std::move(smms));
-      np->set_on_transition([this](sim::Time now) { power_edge(now); });
       node.attach_power(std::move(np));
     }
     // Power-aware placement reads the same budget the powercap governor
@@ -418,6 +417,15 @@ Dispatcher::Attempt Dispatcher::take_record(NodeState& ns, std::size_t idx) {
   return a;
 }
 
+void Dispatcher::park_wedged(int node_index, NodeState& ns, std::size_t idx) {
+  NodeState::Record& rec = ns.records[idx];
+  const std::uint64_t uid = rec.uid;
+  Wedged w{node_index, rec.deadline, std::move(rec.att)};
+  rec = NodeState::Record{};
+  ns.tracked -= 1;  // GPU-side the work IS done; only the deadline is owed
+  wedged_.emplace(uid, std::move(w));
+}
+
 void Dispatcher::check_slots(const NodeState& ns) {
   PAGODA_CHECK_MSG(0 <= ns.staged && ns.staged <= ns.granted &&
                        ns.granted <= ns.slot_capacity,
@@ -551,7 +559,14 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
   const std::size_t idx =
       static_cast<std::size_t>(h.id - runtime::kFirstTaskId);
   NodeState::Record& rec = ns.records[idx];
-  PAGODA_CHECK_MSG(!rec.active, "TaskTable entry reused while tracked");
+  if (rec.active) {
+    // A crash swallowed the completion of the entry's previous task. With
+    // oversub > 1 a spawn can reach the freed entry before that record's
+    // deadline fires (even after recovery): park it to await the deadline.
+    PAGODA_CHECK_MSG(cfg_.task_timeout > 0,
+                     "TaskTable entry reused while tracked, with no deadline");
+    park_wedged(node_index, ns, idx);
+  }
   rec.active = true;
   rec.uid = a.uid;
   rec.handle = h;
@@ -586,13 +601,8 @@ void Dispatcher::on_task_complete(int node_index, runtime::TaskId id) {
     NodeState::Record& r = ns.records[idx];
     if (cfg_.faults.wedges(r.uid, r.att.attempt)) {
       // Slot wedge: the completion is swallowed. The TaskTable entry is
-      // already free GPU-side and may be reused, so the attempt moves out
-      // of records[] and waits for its deadline under its uid.
-      Wedged w{node_index, r.deadline, std::move(r.att)};
-      const std::uint64_t uid = r.uid;
-      ns.records[idx] = NodeState::Record{};
-      ns.tracked -= 1;  // GPU-side the work IS done; only the deadline is owed
-      wedged_.emplace(uid, std::move(w));
+      // already free GPU-side and may be reused.
+      park_wedged(node_index, ns, idx);
       stats_.injected_wedges += 1;
       fault_event("wedge");
       return;
@@ -971,18 +981,6 @@ double Dispatcher::fleet_watts() const {
     }
   }
   return w;
-}
-
-void Dispatcher::power_edge(sim::Time now) {
-  if (collector_ == nullptr) return;
-  // Cut a sample exactly at the edge: a P/C/S transition is a step change
-  // in power draw, and smearing it across a periodic sample window would
-  // blur the residency attribution the energy tests decompose.
-  collector_->edge_sample(now);
-  if (collector_->timeline_enabled()) {
-    if (power_track_ < 0) power_track_ = collector_->timeline().track("power");
-    collector_->timeline().instant(power_track_, "transition", now);
-  }
 }
 
 // --- accounting -------------------------------------------------------------

@@ -453,6 +453,9 @@ class Dispatcher {
   /// Tears down a tracked record: cancels its deadline, clears it and
   /// un-counts it from `tracked`. Returns the attempt it held.
   Attempt take_record(NodeState& ns, std::size_t idx);
+  /// Moves a tracked record whose completion will never arrive into
+  /// wedged_, keeping its deadline (and its slot) until that fires.
+  void park_wedged(int node_index, NodeState& ns, std::size_t idx);
   /// The slot accounting bounds, CHECKed after every change.
   static void check_slots(const NodeState& ns);
   void on_task_complete(int node_index, runtime::TaskId id);
@@ -491,10 +494,6 @@ class Dispatcher {
   void return_to_service(int node_index);
   void set_bandwidth_scale(int node_index, double scale);
   void fault_event(std::string_view name);
-  /// State-transition edge hook (wired into every NodePower): cuts a
-  /// collector sample exactly at the edge so idle-power residency windows
-  /// are attributed precisely, and drops a timeline instant.
-  void power_edge(sim::Time now);
   void maybe_drained();
 
   Cluster* cluster_;
@@ -531,7 +530,6 @@ class Dispatcher {
   obs::Collector* collector_ = nullptr;
   obs::RequestTracer* tracer_ = nullptr;  // nullptr = tracing disarmed
   int fault_track_ = -1;  // lazily interned timeline track
-  int power_track_ = -1;  // lazily interned timeline track
   /// The governor's window onto this dispatcher (power plane only).
   std::unique_ptr<power::FleetControl> fleet_adapter_;
   std::unique_ptr<power::PowerGovernor> governor_;

@@ -22,8 +22,6 @@ namespace pagoda::harness {
 inline baselines::RunConfig paper_platform() {
   baselines::RunConfig cfg;
   cfg.spec = gpu::GpuSpec::titan_x();
-  cfg.pcie.bandwidth_bytes_per_sec = 12.0e9;
-  cfg.pcie.latency = sim::microseconds(2.0);
   cfg.spawner_threads = 2;  // Fig 1a
   return cfg;
 }

@@ -18,6 +18,33 @@ std::string smm_key(const std::string& prefix, int index, const char* suffix) {
   return prefix + buf;
 }
 
+/// TaskTable entries by ready state.
+struct TableCensus {
+  int free = 0;
+  int params_copied = 0;
+  int scheduling = 0;
+  int chained = 0;  // carries a predecessor TaskId (spawn pipeline)
+};
+
+TableCensus census(const runtime::TaskTable& table) {
+  TableCensus n;
+  for (int c = 0; c < table.columns(); ++c) {
+    for (int r = 0; r < table.rows(); ++r) {
+      const std::int32_t ready = table.at(c, r).ready;
+      if (ready == runtime::kReadyFree) {
+        n.free += 1;
+      } else if (ready == runtime::kReadyParamsCopied) {
+        n.params_copied += 1;
+      } else if (ready == runtime::kReadyScheduling) {
+        n.scheduling += 1;
+      } else {
+        n.chained += 1;
+      }
+    }
+  }
+  return n;
+}
+
 }  // namespace
 
 Collector::Collector(CollectorConfig cfg) : cfg_(cfg) {
@@ -30,7 +57,6 @@ void Collector::ensure_sampler(sim::Simulation& sim) {
     return;
   }
   sim_ = &sim;
-  last_sample_ = sim.now();
   if (cfg_.timeline) track_tasks_ = timeline_.track("tasks");
   schedule_tick();
 }
@@ -46,19 +72,9 @@ void Collector::tick() {
   // wake without an event), so stop sampling instead of ticking forever.
   // Skipping the sample keeps every recorded time <= the run's end time.
   if (sim_->pending_events() == 0) return;
-  sample(sim_->now());
-  schedule_tick();
-}
-
-void Collector::edge_sample(sim::Time now) {
-  if (sim_ == nullptr || finished_) return;
-  sample(now);
-}
-
-void Collector::sample(sim::Time now) {
-  const double window = sim::to_seconds(now - last_sample_);
-  last_sample_ = now;
-
+  const sim::Time now = sim_->now();
+  // Ticks are the only samples, so every rate window is one period long.
+  const double window = sim::to_seconds(cfg_.sample_period);
   for (DeviceSlot& slot : devices_) sample_device(slot, now, window);
   for (RuntimeSlot& slot : runtimes_) sample_runtime(slot, now);
 
@@ -72,6 +88,7 @@ void Collector::sample(sim::Time now) {
   }
 
   for (const auto& fn : extra_samplers_) fn(now);
+  schedule_tick();
 }
 
 void Collector::sample_device(DeviceSlot& slot, sim::Time now, double window) {
@@ -87,9 +104,7 @@ void Collector::sample_device(DeviceSlot& slot, sim::Time now, double window) {
     const double busy = smm.pipeline().busy_work_seconds();
     const auto u = static_cast<std::size_t>(i);
     const double util =
-        window > 0.0 ? (busy - slot.prev_smm_busy[u]) /
-                           (smm.pipeline().capacity() * window)
-                     : 0.0;
+        (busy - slot.prev_smm_busy[u]) / (smm.pipeline().capacity() * window);
     slot.prev_smm_busy[u] = busy;
     metrics_.stat(smm_key(slot.prefix, i, "issue_utilization")).add(util);
     util_sum += util;
@@ -106,15 +121,11 @@ void Collector::sample_device(DeviceSlot& slot, sim::Time now, double window) {
   sim::Link& h2d = dev.pcie().link(pcie::Direction::HostToDevice);
   sim::Link& d2h = dev.pcie().link(pcie::Direction::DeviceToHost);
   const double h2d_gbps =
-      window > 0.0 ? static_cast<double>(h2d.bytes_transferred() -
-                                         slot.prev_h2d_bytes) /
-                         window / 1e9
-                   : 0.0;
+      static_cast<double>(h2d.bytes_transferred() - slot.prev_h2d_bytes) /
+      window / 1e9;
   const double d2h_gbps =
-      window > 0.0 ? static_cast<double>(d2h.bytes_transferred() -
-                                         slot.prev_d2h_bytes) /
-                         window / 1e9
-                   : 0.0;
+      static_cast<double>(d2h.bytes_transferred() - slot.prev_d2h_bytes) /
+      window / 1e9;
   slot.prev_h2d_bytes = h2d.bytes_transferred();
   slot.prev_d2h_bytes = d2h.bytes_transferred();
   metrics_.stat(key(slot.prefix, "pcie.h2d.gbps")).add(h2d_gbps);
@@ -134,36 +145,18 @@ void Collector::sample_device(DeviceSlot& slot, sim::Time now, double window) {
 
 void Collector::sample_runtime(RuntimeSlot& slot, sim::Time now) {
   runtime::Runtime& rt = *slot.rt;
-  const runtime::TaskTable& table = rt.gpu_table();
-  int free = 0;
-  int params_copied = 0;
-  int scheduling = 0;
-  int chained = 0;
-  for (int c = 0; c < table.columns(); ++c) {
-    for (int r = 0; r < table.rows(); ++r) {
-      const std::int32_t ready = table.at(c, r).ready;
-      if (ready == runtime::kReadyFree) {
-        free += 1;
-      } else if (ready == runtime::kReadyParamsCopied) {
-        params_copied += 1;
-      } else if (ready == runtime::kReadyScheduling) {
-        scheduling += 1;
-      } else {
-        chained += 1;  // carries a predecessor TaskId (spawn pipeline)
-      }
-    }
-  }
-  const int fill = table.size() - free;
+  const TableCensus n = census(rt.gpu_table());
+  const int fill = rt.gpu_table().size() - n.free;
   metrics_.stat(key(slot.prefix, "pagoda.tasktable.fill"))
       .add(static_cast<double>(fill));
   metrics_.stat(key(slot.prefix, "pagoda.tasktable.free"))
-      .add(static_cast<double>(free));
+      .add(static_cast<double>(n.free));
   metrics_.stat(key(slot.prefix, "pagoda.tasktable.params_copied"))
-      .add(static_cast<double>(params_copied));
+      .add(static_cast<double>(n.params_copied));
   metrics_.stat(key(slot.prefix, "pagoda.tasktable.scheduling"))
-      .add(static_cast<double>(scheduling));
+      .add(static_cast<double>(n.scheduling));
   metrics_.stat(key(slot.prefix, "pagoda.tasktable.chained"))
-      .add(static_cast<double>(chained));
+      .add(static_cast<double>(n.chained));
 
   const runtime::MasterKernel& mk = rt.master_kernel();
   metrics_.stat(key(slot.prefix, "pagoda.executors.busy"))
@@ -369,32 +362,15 @@ void Collector::finish_runtime(RuntimeSlot& slot, double elapsed) {
   }
 
   // Final TaskTable state census (usually all free on a completed run).
-  const runtime::TaskTable& table = rt.gpu_table();
-  int free = 0;
-  int params_copied = 0;
-  int scheduling = 0;
-  int chained = 0;
-  for (int c = 0; c < table.columns(); ++c) {
-    for (int r = 0; r < table.rows(); ++r) {
-      const std::int32_t ready = table.at(c, r).ready;
-      if (ready == runtime::kReadyFree) {
-        free += 1;
-      } else if (ready == runtime::kReadyParamsCopied) {
-        params_copied += 1;
-      } else if (ready == runtime::kReadyScheduling) {
-        scheduling += 1;
-      } else {
-        chained += 1;
-      }
-    }
-  }
-  metrics_.counter(key(slot.prefix, "pagoda.tasktable.final.free")).set(free);
+  const TableCensus n = census(rt.gpu_table());
+  metrics_.counter(key(slot.prefix, "pagoda.tasktable.final.free"))
+      .set(n.free);
   metrics_.counter(key(slot.prefix, "pagoda.tasktable.final.params_copied"))
-      .set(params_copied);
+      .set(n.params_copied);
   metrics_.counter(key(slot.prefix, "pagoda.tasktable.final.scheduling"))
-      .set(scheduling);
+      .set(n.scheduling);
   metrics_.counter(key(slot.prefix, "pagoda.tasktable.final.chained"))
-      .set(chained);
+      .set(n.chained);
 
   if (cfg_.timeline && slot.prefix.empty()) {
     const Timeline::TrackId spawn_track = timeline_.track("pagoda.spawn");

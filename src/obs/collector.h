@@ -1,7 +1,9 @@
 // The Collector ties the metrics registry and the timeline to a running
 // simulation: drivers attach the structures they own (Device, Pagoda
 // Runtime, CpuCluster) and the Collector installs read-only observers plus a
-// periodic sampler process that rides the virtual clock.
+// periodic sampler process that rides the virtual clock. That tick is the
+// only sampling path: nothing samples between ticks, power transitions
+// included, so every sampled series has one value per tick.
 //
 // Invariants the whole observability layer depends on:
 //  * Sampling is PASSIVE. The sampler event and every observer only read
@@ -110,13 +112,6 @@ class Collector {
   /// only). Ignores incomplete intervals (start or end unset).
   void task_span(sim::Time start, sim::Time end);
 
-  /// Immediate out-of-band sample at a state-transition edge (power
-  /// P/C/S-state changes): records the same series a periodic tick would,
-  /// right at the edge, so step changes are never smeared across a sample
-  /// window. Passive like the tick; the periodic cadence is unaffected.
-  /// No-op before the sampler is attached or after finish().
-  void edge_sample(sim::Time now);
-
   /// Finalizes the run: stops the sampler, snapshots the end-of-run gauges
   /// and counters and converts the protocol trace into timeline spans. Must
   /// run before the attached Simulation is destroyed; `end_time` is the
@@ -145,7 +140,6 @@ class Collector {
   void ensure_sampler(sim::Simulation& sim);
   void schedule_tick();
   void tick();
-  void sample(sim::Time now);
   void sample_device(DeviceSlot& slot, sim::Time now, double window);
   void sample_runtime(RuntimeSlot& slot, sim::Time now);
   void finish_device(DeviceSlot& slot, double elapsed, sim::Time end_time);
@@ -168,7 +162,6 @@ class Collector {
   std::vector<std::function<void(sim::Time)>> extra_samplers_;
 
   sim::EventId tick_event_ = 0;
-  sim::Time last_sample_ = 0;
   bool finished_ = false;
 
   Timeline::TrackId track_tasks_ = 0;

@@ -1,7 +1,6 @@
 #include "power/power_model.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/check.h"
 
@@ -56,7 +55,6 @@ bool SmmPower::step_c_deeper(sim::Time now) {
   touch(now);
   ++c_;
   ++transitions_;
-  if (on_edge_ && *on_edge_) (*on_edge_)(now);
   return true;
 }
 
@@ -65,7 +63,6 @@ void SmmPower::set_node_asleep(bool asleep, sim::Time now) {
   touch(now);
   off_ = asleep;
   ++transitions_;
-  // NodePower fires the shared edge notification once per node transition.
 }
 
 sim::Duration SmmPower::wake_for_issue(sim::Time now) {
@@ -78,7 +75,6 @@ sim::Duration SmmPower::wake_for_issue(sim::Time now) {
     // The wake-up window is charged at active (C0) power — the clock tree
     // is already spinning back up.
     wake_until_ = now + d;
-    if (on_edge_ && *on_edge_) (*on_edge_)(now);
     return d;
   }
   return wake_until_ > now ? wake_until_ - now : 0;
@@ -146,9 +142,7 @@ NodePower::NodePower(sim::Simulation& sim, const PowerSpec& spec,
   last_touch_ = sim.now();
   smms_.reserve(smms.size());
   for (gpu::Smm* s : smms) {
-    auto sp = std::make_unique<SmmPower>(sim, spec_, *s);
-    sp->set_edge_hook(&on_transition_);
-    smms_.push_back(std::move(sp));
+    smms_.push_back(std::make_unique<SmmPower>(sim, spec_, *s));
   }
 }
 
@@ -170,7 +164,6 @@ void NodePower::set_p_state(int p) {
   p_ = p;
   ++transitions_;
   for (auto& sp : smms_) sp->set_p_state(p, now);
-  notify(now);
 }
 
 void NodePower::enter_sleep(int s) {
@@ -181,7 +174,6 @@ void NodePower::enter_sleep(int s) {
   s_ = s;
   ++transitions_;
   for (auto& sp : smms_) sp->set_node_asleep(true, now);
-  notify(now);
 }
 
 void NodePower::begin_wake() {
@@ -193,7 +185,6 @@ void NodePower::begin_wake() {
   ++transitions_;
   ++wakeups_;
   for (auto& sp : smms_) sp->set_node_asleep(false, now);
-  notify(now);
 }
 
 double NodePower::energy_joules(sim::Time now) const {
@@ -240,10 +231,6 @@ std::uint64_t NodePower::transitions() const {
   std::uint64_t t = transitions_;
   for (const auto& sp : smms_) t += sp->transitions();
   return t;
-}
-
-void NodePower::set_on_transition(std::function<void(sim::Time)> cb) {
-  on_transition_ = std::move(cb);
 }
 
 }  // namespace pagoda::power

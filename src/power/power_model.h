@@ -4,6 +4,7 @@
 // charges the elapsed interval to the outgoing state (touch), while every
 // *read* extrapolates to `now` without mutating — so merely observing a run
 // (collector samples, placement probes) cannot perturb its event stream.
+// Nothing fires on a transition: observers read on their own clock.
 //
 // Energy is accumulated incrementally at each edge AND independently
 // decomposable from the exported residency/issue tables:
@@ -24,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -79,12 +79,6 @@ class SmmPower {
   double issue_capacity() const { return smm_->pipeline().capacity(); }
   std::uint64_t transitions() const { return transitions_; }
 
-  /// Wired by the owning NodePower: points at its on_transition callback so
-  /// C-state edges (wake-ups, deeper parks) fire the same edge sampler.
-  void set_edge_hook(const std::function<void(sim::Time)>* hook) {
-    on_edge_ = hook;
-  }
-
  private:
   /// Charges [last_touch_, now] to the current state row and attributes the
   /// pipeline's issue delta to the current P-state. Called at every edge.
@@ -112,7 +106,6 @@ class SmmPower {
   double off_res_ = 0.0;                       // node-sleep seconds
   std::array<double, kNumPStates> dyn_work_{};  // issued work per P
   std::uint64_t transitions_ = 0;
-  const std::function<void(sim::Time)>* on_edge_ = nullptr;
 };
 
 /// Power state of one GpuNode: the per-node DVFS domain (one P-state across
@@ -162,17 +155,8 @@ class NodePower {
   std::uint64_t transitions() const;
   std::uint64_t wakeups() const { return wakeups_; }
 
-  /// Fired (at the transition edge) on every P/S change and every SmmPower
-  /// C change, AFTER the state moved — the dispatcher points this at the
-  /// collector's edge sampler so idle-residency windows are cut exactly at
-  /// the edges.
-  void set_on_transition(std::function<void(sim::Time)> cb);
-
  private:
   void touch(sim::Time now);
-  void notify(sim::Time now) {
-    if (on_transition_) on_transition_(now);
-  }
   double uncore_watts() const {
     return s_ > 0 ? spec_.s_watts[static_cast<std::size_t>(s_)]
                   : spec_.node_base_watts;
@@ -190,7 +174,6 @@ class NodePower {
   std::array<double, kNumSStates> s_res_{};  // [0] = awake seconds
   std::uint64_t transitions_ = 0;
   std::uint64_t wakeups_ = 0;
-  std::function<void(sim::Time)> on_transition_;
 };
 
 }  // namespace pagoda::power

@@ -520,6 +520,46 @@ TEST(FaultCluster, PcieBoundNodeIsNotDeclaredDead) {
   EXPECT_EQ(m.metrics.counter("fault.redispatched").value(), 0);
 }
 
+// A crash swallows completions, so the crashed node's records stay tracked
+// until their deadlines. Oversubscribed, the dispatcher grants more slots
+// than the TaskTable has entries, so a new spawn can land in an entry whose
+// swallowed record is still tracked, before or after the node recovers. The
+// stale record waits out its deadline with the wedged attempts, and the run
+// resolves every request.
+TEST(FaultCluster, OversubscribedSpawnReusesASwallowedEntry) {
+  workloads::WorkloadConfig wcfg;
+  wcfg.num_tasks = 1024;
+  wcfg.seed = 0x9A60DA;
+  baselines::RunConfig rcfg = harness::paper_platform();
+  rcfg.mode = gpu::ExecMode::Model;
+  rcfg.pagoda.rows_per_column = 3;
+  rcfg.pagoda.oversub = 4.0;
+  rcfg.cluster.specs = {gpu::GpuSpec::titan_x(), gpu::GpuSpec::titan_x(),
+                        gpu::GpuSpec::titan_x()};
+  const auto arrival = ArrivalConfig::parse("poisson:3e6");
+  ASSERT_TRUE(arrival.has_value());
+  rcfg.cluster.arrival = *arrival;
+  std::string err;
+  const auto plan =
+      fault::FaultPlan::parse("crash:1:150:200,task:0.02", &err);
+  ASSERT_TRUE(plan.has_value()) << err;
+  rcfg.cluster.dispatcher.faults = *plan;
+  rcfg.cluster.dispatcher.task_timeout = sim::microseconds(1500.0);
+  rcfg.cluster.seed = wcfg.seed;
+  obs::Collector collector(obs::CollectorConfig{});
+  rcfg.collector = &collector;
+  const harness::Measurement m =
+      harness::run_experiment("MM", "Cluster", wcfg, rcfg);
+  const obs::MetricsRegistry& r = m.metrics;
+  EXPECT_EQ(r.counter_value("fault.injected.crashes"), 1);
+  EXPECT_EQ(r.counter_value("fault.nodes.recovered"), 1);
+  EXPECT_GT(r.counter_value("fault.detected.timeouts"), 0);
+  EXPECT_EQ(r.counter_value("cluster.requests.admitted"), 1024);
+  EXPECT_EQ(r.counter_value("cluster.requests.completed") +
+                r.counter_value("cluster.requests.shed"),
+            r.counter_value("cluster.requests.admitted"));
+}
+
 // --- end-to-end compute verification -------------------------------------------
 
 TEST(FaultCompute, RetriedTasksVerifyAgainstCpuReferences) {

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "obs/collector.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
+#include "power/governor.h"
+#include "power/power_spec.h"
 
 namespace pagoda::obs {
 namespace {
@@ -334,6 +337,62 @@ TEST(Collector, SamplerSelfTerminatesAtQueueDrain) {
   EXPECT_GT(rs.count(), 0u);
   EXPECT_LT(static_cast<double>(rs.count()),
             elapsed_ms * 1000.0 / 20.0 + 2.0);  // ticks at 20 us cadence
+}
+
+// The Collector's periodic tick is the only sampling path. A dvfs run moves
+// P- and C-states between ticks on every node, and none of those edges adds
+// a sample: every sampled cluster and per-device series holds exactly one
+// value per tick, so all share one count, bounded by the ticks that fit in
+// the run. The run's events end at the governor's last check, at most one
+// governor period after the last completion.
+TEST(Collector, PowerTransitionsAddNoSamplesOffTheClock) {
+  Collector collector;
+  baselines::RunConfig rcfg = small_cfg(&collector);
+  rcfg.cluster.specs = {gpu::GpuSpec::titan_x(), gpu::GpuSpec::titan_x()};
+  rcfg.cluster.dispatcher.power.spec = power::PowerSpec::default_spec();
+  rcfg.cluster.dispatcher.power.governor = power::GovernorKind::kDvfs;
+  workloads::WorkloadConfig wcfg = small_wcfg();
+  wcfg.num_tasks = 1024;
+  rcfg.cluster.seed = wcfg.seed;
+  const harness::Measurement m =
+      harness::run_experiment("MM", "Cluster", wcfg, rcfg);
+  ASSERT_EQ(m.metrics.counter_value("cluster.requests.completed"), 1024);
+  ASSERT_GT(m.metrics.counter_value("power.transitions"), 0);
+
+  std::ostringstream os;
+  m.metrics.write_json(os);
+  const std::string json = os.str();
+  const std::size_t begin = json.find("\"stats\": {");
+  const std::size_t end = json.find("\"histograms\": {");
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  const std::string stats = json.substr(begin, end - begin);
+  const std::regex sampled(
+      R"re("((cluster|dev\d\d\.(gpu|pagoda))\.[^"]*)": \{"count": (\d+),)re");
+  std::map<std::string, long> counts;
+  for (auto it = std::sregex_iterator(stats.begin(), stats.end(), sampled);
+       it != std::sregex_iterator(); ++it) {
+    const std::string name = (*it)[1];
+    // Per-MTB executor utilization is a finish-time stat (one value per
+    // MTB), not a sampled series.
+    if (name.find(".pagoda.mtb.") != std::string::npos) continue;
+    counts[name] = std::stol((*it)[4]);
+  }
+  ASSERT_TRUE(counts.count("cluster.in_flight"));
+  ASSERT_TRUE(counts.count("dev00.gpu.issue_utilization"));
+  ASSERT_TRUE(counts.count("dev01.pagoda.tasktable.fill"));
+
+  const sim::Time last_event =
+      sim::milliseconds(m.metrics.gauge_value("run.elapsed_ms")) +
+      rcfg.cluster.dispatcher.power.period;
+  const long max_ticks =
+      static_cast<long>(last_event / CollectorConfig{}.sample_period) + 1;
+  const long ticks = counts.at("cluster.in_flight");
+  EXPECT_GT(ticks, 0);
+  EXPECT_LE(ticks, max_ticks);
+  for (const auto& [name, n] : counts) {
+    EXPECT_EQ(n, ticks) << name;
+  }
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ cluster_smoke() {
   # (exit 1, or 2 for an unparsable number), never in an internal CHECK abort.
   # The case comes first: the first occurrence of a flag wins, so a case may
   # override the defaults after it (--tasks).
-  local args rc
+  local args rc out
   for args in "--gpus=2 --oversub=1e9" "--rows=0" "--blocks=0" \
       "--task-threads=0" "--task-threads=100000" \
       "--gpus=2 --arrival=poisson:nan" "--gpus=2 --arrival=poisson:inf" \
@@ -80,9 +80,27 @@ cluster_smoke() {
     echo "error: faults + resize run exited ${rc}, want 0" >&2
     exit 1
   fi
+  # Oversubscribed with a crash: a spawn may land in a TaskTable entry whose
+  # completion the crash swallowed. The stale record waits out its deadline
+  # and every admitted request completes or is shed.
+  rc=0
+  out=$(timeout 60 "${dir}/tools/pagoda_cli" --workload=MM --gpus=3 \
+      --oversub=4 --rows=3 --tasks=1024 --arrival=poisson:3e6 \
+      --faults=crash:1:150:200,task:0.02 --task-timeout-us=1500 --metrics) ||
+      rc=$?
+  if [[ "${rc}" != 0 ]]; then
+    echo "error: oversub + crash run exited ${rc}, want 0" >&2
+    exit 1
+  fi
+  awk '$1 == "cluster.requests.admitted" {a = $2}
+       $1 == "cluster.requests.completed" {c = $2}
+       $1 == "cluster.requests.shed" {s = $2}
+       END {exit !(a > 0 && c + s == a)}' <<<"${out}" || {
+    echo "error: oversub + crash run lost requests" >&2
+    exit 1
+  }
   # A healthy PCIe-bound node is busy, not dead: with nothing injected the
   # watchdog must declare no death.
-  local out
   out=$("${dir}/tools/pagoda_cli" --workload=DCT --gpus=2 --tasks=512 \
       --task-timeout-us=4000 --metrics)
   grep -Eq "fault\.detected\.node_deaths +0$" <<<"${out}"
@@ -464,6 +482,27 @@ fleet_gate() {
   fi
 }
 
+trace_overhead_gate() {
+  # Observability cost gate: perfbench reports obs.trace_overhead_x, the
+  # traced/untraced sim.run_s ratio measured in one process, so host load
+  # cancels out. The traced `planes` run (every plane armed, power included)
+  # must be correct and cost at most 3x the untraced one.
+  echo "==> trace overhead gate (perfbench planes --trace 1, <= 3x)"
+  local out
+  out=$(python3 perfbench/run.py --workload planes --seed 1 --seconds 10 \
+      --trace 1 | tail -n 1)
+  python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+ok, x = r["correct"], r["metrics"]["obs.trace_overhead_x"]["value"]
+print(f"    correct={ok} obs.trace_overhead_x={x:.2f} (max 3)")
+sys.exit(0 if ok is True and x <= 3.0 else 1)
+' "${out}" || {
+    echo "error: traced planes run is incorrect or costs more than 3x" >&2
+    exit 1
+  }
+}
+
 wallclock_gate() {
   # Host wall-clock regression gate on the hot path. Median of 3 Release
   # runs of fig5_overall --tasks=4096 must stay within 1.5x of the 1.136 s
@@ -515,6 +554,7 @@ power_grep_clean
 vres_grep_clean
 wallclock_gate build-release
 fleet_gate build-release
+trace_overhead_gate
 
 echo "==> bench determinism (cluster_scaling)"
 build-release/bench/cluster_scaling --tasks=512 --out=/tmp/pagoda_cluster_a.json >/dev/null

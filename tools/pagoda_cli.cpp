@@ -352,10 +352,6 @@ int main(int argc, char** argv) {
   // values are usage errors (exit 1), never a truncation, a silent
   // "unbounded" or an abort mid-run. The runtimes CHECK the task shape and
   // TaskTable geometry, so those bounds come from the platform.
-  // Int flags are range-checked before they narrow: out of range is a usage
-  // error (exit 1), never a truncation, a silent "unbounded" or an abort
-  // mid-run. The runtimes CHECK the task shape and TaskTable geometry, so
-  // those bounds come from the platform.
   baselines::RunConfig rcfg = harness::paper_platform();
   workloads::WorkloadConfig wcfg;
   wcfg.num_tasks = flags.get_int_in("tasks", 4096, 1);
