@@ -5,8 +5,10 @@
 //
 // Each point offers the same per-node load. The JSON artifact carries the
 // stable simulated outcomes (completed count, virtual end time) and the
-// machine-dependent wall-clock milliseconds; tools/check.sh gates the
-// sweep's total wall-clock.
+// machine-dependent wall-clock milliseconds and peak RSS; tools/check.sh
+// gates the sweep's total wall-clock and the 256-node peak RSS.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -27,6 +29,9 @@ struct Outcome {
   double wall_ms = 0.0;          // real
   std::int64_t completed = 0;
   double throughput_rps = 0.0;   // virtual
+  /// Process high-water RSS after the point. The sweep ascends, so this is
+  /// the largest point's footprint (monotone across the sweep).
+  double peak_rss_mb = 0.0;
 };
 
 Outcome run_point(int nodes, int requests, std::uint64_t seed) {
@@ -55,6 +60,9 @@ Outcome run_point(int nodes, int requests, std::uint64_t seed) {
   if (elapsed_s > 0.0) {
     o.throughput_rps = static_cast<double>(o.completed) / elapsed_s;
   }
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  o.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
   return o;
 }
 
@@ -80,8 +88,8 @@ int main(int argc, char** argv) {
 
   std::printf("=== fleet scale: %d requests/node, seed %llu ===\n", per_node,
               static_cast<unsigned long long>(seed));
-  std::printf("%-6s %12s %12s %12s\n", "nodes", "thr (k/s)", "sim (ms)",
-              "wall (ms)");
+  std::printf("%-6s %12s %12s %12s %12s\n", "nodes", "thr (k/s)", "sim (ms)",
+              "wall (ms)", "rss (MB)");
 
   std::ofstream json(out_path);
   json << "{\n  \"bench\": \"fleet_scale\", \"tasks_per_node\": " << per_node
@@ -90,13 +98,16 @@ int main(int argc, char** argv) {
   bool first = true;
   for (const int nodes : {1, 4, 16, 64, 256}) {
     const Outcome o = run_point(nodes, per_node * nodes, seed);
-    std::printf("%-6d %12.1f %12.1f %12.1f\n", nodes, o.throughput_rps / 1e3,
-                o.elapsed_ms, o.wall_ms);
+    std::printf("%-6d %12.1f %12.1f %12.1f %12.1f\n", nodes,
+                o.throughput_rps / 1e3, o.elapsed_ms, o.wall_ms,
+                o.peak_rss_mb);
     if (!first) json << ",\n";
     first = false;
     json << "    {\"nodes\": " << nodes << ", \"completed\": " << o.completed
          << ", \"sim_ms\": " << obs::format_metric_double(o.elapsed_ms)
-         << ", \"wall_ms\": " << obs::format_metric_double(o.wall_ms) << "}";
+         << ", \"wall_ms\": " << obs::format_metric_double(o.wall_ms)
+         << ", \"peak_rss_mb\": " << obs::format_metric_double(o.peak_rss_mb)
+         << "}";
   }
   json << "\n  ]\n}\n";
   std::printf("-> %s\n", out_path.c_str());

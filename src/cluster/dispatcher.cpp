@@ -408,22 +408,18 @@ void Dispatcher::leave(int node_index, Attempt a, Held held, Exit exit,
 }
 
 Dispatcher::Attempt Dispatcher::take_record(NodeState& ns, std::size_t idx) {
-  NodeState::Record& rec = ns.records[idx];
+  const std::unique_ptr<NodeState::Record> rec = std::move(ns.records[idx]);
   // A no-op when the deadline is the event firing right now.
-  if (rec.deadline != 0) sim().cancel(rec.deadline);
-  Attempt a = std::move(rec.att);
-  rec = NodeState::Record{};
+  if (rec->deadline != 0) sim().cancel(rec->deadline);
   ns.tracked -= 1;
-  return a;
+  return std::move(rec->att);
 }
 
 void Dispatcher::park_wedged(int node_index, NodeState& ns, std::size_t idx) {
-  NodeState::Record& rec = ns.records[idx];
-  const std::uint64_t uid = rec.uid;
-  Wedged w{node_index, rec.deadline, std::move(rec.att)};
-  rec = NodeState::Record{};
+  const std::unique_ptr<NodeState::Record> rec = std::move(ns.records[idx]);
   ns.tracked -= 1;  // GPU-side the work IS done; only the deadline is owed
-  wedged_.emplace(uid, std::move(w));
+  wedged_.emplace(rec->uid,
+                  Wedged{node_index, rec->deadline, std::move(rec->att)});
 }
 
 void Dispatcher::check_slots(const NodeState& ns) {
@@ -558,8 +554,7 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
   }
   const std::size_t idx =
       static_cast<std::size_t>(h.id - runtime::kFirstTaskId);
-  NodeState::Record& rec = ns.records[idx];
-  if (rec.active) {
+  if (ns.records[idx] != nullptr) {
     // A crash swallowed the completion of the entry's previous task. With
     // oversub > 1 a spawn can reach the freed entry before that record's
     // deadline fires (even after recovery): park it to await the deadline.
@@ -567,7 +562,8 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
                      "TaskTable entry reused while tracked, with no deadline");
     park_wedged(node_index, ns, idx);
   }
-  rec.active = true;
+  ns.records[idx] = std::make_unique<NodeState::Record>();
+  NodeState::Record& rec = *ns.records[idx];
   rec.uid = a.uid;
   rec.handle = h;
   if (cfg_.task_timeout > 0) {
@@ -596,9 +592,9 @@ void Dispatcher::on_task_complete(int node_index, runtime::TaskId id) {
   NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
   const std::size_t idx = static_cast<std::size_t>(id - runtime::kFirstTaskId);
   PAGODA_CHECK(idx < ns.records.size());
-  if (!ns.records[idx].active) return;  // not a dispatcher task
+  if (ns.records[idx] == nullptr) return;  // not a dispatcher task
   if (watchdog_ != nullptr) {
-    NodeState::Record& r = ns.records[idx];
+    const NodeState::Record& r = *ns.records[idx];
     if (cfg_.faults.wedges(r.uid, r.att.attempt)) {
       // Slot wedge: the completion is swallowed. The TaskTable entry is
       // already free GPU-side and may be reused.
@@ -640,8 +636,8 @@ void Dispatcher::on_task_claimed(int node_index, runtime::TaskId id,
   if (!cluster_->node(node_index).alive()) return;
   NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
   const std::size_t idx = static_cast<std::size_t>(id - runtime::kFirstTaskId);
-  if (idx >= ns.records.size() || !ns.records[idx].active) return;
-  tracer_->on_claimed(ns.records[idx].uid, now);
+  if (idx >= ns.records.size() || ns.records[idx] == nullptr) return;
+  tracer_->on_claimed(ns.records[idx]->uid, now);
 }
 
 void Dispatcher::on_deadline(int node_index, std::size_t idx,
@@ -651,7 +647,7 @@ void Dispatcher::on_deadline(int node_index, std::size_t idx,
   if (const auto it = wedged_.find(uid); it != wedged_.end()) {
     a = std::move(it->second.att);
     wedged_.erase(it);
-  } else if (ns.records[idx].active && ns.records[idx].uid == uid) {
+  } else if (ns.holds(idx, uid)) {
     a = take_record(ns, idx);
   } else {
     return;  // already resolved; stale timer
@@ -800,7 +796,7 @@ void Dispatcher::node_failed(int node_index) {
   // Sweep tracked in-flight attempts onto healthy peers, exactly once each,
   // without charging their retry budget — the requests did nothing wrong.
   for (std::size_t idx = 0; idx < ns.records.size(); ++idx) {
-    if (!ns.records[idx].active) continue;
+    if (ns.records[idx] == nullptr) continue;
     leave(node_index, take_record(ns, idx), Held::kSpawned,
           Exit::kRedispatch);
   }
@@ -849,8 +845,8 @@ void Dispatcher::drain_node(int node_index) {
   // Claimed/executing tasks lose the race deterministically and run to
   // completion on this node — they are never checkpointed.
   for (std::size_t idx = 0; idx < ns.records.size(); ++idx) {
-    if (!ns.records[idx].active) continue;
-    sim().spawn(migrate_revoke(node_index, idx, ns.records[idx].uid));
+    if (ns.records[idx] == nullptr) continue;
+    sim().spawn(migrate_revoke(node_index, idx, ns.records[idx]->uid));
   }
 }
 
@@ -858,8 +854,8 @@ sim::Process Dispatcher::migrate_revoke(int node_index, std::size_t idx,
                                         std::uint64_t uid) {
   GpuNode& node = cluster_->node(node_index);
   NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
-  if (!ns.records[idx].active || ns.records[idx].uid != uid) co_return;
-  const runtime::TaskHandle h = ns.records[idx].handle;
+  if (!ns.holds(idx, uid)) co_return;
+  const runtime::TaskHandle h = ns.records[idx]->handle;
   const bool won = co_await node.rt().try_revoke(h);
   if (!won) {
     stats_.migrate_declined += 1;
@@ -869,7 +865,7 @@ sim::Process Dispatcher::migrate_revoke(int node_index, std::size_t idx,
   // Re-validate after the await: the death sweep may have redispatched the
   // attempt (and released its slot) while the revoke was on the wire — the
   // GPU entry is then an orphan the revoke harmlessly freed.
-  if (!ns.records[idx].active || ns.records[idx].uid != uid) co_return;
+  if (!ns.holds(idx, uid)) co_return;
   leave(node_index, take_record(ns, idx), Held::kSpawned, Exit::kMigrate);
 }
 

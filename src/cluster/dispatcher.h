@@ -348,9 +348,10 @@ class Dispatcher {
     std::unique_ptr<sched::ReadyQueue> slots;
     /// In-flight request records indexed by TaskTable entry (id-relative):
     /// entry reuse is safe because a record is erased at resolution, before
-    /// the slot semaphore lets the next request claim the entry.
+    /// the slot semaphore lets the next request claim the entry. A record is
+    /// allocated at spawn and freed by take_record()/park_wedged(); null
+    /// means the entry holds no tracked attempt.
     struct Record {
-      bool active = false;
       std::uint64_t uid = 0;
       sim::EventId deadline = 0;  // 0 = none armed
       /// The spawned task's handle, kept so a migrate-not-shed drain can
@@ -358,8 +359,12 @@ class Dispatcher {
       runtime::TaskHandle handle{};
       Attempt att;
     };
-    std::vector<Record> records;
-    /// Active records only — attempts spawned and still owed GPU progress.
+    std::vector<std::unique_ptr<Record>> records;
+    /// Whether entry `idx` still tracks attempt `uid` (not resolved since).
+    bool holds(std::size_t idx, std::uint64_t uid) const {
+      return records[idx] != nullptr && records[idx]->uid == uid;
+    }
+    /// Non-null records — attempts spawned and still owed GPU progress.
     /// This is the watchdog's "holds work" signal, so wedged attempts are
     /// deliberately excluded: their GPU work already finished (the
     /// completion was swallowed), no further progress is expected, and

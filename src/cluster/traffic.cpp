@@ -32,8 +32,16 @@ bool draw_fits(double mean_us) {
   return mean_us * kMaxDrawOverMean <= sim::kMaxSpecMicroseconds;
 }
 
-/// Whether every draw next_gap() can make for `cfg` fits: the arrival gap
-/// at the lowest rate of the process and, when modulated, the phase lengths.
+/// Whether next_gap() averages at most 1e4 loop steps per draw. Each step
+/// lands an arrival or ends a phase, so a draw takes 1 + 1 / (arrivals per
+/// phase) steps: valid but tiny phases (bursty:1e-2:4) take ~1e5.
+bool steps_fit(double arrivals_per_phase) {
+  return 1.0 + 1.0 / arrivals_per_phase <= 1e4;
+}
+
+/// Whether every draw next_gap() can make for `cfg` fits, and cheaply: the
+/// arrival gap at the lowest rate of the process and, when modulated, the
+/// phase lengths and the steps per draw.
 bool gaps_fit(const ArrivalConfig& cfg) {
   const double rate = cfg.rate_per_sec;
   const double f = cfg.burst_factor;
@@ -44,9 +52,11 @@ bool gaps_fit(const ArrivalConfig& cfg) {
     case ArrivalKind::Poisson:
       return draw_fits(1e6 / rate);
     case ArrivalKind::Bursty:  // ON rate rate x f; OFF mean on_us x (f - 1)
-      return draw_fits(1e6 / (rate * f)) && draw_fits(on_us * (f - 1.0));
+      return draw_fits(1e6 / (rate * f)) && draw_fits(on_us * (f - 1.0)) &&
+             steps_fit(rate * f * on_us * 1e-6);
     case ArrivalKind::Diurnal:  // trough rate 2 x rate / (f + 1)
-      return draw_fits(1e6 * (f + 1.0) / (2.0 * rate)) && draw_fits(on_us);
+      return draw_fits(1e6 * (f + 1.0) / (2.0 * rate)) && draw_fits(on_us) &&
+             steps_fit(rate * on_us * 1e-6);
   }
   return false;
 }
@@ -116,7 +126,8 @@ std::string_view ArrivalConfig::choices() {
   return "closed, poisson:RATE, bursty:RATE[:FACTOR], "
          "diurnal:RATE[:FACTOR[:ON_US]]  (RATE in requests/s; FACTOR > 1; "
          "ON_US = mean phase length in us; 37x the slowest mean gap or "
-         "phase must stay under 1e12 us)";
+         "phase must stay under 1e12 us, and a phase must average >= 1e-4 "
+         "arrivals)";
 }
 
 ArrivalSequence::ArrivalSequence(const ArrivalConfig& cfg, std::uint64_t seed)

@@ -49,9 +49,10 @@ struct ArrivalConfig {
   sim::Duration mean_on = sim::microseconds(200.0);
 
   /// Parses "closed", "poisson:RATE", "bursty:RATE[:FACTOR]" or
-  /// "diurnal:RATE[:FACTOR[:ON_US]]". nullopt on malformed input, and on a
+  /// "diurnal:RATE[:FACTOR[:ON_US]]". nullopt on malformed input, on a
   /// rate, factor or phase length so extreme that an exponential draw (up
-  /// to ~37x its mean) would not fit in sim::Duration.
+  /// to ~37x its mean) would not fit in sim::Duration, and on a modulated
+  /// spec whose next_gap() would average more than 1e4 phase-loop steps.
   static std::optional<ArrivalConfig> parse(std::string_view spec);
   /// Valid forms, for CLI error messages.
   static std::string_view choices();

@@ -96,14 +96,22 @@ class WarpCtx {
 
   /// Shared memory for this warp's threadblock (empty if none requested).
   std::span<std::byte> shared_mem;
+  /// Shared bytes the block declared, set by runtimes that back shared_mem
+  /// only in Compute mode (0: shared_mem is always backed).
+  std::int32_t shared_mem_declared = 0;
 
   template <typename T>
   const T& args_as() const {
     return *static_cast<const T*>(args);
   }
 
+  /// getSMPtr(). CHECKs that declared shared memory is backed: Model mode
+  /// backs none, so kernels read it only under compute().
   template <typename T>
   std::span<T> shared_as() const {
+    PAGODA_CHECK_MSG(!shared_mem.empty() || shared_mem_declared == 0,
+                     "shared_as(): the block's shared memory is not backed "
+                     "(Model mode backs none)");
     return {reinterpret_cast<T*>(shared_mem.data()),
             shared_mem.size() / sizeof(T)};
   }

@@ -123,6 +123,14 @@ std::int64_t MasterKernel::shmem_internal_frag_bytes() const {
   return n;
 }
 
+std::int64_t MasterKernel::shmem_arena_bytes_backed() const {
+  std::int64_t n = 0;
+  for (const auto& mtb : mtbs_) {
+    n += static_cast<std::int64_t>(mtb->arena.size());
+  }
+  return n;
+}
+
 std::int64_t MasterKernel::registers_in_use() const {
   std::int64_t n = 0;
   for (const auto& mtb : mtbs_) n += mtb->regs_used;
@@ -450,9 +458,15 @@ sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
     ctx.set_costs(cfg_.costs);
     ctx.args = p.args.data();
     if (slot.sm_index >= 0 && slot.block && slot.block->sm_bytes > 0) {
-      ctx.shared_mem = std::span<std::byte>(
-          mtb.arena.data() + slot.sm_index,
-          static_cast<std::size_t>(slot.block->sm_bytes));
+      ctx.shared_mem_declared = slot.block->sm_bytes;
+      if (cfg_.mode == gpu::ExecMode::Compute) {
+        if (mtb.arena.empty()) {
+          mtb.arena.resize(static_cast<std::size_t>(arena_bytes_));
+        }
+        ctx.shared_mem = std::span<std::byte>(
+            mtb.arena.data() + slot.sm_index,
+            static_cast<std::size_t>(slot.block->sm_bytes));
+      }
     }
 
     // Line 33: the warp executes the task kernel as a subroutine.

@@ -188,6 +188,9 @@ class MasterKernel {
   /// external-fragmentation gauge, and total internal rounding loss.
   double shmem_external_frag() const;
   std::int64_t shmem_internal_frag_bytes() const;
+  /// Host bytes backing the MTB arenas: 0 in Model mode; in Compute mode
+  /// one arena per MTB that has run a shared-memory block.
+  std::int64_t shmem_arena_bytes_backed() const;
 
   /// Observer invoked (GPU-side, at the moment the last warp clears the
   /// ready field) for every completed task. Instrumentation only.
@@ -219,7 +222,10 @@ class MasterKernel {
     gpu::Smm* smm = nullptr;
     std::array<WarpSlot, kExecutorWarps> warp_table;
     int free_slots = kExecutorWarps;
-    std::vector<std::byte> arena;  // backing bytes for the 32 KB shared mem
+    /// Backing bytes for the shared-memory arena: empty until a Compute-mode
+    /// block with shared memory first runs on this MTB (Model-mode kernels
+    /// never read them), then arena_bytes zero-filled bytes.
+    std::vector<std::byte> arena;
     /// The virtual facade over this MTB's physical buddy arena. At
     /// oversub == 1 every call is a verbatim delegation to the buddy
     /// (byte-identical); above 1 it also charges the virtual arena.
@@ -250,8 +256,7 @@ class MasterKernel {
 
     Mtb(sim::Simulation& sim, int rows, std::int32_t arena_bytes,
         const PagodaConfig& cfg, std::int64_t reg_virtual_capacity)
-        : arena(static_cast<std::size_t>(arena_bytes)),
-          shmem(std::span<std::byte>(arena), cfg.oversub),
+        : shmem(arena_bytes, cfg.oversub),
           regs_budget(reg_virtual_capacity),
           barriers(sim),
           done_ctr(static_cast<std::size_t>(rows), 0),

@@ -172,14 +172,23 @@ sim::Task<> Runtime::flush_last_locked() {
   // successor released it already; retry on the caller's next poll.
 }
 
+void Runtime::land_status(std::size_t idx) {
+  const TaskEntry& ge =
+      gpu_table_.by_id(static_cast<TaskId>(idx) + kFirstTaskId);
+  staging_[idx] = {ge.ready, ge.sched};
+}
+
 sim::Task<> Runtime::copy_back_all_locked() {
   stats_.aggregate_copybacks += 1;
   const std::vector<std::uint64_t> gens = generation_;
   co_await sim().delay(hc_.memcpy_setup);
   auto trig = std::make_shared<sim::Trigger>(sim());
   table_stream_.memcpy_async(
-      pcie::Direction::DeviceToHost, staging_.data(), &gpu_table_.by_id(kFirstTaskId),
-      staging_.size() * sizeof(TaskEntry), [trig] { trig->fire(); });
+      pcie::Direction::DeviceToHost, nullptr, nullptr,
+      staging_.size() * sizeof(TaskEntry), [this, trig] {
+        for (std::size_t i = 0; i < staging_.size(); ++i) land_status(i);
+        trig->fire();
+      });
   co_await trig->wait();
   // Apply: only transitions to Free, and only for entries the host did not
   // re-spawn into while the copy was in flight.
@@ -200,9 +209,11 @@ sim::Task<> Runtime::copy_back_entry_locked(TaskId id) {
   const std::uint64_t gen = generation_[idx];
   co_await sim().delay(hc_.memcpy_setup);
   auto trig = std::make_shared<sim::Trigger>(sim());
-  table_stream_.memcpy_async(pcie::Direction::DeviceToHost, &staging_[idx],
-                                &gpu_table_.by_id(id), sizeof(TaskEntry),
-                                [trig] { trig->fire(); });
+  table_stream_.memcpy_async(pcie::Direction::DeviceToHost, nullptr, nullptr,
+                             sizeof(TaskEntry), [this, idx, trig] {
+                               land_status(idx);
+                               trig->fire();
+                             });
   co_await trig->wait();
   if (gen == generation_[idx] && staging_[idx].ready == kReadyFree) {
     TaskEntry& ce = cpu_table_.by_id(id);

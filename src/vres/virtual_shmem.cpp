@@ -6,12 +6,12 @@
 
 namespace pagoda::vres {
 
-VirtualShmem::VirtualShmem(std::span<std::byte> arena, double oversub,
+VirtualShmem::VirtualShmem(std::int32_t arena_bytes, double oversub,
                            std::int32_t granularity)
-    : phys_(static_cast<std::int32_t>(arena.size()), granularity),
+    : phys_(arena_bytes, granularity),
       virtualized_(oversub > 1.0),
       virtual_capacity_(static_cast<std::int64_t>(
-          static_cast<double>(arena.size()) * oversub)) {
+          static_cast<double>(arena_bytes) * oversub)) {
   PAGODA_CHECK_MSG(oversub >= 1.0, "oversubscription factor must be >= 1.0");
 }
 

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 
 #include "pagoda/shmem_allocator.h"
 
@@ -35,9 +34,10 @@ namespace pagoda::vres {
 
 class VirtualShmem {
  public:
-  /// `arena` is the MTB's backing byte array; the physical buddy manages
-  /// exactly arena.size() bytes. `oversub` >= 1.0 scales the virtual arena.
-  VirtualShmem(std::span<std::byte> arena, double oversub,
+  /// The physical buddy manages exactly `arena_bytes` (the MTB arena's
+  /// size; the facade never touches the bytes themselves). `oversub` >= 1.0
+  /// scales the virtual arena.
+  VirtualShmem(std::int32_t arena_bytes, double oversub,
                std::int32_t granularity = 512);
 
   bool virtualized() const { return virtualized_; }

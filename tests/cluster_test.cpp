@@ -533,6 +533,17 @@ TEST(ClusterTraffic, ArrivalSpecParsing) {
   EXPECT_TRUE(ArrivalConfig::parse("poisson:1e-3").has_value());
   EXPECT_TRUE(ArrivalConfig::parse("bursty:1000:1e6").has_value());
   EXPECT_TRUE(ArrivalConfig::parse("diurnal:1000:1e6:1e9").has_value());
+  // Valid gaps, but phases far shorter than the gaps between arrivals:
+  // next_gap() would end ~1e5 phases per draw (bursty: 1 + 1 / (rate x
+  // factor x 200 us) steps; diurnal: 1 + 1 / (rate x ON_US)). Past 1e4
+  // steps the spec is refused; just inside the bound it still parses.
+  EXPECT_FALSE(ArrivalConfig::parse("bursty:1e-2:4").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("bursty:1e-3:4").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("bursty:0.1:4").has_value());
+  EXPECT_TRUE(ArrivalConfig::parse("bursty:0.2:4").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("diurnal:1e-3").has_value());
+  EXPECT_FALSE(ArrivalConfig::parse("diurnal:10:4:1").has_value());
+  EXPECT_TRUE(ArrivalConfig::parse("diurnal:1e-2").has_value());
   // A valid rate can still be too slow for a run: 32 requests at 1e-3/s
   // take 32000 s on average, past the 3600 s default time cap, so
   // pagoda_cli rejects the spec; at 1e-2/s they take 3200 s.
@@ -540,8 +551,8 @@ TEST(ClusterTraffic, ArrivalSpecParsing) {
                    32000.0);
   EXPECT_DOUBLE_EQ(ArrivalConfig::parse("poisson:1e-2")->mean_span_s(32),
                    3200.0);
-  EXPECT_DOUBLE_EQ(ArrivalConfig::parse("bursty:1e-3:4")->mean_span_s(32),
-                   32000.0);
+  EXPECT_DOUBLE_EQ(ArrivalConfig::parse("bursty:1:4")->mean_span_s(32),
+                   32.0);
   EXPECT_DOUBLE_EQ(ArrivalConfig::parse("closed")->mean_span_s(32), 0.0);
 }
 

@@ -3,6 +3,7 @@
 // API semantics of paper Table 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -182,19 +183,24 @@ TEST(PagodaRuntime, TableOverflowRecyclesEntries) {
 
 // --- shared memory + syncBlock ------------------------------------------------
 
+TaskParams make_reduce_task(long long* out, int threads, int blocks) {
+  TaskParams p;
+  p.fn = reduce_kernel;
+  p.threads_per_block = threads;
+  p.num_blocks = blocks;
+  p.needs_sync = true;
+  p.shared_mem_bytes =
+      static_cast<std::int32_t>(sizeof(long long)) * ((threads + 31) / 32);
+  p.set_args(ReduceArgs{out});
+  return p;
+}
+
 sim::Process spawn_reduce_tasks(Runtime& rt, std::vector<long long>& out,
                                 int num_tasks, int threads, int blocks,
                                 bool& done) {
   for (int t = 0; t < num_tasks; ++t) {
-    TaskParams p;
-    p.fn = reduce_kernel;
-    p.threads_per_block = threads;
-    p.num_blocks = blocks;
-    p.needs_sync = true;
-    p.shared_mem_bytes =
-        static_cast<std::int32_t>(sizeof(long long)) * ((threads + 31) / 32);
-    p.set_args(ReduceArgs{out.data() + t * blocks});
-    co_await rt.task_spawn(p);
+    co_await rt.task_spawn(
+        make_reduce_task(out.data() + t * blocks, threads, blocks));
   }
   co_await rt.wait_all();
   done = true;
@@ -285,6 +291,137 @@ TEST(PagodaRuntime, FullArenaTasksSerializePerMtb) {
     ASSERT_EQ(out[static_cast<std::size_t>(t)], 63 * 64 / 2);
   }
   rt.shutdown();
+}
+
+// --- host cost: state is backed only where a task reaches it ----------------
+
+// Declares shared memory but never reads it, as Model-mode kernels do.
+KernelCoro shmem_charge_kernel(WarpCtx& ctx) {
+  ctx.charge(ctx.costs().shared_access);
+  co_return;
+}
+
+sim::Process spawn_all(Runtime& rt, std::vector<TaskParams> tasks,
+                       bool& done) {
+  for (const TaskParams& p : tasks) co_await rt.task_spawn(p);
+  co_await rt.wait_all();
+  done = true;
+}
+
+TEST(PagodaRuntime, ModelModeBacksNoSharedMemoryArena) {
+  Simulation sim;
+  GpuSpec spec = GpuSpec::titan_x();
+  spec.num_smms = 2;  // 4 MTBs
+  Device dev(sim, spec);
+  PagodaConfig cfg;
+  cfg.mode = gpu::ExecMode::Model;
+  Runtime rt(dev, {}, cfg);
+  rt.start();
+  TaskParams p;
+  p.fn = shmem_charge_kernel;
+  p.threads_per_block = 64;
+  p.num_blocks = 2;
+  p.shared_mem_bytes = 4096;
+  bool done = false;
+  sim.spawn(spawn_all(rt, std::vector<TaskParams>(16, p), done));
+  sim.run_until(sim::seconds(1.0));
+  ASSERT_TRUE(done);
+  // The buddy arenas were simulated; no host byte backs them.
+  EXPECT_EQ(rt.master_kernel().shmem_alloc_successes(), 32);
+  EXPECT_EQ(rt.master_kernel().shmem_arena_bytes_backed(), 0);
+  rt.shutdown();
+}
+
+sim::Process backing_phases(Runtime& rt, std::vector<int>& tids,
+                            std::vector<long long>& sums, bool& done) {
+  const MasterKernel& mk = rt.master_kernel();
+  const std::int64_t arena = mk.arena_bytes();
+  // Spawning is column-first, so consecutive spawns land on distinct MTBs.
+  for (int t = 0; t < 4; ++t) {
+    co_await rt.task_spawn(make_tid_task(tids.data() + t * 64, 64, 64, 1));
+  }
+  co_await rt.wait_all();
+  EXPECT_EQ(mk.shmem_arena_bytes_backed(), 0);  // no shared memory used yet
+  for (int t = 0; t < 3; ++t) {
+    co_await rt.task_spawn(make_reduce_task(&sums[static_cast<std::size_t>(t)],
+                                            64, 1));
+  }
+  co_await rt.wait_all();
+  EXPECT_EQ(mk.shmem_arena_bytes_backed(), 3 * arena);  // MTBs 0, 1, 2
+  for (int t = 3; t < 8; ++t) {
+    co_await rt.task_spawn(make_reduce_task(&sums[static_cast<std::size_t>(t)],
+                                            64, 1));
+  }
+  co_await rt.wait_all();
+  EXPECT_EQ(mk.shmem_arena_bytes_backed(), 4 * arena);  // once per MTB
+  done = true;
+}
+
+TEST(PagodaRuntime, ComputeModeBacksOneArenaPerMtbThatRanSharedMemory) {
+  Simulation sim;
+  GpuSpec spec = GpuSpec::titan_x();
+  spec.num_smms = 2;  // 4 MTBs
+  Device dev(sim, spec);
+  Runtime rt(dev);
+  rt.start();
+  EXPECT_EQ(rt.master_kernel().shmem_arena_bytes_backed(), 0);
+  std::vector<int> tids(4 * 64, -1);
+  std::vector<long long> sums(8, -1);
+  bool done = false;
+  sim.spawn(backing_phases(rt, tids, sums, done));
+  sim.run_until(sim::seconds(1.0));
+  ASSERT_TRUE(done);
+  for (const long long sum : sums) EXPECT_EQ(sum, 63 * 64 / 2);
+  rt.shutdown();
+}
+
+TEST(PagodaRuntime, AggregateCopyBackChargesTheWholeTableAndFreesEachTask) {
+  // 700 tasks through a 128-entry table: aggregate copy-backs recycle it.
+  Simulation sim;
+  GpuSpec spec = GpuSpec::titan_x();
+  spec.num_smms = 2;
+  Device dev(sim, spec);
+  Runtime rt(dev);
+  TraceRecorder trace;
+  rt.set_trace_recorder(&trace);
+  rt.start();
+  constexpr int kTasks = 700;
+  std::vector<int> out(kTasks * 32, -1);
+  bool done = false;
+  sim.spawn(spawn_many(rt, out, kTasks, 32, done));
+  sim.run_until(sim::seconds(5.0));
+  ASSERT_TRUE(done);
+  const Runtime::Stats& st = rt.stats();
+  ASSERT_GT(st.aggregate_copybacks, 0);
+  // Each copy-back still moves whole TaskEntry bytes over the bus, though
+  // the host keeps only the status words.
+  const auto entry = static_cast<std::int64_t>(sizeof(TaskEntry));
+  EXPECT_EQ(dev.pcie().link(pcie::Direction::DeviceToHost).bytes_transferred(),
+            (st.aggregate_copybacks * rt.table_capacity() +
+             st.single_copybacks) *
+                entry);
+  // Every task's entry was observed free exactly once, and the CPU view
+  // ends with the whole table free.
+  const auto copy_backs = std::count_if(
+      trace.events().begin(), trace.events().end(),
+      [](const TraceEvent& e) { return e.kind == TraceKind::kCopyBack; });
+  EXPECT_EQ(copy_backs, kTasks);
+  for (int idx = 0; idx < rt.table_capacity(); ++idx) {
+    const TaskId id = static_cast<TaskId>(idx) + kFirstTaskId;
+    EXPECT_EQ(rt.cpu_table().by_id(id).ready, kReadyFree) << "entry " << id;
+  }
+  rt.shutdown();
+}
+
+TEST(PagodaRuntimeDeathTest, SharedAsRefusesUnbackedSharedMemory) {
+  // Model mode hands kernels no shared-memory bytes: reading them must
+  // abort, not return an empty view.
+  WarpCtx ctx;
+  ctx.mode = gpu::ExecMode::Model;
+  ctx.shared_mem_declared = 256;
+  EXPECT_DEATH(ctx.shared_as<int>(), "not backed");
+  ctx.shared_mem_declared = 0;  // nothing declared: an empty view is right
+  EXPECT_TRUE(ctx.shared_as<int>().empty());
 }
 
 // --- API validation ------------------------------------------------------------

@@ -167,10 +167,10 @@ TEST(SpecMutation, ArrivalSpec) {
   fuzz(0xA221,
        {"closed", "poisson:150000", "bursty:300000", "bursty:300000:2",
         "diurnal:800000", "diurnal:800000:8:20000",
-        // Near the gap bound, so mutants cross it from both sides. (Only
-        // Poisson: a modulated spec this slow takes ~gap / phase steps per
-        // draw, and would slow the test down.)
-        "poisson:1e-3"},
+        // Near the gap bound and the phase-steps bound, so mutants cross
+        // them from both sides. An accepted modulated mutant takes at most
+        // ~1e4 phase steps per draw, which keeps this test fast.
+        "poisson:1e-3", "bursty:1e-2:4"},
        [](const std::string& in) {
          const std::optional<cluster::ArrivalConfig> a =
              cluster::ArrivalConfig::parse(in);

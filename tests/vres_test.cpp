@@ -25,8 +25,7 @@ namespace {
 
 TEST(VirtualShmem, PassthroughMatchesRawBuddy) {
   constexpr std::int32_t kArena = 32 * 1024;
-  std::vector<std::byte> arena(kArena);
-  vres::VirtualShmem virt(arena, /*oversub=*/1.0);
+  vres::VirtualShmem virt(kArena, /*oversub=*/1.0);
   runtime::ShmemAllocator raw(kArena);
   ASSERT_FALSE(virt.virtualized());
 
@@ -75,8 +74,7 @@ TEST(VirtualShmem, PassthroughMatchesRawBuddy) {
 
 TEST(VirtualShmem, UsedFootprintPacksDenserThanDeclared) {
   constexpr std::int32_t kArena = 8 * 1024;
-  std::vector<std::byte> arena(kArena);
-  vres::VirtualShmem virt(arena, /*oversub=*/2.0);
+  vres::VirtualShmem virt(kArena, /*oversub=*/2.0);
   ASSERT_TRUE(virt.virtualized());
   // Four blocks declaring 4 KB each (16 KB total — only the virtual arena
   // holds them) while using 2 KB each (8 KB — exactly the physical arena).
@@ -97,8 +95,7 @@ TEST(VirtualShmem, UsedFootprintPacksDenserThanDeclared) {
 TEST(VirtualShmem, PhysicalPressureWaitsForTheSweep) {
   constexpr std::int32_t kArena = 4 * 1024;
   constexpr std::int32_t kBlock = 2 * 1024;
-  std::vector<std::byte> arena(kArena);
-  vres::VirtualShmem virt(arena, /*oversub=*/2.0);
+  vres::VirtualShmem virt(kArena, /*oversub=*/2.0);
   // A declares 1.5 KB: charged and backed as its 2 KB buddy block.
   const auto a = virt.allocate(1536, 1536);
   const auto b = virt.allocate(kBlock, kBlock);

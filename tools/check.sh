@@ -60,7 +60,9 @@ cluster_smoke() {
       "--gpus=2 --migrate --power=default --autoscale=0.6:0.3:0.8:3" \
       "--gpus=2 --migrate --power=default --resize=100:3" \
       "--gpus=2 --faults=crash:0:1e300 --task-timeout-us=1" \
-      "--gpus=2 --slo-us=1e300" "--gpus=2 --task-timeout-us=1e300"; do
+      "--gpus=2 --slo-us=1e300" "--gpus=2 --task-timeout-us=1e300" \
+      "--gpus=2 --arrival=bursty:1e-2:4" \
+      "--workload=DCT --task-threads=1024 --tasks=64"; do
     rc=0
     # shellcheck disable=SC2086  # args is a deliberate word list
     "${dir}/tools/pagoda_cli" ${args} --workload=MM --tasks=32 \
@@ -466,9 +468,12 @@ engine_grep_clean() {
 
 fleet_gate() {
   # Fleet-scale gate: the 1 -> 256 node sweep (bench/fleet_scale) must
-  # complete inside a wall-clock budget.
+  # complete inside a wall-clock budget, and the 256-node point must peak
+  # under an RSS budget (idle nodes back no shared-memory arenas, copy-back
+  # mirrors or dispatcher records).
   local dir="$1"
   local budget_s=120
+  local rss_budget_mb=600
   echo "==> fleet-scale gate (bench/fleet_scale, 1->256 nodes)"
   local t0 t1 elapsed
   t0=$(date +%s%N)
@@ -480,6 +485,17 @@ fleet_gate() {
     echo "error: fleet_scale sweep took ${elapsed}s, budget ${budget_s}s" >&2
     exit 1
   fi
+  python3 -c '
+import json, sys
+point = json.load(open("BENCH_fleet.json"))["sweep"][-1]
+nodes, rss = point["nodes"], point["peak_rss_mb"]
+budget = float(sys.argv[1])
+print(f"    {nodes} nodes peak RSS {rss:.1f} MB (budget {budget:.0f} MB)")
+sys.exit(0 if nodes == 256 and rss <= budget else 1)
+' "${rss_budget_mb}" || {
+    echo "error: fleet_scale 256-node peak RSS over ${rss_budget_mb} MB" >&2
+    exit 1
+  }
 }
 
 trace_overhead_gate() {

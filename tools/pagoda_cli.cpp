@@ -266,6 +266,22 @@ std::optional<std::array<double, sched::kNumClasses>> parse_weights(
   return w;
 }
 
+/// The widest synchronizing threadblock (threads) the workload generates
+/// under `cfg`, from a small Model-mode probe; 0 when no block syncs.
+int widest_sync_block(const std::string& name, workloads::WorkloadConfig cfg) {
+  std::unique_ptr<workloads::Workload> w = workloads::make_workload(name);
+  cfg.num_tasks = std::min(cfg.num_tasks, 64);
+  cfg.mode = gpu::ExecMode::Model;
+  w->generate(cfg);
+  int widest = 0;
+  for (const workloads::TaskSpec& t : w->tasks()) {
+    if (t.params.needs_sync) {
+      widest = std::max(widest, t.params.threads_per_block);
+    }
+  }
+  return widest;
+}
+
 /// --list-workloads: one row per benchmark with its Table-3 shape — default
 /// task dimensions, the resource footprint the virtual plane reasons about
 /// (shared-memory bytes per block, registers per thread, blocks per
@@ -609,6 +625,22 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", invalid.c_str());
       return 1;
     }
+  }
+
+  // Pagoda keeps a synchronizing threadblock's warps in one MTB, so its
+  // 31 executor warps bound the block (Runtime::validate CHECKs each spawn).
+  const bool any_pagoda =
+      std::any_of(rts.begin(), rts.end(), [](const std::string& r) {
+        return r == "Pagoda" || r == "PagodaBatching" || r == "Cluster";
+      });
+  if (any_pagoda && widest_sync_block(wl, wcfg) >
+                        runtime::MasterKernel::kExecutorWarps * 32) {
+    std::fprintf(stderr,
+                 "error: --task-threads=%d is too wide for %s under Pagoda: "
+                 "a synchronizing threadblock needs all its warps resident "
+                 "in one MTB (max 31 warps = 992 threads)\n",
+                 wcfg.threads_per_task, wl.c_str());
+    return 1;
   }
 
   if (!multi && !harness::runtime_supports(wl, rt, wcfg)) {
