@@ -44,9 +44,6 @@ class BlockDispatcher {
   /// last threadblock retires.
   KernelExecutionPtr launch(KernelLaunchParams p);
 
-  /// Number of grids with unplaced threadblocks.
-  std::size_t pending_grids() const { return active_.size(); }
-
   // --- observability ------------------------------------------------------
   /// A retired grid, as reported to the observer hook at completion.
   struct GridRecord {

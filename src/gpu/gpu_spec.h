@@ -42,8 +42,6 @@ struct GpuSpec {
   }
 
   int max_resident_warps() const { return num_smms * warps_per_smm; }
-  int threads_per_smm_cap() const { return max_threads_per_smm; }
-  double cycles_per_second() const { return clock_hz; }
 };
 
 }  // namespace pagoda::gpu

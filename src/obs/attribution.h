@@ -58,7 +58,6 @@ class AttributionReport {
   void add(RequestSummary s) { requests_.push_back(std::move(s)); }
   void add_dropped(DropSummary d) { dropped_.push_back(std::move(d)); }
   bool empty() const { return requests_.empty() && dropped_.empty(); }
-  std::size_t num_requests() const { return requests_.size(); }
 
   /// Checks the attribution invariant (buckets sum to e2e up to dump
   /// rounding) for every request; on failure writes a diagnostic to `err`.

@@ -93,20 +93,26 @@ void Collector::tick() {
 
 void Collector::sample_device(DeviceSlot& slot, sim::Time now, double window) {
   gpu::Device& dev = *slot.dev;
+  if (slot.smm_stats.empty()) {
+    for (int i = 0; i < dev.num_smms(); ++i) {
+      slot.smm_stats.push_back(
+          {&metrics_.stat(smm_key(slot.prefix, i, "resident_warps")),
+           &metrics_.stat(smm_key(slot.prefix, i, "issue_utilization"))});
+    }
+  }
   int resident_total = 0;
   double util_sum = 0.0;
   for (int i = 0; i < dev.num_smms(); ++i) {
     gpu::Smm& smm = dev.smm(i);
+    const auto u = static_cast<std::size_t>(i);
     const int resident = smm.resident_warps();
     resident_total += resident;
-    metrics_.stat(smm_key(slot.prefix, i, "resident_warps"))
-        .add(static_cast<double>(resident));
+    slot.smm_stats[u][0]->add(static_cast<double>(resident));
     const double busy = smm.pipeline().busy_work_seconds();
-    const auto u = static_cast<std::size_t>(i);
     const double util =
         (busy - slot.prev_smm_busy[u]) / (smm.pipeline().capacity() * window);
     slot.prev_smm_busy[u] = busy;
-    metrics_.stat(smm_key(slot.prefix, i, "issue_utilization")).add(util);
+    slot.smm_stats[u][1]->add(util);
     util_sum += util;
   }
   const double util_mean = util_sum / static_cast<double>(dev.num_smms());

@@ -25,6 +25,7 @@
 // Simulation is destroyed. A Collector serves exactly one run.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -125,6 +126,9 @@ class Collector {
     std::string prefix;
     // Windowed-delta state for rate series.
     std::vector<double> prev_smm_busy;  // busy_work_seconds per SMM
+    // Per SMM: its resident_warps and issue_utilization stats, looked up at
+    // the first sample (map nodes stay put unless metrics_ is cleared).
+    std::vector<std::array<Stat*, 2>> smm_stats;
     std::int64_t prev_h2d_bytes = 0;
     std::int64_t prev_d2h_bytes = 0;
     // Interned timeline handles (valid when timeline_enabled()).

@@ -76,7 +76,6 @@ class Timeline {
   /// `timeline.dropped_events`.
   static constexpr std::size_t kDefaultMaxEvents = 1u << 21;  // ~2M events
   void set_max_events(std::size_t n) { max_events_ = n; }
-  std::size_t max_events() const { return max_events_; }
   std::int64_t dropped_events() const { return dropped_events_; }
   std::size_t num_events() const {
     return spans_.size() + instants_.size() + counter_samples_.size() +
@@ -123,7 +122,6 @@ class Timeline {
   };
   const std::vector<Span>& spans() const { return spans_; }
   const std::vector<Flow>& flows() const { return flows_; }
-  const std::vector<AsyncSpan>& async_spans() const { return async_spans_; }
   const std::vector<CounterSample>& counter_samples() const {
     return counter_samples_;
   }

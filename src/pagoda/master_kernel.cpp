@@ -165,9 +165,8 @@ void MasterKernel::start() {
   }
   for (auto& mtb : mtbs_) {
     dev_.sim().spawn(scheduler_warp(*mtb));
-    for (int s = 0; s < kExecutorWarps; ++s) {
-      dev_.sim().spawn(executor_warp(*mtb, s));
-    }
+    mtb->executors.spawn_deferred(
+        [this, m = mtb.get()](int s) { return executor_warp(*m, s); });
   }
 }
 
@@ -178,7 +177,7 @@ void MasterKernel::shutdown() {
       gpu::BlockFootprint::of(kWarpsPerMtb * 32, 32, arena_bytes_);
   for (auto& mtb : mtbs_) {
     // Leave parked warps parked: with running_ false nothing re-arms them,
-    // and the Condition destructors reclaim the suspended frames. Notifying
+    // and the waiter lists' destructors reclaim the suspended frames. Notifying
     // here instead would move the handles into resume events that never run
     // (drivers shut down after the event queue has drained), leaking every
     // warp frame.
@@ -418,6 +417,7 @@ sim::Task<> MasterKernel::psched(Mtb& mtb, int row, int base_warp, int count,
       slot.bar_id = block ? block->bar_id : -1;
       slot.block = block;
       slot.exec = true;  // set last: the executor reads fields after this
+      mtb.executors.hand_off(s);
       mtb.free_slots -= 1;
       scheduled += 1;
       placed += 1;
@@ -426,7 +426,7 @@ sim::Task<> MasterKernel::psched(Mtb& mtb, int row, int base_warp, int count,
     if (placed > 0) {
       warps_dispatched_ += placed;
       co_await sched_charge(mtb, cfg_.dispatch_cycles_per_warp * placed);
-      mtb.exec_cv.notify_all();
+      mtb.executors.notify_all();
       continue;
     }
     // No free executor warps: block until one frees (Algorithm 2's outer
@@ -439,9 +439,10 @@ sim::Task<> MasterKernel::psched(Mtb& mtb, int row, int base_warp, int count,
 
 sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
   WarpSlot& slot = mtb.warp_table[static_cast<std::size_t>(slot_index)];
+  executor_warps_spawned_ += 1;
   while (running_) {
     if (!slot.exec) {
-      co_await mtb.exec_cv.wait();
+      co_await mtb.executors.wait(slot_index);
       continue;
     }
     TaskEntry& entry = gpu_table_.at(mtb.column, slot.entry_row);

@@ -24,7 +24,11 @@
 // deallocations and barrier releases. Its scheduling work *is* charged to
 // the SMM pipeline (contending with executor warps, as on silicon); the idle
 // spin of parked warps is not modeled and its issue-bandwidth cost is folded
-// into the per-pass scan charges.
+// into the per-pass scan charges. Executor warps watch only their own
+// WarpTable slot (Algorithm 1, lines 29-30): each parks on its MTB's
+// sim::SlotCondition and resumes only when pSched hands its slot work, at the
+// (time, seq) an MTB-wide broadcast would have given it. A warp's coroutine
+// is created on its slot's first hand-off, so an idle MTB holds no executor.
 #pragma once
 
 #include <array>
@@ -120,7 +124,7 @@ class MasterKernel {
   MasterKernel& operator=(const MasterKernel&) = delete;
 
   /// Reserves the whole GPU (two 32-warp, 32 KB, 32-reg MTBs per SMM) and
-  /// starts the scheduler/executor warp processes.
+  /// starts the scheduler warps (executor warps start on first hand-off).
   void start();
 
   /// Stops all warp processes and releases the GPU.
@@ -156,6 +160,8 @@ class MasterKernel {
   // --- observability ------------------------------------------------------
   /// Executor warps currently running task work (all MTBs).
   int busy_executor_warps() const { return busy_warps_; }
+  /// Executor warp processes started so far: one per slot ever handed work.
+  int executor_warps_spawned() const { return executor_warps_spawned_; }
   /// Free executor-warp slots across all MTBs.
   int free_executor_slots() const;
   /// Issue-pipeline time the scheduler warps have consumed, in seconds
@@ -240,7 +246,7 @@ class MasterKernel {
     std::vector<std::int32_t> done_ctr;  // per TaskTable row
     sim::Condition sched_cv;             // scheduler warp wakeups
     std::uint64_t sched_seq = 0;         // lost-wakeup guard
-    sim::Condition exec_cv;              // executor warp wakeups
+    sim::SlotCondition executors;        // one executor warp per slot
 
     // Per-MTB executor busy integral (warp·seconds), for the observability
     // layer's per-MTB utilization metric.
@@ -261,7 +267,7 @@ class MasterKernel {
           barriers(sim),
           done_ctr(static_cast<std::size_t>(rows), 0),
           sched_cv(sim),
-          exec_cv(sim),
+          executors(sim, kExecutorWarps),
           claim_policy(cfg.sched) {}
   };
 
@@ -304,6 +310,7 @@ class MasterKernel {
   std::int64_t tasks_completed_ = 0;
   std::int64_t heartbeats_ = 0;
   std::int64_t warps_dispatched_ = 0;
+  int executor_warps_spawned_ = 0;
   std::int64_t shmem_blocks_swept_ = 0;
   std::int64_t register_waits_ = 0;
   CompletionObserver completion_observer_;

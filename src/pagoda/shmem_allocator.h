@@ -68,7 +68,6 @@ class ShmemAllocator {
   /// sweep_deferred() invocations and total blocks they freed.
   std::int64_t sweeps() const { return sweeps_; }
   std::int64_t blocks_swept() const { return blocks_swept_; }
-  int deferred_count() const { return static_cast<int>(deferred_.size()); }
 
   // --- fragmentation (the counters above can't tell "full" from
   // --- "fragmented") ------------------------------------------------------

@@ -47,10 +47,10 @@ void EventQueue::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-EventId EventQueue::push(Time at, std::uint32_t slot) {
+EventId EventQueue::push(Time at, std::uint64_t seq, std::uint32_t slot) {
   Node& n = nodes_[slot];
   n.live = true;
-  heap_.push(HeapItem{at, next_seq_++, slot, n.gen});
+  heap_.push(HeapItem{at, seq, slot, n.gen});
   live_ += 1;
   return (static_cast<EventId>(slot) + 1) << 32 | n.gen;
 }
@@ -58,13 +58,14 @@ EventId EventQueue::push(Time at, std::uint32_t slot) {
 EventId EventQueue::schedule(Time at, std::function<void()> fn) {
   const std::uint32_t slot = acquire_slot();
   nodes_[slot].fn = std::move(fn);
-  return push(at, slot);
+  return push(at, next_seq_++, slot);
 }
 
-EventId EventQueue::schedule_resume(Time at, std::coroutine_handle<> h) {
+EventId EventQueue::schedule_resume(Time at, std::uint64_t seq,
+                                    std::coroutine_handle<> h) {
   const std::uint32_t slot = acquire_slot();
   nodes_[slot].resume = h;
-  return push(at, slot);
+  return push(at, seq, slot);
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -110,7 +111,7 @@ EventQueue::Popped EventQueue::pop() {
   const HeapItem top = heap_.top();
   heap_.pop();
   Node& n = nodes_[top.slot];
-  Popped p{top.at, std::move(n.fn), n.resume};
+  Popped p{top.at, top.seq, std::move(n.fn), n.resume};
   release_slot(top.slot);
   live_ -= 1;
   return p;

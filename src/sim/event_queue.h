@@ -20,7 +20,9 @@
 //
 // The resume fast path (`schedule_resume`) stores a bare coroutine handle
 // instead of a std::function — the simulator's hottest events (delays,
-// deferred wakeups) carry no closure at all.
+// deferred wakeups) carry no closure at all. It takes its sequence number
+// from `reserve_seq()`, so it orders where an event pushed at reservation
+// time would have: a skipped no-op resume keeps later events' numbers.
 #pragma once
 
 #include <coroutine>
@@ -41,7 +43,12 @@ class EventQueue {
  public:
   EventId schedule(Time at, std::function<void()> fn);
   /// Fast path for "resume this coroutine at t": no callable is stored.
-  EventId schedule_resume(Time at, std::coroutine_handle<> h);
+  /// `seq` comes from reserve_seq() (just now, for a plain schedule).
+  EventId schedule_resume(Time at, std::uint64_t seq,
+                          std::coroutine_handle<> h);
+
+  /// Consumes the next sequence number without scheduling anything.
+  std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Cancels a pending event. Returns true if the event was still pending;
   /// cancelling an already-fired, already-cancelled or unknown id is a
@@ -61,6 +68,7 @@ class EventQueue {
 
   struct Popped {
     Time at;
+    std::uint64_t seq;
     std::function<void()> fn;        // empty for resume events
     std::coroutine_handle<> resume;  // null for callback events
 
@@ -104,7 +112,7 @@ class EventQueue {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  EventId push(Time at, std::uint32_t slot);
+  EventId push(Time at, std::uint64_t seq, std::uint32_t slot);
 
   /// Drops stale (cancelled/fired) keys from the top of the heap.
   void skim();

@@ -95,13 +95,9 @@ class Link {
     PAGODA_CHECK(scale > 0.0);
     bandwidth_scale_ = scale;
   }
-  double bandwidth_scale() const { return bandwidth_scale_; }
 
   /// Total wire-occupied time so far (utilization = this / elapsed).
   Duration busy_time() const { return busy_integral_; }
-
-  /// When the engine can accept the next transfer.
-  Time next_free_time() const { return next_free_; }
 
   // --- observability counters ---------------------------------------------
   std::int64_t transfers_started() const { return transfers_started_; }

@@ -6,10 +6,14 @@
 namespace pagoda::sim {
 
 Joinable Simulation::spawn(Process p) {
+  return spawn(std::move(p), reserve_event());
+}
+
+Joinable Simulation::spawn(Process p, EventKey at) {
   PAGODA_CHECK_MSG(!p.state_->spawned, "process spawned twice");
   p.state_->sim = this;
   p.state_->spawned = true;
-  defer_resume(p.handle_);
+  at_resume(at, p.handle_);
   return Joinable(p.state_);
 }
 
@@ -17,6 +21,7 @@ bool Simulation::step() {
   if (queue_.empty()) return false;
   EventQueue::Popped e = queue_.pop();
   now_ = e.at;
+  seq_ = e.seq;
   e.run();
   return true;
 }

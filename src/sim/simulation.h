@@ -8,6 +8,7 @@
 // number breaks ties; see event_queue.h and DESIGN.md §14).
 #pragma once
 
+#include <compare>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -22,6 +23,13 @@ namespace pagoda::sim {
 
 class Process;
 
+/// An event's place in the run order: events pop in (at, seq) order.
+struct EventKey {
+  Time at;
+  std::uint64_t seq;
+  auto operator<=>(const EventKey&) const = default;
+};
+
 class Simulation {
  public:
   Simulation() = default;
@@ -33,6 +41,12 @@ class Simulation {
 
   /// Current virtual time.
   Time now() const { return now_; }
+
+  /// Key of the event now running (between events: of the last one run).
+  EventKey current_event() const { return EventKey{now_, seq_}; }
+
+  /// Takes the key a defer now would get; at_resume/spawn can use it later.
+  EventKey reserve_event() { return EventKey{now_, queue_.reserve_seq()}; }
 
   /// Schedules fn at absolute time t (must be >= now()).
   EventId at(Time t, std::function<void()> fn) {
@@ -55,7 +69,7 @@ class Simulation {
   // through these.
   EventId at_resume(Time t, std::coroutine_handle<> h) {
     PAGODA_CHECK_MSG(t >= now_, "cannot schedule events in the past");
-    return queue_.schedule_resume(t, h);
+    return queue_.schedule_resume(t, queue_.reserve_seq(), h);
   }
   EventId after_resume(Duration d, std::coroutine_handle<> h) {
     PAGODA_CHECK_MSG(d >= 0, "negative delay");
@@ -63,6 +77,11 @@ class Simulation {
   }
   EventId defer_resume(std::coroutine_handle<> h) {
     return at_resume(now(), h);
+  }
+  /// Resumes h at a key taken from reserve_event() (not yet passed).
+  EventId at_resume(EventKey k, std::coroutine_handle<> h) {
+    PAGODA_CHECK_MSG(k > current_event(), "cannot schedule events in the past");
+    return queue_.schedule_resume(k.at, k.seq, h);
   }
 
   /// Cancels a pending event; false when it already fired, was already
@@ -73,6 +92,8 @@ class Simulation {
   /// (after currently pending same-time events). Returns a handle on which
   /// other processes can `co_await handle.join()`.
   Joinable spawn(Process p);
+  /// As spawn(p), but the body begins at a key taken from reserve_event().
+  Joinable spawn(Process p, EventKey at);
 
   /// Awaitable: suspends the awaiting process for duration d.
   /// Usage inside a Process coroutine: `co_await sim.delay(d);`
@@ -102,6 +123,7 @@ class Simulation {
 
  private:
   Time now_ = 0;
+  std::uint64_t seq_ = 0;  // of the event now running
   EventQueue queue_;
 };
 

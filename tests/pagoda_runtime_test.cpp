@@ -308,6 +308,27 @@ sim::Process spawn_all(Runtime& rt, std::vector<TaskParams> tasks,
   done = true;
 }
 
+TEST(PagodaRuntime, ExecutorWarpsAreCreatedOnlyWhenHandedWork) {
+  Simulation sim;
+  GpuSpec spec = GpuSpec::titan_x();
+  spec.num_smms = 2;  // 4 MTBs, 124 executor slots
+  Device dev(sim, spec);
+  Runtime rt(dev);
+  rt.start();
+  sim.run_until(sim::microseconds(1.0));
+  EXPECT_EQ(rt.master_kernel().executor_warps_spawned(), 0);
+  std::vector<int> out(128, -1);
+  bool done = false;
+  sim.spawn(spawn_all(rt, {make_tid_task(out.data(), 128, 128, 1)}, done));
+  sim.run_until(sim::seconds(1.0));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(out[127], 127 * 10 + 7);
+  // One 4-warp task: four slots of one MTB were handed work.
+  EXPECT_EQ(rt.master_kernel().warps_dispatched(), 4);
+  EXPECT_EQ(rt.master_kernel().executor_warps_spawned(), 4);
+  rt.shutdown();
+}
+
 TEST(PagodaRuntime, ModelModeBacksNoSharedMemoryArena) {
   Simulation sim;
   GpuSpec spec = GpuSpec::titan_x();

@@ -2,9 +2,12 @@
 // processes, synchronization primitives, processor sharing, links.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/link.h"
 #include "sim/process.h"
@@ -113,6 +116,46 @@ TEST(Simulation, RunUntilStopsAtTime) {
   EXPECT_EQ(sim.now(), 15);
   sim.run();
   EXPECT_EQ(hits, 2);
+}
+
+TEST(EventQueue, PoppedCarriesItsSeqAndReservationsSkipOne) {
+  EventQueue q;
+  q.schedule(10, [] {});
+  const std::uint64_t reserved = q.reserve_seq();
+  q.schedule(10, [] {});
+  EXPECT_EQ(q.pop().seq, reserved - 1);
+  EXPECT_EQ(q.pop().seq, reserved + 1);
+  EXPECT_TRUE(q.empty());
+}
+
+Process record_key(Simulation& sim, std::vector<int>& order,
+                   EventKey& ran_at) {
+  order.push_back(2);
+  ran_at = sim.current_event();
+  co_return;
+}
+
+// A reserved key orders exactly where an event deferred at reservation time
+// would have, however late the event is pushed.
+TEST(Simulation, ReservedKeyOrdersWhereADeferWould) {
+  Simulation sim;
+  std::vector<int> order;
+  EventKey reserved{};
+  EventKey ran_at{};
+  sim.after(5, [&] {
+    sim.defer([&] {
+      order.push_back(1);
+      // Pushed after events 3 and 4, yet it runs ahead of them.
+      sim.spawn(record_key(sim, order, ran_at), reserved);
+    });
+    reserved = sim.reserve_event();
+    sim.defer([&] { order.push_back(3); });
+    sim.defer([&] { order.push_back(4); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(ran_at, reserved);
+  EXPECT_EQ(ran_at.at, 5);
 }
 
 Process delayer(Simulation& sim, std::vector<Time>& trace) {
@@ -242,6 +285,162 @@ TEST(Condition, WaitForNotifiedBeforeTimeout) {
   sim.run();
   EXPECT_TRUE(notified);
   EXPECT_EQ(at, microseconds(2));
+}
+
+// --- SlotCondition ------------------------------------------------------------
+
+// A pool of workers, one per slot, each running the work handed to its slot.
+// The reference parks them all on one broadcast Condition and has every woken
+// worker re-check its own flag; the other parks them on a SlotCondition. The
+// same scripted driver hands off work and broadcasts in both.
+struct WorkerPool {
+  // (time, seq, slot) of every resume that found its slot handed work.
+  using Found = std::tuple<Time, std::uint64_t, int>;
+
+  WorkerPool(Simulation& s, int slots, bool use_slots, std::uint64_t seed)
+      : sim(s),
+        pipe(s, 2e12, 1e12),
+        cv(s),
+        sc(s, slots),
+        slotted(use_slots),
+        flag(static_cast<std::size_t>(slots), false),
+        rng(seed) {}
+
+  Process worker(int s) {
+    const auto i = static_cast<std::size_t>(s);
+    while (true) {
+      if (!flag[i]) {
+        if (slotted) {
+          co_await sc.wait(s);
+        } else {
+          co_await cv.wait();
+        }
+        continue;
+      }
+      const EventKey k = sim.current_event();
+      found.emplace_back(k.at, k.seq, s);
+      // Scripted work: none, a delay, or a slice of a shared pipe, where
+      // workers started together finish (and park) in one event.
+      switch (found.size() % 3) {
+        case 0: co_await sim.delay(0); break;
+        case 1: co_await sim.delay(3); break;
+        default: co_await pipe.execute(4.0); break;
+      }
+      flag[i] = false;
+    }
+  }
+
+  void hand_off_idle() {
+    std::vector<int> idle;
+    for (std::size_t i = 0; i < flag.size(); ++i) {
+      if (!flag[i]) idle.push_back(static_cast<int>(i));
+    }
+    if (idle.empty()) return;
+    const int s = idle[rng.next_below(idle.size())];
+    flag[static_cast<std::size_t>(s)] = true;
+    if (slotted) sc.hand_off(s);
+  }
+
+  void broadcast() {
+    if (slotted) {
+      sc.notify_all();
+    } else {
+      cv.notify_all();
+    }
+  }
+
+  Process script(int steps) {
+    for (int n = 0; n < steps; ++n) {
+      switch (rng.next_below(6)) {
+        case 0:
+          co_await sim.delay(static_cast<Duration>(rng.next_below(4)));
+          break;
+        case 1: hand_off_idle(); break;
+        case 2: broadcast(); break;
+        case 3:
+          // Runs after this event, so after any broadcast it makes next:
+          // inside the window where the woken workers have not run yet.
+          sim.defer([this] { hand_off_idle(); });
+          break;
+        case 4:
+          // A broadcast inside another broadcast's window.
+          sim.defer([this] { broadcast(); });
+          break;
+        default:
+          hand_off_idle();
+          broadcast();
+          break;
+      }
+    }
+  }
+
+  Simulation& sim;
+  PsResource pipe;
+  Condition cv;
+  SlotCondition sc;
+  bool slotted;
+  std::vector<bool> flag;
+  SplitMix64 rng;
+  std::vector<Found> found;
+};
+
+std::vector<WorkerPool::Found> run_pool(std::uint64_t seed, bool slotted) {
+  constexpr int kSlots = 8;
+  Simulation sim;
+  WorkerPool pool(sim, kSlots, slotted, seed);
+  // Lands before any worker's first run.
+  sim.defer([&pool] { pool.hand_off_idle(); });
+  if (slotted) {
+    pool.sc.spawn_deferred([&pool](int s) { return pool.worker(s); });
+  } else {
+    for (int s = 0; s < kSlots; ++s) sim.spawn(pool.worker(s));
+  }
+  sim.spawn(pool.script(400));
+  sim.run();
+  return pool.found;
+}
+
+TEST(SlotCondition, ResumesExactlyLikeABroadcastCondition) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const std::vector<WorkerPool::Found> want = run_pool(seed, false);
+    const std::vector<WorkerPool::Found> got = run_pool(seed, true);
+    ASSERT_GT(want.size(), 30u) << "seed " << seed;
+    ASSERT_EQ(got, want) << "seed " << seed;
+  }
+}
+
+Process slot_worker(SlotCondition& sc, const std::vector<bool>& flag, int s,
+                    std::vector<int>& ran) {
+  while (true) {
+    if (!flag[static_cast<std::size_t>(s)]) {
+      co_await sc.wait(s);
+      continue;
+    }
+    ran.push_back(s);
+    co_return;
+  }
+}
+
+TEST(SlotCondition, CreatesAWorkerOnlyOnItsFirstHandOff) {
+  Simulation sim;
+  SlotCondition sc(sim, 4);
+  std::vector<bool> flag(4, false);
+  std::vector<int> ran;
+  int made = 0;
+  sc.spawn_deferred([&](int s) {
+    made += 1;
+    return slot_worker(sc, flag, s, ran);
+  });
+  sim.run();
+  EXPECT_EQ(made, 0);
+  sim.after(1, [&] {
+    flag[2] = true;
+    sc.hand_off(2);
+    sc.notify_all();
+  });
+  sim.run();
+  EXPECT_EQ(made, 1);
+  EXPECT_EQ(ran, (std::vector<int>{2}));
 }
 
 Process trigger_waiter(Trigger& t, int& wakeups) {

@@ -39,6 +39,15 @@ cluster_smoke() {
     grep -q "invalid value for --policy.*round-robin"
   ("${dir}/tools/pagoda_cli" --workload=MM --gpus=2 --arrival=sawtooth 2>&1 || true) |
     grep -q "poisson:RATE"
+  # An unknown workload is a usage error (exit 1) naming the valid ones.
+  local wl_rc=0
+  "${dir}/tools/pagoda_cli" --workload=NOPE >/dev/null 2>&1 || wl_rc=$?
+  if [[ "${wl_rc}" != 1 ]]; then
+    echo "error: pagoda_cli --workload=NOPE exited ${wl_rc}, want 1" >&2
+    exit 1
+  fi
+  ("${dir}/tools/pagoda_cli" --workload=NOPE 2>&1 || true) |
+    grep -q "unknown --workload 'NOPE'.* MM .*MPE"
   # Out-of-range and non-finite values must end in the CLI's usage error
   # (exit 1, or 2 for an unparsable number), never in an internal CHECK abort.
   # The case comes first: the first occurrence of a flag wins, so a case may
@@ -470,10 +479,10 @@ fleet_gate() {
   # Fleet-scale gate: the 1 -> 256 node sweep (bench/fleet_scale) must
   # complete inside a wall-clock budget, and the 256-node point must peak
   # under an RSS budget (idle nodes back no shared-memory arenas, copy-back
-  # mirrors or dispatcher records).
+  # mirrors, dispatcher records or executor warp frames).
   local dir="$1"
   local budget_s=120
-  local rss_budget_mb=600
+  local rss_budget_mb=350
   echo "==> fleet-scale gate (bench/fleet_scale, 1->256 nodes)"
   local t0 t1 elapsed
   t0=$(date +%s%N)

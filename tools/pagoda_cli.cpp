@@ -340,6 +340,16 @@ int main(int argc, char** argv) {
   if (flags.has("list-policies")) return list_policies();
 
   const std::string wl = flags.get("workload", "MM");
+  const auto wl_names = workloads::all_workload_names();
+  if (std::find(wl_names.begin(), wl_names.end(), wl) == wl_names.end()) {
+    std::fprintf(stderr, "error: unknown --workload '%s'; valid workloads:",
+                 wl.c_str());
+    for (const std::string_view name : wl_names) {
+      std::fprintf(stderr, " %s", std::string(name).c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return 1;
+  }
   // Any cluster flag selects the Cluster runtime; --runtime=Cluster works
   // too (with --gpus defaulting to a single Titan X).
   const std::vector<std::string> rts = parse_runtimes(
