@@ -107,12 +107,16 @@ BENCHMARK(BM_TripleDesBlock);
 void BM_TaskTableScan(benchmark::State& state) {
   runtime::TaskTable table(48, 32);
   // Mark a few entries busy so the scan does real work.
-  for (int c = 0; c < 48; c += 3) table.at(c, c % 32).ready = 1;
+  for (int c = 0; c < 48; c += 3) {
+    table.status(table.id_of(c, c % 32)).ready = 1;
+  }
   for (auto _ : state) {
     int free_count = 0;
     for (int c = 0; c < table.columns(); ++c) {
       for (int r = 0; r < table.rows(); ++r) {
-        if (table.at(c, r).ready == runtime::kReadyFree) ++free_count;
+        if (table.status(table.id_of(c, r)).ready == runtime::kReadyFree) {
+          ++free_count;
+        }
       }
     }
     benchmark::DoNotOptimize(free_count);

@@ -28,18 +28,16 @@ struct TableCensus {
 
 TableCensus census(const runtime::TaskTable& table) {
   TableCensus n;
-  for (int c = 0; c < table.columns(); ++c) {
-    for (int r = 0; r < table.rows(); ++r) {
-      const std::int32_t ready = table.at(c, r).ready;
-      if (ready == runtime::kReadyFree) {
-        n.free += 1;
-      } else if (ready == runtime::kReadyParamsCopied) {
-        n.params_copied += 1;
-      } else if (ready == runtime::kReadyScheduling) {
-        n.scheduling += 1;
-      } else {
-        n.chained += 1;
-      }
+  for (int i = 0; i < table.size(); ++i) {
+    const std::int32_t ready = table.status(runtime::kFirstTaskId + i).ready;
+    if (ready == runtime::kReadyFree) {
+      n.free += 1;
+    } else if (ready == runtime::kReadyParamsCopied) {
+      n.params_copied += 1;
+    } else if (ready == runtime::kReadyScheduling) {
+      n.scheduling += 1;
+    } else {
+      n.chained += 1;
     }
   }
   return n;

@@ -217,27 +217,25 @@ sim::Task<bool> MasterKernel::scan_once(Mtb& mtb) {
   // the 32 rows in parallel.
   co_await sched_charge(mtb, cfg_.scan_pass_cycles);
   for (int row = 0; row < cfg_.rows_per_column && running_; ++row) {
-    TaskEntry& entry = gpu_table_.at(mtb.column, row);
+    const TaskId id = gpu_table_.id_of(mtb.column, row);
+    EntryStatus& entry = gpu_table_.status(id);
 
     // Lines 5-13: a ready field holding a taskId releases the *previous*
     // task — its parameters are known complete because its copy transaction
     // preceded this entry's on the stream.
     if (entry.ready > kReadyScheduling) {
       const TaskId prev_id = entry.ready;
-      TaskEntry& prev = gpu_table_.by_id(prev_id);
+      EntryStatus& prev = gpu_table_.status(prev_id);
       if (prev.ready == kReadyParamsCopied) {
         co_await sched_charge(mtb, cfg_.release_chain_cycles);
-        prev.ready = kReadyScheduling;
-        prev.sched = 1;
-        entry.ready = kReadyParamsCopied;
-        entry.sched = 0;
+        prev = {kReadyScheduling, 1};
+        entry = {kReadyParamsCopied, 0};
         trace(TraceKind::kReleased, prev_id, mtb.column);
         // prev may live in another MTB's column: wake its scheduler warp.
         wake_scheduler(mtb_of_column(gpu_table_.column_of(prev_id)));
         // This entry just reached (-1, 0); its own successor (if already
         // copied) can now be processed.
-        const TaskId my_id = gpu_table_.id_of(mtb.column, row);
-        if (const auto it = waiting_successor_column_.find(my_id);
+        if (const auto it = waiting_successor_column_.find(id);
             it != waiting_successor_column_.end()) {
           const int col = it->second;
           waiting_successor_column_.erase(it);
@@ -259,11 +257,8 @@ sim::Task<bool> MasterKernel::scan_once(Mtb& mtb) {
     if (entry.sched == 1) {
       if (mtb.claim_policy.fifo()) {
         entry.sched = 0;
-        trace(TraceKind::kScheduled, gpu_table_.id_of(mtb.column, row),
-              mtb.column);
-        if (claim_observer_) {
-          claim_observer_(gpu_table_.id_of(mtb.column, row), dev_.sim().now());
-        }
+        trace(TraceKind::kScheduled, id, mtb.column);
+        if (claim_observer_) claim_observer_(id, dev_.sim().now());
         co_await schedule_entry(mtb, row);
         progress = true;
       } else {
@@ -279,7 +274,8 @@ sim::Task<bool> MasterKernel::scan_once(Mtb& mtb) {
 }
 
 sched::SchedKey MasterKernel::claim_key(const Mtb& mtb, int row) const {
-  const TaskParams& p = gpu_table_.at(mtb.column, row).params;
+  const TaskParams& p =
+      std::as_const(gpu_table_).params(gpu_table_.id_of(mtb.column, row));
   sched::SchedKey key;
   key.cls = sched::class_from_raw(p.sched_class);
   key.deadline = sched::deadline_from_us(p.deadline_us);
@@ -307,15 +303,13 @@ sim::Task<bool> MasterKernel::claim_in_policy_order(Mtb& mtb) {
   for (const int i : order) {
     if (!running_) break;
     const int row = rows[static_cast<std::size_t>(i)];
-    TaskEntry& entry = gpu_table_.at(mtb.column, row);
+    const TaskId id = gpu_table_.id_of(mtb.column, row);
+    EntryStatus& entry = gpu_table_.status(id);
     if (entry.sched != 1) continue;  // resolved while a prior claim awaited
     entry.sched = 0;
     mtb.claim_policy.served(keys[static_cast<std::size_t>(i)]);
-    trace(TraceKind::kScheduled, gpu_table_.id_of(mtb.column, row),
-          mtb.column);
-    if (claim_observer_) {
-      claim_observer_(gpu_table_.id_of(mtb.column, row), dev_.sim().now());
-    }
+    trace(TraceKind::kScheduled, id, mtb.column);
+    if (claim_observer_) claim_observer_(id, dev_.sim().now());
     co_await schedule_entry(mtb, row);
     progress = true;
   }
@@ -323,8 +317,8 @@ sim::Task<bool> MasterKernel::claim_in_policy_order(Mtb& mtb) {
 }
 
 sim::Task<> MasterKernel::schedule_entry(Mtb& mtb, int row) {
-  TaskEntry& entry = gpu_table_.at(mtb.column, row);
-  const TaskParams& p = entry.params;
+  const TaskParams& p =
+      std::as_const(gpu_table_).params(gpu_table_.id_of(mtb.column, row));
   PAGODA_CHECK_MSG(p.fn != nullptr, "scheduling an entry without a kernel");
   mtb.done_ctr[static_cast<std::size_t>(row)] = p.warps_total();
   tasks_scheduled_ += 1;
@@ -445,8 +439,8 @@ sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
       co_await mtb.executors.wait(slot_index);
       continue;
     }
-    TaskEntry& entry = gpu_table_.at(mtb.column, slot.entry_row);
-    const TaskParams& p = entry.params;
+    const TaskId id = gpu_table_.id_of(mtb.column, slot.entry_row);
+    const TaskParams& p = std::as_const(gpu_table_).params(id);
     touch_busy(mtb, +1);
 
     gpu::WarpCtx ctx;
@@ -510,15 +504,12 @@ sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
         PAGODA_CHECK_MSG(mtb.regs_used >= 0,
                          "MTB register budget freed more than it held");
       }
-      entry.ready = kReadyFree;  // frees the entry; the CPU learns lazily
+      // Frees the entry; the CPU learns lazily.
+      gpu_table_.status(id).ready = kReadyFree;
       tasks_completed_ += 1;
       heartbeats_ += 1;
-      trace(TraceKind::kCompleted, gpu_table_.id_of(mtb.column, row),
-            mtb.column);
-      if (completion_observer_) {
-        completion_observer_(gpu_table_.id_of(mtb.column, row),
-                             dev_.sim().now());
-      }
+      trace(TraceKind::kCompleted, id, mtb.column);
+      if (completion_observer_) completion_observer_(id, dev_.sim().now());
     }
     touch_busy(mtb, -1);
     slot.exec = false;

@@ -78,7 +78,7 @@ int Runtime::scan_cpu_for_free() {
     const int row = pos / cols;
     const int idx = col * rows + row;
     const TaskId id = static_cast<TaskId>(idx) + kFirstTaskId;
-    if (cpu_table_.by_id(id).ready == kReadyFree) {
+    if (cpu_table_.status(id).ready == kReadyFree) {
       cursor_ = (pos + 1) % n;
       return idx;
     }
@@ -106,8 +106,8 @@ sim::Task<TaskHandle> Runtime::task_spawn(TaskParams params) {
   }
 
   const TaskId id = static_cast<TaskId>(idx) + kFirstTaskId;
-  TaskEntry& entry = cpu_table_.by_id(id);
-  entry.params = params;
+  cpu_table_.params(id) = params;
+  EntryStatus& entry = cpu_table_.status(id);
   entry.sched = 0;
   generation_[static_cast<std::size_t>(idx)] += 1;
   const std::uint64_t gen = generation_[static_cast<std::size_t>(idx)];
@@ -141,12 +141,14 @@ sim::Task<> Runtime::copy_entry_to_gpu_locked(TaskId id) {
   // where possible.) The entry is snapshotted per transaction — pageable
   // cudaMemcpyAsync staging semantics — so a later host-side update of the
   // same entry (e.g. the two-copy ablation's flag write, or a flush) cannot
-  // retroactively change bytes of a copy already in flight.
-  TaskEntry* dst = &gpu_table_.by_id(id);
-  auto snapshot = std::make_shared<TaskEntry>(cpu_table_.by_id(id));
-  table_stream_.memcpy_async(pcie::Direction::HostToDevice, dst,
-                             snapshot.get(), kEntryCopyBytes,
-                             [this, id, snapshot] { mk_.on_entry_copied(id); });
+  // retroactively change bytes of a copy already in flight. Both regions
+  // of the GPU entry (status and params) land in the completion callback.
+  auto snapshot = std::make_shared<TaskEntry>(cpu_table_.load(id));
+  table_stream_.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr,
+                             kEntryCopyBytes, [this, id, snapshot] {
+                               gpu_table_.store(id, *snapshot);
+                               mk_.on_entry_copied(id);
+                             });
   stats_.entry_copies += 1;
   co_return;
 }
@@ -159,9 +161,7 @@ sim::Task<> Runtime::flush_last_locked() {
   co_await copy_back_entry_locked(id);
   const std::size_t idx = static_cast<std::size_t>(id - kFirstTaskId);
   if (staging_[idx].ready == kReadyParamsCopied && staging_[idx].sched == 0) {
-    TaskEntry& entry = cpu_table_.by_id(id);
-    entry.ready = kReadyScheduling;
-    entry.sched = 1;
+    cpu_table_.status(id) = {kReadyScheduling, 1};
     last_spawned_.reset();
     stats_.flushes += 1;
     trace(TraceKind::kFlushed, id);
@@ -173,9 +173,7 @@ sim::Task<> Runtime::flush_last_locked() {
 }
 
 void Runtime::land_status(std::size_t idx) {
-  const TaskEntry& ge =
-      gpu_table_.by_id(static_cast<TaskId>(idx) + kFirstTaskId);
-  staging_[idx] = {ge.ready, ge.sched};
+  staging_[idx] = gpu_table_.status(static_cast<TaskId>(idx) + kFirstTaskId);
 }
 
 sim::Task<> Runtime::copy_back_all_locked() {
@@ -195,7 +193,8 @@ sim::Task<> Runtime::copy_back_all_locked() {
   for (int idx = 0; idx < cpu_table_.size(); ++idx) {
     const auto u = static_cast<std::size_t>(idx);
     if (gens[u] != generation_[u]) continue;
-    TaskEntry& ce = cpu_table_.by_id(static_cast<TaskId>(idx) + kFirstTaskId);
+    EntryStatus& ce =
+        cpu_table_.status(static_cast<TaskId>(idx) + kFirstTaskId);
     if (ce.ready != kReadyFree && staging_[u].ready == kReadyFree) {
       ce.ready = kReadyFree;
       trace(TraceKind::kCopyBack, static_cast<TaskId>(idx) + kFirstTaskId);
@@ -216,7 +215,7 @@ sim::Task<> Runtime::copy_back_entry_locked(TaskId id) {
                              });
   co_await trig->wait();
   if (gen == generation_[idx] && staging_[idx].ready == kReadyFree) {
-    TaskEntry& ce = cpu_table_.by_id(id);
+    EntryStatus& ce = cpu_table_.status(id);
     if (ce.ready != kReadyFree) {
       ce.ready = kReadyFree;
       trace(TraceKind::kCopyBack, id);
@@ -235,7 +234,7 @@ bool Runtime::is_done_cpu_view(const TaskHandle& h) const {
   // different, possibly still-running task. Cluster-level retries depend on
   // wait() never blocking on a successor's completion here.
   if (generation_[idx] != h.generation) return true;
-  return cpu_table_.by_id(h.id).ready == kReadyFree;
+  return cpu_table_.status(h.id).ready == kReadyFree;
 }
 
 bool Runtime::check(const TaskHandle& h) const { return is_done_cpu_view(h); }
@@ -282,7 +281,7 @@ sim::Task<bool> Runtime::try_revoke(TaskHandle h) {
   co_await spawn_lock_.acquire();
   const std::size_t idx = static_cast<std::size_t>(h.id - kFirstTaskId);
   if (generation_[idx] != h.generation ||
-      cpu_table_.by_id(h.id).ready == kReadyFree) {
+      cpu_table_.status(h.id).ready == kReadyFree) {
     // Recycled or already observed finished: nothing left to revoke.
     stats_.revoke_declines += 1;
     spawn_lock_.release();
@@ -290,25 +289,24 @@ sim::Task<bool> Runtime::try_revoke(TaskHandle h) {
   }
   // The revoke rides the table stream like a spawn copy: one entry-sized
   // H2D transaction whose landing instant is where the decision is taken.
-  // A scratch entry (not the live GPU slot) carries the write so a lost
-  // race never clobbers a claimed task's descriptor.
+  // The transaction carries no host bytes: its landing callback writes only
+  // the status words, so a lost race never clobbers a claimed task's
+  // descriptor.
   co_await sim().delay(hc_.memcpy_setup);
   const TaskId id = h.id;
-  auto scratch = std::make_shared<TaskEntry>();
   auto won = std::make_shared<bool>(false);
   auto trig = std::make_shared<sim::Trigger>(sim());
   table_stream_.memcpy_async(
-      pcie::Direction::HostToDevice, scratch.get(), scratch.get(),
-      kEntryCopyBytes, [this, id, won, trig] {
-        TaskEntry& ge = gpu_table_.by_id(id);
+      pcie::Direction::HostToDevice, nullptr, nullptr, kEntryCopyBytes,
+      [this, id, won, trig] {
+        EntryStatus& ge = gpu_table_.status(id);
         const bool released_unclaimed =
             ge.ready == kReadyScheduling && ge.sched == 1;
         const bool parked_last = ge.ready == kReadyParamsCopied &&
                                  ge.sched == 0 && last_spawned_.has_value() &&
                                  *last_spawned_ == id;
         if (released_unclaimed || parked_last) {
-          ge.ready = kReadyFree;
-          ge.sched = 0;
+          ge = {kReadyFree, 0};
           if (parked_last) last_spawned_.reset();
           *won = true;
         }
@@ -317,7 +315,7 @@ sim::Task<bool> Runtime::try_revoke(TaskHandle h) {
   stats_.entry_copies += 1;
   co_await trig->wait();
   if (*won) {
-    cpu_table_.by_id(h.id).ready = kReadyFree;
+    cpu_table_.status(h.id).ready = kReadyFree;
     generation_[idx] += 1;  // the revoked handle must report done, not alias
     stats_.revokes += 1;
     trace(TraceKind::kRevoked, h.id);
@@ -336,7 +334,7 @@ sim::Task<> Runtime::wait_all() {
     bool all_done = !last_spawned_.has_value();
     if (all_done) {
       for (int idx = 0; idx < cpu_table_.size(); ++idx) {
-        if (cpu_table_.by_id(static_cast<TaskId>(idx) + kFirstTaskId).ready !=
+        if (cpu_table_.status(static_cast<TaskId>(idx) + kFirstTaskId).ready !=
             kReadyFree) {
           all_done = false;
           break;

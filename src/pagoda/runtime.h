@@ -188,10 +188,6 @@ class Runtime {
   /// D2H landing area for copy-backs: the two status words of each entry,
   /// gathered from the GPU table at the landing instant. The wire is still
   /// charged whole TaskEntry bytes; the host only ever reads these.
-  struct EntryStatus {
-    std::int32_t ready = kReadyFree;
-    std::int32_t sched = 0;
-  };
   std::vector<EntryStatus> staging_;
   void land_status(std::size_t idx);  // staging_[idx] <- the GPU entry
 };

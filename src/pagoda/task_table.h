@@ -5,7 +5,18 @@
 // Each entry holds the task descriptor fields of §4.2 — (1) #threadblocks,
 // (2) threads per threadblock, (3) kernel pointer, (4) shared-memory bytes
 // per threadblock, (5) sync flag, (6) task inputs (parameter blob),
-// (7) ready field, (8) sched flag.
+// (7) ready field, (8) sched flag. The table stores them split by reader:
+//  * fields 7–8 (`EntryStatus`) in one dense column-major array, allocated
+//    at construction — the scheduler warps' scan, the copy-backs and every
+//    host-side done check read only these;
+//  * fields 1–6 (`TaskParams`) in row blocks of columns() entries, each
+//    backed the first time a mutable params() reaches its row. Spawns fill
+//    columns first, so a lightly loaded table backs only its first rows.
+// `TaskEntry` (all eight fields, 240 B) is the unit a PCIe copy charges and
+// carries: load() gathers one, store() scatters one. The spawn copy lands
+// both regions in one completion callback, so the GPU never sees the status
+// words of an entry without its parameters (the §4.2.1 ordering argument:
+// the bus orders transactions, not the writes inside one).
 //
 // Ready-field encodings (§4.2.2, Fig 2):
 //    0  — entry free / task finished
@@ -26,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -97,7 +109,13 @@ struct TaskParams {
   }
 };
 
-/// Fields 1–8: a full TaskTable entry.
+/// Fields 7–8: the two words the scheduler scan and the copy-backs read.
+struct EntryStatus {
+  std::int32_t ready = kReadyFree;
+  std::int32_t sched = 0;
+};
+
+/// Fields 1–8: a full TaskTable entry, the unit copied over PCIe.
 struct TaskEntry {
   TaskParams params;
   std::int32_t ready = kReadyFree;
@@ -112,8 +130,9 @@ class TaskTable {
   TaskTable(int columns, int rows)
       : columns_(columns),
         rows_(rows),
-        entries_(static_cast<std::size_t>(columns) *
-                 static_cast<std::size_t>(rows)) {
+        status_(static_cast<std::size_t>(columns) *
+                static_cast<std::size_t>(rows)),
+        param_rows_(static_cast<std::size_t>(rows)) {
     PAGODA_CHECK(columns > 0 && rows > 0);
   }
 
@@ -121,18 +140,9 @@ class TaskTable {
   int rows() const { return rows_; }
   int size() const { return columns_ * rows_; }
 
-  TaskEntry& at(int column, int row) {
-    PAGODA_CHECK(column >= 0 && column < columns_ && row >= 0 && row < rows_);
-    return entries_[static_cast<std::size_t>(column) *
-                        static_cast<std::size_t>(rows_) +
-                    static_cast<std::size_t>(row)];
-  }
-  const TaskEntry& at(int column, int row) const {
-    return const_cast<TaskTable*>(this)->at(column, row);
-  }
-
   /// TaskIds enumerate entries column-major, offset so that every id >= 2.
   TaskId id_of(int column, int row) const {
+    PAGODA_CHECK(column >= 0 && column < columns_ && row >= 0 && row < rows_);
     return static_cast<TaskId>(column * rows_ + row) + kFirstTaskId;
   }
   int column_of(TaskId id) const { return (id - kFirstTaskId) / rows_; }
@@ -140,18 +150,58 @@ class TaskTable {
   bool valid_id(TaskId id) const {
     return id >= kFirstTaskId && id < kFirstTaskId + size();
   }
-  TaskEntry& by_id(TaskId id) {
+
+  EntryStatus& status(TaskId id) {
     PAGODA_CHECK_MSG(valid_id(id), "bad task id");
-    return entries_[static_cast<std::size_t>(id - kFirstTaskId)];
+    return status_[static_cast<std::size_t>(id - kFirstTaskId)];
   }
-  const TaskEntry& by_id(TaskId id) const {
-    return const_cast<TaskTable*>(this)->by_id(id);
+  const EntryStatus& status(TaskId id) const {
+    return const_cast<TaskTable*>(this)->status(id);
+  }
+
+  /// Backs the entry's row block on first use.
+  TaskParams& params(TaskId id) {
+    auto& block = param_rows_[static_cast<std::size_t>(row_checked(id))];
+    if (block == nullptr) {
+      block = std::make_unique<TaskParams[]>(
+          static_cast<std::size_t>(columns_));
+    }
+    return block[static_cast<std::size_t>(column_of(id))];
+  }
+  /// An entry on an unbacked row reads as idle default parameters.
+  const TaskParams& params(TaskId id) const {
+    static const TaskParams kIdle{};
+    const auto& block = param_rows_[static_cast<std::size_t>(row_checked(id))];
+    return block == nullptr ? kIdle
+                            : block[static_cast<std::size_t>(column_of(id))];
+  }
+
+  TaskEntry load(TaskId id) const {
+    const EntryStatus& st = status(id);
+    return TaskEntry{params(id), st.ready, st.sched};
+  }
+  void store(TaskId id, const TaskEntry& entry) {
+    params(id) = entry.params;
+    status(id) = {entry.ready, entry.sched};
+  }
+
+  /// Parameter row blocks backed so far (host-memory observability).
+  int rows_backed() const {
+    int n = 0;
+    for (const auto& block : param_rows_) n += block != nullptr ? 1 : 0;
+    return n;
   }
 
  private:
+  int row_checked(TaskId id) const {
+    PAGODA_CHECK_MSG(valid_id(id), "bad task id");
+    return row_of(id);
+  }
+
   int columns_;
   int rows_;
-  std::vector<TaskEntry> entries_;
+  std::vector<EntryStatus> status_;  // column-major, index id - kFirstTaskId
+  std::vector<std::unique_ptr<TaskParams[]>> param_rows_;  // [row][column]
 };
 
 }  // namespace pagoda::runtime

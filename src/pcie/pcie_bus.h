@@ -10,9 +10,10 @@
 //    complete in order.
 //
 // The engine honors both: bytes land (and the completion fires) only when a
-// transfer's time cost has elapsed, and copy_unordered() exposes the
-// intra-transaction hazard by making payload bytes visible at a randomized
-// intermediate time, which the TaskTable race test exercises.
+// transfer's time cost has elapsed, and copy_two_regions_unordered() exposes
+// the intra-transaction hazard by making one region's bytes visible at an
+// intermediate time, which PcieBus.IntraTransactionWriteOrderIsNotGuaranteed
+// (tests/pcie_test.cpp) exercises.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -329,6 +330,25 @@ TEST(PagodaRuntime, ExecutorWarpsAreCreatedOnlyWhenHandedWork) {
   rt.shutdown();
 }
 
+TEST(PagodaRuntime, LightLoadBacksOnlyTheRowsItSpawnedInto) {
+  // Spawns fill columns first: 64 tasks on 48 columns land in rows 0 and 1.
+  // wait_all walks every status word of the table, which backs nothing.
+  Simulation sim;
+  Device dev(sim, GpuSpec::titan_x());
+  Runtime rt(dev);
+  rt.start();
+  constexpr int kTasks = 64;
+  std::vector<int> out(kTasks * 32, -1);
+  bool done = false;
+  sim.spawn(spawn_many(rt, out, kTasks, 32, done));
+  sim.run_until(sim::seconds(1.0));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(rt.master_kernel().tasks_completed(), kTasks);
+  EXPECT_EQ(rt.cpu_table().rows_backed(), 2);
+  EXPECT_EQ(rt.gpu_table().rows_backed(), 2);
+  rt.shutdown();
+}
+
 TEST(PagodaRuntime, ModelModeBacksNoSharedMemoryArena) {
   Simulation sim;
   GpuSpec spec = GpuSpec::titan_x();
@@ -429,7 +449,7 @@ TEST(PagodaRuntime, AggregateCopyBackChargesTheWholeTableAndFreesEachTask) {
   EXPECT_EQ(copy_backs, kTasks);
   for (int idx = 0; idx < rt.table_capacity(); ++idx) {
     const TaskId id = static_cast<TaskId>(idx) + kFirstTaskId;
-    EXPECT_EQ(rt.cpu_table().by_id(id).ready, kReadyFree) << "entry " << id;
+    EXPECT_EQ(rt.cpu_table().status(id).ready, kReadyFree) << "entry " << id;
   }
   rt.shutdown();
 }
@@ -647,13 +667,59 @@ TEST(TaskTable, IdMappingRoundTrips) {
       EXPECT_GE(id, kFirstTaskId);
       EXPECT_EQ(t.column_of(id), c);
       EXPECT_EQ(t.row_of(id), r);
-      EXPECT_EQ(&t.by_id(id), &t.at(c, r));
+      t.status(id).ready = id;
+      EXPECT_EQ(t.status(t.id_of(c, r)).ready, id);
     }
   }
   EXPECT_FALSE(t.valid_id(0));
   EXPECT_FALSE(t.valid_id(1));
   EXPECT_TRUE(t.valid_id(kFirstTaskId));
   EXPECT_FALSE(t.valid_id(kFirstTaskId + t.size()));
+}
+
+TEST(TaskTable, ConstReadsBackNoRows) {
+  TaskTable t(48, 32);
+  EXPECT_EQ(t.rows_backed(), 0);
+  const TaskTable& ct = t;
+  for (TaskId id = kFirstTaskId; id < kFirstTaskId + t.size(); ++id) {
+    EXPECT_EQ(ct.status(id).ready, kReadyFree);
+    EXPECT_EQ(ct.status(id).sched, 0);
+    EXPECT_EQ(ct.params(id).fn, nullptr);
+    EXPECT_EQ(ct.params(id).args_size, 0);
+  }
+  EXPECT_EQ(t.rows_backed(), 0);
+  // Every unbacked entry reads the one shared idle default.
+  const TaskParams* idle = &ct.params(kFirstTaskId);
+  const TaskId id = t.id_of(7, 5);
+  t.params(id).num_blocks = 3;
+  EXPECT_EQ(t.rows_backed(), 1);
+  EXPECT_EQ(ct.params(id).num_blocks, 3);
+  for (TaskId i = kFirstTaskId; i < kFirstTaskId + t.size(); ++i) {
+    EXPECT_EQ(&ct.params(i) != idle, t.row_of(i) == t.row_of(id)) << i;
+  }
+  EXPECT_EQ(t.rows_backed(), 1);
+}
+
+TEST(TaskTable, StoreLoadRoundTrips) {
+  TaskTable t(4, 8);
+  TaskEntry e;
+  e.params.fn = tid_kernel;
+  e.params.num_blocks = 5;
+  e.params.set_args(TidArgs{nullptr, 1234});
+  e.ready = kFirstTaskId + 9;
+  e.sched = 1;
+  const TaskId id = t.id_of(3, 6);
+  t.store(id, e);
+  const TaskEntry back = t.load(id);
+  EXPECT_EQ(back.ready, kFirstTaskId + 9);
+  EXPECT_EQ(back.sched, 1);
+  EXPECT_EQ(back.params.fn, tid_kernel);
+  EXPECT_EQ(back.params.num_blocks, 5);
+  EXPECT_EQ(back.params.args_size, e.params.args_size);
+  EXPECT_EQ(std::memcmp(back.params.args.data(), e.params.args.data(),
+                        kMaxArgBytes),
+            0);
+  EXPECT_EQ(t.rows_backed(), 1);
 }
 
 TEST(TaskTable, ParamsBlobRoundTrips) {

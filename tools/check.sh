@@ -53,7 +53,8 @@ cluster_smoke() {
   # The case comes first: the first occurrence of a flag wins, so a case may
   # override the defaults after it (--tasks).
   local args rc out
-  for args in "--gpus=2 --oversub=1e9" "--rows=0" "--blocks=0" \
+  for args in "--gpus=2 --oversub=1e9" "--rows=0" "--rows=100000" \
+      "--rows=2147483647" "--blocks=0" \
       "--task-threads=0" "--task-threads=100000" \
       "--gpus=2 --arrival=poisson:nan" "--gpus=2 --arrival=poisson:inf" \
       "--gpus=2 --arrival=diurnal:1000:inf" "--gpus=2 --faults=degrade:1:1:nan" \
@@ -479,10 +480,11 @@ fleet_gate() {
   # Fleet-scale gate: the 1 -> 256 node sweep (bench/fleet_scale) must
   # complete inside a wall-clock budget, and the 256-node point must peak
   # under an RSS budget (idle nodes back no shared-memory arenas, copy-back
-  # mirrors, dispatcher records or executor warp frames).
+  # mirrors, dispatcher records, executor warp frames or TaskTable parameter
+  # rows they never spawned into).
   local dir="$1"
   local budget_s=120
-  local rss_budget_mb=350
+  local rss_budget_mb=160
   echo "==> fleet-scale gate (bench/fleet_scale, 1->256 nodes)"
   local t0 t1 elapsed
   t0=$(date +%s%N)

@@ -395,7 +395,9 @@ int main(int argc, char** argv) {
   rcfg.include_data_copies = !flags.has("no-copies");
   rcfg.collect_latencies = true;
   rcfg.batch_size = flags.get_int_in("batch", 0, 0);
-  const int rows = flags.get_int_in("rows", 32, 1);
+  // TaskTable depth: 1024 rows is 16x the deepest table the ablation
+  // benches sweep, and keeps 48 x rows far from int overflow.
+  const int rows = flags.get_int_in("rows", 32, 1, 1024);
   rcfg.pagoda.rows_per_column = rows;
   rcfg.pagoda.two_copy_spawn = flags.has("two-copy");
   const int period_us = flags.get_int_in("metrics-period", 20, 1);
