@@ -6,6 +6,8 @@
 // binaries).
 #include <benchmark/benchmark.h>
 
+#include <functional>
+
 #include "common/rng.h"
 #include "engine/session.h"
 #include "pagoda/shmem_allocator.h"
@@ -81,6 +83,32 @@ void BM_PsResourceChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_PsResourceChurn);
+
+// The SMM pattern: 8 jobs in flight, a new one submitted on each completion,
+// so every arrival lands between completions and re-times the pending one.
+// (BM_PsResourceChurn submits everything at t=0 and then only drains.)
+void BM_PsResourceSteadyState(benchmark::State& state) {
+  engine::SessionConfig no_device;  // the event queue alone
+  no_device.device = false;
+  for (auto _ : state) {
+    engine::Session session(no_device);
+    sim::Simulation& sim = session.sim();
+    sim::PsResource res(sim, 4.0, 1.0);
+    int submitted = 0;
+    int done = 0;
+    std::function<void()> on_done;
+    auto submit = [&] { res.submit(1.0 + (submitted++ % 5), on_done); };
+    on_done = [&] {
+      ++done;
+      if (submitted < 256) submit();
+    };
+    for (int i = 0; i < 8; ++i) submit();
+    sim.run();
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_PsResourceSteadyState);
 
 void BM_DesBlock(benchmark::State& state) {
   const auto ks = workloads::des_key_schedule(0x133457799BBCDFF1ULL);

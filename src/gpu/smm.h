@@ -72,27 +72,25 @@ class Smm {
       double cycles;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        smm->submit_issue(cycles, [h] { h.resume(); });
+        smm->submit_issue(cycles, h);
       }
       void await_resume() const noexcept {}
     };
     return Awaiter{this, cycles};
   }
 
-  /// Callback form of execute(); consults the wake gate (if any) before
-  /// handing the work to the issue pipeline. With no gate installed this is
-  /// exactly pipeline().submit — the default path is untouched.
-  void submit_issue(double cycles, std::function<void()> on_done) {
+  /// Consults the wake gate (if any) before handing the work to the issue
+  /// pipeline, then resumes `h` when it completes. With no gate installed
+  /// this is exactly pipeline().submit — the default path is untouched.
+  void submit_issue(double cycles, std::coroutine_handle<> h) {
     if (wake_gate_) {
       const sim::Duration d = wake_gate_(sim_->now());
       if (d > 0) {
-        sim_->after(d, [this, cycles, done = std::move(on_done)]() mutable {
-          pipeline_.submit(cycles, std::move(done));
-        });
+        sim_->after(d, [this, cycles, h] { pipeline_.submit(cycles, h); });
         return;
       }
     }
-    pipeline_.submit(cycles, std::move(on_done));
+    pipeline_.submit(cycles, h);
   }
 
   // --- power plane hooks (passive unless the power plane installs them) ----

@@ -1,4 +1,5 @@
-// Size-bucketed free-list allocator for coroutine frames.
+// Size-bucketed free-list allocator for coroutine frames (and sim::Link's
+// pending-transfer records, which churn the same way).
 //
 // The simulator creates and destroys millions of short-lived coroutine
 // frames (sim::Process bodies, sim::Task<> API calls); under the default

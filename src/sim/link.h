@@ -12,9 +12,12 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "common/time_types.h"
+#include "sim/frame_pool.h"
 #include "sim/simulation.h"
 
 namespace pagoda::sim {
@@ -30,6 +33,11 @@ class Link {
         latency_(latency),
         gap_(transaction_gap) {
     PAGODA_CHECK(bandwidth_bytes_per_sec > 0.0);
+  }
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
+  ~Link() {
+    while (head_ != nullptr) delete std::exchange(head_, head_->next);
   }
 
   /// A completed transfer, as reported to the observer hook: wire slot
@@ -59,15 +67,12 @@ class Link {
     busy_integral_ += wire;
     transfers_started_ += 1;
     bytes_transferred_ += bytes;
-    in_flight_ += 1;
-    const Time complete = next_free_ + latency_;
-    sim_->at(complete, [this, bytes, start, wire_end = next_free_, complete,
-                        fn = std::move(on_done)] {
-      in_flight_ -= 1;
-      transfers_completed_ += 1;
-      if (observer_) observer_(TransferRecord{bytes, start, wire_end, complete});
-      fn();
-    });
+    // complete never decreases in issue order (FIFO engine, fixed latency),
+    // so each event lands the oldest pending record.
+    auto* p = new Pending{{}, bytes, start, next_free_, std::move(on_done)};
+    (tail_ != nullptr ? tail_->next : head_) = p;
+    tail_ = p;
+    sim_->at(next_free_ + latency_, [this] { land_front(); });
   }
 
   /// Awaitable form for processes.
@@ -103,9 +108,34 @@ class Link {
   std::int64_t transfers_started() const { return transfers_started_; }
   std::int64_t transfers_completed() const { return transfers_completed_; }
   std::int64_t bytes_transferred() const { return bytes_transferred_; }
-  int in_flight() const { return in_flight_; }
+  int in_flight() const {
+    return static_cast<int>(transfers_started_ - transfers_completed_);
+  }
 
  private:
+  /// A transfer on the wire or in flight. Records recycle through the
+  /// frame pool, so a transfer allocates nothing in steady state and an
+  /// idle link holds no buffer.
+  struct Pending : PooledFrame {
+    std::int64_t bytes;
+    Time wire_start;
+    Time wire_end;
+    std::function<void()> on_done;
+    Pending* next = nullptr;
+  };
+
+  void land_front() {
+    const std::unique_ptr<Pending> p(head_);
+    head_ = p->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    transfers_completed_ += 1;
+    if (observer_) {
+      observer_(TransferRecord{p->bytes, p->wire_start, p->wire_end,
+                               p->wire_end + latency_});
+    }
+    p->on_done();
+  }
+
   Simulation* sim_;
   double bandwidth_;
   double bandwidth_scale_ = 1.0;
@@ -116,8 +146,9 @@ class Link {
   std::int64_t transfers_started_ = 0;
   std::int64_t transfers_completed_ = 0;
   std::int64_t bytes_transferred_ = 0;
-  int in_flight_ = 0;
   std::function<void(const TransferRecord&)> observer_;
+  Pending* head_ = nullptr;  // oldest pending transfer; FIFO via next
+  Pending* tail_ = nullptr;
 };
 
 }  // namespace pagoda::sim

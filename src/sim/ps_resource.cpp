@@ -38,7 +38,7 @@ void PsResource::set_rate_scale(double scale) {
 }
 
 double PsResource::current_rate() const {
-  const auto n = static_cast<double>(heap_.size());
+  const auto n = static_cast<double>(jobs_.size());
   if (n == 0.0) return 0.0;
   return std::min(max_job_rate_, capacity_ / n);
 }
@@ -47,7 +47,7 @@ void PsResource::advance_virtual_time() {
   const Time now = sim_->now();
   if (now == last_update_) return;
   const double dt = to_seconds(now - last_update_);
-  const double n = static_cast<double>(heap_.size());
+  const double n = static_cast<double>(jobs_.size());
   const double rate = current_rate();
   virtual_time_ += rate * dt;
   busy_integral_ += std::min(capacity_, n * max_job_rate_) * dt;
@@ -61,24 +61,50 @@ void PsResource::submit(double work, std::function<void()> on_done) {
     sim_->defer(std::move(on_done));
     return;
   }
+  std::uint32_t fn = static_cast<std::uint32_t>(fns_.size());
+  if (free_fns_.empty()) {
+    fns_.push_back(std::move(on_done));
+  } else {
+    fn = free_fns_.back();
+    free_fns_.pop_back();
+    fns_[fn] = std::move(on_done);
+  }
+  enqueue(work, nullptr, fn);
+}
+
+void PsResource::submit(double work, std::coroutine_handle<> h) {
+  PAGODA_CHECK(work >= 0.0);
+  if (work == 0.0) {
+    sim_->defer_resume(h);  // the seq a defer would take
+    return;
+  }
+  enqueue(work, h, 0);
+}
+
+void PsResource::enqueue(double work, std::coroutine_handle<> h,
+                         std::uint32_t fn) {
   advance_virtual_time();
-  heap_.push(Job{virtual_time_ + work, next_seq_++, std::move(on_done)});
+  jobs_.push_back(Job{virtual_time_ + work, next_seq_++, h, fn});
+  std::push_heap(jobs_.begin(), jobs_.end(), std::greater<>{});
   reschedule_completion();
 }
 
 void PsResource::reschedule_completion() {
-  if (completion_event_ != 0) {
-    sim_->cancel(completion_event_);
+  if (jobs_.empty()) {
+    if (completion_event_ != 0) sim_->cancel(completion_event_);
     completion_event_ = 0;
+    return;
   }
-  if (heap_.empty()) return;
   const double rate = current_rate();
   PAGODA_CHECK(rate > 0.0);
   const double remaining_work =
-      std::max(0.0, heap_.top().finish_v - virtual_time_);
+      std::max(0.0, jobs_.front().finish_v - virtual_time_);
   const double dt_seconds = remaining_work / rate;
   const auto dt = static_cast<Duration>(std::ceil(dt_seconds * 1e12));
-  completion_event_ = sim_->after(dt, [this] { on_completion_event(); });
+  completion_event_ =
+      completion_event_ != 0
+          ? sim_->retime(completion_event_, sim_->now() + dt)
+          : sim_->after(dt, [this] { on_completion_event(); });
 }
 
 void PsResource::on_completion_event() {
@@ -86,18 +112,30 @@ void PsResource::on_completion_event() {
   advance_virtual_time();
   // Pop every job whose service is complete (ties complete together, e.g.,
   // equal-work jobs submitted at the same instant). The staging vector is a
-  // reused member; callbacks only run after re-arming, and nothing re-enters
+  // reused member; jobs only finish after re-arming, and nothing re-enters
   // this method synchronously (completions fire from the event queue only).
   done_scratch_.clear();
-  while (!heap_.empty() &&
-         heap_.top().finish_v <= virtual_time_ + kWorkEpsilon) {
-    done_scratch_.push_back(std::move(const_cast<Job&>(heap_.top()).on_done));
-    heap_.pop();
+  while (!jobs_.empty() &&
+         jobs_.front().finish_v <= virtual_time_ + kWorkEpsilon) {
+    std::pop_heap(jobs_.begin(), jobs_.end(), std::greater<>{});
+    done_scratch_.push_back(jobs_.back());
+    jobs_.pop_back();
   }
   // Integer-time rounding can fire the event one tick early, before the top
   // job's virtual finish time; in that case just re-arm.
   reschedule_completion();
-  for (auto& fn : done_scratch_) fn();
+  for (const Job& job : done_scratch_) finish(job);
+}
+
+void PsResource::finish(const Job& job) {
+  if (job.h) {
+    job.h.resume();
+    return;
+  }
+  // Move the body out first: it may submit, reusing the freed index.
+  const std::function<void()> fn = std::move(fns_[job.fn]);
+  free_fns_.push_back(job.fn);
+  fn();
 }
 
 // The read-side accessors must NOT advance the internal accumulators:
@@ -108,13 +146,13 @@ void PsResource::on_completion_event() {
 
 double PsResource::busy_work_seconds() const {
   const double dt = to_seconds(sim_->now() - last_update_);
-  const double n = static_cast<double>(heap_.size());
+  const double n = static_cast<double>(jobs_.size());
   return busy_integral_ + std::min(capacity_, n * max_job_rate_) * dt;
 }
 
 double PsResource::job_seconds() const {
   const double dt = to_seconds(sim_->now() - last_update_);
-  return job_integral_ + static_cast<double>(heap_.size()) * dt;
+  return job_integral_ + static_cast<double>(jobs_.size()) * dt;
 }
 
 }  // namespace pagoda::sim

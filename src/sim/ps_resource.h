@@ -14,13 +14,15 @@
 // Because the rate is identical for every active job, completions can be
 // tracked exactly in "virtual service time" V(t) with dV/dt = rate(t): a job
 // enqueued at V0 with w work units finishes when V = V0 + w. Each membership
-// change advances V and re-schedules the single pending completion event —
-// O(log n) per event via a min-heap on finish-V.
+// change advances V and re-times the single pending completion event in
+// place (Simulation::retime) — O(log n) per event via a min-heap on
+// finish-V. A job waiting in a coroutine carries its handle; only callback
+// jobs keep a std::function, in a side table indexed by the job.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/time_types.h"
@@ -36,6 +38,8 @@ class PsResource {
   /// Starts a job of `work` units; on_done fires at its completion time.
   /// Zero-work jobs complete via a deferred event at the current time.
   void submit(double work, std::function<void()> on_done);
+  /// As submit(work, on_done), resuming `h` at the completion time.
+  void submit(double work, std::coroutine_handle<> h);
 
   /// Awaitable form: `co_await res.execute(work);` suspends the calling
   /// process until the work completes.
@@ -45,14 +49,14 @@ class PsResource {
       double work;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        res->submit(work, [h] { h.resume(); });
+        res->submit(work, h);
       }
       void await_resume() const noexcept {}
     };
     return Awaiter{this, work};
   }
 
-  int active_jobs() const { return static_cast<int>(heap_.size()); }
+  int active_jobs() const { return static_cast<int>(jobs_.size()); }
 
   /// Scales capacity and per-job rate cap to `scale` x their construction
   /// values (DVFS: a P-state change retimes in-flight work). Safe mid-run:
@@ -76,14 +80,17 @@ class PsResource {
  private:
   struct Job {
     double finish_v;
-    std::uint64_t seq;  // FIFO tie-break for equal finish_v
-    std::function<void()> on_done;
+    std::uint64_t seq;          // FIFO tie-break for equal finish_v
+    std::coroutine_handle<> h;  // resumed at completion; null: callback job
+    std::uint32_t fn;           // callback job's index into fns_
     bool operator>(const Job& o) const {
       if (finish_v != o.finish_v) return finish_v > o.finish_v;
       return seq > o.seq;
     }
   };
 
+  void enqueue(double work, std::coroutine_handle<> h, std::uint32_t fn);
+  void finish(const Job& job);
   double current_rate() const;  // per-job service rate, work-units/second
   void advance_virtual_time();
   void reschedule_completion();
@@ -96,7 +103,9 @@ class PsResource {
   const double base_max_job_rate_;  // construction-time per-job cap
   double rate_scale_ = 1.0;
 
-  std::priority_queue<Job, std::vector<Job>, std::greater<>> heap_;
+  std::vector<Job> jobs_;  // min-heap on (finish_v, seq)
+  std::vector<std::function<void()>> fns_;  // callback jobs' bodies
+  std::vector<std::uint32_t> free_fns_;     // reusable fns_ indices
   double virtual_time_ = 0.0;  // accumulated per-job service, work-units
   Time last_update_ = 0;
   EventId completion_event_ = 0;
@@ -105,10 +114,10 @@ class PsResource {
   double busy_integral_ = 0.0;  // work-unit·seconds of utilized capacity
   double job_integral_ = 0.0;   // job·seconds
 
-  /// Completion-callback staging, reused across completion events so the
-  /// hot path (every SMM instruction segment, every PCIe transfer) does not
+  /// Completed-job staging, reused across completion events so the hot
+  /// path (every SMM instruction segment, every PCIe transfer) does not
   /// allocate a fresh vector per completion.
-  std::vector<std::function<void()>> done_scratch_;
+  std::vector<Job> done_scratch_;
 };
 
 }  // namespace pagoda::sim

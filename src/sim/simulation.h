@@ -88,6 +88,14 @@ class Simulation {
   /// cancelled or is unknown (see EventQueue::cancel).
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Moves pending event `id` to time t (>= now()) with a fresh seq, exactly
+  /// where cancel + at(t, same body) would put it. Returns the new id; the
+  /// old one is retired (see EventQueue::retime).
+  EventId retime(EventId id, Time t) {
+    PAGODA_CHECK_MSG(t >= now_, "cannot schedule events in the past");
+    return queue_.retime(id, t);
+  }
+
   /// Starts a coroutine process. The process body begins executing at now()
   /// (after currently pending same-time events). Returns a handle on which
   /// other processes can `co_await handle.join()`.

@@ -76,17 +76,17 @@ class Condition {
   }
 
   void notify_all() {
-    std::vector<Waiter> woken;
-    woken.swap(waiters_);
-    wake(woken);
+    // wake() only schedules resumes, so waking in place is safe; clear()
+    // keeps the buffer's capacity for the next wait().
+    for (const Waiter& w : waiters_) wake(w);
+    waiters_.clear();
   }
 
   void notify_one() {
     if (waiters_.empty()) return;
-    std::vector<Waiter> woken;
-    woken.push_back(waiters_.front());
+    const Waiter w = waiters_.front();
     waiters_.erase(waiters_.begin());
-    wake(woken);
+    wake(w);
   }
 
   std::size_t waiter_count() const { return waiters_.size(); }
@@ -99,12 +99,10 @@ class Condition {
     bool* notified_flag;       // lives in the suspended awaiter frame
   };
 
-  void wake(std::vector<Waiter>& woken) {
-    for (Waiter& w : woken) {
-      if (w.timeout_event != 0) sim_->cancel(w.timeout_event);
-      if (w.notified_flag != nullptr) *w.notified_flag = true;
-      sim_->defer_resume(w.handle);
-    }
+  void wake(const Waiter& w) {
+    if (w.timeout_event != 0) sim_->cancel(w.timeout_event);
+    if (w.notified_flag != nullptr) *w.notified_flag = true;
+    sim_->defer_resume(w.handle);
   }
 
   void drop_waiter(std::uint64_t id) {

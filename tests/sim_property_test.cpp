@@ -4,9 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
+#include <iterator>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "sim/event_queue.h"
 #include "sim/link.h"
 #include "sim/ps_resource.h"
 #include "sim/simulation.h"
@@ -121,7 +127,6 @@ TEST(EventQueueStress, RandomScheduleAndCancel) {
   Simulation sim;
   std::vector<Time> fired;
   std::vector<EventId> ids;
-  int cancelled_fired = 0;
   for (int i = 0; i < 2000; ++i) {
     const auto t = static_cast<Time>(rng.next_below(1000000));
     ids.push_back(sim.at(t, [&fired, &sim] { fired.push_back(sim.now()); }));
@@ -136,9 +141,101 @@ TEST(EventQueueStress, RandomScheduleAndCancel) {
     }
   }
   sim.run();
-  (void)cancelled_fired;
   EXPECT_EQ(fired.size(), ids.size() - static_cast<std::size_t>(cancelled));
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+}
+
+// The indexed heap plus same-time lane against an ordered reference: random
+// future and same-time schedules, resumes at reserved keys (which must sort
+// ahead of later same-time pushes), cancels of live, fired and recycled-slot
+// ids, retimes earlier, later and to the same time, and pops. Every pop must
+// be the reference's minimum (at, seq), and size() must match throughout.
+TEST(EventQueueStress, MatchesAnOrderedReference) {
+  using Key = std::pair<Time, std::uint64_t>;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SplitMix64 rng(seed);
+    EventQueue q;
+    std::set<Key> model;
+    std::map<EventId, Key> live;
+    std::vector<EventId> dead;  // fired, cancelled or retired
+    std::vector<Key> reserved;  // keys taken by reserve_seq(), not yet used
+    std::uint64_t next_seq = 1;
+    Key last{0, 0};  // key of the last pop
+    auto pick_live = [&] {
+      auto it = live.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(live.size())));
+      return it;
+    };
+    auto random_time = [&] {
+      return rng.next() % 2 == 0
+                 ? last.first
+                 : last.first + static_cast<Time>(rng.next_below(50));
+    };
+    for (int op = 0; op < 5000; ++op) {
+      const std::uint64_t r = rng.next_below(100);
+      if (r < 30) {
+        const Time at = random_time();
+        const Key key{at, next_seq++};
+        const EventId id = q.schedule(at, [] {});
+        model.insert(key);
+        live[id] = key;
+      } else if (r < 38) {
+        reserved.push_back(Key{last.first, q.reserve_seq()});
+        ASSERT_EQ(reserved.back().second, next_seq++);
+      } else if (r < 45 && !reserved.empty()) {
+        // A reservation is usable until the run passes its key.
+        const Key key = reserved.front();
+        reserved.erase(reserved.begin());
+        if (key < last) continue;
+        const EventId id =
+            q.schedule_resume(key.first, key.second, std::noop_coroutine());
+        model.insert(key);
+        live[id] = key;
+      } else if (r < 55) {
+        if (rng.next() % 2 == 0 && !live.empty()) {
+          const auto it = pick_live();
+          ASSERT_TRUE(q.cancel(it->first));
+          model.erase(it->second);
+          dead.push_back(it->first);
+          live.erase(it);
+        } else if (!dead.empty()) {
+          ASSERT_FALSE(q.cancel(dead[rng.next_below(dead.size())]));
+        }
+      } else if (r < 70 && !live.empty()) {
+        const auto it = pick_live();
+        const Time old_at = it->second.first;
+        const std::uint64_t how = rng.next_below(3);
+        const Time at =
+            how == 0   ? last.first + static_cast<Time>(rng.next_below(
+                                         static_cast<std::uint64_t>(
+                                             old_at - last.first) + 1))
+            : how == 1 ? old_at + static_cast<Time>(rng.next_below(50))
+                       : old_at;
+        const Key key{at, next_seq++};
+        const EventId id = q.retime(it->first, at);
+        model.erase(it->second);
+        model.insert(key);
+        dead.push_back(it->first);
+        live.erase(it);
+        live[id] = key;
+      } else if (!model.empty()) {
+        const EventQueue::Popped p = q.pop();
+        const Key want = *model.begin();
+        ASSERT_EQ(Key(p.at, p.seq), want) << "seed " << seed << " op " << op;
+        model.erase(model.begin());
+        for (auto it = live.begin(); it != live.end(); ++it) {
+          if (it->second == want) {
+            dead.push_back(it->first);
+            live.erase(it);
+            break;
+          }
+        }
+        last = want;
+      }
+      ASSERT_EQ(q.size(), model.size()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(q.next_time(), model.empty() ? kTimeMax : model.begin()->first);
+    }
+  }
 }
 
 TEST(Determinism, IdenticalSeedsIdenticalTraces) {

@@ -128,6 +128,22 @@ TEST(EventQueue, PoppedCarriesItsSeqAndReservationsSkipOne) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, RetimeTakesAFreshSeqAndRetiresTheOldId) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId a = q.schedule(10, [&] { order.push_back(1); });
+  q.schedule(10, [&] { order.push_back(2); });
+  const EventId moved = q.retime(a, 10);
+  EXPECT_NE(moved, a);
+  EXPECT_FALSE(q.cancel(a)) << "the retired id still cancels";
+  EXPECT_EQ(q.size(), 2u);
+  // Same time, fresh seq: the re-timed event now fires after the one that
+  // was scheduled at 10 before the retime.
+  while (!q.empty()) q.pop().run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_FALSE(q.cancel(moved));
+}
+
 Process record_key(Simulation& sim, std::vector<int>& order,
                    EventKey& ran_at) {
   order.push_back(2);
@@ -573,6 +589,44 @@ TEST(PsResource, ManyJobsCompleteExactly) {
   sim.run();
   EXPECT_EQ(completions, kJobs);
   EXPECT_EQ(res.active_jobs(), 0);
+}
+
+Process ps_job(Simulation& sim, PsResource& res, Duration arrive, double work,
+              int id, bool handle, std::vector<std::pair<Time, int>>& done) {
+  co_await sim.delay(arrive);
+  done.emplace_back(sim.now(), -1 - id);  // the arrival, in the same log
+  if (handle) {
+    co_await res.execute(work);
+    done.emplace_back(sim.now(), id);
+  } else {
+    res.submit(work, [&sim, &done, id] { done.emplace_back(sim.now(), id); });
+  }
+}
+
+// The handle form (a job carries the coroutine it resumes) and the callback
+// form (a std::function) complete one submission script at the same times,
+// in the same order relative to each other and to the arrivals: zero-work
+// jobs, ties, arrivals that re-time a pending completion.
+TEST(PsResource, HandleJobsCompleteLikeCallbackJobs) {
+  auto run = [](bool handle) {
+    SplitMix64 rng(17);
+    Simulation sim;
+    PsResource res(sim, 4.0, 1.0);
+    std::vector<std::pair<Time, int>> done;
+    for (int i = 0; i < 200; ++i) {
+      const auto arrive =
+          static_cast<Duration>(rng.next_below(40)) * microseconds(1);
+      const double work =
+          i % 5 == 0 ? 0.0 : 1e-6 * static_cast<double>(rng.next_in(1, 12));
+      sim.spawn(ps_job(sim, res, arrive, work, i, handle, done));
+    }
+    sim.run();
+    EXPECT_EQ(res.active_jobs(), 0);
+    return done;
+  };
+  const auto by_handle = run(true);
+  ASSERT_EQ(by_handle.size(), 400u);
+  EXPECT_EQ(by_handle, run(false));
 }
 
 // --- Link -------------------------------------------------------------------
