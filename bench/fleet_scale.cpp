@@ -1,4 +1,4 @@
-// Fleet-scale sweep: 1 -> 256 homogeneous nodes behind one dispatcher,
+// Fleet-scale sweep: 1 -> 1,024 homogeneous nodes behind one dispatcher,
 // measuring how far ONE simulated fleet scales on the single event queue.
 //
 //   fleet_scale [--tasks-per-node=N] [--seed=N] [--out=BENCH_fleet.json]
@@ -6,7 +6,7 @@
 // Each point offers the same per-node load. The JSON artifact carries the
 // stable simulated outcomes (completed count, virtual end time) and the
 // machine-dependent wall-clock milliseconds and peak RSS; tools/check.sh
-// gates the sweep's total wall-clock and the 256-node peak RSS.
+// gates the sweep's total wall-clock and the 256- and 1,024-node peak RSS.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
        << ", \"seed\": " << seed << ",\n  \"sweep\": [\n";
 
   bool first = true;
-  for (const int nodes : {1, 4, 16, 64, 256}) {
+  for (const int nodes : {1, 4, 16, 64, 256, 1024}) {
     const Outcome o = run_point(nodes, per_node * nodes, seed);
     std::printf("%-6d %12.1f %12.1f %12.1f %12.1f\n", nodes,
                 o.throughput_rps / 1e3, o.elapsed_ms, o.wall_ms,

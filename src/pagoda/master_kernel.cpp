@@ -176,11 +176,11 @@ void MasterKernel::shutdown() {
   const gpu::BlockFootprint mtb_footprint =
       gpu::BlockFootprint::of(kWarpsPerMtb * 32, 32, arena_bytes_);
   for (auto& mtb : mtbs_) {
-    // Leave parked warps parked: with running_ false nothing re-arms them,
-    // and the waiter lists' destructors reclaim the suspended frames. Notifying
-    // here instead would move the handles into resume events that never run
-    // (drivers shut down after the event queue has drained), leaking every
-    // warp frame.
+    // Leave parked scheduler warps parked: with running_ false nothing
+    // re-arms them, and the condition's destructor reclaims the suspended
+    // frames. Notifying here instead would move the handles into resume
+    // events that never run (drivers shut down after the event queue has
+    // drained), leaking every frame. Idle executor warps hold no frame.
     mtb->smm->release(mtb_footprint);
   }
 }
@@ -408,7 +408,7 @@ sim::Task<> MasterKernel::psched(Mtb& mtb, int row, int base_warp, int count,
       slot.warp_id = base_warp + scheduled;
       slot.entry_row = row;
       slot.sm_index = block ? block->sm_offset : -1;
-      slot.bar_id = block ? block->bar_id : -1;
+      slot.bar_id = static_cast<std::int16_t>(block ? block->bar_id : -1);
       slot.block = block;
       slot.exec = true;  // set last: the executor reads fields after this
       mtb.executors.hand_off(s);
@@ -433,11 +433,11 @@ sim::Task<> MasterKernel::psched(Mtb& mtb, int row, int base_warp, int count,
 
 sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
   WarpSlot& slot = mtb.warp_table[static_cast<std::size_t>(slot_index)];
-  executor_warps_spawned_ += 1;
+  executor_warps_live_ += 1;
   while (running_) {
     if (!slot.exec) {
-      co_await mtb.executors.wait(slot_index);
-      continue;
+      mtb.executors.retire(slot_index);
+      break;
     }
     const TaskId id = gpu_table_.id_of(mtb.column, slot.entry_row);
     const TaskParams& p = std::as_const(gpu_table_).params(id);
@@ -519,6 +519,7 @@ sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
     mtb.free_slots += 1;
     wake_scheduler(mtb);  // pSched may be waiting for a free warp
   }
+  executor_warps_live_ -= 1;
 }
 
 }  // namespace pagoda::runtime

@@ -25,10 +25,12 @@
 // the SMM pipeline (contending with executor warps, as on silicon); the idle
 // spin of parked warps is not modeled and its issue-bandwidth cost is folded
 // into the per-pass scan charges. Executor warps watch only their own
-// WarpTable slot (Algorithm 1, lines 29-30): each parks on its MTB's
-// sim::SlotCondition and resumes only when pSched hands its slot work, at the
-// (time, seq) an MTB-wide broadcast would have given it. A warp's coroutine
-// is created on its slot's first hand-off, so an idle MTB holds no executor.
+// WarpTable slot (Algorithm 1, lines 29-30): a warp's coroutine lives only
+// while its slot holds work. When the slot is clear it retires on its MTB's
+// sim::SlotCondition and ends; the next hand-off starts a new one at the
+// (time, seq) an MTB-wide broadcast would have resumed a parked warp at. So
+// an MTB holds executor frames only for the warps running on it, and its
+// named barriers are built on their first lease.
 #pragma once
 
 #include <array>
@@ -160,8 +162,9 @@ class MasterKernel {
   // --- observability ------------------------------------------------------
   /// Executor warps currently running task work (all MTBs).
   int busy_executor_warps() const { return busy_warps_; }
-  /// Executor warp processes started so far: one per slot ever handed work.
-  int executor_warps_spawned() const { return executor_warps_spawned_; }
+  /// Executor warp processes alive now: one per slot running a task warp
+  /// (a warp's process ends when its slot clears, so 0 once drained).
+  int executor_warps_live() const { return executor_warps_live_; }
   /// Free executor-warp slots across all MTBs.
   int free_executor_slots() const;
   /// Issue-pipeline time the scheduler warps have consumed, in seconds
@@ -310,7 +313,7 @@ class MasterKernel {
   std::int64_t tasks_completed_ = 0;
   std::int64_t heartbeats_ = 0;
   std::int64_t warps_dispatched_ = 0;
-  int executor_warps_spawned_ = 0;
+  int executor_warps_live_ = 0;
   std::int64_t shmem_blocks_swept_ = 0;
   std::int64_t register_waits_ = 0;
   CompletionObserver completion_observer_;

@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/check.h"
 #include "gpu/barrier.h"
@@ -22,41 +21,59 @@ class NamedBarrierPool {
  public:
   static constexpr int kNumBarriers = 16;  // PTX bar.sync id space
 
-  explicit NamedBarrierPool(sim::Simulation& sim) {
+  /// Builds no barrier: each id's barrier is made on its first acquire().
+  explicit NamedBarrierPool(sim::Simulation& sim) : sim_(&sim) {
     for (int i = 0; i < kNumBarriers; ++i) {
-      barriers_[static_cast<std::size_t>(i)] =
-          std::make_unique<gpu::BlockBarrier>(sim);
-      free_ids_.push_back(kNumBarriers - 1 - i);  // pop from the back: id 0 first
+      free_ids_[static_cast<std::size_t>(i)] =
+          static_cast<std::int8_t>(kNumBarriers - 1 - i);  // id 0 on top
     }
   }
 
-  bool has_free() const { return !free_ids_.empty(); }
-  int free_count() const { return static_cast<int>(free_ids_.size()); }
+  bool has_free() const { return free_count_ > 0; }
+  int free_count() const { return free_count_; }
 
-  /// Leases a barrier id for a threadblock of `participants` warps.
-  /// Precondition: has_free().
+  /// Leases a barrier id for a threadblock of `participants` warps: the
+  /// last one released (LIFO). Precondition: has_free().
   int acquire(int participants) {
     PAGODA_CHECK_MSG(has_free(), "named barrier pool exhausted");
-    const int id = free_ids_.back();
-    free_ids_.pop_back();
-    barriers_[static_cast<std::size_t>(id)]->reset(participants);
+    free_count_ -= 1;
+    const int id = free_ids_[static_cast<std::size_t>(free_count_)];
+    auto& b = barriers_[static_cast<std::size_t>(id)];
+    if (b == nullptr) b = std::make_unique<gpu::BlockBarrier>(*sim_);
+    b->reset(participants);
     return id;
   }
 
   /// Returns a barrier id to the pool (last warp of the block).
   void release(int id) {
     PAGODA_CHECK(id >= 0 && id < kNumBarriers);
-    free_ids_.push_back(id);
+    PAGODA_CHECK_MSG(free_count_ < kNumBarriers,
+                     "named barrier released more often than leased");
+    free_ids_[static_cast<std::size_t>(free_count_)] =
+        static_cast<std::int8_t>(id);
+    free_count_ += 1;
   }
 
+  /// The barrier of a leased id.
   gpu::BlockBarrier& barrier(int id) {
     PAGODA_CHECK(id >= 0 && id < kNumBarriers);
+    PAGODA_CHECK_MSG(barriers_[static_cast<std::size_t>(id)] != nullptr,
+                     "named barrier used before its first lease");
     return *barriers_[static_cast<std::size_t>(id)];
   }
 
+  /// Barriers built so far (one per id ever leased).
+  int barriers_built() const {
+    int n = 0;
+    for (const auto& b : barriers_) n += b != nullptr ? 1 : 0;
+    return n;
+  }
+
  private:
+  sim::Simulation* sim_;
   std::array<std::unique_ptr<gpu::BlockBarrier>, kNumBarriers> barriers_;
-  std::vector<int> free_ids_;
+  std::array<std::int8_t, kNumBarriers> free_ids_{};  // stack; top at the end
+  int free_count_ = kNumBarriers;
 };
 
 }  // namespace pagoda::runtime

@@ -178,7 +178,8 @@ void Runtime::land_status(std::size_t idx) {
 
 sim::Task<> Runtime::copy_back_all_locked() {
   stats_.aggregate_copybacks += 1;
-  const std::vector<std::uint64_t> gens = generation_;
+  std::vector<std::uint64_t>& gens = copy_back_gens_;
+  gens.assign(generation_.begin(), generation_.end());
   co_await sim().delay(hc_.memcpy_setup);
   auto trig = std::make_shared<sim::Trigger>(sim());
   table_stream_.memcpy_async(

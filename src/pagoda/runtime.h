@@ -167,6 +167,8 @@ class Runtime {
   TaskTable cpu_table_;
   TaskTable gpu_table_;
   std::vector<std::uint64_t> generation_;
+  /// copy_back_all_locked()'s snapshot of generation_, reused per call.
+  std::vector<std::uint64_t> copy_back_gens_;
   MasterKernel mk_;
   /// All TaskTable traffic (H2D entry copies AND D2H status copy-backs)
   /// rides one stream. Stream ordering is load-bearing twice over: (a) a

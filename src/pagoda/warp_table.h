@@ -24,8 +24,9 @@ struct WarpSlot {
   std::int32_t entry_row = -1;
   /// Shared-memory starting offset for the warp's threadblock.
   std::int32_t sm_index = -1;
-  /// Named barrier ID to synchronize on (tasks with the sync flag only).
-  std::int32_t bar_id = -1;
+  /// Named barrier ID to synchronize on (tasks with the sync flag only);
+  /// one of an MTB's 16, so 16 bits keep the record at 32 bytes.
+  std::int16_t bar_id = -1;
   /// Set by the scheduler warp to start execution; doubles as the
   /// free/busy query flag.
   bool exec = false;
@@ -34,5 +35,6 @@ struct WarpSlot {
   /// threadblock this warp belongs to.
   std::shared_ptr<BlockState> block;
 };
+static_assert(sizeof(WarpSlot) <= 32, "a WarpSlot is one half cache line");
 
 }  // namespace pagoda::runtime

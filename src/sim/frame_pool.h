@@ -1,5 +1,6 @@
 // Size-bucketed free-list allocator for coroutine frames (and sim::Link's
-// pending-transfer records, which churn the same way).
+// pending-transfer records and sim::Process's shared state, which churn the
+// same way).
 //
 // The simulator creates and destroys millions of short-lived coroutine
 // frames (sim::Process bodies, sim::Task<> API calls); under the default
@@ -36,6 +37,24 @@ struct PooledFrame {
   static void* operator new(std::size_t bytes) { return frame_alloc(bytes); }
   static void operator delete(void* p, std::size_t bytes) noexcept {
     frame_free(p, bytes);
+  }
+};
+
+/// Allocator over the pool, for std::allocate_shared state made per frame.
+template <class T>
+struct FrameAllocator {
+  using value_type = T;
+  FrameAllocator() = default;
+  template <class U>
+  FrameAllocator(const FrameAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    return static_cast<T*>(frame_alloc(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept { frame_free(p, n * sizeof(T)); }
+  template <class U>
+  bool operator==(const FrameAllocator<U>&) const noexcept {
+    return true;
   }
 };
 

@@ -28,7 +28,8 @@ class [[nodiscard]] Process {
   using Handle = std::coroutine_handle<promise_type>;
 
   struct promise_type : PooledFrame {
-    std::shared_ptr<ProcessState> state = std::make_shared<ProcessState>();
+    std::shared_ptr<ProcessState> state =
+        std::allocate_shared<ProcessState>(FrameAllocator<ProcessState>{});
 
     Process get_return_object() {
       return Process(Handle::from_promise(*this), state);

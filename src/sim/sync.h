@@ -2,7 +2,7 @@
 //
 //  - Condition: broadcast/one wakeup, with optional timeout (the Pagoda
 //    `wait`/`waitAll` copy-back timeout is built on this).
-//  - SlotCondition: a broadcast that resumes only the waiters handed work.
+//  - SlotCondition: a broadcast that starts workers only for slots handed work.
 //  - Trigger:   one-shot latch; waits complete immediately once fired.
 //  - Semaphore: counting semaphore (used for resource slots like HyperQ's
 //    32 hardware connections).
@@ -120,64 +120,55 @@ class Condition {
   std::uint64_t next_id_ = 1;
 };
 
-/// One worker process per slot, each waiting for work on its own slot (the
-/// MasterKernel's executor warps, paper §4.1). Event for event it is a
+/// One worker process per slot, each running the work handed to its own slot
+/// (the MasterKernel's executor warps, paper §4.1). Event for event it is a
 /// Condition whose workers re-check `flag[slot]` after each notify_all(),
-/// minus the resumes that would find the flag clear. A parked worker keeps
-/// the key of the event it parked in: its place in the Condition's FIFO.
-/// notify_all() resumes the workers parked up to the running event that were
-/// handed work; the others take the seq of their skipped resume and move to
-/// the back. A worker keyed after the running event is in flight (the
-/// Condition still holds its resume): a hand-off resumes it at that key.
+/// minus the resumes that would find the flag clear. A worker that finds its
+/// slot clear retire()s and ends; the slot keeps the key of the event it
+/// retired in: its place in the Condition's FIFO. notify_all() starts a
+/// worker for each slot retired up to the running event that was handed
+/// work; the others take the seq of their skipped resume and move to the
+/// back. A slot keyed after the running event is in flight (the Condition
+/// still holds its resume): a hand-off starts its worker at that key.
 class SlotCondition {
  public:
+  static constexpr int kMaxSlots = 64;  // handed flags are one bitmask
+
   SlotCondition(Simulation& sim, int slots)
-      : sim_(&sim), waiters_(static_cast<std::size_t>(slots)) {}
+      : sim_(&sim), keys_(static_cast<std::size_t>(slots)) {
+    PAGODA_CHECK(slots >= 0 && slots <= kMaxSlots);
+  }
   SlotCondition(const SlotCondition&) = delete;
   SlotCondition& operator=(const SlotCondition&) = delete;
-  ~SlotCondition() {
-    for (const int s : order_) {
-      if (const std::coroutine_handle<> h = at(s).handle) h.destroy();
-    }
-  }
 
   /// Stands in for spawning make(0..slots-1) now; each made on first hand-off.
   void spawn_deferred(std::function<Process(int)> make) {
     make_ = std::move(make);
-    for (int s = 0; s < static_cast<int>(waiters_.size()); ++s) {
-      at(s).key = sim_->reserve_event();
+    for (int s = 0; s < static_cast<int>(keys_.size()); ++s) {
+      key(s) = sim_->reserve_event();
       order_.push_back(s);
     }
   }
 
-  /// Awaitable: the worker of `slot` parks until the slot is handed work.
-  auto wait(int slot) {
-    struct Awaiter {
-      SlotCondition* sc;
-      int slot;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        const EventKey key = sc->sim_->current_event();
-        sc->at(slot) = Waiter{key, h, false};
-        auto after = [this](EventKey k, int s) { return k < sc->at(s).key; };
-        auto& order = sc->order_;
-        order.insert(std::upper_bound(order.begin(), order.end(), key, after),
-                     slot);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, slot};
+  /// The worker of `slot` found it clear and ends (it must co_return now);
+  /// the slot's next worker is made when the slot is handed work.
+  void retire(int slot) {
+    const EventKey now = sim_->current_event();
+    key(slot) = now;
+    auto after = [this](EventKey k, int s) { return k < key(s); };
+    order_.insert(std::upper_bound(order_.begin(), order_.end(), now, after),
+                  slot);
   }
 
   /// The waker set `slot`'s flag (see the class comment).
   void hand_off(int slot) {
     const auto pos = std::find(order_.begin(), order_.end(), slot);
     PAGODA_CHECK_MSG(pos != order_.end(), "hand-off to a busy slot");
-    if (at(slot).key > sim_->current_event()) {
+    if (key(slot) > sim_->current_event()) {
       order_.erase(pos);
-      wake(slot, at(slot).key);
+      wake(slot, key(slot));
     } else {
-      at(slot).handed = true;
+      handed_ |= bit(slot);
     }
   }
 
@@ -185,41 +176,34 @@ class SlotCondition {
     const EventKey now = sim_->current_event();
     auto kept = order_.begin();
     auto it = order_.begin();
-    for (; it != order_.end() && at(*it).key <= now; ++it) {
-      if (at(*it).handed) {
+    for (; it != order_.end() && key(*it) <= now; ++it) {
+      if ((handed_ & bit(*it)) != 0) {
         wake(*it, sim_->reserve_event());
       } else {
-        at(*it).key = sim_->reserve_event();
+        key(*it) = sim_->reserve_event();
         *kept++ = *it;
       }
     }
-    // The re-keyed workers now sort after the in-flight ones.
+    // The re-keyed slots now sort after the in-flight ones.
     const auto n_kept = kept - order_.begin();
     order_.erase(std::rotate(order_.begin(), it, order_.end()) + n_kept,
                  order_.end());
   }
 
  private:
-  struct Waiter {
-    EventKey key{};  // event it parked in, or its reserved resume
-    std::coroutine_handle<> handle;  // null until spawned
-    bool handed = false;
-  };
+  static std::uint64_t bit(int slot) { return std::uint64_t{1} << slot; }
+  /// The event a retired slot's worker ended in, or its reserved start.
+  EventKey& key(int slot) { return keys_[static_cast<std::size_t>(slot)]; }
 
-  Waiter& at(int slot) { return waiters_[static_cast<std::size_t>(slot)]; }
-
-  void wake(int slot, EventKey key) {
-    if (at(slot).handle) {
-      sim_->at_resume(key, at(slot).handle);
-    } else {
-      sim_->spawn(make_(slot), key);
-    }
-    at(slot) = Waiter{};
+  void wake(int slot, EventKey at) {
+    handed_ &= ~bit(slot);
+    sim_->spawn(make_(slot), at);
   }
 
   Simulation* sim_;
-  std::vector<Waiter> waiters_;  // by slot
-  std::vector<int> order_;       // parked slots, in key order
+  std::vector<EventKey> keys_;  // by slot
+  std::vector<int> order_;      // retired slots, in key order
+  std::uint64_t handed_ = 0;    // retired slots handed work, by bit
   std::function<Process(int)> make_;
 };
 

@@ -44,6 +44,30 @@ TEST(NamedBarrierPool, ReleaseRecyclesIds) {
   EXPECT_FALSE(pool.has_free());
 }
 
+TEST(NamedBarrierPool, BuildsABarrierOnItsFirstLeaseAndLeasesLifo) {
+  sim::Simulation sim;
+  NamedBarrierPool pool(sim);
+  EXPECT_EQ(pool.barriers_built(), 0);
+  EXPECT_EQ(pool.acquire(2), 0);
+  EXPECT_EQ(pool.barriers_built(), 1);
+  EXPECT_EQ(pool.acquire(2), 1);
+  EXPECT_EQ(pool.acquire(2), 2);
+  EXPECT_EQ(pool.barriers_built(), 3);
+  // Released ids come back last-in, first-out; reuse builds nothing.
+  pool.release(0);
+  pool.release(2);
+  EXPECT_EQ(pool.acquire(2), 2);
+  EXPECT_EQ(pool.acquire(2), 0);
+  EXPECT_EQ(pool.acquire(2), 3);
+  EXPECT_EQ(pool.barriers_built(), 4);
+}
+
+TEST(NamedBarrierPool, OverfilledFreeStackAborts) {
+  sim::Simulation sim;
+  NamedBarrierPool pool(sim);
+  EXPECT_DEATH(pool.release(0), "released more often than leased");
+}
+
 TEST(NamedBarrierPool, ExhaustedPoolAborts) {
   sim::Simulation sim;
   NamedBarrierPool pool(sim);

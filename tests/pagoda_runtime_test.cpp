@@ -317,16 +317,45 @@ TEST(PagodaRuntime, ExecutorWarpsAreCreatedOnlyWhenHandedWork) {
   Runtime rt(dev);
   rt.start();
   sim.run_until(sim::microseconds(1.0));
-  EXPECT_EQ(rt.master_kernel().executor_warps_spawned(), 0);
+  EXPECT_EQ(rt.master_kernel().executor_warps_live(), 0);
   std::vector<int> out(128, -1);
   bool done = false;
   sim.spawn(spawn_all(rt, {make_tid_task(out.data(), 128, 128, 1)}, done));
-  sim.run_until(sim::seconds(1.0));
+  int peak_live = 0;
+  while (sim.now() < sim::seconds(1.0) && sim.step()) {
+    peak_live = std::max(peak_live, rt.master_kernel().executor_warps_live());
+  }
   ASSERT_TRUE(done);
   EXPECT_EQ(out[127], 127 * 10 + 7);
   // One 4-warp task: four slots of one MTB were handed work.
   EXPECT_EQ(rt.master_kernel().warps_dispatched(), 4);
-  EXPECT_EQ(rt.master_kernel().executor_warps_spawned(), 4);
+  EXPECT_EQ(peak_live, 4);
+  rt.shutdown();
+}
+
+TEST(PagodaRuntime, IdleExecutorsHoldNoFrame) {
+  Simulation sim;
+  GpuSpec spec = GpuSpec::titan_x();
+  spec.num_smms = 2;  // 4 MTBs, 124 executor slots
+  Device dev(sim, spec);
+  Runtime rt(dev);
+  rt.start();
+  std::vector<TaskParams> tasks;
+  std::vector<std::vector<int>> outs(40, std::vector<int>(256, -1));
+  for (std::vector<int>& out : outs) {
+    tasks.push_back(make_tid_task(out.data(), 256, 128, 2));
+  }
+  bool done = false;
+  sim.spawn(spawn_all(rt, tasks, done));
+  int peak_live = 0;
+  while (sim.step()) {
+    peak_live = std::max(peak_live, rt.master_kernel().executor_warps_live());
+  }
+  ASSERT_TRUE(done);
+  EXPECT_EQ(outs.back()[255], 255 * 10 + 7);
+  EXPECT_GT(peak_live, 0);
+  // Every warp ran and retired: the drained MTBs hold no executor frame.
+  EXPECT_EQ(rt.master_kernel().executor_warps_live(), 0);
   rt.shutdown();
 }
 

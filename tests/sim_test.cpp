@@ -307,8 +307,9 @@ TEST(Condition, WaitForNotifiedBeforeTimeout) {
 
 // A pool of workers, one per slot, each running the work handed to its slot.
 // The reference parks them all on one broadcast Condition and has every woken
-// worker re-check its own flag; the other parks them on a SlotCondition. The
-// same scripted driver hands off work and broadcasts in both.
+// worker re-check its own flag; the other retires them on a SlotCondition,
+// which starts a new worker per hand-off. The same scripted driver hands off
+// work and broadcasts in both.
 struct WorkerPool {
   // (time, seq, slot) of every resume that found its slot handed work.
   using Found = std::tuple<Time, std::uint64_t, int>;
@@ -327,10 +328,10 @@ struct WorkerPool {
     while (true) {
       if (!flag[i]) {
         if (slotted) {
-          co_await sc.wait(s);
-        } else {
-          co_await cv.wait();
+          sc.retire(s);
+          co_return;
         }
+        co_await cv.wait();
         continue;
       }
       const EventKey k = sim.current_event();
@@ -425,16 +426,14 @@ TEST(SlotCondition, ResumesExactlyLikeABroadcastCondition) {
   }
 }
 
-Process slot_worker(SlotCondition& sc, const std::vector<bool>& flag, int s,
+// Made only on a hand-off, so its slot always holds work: run it, retire.
+Process slot_worker(SlotCondition& sc, std::vector<bool>& flag, int s,
                     std::vector<int>& ran) {
-  while (true) {
-    if (!flag[static_cast<std::size_t>(s)]) {
-      co_await sc.wait(s);
-      continue;
-    }
-    ran.push_back(s);
-    co_return;
-  }
+  EXPECT_TRUE(flag[static_cast<std::size_t>(s)]);
+  ran.push_back(s);
+  flag[static_cast<std::size_t>(s)] = false;
+  sc.retire(s);
+  co_return;
 }
 
 TEST(SlotCondition, CreatesAWorkerOnlyOnItsFirstHandOff) {
@@ -457,6 +456,15 @@ TEST(SlotCondition, CreatesAWorkerOnlyOnItsFirstHandOff) {
   sim.run();
   EXPECT_EQ(made, 1);
   EXPECT_EQ(ran, (std::vector<int>{2}));
+  // The worker retired: the slot's next hand-off makes a new one.
+  sim.after(1, [&] {
+    flag[2] = true;
+    sc.hand_off(2);
+    sc.notify_all();
+  });
+  sim.run();
+  EXPECT_EQ(made, 2);
+  EXPECT_EQ(ran, (std::vector<int>{2, 2}));
 }
 
 Process trigger_waiter(Trigger& t, int& wakeups) {

@@ -477,15 +477,16 @@ engine_grep_clean() {
 }
 
 fleet_gate() {
-  # Fleet-scale gate: the 1 -> 256 node sweep (bench/fleet_scale) must
-  # complete inside a wall-clock budget, and the 256-node point must peak
-  # under an RSS budget (idle nodes back no shared-memory arenas, copy-back
-  # mirrors, dispatcher records, executor warp frames or TaskTable parameter
-  # rows they never spawned into).
+  # Fleet-scale gate: the 1 -> 1,024 node sweep (bench/fleet_scale) must
+  # complete inside a wall-clock budget, and the 256- and 1,024-node points
+  # must peak under RSS budgets (idle nodes back no shared-memory arenas,
+  # copy-back mirrors, dispatcher records, executor warp frames, named
+  # barriers or TaskTable parameter rows they never reached).
   local dir="$1"
   local budget_s=120
-  local rss_budget_mb=160
-  echo "==> fleet-scale gate (bench/fleet_scale, 1->256 nodes)"
+  local rss_budget_256_mb=110
+  local rss_budget_1024_mb=380
+  echo "==> fleet-scale gate (bench/fleet_scale, 1->1024 nodes)"
   local t0 t1 elapsed
   t0=$(date +%s%N)
   "${dir}/bench/fleet_scale" --out=BENCH_fleet.json >/dev/null
@@ -498,13 +499,19 @@ fleet_gate() {
   fi
   python3 -c '
 import json, sys
-point = json.load(open("BENCH_fleet.json"))["sweep"][-1]
-nodes, rss = point["nodes"], point["peak_rss_mb"]
-budget = float(sys.argv[1])
-print(f"    {nodes} nodes peak RSS {rss:.1f} MB (budget {budget:.0f} MB)")
-sys.exit(0 if nodes == 256 and rss <= budget else 1)
-' "${rss_budget_mb}" || {
-    echo "error: fleet_scale 256-node peak RSS over ${rss_budget_mb} MB" >&2
+sweep = {p["nodes"]: p for p in json.load(open("BENCH_fleet.json"))["sweep"]}
+ok = True
+for nodes, budget in ((256, float(sys.argv[1])), (1024, float(sys.argv[2]))):
+    if nodes not in sweep:
+        print(f"    no {nodes}-node point in the sweep")
+        ok = False
+        continue
+    rss = sweep[nodes]["peak_rss_mb"]
+    print(f"    {nodes} nodes peak RSS {rss:.1f} MB (budget {budget:.0f} MB)")
+    ok = ok and rss <= budget
+sys.exit(0 if ok else 1)
+' "${rss_budget_256_mb}" "${rss_budget_1024_mb}" || {
+    echo "error: fleet_scale peak RSS over budget (256 nodes ${rss_budget_256_mb} MB, 1024 nodes ${rss_budget_1024_mb} MB)" >&2
     exit 1
   }
 }
