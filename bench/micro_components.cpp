@@ -1,15 +1,16 @@
 // google-benchmark microbenchmarks for the performance-critical simulator
 // and runtime components: the buddy shared-memory allocator, the event
-// queue, processor-sharing resource, DES block encryption, and TaskTable
-// scans. These guard the *wall-clock* cost of running the reproduction
-// (virtual-time results are deterministic and benchmarked by the fig*
-// binaries).
+// queue, processor-sharing resource, stream copies, DES block encryption,
+// and TaskTable scans. These guard the *wall-clock* cost of running the
+// reproduction (virtual-time results are deterministic and benchmarked by
+// the fig* binaries).
 #include <benchmark/benchmark.h>
 
 #include <functional>
 
 #include "common/rng.h"
 #include "engine/session.h"
+#include "gpu/stream.h"
 #include "pagoda/shmem_allocator.h"
 #include "pagoda/task_table.h"
 #include "sim/ps_resource.h"
@@ -109,6 +110,24 @@ void BM_PsResourceSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_PsResourceSteadyState);
+
+// The spawn path's copy: small same-direction copies, each with a landing
+// callback, pipelined through one stream onto the H2D link.
+void BM_StreamCopy(benchmark::State& state) {
+  engine::Session session{engine::SessionConfig{}};
+  gpu::Stream stream(session.device());
+  int landed = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 256; ++i) {
+      stream.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 64,
+                          [&landed] { ++landed; });
+    }
+    session.sim().run();
+  }
+  benchmark::DoNotOptimize(landed);
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_StreamCopy);
 
 void BM_DesBlock(benchmark::State& state) {
   const auto ks = workloads::des_key_schedule(0x133457799BBCDFF1ULL);

@@ -498,15 +498,9 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
       node.cache_touch(a.r.data_key);  // a hit is a use: promote to MRU
     } else {
       co_await sim().delay(cfg_.host.memcpy_setup);
-      auto trig = std::make_shared<sim::Trigger>(sim());
-      bool copy_ok = true;  // lives on this frame, set before trig fires
-      node.h2d_stream().memcpy_async_checked(
+      const bool copy_ok = co_await node.h2d_stream().memcpy_checked(
           pcie::Direction::HostToDevice, nullptr, nullptr,
-          static_cast<std::size_t>(a.r.h2d_bytes), [trig, &copy_ok](bool ok) {
-            copy_ok = ok;
-            trig->fire();
-          });
-      co_await trig->wait();
+          static_cast<std::size_t>(a.r.h2d_bytes));
       stats_.h2d_bytes_copied += a.r.h2d_bytes;  // wire was occupied either way
       if (tracer_ != nullptr) tracer_->on_h2d_done(a.uid, sim().now());
       if (node.health() == fault::NodeHealth::kDead) {
@@ -898,12 +892,10 @@ sim::Process Dispatcher::migrate_out(int source_node, Attempt a,
   const std::int64_t wire = migrate::transfer_bytes(restored);
   if (wire > 0) {
     co_await sim().delay(cfg_.host.memcpy_setup);
-    auto trig = std::make_shared<sim::Trigger>(sim());
-    cluster_->node(source_node)
+    co_await cluster_->node(source_node)
         .d2h_stream()
-        .memcpy_async(pcie::Direction::DeviceToHost, nullptr, nullptr,
-                      static_cast<std::size_t>(wire), [trig] { trig->fire(); });
-    co_await trig->wait();
+        .memcpy(pcie::Direction::DeviceToHost, nullptr, nullptr,
+                static_cast<std::size_t>(wire));
   }
 
   // Rebuild the attempt from the restored image; only the kernel pointer is

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "sim/joinable.h"
-#include "sim/sync.h"
 
 namespace pagoda::engine {
 
@@ -35,10 +34,7 @@ sim::Task<> StagePipeline::copy_staged(gpu::Stream& s, pcie::Direction dir,
 sim::Task<> StagePipeline::copy_sync(gpu::Stream& s, pcie::Direction dir,
                                      std::int64_t bytes) {
   co_await sim_->delay(host_.memcpy_setup);
-  sim::Trigger landed(*sim_);
-  s.memcpy_async(dir, nullptr, nullptr, static_cast<std::size_t>(bytes),
-                 [&landed] { landed.fire(); });
-  co_await landed.wait();
+  co_await s.memcpy(dir, nullptr, nullptr, static_cast<std::size_t>(bytes));
 }
 
 sim::Task<> StagePipeline::launch_cost() {

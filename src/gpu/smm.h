@@ -66,31 +66,34 @@ class Smm {
   sim::PsResource& pipeline() { return pipeline_; }
 
   /// Awaitable: execute `cycles` of warp-issue work on this SMM.
-  auto execute(double cycles) {
-    struct Awaiter {
-      Smm* smm;
-      double cycles;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        smm->submit_issue(cycles, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, cycles};
-  }
+  struct IssueAwaiter {
+    Smm* smm;
+    double cycles;
+    std::coroutine_handle<> h = {};
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> handle) {
+      h = handle;
+      smm->submit_issue(*this);
+    }
+    void await_resume() const noexcept {}
+  };
+  IssueAwaiter execute(double cycles) { return IssueAwaiter{this, cycles}; }
 
   /// Consults the wake gate (if any) before handing the work to the issue
-  /// pipeline, then resumes `h` when it completes. With no gate installed
-  /// this is exactly pipeline().submit — the default path is untouched.
-  void submit_issue(double cycles, std::coroutine_handle<> h) {
+  /// pipeline, then resumes the awaiter when it completes. With no gate
+  /// installed this is exactly pipeline().submit — the default path is
+  /// untouched.
+  void submit_issue(IssueAwaiter& a) {
     if (wake_gate_) {
       const sim::Duration d = wake_gate_(sim_->now());
       if (d > 0) {
-        sim_->after(d, [this, cycles, h] { pipeline_.submit(cycles, h); });
+        // The awaiter lives in the suspended frame: its address is the
+        // whole closure, stored in place.
+        sim_->after(d, [&a] { a.smm->pipeline_.submit(a.cycles, a.h); });
         return;
       }
     }
-    pipeline_.submit(cycles, h);
+    pipeline_.submit(a.cycles, a.h);
   }
 
   // --- power plane hooks (passive unless the power plane installs them) ----

@@ -7,12 +7,21 @@
 // the opposite direction waits until every previously issued op of the
 // stream has completed (cross-engine stream ordering).
 //
+// An op is a plain record in one FIFO; the copies on the wire are its
+// prefix. A copy is one Link transfer whose completion is a `[this]`
+// closure: the link lands the bytes, then the stream runs the front copy's
+// callback (or resumes its awaiting coroutine) while that copy still counts
+// as in flight, retires it and issues what may follow. So a copy pushed
+// from a landing callback waits for the copy that landed.
+//
 // The HyperQ baseline follows the paper's setup: 32 streams with
 // CUDA_DEVICE_MAX_CONNECTIONS=32, tasks issued round-robin — at most 32
 // kernels concurrently resident, exactly the limit §2 analyzes.
 #pragma once
 
+#include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -32,66 +41,36 @@ class Stream {
   Stream& operator=(const Stream&) = delete;
 
   /// Enqueues an async memcpy (cudaMemcpyAsync). dst/src may be null when
-  /// the caller only wants the timing (Model mode).
+  /// the caller only wants the timing (Model mode). on_done, if any, runs at
+  /// the landing instant, after the bytes land.
   void memcpy_async(pcie::Direction dir, void* dst, const void* src,
-                    std::size_t bytes) {
-    memcpy_async(dir, dst, src, bytes, nullptr);
+                    std::size_t bytes, std::function<void()> on_done = {}) {
+    push(Op{.dir = dir, .dst = dst, .src = src, .bytes = bytes,
+            .on_done = std::move(on_done)});
   }
 
-  /// As above, with a completion callback fired after the bytes land.
-  void memcpy_async(pcie::Direction dir, void* dst, const void* src,
-                    std::size_t bytes, std::function<void()> on_done) {
-    Op op;
-    op.is_memcpy = true;
-    op.dir = dir;
-    op.start = [this, dir, dst, src, bytes,
-                cb = std::move(on_done)](std::function<void()> done) {
-      dev_->pcie().copy(dir, dst, src, bytes,
-                        [cb, done = std::move(done)] {
-                          if (cb) cb();
-                          done();
-                        });
-    };
-    ops_.push_back(std::move(op));
-    pump();
+  /// Awaitable memcpy (cudaMemcpy from a host process): resumes the caller
+  /// once the bytes have landed.
+  auto memcpy(pcie::Direction dir, void* dst, const void* src,
+              std::size_t bytes) {
+    return CopyAwaiter{this, dir, dst, src, bytes};
   }
 
-  /// Checked variant: completion reports transfer integrity via the bus's
-  /// fault hook (see PcieBus::copy_checked). Without a hook armed this is
-  /// event-for-event identical to memcpy_async.
-  void memcpy_async_checked(pcie::Direction dir, void* dst, const void* src,
-                            std::size_t bytes,
-                            std::function<void(bool ok)> on_done) {
-    Op op;
-    op.is_memcpy = true;
-    op.dir = dir;
-    op.start = [this, dir, dst, src, bytes,
-                cb = std::move(on_done)](std::function<void()> done) {
-      dev_->pcie().copy_checked(dir, dst, src, bytes,
-                                [cb, done = std::move(done)](bool ok) {
-                                  if (cb) cb(ok);
-                                  done();
-                                });
-    };
-    ops_.push_back(std::move(op));
-    pump();
+  /// As memcpy(), but the bus's fault hook judges the transfer when it is
+  /// issued (see PcieBus::copy_checked); yields false for a corrupt copy,
+  /// which lands no bytes. Without a hook armed this is memcpy() exactly.
+  auto memcpy_checked(pcie::Direction dir, void* dst, const void* src,
+                      std::size_t bytes) {
+    return CopyAwaiter{this, dir, dst, src, bytes, /*checked=*/true};
   }
 
   /// Enqueues a kernel launch; the stream advances when the grid retires.
   /// Returns a trigger that fires at grid completion (cudaEvent-like).
   std::shared_ptr<sim::Trigger> kernel_async(KernelLaunchParams p) {
     auto trig = std::make_shared<sim::Trigger>(dev_->sim());
-    auto params = std::make_shared<KernelLaunchParams>(std::move(p));
-    Op op;
-    op.start = [this, trig, params](std::function<void()> done) {
-      KernelExecutionPtr exec = dev_->dispatcher().launch(std::move(*params));
-      exec->done.call_on_fire([trig, done = std::move(done), exec] {
-        trig->fire();
-        done();
-      });
-    };
-    ops_.push_back(std::move(op));
-    pump();
+    push(Op{.kind = Op::Kind::kKernel,
+            .params = std::make_unique<KernelLaunchParams>(std::move(p)),
+            .trig = trig});
     return trig;
   }
 
@@ -99,13 +78,7 @@ class Stream {
   /// fires once every previously enqueued op has completed.
   std::shared_ptr<sim::Trigger> record_event() {
     auto trig = std::make_shared<sim::Trigger>(dev_->sim());
-    Op op;
-    op.start = [trig](std::function<void()> done) {
-      trig->fire();
-      done();
-    };
-    ops_.push_back(std::move(op));
-    pump();
+    push(Op{.kind = Op::Kind::kEvent, .trig = trig});
     return trig;
   }
 
@@ -128,55 +101,116 @@ class Stream {
     return Awaiter{this, nullptr};
   }
 
-  bool idle() const {
-    return !exclusive_busy_ && inflight_copies_ == 0 && ops_.empty();
-  }
+  bool idle() const { return ops_.empty(); }
 
  private:
+  struct CopyAwaiter;
+
+  /// One queued or running op. Every field has a default, so each kind
+  /// names only the fields it uses.
   struct Op {
-    bool is_memcpy = false;
+    enum class Kind : std::uint8_t { kCopy, kKernel, kEvent };
+    Kind kind = Kind::kCopy;
+    // kCopy
     pcie::Direction dir = pcie::Direction::HostToDevice;
-    /// Starts the operation; must invoke `done` exactly once at completion.
-    std::function<void(std::function<void()>)> start;
+    void* dst = nullptr;
+    const void* src = nullptr;
+    std::size_t bytes = 0;
+    std::function<void()> on_done = {};  // runs at landing, or
+    CopyAwaiter* awaiter = nullptr;      // is resumed; in the caller's frame
+    // kKernel / kEvent
+    std::unique_ptr<KernelLaunchParams> params = {};
+    std::shared_ptr<sim::Trigger> trig = {};  // fires at completion
   };
 
+  struct CopyAwaiter {
+    Stream* stream;
+    pcie::Direction dir;
+    void* dst;
+    const void* src;
+    std::size_t bytes;
+    bool checked = false;  // ask the bus's fault hook at issue
+    bool ok = true;        // the checked copy's verdict
+    std::coroutine_handle<> caller = {};
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      caller = h;
+      stream->push(Op{.dir = dir, .dst = dst, .src = src, .bytes = bytes,
+                      .awaiter = this});
+    }
+    bool await_resume() const noexcept { return ok; }
+  };
+
+  void push(Op op) {
+    ops_.push_back(std::move(op));
+    pump();
+  }
+
+  /// Starts ops_[started_] onward while the stream's order allows.
   void pump() {
-    while (!ops_.empty()) {
-      Op& front = ops_.front();
-      if (front.is_memcpy &&
-          !exclusive_busy_ &&
-          (inflight_copies_ == 0 || front.dir == inflight_dir_)) {
-        // Same-direction copy run: hand to the DMA engine immediately; its
-        // FIFO preserves the stream's order, so copies pipeline.
-        inflight_dir_ = front.dir;
-        inflight_copies_ += 1;
-        Op op = std::move(front);
-        ops_.pop_front();
-        op.start([this] {
-          inflight_copies_ -= 1;
-          pump();
-        });
-        continue;
+    while (started_ < ops_.size()) {
+      Op& op = ops_[started_];
+      if (started_ > 0) {
+        // Only a same-direction copy may join copies already on the wire
+        // (the DMA engine's FIFO keeps the stream's order); anything else
+        // waits for every issued op to complete.
+        const Op& front = ops_.front();
+        if (op.kind != Op::Kind::kCopy || front.kind != Op::Kind::kCopy ||
+            op.dir != front.dir) {
+          return;
+        }
       }
-      // Kernel, event, or direction change: wait for every previously
-      // issued op to complete, then run exclusively.
-      if (exclusive_busy_ || inflight_copies_ > 0) return;
-      Op op = std::move(front);
-      ops_.pop_front();
-      exclusive_busy_ = true;
-      op.start([this] {
-        exclusive_busy_ = false;
-        pump();
-      });
-      return;
+      switch (op.kind) {
+        case Op::Kind::kCopy: {
+          pcie::PcieBus& bus = dev_->pcie();
+          auto land = [this] { land_copy(); };
+          if (op.awaiter != nullptr && op.awaiter->checked) {
+            op.awaiter->ok =
+                bus.copy_checked(op.dir, op.dst, op.src, op.bytes, land);
+          } else {
+            bus.copy(op.dir, op.dst, op.src, op.bytes, land);
+          }
+          started_ += 1;
+          break;
+        }
+        case Op::Kind::kEvent:
+          op.trig->fire();
+          ops_.pop_front();
+          break;
+        case Op::Kind::kKernel:
+          kernel_ = dev_->dispatcher().launch(std::move(*op.params));
+          kernel_->done.call_on_fire([this] { retire_kernel(); });
+          started_ = 1;
+          return;
+      }
     }
   }
 
+  /// The front copy landed: its callback sees it still in flight.
+  void land_copy() {
+    Op& op = ops_.front();
+    if (op.awaiter != nullptr) {
+      dev_->sim().defer_resume(op.awaiter->caller);
+    } else if (op.on_done) {
+      op.on_done();
+    }
+    ops_.pop_front();
+    started_ -= 1;
+    pump();
+  }
+
+  void retire_kernel() {
+    ops_.front().trig->fire();
+    ops_.pop_front();
+    kernel_.reset();
+    started_ = 0;
+    pump();
+  }
+
   Device* dev_;
-  std::deque<Op> ops_;
-  int inflight_copies_ = 0;
-  pcie::Direction inflight_dir_ = pcie::Direction::HostToDevice;
-  bool exclusive_busy_ = false;
+  std::deque<Op> ops_;           // FIFO; the first started_ are running
+  std::size_t started_ = 0;
+  KernelExecutionPtr kernel_;    // the running grid, kept until it retires
 };
 
 }  // namespace pagoda::gpu

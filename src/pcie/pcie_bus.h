@@ -57,13 +57,8 @@ class PcieBus {
   /// transfer completes, then on_done fires.
   void copy(Direction dir, void* dst, const void* src, std::size_t bytes,
             std::function<void()> on_done) {
-    link(dir).transfer(static_cast<std::int64_t>(bytes),
-                       [dst, src, bytes, fn = std::move(on_done)]() mutable {
-                         if (dst != nullptr && src != nullptr && bytes > 0) {
-                           std::memcpy(dst, src, bytes);
-                         }
-                         fn();
-                       });
+    link(dir).transfer(static_cast<std::int64_t>(bytes), std::move(on_done),
+                       dst, src);
   }
 
   /// Fault-injection hook for *payload* transfers (the serving layer's data
@@ -77,41 +72,17 @@ class PcieBus {
 
   std::int64_t transfer_faults() const { return transfer_faults_; }
 
-  /// Timed copy whose completion reports transfer integrity. With no fault
-  /// hook armed this is exactly copy() (ok == true always) — same events,
-  /// same wire accounting — so fault-free runs are byte-identical.
-  void copy_checked(Direction dir, void* dst, const void* src,
-                    std::size_t bytes, std::function<void(bool ok)> on_done) {
-    bool ok = true;
-    if (fault_fn_ && fault_fn_(dir, static_cast<std::int64_t>(bytes))) {
-      ok = false;
-      transfer_faults_ += 1;
-    }
-    link(dir).transfer(static_cast<std::int64_t>(bytes),
-                       [dst, src, bytes, ok, fn = std::move(on_done)]() mutable {
-                         if (ok && dst != nullptr && src != nullptr &&
-                             bytes > 0) {
-                           std::memcpy(dst, src, bytes);
-                         }
-                         fn(ok);
-                       });
-  }
-
-  /// Awaitable form of copy().
-  auto copy(Direction dir, void* dst, const void* src, std::size_t bytes) {
-    struct Awaiter {
-      PcieBus* bus;
-      Direction dir;
-      void* dst;
-      const void* src;
-      std::size_t bytes;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        bus->copy(dir, dst, src, bytes, [h] { h.resume(); });
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, dir, dst, src, bytes};
+  /// copy() that first asks the fault hook; returns the transfer's verdict.
+  /// A corrupt copy keeps its wire slot and completion but lands no bytes.
+  /// With no hook armed this is exactly copy() and returns true, so
+  /// fault-free runs are byte-identical.
+  bool copy_checked(Direction dir, void* dst, const void* src,
+                    std::size_t bytes, std::function<void()> on_done) {
+    const bool ok =
+        !fault_fn_ || !fault_fn_(dir, static_cast<std::int64_t>(bytes));
+    if (!ok) transfer_faults_ += 1;
+    copy(dir, ok ? dst : nullptr, src, bytes, std::move(on_done));
+    return ok;
   }
 
   /// Copy that models the *absence* of intra-transaction write ordering: the
@@ -126,21 +97,13 @@ class PcieBus {
     const std::size_t total = bytes_a + bytes_b;
     // Deterministically pick which region becomes visible first.
     const bool b_first = (hash_index(seed, reorder_counter_++) & 1) != 0;
-    struct Shared {
-      std::function<void()> done;
-    };
-    auto shared = std::make_shared<Shared>(Shared{std::move(on_done)});
-    link(dir).transfer(
-        static_cast<std::int64_t>(total),
-        [=, this] {
-          // Both regions land by completion; visibility order differed
-          // mid-flight. Model the hazard: expose the "first" region at a
-          // point strictly before the transaction completion.
-          (void)this;
-          if (dst_a && src_a) std::memcpy(dst_a, src_a, bytes_a);
-          if (dst_b && src_b) std::memcpy(dst_b, src_b, bytes_b);
-          shared->done();
-        });
+    // Both regions land by completion; visibility order differed mid-flight.
+    link(dir).transfer(static_cast<std::int64_t>(total),
+                       [=, done = std::move(on_done)] {
+                         if (dst_a && src_a) std::memcpy(dst_a, src_a, bytes_a);
+                         if (dst_b && src_b) std::memcpy(dst_b, src_b, bytes_b);
+                         done();
+                       });
     // Mid-flight visibility: expose one region at half the wire time.
     const auto early = static_cast<sim::Duration>(
         link(dir).latency() +

@@ -11,6 +11,7 @@
 // "handshaking is expensive").
 #pragma once
 
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -56,8 +57,10 @@ class Link {
   }
 
   /// Starts a transfer of `bytes`; on_done fires when the last byte lands.
-  /// Transfers on one link complete in issue order (FIFO engine).
-  void transfer(std::int64_t bytes, std::function<void()> on_done) {
+  /// Transfers on one link complete in issue order (FIFO engine). With both
+  /// dst and src set, the bytes are copied at landing, just before on_done.
+  void transfer(std::int64_t bytes, std::function<void()> on_done,
+                void* dst = nullptr, const void* src = nullptr) {
     PAGODA_CHECK(bytes >= 0);
     const Time start = std::max(sim_->now(), next_free_);
     const auto wire = std::max(
@@ -69,24 +72,11 @@ class Link {
     bytes_transferred_ += bytes;
     // complete never decreases in issue order (FIFO engine, fixed latency),
     // so each event lands the oldest pending record.
-    auto* p = new Pending{{}, bytes, start, next_free_, std::move(on_done)};
+    auto* p = new Pending{{}, bytes, start, next_free_, dst, src,
+                          std::move(on_done)};
     (tail_ != nullptr ? tail_->next : head_) = p;
     tail_ = p;
     sim_->at(next_free_ + latency_, [this] { land_front(); });
-  }
-
-  /// Awaitable form for processes.
-  auto transfer(std::int64_t bytes) {
-    struct Awaiter {
-      Link* link;
-      std::int64_t bytes;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        link->transfer(bytes, [h] { h.resume(); });
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, bytes};
   }
 
   Duration latency() const { return latency_; }
@@ -120,6 +110,8 @@ class Link {
     std::int64_t bytes;
     Time wire_start;
     Time wire_end;
+    void* dst;
+    const void* src;
     std::function<void()> on_done;
     Pending* next = nullptr;
   };
@@ -132,6 +124,9 @@ class Link {
     if (observer_) {
       observer_(TransferRecord{p->bytes, p->wire_start, p->wire_end,
                                p->wire_end + latency_});
+    }
+    if (p->dst != nullptr && p->src != nullptr && p->bytes > 0) {
+      std::memcpy(p->dst, p->src, static_cast<std::size_t>(p->bytes));
     }
     p->on_done();
   }

@@ -3,11 +3,37 @@
 // Pagoda spawn path and the HyperQ baseline depend on.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <string>
 #include <vector>
 
 #include "gpu/device.h"
 #include "gpu/stream.h"
+#include "sim/frame_pool.h"
 #include "sim/process.h"
+#include "sim/task.h"
+
+#ifndef PAGODA_FRAME_POOL_DISABLED
+// Counts heap blocks so the allocation guard below can bound what one copy
+// costs. This binary holds only stream tests, so the count is theirs alone.
+// Sanitizer builds keep their own allocator and skip the guard.
+namespace {
+long g_heap_blocks = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_heap_blocks += 1;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace pagoda::gpu {
 namespace {
@@ -126,6 +152,177 @@ TEST(Stream, IndependentStreamsShareTheEngineFifo) {
   // One DMA engine per direction: b's copy waits for a's wire slot.
   EXPECT_EQ(a_done, sim::microseconds(3));
   EXPECT_EQ(b_done, sim::microseconds(4));
+}
+
+// Awaits one copy on `s` from a coroutine; yields the transfer verdict
+// (always true for an unchecked copy).
+sim::Task<bool> await_copy(Stream& s, pcie::Direction dir, void* dst,
+                           const void* src, std::size_t bytes, bool checked) {
+  if (checked) co_return co_await s.memcpy_checked(dir, dst, src, bytes);
+  co_await s.memcpy(dir, dst, src, bytes);
+  co_return true;
+}
+
+struct ScriptLog {
+  std::vector<std::string> order;   // what landed or fired, in order
+  std::vector<sim::Time> at;        // when
+  std::vector<std::int64_t> links;  // both links' counters at the end
+};
+
+sim::Process script_copier(sim::Simulation& sim, Stream& s, ScriptLog& log,
+                           int i, bool checked) {
+  co_await sim.delay(sim::nanoseconds(700.0 * i));
+  const pcie::Direction dir = (i % 3 == 2) ? pcie::Direction::DeviceToHost
+                                           : pcie::Direction::HostToDevice;
+  const bool ok = co_await await_copy(
+      s, dir, nullptr, nullptr, static_cast<std::size_t>(500 + 300 * i),
+      checked);
+  log.order.push_back("copy" + std::to_string(i) + (ok ? "" : "!"));
+  log.at.push_back(sim.now());
+}
+
+// One H2D/D2H/kernel/event script; only the copies' checked-ness varies.
+ScriptLog run_mixed_script(bool checked) {
+  sim::Simulation sim;
+  Device dev(sim, GpuSpec::titan_x(), test_pcie());
+  Stream s(dev);
+  ScriptLog log;
+  auto note = [&log, &sim](std::string what) {
+    log.order.push_back(std::move(what));
+    log.at.push_back(sim.now());
+  };
+  for (int i = 0; i < 6; ++i) {
+    sim.spawn(script_copier(sim, s, log, i, checked));
+  }
+  sim.after(sim::nanoseconds(300.0), [&] {
+    s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 800,
+                   [&] { note("callback"); });
+  });
+  sim.after(sim::nanoseconds(1200.0), [&] {
+    KernelLaunchParams p;
+    p.fn = tiny_kernel;
+    p.threads_per_block = 32;
+    s.kernel_async(std::move(p))->call_on_fire([&] { note("kernel"); });
+  });
+  sim.after(sim::nanoseconds(2500.0), [&] {
+    s.record_event()->call_on_fire([&] { note("event"); });
+  });
+  sim.run();
+  for (const pcie::Direction d :
+       {pcie::Direction::HostToDevice, pcie::Direction::DeviceToHost}) {
+    const sim::Link& l = dev.pcie().link(d);
+    log.links.push_back(l.transfers_started());
+    log.links.push_back(l.transfers_completed());
+    log.links.push_back(l.bytes_transferred());
+    log.links.push_back(l.busy_time());
+  }
+  return log;
+}
+
+TEST(Stream, CheckedCopiesMatchUncheckedWithNoHookArmed) {
+  const ScriptLog plain = run_mixed_script(false);
+  const ScriptLog checked = run_mixed_script(true);
+  // Six awaited copies, one callback copy, the kernel and the event.
+  ASSERT_EQ(plain.order.size(), 9u);
+  EXPECT_EQ(checked.order, plain.order);
+  EXPECT_EQ(checked.at, plain.at);
+  EXPECT_EQ(checked.links, plain.links);
+  EXPECT_EQ(plain.links[0], 5);  // H2D transfers started: 4 awaited + callback
+  EXPECT_EQ(plain.links[4], 2);  // D2H
+}
+
+sim::Process faulted_copier(sim::Simulation& sim, Stream& s, void* dst,
+                            const void* src, bool& ok, sim::Time& at) {
+  ok = co_await await_copy(s, pcie::Direction::HostToDevice, dst, src, 1000,
+                           /*checked=*/true);
+  at = sim.now();
+}
+
+TEST(Stream, FaultedCopyHoldsItsWireSlotAndLandsNothing) {
+  sim::Simulation sim;
+  Device dev(sim, GpuSpec::titan_x(), test_pcie());
+  Stream s(dev);
+  int asked = 0;
+  dev.pcie().set_transfer_fault_fn(
+      [&asked](pcie::Direction, std::int64_t) { return asked++ == 0; });
+  const std::vector<std::byte> src(1000, std::byte{7});
+  std::vector<std::byte> faulted(1000);
+  std::vector<std::byte> clean(1000);
+  bool faulted_ok = true;
+  bool clean_ok = false;
+  sim::Time faulted_at = -1;
+  sim::Time clean_at = -1;
+  sim.spawn(faulted_copier(sim, s, faulted.data(), src.data(), faulted_ok,
+                           faulted_at));
+  sim.spawn(
+      faulted_copier(sim, s, clean.data(), src.data(), clean_ok, clean_at));
+  sim.run();
+  EXPECT_EQ(asked, 2);
+  EXPECT_FALSE(faulted_ok);
+  EXPECT_TRUE(clean_ok);
+  // The corrupt copy kept its full slot: wire 0..1us, landing at 3us; the
+  // clean one queued behind it on the wire and lands at 4us.
+  EXPECT_EQ(faulted_at, sim::microseconds(3));
+  EXPECT_EQ(clean_at, sim::microseconds(4));
+  EXPECT_EQ(faulted, std::vector<std::byte>(1000));
+  EXPECT_EQ(clean, src);
+  const sim::Link& h2d = dev.pcie().link(pcie::Direction::HostToDevice);
+  EXPECT_EQ(h2d.busy_time(), sim::microseconds(2));
+  EXPECT_EQ(h2d.bytes_transferred(), 2000);
+  EXPECT_EQ(h2d.transfers_completed(), 2);
+  EXPECT_EQ(dev.pcie().transfer_faults(), 1);
+}
+
+TEST(Stream, CopyPushedFromALandingCallbackWaitsForThatCopy) {
+  sim::Simulation sim;
+  Device dev(sim, GpuSpec::titan_x(), test_pcie());
+  Stream s(dev);
+  sim::Link& d2h = dev.pcie().link(pcie::Direction::DeviceToHost);
+  sim::Time d2h_wire_start = -1;
+  d2h.set_observer([&](const sim::Link::TransferRecord& r) {
+    d2h_wire_start = r.wire_start;
+  });
+  sim::Time h2d_done = -1;
+  sim::Time d2h_done = -1;
+  std::int64_t d2h_started_in_callback = -1;
+  s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 1000, [&] {
+    h2d_done = sim.now();
+    s.memcpy_async(pcie::Direction::DeviceToHost, nullptr, nullptr, 1000,
+                   [&] { d2h_done = sim.now(); });
+    d2h_started_in_callback = d2h.transfers_started();
+  });
+  sim.run();
+  EXPECT_EQ(h2d_done, sim::microseconds(3));
+  // Inside the callback the H2D still counts as in flight, so the D2H waits;
+  // it goes on the wire at the H2D's landing instant, once it has retired.
+  EXPECT_EQ(d2h_started_in_callback, 0);
+  EXPECT_EQ(d2h_wire_start, sim::microseconds(3));
+  EXPECT_EQ(d2h_done, sim::microseconds(6));
+}
+
+TEST(Stream, SteadyStateCopyAllocatesLessThanHalfABlock) {
+#ifdef PAGODA_FRAME_POOL_DISABLED
+  GTEST_SKIP() << "sanitizer builds keep their own allocator";
+#else
+  sim::Simulation sim;
+  Device dev(sim, GpuSpec::titan_x(), test_pcie());
+  Stream s(dev);
+  int landed = 0;
+  auto batch = [&] {
+    for (int i = 0; i < 100; ++i) {
+      s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 64,
+                     [&landed] { ++landed; });
+    }
+    sim.run();
+  };
+  for (int b = 0; b < 10; ++b) batch();  // warm the pools and buffers
+  const long before = g_heap_blocks;
+  for (int b = 0; b < 100; ++b) batch();
+  const long blocks = g_heap_blocks - before;
+  RecordProperty("heap_blocks_per_10000_copies", static_cast<int>(blocks));
+  EXPECT_EQ(landed, 11000);
+  EXPECT_LE(static_cast<double>(blocks) / 10000.0, 0.5) << blocks << " blocks";
+#endif
 }
 
 }  // namespace

@@ -476,6 +476,22 @@ engine_grep_clean() {
   fi
 }
 
+copy_grep_clean() {
+  # gpu::Stream owns every copy's landing order and fault verdict: outside
+  # src/gpu/stream.h and src/pcie (plus tests), nothing may put a transfer
+  # on the bus directly through PcieBus::copy/copy_checked or Link::transfer.
+  echo "==> copy layering grep"
+  local hits
+  hits=$(grep -rnE "(\.|->)(copy|copy_checked|transfer)\(" \
+      --include="*.cpp" --include="*.h" src bench tools examples |
+      grep -v "^src/gpu/stream.h:\|^src/pcie/" || true)
+  if [[ -n "${hits}" ]]; then
+    echo "error: bus transfer issued outside gpu::Stream:" >&2
+    echo "${hits}" >&2
+    exit 1
+  fi
+}
+
 fleet_gate() {
   # Fleet-scale gate: the 1 -> 1,024 node sweep (bench/fleet_scale) must
   # complete inside a wall-clock budget, and the 256- and 1,024-node points
@@ -586,6 +602,7 @@ fault_grep_clean
 sched_grep_clean
 power_grep_clean
 vres_grep_clean
+copy_grep_clean
 wallclock_gate build-release
 fleet_gate build-release
 trace_overhead_gate
