@@ -6,13 +6,14 @@
 // the fig* binaries).
 #include <benchmark/benchmark.h>
 
-#include <functional>
+#include <coroutine>
 
 #include "common/rng.h"
 #include "engine/session.h"
 #include "gpu/stream.h"
 #include "pagoda/shmem_allocator.h"
 #include "pagoda/task_table.h"
+#include "sim/process.h"
 #include "sim/ps_resource.h"
 #include "sim/simulation.h"
 #include "workloads/des_core.h"
@@ -74,16 +75,24 @@ void BM_PsResourceChurn(benchmark::State& state) {
     engine::Session session(no_device);
     sim::Simulation& sim = session.sim();
     sim::PsResource res(sim, 4.0, 1.0);
-    int done = 0;
-    for (int i = 0; i < 256; ++i) {
-      res.submit(1.0 + (i % 5), [&done] { ++done; });
-    }
+    // A no-op handle: the resource's own cost, with no process around it.
+    const std::coroutine_handle<> noop = std::noop_coroutine();
+    for (int i = 0; i < 256; ++i) res.submit(1.0 + (i % 5), noop);
     sim.run();
-    benchmark::DoNotOptimize(done);
+    benchmark::DoNotOptimize(res.active_jobs());
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_PsResourceChurn);
+
+// One of BM_PsResourceSteadyState's 8 warps: submits a job whenever its last
+// one completes, until 256 have been submitted.
+sim::Process ps_warp(sim::PsResource& res, int& submitted, int& done) {
+  while (submitted < 256) {
+    co_await res.execute(1.0 + (submitted++ % 5));
+    ++done;
+  }
+}
 
 // The SMM pattern: 8 jobs in flight, a new one submitted on each completion,
 // so every arrival lands between completions and re-times the pending one.
@@ -97,13 +106,7 @@ void BM_PsResourceSteadyState(benchmark::State& state) {
     sim::PsResource res(sim, 4.0, 1.0);
     int submitted = 0;
     int done = 0;
-    std::function<void()> on_done;
-    auto submit = [&] { res.submit(1.0 + (submitted++ % 5), on_done); };
-    on_done = [&] {
-      ++done;
-      if (submitted < 256) submit();
-    };
-    for (int i = 0; i < 8; ++i) submit();
+    for (int i = 0; i < 8; ++i) sim.spawn(ps_warp(res, submitted, done));
     sim.run();
     benchmark::DoNotOptimize(done);
   }

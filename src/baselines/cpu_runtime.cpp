@@ -82,9 +82,19 @@ struct CpuState {
   sim::Simulation& sim() { return session.sim(); }
 };
 
+/// One task on the pool: runs `ops` on a core, marks its end and counts
+/// down its wave.
+sim::Process pool_task(CpuState& st, int i, double ops, int& left,
+                       sim::Trigger& wave_done) {
+  co_await st.session.cpu().run(ops);
+  st.marks.mark_end(i, st.sim().now());
+  if (--left == 0) wave_done.fire();
+}
+
 /// The pool dispatch loop runs inline on the controller (a pthread pool has
 /// no per-wave spawner threads), so it keeps its shape rather than going
-/// through StagePipeline::fan_out.
+/// through StagePipeline::fan_out. Every member of a wave is submitted at
+/// the same instant, in member order.
 sim::Process controller(CpuState& st, const RunConfig& cfg,
                         std::span<const workloads::TaskSpec> tasks,
                         int waves) {
@@ -92,20 +102,16 @@ sim::Process controller(CpuState& st, const RunConfig& cfg,
     const std::vector<int> members =
         engine::StagePipeline::wave_members(tasks, wave);
     if (members.empty()) continue;
-    int remaining = static_cast<int>(members.size());
+    int left = static_cast<int>(members.size());
     sim::Trigger wave_done(st.sim());
-    int* left = &remaining;
     for (const int i : members) {
+      const workloads::TaskSpec& task = tasks[static_cast<std::size_t>(i)];
       st.marks.mark_start(i, st.sim().now());
       if (cfg.mode == gpu::ExecMode::Compute) {
-        run_task_functionally(tasks[static_cast<std::size_t>(i)].params);
+        run_task_functionally(task.params);
       }
-      st.session.cpu().run_async(
-          kDispatchOps + tasks[static_cast<std::size_t>(i)].cpu_ops,
-          [&st, i, left, &wave_done] {
-            st.marks.mark_end(i, st.sim().now());
-            if (--*left == 0) wave_done.fire();
-          });
+      st.sim().spawn(
+          pool_task(st, i, kDispatchOps + task.cpu_ops, left, wave_done));
     }
     co_await wave_done.wait();
   }

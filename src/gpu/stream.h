@@ -22,9 +22,10 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "gpu/device.h"
@@ -94,14 +95,14 @@ class Stream {
         return trig->fired();
       }
       void await_suspend(std::coroutine_handle<> h) {
-        trig->call_on_fire([h] { h.resume(); });
+        trig->wait().await_suspend(h);
       }
       void await_resume() const noexcept {}
     };
     return Awaiter{this, nullptr};
   }
 
-  bool idle() const { return ops_.empty(); }
+  bool idle() const { return head_ == ops_.size(); }
 
  private:
   struct CopyAwaiter;
@@ -146,15 +147,30 @@ class Stream {
     pump();
   }
 
-  /// Starts ops_[started_] onward while the stream's order allows.
+  /// Retires the front op. The buffer keeps its capacity, so a steady
+  /// stream allocates nothing: it is cleared once drained and compacted
+  /// once the retired prefix passes half of it.
+  void pop_front() {
+    ops_[head_++] = Op{};
+    if (head_ == ops_.size()) {
+      ops_.clear();
+      head_ = 0;
+    } else if (2 * head_ > ops_.size()) {
+      ops_.erase(ops_.begin(),
+                 ops_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+  /// Starts ops_[head_ + started_] onward while the stream's order allows.
   void pump() {
-    while (started_ < ops_.size()) {
-      Op& op = ops_[started_];
+    while (head_ + started_ < ops_.size()) {
+      Op& op = ops_[head_ + started_];
       if (started_ > 0) {
         // Only a same-direction copy may join copies already on the wire
         // (the DMA engine's FIFO keeps the stream's order); anything else
         // waits for every issued op to complete.
-        const Op& front = ops_.front();
+        const Op& front = ops_[head_];
         if (op.kind != Op::Kind::kCopy || front.kind != Op::Kind::kCopy ||
             op.dir != front.dir) {
           return;
@@ -175,7 +191,7 @@ class Stream {
         }
         case Op::Kind::kEvent:
           op.trig->fire();
-          ops_.pop_front();
+          pop_front();
           break;
         case Op::Kind::kKernel:
           kernel_ = dev_->dispatcher().launch(std::move(*op.params));
@@ -188,27 +204,30 @@ class Stream {
 
   /// The front copy landed: its callback sees it still in flight.
   void land_copy() {
-    Op& op = ops_.front();
+    Op& op = ops_[head_];
     if (op.awaiter != nullptr) {
       dev_->sim().defer_resume(op.awaiter->caller);
     } else if (op.on_done) {
-      op.on_done();
+      // Moved out first: a push from the callback may move ops_.
+      const std::function<void()> on_done = std::move(op.on_done);
+      on_done();
     }
-    ops_.pop_front();
+    pop_front();
     started_ -= 1;
     pump();
   }
 
   void retire_kernel() {
-    ops_.front().trig->fire();
-    ops_.pop_front();
+    ops_[head_].trig->fire();
+    pop_front();
     kernel_.reset();
     started_ = 0;
     pump();
   }
 
   Device* dev_;
-  std::deque<Op> ops_;           // FIFO; the first started_ are running
+  std::vector<Op> ops_;  // FIFO from head_; the first started_ are running
+  std::size_t head_ = 0;
   std::size_t started_ = 0;
   KernelExecutionPtr kernel_;    // the running grid, kept until it retires
 };

@@ -7,8 +7,6 @@
 // harness/calibration.h) so EXPERIMENTS.md can discuss sensitivity.
 #pragma once
 
-#include <functional>
-
 #include "common/time_types.h"
 #include "sim/ps_resource.h"
 #include "sim/simulation.h"
@@ -32,7 +30,8 @@ struct HostCosts {
 
 /// A 20-core CPU for the PThreads baseline (2x Intel Xeon E5-2660, 10 cores
 /// each at 2.6 GHz). Tasks execute serially on one core; the pool is a
-/// processor-sharing resource with per-job cap = 1 core.
+/// processor-sharing resource with per-job cap = 1 core. A task is a
+/// process that awaits run(): the pool resumes it when its ops are done.
 class CpuCluster {
  public:
   CpuCluster(sim::Simulation& sim, int cores, double core_ops_per_sec)
@@ -42,9 +41,6 @@ class CpuCluster {
 
   /// Awaitable: runs `ops` scalar operations on one core of the pool.
   auto run(double ops) { return pool_.execute(ops); }
-  void run_async(double ops, std::function<void()> on_done) {
-    pool_.submit(ops, std::move(on_done));
-  }
 
   int cores() const { return cores_; }
   double core_ops_per_sec() const { return core_ops_per_sec_; }

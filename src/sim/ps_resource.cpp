@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/check.h"
 
@@ -55,36 +54,14 @@ void PsResource::advance_virtual_time() {
   last_update_ = now;
 }
 
-void PsResource::submit(double work, std::function<void()> on_done) {
-  PAGODA_CHECK(work >= 0.0);
-  if (work == 0.0) {
-    sim_->defer(std::move(on_done));
-    return;
-  }
-  std::uint32_t fn = static_cast<std::uint32_t>(fns_.size());
-  if (free_fns_.empty()) {
-    fns_.push_back(std::move(on_done));
-  } else {
-    fn = free_fns_.back();
-    free_fns_.pop_back();
-    fns_[fn] = std::move(on_done);
-  }
-  enqueue(work, nullptr, fn);
-}
-
 void PsResource::submit(double work, std::coroutine_handle<> h) {
   PAGODA_CHECK(work >= 0.0);
   if (work == 0.0) {
-    sim_->defer_resume(h);  // the seq a defer would take
+    sim_->defer_resume(h);
     return;
   }
-  enqueue(work, h, 0);
-}
-
-void PsResource::enqueue(double work, std::coroutine_handle<> h,
-                         std::uint32_t fn) {
   advance_virtual_time();
-  jobs_.push_back(Job{virtual_time_ + work, next_seq_++, h, fn});
+  jobs_.push_back(Job{virtual_time_ + work, next_seq_++, h});
   std::push_heap(jobs_.begin(), jobs_.end(), std::greater<>{});
   reschedule_completion();
 }
@@ -118,24 +95,13 @@ void PsResource::on_completion_event() {
   while (!jobs_.empty() &&
          jobs_.front().finish_v <= virtual_time_ + kWorkEpsilon) {
     std::pop_heap(jobs_.begin(), jobs_.end(), std::greater<>{});
-    done_scratch_.push_back(jobs_.back());
+    done_scratch_.push_back(jobs_.back().h);
     jobs_.pop_back();
   }
   // Integer-time rounding can fire the event one tick early, before the top
   // job's virtual finish time; in that case just re-arm.
   reschedule_completion();
-  for (const Job& job : done_scratch_) finish(job);
-}
-
-void PsResource::finish(const Job& job) {
-  if (job.h) {
-    job.h.resume();
-    return;
-  }
-  // Move the body out first: it may submit, reusing the freed index.
-  const std::function<void()> fn = std::move(fns_[job.fn]);
-  free_fns_.push_back(job.fn);
-  fn();
+  for (const std::coroutine_handle<> h : done_scratch_) h.resume();
 }
 
 // The read-side accessors must NOT advance the internal accumulators:

@@ -8,21 +8,20 @@
 //   * An SMM's issue pipeline: C = 4 warp-instructions/cycle, r_max = 1
 //     (one warp cannot issue faster than one instruction per cycle; four
 //     warp schedulers saturate at >= 4 runnable warps).
-//   * A PCIe direction: C = r_max = link bandwidth (a lone transfer uses the
-//     full link; concurrent transfers share it).
+//   * The host CPU pool of the PThreads/Sequential baselines: C = cores x
+//     core speed, r_max = one core (a task runs serially on one core).
 //
 // Because the rate is identical for every active job, completions can be
 // tracked exactly in "virtual service time" V(t) with dV/dt = rate(t): a job
 // enqueued at V0 with w work units finishes when V = V0 + w. Each membership
 // change advances V and re-times the single pending completion event in
 // place (Simulation::retime) — O(log n) per event via a min-heap on
-// finish-V. A job waiting in a coroutine carries its handle; only callback
-// jobs keep a std::function, in a side table indexed by the job.
+// finish-V. A job is the coroutine that waits on it: completion resumes its
+// handle, so a job record is three words and holds no closure.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/time_types.h"
@@ -35,10 +34,8 @@ class PsResource {
   /// capacity and max_job_rate are in work-units per second.
   PsResource(Simulation& sim, double capacity, double max_job_rate);
 
-  /// Starts a job of `work` units; on_done fires at its completion time.
-  /// Zero-work jobs complete via a deferred event at the current time.
-  void submit(double work, std::function<void()> on_done);
-  /// As submit(work, on_done), resuming `h` at the completion time.
+  /// Starts a job of `work` units that resumes `h` at its completion time.
+  /// Zero-work jobs complete via a deferred resume at the current time.
   void submit(double work, std::coroutine_handle<> h);
 
   /// Awaitable form: `co_await res.execute(work);` suspends the calling
@@ -81,16 +78,13 @@ class PsResource {
   struct Job {
     double finish_v;
     std::uint64_t seq;          // FIFO tie-break for equal finish_v
-    std::coroutine_handle<> h;  // resumed at completion; null: callback job
-    std::uint32_t fn;           // callback job's index into fns_
+    std::coroutine_handle<> h;  // resumed at completion
     bool operator>(const Job& o) const {
       if (finish_v != o.finish_v) return finish_v > o.finish_v;
       return seq > o.seq;
     }
   };
 
-  void enqueue(double work, std::coroutine_handle<> h, std::uint32_t fn);
-  void finish(const Job& job);
   double current_rate() const;  // per-job service rate, work-units/second
   void advance_virtual_time();
   void reschedule_completion();
@@ -104,8 +98,6 @@ class PsResource {
   double rate_scale_ = 1.0;
 
   std::vector<Job> jobs_;  // min-heap on (finish_v, seq)
-  std::vector<std::function<void()>> fns_;  // callback jobs' bodies
-  std::vector<std::uint32_t> free_fns_;     // reusable fns_ indices
   double virtual_time_ = 0.0;  // accumulated per-job service, work-units
   Time last_update_ = 0;
   EventId completion_event_ = 0;
@@ -114,10 +106,10 @@ class PsResource {
   double busy_integral_ = 0.0;  // work-unit·seconds of utilized capacity
   double job_integral_ = 0.0;   // job·seconds
 
-  /// Completed-job staging, reused across completion events so the hot
-  /// path (every SMM instruction segment, every PCIe transfer) does not
-  /// allocate a fresh vector per completion.
-  std::vector<Job> done_scratch_;
+  /// Completed jobs' handles, reused across completion events so the hot
+  /// path (every SMM instruction segment) does not allocate a fresh vector
+  /// per completion.
+  std::vector<std::coroutine_handle<>> done_scratch_;
 };
 
 }  // namespace pagoda::sim

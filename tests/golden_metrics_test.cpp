@@ -32,7 +32,8 @@ std::string golden_path(const std::string& name) {
 }
 
 std::string run_metrics_json(const std::string& runtime,
-                             baselines::RunConfig rcfg) {
+                             baselines::RunConfig rcfg,
+                             const std::string& workload = "MM") {
   workloads::WorkloadConfig wcfg;
   wcfg.num_tasks = 256;
   wcfg.threads_per_task = 128;
@@ -47,7 +48,7 @@ std::string run_metrics_json(const std::string& runtime,
   rcfg.collector = &collector;
 
   const harness::Measurement m =
-      harness::run_experiment("MM", runtime, wcfg, rcfg);
+      harness::run_experiment(workload, runtime, wcfg, rcfg);
   std::ostringstream out;
   m.metrics.write_json(out);
   return out.str();
@@ -101,6 +102,25 @@ TEST(GoldenMetrics, PagodaBatchingMM) {
   check_against_golden(
       "metrics_mm_pagoda_batching",
       run_metrics_json("PagodaBatching", harness::paper_platform()));
+}
+
+/// The CPU baselines run on the host pool, not the device: pin both pool
+/// widths, and a multi-wave workload whose waves join before the next starts.
+TEST(GoldenMetrics, PThreadsMM) {
+  check_against_golden("metrics_mm_pthreads",
+                       run_metrics_json("PThreads", harness::paper_platform()));
+}
+
+TEST(GoldenMetrics, SequentialMM) {
+  check_against_golden(
+      "metrics_mm_sequential",
+      run_metrics_json("Sequential", harness::paper_platform()));
+}
+
+TEST(GoldenMetrics, PThreadsSLUD) {
+  check_against_golden(
+      "metrics_slud_pthreads",
+      run_metrics_json("PThreads", harness::paper_platform(), "SLUD"));
 }
 
 /// Three back-to-back runs in one process must produce identical bytes:

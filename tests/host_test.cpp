@@ -2,16 +2,25 @@
 #include <gtest/gtest.h>
 
 #include "host/host_api.h"
+#include "sim/process.h"
 #include "sim/simulation.h"
 
 namespace pagoda::host {
 namespace {
 
+// Runs `ops` on one core of `cpu`, then calls `on_done` at the completion.
+template <typename F>
+sim::Process cpu_task(CpuCluster& cpu, double ops, F on_done) {
+  co_await cpu.run(ops);
+  on_done();
+}
+
 TEST(CpuCluster, SingleTaskRunsAtOneCoreSpeed) {
   sim::Simulation sim;
   CpuCluster cpu(sim, 20, 1e9);
   sim::Time done_at = -1;
-  cpu.run_async(1e6, [&] { done_at = sim.now(); });  // 1M ops at 1Gops/s
+  // 1M ops at 1Gops/s
+  sim.spawn(cpu_task(cpu, 1e6, [&] { done_at = sim.now(); }));
   sim.run();
   EXPECT_EQ(done_at, sim::milliseconds(1.0));
 }
@@ -22,10 +31,10 @@ TEST(CpuCluster, TwentyTasksUseTwentyCores) {
   int done = 0;
   sim::Time last = 0;
   for (int i = 0; i < 20; ++i) {
-    cpu.run_async(1e6, [&] {
+    sim.spawn(cpu_task(cpu, 1e6, [&] {
       ++done;
       last = sim.now();
-    });
+    }));
   }
   sim.run();
   EXPECT_EQ(done, 20);
@@ -37,7 +46,7 @@ TEST(CpuCluster, OversubscriptionShares) {
   CpuCluster cpu(sim, 20, 1e9);
   sim::Time last = 0;
   for (int i = 0; i < 40; ++i) {
-    cpu.run_async(1e6, [&] { last = sim.now(); });
+    sim.spawn(cpu_task(cpu, 1e6, [&] { last = sim.now(); }));
   }
   sim.run();
   // 40 equal jobs on 20 cores: 2x the single-task time.

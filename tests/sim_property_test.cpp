@@ -14,11 +14,19 @@
 #include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/link.h"
+#include "sim/process.h"
 #include "sim/ps_resource.h"
 #include "sim/simulation.h"
 
 namespace pagoda::sim {
 namespace {
+
+// Runs `work` units on `res`, then calls `on_done` at the completion time.
+template <typename F>
+Process ps_job(PsResource& res, double work, F on_done) {
+  co_await res.execute(work);
+  on_done();
+}
 
 class PsResourceProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -43,7 +51,7 @@ TEST_P(PsResourceProperty, WorkConservationAndMonotoneCompletion) {
   }
   for (auto& j : jobs) {
     sim.at(j.submit, [&res, &j, &sim] {
-      res.submit(j.work, [&j, &sim] { j.done = sim.now(); });
+      sim.spawn(ps_job(res, j.work, [&j, &sim] { j.done = sim.now(); }));
     });
   }
   sim.run();
@@ -74,7 +82,7 @@ TEST(PsResourceProperty, EqualJobsCompleteTogetherRegardlessOfCount) {
     PsResource res(sim, 4.0, 1.0);
     std::vector<Time> done;
     for (int i = 0; i < n; ++i) {
-      res.submit(2.0, [&] { done.push_back(sim.now()); });
+      sim.spawn(ps_job(res, 2.0, [&] { done.push_back(sim.now()); }));
     }
     sim.run();
     ASSERT_EQ(static_cast<int>(done.size()), n);
@@ -247,8 +255,9 @@ TEST(Determinism, IdenticalSeedsIdenticalTraces) {
     for (int i = 0; i < 50; ++i) {
       sim.after(static_cast<Duration>(rng.next_below(10000)),
                 [&res, &rng, &done, &sim] {
-                  res.submit(1.0 + rng.next_double(),
-                             [&done, &sim] { done.push_back(sim.now()); });
+                  sim.spawn(ps_job(res, 1.0 + rng.next_double(), [&done, &sim] {
+                    done.push_back(sim.now());
+                  }));
                 });
     }
     sim.run();

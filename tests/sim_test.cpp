@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -510,12 +511,19 @@ TEST(Semaphore, LimitsConcurrency) {
 
 // --- Processor sharing ------------------------------------------------------
 
+// Runs `work` units on `res`, then calls `on_done` at the completion time.
+template <typename F>
+Process ps_job(PsResource& res, double work, F on_done) {
+  co_await res.execute(work);
+  on_done();
+}
+
 TEST(PsResource, SingleJobRunsAtCappedRate) {
   Simulation sim;
   // Capacity 4 units/s, per-job cap 1 unit/s: a lone job gets rate 1.
   PsResource res(sim, 4.0, 1.0);
   Time done_at = -1;
-  res.submit(2.0, [&] { done_at = sim.now(); });
+  sim.spawn(ps_job(res, 2.0, [&] { done_at = sim.now(); }));
   sim.run();
   EXPECT_EQ(done_at, seconds(2.0));
 }
@@ -525,7 +533,9 @@ TEST(PsResource, JobsBelowCapacityDontInterfere) {
   PsResource res(sim, 4.0, 1.0);
   std::vector<Time> done(3, -1);
   for (int i = 0; i < 3; ++i) {
-    res.submit(1.0, [&done, i, &sim] { done[static_cast<size_t>(i)] = sim.now(); });
+    sim.spawn(ps_job(res, 1.0, [&done, i, &sim] {
+      done[static_cast<size_t>(i)] = sim.now();
+    }));
   }
   sim.run();
   // 3 jobs <= 4 capacity: each runs at its cap of 1 unit/s.
@@ -538,10 +548,10 @@ TEST(PsResource, OversubscriptionSharesEqually) {
   int completions = 0;
   Time done_at = -1;
   for (int i = 0; i < 8; ++i) {
-    res.submit(1.0, [&] {
+    sim.spawn(ps_job(res, 1.0, [&] {
       ++completions;
       done_at = sim.now();
-    });
+    }));
   }
   sim.run();
   EXPECT_EQ(completions, 8);
@@ -554,9 +564,9 @@ TEST(PsResource, LateArrivalSlowsEveryone) {
   PsResource res(sim, 1.0, 1.0);  // pure PS, capacity 1
   Time first_done = -1;
   Time second_done = -1;
-  res.submit(1.0, [&] { first_done = sim.now(); });
+  sim.spawn(ps_job(res, 1.0, [&] { first_done = sim.now(); }));
   sim.after(seconds(0.5), [&] {
-    res.submit(0.25, [&] { second_done = sim.now(); });
+    sim.spawn(ps_job(res, 0.25, [&] { second_done = sim.now(); }));
   });
   sim.run();
   // Job A alone for 0.5s (0.5 done). Then shares: both at rate 0.5.
@@ -570,7 +580,9 @@ TEST(PsResource, ZeroWorkCompletesImmediately) {
   Simulation sim;
   PsResource res(sim, 1.0, 1.0);
   Time done_at = -1;
-  sim.after(10, [&] { res.submit(0.0, [&] { done_at = sim.now(); }); });
+  sim.after(10, [&] {
+    sim.spawn(ps_job(res, 0.0, [&] { done_at = sim.now(); }));
+  });
   sim.run();
   EXPECT_EQ(done_at, 10);
 }
@@ -579,8 +591,8 @@ TEST(PsResource, BusyIntegralTracksUtilizedCapacity) {
   Simulation sim;
   PsResource res(sim, 4.0, 1.0);
   // 2 jobs of 1 unit: utilized capacity = 2 for 1s => 2 work-unit-seconds.
-  res.submit(1.0, [] {});
-  res.submit(1.0, [] {});
+  sim.spawn(ps_job(res, 1.0, [] {}));
+  sim.spawn(ps_job(res, 1.0, [] {}));
   sim.run();
   EXPECT_NEAR(res.busy_work_seconds(), 2.0, 1e-9);
   EXPECT_NEAR(res.job_seconds(), 2.0, 1e-9);
@@ -592,49 +604,57 @@ TEST(PsResource, ManyJobsCompleteExactly) {
   int completions = 0;
   constexpr int kJobs = 1000;
   for (int i = 0; i < kJobs; ++i) {
-    res.submit(1.0 + (i % 7), [&] { ++completions; });
+    sim.spawn(ps_job(res, 1.0 + (i % 7), [&] { ++completions; }));
   }
   sim.run();
   EXPECT_EQ(completions, kJobs);
   EXPECT_EQ(res.active_jobs(), 0);
 }
 
-Process ps_job(Simulation& sim, PsResource& res, Duration arrive, double work,
-              int id, bool handle, std::vector<std::pair<Time, int>>& done) {
+Process ps_logged_job(Simulation& sim, PsResource& res, Duration arrive,
+                      double work, int id,
+                      std::vector<std::pair<Time, int>>& log) {
   co_await sim.delay(arrive);
-  done.emplace_back(sim.now(), -1 - id);  // the arrival, in the same log
-  if (handle) {
-    co_await res.execute(work);
-    done.emplace_back(sim.now(), id);
-  } else {
-    res.submit(work, [&sim, &done, id] { done.emplace_back(sim.now(), id); });
-  }
+  log.emplace_back(sim.now(), -1 - id);  // the arrival, in the same log
+  co_await res.execute(work);
+  log.emplace_back(sim.now(), id);
 }
 
-// The handle form (a job carries the coroutine it resumes) and the callback
-// form (a std::function) complete one submission script at the same times,
-// in the same order relative to each other and to the arrivals: zero-work
-// jobs, ties, arrivals that re-time a pending completion.
-TEST(PsResource, HandleJobsCompleteLikeCallbackJobs) {
-  auto run = [](bool handle) {
-    SplitMix64 rng(17);
-    Simulation sim;
-    PsResource res(sim, 4.0, 1.0);
-    std::vector<std::pair<Time, int>> done;
-    for (int i = 0; i < 200; ++i) {
-      const auto arrive =
-          static_cast<Duration>(rng.next_below(40)) * microseconds(1);
-      const double work =
-          i % 5 == 0 ? 0.0 : 1e-6 * static_cast<double>(rng.next_in(1, 12));
-      sim.spawn(ps_job(sim, res, arrive, work, i, handle, done));
+// FNV-1a over each entry's time and id, eight little-endian bytes apiece.
+std::uint64_t log_digest(const std::vector<std::pair<Time, int>>& log) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
     }
-    sim.run();
-    EXPECT_EQ(res.active_jobs(), 0);
-    return done;
   };
-  const auto by_handle = run(true);
-  ASSERT_EQ(by_handle.size(), 400u);
-  EXPECT_EQ(by_handle, run(false));
+  for (const auto& [t, id] : log) {
+    mix(static_cast<std::uint64_t>(t));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(id)));
+  }
+  return h;
+}
+
+// A seeded 200-job script (zero-work jobs, ties, arrivals that re-time a
+// pending completion) logs its arrivals and completions at the same times
+// and in the same order as the recorded reference, pinned by its digest.
+TEST(PsResource, SeededScriptCompletesAsRecorded) {
+  SplitMix64 rng(17);
+  Simulation sim;
+  PsResource res(sim, 4.0, 1.0);
+  std::vector<std::pair<Time, int>> log;
+  for (int i = 0; i < 200; ++i) {
+    const auto arrive =
+        static_cast<Duration>(rng.next_below(40)) * microseconds(1);
+    const double work =
+        i % 5 == 0 ? 0.0 : 1e-6 * static_cast<double>(rng.next_in(1, 12));
+    sim.spawn(ps_logged_job(sim, res, arrive, work, i, log));
+  }
+  sim.run();
+  EXPECT_EQ(res.active_jobs(), 0);
+  ASSERT_EQ(log.size(), 400u);
+  EXPECT_EQ(log_digest(log), 0x0c555ef3fd187537ull);
 }
 
 // --- Link -------------------------------------------------------------------

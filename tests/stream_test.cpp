@@ -300,7 +300,28 @@ TEST(Stream, CopyPushedFromALandingCallbackWaitsForThatCopy) {
   EXPECT_EQ(d2h_done, sim::microseconds(6));
 }
 
-TEST(Stream, SteadyStateCopyAllocatesLessThanHalfABlock) {
+// A landing callback small enough to sit inside its op record pushes copies
+// that grow the queue, then reads its captures again: the stream must have
+// moved the callback out of the record first (ASan reports the reuse).
+TEST(Stream, LandingCallbackMayGrowTheQueue) {
+  sim::Simulation sim;
+  Device dev(sim, GpuSpec::titan_x(), test_pcie());
+  Stream s(dev);
+  int landed = 0;
+  s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 64,
+                 [&s, &landed] {
+                   for (int i = 0; i < 4; ++i) {
+                     s.memcpy_async(pcie::Direction::HostToDevice, nullptr,
+                                    nullptr, 64, [&landed] { ++landed; });
+                   }
+                   ++landed;
+                 });
+  sim.run();
+  EXPECT_EQ(landed, 5);
+  EXPECT_TRUE(s.idle());
+}
+
+TEST(Stream, SteadyStateCopyAllocatesNothing) {
 #ifdef PAGODA_FRAME_POOL_DISABLED
   GTEST_SKIP() << "sanitizer builds keep their own allocator";
 #else
@@ -321,7 +342,7 @@ TEST(Stream, SteadyStateCopyAllocatesLessThanHalfABlock) {
   const long blocks = g_heap_blocks - before;
   RecordProperty("heap_blocks_per_10000_copies", static_cast<int>(blocks));
   EXPECT_EQ(landed, 11000);
-  EXPECT_LE(static_cast<double>(blocks) / 10000.0, 0.5) << blocks << " blocks";
+  EXPECT_EQ(blocks, 0);
 #endif
 }
 

@@ -54,7 +54,7 @@ cluster_smoke() {
   # override the defaults after it (--tasks).
   local args rc out
   for args in "--gpus=2 --oversub=1e9" "--rows=0" "--rows=100000" \
-      "--rows=2147483647" "--blocks=0" \
+      "--rows=2147483647" "--blocks=0" "--blocks=2000000000" \
       "--task-threads=0" "--task-threads=100000" \
       "--gpus=2 --arrival=poisson:nan" "--gpus=2 --arrival=poisson:inf" \
       "--gpus=2 --arrival=diurnal:1000:inf" "--gpus=2 --faults=degrade:1:1:nan" \
@@ -560,18 +560,26 @@ wallclock_gate() {
   # generating payload (shapes only). The 5.0-5.3 s median of the build
   # that still filled payload fails it. Before that re-base the budget was
   # a raw 6.68 s (8.357 s pre-engine-refactor baseline / 1.25).
+  # The first run's stdout must match tests/golden/fig5_overall_4096.txt
+  # byte for byte: a hot-path change may not move a figure.
   local dir="$1"
   local baseline_s=8.357  # pre-engine-refactor seed, for the speedup field
   local budget_s=1.70     # 1.5 x 1.136 s
   echo "==> wall-clock gate (fig5_overall --tasks=4096, median of 3)"
   local runs=()
-  local t0 t1
-  for _ in 1 2 3; do
+  local t0 t1 i out=/tmp/pagoda_fig5_4096.txt
+  for i in 1 2 3; do
     t0=$(date +%s%N)
-    "${dir}/bench/fig5_overall" --tasks=4096 >/dev/null
+    "${dir}/bench/fig5_overall" --tasks=4096 >"${out}"
     t1=$(date +%s%N)
     runs+=("$(awk -v a="$t0" -v b="$t1" 'BEGIN{printf "%.3f", (b-a)/1e9}')")
+    if [[ "${i}" == 1 ]] && ! cmp "${out}" tests/golden/fig5_overall_4096.txt; then
+      echo "error: fig5_overall --tasks=4096 stdout diverged from" \
+        "tests/golden/fig5_overall_4096.txt" >&2
+      exit 1
+    fi
   done
+  rm -f "${out}"
   local median
   median=$(printf '%s\n' "${runs[@]}" | sort -n | sed -n 2p)
   printf '{\n  "bench": "fig5_overall",\n  "tasks": 4096,\n  "runs_s": [%s, %s, %s],\n  "median_s": %s,\n  "budget_s": %s,\n  "pre_refactor_baseline_s": %s,\n  "speedup": %s\n}\n' \

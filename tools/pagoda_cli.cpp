@@ -385,7 +385,13 @@ int main(int argc, char** argv) {
                                            rcfg.spec.max_threads_per_block);
   wcfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA));
   wcfg.input_scale = flags.get_int_in("input", 0, 0);
-  wcfg.blocks_per_task = flags.get_int_in("blocks", 1, 1);
+  // No block is wider than the device allows, whatever --task-threads and
+  // --dynamic-threads make it, so this bound keeps a task's thread and warp
+  // counts (ints: TaskParams::warps_total(), the kernels' indexing) in range.
+  wcfg.blocks_per_task =
+      flags.get_int_in("blocks", 1, 1,
+                       std::numeric_limits<int>::max() /
+                           rcfg.spec.max_threads_per_block);
   wcfg.irregular_sizes = flags.has("irregular");
   wcfg.dynamic_threads = flags.has("dynamic-threads");
   wcfg.use_shared_memory = !flags.has("no-shmem");
