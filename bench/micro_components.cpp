@@ -51,18 +51,23 @@ void BM_BuddyChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_BuddyChurn);
 
+struct FireCounter {
+  int fired = 0;
+  void hit() { ++fired; }
+};
+
 void BM_EventQueueThroughput(benchmark::State& state) {
   engine::SessionConfig no_device;  // the event queue alone
   no_device.device = false;
   for (auto _ : state) {
     engine::Session session(no_device);
     sim::Simulation& sim = session.sim();
-    int fired = 0;
+    FireCounter c;
     for (int i = 0; i < 1000; ++i) {
-      sim.after(i % 97, [&fired] { ++fired; });
+      sim.after(i % 97, sim::Continuation::member<&FireCounter::hit>(&c));
     }
     sim.run();
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(c.fired);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }

@@ -58,6 +58,13 @@ gpu::KernelLaunchParams to_launch(const TaskSpec& t, const RunConfig& cfg) {
   return p;
 }
 
+/// Marks task `idx`'s end when its kernel's trigger fires.
+sim::Process mark_end(HqState& st, std::shared_ptr<sim::Trigger> done,
+                      int idx) {
+  co_await done->wait();
+  st.marks.mark_end(idx, st.sim().now());
+}
+
 sim::Process enqueuer(HqState& st, const RunConfig& cfg,
                       std::span<const TaskSpec> tasks,
                       std::span<const int> indices) {
@@ -72,9 +79,7 @@ sim::Process enqueuer(HqState& st, const RunConfig& cfg,
     co_await st.pipe.launch_cost();
     st.launch_lock.release();
     st.marks.mark_start(idx, st.sim().now());
-    auto trig = stream.kernel_async(to_launch(t, cfg));
-    trig->call_on_fire(
-        [&st, idx] { st.marks.mark_end(idx, st.sim().now()); });
+    st.sim().spawn(mark_end(st, stream.kernel_async(to_launch(t, cfg)), idx));
     if (cfg.include_data_copies && t.d2h_bytes > 0) {
       co_await st.pipe.copy_staged(stream, pcie::Direction::DeviceToHost,
                                    t.d2h_bytes);

@@ -91,15 +91,13 @@ Dispatcher::Dispatcher(Cluster& cluster,
   }
   if (cfg_.faults.enabled() || cfg_.task_timeout > 0) {
     for (const fault::CrashEvent& ev : cfg_.faults.crashes) {
-      sim().at(ev.at, [this, ev] { inject_crash(ev); });
+      sim().spawn(crash_node(ev), sim().reserve_event(ev.at));
     }
     for (const fault::DegradeWindow& w : cfg_.faults.degrades) {
-      sim().at(w.at, [this, w] {
-        fault_event("degrade");
-        set_bandwidth_scale(w.node, w.factor);
-      });
-      sim().at(w.at + w.duration,
-               [this, w] { set_bandwidth_scale(w.node, 1.0); });
+      sim().spawn(degrade_edge(w.node, w.factor, true),
+                  sim().reserve_event(w.at));
+      sim().spawn(degrade_edge(w.node, 1.0, false),
+                  sim().reserve_event(w.at + w.duration));
     }
     if (cfg_.faults.transfer_fault_rate > 0.0) {
       for (int i = 0; i < cluster.size(); ++i) {
@@ -410,7 +408,7 @@ void Dispatcher::leave(int node_index, Attempt a, Held held, Exit exit,
 Dispatcher::Attempt Dispatcher::take_record(NodeState& ns, std::size_t idx) {
   const std::unique_ptr<NodeState::Record> rec = std::move(ns.records[idx]);
   // A no-op when the deadline is the event firing right now.
-  if (rec->deadline != 0) sim().cancel(rec->deadline);
+  if (rec->deadline) sim().cancel(rec->deadline->event);
   ns.tracked -= 1;
   return std::move(rec->att);
 }
@@ -418,8 +416,8 @@ Dispatcher::Attempt Dispatcher::take_record(NodeState& ns, std::size_t idx) {
 void Dispatcher::park_wedged(int node_index, NodeState& ns, std::size_t idx) {
   const std::unique_ptr<NodeState::Record> rec = std::move(ns.records[idx]);
   ns.tracked -= 1;  // GPU-side the work IS done; only the deadline is owed
-  wedged_.emplace(rec->uid,
-                  Wedged{node_index, rec->deadline, std::move(rec->att)});
+  wedged_.emplace(rec->uid, Wedged{node_index, std::move(rec->deadline),
+                                   std::move(rec->att)});
 }
 
 void Dispatcher::check_slots(const NodeState& ns) {
@@ -561,10 +559,10 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
   rec.uid = a.uid;
   rec.handle = h;
   if (cfg_.task_timeout > 0) {
-    rec.deadline =
-        sim().after(cfg_.task_timeout, [this, node_index, idx, uid = a.uid] {
-          on_deadline(node_index, idx, uid);
-        });
+    rec.deadline = std::make_unique<Deadline>(this, node_index, idx, a.uid);
+    rec.deadline->event = sim().after(
+        cfg_.task_timeout,
+        sim::Continuation::member<&Deadline::fire>(rec.deadline.get()));
   }
   rec.att = std::move(a);
   ns.tracked += 1;
@@ -641,10 +639,10 @@ void Dispatcher::on_deadline(int node_index, std::size_t idx,
   if (const auto it = wedged_.find(uid); it != wedged_.end()) {
     a = std::move(it->second.att);
     wedged_.erase(it);
-  } else if (ns.holds(idx, uid)) {
-    a = take_record(ns, idx);
   } else {
-    return;  // already resolved; stale timer
+    // A deadline lives only while its attempt is tracked or wedged.
+    PAGODA_CHECK(ns.holds(idx, uid));
+    a = take_record(ns, idx);
   }
   stats_.detected_timeouts += 1;
   fault_event("timeout");
@@ -766,15 +764,23 @@ int Dispatcher::healthy_nodes() const {
   return n;
 }
 
-void Dispatcher::inject_crash(const fault::CrashEvent& ev) {
+sim::Process Dispatcher::crash_node(fault::CrashEvent ev) {
   GpuNode& node = cluster_->node(ev.node);
-  if (!node.alive()) return;
+  if (!node.alive()) co_return;
   node.set_alive(false);
   stats_.injected_crashes += 1;
   fault_event("crash");
   if (ev.recovers) {
-    sim().after(ev.recover_after, [this, n = ev.node] { recover_node(n); });
+    co_await sim().delay(ev.recover_after);
+    recover_node(ev.node);
   }
+}
+
+sim::Process Dispatcher::degrade_edge(int node_index, double scale,
+                                      bool begins) {
+  if (begins) fault_event("degrade");
+  set_bandwidth_scale(node_index, scale);
+  co_return;
 }
 
 void Dispatcher::node_failed(int node_index) {
@@ -799,7 +805,7 @@ void Dispatcher::node_failed(int node_index) {
       ++it;
       continue;
     }
-    if (it->second.deadline != 0) sim().cancel(it->second.deadline);
+    if (it->second.deadline) sim().cancel(it->second.deadline->event);
     Attempt a = std::move(it->second.att);
     it = wedged_.erase(it);
     leave(node_index, std::move(a), Held::kSpawned, Exit::kRedispatch);

@@ -344,6 +344,19 @@ class Dispatcher {
     std::uint64_t uid = 0;
   };
 
+  /// A tracked attempt's deadline event and its context, owned by the
+  /// attempt's Record, then by its Wedged entry; freed once it fires or is
+  /// cancelled.
+  struct Deadline {
+    Dispatcher* disp;
+    int node;
+    std::size_t idx;
+    std::uint64_t uid;
+    sim::EventId event = 0;
+    /// May free this Deadline (the attempt's teardown does).
+    void fire() { disp->on_deadline(node, idx, uid); }
+  };
+
   struct NodeState {
     std::unique_ptr<sched::ReadyQueue> slots;
     /// In-flight request records indexed by TaskTable entry (id-relative):
@@ -353,7 +366,7 @@ class Dispatcher {
     /// means the entry holds no tracked attempt.
     struct Record {
       std::uint64_t uid = 0;
-      sim::EventId deadline = 0;  // 0 = none armed
+      std::unique_ptr<Deadline> deadline;  // null = none armed
       /// The spawned task's handle, kept so a migrate-not-shed drain can
       /// try_revoke the entry before a scheduler warp claims it.
       runtime::TaskHandle handle{};
@@ -396,7 +409,7 @@ class Dispatcher {
   /// records[]. (std::map: deterministic sweep order on node death.)
   struct Wedged {
     int node = -1;
-    sim::EventId deadline = 0;
+    std::unique_ptr<Deadline> deadline;
     Attempt att;
   };
 
@@ -491,7 +504,10 @@ class Dispatcher {
   /// sheds only when the source itself is gone (true capacity loss).
   void restore_attempt(Attempt a, int source_node);
 
-  void inject_crash(const fault::CrashEvent& ev);
+  /// A crash event (and, when it recovers, its recovery).
+  sim::Process crash_node(fault::CrashEvent ev);
+  /// A degrade window's edge: the link bandwidth becomes `scale`.
+  sim::Process degrade_edge(int node_index, double scale, bool begins);
   void node_failed(int node_index);
   void recover_node(int node_index);
   /// The return-to-service step shared by recovery and reinstatement:

@@ -46,7 +46,7 @@ class BlockBarrier {
           // Last arrival: release everyone, don't suspend.
           b->arrived_ = 0;
           for (std::coroutine_handle<> h : b->waiters_) {
-            b->sim_->defer_resume(h);
+            b->sim_->defer(h);
           }
           b->waiters_.clear();
           return true;

@@ -76,6 +76,8 @@ class Smm {
       smm->submit_issue(*this);
     }
     void await_resume() const noexcept {}
+    /// Hands the work to the issue pipeline, past the wake gate.
+    void issue() { smm->pipeline_.submit(cycles, h); }
   };
   IssueAwaiter execute(double cycles) { return IssueAwaiter{this, cycles}; }
 
@@ -88,12 +90,12 @@ class Smm {
       const sim::Duration d = wake_gate_(sim_->now());
       if (d > 0) {
         // The awaiter lives in the suspended frame: its address is the
-        // whole closure, stored in place.
-        sim_->after(d, [&a] { a.smm->pipeline_.submit(a.cycles, a.h); });
+        // whole event context.
+        sim_->after(d, sim::Continuation::member<&IssueAwaiter::issue>(&a));
         return;
       }
     }
-    pipeline_.submit(a.cycles, a.h);
+    a.issue();
   }
 
   // --- power plane hooks (passive unless the power plane installs them) ----

@@ -195,7 +195,8 @@ class Stream {
           break;
         case Op::Kind::kKernel:
           kernel_ = dev_->dispatcher().launch(std::move(*op.params));
-          kernel_->done.call_on_fire([this] { retire_kernel(); });
+          kernel_->done.call_on_fire(
+              sim::Continuation::member<&Stream::retire_kernel>(this));
           started_ = 1;
           return;
       }
@@ -206,7 +207,7 @@ class Stream {
   void land_copy() {
     Op& op = ops_[head_];
     if (op.awaiter != nullptr) {
-      dev_->sim().defer_resume(op.awaiter->caller);
+      dev_->sim().defer(op.awaiter->caller);
     } else if (op.on_done) {
       // Moved out first: a push from the callback may move ops_.
       const std::function<void()> on_done = std::move(op.on_done);

@@ -135,11 +135,13 @@ void Autoscaler::start() {
 }
 
 void Autoscaler::schedule_tick() {
-  sim_->after(cfg_.period, [this] {
-    if (fleet_->idle()) return;  // stream closed + drained: stop for good
-    periodic_check(sim_->now());
-    schedule_tick();
-  });
+  sim_->after(cfg_.period, sim::Continuation::member<&Autoscaler::tick>(this));
+}
+
+void Autoscaler::tick() {
+  if (fleet_->idle()) return;  // stream closed + drained: stop for good
+  periodic_check(sim_->now());
+  schedule_tick();
 }
 
 int Autoscaler::serving_nodes() const {

@@ -104,6 +104,7 @@ class Autoscaler {
 
  private:
   void schedule_tick();
+  void tick();
   void periodic_check(sim::Time now);
   void finish_pending_sleeps();
   int desired_nodes() const;

@@ -60,7 +60,8 @@ void Collector::ensure_sampler(sim::Simulation& sim) {
 }
 
 void Collector::schedule_tick() {
-  tick_event_ = sim_->after(cfg_.sample_period, [this] { tick(); });
+  tick_event_ = sim_->after(cfg_.sample_period,
+                            sim::Continuation::member<&Collector::tick>(this));
 }
 
 void Collector::tick() {

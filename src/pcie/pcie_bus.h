@@ -109,16 +109,24 @@ class PcieBus {
         link(dir).latency() +
         static_cast<sim::Duration>(1e12 * static_cast<double>(total) / 2.0 /
                                    link(dir).bandwidth()));
-    sim_->after(early, [=] {
-      if (b_first) {
-        if (dst_b && src_b) std::memcpy(dst_b, src_b, bytes_b);
-      } else {
-        if (dst_a && src_a) std::memcpy(dst_a, src_a, bytes_a);
-      }
-    });
+    auto* w = b_first ? new EarlyWrite{dst_b, src_b, bytes_b}
+                      : new EarlyWrite{dst_a, src_a, bytes_a};
+    sim_->after(early, {&EarlyWrite::land, w});
   }
 
  private:
+  /// A region an unordered copy exposes mid-flight; frees itself on landing.
+  struct EarlyWrite {
+    void* dst;
+    const void* src;
+    std::size_t bytes;
+    static void land(void* p) {
+      const auto* w = static_cast<EarlyWrite*>(p);
+      if (w->dst && w->src) std::memcpy(w->dst, w->src, w->bytes);
+      delete w;
+    }
+  };
+
   sim::Simulation* sim_;
   sim::Link h2d_;
   sim::Link d2h_;

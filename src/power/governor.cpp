@@ -71,11 +71,14 @@ void PowerGovernor::start() {
 }
 
 void PowerGovernor::schedule_tick() {
-  sim_->after(cfg_.period, [this] {
-    if (fleet_->idle()) return;  // stream closed + drained: stop for good
-    periodic_check(sim_->now());
-    schedule_tick();
-  });
+  sim_->after(cfg_.period,
+              sim::Continuation::member<&PowerGovernor::tick>(this));
+}
+
+void PowerGovernor::tick() {
+  if (fleet_->idle()) return;  // stream closed + drained: stop for good
+  periodic_check(sim_->now());
+  schedule_tick();
 }
 
 void PowerGovernor::on_sla_warning(sim::Time now) {

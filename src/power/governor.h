@@ -129,6 +129,7 @@ class PowerGovernor {
 
  private:
   void schedule_tick();
+  void tick();
   void periodic_check(sim::Time now);
   void check_dvfs(sim::Time now);
   void check_power_cap(sim::Time now);

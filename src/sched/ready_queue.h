@@ -3,7 +3,7 @@
 // ReadyQueue is sim::Semaphore with a Policy deciding which parked waiter a
 // released slot goes to. Under the fifo policy it reproduces the semaphore's
 // event order byte-for-byte: same fast path in await_ready, same deque-order
-// wakeups on close(), same defer_resume handoff — only the struct carrying
+// wakeups on close(), same deferred-resume handoff — only the struct carrying
 // the grant result differs, which is invisible to the simulator.
 //
 // Extensions over the semaphore:
@@ -73,7 +73,7 @@ class ReadyQueue {
       waiters_.erase(waiters_.begin() + static_cast<std::ptrdiff_t>(i));
       w.grant->granted = true;
       policy_->served(w.key);
-      sim_->defer_resume(w.handle);
+      sim_->defer(w.handle);
     } else {
       ++count_;
     }
@@ -86,7 +86,7 @@ class ReadyQueue {
     closed_ = true;
     std::deque<Waiter> woken;
     woken.swap(waiters_);
-    for (const Waiter& w : woken) sim_->defer_resume(w.handle);
+    for (const Waiter& w : woken) sim_->defer(w.handle);
   }
 
   void reopen() { closed_ = false; }
@@ -101,7 +101,7 @@ class ReadyQueue {
   void kick_waiters() {
     std::deque<Waiter> woken;
     woken.swap(waiters_);
-    for (const Waiter& w : woken) sim_->defer_resume(w.handle);
+    for (const Waiter& w : woken) sim_->defer(w.handle);
   }
 
   std::int64_t available() const { return count_; }
@@ -121,7 +121,7 @@ class ReadyQueue {
     const Waiter w = waiters_[i];
     waiters_.erase(waiters_.begin() + static_cast<std::ptrdiff_t>(i));
     w.grant->evicted = true;
-    sim_->defer_resume(w.handle);
+    sim_->defer(w.handle);
   }
 
  private:

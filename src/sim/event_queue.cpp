@@ -1,7 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <utility>
-
 #include "common/check.h"
 
 namespace pagoda::sim {
@@ -47,8 +45,6 @@ void EventQueue::release_slot(std::uint32_t slot) {
   pos_[slot] = kFree;
   n.gen += 1;  // invalidates any lane entry AND any EventId still referencing
                // this slot — the cornerstone of double-cancel safety
-  n.fn = nullptr;
-  n.resume = nullptr;
   free_slots_.push_back(slot);
   live_ -= 1;
 }
@@ -130,16 +126,9 @@ EventId EventQueue::push(Time at, std::uint64_t seq, std::uint32_t slot) {
   return encode(slot, n.gen);
 }
 
-EventId EventQueue::schedule(Time at, std::function<void()> fn) {
+EventId EventQueue::schedule(Time at, std::uint64_t seq, Continuation body) {
   const std::uint32_t slot = acquire_slot();
-  nodes_[slot].fn = std::move(fn);
-  return push(at, next_seq_++, slot);
-}
-
-EventId EventQueue::schedule_resume(Time at, std::uint64_t seq,
-                                    std::coroutine_handle<> h) {
-  const std::uint32_t slot = acquire_slot();
-  nodes_[slot].resume = h;
+  nodes_[slot].body = body;
   return push(at, seq, slot);
 }
 
@@ -183,8 +172,7 @@ EventQueue::Popped EventQueue::pop() {
   } else {
     heap_remove(0);
   }
-  Node& n = nodes_[top.slot];
-  Popped p{top.at, top.seq, std::move(n.fn), n.resume};
+  const Popped p{top.at, top.seq, nodes_[top.slot].body};
   release_slot(top.slot);
   if (from_lane) trim_lane();
   last_at_ = top.at;

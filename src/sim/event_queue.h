@@ -27,16 +27,15 @@
 // Reserved keys below the lane's back go to the heap. A cancelled (or
 // re-timed) lane entry stays in the vector and is skipped by its generation.
 //
-// The resume fast path (`schedule_resume`) stores a bare coroutine handle
-// instead of a std::function — the simulator's hottest events (delays,
-// deferred wakeups) carry no closure at all. It takes its sequence number
-// from `reserve_seq()`, so it orders where an event pushed at reservation
-// time would have: a skipped no-op resume keeps later events' numbers.
+// An event's body is one Continuation, 16 bytes of plain data: a coroutine
+// handle to resume, or `obj->f()` via `Continuation::member<&T::f>(obj)`. No
+// body costs a heap block. A seq taken by `reserve_seq()` before the push
+// orders the event where one pushed at reservation time would have.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/time_types.h"
@@ -47,13 +46,39 @@ namespace pagoda::sim {
 /// (slot+1) << 32 | generation; id 0 is never issued.
 using EventId = std::uint64_t;
 
+/// An event body: runs `fn(arg)`. Plain data (no initializers, to stay
+/// trivial); copying it copies two words.
+struct Continuation {
+  void (*fn)(void*);
+  void* arg;
+
+  Continuation() = default;
+  Continuation(void (*f)(void*), void* a) : fn(f), arg(a) {}
+  /// Resumes `h` (implicit: an awaiter passes its handle straight through).
+  template <typename P>
+  Continuation(std::coroutine_handle<P> h)  // NOLINT(*-explicit-constructor)
+      : fn(&resume), arg(h.address()) {}
+
+  /// Runs `(obj->*F)()`.
+  template <auto F, typename T>
+  static Continuation member(T* obj) {
+    return {[](void* p) { (static_cast<T*>(p)->*F)(); }, obj};
+  }
+
+  void operator()() const { fn(arg); }
+
+ private:
+  static void resume(void* address) {
+    std::coroutine_handle<>::from_address(address).resume();
+  }
+};
+static_assert(sizeof(Continuation) == 16 && std::is_trivial_v<Continuation>);
+
 class EventQueue {
  public:
-  EventId schedule(Time at, std::function<void()> fn);
-  /// Fast path for "resume this coroutine at t": no callable is stored.
-  /// `seq` comes from reserve_seq() (just now, for a plain schedule).
-  EventId schedule_resume(Time at, std::uint64_t seq,
-                          std::coroutine_handle<> h);
+  /// Schedules `body` at key (at, seq); `seq` comes from reserve_seq()
+  /// (just now, for a plain schedule).
+  EventId schedule(Time at, std::uint64_t seq, Continuation body);
 
   /// Consumes the next sequence number without scheduling anything.
   std::uint64_t reserve_seq() { return next_seq_++; }
@@ -83,17 +108,9 @@ class EventQueue {
   struct Popped {
     Time at;
     std::uint64_t seq;
-    std::function<void()> fn;        // empty for resume events
-    std::coroutine_handle<> resume;  // null for callback events
+    Continuation body;
 
-    /// Runs whichever body this event carries.
-    void run() {
-      if (resume) {
-        resume.resume();
-      } else {
-        fn();
-      }
-    }
+    void run() const { body(); }
   };
 
   /// Pops the earliest event without running it — the caller advances the
@@ -109,8 +126,7 @@ class EventQueue {
   /// Pooled event body. `gen` counts slot reuses and re-times; an EventId
   /// or lane entry whose generation mismatches its slot's is stale.
   struct Node {
-    std::function<void()> fn;
-    std::coroutine_handle<> resume = nullptr;
+    Continuation body;
     std::uint32_t gen = 0;
   };
 

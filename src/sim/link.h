@@ -76,7 +76,8 @@ class Link {
                           std::move(on_done)};
     (tail_ != nullptr ? tail_->next : head_) = p;
     tail_ = p;
-    sim_->at(next_free_ + latency_, [this] { land_front(); });
+    sim_->at(next_free_ + latency_,
+             Continuation::member<&Link::land_front>(this));
   }
 
   Duration latency() const { return latency_; }

@@ -45,7 +45,7 @@ class [[nodiscard]] Process {
         if (!st->joiners.empty()) {
           PAGODA_CHECK(st->sim != nullptr);
           for (const std::coroutine_handle<> j : st->joiners) {
-            st->sim->defer_resume(j);
+            st->sim->defer(j);
           }
           st->joiners.clear();
         }

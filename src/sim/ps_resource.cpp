@@ -57,7 +57,7 @@ void PsResource::advance_virtual_time() {
 void PsResource::submit(double work, std::coroutine_handle<> h) {
   PAGODA_CHECK(work >= 0.0);
   if (work == 0.0) {
-    sim_->defer_resume(h);
+    sim_->defer(h);
     return;
   }
   advance_virtual_time();
@@ -81,7 +81,8 @@ void PsResource::reschedule_completion() {
   completion_event_ =
       completion_event_ != 0
           ? sim_->retime(completion_event_, sim_->now() + dt)
-          : sim_->after(dt, [this] { on_completion_event(); });
+          : sim_->after(dt, Continuation::member<
+                                &PsResource::on_completion_event>(this));
 }
 
 void PsResource::on_completion_event() {

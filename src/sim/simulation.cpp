@@ -9,11 +9,11 @@ Joinable Simulation::spawn(Process p) {
   return spawn(std::move(p), reserve_event());
 }
 
-Joinable Simulation::spawn(Process p, EventKey at) {
+Joinable Simulation::spawn(Process p, EventKey key) {
   PAGODA_CHECK_MSG(!p.state_->spawned, "process spawned twice");
   p.state_->sim = this;
   p.state_->spawned = true;
-  at_resume(at, p.handle_);
+  at(key, p.handle_);
   return Joinable(p.state_);
 }
 

@@ -11,7 +11,6 @@
 #include <compare>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "common/check.h"
@@ -45,43 +44,37 @@ class Simulation {
   /// Key of the event now running (between events: of the last one run).
   EventKey current_event() const { return EventKey{now_, seq_}; }
 
-  /// Takes the key a defer now would get; at_resume/spawn can use it later.
-  EventKey reserve_event() { return EventKey{now_, queue_.reserve_seq()}; }
-
-  /// Schedules fn at absolute time t (must be >= now()).
-  EventId at(Time t, std::function<void()> fn) {
+  /// Takes the key at(t, ...) would get now (t >= now()); at(EventKey) and
+  /// spawn can use it later.
+  EventKey reserve_event(Time t) {
     PAGODA_CHECK_MSG(t >= now_, "cannot schedule events in the past");
-    return queue_.schedule(t, std::move(fn));
+    return EventKey{t, queue_.reserve_seq()};
   }
+  /// Takes the key a defer now would get.
+  EventKey reserve_event() { return reserve_event(now_); }
 
-  /// Schedules fn after duration d (>= 0).
-  EventId after(Duration d, std::function<void()> fn) {
-    PAGODA_CHECK_MSG(d >= 0, "negative delay");
-    return at(now() + d, std::move(fn));
-  }
+  // Each verb takes the event's seq at the call (or at reserve_event()), so
+  // events at one time run in that order. `defer(h)` resumes coroutine h.
 
-  /// Schedules fn at the current time, after already-pending same-time events.
-  EventId defer(std::function<void()> fn) { return at(now(), std::move(fn)); }
-
-  // Resume fast paths: same scheduling semantics as at/after/defer, but the
-  // event stores the bare coroutine handle — no callable object. Every wake
-  // path in the simulator (delay, sync primitives, process joins) goes
-  // through these.
-  EventId at_resume(Time t, std::coroutine_handle<> h) {
+  /// Schedules c at absolute time t (must be >= now()).
+  EventId at(Time t, Continuation c) {
     PAGODA_CHECK_MSG(t >= now_, "cannot schedule events in the past");
-    return queue_.schedule_resume(t, queue_.reserve_seq(), h);
+    return queue_.schedule(t, queue_.reserve_seq(), c);
   }
-  EventId after_resume(Duration d, std::coroutine_handle<> h) {
+
+  /// Schedules c after duration d (>= 0).
+  EventId after(Duration d, Continuation c) {
     PAGODA_CHECK_MSG(d >= 0, "negative delay");
-    return at_resume(now() + d, h);
+    return at(now_ + d, c);
   }
-  EventId defer_resume(std::coroutine_handle<> h) {
-    return at_resume(now(), h);
-  }
-  /// Resumes h at a key taken from reserve_event() (not yet passed).
-  EventId at_resume(EventKey k, std::coroutine_handle<> h) {
+
+  /// Schedules c at the current time, after already-pending same-time events.
+  EventId defer(Continuation c) { return at(now_, c); }
+
+  /// Schedules c at a key taken from reserve_event() (not yet passed).
+  EventId at(EventKey k, Continuation c) {
     PAGODA_CHECK_MSG(k > current_event(), "cannot schedule events in the past");
-    return queue_.schedule_resume(k.at, k.seq, h);
+    return queue_.schedule(k.at, k.seq, c);
   }
 
   /// Cancels a pending event; false when it already fired, was already
@@ -111,7 +104,7 @@ class Simulation {
       Duration d;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        sim->after_resume(d, h);
+        sim->after(d, h);
       }
       void await_resume() const noexcept {}
     };

@@ -1,9 +1,9 @@
 // Virtual-time synchronization primitives for simulation processes.
 //
-//  - Condition: broadcast/one wakeup, with optional timeout (the Pagoda
-//    `wait`/`waitAll` copy-back timeout is built on this).
+//  - Condition: broadcast/one wakeup.
 //  - SlotCondition: a broadcast that starts workers only for slots handed work.
-//  - Trigger:   one-shot latch; waits complete immediately once fired.
+//  - Trigger:   one-shot latch; waits complete immediately once fired, and
+//    fire callbacks are event continuations.
 //  - Semaphore: counting semaphore (used for resource slots like HyperQ's
 //    32 hardware connections).
 //
@@ -35,10 +35,7 @@ class Condition {
   /// Destroys still-parked waiter frames so persistent processes (device
   /// pumps, scheduler warps) don't leak when a simulation is torn down.
   ~Condition() {
-    for (Waiter& w : waiters_) {
-      if (w.timeout_event != 0) sim_->cancel(w.timeout_event);
-      w.handle.destroy();
-    }
+    for (const std::coroutine_handle<> h : waiters_) h.destroy();
   }
 
   /// Awaitable: park until notify_one/notify_all.
@@ -47,77 +44,32 @@ class Condition {
       Condition* cv;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        cv->waiters_.push_back(Waiter{cv->next_id_++, h, 0, nullptr});
+        cv->waiters_.push_back(h);
       }
       void await_resume() const noexcept {}
     };
     return Awaiter{this};
   }
 
-  /// Awaitable: park until notified or until `d` elapses.
-  /// `co_await cv.wait_for(d)` yields true if notified, false on timeout.
-  auto wait_for(Duration d) {
-    struct Awaiter {
-      Condition* cv;
-      Duration d;
-      bool notified = false;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        const std::uint64_t id = cv->next_id_++;
-        const EventId ev = cv->sim_->after(d, [cv = cv, id, h] {
-          cv->drop_waiter(id);
-          h.resume();
-        });
-        cv->waiters_.push_back(Waiter{id, h, ev, &notified});
-      }
-      bool await_resume() const noexcept { return notified; }
-    };
-    return Awaiter{this, d};
-  }
-
   void notify_all() {
-    // wake() only schedules resumes, so waking in place is safe; clear()
+    // Waking only schedules resumes, so waking in place is safe; clear()
     // keeps the buffer's capacity for the next wait().
-    for (const Waiter& w : waiters_) wake(w);
+    for (const std::coroutine_handle<> h : waiters_) sim_->defer(h);
     waiters_.clear();
   }
 
   void notify_one() {
     if (waiters_.empty()) return;
-    const Waiter w = waiters_.front();
+    const std::coroutine_handle<> h = waiters_.front();
     waiters_.erase(waiters_.begin());
-    wake(w);
+    sim_->defer(h);
   }
 
   std::size_t waiter_count() const { return waiters_.size(); }
 
  private:
-  struct Waiter {
-    std::uint64_t id;
-    std::coroutine_handle<> handle;
-    EventId timeout_event;     // 0 if untimed
-    bool* notified_flag;       // lives in the suspended awaiter frame
-  };
-
-  void wake(const Waiter& w) {
-    if (w.timeout_event != 0) sim_->cancel(w.timeout_event);
-    if (w.notified_flag != nullptr) *w.notified_flag = true;
-    sim_->defer_resume(w.handle);
-  }
-
-  void drop_waiter(std::uint64_t id) {
-    for (std::size_t i = 0; i < waiters_.size(); ++i) {
-      if (waiters_[i].id == id) {
-        waiters_.erase(waiters_.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-    }
-    PAGODA_CHECK_MSG(false, "timeout fired for unknown condition waiter");
-  }
-
   Simulation* sim_;
-  std::vector<Waiter> waiters_;
-  std::uint64_t next_id_ = 1;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 /// One worker process per slot, each running the work handed to its own slot
@@ -217,23 +169,25 @@ class Trigger {
     for (const std::coroutine_handle<> h : waiters_) h.destroy();
   }
 
+  /// Resumes the parked waiters, then runs the callbacks, each in the order
+  /// it was registered (every one deferred).
   void fire() {
     if (fired_) return;
     fired_ = true;
-    for (const std::coroutine_handle<> h : waiters_) sim_->defer_resume(h);
+    for (const std::coroutine_handle<> h : waiters_) sim_->defer(h);
     waiters_.clear();
-    for (std::function<void()>& fn : callbacks_) sim_->defer(std::move(fn));
+    for (const Continuation c : callbacks_) sim_->defer(c);
     callbacks_.clear();
   }
 
   bool fired() const { return fired_; }
 
-  /// Runs fn (deferred) when the trigger fires; immediately if already fired.
-  void call_on_fire(std::function<void()> fn) {
+  /// Runs c (deferred) when the trigger fires; at once if already fired.
+  void call_on_fire(Continuation c) {
     if (fired_) {
-      sim_->defer(std::move(fn));
+      sim_->defer(c);
     } else {
-      callbacks_.push_back(std::move(fn));
+      callbacks_.push_back(c);
     }
   }
 
@@ -253,7 +207,7 @@ class Trigger {
   Simulation* sim_;
   bool fired_ = false;
   std::vector<std::coroutine_handle<>> waiters_;
-  std::vector<std::function<void()>> callbacks_;
+  std::vector<Continuation> callbacks_;
 };
 
 /// Counting semaphore with FIFO grant order.
@@ -302,7 +256,7 @@ class Semaphore {
       const Waiter w = waiters_.front();
       waiters_.pop_front();
       *w.granted = true;
-      sim_->defer_resume(w.handle);
+      sim_->defer(w.handle);
     } else {
       ++count_;
     }
@@ -316,7 +270,7 @@ class Semaphore {
     closed_ = true;
     std::deque<Waiter> woken;
     woken.swap(waiters_);
-    for (const Waiter& w : woken) sim_->defer_resume(w.handle);
+    for (const Waiter& w : woken) sim_->defer(w.handle);
   }
 
   void reopen() { closed_ = false; }

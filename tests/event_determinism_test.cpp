@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "closure_events.h"
 #include "common/rng.h"
 #include "harness/calibration.h"
 #include "harness/experiment.h"
@@ -31,10 +32,11 @@ namespace pagoda {
 namespace {
 
 TEST(EventDeterminism, SameTimestampPopsInScheduleOrder) {
+  sim::Closures fn;
   sim::Simulation sim;
   std::vector<int> order;
   for (int i = 0; i < 64; ++i) {
-    sim.at(100, [&order, i] { order.push_back(i); });
+    sim.at(100, fn([&order, i] { order.push_back(i); }));
   }
   sim.run();
   ASSERT_EQ(order.size(), 64u);
@@ -45,17 +47,18 @@ TEST(EventDeterminism, SameTimestampPopsInScheduleOrder) {
 // events reuse those slots but must still fire in schedule order (the
 // tie-break is the schedule sequence, not the slot index).
 TEST(EventDeterminism, SlotReuseAfterCancelKeepsFifo) {
+  sim::Closures fn;
   sim::Simulation sim;
   std::vector<int> order;
   std::vector<sim::EventId> doomed;
   for (int i = 0; i < 16; ++i) {
-    doomed.push_back(sim.at(50, [&order] { order.push_back(-1); }));
+    doomed.push_back(sim.at(50, fn([&order] { order.push_back(-1); })));
   }
   for (const sim::EventId id : doomed) EXPECT_TRUE(sim.cancel(id));
   // These reuse the 16 freed slots (in some pool order); their pop order
   // must still be schedule order.
   for (int i = 0; i < 32; ++i) {
-    sim.at(50, [&order, i] { order.push_back(i); });
+    sim.at(50, fn([&order, i] { order.push_back(i); }));
   }
   sim.run();
   ASSERT_EQ(order.size(), 32u);
@@ -65,11 +68,13 @@ TEST(EventDeterminism, SlotReuseAfterCancelKeepsFifo) {
 // Slots recycled by *fired* events must not reorder later ties either: run
 // several generations of same-timestamp batches through the queue.
 TEST(EventDeterminism, SlotReuseAcrossGenerationsKeepsFifo) {
+  sim::Closures fn;
   sim::Simulation sim;
   std::vector<std::pair<int, int>> order;  // (generation, index)
   for (int gen = 0; gen < 8; ++gen) {
     for (int i = 0; i < 24; ++i) {
-      sim.at(10 * (gen + 1), [&order, gen, i] { order.emplace_back(gen, i); });
+      sim.at(10 * (gen + 1),
+             fn([&order, gen, i] { order.emplace_back(gen, i); }));
     }
   }
   sim.run();
@@ -87,6 +92,7 @@ TEST(EventDeterminism, SlotReuseAcrossGenerationsKeepsFifo) {
 // the same instant fire in the order they were scheduled. The controller
 // alternates trigger fires (resume events) with defers (callback events).
 TEST(EventDeterminism, ResumeAndCallbackEventsInterleaveInScheduleOrder) {
+  sim::Closures fn;
   sim::Simulation sim;
   std::vector<int> order;
   std::vector<std::unique_ptr<sim::Trigger>> triggers;
@@ -103,14 +109,15 @@ TEST(EventDeterminism, ResumeAndCallbackEventsInterleaveInScheduleOrder) {
   }
   auto controller = [](sim::Simulation& s,
                        std::vector<std::unique_ptr<sim::Trigger>>& trig,
-                       std::vector<int>& ord) -> sim::Process {
+                       std::vector<int>& ord,
+                       sim::Closures& fn) -> sim::Process {
     co_await s.delay(100);
     for (int i = 0; i < 10; ++i) {
       trig[static_cast<size_t>(i)]->fire();  // resume event, tag 2i
-      s.defer([&ord, i] { ord.push_back(2 * i + 1); });
+      s.defer(fn([&ord, i] { ord.push_back(2 * i + 1); }));
     }
   };
-  sim.spawn(controller(sim, triggers, order));
+  sim.spawn(controller(sim, triggers, order, fn));
   sim.run();
   ASSERT_EQ(order.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -120,6 +127,7 @@ TEST(EventDeterminism, ResumeAndCallbackEventsInterleaveInScheduleOrder) {
 // (with heavy timestamp collisions) and cancel must fire in exactly the
 // (time, schedule-sequence) order of the surviving events.
 TEST(EventDeterminism, RandomizedSoakMatchesReferenceModel) {
+  sim::Closures fn;
   for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234567ull}) {
     sim::Simulation sim;
     SplitMix64 rng(seed);
@@ -142,7 +150,7 @@ TEST(EventDeterminism, RandomizedSoakMatchesReferenceModel) {
         const auto at = static_cast<sim::Time>(rng.next() % 16 + 1);
         const int tag = i;
         const sim::EventId id =
-            sim.at(at, [&fired, tag] { fired.push_back(tag); });
+            sim.at(at, fn([&fired, tag] { fired.push_back(tag); }));
         model.push_back(Ref{at, tag, id});
       }
     }

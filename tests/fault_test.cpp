@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_events.h"
 #include "cluster/cluster.h"
 #include "cluster/dispatcher.h"
 #include "cluster/open_loop.h"
@@ -209,12 +210,13 @@ sim::Process acquire_once(sim::Semaphore& s, bool& granted, bool& done) {
 }
 
 TEST(ClosableSemaphore, CloseWakesParkedWaitersUngranted) {
+  sim::Closures fn;
   sim::Simulation sim;
   sim::Semaphore s(sim, 1);
   bool g1 = false, d1 = false, g2 = false, d2 = false;
   sim.spawn(acquire_once(s, g1, d1));
   sim.spawn(acquire_once(s, g2, d2));  // parks: only one slot
-  sim.after(sim::microseconds(10.0), [&] { s.close(); });
+  sim.after(sim::microseconds(10.0), fn([&] { s.close(); }));
   sim.run();
   EXPECT_TRUE(d1 && g1);   // first grant landed before the close
   EXPECT_TRUE(d2);         // the parked waiter woke...
@@ -263,6 +265,7 @@ struct FaultRunOutput {
 };
 
 FaultRunOutput run_fault_cluster(const FaultRunSpec& rs) {
+  sim::Closures fn;
   DispatcherConfig dc;
   std::string err;
   const auto plan = fault::FaultPlan::parse(rs.faults, &err);
@@ -277,10 +280,11 @@ FaultRunOutput run_fault_cluster(const FaultRunSpec& rs) {
   OpenLoopRunner runner(nodes, make_policy(rs.policy), dc);
   Dispatcher& disp = runner.dispatcher();
   for (const auto& [t, node] : rs.drains) {
-    runner.sim().at(t, [&disp, node = node] { disp.drain_node(node); });
+    runner.sim().at(t, fn([&disp, node = node] { disp.drain_node(node); }));
   }
   for (const auto& [t, node] : rs.reinstates) {
-    runner.sim().at(t, [&disp, node = node] { disp.reinstate_node(node); });
+    runner.sim().at(t,
+                    fn([&disp, node = node] { disp.reinstate_node(node); }));
   }
   ArrivalSource src;
   src.arrival.kind = ArrivalKind::Poisson;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "closure_events.h"
 #include "pcie/pcie_bus.h"
 #include "sim/simulation.h"
 
@@ -83,6 +84,7 @@ TEST(PcieBus, SameDirectionCopiesServeFifo) {
 // "params + flag in one memcpy" protocol would let the GPU schedule a task
 // whose parameters have not landed.
 TEST(PcieBus, IntraTransactionWriteOrderIsNotGuaranteed) {
+  sim::Closures fn;
   struct NaiveEntry {
     int params;
     int ready;
@@ -98,11 +100,11 @@ TEST(PcieBus, IntraTransactionWriteOrderIsNotGuaranteed) {
     bool mid_flight_flag_set_without_params = false;
     // Poll the GPU view mid-flight, like a scheduler warp would.
     for (int t = 1; t < 40; ++t) {
-      sim.after(sim::microseconds(static_cast<double>(t) * 0.2), [&] {
+      sim.after(sim::microseconds(static_cast<double>(t) * 0.2), fn([&] {
         if (gpu.ready == 1 && gpu.params != 42) {
           mid_flight_flag_set_without_params = true;
         }
-      });
+      }));
     }
     bus.copy_two_regions_unordered(
         Direction::HostToDevice, &gpu.params, &cpu.params, sizeof(int),

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "closure_events.h"
 #include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/link.h"
@@ -31,6 +32,7 @@ Process ps_job(PsResource& res, double work, F on_done) {
 class PsResourceProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PsResourceProperty, WorkConservationAndMonotoneCompletion) {
+  Closures fn;
   SplitMix64 rng(GetParam());
   Simulation sim;
   const double capacity = 1.0 + static_cast<double>(rng.next_below(8));
@@ -50,9 +52,9 @@ TEST_P(PsResourceProperty, WorkConservationAndMonotoneCompletion) {
     total_work += j.work;
   }
   for (auto& j : jobs) {
-    sim.at(j.submit, [&res, &j, &sim] {
+    sim.at(j.submit, fn([&res, &j, &sim] {
       sim.spawn(ps_job(res, j.work, [&j, &sim] { j.done = sim.now(); }));
-    });
+    }));
   }
   sim.run();
 
@@ -96,6 +98,7 @@ TEST(PsResourceProperty, EqualJobsCompleteTogetherRegardlessOfCount) {
 class LinkProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LinkProperty, CompletionsAreFifoAndWireConserving) {
+  Closures fn;
   SplitMix64 rng(GetParam());
   Simulation sim;
   Link link(sim, 1e9, microseconds(2.0), nanoseconds(500.0));
@@ -112,11 +115,11 @@ TEST_P(LinkProperty, CompletionsAreFifoAndWireConserving) {
     const Duration jitter =
         static_cast<Duration>(rng.next_below(static_cast<std::uint64_t>(
             microseconds(50.0))));
-    sim.after(jitter, [&link, &completion_order, i, bytes] {
+    sim.after(jitter, fn([&link, &completion_order, i, bytes] {
       link.transfer(bytes, [&completion_order, i] {
         completion_order.push_back(i);
       });
-    });
+    }));
   }
   sim.run();
   ASSERT_EQ(completion_order.size(), static_cast<std::size_t>(kTransfers));
@@ -131,13 +134,15 @@ TEST_P(LinkProperty, CompletionsAreFifoAndWireConserving) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LinkProperty, ::testing::Values(3, 9, 27));
 
 TEST(EventQueueStress, RandomScheduleAndCancel) {
+  Closures fn;
   SplitMix64 rng(99);
   Simulation sim;
   std::vector<Time> fired;
   std::vector<EventId> ids;
   for (int i = 0; i < 2000; ++i) {
     const auto t = static_cast<Time>(rng.next_below(1000000));
-    ids.push_back(sim.at(t, [&fired, &sim] { fired.push_back(sim.now()); }));
+    ids.push_back(
+        sim.at(t, fn([&fired, &sim] { fired.push_back(sim.now()); })));
   }
   // Cancel a random third; a second cancel of the same id must return
   // false and not disturb the accounting.
@@ -184,7 +189,8 @@ TEST(EventQueueStress, MatchesAnOrderedReference) {
       if (r < 30) {
         const Time at = random_time();
         const Key key{at, next_seq++};
-        const EventId id = q.schedule(at, [] {});
+        const EventId id =
+            q.schedule(at, q.reserve_seq(), std::noop_coroutine());
         model.insert(key);
         live[id] = key;
       } else if (r < 38) {
@@ -196,7 +202,7 @@ TEST(EventQueueStress, MatchesAnOrderedReference) {
         reserved.erase(reserved.begin());
         if (key < last) continue;
         const EventId id =
-            q.schedule_resume(key.first, key.second, std::noop_coroutine());
+            q.schedule(key.first, key.second, std::noop_coroutine());
         model.insert(key);
         live[id] = key;
       } else if (r < 55) {
@@ -248,17 +254,18 @@ TEST(EventQueueStress, MatchesAnOrderedReference) {
 
 TEST(Determinism, IdenticalSeedsIdenticalTraces) {
   auto run_once = [](std::uint64_t seed) {
+    Closures fn;
     SplitMix64 rng(seed);
     Simulation sim;
     PsResource res(sim, 3.0, 1.0);
     std::vector<Time> done;
     for (int i = 0; i < 50; ++i) {
       sim.after(static_cast<Duration>(rng.next_below(10000)),
-                [&res, &rng, &done, &sim] {
+                fn([&res, &rng, &done, &sim] {
                   sim.spawn(ps_job(res, 1.0 + rng.next_double(), [&done, &sim] {
                     done.push_back(sim.now());
                   }));
-                });
+                }));
     }
     sim.run();
     return done;

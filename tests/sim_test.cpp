@@ -2,12 +2,16 @@
 // processes, synchronization primitives, processor sharing, links.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "closure_events.h"
 #include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/link.h"
@@ -16,34 +20,157 @@
 #include "sim/simulation.h"
 #include "sim/sync.h"
 
+#ifndef PAGODA_FRAME_POOL_DISABLED
+// Counts heap blocks so the allocation guard below can bound what an event
+// costs. Sanitizer builds keep their own allocator and skip the guard.
+namespace {
+long g_heap_blocks = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_heap_blocks += 1;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+#endif
+
 namespace pagoda::sim {
 namespace {
 
+/// A suspended coroutine that logs `name` when resumed, then frees itself:
+/// a fire callback that logs.
+struct LogOnResume {
+  struct promise_type {
+    LogOnResume get_return_object() {
+      return LogOnResume{
+          std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_never final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() { std::terminate(); }
+  };
+  std::coroutine_handle<> h;
+};
+
+LogOnResume log_on_resume(std::vector<std::string>& log, std::string name) {
+  log.push_back(std::move(name));
+  co_return;
+}
+
+/// A member-continuation event body that logs its tag.
+struct PushTag {
+  std::vector<int>* order;
+  int tag;
+  void run() { order->push_back(tag); }
+};
+
+LogOnResume push_on_resume(std::vector<int>& order, int tag) {
+  order.push_back(tag);
+  co_return;
+}
+
 TEST(EventQueue, FiresInTimeOrder) {
+  Closures fn;
   Simulation sim;
   std::vector<int> order;
-  sim.after(30, [&] { order.push_back(3); });
-  sim.after(10, [&] { order.push_back(1); });
-  sim.after(20, [&] { order.push_back(2); });
+  sim.after(30, fn([&] { order.push_back(3); }));
+  sim.after(10, fn([&] { order.push_back(1); }));
+  sim.after(20, fn([&] { order.push_back(2); }));
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now(), 30);
 }
 
 TEST(EventQueue, SameTimeIsFifo) {
+  Closures fn;
   Simulation sim;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
-    sim.after(5, [&order, i] { order.push_back(i); });
+    sim.after(5, fn([&order, i] { order.push_back(i); }));
   }
   sim.run();
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+
+  // Closure, member and resume events mixed with events at keys reserved in
+  // between but scheduled last: each runs at its seq. At delay 0 the events
+  // go to the same-time lane and the reserved keys behind its back.
+  for (const Duration d : {Duration{0}, Duration{5}}) {
+    order.clear();
+    std::vector<PushTag> tags;
+    tags.reserve(16);
+    std::vector<std::pair<EventKey, int>> reserved;
+    for (int i = 0; i < 16; ++i) {
+      switch (i % 4) {
+        case 0: sim.after(d, fn([&order, i] { order.push_back(i); })); break;
+        case 1:
+          tags.push_back(PushTag{&order, i});
+          sim.after(d, Continuation::member<&PushTag::run>(&tags.back()));
+          break;
+        case 2: sim.after(d, push_on_resume(order, i).h); break;
+        default:
+          reserved.emplace_back(sim.reserve_event(sim.now() + d), i);
+          break;
+      }
+    }
+    for (const auto& [k, i] : reserved) {
+      sim.at(k, fn([&order, i = i] { order.push_back(i); }));
+    }
+    sim.run();
+    ASSERT_EQ(order.size(), 16u) << "delay " << d;
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_EQ(order[static_cast<size_t>(i)], i) << "delay " << d;
+    }
+  }
+}
+
+/// Re-arms itself `left` times, one tick apart.
+struct Ticker {
+  Simulation* sim;
+  int left;
+  void tick() {
+    if (--left > 0) sim->after(1, Continuation::member<&Ticker::tick>(this));
+  }
+};
+
+Process resume_loop(Simulation& sim, int n) {
+  for (int i = 0; i < n; ++i) co_await sim.delay(1);
+}
+
+TEST(EventQueue, SteadyStateEventsAllocateNothing) {
+#ifdef PAGODA_FRAME_POOL_DISABLED
+  GTEST_SKIP() << "sanitizer builds keep their own allocator";
+#else
+  Simulation sim;
+  Ticker t{&sim, 0};
+  auto batch = [&](int n) {
+    t.left = n;
+    sim.after(1, Continuation::member<&Ticker::tick>(&t));
+    sim.spawn(resume_loop(sim, n));
+    sim.run();
+  };
+  batch(100);  // warm the slab, the lane and the frame pool
+  const long before = g_heap_blocks;
+  const Time start = sim.now();
+  batch(10000);  // 10,000 member events and 10,000 resumes
+  const long blocks = g_heap_blocks - before;
+  RecordProperty("heap_blocks_per_20000_events", static_cast<int>(blocks));
+  EXPECT_EQ(t.left, 0);
+  EXPECT_EQ(sim.now() - start, 10000);
+  EXPECT_EQ(blocks, 0);
+#endif
 }
 
 TEST(EventQueue, CancelPreventsFiring) {
+  Closures fn;
   Simulation sim;
   bool fired = false;
-  const EventId id = sim.after(10, [&] { fired = true; });
+  const EventId id = sim.after(10, fn([&] { fired = true; }));
   EXPECT_TRUE(sim.cancel(id));
   EXPECT_FALSE(sim.cancel(id));  // second cancel is a no-op
   sim.run();
@@ -51,19 +178,21 @@ TEST(EventQueue, CancelPreventsFiring) {
 }
 
 TEST(EventQueue, CancelAfterFireIsNoop) {
+  Closures fn;
   Simulation sim;
-  const EventId id = sim.after(1, [] {});
+  const EventId id = sim.after(1, fn([] {}));
   sim.run();
   EXPECT_FALSE(sim.cancel(id));
 }
 
 TEST(EventQueue, EventsCanScheduleEvents) {
+  Closures fn;
   Simulation sim;
   int hits = 0;
-  sim.after(1, [&] {
+  sim.after(1, fn([&] {
     ++hits;
-    sim.after(1, [&] { ++hits; });
-  });
+    sim.after(1, fn([&] { ++hits; }));
+  }));
   sim.run();
   EXPECT_EQ(hits, 2);
   EXPECT_EQ(sim.now(), 2);
@@ -76,13 +205,14 @@ TEST(EventQueue, EventsCanScheduleEvents) {
 /// the double-cancel-across-slab-reuse regression pinned by the explicit
 /// generation check in EventQueue::cancel.
 TEST(EventCancelSlabReuse, StaleIdDoesNotCancelReusedSlot) {
+  Closures fn;
   EventQueue q;
   int fired = 0;
-  const EventId a = q.schedule(10, [&] { fired += 1; });
+  const EventId a = q.schedule(10, q.reserve_seq(), fn([&] { fired += 1; }));
   ASSERT_TRUE(q.cancel(a));
   // The freed slot is recycled (LIFO free list): b lands in a's slab slot
   // with a bumped generation.
-  const EventId b = q.schedule(20, [&] { fired += 10; });
+  const EventId b = q.schedule(20, q.reserve_seq(), fn([&] { fired += 10; }));
   EXPECT_FALSE(q.cancel(a)) << "stale id cancelled a reused slot";
   EXPECT_FALSE(q.cancel(a)) << "double-cancel of a stale id succeeded";
   while (!q.empty()) q.pop().run();
@@ -91,12 +221,13 @@ TEST(EventCancelSlabReuse, StaleIdDoesNotCancelReusedSlot) {
 }
 
 TEST(EventCancelSlabReuse, CancelAfterFireIsRejected) {
+  Closures fn;
   EventQueue q;
-  const EventId a = q.schedule(5, [] {});
+  const EventId a = q.schedule(5, q.reserve_seq(), fn([] {}));
   q.pop().run();
   EXPECT_FALSE(q.cancel(a));
   // And the slot reuse after a natural pop is likewise protected.
-  const EventId b = q.schedule(7, [] {});
+  const EventId b = q.schedule(7, q.reserve_seq(), fn([] {}));
   EXPECT_FALSE(q.cancel(a));
   EXPECT_TRUE(q.cancel(b));
 }
@@ -108,10 +239,11 @@ TEST(EventCancelSlabReuse, ZeroAndForeignIdsAreRejected) {
 }
 
 TEST(Simulation, RunUntilStopsAtTime) {
+  Closures fn;
   Simulation sim;
   int hits = 0;
-  sim.after(10, [&] { ++hits; });
-  sim.after(20, [&] { ++hits; });
+  sim.after(10, fn([&] { ++hits; }));
+  sim.after(20, fn([&] { ++hits; }));
   sim.run_until(15);
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(sim.now(), 15);
@@ -120,20 +252,23 @@ TEST(Simulation, RunUntilStopsAtTime) {
 }
 
 TEST(EventQueue, PoppedCarriesItsSeqAndReservationsSkipOne) {
+  Closures fn;
   EventQueue q;
-  q.schedule(10, [] {});
+  q.schedule(10, q.reserve_seq(), fn([] {}));
   const std::uint64_t reserved = q.reserve_seq();
-  q.schedule(10, [] {});
+  q.schedule(10, q.reserve_seq(), fn([] {}));
   EXPECT_EQ(q.pop().seq, reserved - 1);
   EXPECT_EQ(q.pop().seq, reserved + 1);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, RetimeTakesAFreshSeqAndRetiresTheOldId) {
+  Closures fn;
   EventQueue q;
   std::vector<int> order;
-  const EventId a = q.schedule(10, [&] { order.push_back(1); });
-  q.schedule(10, [&] { order.push_back(2); });
+  const EventId a =
+      q.schedule(10, q.reserve_seq(), fn([&] { order.push_back(1); }));
+  q.schedule(10, q.reserve_seq(), fn([&] { order.push_back(2); }));
   const EventId moved = q.retime(a, 10);
   EXPECT_NE(moved, a);
   EXPECT_FALSE(q.cancel(a)) << "the retired id still cancels";
@@ -155,20 +290,21 @@ Process record_key(Simulation& sim, std::vector<int>& order,
 // A reserved key orders exactly where an event deferred at reservation time
 // would have, however late the event is pushed.
 TEST(Simulation, ReservedKeyOrdersWhereADeferWould) {
+  Closures fn;
   Simulation sim;
   std::vector<int> order;
   EventKey reserved{};
   EventKey ran_at{};
-  sim.after(5, [&] {
-    sim.defer([&] {
+  sim.after(5, fn([&] {
+    sim.defer(fn([&] {
       order.push_back(1);
       // Pushed after events 3 and 4, yet it runs ahead of them.
       sim.spawn(record_key(sim, order, ran_at), reserved);
-    });
+    }));
     reserved = sim.reserve_event();
-    sim.defer([&] { order.push_back(3); });
-    sim.defer([&] { order.push_back(4); });
-  });
+    sim.defer(fn([&] { order.push_back(3); }));
+    sim.defer(fn([&] { order.push_back(4); }));
+  }));
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(ran_at, reserved);
@@ -251,57 +387,29 @@ Process cv_waiter(Condition& cv, int& wakeups) {
 }
 
 TEST(Condition, NotifyAllWakesEveryWaiter) {
+  Closures fn;
   Simulation sim;
   Condition cv(sim);
   int wakeups = 0;
   for (int i = 0; i < 3; ++i) sim.spawn(cv_waiter(cv, wakeups));
-  sim.after(10, [&] { cv.notify_all(); });
+  sim.after(10, fn([&] { cv.notify_all(); }));
   sim.run();
   EXPECT_EQ(wakeups, 3);
 }
 
 TEST(Condition, NotifyOneWakesSingleWaiter) {
+  Closures fn;
   Simulation sim;
   Condition cv(sim);
   int wakeups = 0;
   for (int i = 0; i < 3; ++i) sim.spawn(cv_waiter(cv, wakeups));
-  sim.after(10, [&] { cv.notify_one(); });
+  sim.after(10, fn([&] { cv.notify_one(); }));
   sim.run_until(20);
   EXPECT_EQ(wakeups, 1);
   EXPECT_EQ(cv.waiter_count(), 2u);
   cv.notify_all();
   sim.run();
   EXPECT_EQ(wakeups, 3);
-}
-
-Process timed_waiter(Simulation& sim, Condition& cv, Duration d, bool& result,
-                     Time& at) {
-  result = co_await cv.wait_for(d);
-  at = sim.now();
-}
-
-TEST(Condition, WaitForTimesOut) {
-  Simulation sim;
-  Condition cv(sim);
-  bool notified = true;
-  Time at = -1;
-  sim.spawn(timed_waiter(sim, cv, microseconds(5), notified, at));
-  sim.run();
-  EXPECT_FALSE(notified);
-  EXPECT_EQ(at, microseconds(5));
-  EXPECT_EQ(cv.waiter_count(), 0u);
-}
-
-TEST(Condition, WaitForNotifiedBeforeTimeout) {
-  Simulation sim;
-  Condition cv(sim);
-  bool notified = false;
-  Time at = -1;
-  sim.spawn(timed_waiter(sim, cv, microseconds(5), notified, at));
-  sim.after(microseconds(2), [&] { cv.notify_all(); });
-  sim.run();
-  EXPECT_TRUE(notified);
-  EXPECT_EQ(at, microseconds(2));
 }
 
 // --- SlotCondition ------------------------------------------------------------
@@ -378,11 +486,11 @@ struct WorkerPool {
         case 3:
           // Runs after this event, so after any broadcast it makes next:
           // inside the window where the woken workers have not run yet.
-          sim.defer([this] { hand_off_idle(); });
+          sim.defer(Continuation::member<&WorkerPool::hand_off_idle>(this));
           break;
         case 4:
           // A broadcast inside another broadcast's window.
-          sim.defer([this] { broadcast(); });
+          sim.defer(Continuation::member<&WorkerPool::broadcast>(this));
           break;
         default:
           hand_off_idle();
@@ -407,7 +515,7 @@ std::vector<WorkerPool::Found> run_pool(std::uint64_t seed, bool slotted) {
   Simulation sim;
   WorkerPool pool(sim, kSlots, slotted, seed);
   // Lands before any worker's first run.
-  sim.defer([&pool] { pool.hand_off_idle(); });
+  sim.defer(Continuation::member<&WorkerPool::hand_off_idle>(&pool));
   if (slotted) {
     pool.sc.spawn_deferred([&pool](int s) { return pool.worker(s); });
   } else {
@@ -438,6 +546,7 @@ Process slot_worker(SlotCondition& sc, std::vector<bool>& flag, int s,
 }
 
 TEST(SlotCondition, CreatesAWorkerOnlyOnItsFirstHandOff) {
+  Closures fn;
   Simulation sim;
   SlotCondition sc(sim, 4);
   std::vector<bool> flag(4, false);
@@ -449,20 +558,20 @@ TEST(SlotCondition, CreatesAWorkerOnlyOnItsFirstHandOff) {
   });
   sim.run();
   EXPECT_EQ(made, 0);
-  sim.after(1, [&] {
+  sim.after(1, fn([&] {
     flag[2] = true;
     sc.hand_off(2);
     sc.notify_all();
-  });
+  }));
   sim.run();
   EXPECT_EQ(made, 1);
   EXPECT_EQ(ran, (std::vector<int>{2}));
   // The worker retired: the slot's next hand-off makes a new one.
-  sim.after(1, [&] {
+  sim.after(1, fn([&] {
     flag[2] = true;
     sc.hand_off(2);
     sc.notify_all();
-  });
+  }));
   sim.run();
   EXPECT_EQ(made, 2);
   EXPECT_EQ(ran, (std::vector<int>{2, 2}));
@@ -474,17 +583,54 @@ Process trigger_waiter(Trigger& t, int& wakeups) {
 }
 
 TEST(Trigger, ReleasesCurrentAndFutureWaiters) {
+  Closures fn;
   Simulation sim;
   Trigger t(sim);
   int wakeups = 0;
   sim.spawn(trigger_waiter(t, wakeups));
-  sim.after(10, [&] { t.fire(); });
+  sim.after(10, fn([&] { t.fire(); }));
   sim.run();
   EXPECT_EQ(wakeups, 1);
   EXPECT_TRUE(t.fired());
   sim.spawn(trigger_waiter(t, wakeups));  // already fired: immediate
   sim.run();
   EXPECT_EQ(wakeups, 2);
+}
+
+Process trigger_logger(Trigger& t, std::vector<std::string>& log,
+                       std::string name) {
+  co_await t.wait();
+  log.push_back(std::move(name));
+}
+
+Process trigger_script(Simulation& sim, Trigger& t,
+                       std::vector<std::string>& log) {
+  sim.spawn(trigger_logger(t, log, "w0"));
+  co_await sim.delay(1);  // w0 is parked
+  t.call_on_fire(log_on_resume(log, "c0").h);
+  sim.spawn(trigger_logger(t, log, "w1"));
+  t.call_on_fire(log_on_resume(log, "c1").h);  // before w1 parks
+  co_await sim.delay(1);
+  sim.spawn(trigger_logger(t, log, "w2"));
+  co_await sim.delay(1);
+  t.fire();
+  t.call_on_fire(log_on_resume(log, "c2").h);  // fired: runs next
+  sim.spawn(trigger_logger(t, log, "w3"));     // fired: never parks
+  log.push_back("fired");
+}
+
+// Parked processes and fire callbacks registered interleaved: fire() resumes
+// the processes in park order, then runs the callbacks in registration
+// order; a callback registered once fired runs after them.
+TEST(Trigger, ResumesWaitersThenCallbacksInRegistrationOrder) {
+  Simulation sim;
+  Trigger t(sim);
+  std::vector<std::string> log;
+  sim.spawn(trigger_script(sim, t, log));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"fired", "w0", "w1", "w2", "c0",
+                                           "c1", "c2", "w3"}));
+  EXPECT_EQ(sim.now(), 3);
 }
 
 Process sem_user(Simulation& sim, Semaphore& s, int& active, int& peak) {
@@ -560,14 +706,15 @@ TEST(PsResource, OversubscriptionSharesEqually) {
 }
 
 TEST(PsResource, LateArrivalSlowsEveryone) {
+  Closures fn;
   Simulation sim;
   PsResource res(sim, 1.0, 1.0);  // pure PS, capacity 1
   Time first_done = -1;
   Time second_done = -1;
   sim.spawn(ps_job(res, 1.0, [&] { first_done = sim.now(); }));
-  sim.after(seconds(0.5), [&] {
+  sim.after(seconds(0.5), fn([&] {
     sim.spawn(ps_job(res, 0.25, [&] { second_done = sim.now(); }));
-  });
+  }));
   sim.run();
   // Job A alone for 0.5s (0.5 done). Then shares: both at rate 0.5.
   // Job B needs 0.25 units -> done at 0.5 + 0.5 = 1.0s.
@@ -577,12 +724,13 @@ TEST(PsResource, LateArrivalSlowsEveryone) {
 }
 
 TEST(PsResource, ZeroWorkCompletesImmediately) {
+  Closures fn;
   Simulation sim;
   PsResource res(sim, 1.0, 1.0);
   Time done_at = -1;
-  sim.after(10, [&] {
+  sim.after(10, fn([&] {
     sim.spawn(ps_job(res, 0.0, [&] { done_at = sim.now(); }));
-  });
+  }));
   sim.run();
   EXPECT_EQ(done_at, 10);
 }

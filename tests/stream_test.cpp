@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_events.h"
 #include "gpu/device.h"
 #include "gpu/stream.h"
 #include "sim/frame_pool.h"
@@ -23,7 +24,7 @@ namespace {
 long g_heap_blocks = 0;
 }  // namespace
 
-void* operator new(std::size_t n) {
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_heap_blocks += 1;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
@@ -183,6 +184,7 @@ sim::Process script_copier(sim::Simulation& sim, Stream& s, ScriptLog& log,
 
 // One H2D/D2H/kernel/event script; only the copies' checked-ness varies.
 ScriptLog run_mixed_script(bool checked) {
+  sim::Closures fn;
   sim::Simulation sim;
   Device dev(sim, GpuSpec::titan_x(), test_pcie());
   Stream s(dev);
@@ -194,19 +196,19 @@ ScriptLog run_mixed_script(bool checked) {
   for (int i = 0; i < 6; ++i) {
     sim.spawn(script_copier(sim, s, log, i, checked));
   }
-  sim.after(sim::nanoseconds(300.0), [&] {
+  sim.after(sim::nanoseconds(300.0), fn([&] {
     s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 800,
                    [&] { note("callback"); });
-  });
-  sim.after(sim::nanoseconds(1200.0), [&] {
+  }));
+  sim.after(sim::nanoseconds(1200.0), fn([&] {
     KernelLaunchParams p;
     p.fn = tiny_kernel;
     p.threads_per_block = 32;
-    s.kernel_async(std::move(p))->call_on_fire([&] { note("kernel"); });
-  });
-  sim.after(sim::nanoseconds(2500.0), [&] {
-    s.record_event()->call_on_fire([&] { note("event"); });
-  });
+    s.kernel_async(std::move(p))->call_on_fire(fn([&] { note("kernel"); }));
+  }));
+  sim.after(sim::nanoseconds(2500.0), fn([&] {
+    s.record_event()->call_on_fire(fn([&] { note("event"); }));
+  }));
   sim.run();
   for (const pcie::Direction d :
        {pcie::Direction::HostToDevice, pcie::Direction::DeviceToHost}) {

@@ -492,6 +492,21 @@ copy_grep_clean() {
   fi
 }
 
+event_grep_clean() {
+  # An event body is one sim::Continuation (a function pointer and its
+  # argument): the event queue and the Simulation's scheduling verbs must
+  # not store or take a std::function.
+  echo "==> event body grep"
+  local hits
+  hits=$(grep -n "std::function" src/sim/event_queue.h \
+      src/sim/event_queue.cpp src/sim/simulation.h || true)
+  if [[ -n "${hits}" ]]; then
+    echo "error: std::function in the event queue or its scheduling verbs:" >&2
+    echo "${hits}" >&2
+    exit 1
+  fi
+}
+
 fleet_gate() {
   # Fleet-scale gate: the 1 -> 1,024 node sweep (bench/fleet_scale) must
   # complete inside a wall-clock budget, and the 256- and 1,024-node points
@@ -611,6 +626,7 @@ sched_grep_clean
 power_grep_clean
 vres_grep_clean
 copy_grep_clean
+event_grep_clean
 wallclock_gate build-release
 fleet_gate build-release
 trace_overhead_gate
