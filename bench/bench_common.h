@@ -6,9 +6,13 @@
 //   --threads=N   threads per task (default 128, the paper's Fig 5 setting)
 //   --seed=N      workload generation seed
 //   --compute     run kernels in Compute mode (slow; verifies outputs)
+//
+// Any other argument, --tasks below 1 or --threads outside [1, the
+// platform's max threads per block] is a usage error: exit 1 with a message.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -28,9 +32,11 @@ struct BenchArgs {
   gpu::ExecMode mode;
 
   BenchArgs(int argc, char** argv, int default_tasks)
-      : flags(argc, argv),
-        tasks(static_cast<int>(flags.get_int("tasks", default_tasks))),
-        threads(static_cast<int>(flags.get_int("threads", 128))),
+      : flags(known_flags(argc, argv)),
+        tasks(flags.get_int_in("tasks", default_tasks, 1)),
+        threads(flags.get_int_in(
+            "threads", 128, 1,
+            harness::paper_platform().spec.max_threads_per_block)),
         full(flags.has("full")),
         seed(static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA))),
         mode(flags.has("compute") ? gpu::ExecMode::Compute
@@ -52,6 +58,18 @@ struct BenchArgs {
     baselines::RunConfig r = harness::paper_platform();
     r.mode = mode;
     return r;
+  }
+
+ private:
+  static harness::Flags known_flags(int argc, char** argv) {
+    harness::Flags f(argc, argv);
+    const std::string bad =
+        f.unknown({"tasks", "threads", "full", "seed", "compute"});
+    if (!bad.empty()) {
+      std::fprintf(stderr, "error: unknown argument '%s'\n", bad.c_str());
+      std::exit(1);
+    }
+    return f;
   }
 };
 

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   // This sweep's tasks are up to 64Ki threads each; unlike the other
   // figures, --full extends the THREAD axis (the paper's 65536-thread
   // column) rather than the task count.
-  if (args.full) args.tasks = static_cast<int>(args.flags.get_int("tasks", 256));
+  if (args.full) args.tasks = args.flags.get_int_in("tasks", 256, 1);
   bench::print_header(
       "Figure 8: Pagoda/HyperQ compute-speedup vs input size and threads",
       args);

@@ -120,15 +120,17 @@ void BM_PsResourceSteadyState(benchmark::State& state) {
 BENCHMARK(BM_PsResourceSteadyState);
 
 // The spawn path's copy: small same-direction copies, each with a landing
-// callback, pipelined through one stream onto the H2D link.
+// continuation, pipelined through one stream onto the H2D link.
 void BM_StreamCopy(benchmark::State& state) {
   engine::Session session{engine::SessionConfig{}};
   gpu::Stream stream(session.device());
   int landed = 0;
+  const sim::Continuation count{[](void* n) { ++*static_cast<int*>(n); },
+                                &landed};
   for (auto _ : state) {
     for (int i = 0; i < 256; ++i) {
       stream.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 64,
-                          [&landed] { ++landed; });
+                          count);
     }
     session.sim().run();
   }

@@ -24,6 +24,16 @@ namespace {
 using workloads::TaskSpec;
 
 struct RunState {
+  /// A task's input copy. Its landing releases the copy's data slot and
+  /// spawns the task.
+  struct InputCopy {
+    RunState* st;
+    int idx;
+    void land();
+  };
+
+  const RunConfig& cfg;
+  std::span<const TaskSpec> tasks;
   engine::Session session;
   engine::StagePipeline pipe;
   engine::ResultBuilder marks;  // spawn -> completion times
@@ -38,57 +48,68 @@ struct RunState {
   /// a bound, queued bulk inputs would starve the (FIFO) DMA engine of the
   /// small TaskTable entry copies that drive scheduling.
   sim::Semaphore data_slots;
+  std::vector<InputCopy> input_copies;  // by task index
   /// Host-side spawn-order policy (persists across batch slices so WFQ's
   /// virtual time carries over); fifo leaves slices untouched.
   sched::Policy sched_policy;
   bool done = false;
   sim::Time end_time = 0;
 
-  RunState(const RunConfig& cfg, int num_tasks)
-      : session(pagoda_session(cfg)),
+  RunState(const RunConfig& config, std::span<const TaskSpec> specs)
+      : cfg(config),
+        tasks(specs),
+        session(pagoda_session(cfg)),
         // Stream pools: the Fig 1a OpenMP task pool keeps many copies in
         // flight, hiding per-transaction DMA latency (as HyperQ's 32 streams
         // do).
         pipe(session, {.h2d_streams = 8,
                        .d2h_streams = 4,
                        .spawner_threads = cfg.spawner_threads}),
-        marks(num_tasks),
+        marks(static_cast<int>(tasks.size())),
         drained(session.sim()),
         spawns_cv(session.sim()),
         data_slots(session.sim(), 8),
+        input_copies(tasks.size()),
         sched_policy(cfg.pagoda.sched) {}
 
   sim::Simulation& sim() { return session.sim(); }
   runtime::Runtime& rt() { return session.rt(); }
+
+  void output_landed() {
+    outstanding_d2h -= 1;
+    if (outstanding_d2h == 0 && draining) drained.fire();
+  }
 };
+
+/// Task `idx`'s params with the driver-wide QoS class applied. kStandard
+/// (the default) leaves pre-tagged specs alone, so programmatic mixed-class
+/// task lists survive the stamp.
+runtime::TaskParams tagged_params(const RunState& st, int idx) {
+  runtime::TaskParams p = st.tasks[static_cast<std::size_t>(idx)].params;
+  if (st.cfg.task_class != sched::Class::kStandard) {
+    p.sched_class = static_cast<std::uint8_t>(st.cfg.task_class);
+  }
+  return p;
+}
 
 /// Performs the taskSpawn for one task (invoked once its input copy has
 /// landed). Runs as its own tiny process, modelling the paper's Fig 1a
 /// OpenMP task pool where copies and spawns of different tasks overlap.
-/// Takes the (possibly class-tagged) params by value: the copy-completion
-/// callback outlives the spawner's loop iteration.
-sim::Process spawn_one(RunState& st, runtime::TaskParams p, int idx) {
-  const runtime::TaskHandle h = co_await st.rt().task_spawn(p);
+sim::Process spawn_one(RunState& st, int idx) {
+  const runtime::TaskHandle h =
+      co_await st.rt().task_spawn(tagged_params(st, idx));
   st.entry_to_idx[h.id] = idx;
   st.marks.mark_start(idx, st.sim().now());
   st.pending_spawns -= 1;
   if (st.pending_spawns == 0) st.spawns_cv.notify_all();
 }
 
-/// The spec's params with the driver-wide QoS class applied. kStandard (the
-/// default) leaves pre-tagged specs alone, so programmatic mixed-class task
-/// lists survive the stamp.
-runtime::TaskParams tagged_params(const RunConfig& cfg, const TaskSpec& t) {
-  runtime::TaskParams p = t.params;
-  if (cfg.task_class != sched::Class::kStandard) {
-    p.sched_class = static_cast<std::uint8_t>(cfg.task_class);
-  }
-  return p;
+void RunState::InputCopy::land() {
+  st->data_slots.release();
+  st->sim().spawn(spawn_one(*st, idx));
 }
 
-sim::Process spawner(RunState& st, const RunConfig& cfg,
-                     std::span<const TaskSpec> tasks,
-                     std::span<const int> indices) {
+sim::Process spawner(RunState& st, std::span<const int> indices) {
   // The spawn stream is the first point where arrival order can be
   // overridden (the scheduler warps' claim pass is the second): under a
   // non-fifo policy the slice is reordered by the policy comparator over
@@ -99,8 +120,7 @@ sim::Process spawner(RunState& st, const RunConfig& cfg,
   if (!st.sched_policy.fifo()) {
     std::vector<sched::SchedKey> keys(indices.size());
     for (std::size_t i = 0; i < indices.size(); ++i) {
-      const runtime::TaskParams p =
-          tagged_params(cfg, tasks[static_cast<std::size_t>(indices[i])]);
+      const runtime::TaskParams p = tagged_params(st, indices[i]);
       sched::SchedKey& k = keys[i];
       k.cls = sched::class_from_raw(p.sched_class);
       k.deadline = sched::deadline_from_us(p.deadline_us);
@@ -115,56 +135,50 @@ sim::Process spawner(RunState& st, const RunConfig& cfg,
     order = reordered;
   }
   for (const int idx : order) {
-    const TaskSpec& t = tasks[static_cast<std::size_t>(idx)];
-    const runtime::TaskParams p = tagged_params(cfg, t);
+    const TaskSpec& t = st.tasks[static_cast<std::size_t>(idx)];
     st.pending_spawns += 1;
-    if (cfg.include_data_copies && t.h2d_bytes > 0) {
+    if (st.cfg.include_data_copies && t.h2d_bytes > 0) {
       // Fig 1a copies a task's input before spawning it; with the OpenMP
       // task pool, copies and spawns of *different* tasks overlap (the
       // spawn rides the copy's completion), but only ~pool-size copies are
       // ever in flight (each pool task blocks in its synchronous copy).
       co_await st.data_slots.acquire();
+      const auto i = static_cast<std::size_t>(idx);
+      st.input_copies[i] = {&st, idx};
       co_await st.pipe.copy_staged(
-          st.pipe.h2d_stream(static_cast<std::size_t>(idx)),
-          pcie::Direction::HostToDevice, t.h2d_bytes, [&st, p, idx] {
-            st.data_slots.release();
-            st.sim().spawn(spawn_one(st, p, idx));
-          });
+          st.pipe.h2d_stream(i), pcie::Direction::HostToDevice, t.h2d_bytes,
+          sim::Continuation::member<&RunState::InputCopy::land>(
+              &st.input_copies[i]));
     } else {
-      st.sim().spawn(spawn_one(st, p, idx));
-      co_await st.sim().delay(cfg.host.task_spawn_fill);
+      st.sim().spawn(spawn_one(st, idx));
+      co_await st.sim().delay(st.cfg.host.task_spawn_fill);
     }
   }
 }
 
-sim::Process controller(RunState& st, const RunConfig& cfg,
-                        workloads::Workload& w, int batch, bool batching) {
-  const std::span<const TaskSpec> tasks = w.tasks();
-
+sim::Process controller(RunState& st, workloads::Workload& w, int batch,
+                        bool batching) {
   // Completion observer: record latency and issue the output copy.
   st.rt().set_completion_observer(
-      [&st, &cfg, tasks](runtime::TaskId id, sim::Time t) {
+      [&st](runtime::TaskId id, sim::Time t) {
         const auto it = st.entry_to_idx.find(id);
         if (it == st.entry_to_idx.end()) return;
         const int idx = it->second;
         st.marks.mark_end(idx, t);
-        const TaskSpec& spec = tasks[static_cast<std::size_t>(idx)];
-        if (cfg.include_data_copies && spec.d2h_bytes > 0) {
+        const TaskSpec& spec = st.tasks[static_cast<std::size_t>(idx)];
+        if (st.cfg.include_data_copies && spec.d2h_bytes > 0) {
           st.outstanding_d2h += 1;
           st.pipe.d2h_stream(static_cast<std::size_t>(idx))
-              .memcpy_async(pcie::Direction::DeviceToHost, nullptr, nullptr,
-                            static_cast<std::size_t>(spec.d2h_bytes), [&st] {
-                              st.outstanding_d2h -= 1;
-                              if (st.outstanding_d2h == 0 && st.draining) {
-                                st.drained.fire();
-                              }
-                            });
+              .memcpy_async(
+                  pcie::Direction::DeviceToHost, nullptr, nullptr,
+                  static_cast<std::size_t>(spec.d2h_bytes),
+                  sim::Continuation::member<&RunState::output_landed>(&st));
         }
       });
 
   engine::StagePipeline::WavePlan plan;
-  plan.slice = [&st, &cfg, tasks](std::span<const int> slice) {
-    return spawner(st, cfg, tasks, slice);
+  plan.slice = [&st](std::span<const int> slice) {
+    return spawner(st, slice);
   };
   plan.chunk_size = batching ? std::max(1, batch) : 0;
   plan.after_chunk = [&st, batching]() -> sim::Task<> {
@@ -175,7 +189,7 @@ sim::Process controller(RunState& st, const RunConfig& cfg,
     while (st.pending_spawns > 0) co_await st.spawns_cv.wait();
     co_await st.rt().wait_all();  // wave gate (SLUD dependencies)
   };
-  co_await st.pipe.run_waves(tasks, max_wave(w) + 1, plan);
+  co_await st.pipe.run_waves(st.tasks, max_wave(w) + 1, plan);
 
   // Drain outstanding output copies.
   st.draining = true;
@@ -193,12 +207,11 @@ class PagodaDriver final : public TaskRuntime {
   }
 
   RunResult do_run(workloads::Workload& w, const RunConfig& cfg) override {
-    const auto num_tasks = static_cast<int>(w.tasks().size());
-    RunState st(cfg, num_tasks);
+    RunState st(cfg, w.tasks());
     st.session.start();
     const int batch =
         cfg.batch_size > 0 ? cfg.batch_size : gemtc_worker_count(cfg.spec, w);
-    st.sim().spawn(controller(st, cfg, w, batch, batching_));
+    st.sim().spawn(controller(st, w, batch, batching_));
     st.session.run_until(cfg.time_cap);
 
     st.marks.complete(st.done, st.end_time);

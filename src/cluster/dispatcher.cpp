@@ -72,6 +72,8 @@ Dispatcher::Dispatcher(Cluster& cluster,
   for (int i = 0; i < cluster.size(); ++i) {
     GpuNode& node = cluster.node(i);
     NodeState& ns = node_state_[static_cast<std::size_t>(i)];
+    ns.disp = this;
+    ns.index = i;
     // Virtual admission: the slot queue backpressures on floor(oversub x
     // TaskTable entries) (== entries at oversub 1), so up to (virtual -
     // physical) extra requests per node stage inputs and pipeline behind
@@ -611,9 +613,10 @@ void Dispatcher::on_task_complete(int node_index, runtime::TaskId id) {
 
   if (a.r.d2h_bytes > 0) {
     const auto bytes = static_cast<std::size_t>(a.r.d2h_bytes);
-    cluster_->node(node_index).d2h_stream().memcpy_async(
+    ns.outputs.push_back(std::move(a));
+    node.d2h_stream().memcpy_async(
         pcie::Direction::DeviceToHost, nullptr, nullptr, bytes,
-        [this, node_index, att = std::move(a)] { finalize(node_index, att); });
+        sim::Continuation::member<&NodeState::land_output>(&ns));
   } else {
     finalize(node_index, std::move(a));
   }

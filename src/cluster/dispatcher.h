@@ -84,6 +84,7 @@
 #include "cluster/cluster.h"
 #include "cluster/placement.h"
 #include "cluster/request.h"
+#include "common/fifo.h"
 #include "fault/fault.h"
 #include "fault/plan.h"
 #include "fault/retry.h"
@@ -401,6 +402,12 @@ class Dispatcher {
     int granted = 0;
     int staged = 0;
     int peak_staged = 0;  // the node's maximum over-admission depth
+    /// Attempts whose output copy is on the node's D2H stream, in the
+    /// order the stream lands them: each landing finalizes the front one.
+    common::Fifo<Attempt> outputs;
+    Dispatcher* disp = nullptr;
+    int index = 0;
+    void land_output() { disp->finalize(index, outputs.pop_front()); }
   };
 
   /// A wedged attempt: its TaskTable entry completed GPU-side but the

@@ -1,7 +1,6 @@
 #include "engine/stage_pipeline.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/check.h"
 #include "sim/joinable.h"
@@ -25,10 +24,10 @@ StagePipeline::StagePipeline(Session& session, const Config& cfg)
 
 sim::Task<> StagePipeline::copy_staged(gpu::Stream& s, pcie::Direction dir,
                                        std::int64_t bytes,
-                                       std::function<void()> on_done) {
+                                       sim::Continuation landed) {
   co_await sim_->delay(host_.memcpy_setup);
   s.memcpy_async(dir, nullptr, nullptr, static_cast<std::size_t>(bytes),
-                 std::move(on_done));
+                 landed);
 }
 
 sim::Task<> StagePipeline::copy_sync(gpu::Stream& s, pcie::Direction dir,

@@ -5,9 +5,9 @@
 // pre-port drivers each re-implemented by hand:
 //
 //  * copy stages — `copy_staged` (pay the host memcpy-setup cost, then queue
-//    the transfer fire-and-forget, optionally with a landing callback: the
-//    HyperQ per-task and Pagoda data-path flavor) and `copy_sync` (setup,
-//    transfer, await: the GeMTC/Fusion bulk flavor);
+//    the transfer fire-and-forget, optionally with a landing continuation:
+//    the HyperQ per-task and Pagoda data-path flavor) and `copy_sync`
+//    (setup, transfer, await: the GeMTC/Fusion bulk flavor);
 //  * wave orchestration — `wave_members` / `fan_out` / `run_waves` replicate
 //    the dependency-wave chunk/spawner-split/join loop with per-stage hooks
 //    (`WavePlan::slice` is the execute stage; `after_chunk` / `after_wave`
@@ -64,10 +64,9 @@ class StagePipeline {
 
   // --- copy and launch stages --------------------------------------------
   /// Staged async copy: host memcpy-setup cost, then the transfer queues on
-  /// `s` fire-and-forget. `on_done` (optional) runs when the bytes land.
+  /// `s` fire-and-forget. `landed` (optional) runs when the bytes land.
   sim::Task<> copy_staged(gpu::Stream& s, pcie::Direction dir,
-                          std::int64_t bytes,
-                          std::function<void()> on_done = nullptr);
+                          std::int64_t bytes, sim::Continuation landed = {});
   /// Blocking bulk copy: setup cost, transfer, await completion.
   sim::Task<> copy_sync(gpu::Stream& s, pcie::Direction dir,
                         std::int64_t bytes);

@@ -8,11 +8,12 @@
 // stream has completed (cross-engine stream ordering).
 //
 // An op is a plain record in one FIFO; the copies on the wire are its
-// prefix. A copy is one Link transfer whose completion is a `[this]`
-// closure: the link lands the bytes, then the stream runs the front copy's
-// callback (or resumes its awaiting coroutine) while that copy still counts
-// as in flight, retires it and issues what may follow. So a copy pushed
-// from a landing callback waits for the copy that landed.
+// prefix. A copy is one Link transfer that lands in `land_copy()`: the
+// stream runs the front copy's landing continuation while that copy still
+// counts as in flight, retires it and issues what may follow, so a copy
+// pushed from a landing continuation waits for the copy that landed. An
+// awaited copy's continuation runs the caller's landing action, then
+// defers the caller.
 //
 // The HyperQ baseline follows the paper's setup: 32 streams with
 // CUDA_DEVICE_MAX_CONNECTIONS=32, tasks issued round-robin — at most 32
@@ -22,16 +23,16 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/check.h"
+#include "common/fifo.h"
 #include "gpu/device.h"
 #include "gpu/launch.h"
 #include "pcie/pcie_bus.h"
 #include "sim/sync.h"
+#include "sim/task.h"
 
 namespace pagoda::gpu {
 
@@ -42,27 +43,27 @@ class Stream {
   Stream& operator=(const Stream&) = delete;
 
   /// Enqueues an async memcpy (cudaMemcpyAsync). dst/src may be null when
-  /// the caller only wants the timing (Model mode). on_done, if any, runs at
-  /// the landing instant, after the bytes land.
+  /// the caller only wants the timing (Model mode). `landed`, if set, runs
+  /// at the landing instant, after the bytes land.
   void memcpy_async(pcie::Direction dir, void* dst, const void* src,
-                    std::size_t bytes, std::function<void()> on_done = {}) {
+                    std::size_t bytes, sim::Continuation landed = {}) {
     push(Op{.dir = dir, .dst = dst, .src = src, .bytes = bytes,
-            .on_done = std::move(on_done)});
+            .landed = landed});
   }
 
-  /// Awaitable memcpy (cudaMemcpy from a host process): resumes the caller
-  /// once the bytes have landed.
+  /// Awaitable memcpy (cudaMemcpy from a host process). At the landing
+  /// instant `landed`, if set, runs, then the caller is deferred.
   auto memcpy(pcie::Direction dir, void* dst, const void* src,
-              std::size_t bytes) {
-    return CopyAwaiter{this, dir, dst, src, bytes};
+              std::size_t bytes, sim::Continuation landed = {}) {
+    return CopyAwaiter{this, dir, dst, src, bytes, landed};
   }
 
   /// As memcpy(), but the bus's fault hook judges the transfer when it is
-  /// issued (see PcieBus::copy_checked); yields false for a corrupt copy,
+  /// issued (see PcieBus::copy); yields false for a corrupt copy,
   /// which lands no bytes. Without a hook armed this is memcpy() exactly.
   auto memcpy_checked(pcie::Direction dir, void* dst, const void* src,
-                      std::size_t bytes) {
-    return CopyAwaiter{this, dir, dst, src, bytes, /*checked=*/true};
+                      std::size_t bytes, sim::Continuation landed = {}) {
+    return CopyAwaiter{this, dir, dst, src, bytes, landed, /*checked=*/true};
   }
 
   /// Enqueues a kernel launch; the stream advances when the grid retires.
@@ -83,30 +84,15 @@ class Stream {
     return trig;
   }
 
-  /// Awaitable: completes when all work enqueued so far has finished
+  /// Completes when all work enqueued so far has finished
   /// (cudaStreamSynchronize).
-  auto synchronize() {
-    struct Awaiter {
-      Stream* stream;
-      std::shared_ptr<sim::Trigger> trig;
-      bool await_ready() {
-        if (stream->idle()) return true;
-        trig = stream->record_event();
-        return trig->fired();
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        trig->wait().await_suspend(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, nullptr};
+  sim::Task<> synchronize() {
+    if (!idle()) co_await record_event()->wait();
   }
 
-  bool idle() const { return head_ == ops_.size(); }
+  bool idle() const { return ops_.empty(); }
 
  private:
-  struct CopyAwaiter;
-
   /// One queued or running op. Every field has a default, so each kind
   /// names only the fields it uses.
   struct Op {
@@ -117,29 +103,36 @@ class Stream {
     void* dst = nullptr;
     const void* src = nullptr;
     std::size_t bytes = 0;
-    std::function<void()> on_done = {};  // runs at landing, or
-    CopyAwaiter* awaiter = nullptr;      // is resumed; in the caller's frame
+    sim::Continuation landed = {};  // runs at landing, if set
+    bool* verdict = nullptr;        // set: a checked copy's verdict goes here
     // kKernel / kEvent
     std::unique_ptr<KernelLaunchParams> params = {};
     std::shared_ptr<sim::Trigger> trig = {};  // fires at completion
   };
 
-  struct CopyAwaiter {
+  struct CopyAwaiter {  // in the awaiting frame until the copy lands
     Stream* stream;
     pcie::Direction dir;
     void* dst;
     const void* src;
     std::size_t bytes;
-    bool checked = false;  // ask the bus's fault hook at issue
-    bool ok = true;        // the checked copy's verdict
+    sim::Continuation landed;  // the caller's landing action, if set
+    bool checked = false;      // ask the bus's fault hook at issue
+    bool ok = true;            // the checked copy's verdict
     std::coroutine_handle<> caller = {};
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
       caller = h;
       stream->push(Op{.dir = dir, .dst = dst, .src = src, .bytes = bytes,
-                      .awaiter = this});
+                      .landed = sim::Continuation::member<&CopyAwaiter::land>(
+                          this),
+                      .verdict = checked ? &ok : nullptr});
     }
     bool await_resume() const noexcept { return ok; }
+    void land() {
+      if (landed) landed();
+      stream->dev_->sim().defer(caller);
+    }
   };
 
   void push(Op op) {
@@ -147,30 +140,15 @@ class Stream {
     pump();
   }
 
-  /// Retires the front op. The buffer keeps its capacity, so a steady
-  /// stream allocates nothing: it is cleared once drained and compacted
-  /// once the retired prefix passes half of it.
-  void pop_front() {
-    ops_[head_++] = Op{};
-    if (head_ == ops_.size()) {
-      ops_.clear();
-      head_ = 0;
-    } else if (2 * head_ > ops_.size()) {
-      ops_.erase(ops_.begin(),
-                 ops_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-  }
-
-  /// Starts ops_[head_ + started_] onward while the stream's order allows.
+  /// Starts ops_[started_] onward while the stream's order allows.
   void pump() {
-    while (head_ + started_ < ops_.size()) {
-      Op& op = ops_[head_ + started_];
+    while (started_ < ops_.size()) {
+      Op& op = ops_[started_];
       if (started_ > 0) {
         // Only a same-direction copy may join copies already on the wire
         // (the DMA engine's FIFO keeps the stream's order); anything else
         // waits for every issued op to complete.
-        const Op& front = ops_[head_];
+        const Op& front = ops_.front();
         if (op.kind != Op::Kind::kCopy || front.kind != Op::Kind::kCopy ||
             op.dir != front.dir) {
           return;
@@ -178,20 +156,17 @@ class Stream {
       }
       switch (op.kind) {
         case Op::Kind::kCopy: {
-          pcie::PcieBus& bus = dev_->pcie();
-          auto land = [this] { land_copy(); };
-          if (op.awaiter != nullptr && op.awaiter->checked) {
-            op.awaiter->ok =
-                bus.copy_checked(op.dir, op.dst, op.src, op.bytes, land);
-          } else {
-            bus.copy(op.dir, op.dst, op.src, op.bytes, land);
-          }
+          const bool ok = dev_->pcie().copy(
+              op.dir, op.dst, op.src, op.bytes,
+              sim::Continuation::member<&Stream::land_copy>(this),
+              /*checked=*/op.verdict != nullptr);
+          if (op.verdict != nullptr) *op.verdict = ok;
           started_ += 1;
           break;
         }
         case Op::Kind::kEvent:
           op.trig->fire();
-          pop_front();
+          ops_.pop_front();
           break;
         case Op::Kind::kKernel:
           kernel_ = dev_->dispatcher().launch(std::move(*op.params));
@@ -203,32 +178,26 @@ class Stream {
     }
   }
 
-  /// The front copy landed: its callback sees it still in flight.
+  /// The front copy landed: its landing continuation sees it still in
+  /// flight. Copied out first: a push from it may move ops_.
   void land_copy() {
-    Op& op = ops_[head_];
-    if (op.awaiter != nullptr) {
-      dev_->sim().defer(op.awaiter->caller);
-    } else if (op.on_done) {
-      // Moved out first: a push from the callback may move ops_.
-      const std::function<void()> on_done = std::move(op.on_done);
-      on_done();
-    }
-    pop_front();
+    const sim::Continuation landed = ops_.front().landed;
+    if (landed) landed();
+    ops_.pop_front();
     started_ -= 1;
     pump();
   }
 
   void retire_kernel() {
-    ops_[head_].trig->fire();
-    pop_front();
+    ops_.front().trig->fire();
+    ops_.pop_front();
     kernel_.reset();
     started_ = 0;
     pump();
   }
 
   Device* dev_;
-  std::vector<Op> ops_;  // FIFO from head_; the first started_ are running
-  std::size_t head_ = 0;
+  common::Fifo<Op> ops_;  // the first started_ are running
   std::size_t started_ = 0;
   KernelExecutionPtr kernel_;    // the running grid, kept until it retires
 };

@@ -1,8 +1,5 @@
 #include "pagoda/runtime.h"
 
-#include <memory>
-#include <utility>
-
 #include "common/check.h"
 
 namespace pagoda::runtime {
@@ -119,22 +116,22 @@ sim::Task<TaskHandle> Runtime::task_spawn(TaskParams params) {
     // parameters are guaranteed to land first) a second transaction sets
     // the task schedulable. Two memcpys per task instead of one.
     entry.ready = kReadyParamsCopied;
-    co_await copy_entry_to_gpu_locked(id);
+    copy_entry_to_gpu_locked(id);
     entry.ready = kReadyScheduling;
     entry.sched = 1;
     co_await sim().delay(hc_.memcpy_setup);
-    co_await copy_entry_to_gpu_locked(id);
+    copy_entry_to_gpu_locked(id);
   } else {
     entry.ready = last_spawned_.has_value() ? *last_spawned_
                                             : kReadyParamsCopied;
     last_spawned_ = id;
-    co_await copy_entry_to_gpu_locked(id);
+    copy_entry_to_gpu_locked(id);
   }
   spawn_lock_.release();
   co_return TaskHandle{id, gen, uid_};
 }
 
-sim::Task<> Runtime::copy_entry_to_gpu_locked(TaskId id) {
+void Runtime::copy_entry_to_gpu_locked(TaskId id) {
   // One cudaMemcpyAsync per spawned task (steady state) on the spawn
   // stream; stream order is what makes the ready-field pipelining sound.
   // (The host-side setup cost is charged by the caller, outside the lock
@@ -142,15 +139,19 @@ sim::Task<> Runtime::copy_entry_to_gpu_locked(TaskId id) {
   // cudaMemcpyAsync staging semantics — so a later host-side update of the
   // same entry (e.g. the two-copy ablation's flag write, or a flush) cannot
   // retroactively change bytes of a copy already in flight. Both regions
-  // of the GPU entry (status and params) land in the completion callback.
-  auto snapshot = std::make_shared<TaskEntry>(cpu_table_.load(id));
-  table_stream_.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr,
-                             kEntryCopyBytes, [this, id, snapshot] {
-                               gpu_table_.store(id, *snapshot);
-                               mk_.on_entry_copied(id);
-                             });
+  // of the GPU entry (status and params) land from the snapshot at the
+  // landing instant.
+  entry_copies_.push_back({id, cpu_table_.load(id)});
+  table_stream_.memcpy_async(
+      pcie::Direction::HostToDevice, nullptr, nullptr, kEntryCopyBytes,
+      sim::Continuation::member<&Runtime::land_entry>(this));
   stats_.entry_copies += 1;
-  co_return;
+}
+
+void Runtime::land_entry() {
+  const EntryCopy c = entry_copies_.pop_front();
+  gpu_table_.store(c.id, c.entry);
+  mk_.on_entry_copied(c.id);
 }
 
 sim::Task<> Runtime::flush_last_locked() {
@@ -166,14 +167,29 @@ sim::Task<> Runtime::flush_last_locked() {
     stats_.flushes += 1;
     trace(TraceKind::kFlushed, id);
     co_await sim().delay(hc_.memcpy_setup);
-    co_await copy_entry_to_gpu_locked(id);
+    copy_entry_to_gpu_locked(id);
   }
   // Any other state: the entry's own H2D copy has not landed yet, or a
   // successor released it already; retry on the caller's next poll.
 }
 
-void Runtime::land_status(std::size_t idx) {
-  staging_[idx] = gpu_table_.status(static_cast<TaskId>(idx) + kFirstTaskId);
+void Runtime::land_statuses() {
+  for (std::size_t i = 0; i < staging_.size(); ++i) {
+    staging_[i] = gpu_table_.status(static_cast<TaskId>(i) + kFirstTaskId);
+  }
+}
+
+void Runtime::EntryLanding::revoke() {
+  EntryStatus& ge = rt->gpu_table_.status(id);
+  const bool released_unclaimed =
+      ge.ready == kReadyScheduling && ge.sched == 1;
+  const bool parked_last = ge.ready == kReadyParamsCopied && ge.sched == 0 &&
+                           rt->last_spawned_ == id;
+  if (released_unclaimed || parked_last) {
+    ge = {kReadyFree, 0};
+    if (parked_last) rt->last_spawned_.reset();
+    won = true;
+  }
 }
 
 sim::Task<> Runtime::copy_back_all_locked() {
@@ -181,14 +197,10 @@ sim::Task<> Runtime::copy_back_all_locked() {
   std::vector<std::uint64_t>& gens = copy_back_gens_;
   gens.assign(generation_.begin(), generation_.end());
   co_await sim().delay(hc_.memcpy_setup);
-  auto trig = std::make_shared<sim::Trigger>(sim());
-  table_stream_.memcpy_async(
+  co_await table_stream_.memcpy(
       pcie::Direction::DeviceToHost, nullptr, nullptr,
-      staging_.size() * sizeof(TaskEntry), [this, trig] {
-        for (std::size_t i = 0; i < staging_.size(); ++i) land_status(i);
-        trig->fire();
-      });
-  co_await trig->wait();
+      staging_.size() * sizeof(TaskEntry),
+      sim::Continuation::member<&Runtime::land_statuses>(this));
   // Apply: only transitions to Free, and only for entries the host did not
   // re-spawn into while the copy was in flight.
   for (int idx = 0; idx < cpu_table_.size(); ++idx) {
@@ -208,13 +220,10 @@ sim::Task<> Runtime::copy_back_entry_locked(TaskId id) {
   const std::size_t idx = static_cast<std::size_t>(id - kFirstTaskId);
   const std::uint64_t gen = generation_[idx];
   co_await sim().delay(hc_.memcpy_setup);
-  auto trig = std::make_shared<sim::Trigger>(sim());
-  table_stream_.memcpy_async(pcie::Direction::DeviceToHost, nullptr, nullptr,
-                             sizeof(TaskEntry), [this, idx, trig] {
-                               land_status(idx);
-                               trig->fire();
-                             });
-  co_await trig->wait();
+  EntryLanding landing{this, id};
+  co_await table_stream_.memcpy(
+      pcie::Direction::DeviceToHost, nullptr, nullptr, sizeof(TaskEntry),
+      sim::Continuation::member<&EntryLanding::copy_back>(&landing));
   if (gen == generation_[idx] && staging_[idx].ready == kReadyFree) {
     EntryStatus& ce = cpu_table_.status(id);
     if (ce.ready != kReadyFree) {
@@ -290,32 +299,16 @@ sim::Task<bool> Runtime::try_revoke(TaskHandle h) {
   }
   // The revoke rides the table stream like a spawn copy: one entry-sized
   // H2D transaction whose landing instant is where the decision is taken.
-  // The transaction carries no host bytes: its landing callback writes only
+  // The transaction carries no host bytes: its landing action writes only
   // the status words, so a lost race never clobbers a claimed task's
   // descriptor.
   co_await sim().delay(hc_.memcpy_setup);
-  const TaskId id = h.id;
-  auto won = std::make_shared<bool>(false);
-  auto trig = std::make_shared<sim::Trigger>(sim());
-  table_stream_.memcpy_async(
-      pcie::Direction::HostToDevice, nullptr, nullptr, kEntryCopyBytes,
-      [this, id, won, trig] {
-        EntryStatus& ge = gpu_table_.status(id);
-        const bool released_unclaimed =
-            ge.ready == kReadyScheduling && ge.sched == 1;
-        const bool parked_last = ge.ready == kReadyParamsCopied &&
-                                 ge.sched == 0 && last_spawned_.has_value() &&
-                                 *last_spawned_ == id;
-        if (released_unclaimed || parked_last) {
-          ge = {kReadyFree, 0};
-          if (parked_last) last_spawned_.reset();
-          *won = true;
-        }
-        trig->fire();
-      });
+  EntryLanding landing{this, h.id};
   stats_.entry_copies += 1;
-  co_await trig->wait();
-  if (*won) {
+  co_await table_stream_.memcpy(
+      pcie::Direction::HostToDevice, nullptr, nullptr, kEntryCopyBytes,
+      sim::Continuation::member<&EntryLanding::revoke>(&landing));
+  if (landing.won) {
     cpu_table_.status(h.id).ready = kReadyFree;
     generation_[idx] += 1;  // the revoked handle must report done, not alias
     stats_.revokes += 1;
@@ -324,7 +317,7 @@ sim::Task<bool> Runtime::try_revoke(TaskHandle h) {
     stats_.revoke_declines += 1;
   }
   spawn_lock_.release();
-  co_return *won;
+  co_return landing.won;
 }
 
 sim::Task<> Runtime::wait_all() {

@@ -30,6 +30,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/fifo.h"
 #include "gpu/device.h"
 #include "gpu/stream.h"
 #include "host/host_api.h"
@@ -158,7 +159,7 @@ class Runtime {
   sim::Task<> flush_last_locked();
   sim::Task<> copy_back_all_locked();
   sim::Task<> copy_back_entry_locked(TaskId id);
-  sim::Task<> copy_entry_to_gpu_locked(TaskId id);
+  void copy_entry_to_gpu_locked(TaskId id);
 
   gpu::Device& dev_;
   std::uint64_t uid_;
@@ -191,7 +192,29 @@ class Runtime {
   /// gathered from the GPU table at the landing instant. The wire is still
   /// charged whole TaskEntry bytes; the host only ever reads these.
   std::vector<EntryStatus> staging_;
-  void land_status(std::size_t idx);  // staging_[idx] <- the GPU entry
+  void land_statuses();  // every staging_ entry <- the GPU table
+
+  /// An entry copy in flight: the entry as it was at issue.
+  struct EntryCopy {
+    TaskId id;
+    TaskEntry entry;
+  };
+  /// Entry copies in issue order. The table stream lands them in that
+  /// order, so each landing stores the front one (land_entry()).
+  common::Fifo<EntryCopy> entry_copies_;
+  void land_entry();
+
+  /// A one-entry table-stream landing; it lives in the awaiting frame.
+  struct EntryLanding {
+    Runtime* rt;
+    TaskId id;
+    bool won = false;  // revoke() freed the entry before a claim
+    void copy_back() {
+      rt->staging_[static_cast<std::size_t>(id - kFirstTaskId)] =
+          rt->gpu_table_.status(id);
+    }
+    void revoke();  // frees a released-but-unclaimed or parked-last entry
+  };
 };
 
 }  // namespace pagoda::runtime

@@ -9,16 +9,18 @@
 //    to the GPU in any order. Transactions issued on the same CUDA stream
 //    complete in order.
 //
-// The engine honors both: bytes land (and the completion fires) only when a
-// transfer's time cost has elapsed, and copy_two_regions_unordered() exposes
-// the intra-transaction hazard by making one region's bytes visible at an
-// intermediate time, which PcieBus.IntraTransactionWriteOrderIsNotGuaranteed
-// (tests/pcie_test.cpp) exercises.
+// The engine honors both: bytes land (and the copy's landing continuation
+// runs) only when a transfer's time cost has elapsed, and
+// copy_two_regions_unordered() exposes the intra-transaction hazard by
+// making one region's bytes visible at an intermediate time, which
+// PcieBus.IntraTransactionWriteOrderIsNotGuaranteed (tests/pcie_test.cpp)
+// exercises.
 #pragma once
 
 #include <cstddef>
 #include <cstring>
 #include <functional>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -52,15 +54,6 @@ class PcieBus {
     return d == Direction::HostToDevice ? h2d_ : d2h_;
   }
 
-  /// Timed copy with real byte transport: dst/src may be null (model mode,
-  /// no data movement) or point to `bytes` valid bytes. Bytes land when the
-  /// transfer completes, then on_done fires.
-  void copy(Direction dir, void* dst, const void* src, std::size_t bytes,
-            std::function<void()> on_done) {
-    link(dir).transfer(static_cast<std::int64_t>(bytes), std::move(on_done),
-                       dst, src);
-  }
-
   /// Fault-injection hook for *payload* transfers (the serving layer's data
   /// copies — never the TaskTable protocol stream): consulted once per
   /// checked copy at issue time; returning true marks that copy corrupt.
@@ -72,16 +65,18 @@ class PcieBus {
 
   std::int64_t transfer_faults() const { return transfer_faults_; }
 
-  /// copy() that first asks the fault hook; returns the transfer's verdict.
-  /// A corrupt copy keeps its wire slot and completion but lands no bytes.
-  /// With no hook armed this is exactly copy() and returns true, so
-  /// fault-free runs are byte-identical.
-  bool copy_checked(Direction dir, void* dst, const void* src,
-                    std::size_t bytes, std::function<void()> on_done) {
-    const bool ok =
-        !fault_fn_ || !fault_fn_(dir, static_cast<std::int64_t>(bytes));
+  /// Timed copy with real byte transport: dst/src may be null (model mode,
+  /// no data movement) or point to `bytes` valid bytes. Bytes land when the
+  /// transfer completes, then `landed` (if set) runs. A `checked` copy first
+  /// asks the fault hook: a corrupt one keeps its wire slot and landing but
+  /// lands no bytes. Returns the verdict, true unless the hook judged the
+  /// copy corrupt, so with no hook armed fault-free runs are byte-identical.
+  bool copy(Direction dir, void* dst, const void* src, std::size_t bytes,
+            sim::Continuation landed, bool checked = false) {
+    const auto n = static_cast<std::int64_t>(bytes);
+    const bool ok = !checked || !fault_fn_ || !fault_fn_(dir, n);
     if (!ok) transfer_faults_ += 1;
-    copy(dir, ok ? dst : nullptr, src, bytes, std::move(on_done));
+    link(dir).transfer(n, landed, ok ? dst : nullptr, src);
     return ok;
   }
 
@@ -92,38 +87,38 @@ class PcieBus {
   void copy_two_regions_unordered(Direction dir, void* dst_a,
                                   const void* src_a, std::size_t bytes_a,
                                   void* dst_b, const void* src_b,
-                                  std::size_t bytes_b, std::uint64_t seed,
-                                  std::function<void()> on_done) {
+                                  std::size_t bytes_b, std::uint64_t seed) {
     const std::size_t total = bytes_a + bytes_b;
     // Deterministically pick which region becomes visible first.
     const bool b_first = (hash_index(seed, reorder_counter_++) & 1) != 0;
     // Both regions land by completion; visibility order differed mid-flight.
     link(dir).transfer(static_cast<std::int64_t>(total),
-                       [=, done = std::move(on_done)] {
-                         if (dst_a && src_a) std::memcpy(dst_a, src_a, bytes_a);
-                         if (dst_b && src_b) std::memcpy(dst_b, src_b, bytes_b);
-                         done();
-                       });
+                       {&Write::land, new Write{dst_a, src_a, bytes_a,
+                                                new Write{dst_b, src_b,
+                                                          bytes_b}}});
     // Mid-flight visibility: expose one region at half the wire time.
     const auto early = static_cast<sim::Duration>(
         link(dir).latency() +
         static_cast<sim::Duration>(1e12 * static_cast<double>(total) / 2.0 /
                                    link(dir).bandwidth()));
-    auto* w = b_first ? new EarlyWrite{dst_b, src_b, bytes_b}
-                      : new EarlyWrite{dst_a, src_a, bytes_a};
-    sim_->after(early, {&EarlyWrite::land, w});
+    auto* w = b_first ? new Write{dst_b, src_b, bytes_b}
+                      : new Write{dst_a, src_a, bytes_a};
+    sim_->after(early, {&Write::land, w});
   }
 
  private:
-  /// A region an unordered copy exposes mid-flight; frees itself on landing.
-  struct EarlyWrite {
+  /// A region an unordered copy writes at one event, then the chained one,
+  /// if any; each frees itself once written.
+  struct Write {
     void* dst;
     const void* src;
     std::size_t bytes;
+    Write* then = nullptr;
     static void land(void* p) {
-      const auto* w = static_cast<EarlyWrite*>(p);
-      if (w->dst && w->src) std::memcpy(w->dst, w->src, w->bytes);
-      delete w;
+      for (auto* w = static_cast<Write*>(p); w != nullptr;) {
+        if (w->dst && w->src) std::memcpy(w->dst, w->src, w->bytes);
+        delete std::exchange(w, w->then);
+      }
     }
   };
 

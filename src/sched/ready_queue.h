@@ -1,10 +1,10 @@
 // Policy-ordered counting slot queue: the admission queue of the stack.
 //
-// ReadyQueue is sim::Semaphore with a Policy deciding which parked waiter a
-// released slot goes to. Under the fifo policy it reproduces the semaphore's
-// event order byte-for-byte: same fast path in await_ready, same deque-order
-// wakeups on close(), same deferred-resume handoff — only the struct carrying
-// the grant result differs, which is invisible to the simulator.
+// ReadyQueue is a counting slot queue (sim::Semaphore's fast path in
+// await_ready and deferred-resume handoff) with a Policy deciding which
+// parked waiter a released slot goes to, and a grant verdict: close() wakes
+// every parked waiter ungranted, in arrival order. Under the fifo policy a
+// grant follows the semaphore's event order byte-for-byte.
 //
 // Extensions over the semaphore:
 //   - acquire(key) carries a SchedKey; release() grants the best parked key
@@ -79,8 +79,8 @@ class ReadyQueue {
     }
   }
 
-  /// Wakes every parked acquirer ungranted (in arrival order, matching
-  /// Semaphore::close) and fails later acquires until reopen(). Outstanding
+  /// Wakes every parked acquirer ungranted (in arrival order, whatever the
+  /// policy) and fails later acquires until reopen(). Outstanding
   /// grants still release() into count_, so the pool is whole at reopen().
   void close() {
     closed_ = true;

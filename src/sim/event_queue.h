@@ -66,6 +66,7 @@ struct Continuation {
   }
 
   void operator()() const { fn(arg); }
+  explicit operator bool() const { return fn != nullptr; }  // false if {}
 
  private:
   static void resume(void* address) {

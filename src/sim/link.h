@@ -9,16 +9,17 @@
 // makes Pagoda's one-small-memcpy-per-task spawn path fast, while each
 // isolated copy still observes the full round-trip latency (§4.2's
 // "handshaking is expensive").
+//
+// A transfer's landing is one Continuation, run in the landing event right
+// after the bytes land.
 #pragma once
 
 #include <cstring>
 #include <functional>
-#include <memory>
-#include <utility>
 
 #include "common/check.h"
+#include "common/fifo.h"
 #include "common/time_types.h"
-#include "sim/frame_pool.h"
 #include "sim/simulation.h"
 
 namespace pagoda::sim {
@@ -37,12 +38,9 @@ class Link {
   }
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
-  ~Link() {
-    while (head_ != nullptr) delete std::exchange(head_, head_->next);
-  }
 
   /// A completed transfer, as reported to the observer hook: wire slot
-  /// [wire_start, wire_end], bytes landed (and on_done fired) at `complete`.
+  /// [wire_start, wire_end], bytes landed (and `landed` ran) at `complete`.
   struct TransferRecord {
     std::int64_t bytes = 0;
     Time wire_start = 0;
@@ -56,11 +54,12 @@ class Link {
     observer_ = std::move(obs);
   }
 
-  /// Starts a transfer of `bytes`; on_done fires when the last byte lands.
-  /// Transfers on one link complete in issue order (FIFO engine). With both
-  /// dst and src set, the bytes are copied at landing, just before on_done.
-  void transfer(std::int64_t bytes, std::function<void()> on_done,
-                void* dst = nullptr, const void* src = nullptr) {
+  /// Starts a transfer of `bytes`; `landed` (if set) runs when the last
+  /// byte lands. Transfers on one link complete in issue order (FIFO
+  /// engine). With both dst and src set, the bytes are copied at landing,
+  /// just before `landed` runs.
+  void transfer(std::int64_t bytes, Continuation landed, void* dst = nullptr,
+                const void* src = nullptr) {
     PAGODA_CHECK(bytes >= 0);
     const Time start = std::max(sim_->now(), next_free_);
     const auto wire = std::max(
@@ -72,10 +71,8 @@ class Link {
     bytes_transferred_ += bytes;
     // complete never decreases in issue order (FIFO engine, fixed latency),
     // so each event lands the oldest pending record.
-    auto* p = new Pending{{}, bytes, start, next_free_, dst, src,
-                          std::move(on_done)};
-    (tail_ != nullptr ? tail_->next : head_) = p;
-    tail_ = p;
+    pending_.push_back(
+        {{bytes, start, next_free_, next_free_ + latency_}, dst, src, landed});
     sim_->at(next_free_ + latency_,
              Continuation::member<&Link::land_front>(this));
   }
@@ -99,37 +96,24 @@ class Link {
   std::int64_t transfers_started() const { return transfers_started_; }
   std::int64_t transfers_completed() const { return transfers_completed_; }
   std::int64_t bytes_transferred() const { return bytes_transferred_; }
-  int in_flight() const {
-    return static_cast<int>(transfers_started_ - transfers_completed_);
-  }
 
  private:
-  /// A transfer on the wire or in flight. Records recycle through the
-  /// frame pool, so a transfer allocates nothing in steady state and an
-  /// idle link holds no buffer.
-  struct Pending : PooledFrame {
-    std::int64_t bytes;
-    Time wire_start;
-    Time wire_end;
+  /// A transfer on the wire or in flight.
+  struct Pending {
+    TransferRecord record;
     void* dst;
     const void* src;
-    std::function<void()> on_done;
-    Pending* next = nullptr;
+    Continuation landed;
   };
 
   void land_front() {
-    const std::unique_ptr<Pending> p(head_);
-    head_ = p->next;
-    if (head_ == nullptr) tail_ = nullptr;
+    const Pending p = pending_.pop_front();
     transfers_completed_ += 1;
-    if (observer_) {
-      observer_(TransferRecord{p->bytes, p->wire_start, p->wire_end,
-                               p->wire_end + latency_});
+    if (observer_) observer_(p.record);
+    if (p.dst != nullptr && p.src != nullptr && p.record.bytes > 0) {
+      std::memcpy(p.dst, p.src, static_cast<std::size_t>(p.record.bytes));
     }
-    if (p->dst != nullptr && p->src != nullptr && p->bytes > 0) {
-      std::memcpy(p->dst, p->src, static_cast<std::size_t>(p->bytes));
-    }
-    p->on_done();
+    if (p.landed) p.landed();
   }
 
   Simulation* sim_;
@@ -143,8 +127,7 @@ class Link {
   std::int64_t transfers_completed_ = 0;
   std::int64_t bytes_transferred_ = 0;
   std::function<void(const TransferRecord&)> observer_;
-  Pending* head_ = nullptr;  // oldest pending transfer; FIFO via next
-  Pending* tail_ = nullptr;
+  common::Fifo<Pending> pending_;  // oldest first
 };
 
 }  // namespace pagoda::sim

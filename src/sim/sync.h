@@ -211,13 +211,6 @@ class Trigger {
 };
 
 /// Counting semaphore with FIFO grant order.
-///
-/// acquire() yields true when a slot was granted. A semaphore can be
-/// close()d — used by the fault layer to model a resource pool whose backing
-/// node died: every parked acquirer wakes with false (no slot held), and
-/// later acquires return false immediately until reopen(). Callers that
-/// never close (the common case) can ignore the result; the grant then is
-/// unconditional and behavior is identical to a plain counting semaphore.
 class Semaphore {
  public:
   Semaphore(Simulation& sim, std::int64_t initial)
@@ -227,67 +220,41 @@ class Semaphore {
   Semaphore(const Semaphore&) = delete;
   Semaphore& operator=(const Semaphore&) = delete;
   ~Semaphore() {
-    for (const Waiter& w : waiters_) w.handle.destroy();
+    for (const std::coroutine_handle<> h : waiters_) h.destroy();
   }
 
   auto acquire() {
     struct Awaiter {
       Semaphore* s;
-      bool granted = false;
       bool await_ready() noexcept {
-        if (s->closed_) return true;  // granted stays false
         if (s->count_ > 0 && s->waiters_.empty()) {
           --s->count_;
-          granted = true;
           return true;
         }
         return false;
       }
       void await_suspend(std::coroutine_handle<> h) {
-        s->waiters_.push_back(Waiter{h, &granted});
+        s->waiters_.push_back(h);
       }
-      bool await_resume() const noexcept { return granted; }
+      void await_resume() const noexcept {}
     };
     return Awaiter{this};
   }
 
   void release() {
     if (!waiters_.empty()) {
-      const Waiter w = waiters_.front();
+      const std::coroutine_handle<> h = waiters_.front();
       waiters_.pop_front();
-      *w.granted = true;
-      sim_->defer(w.handle);
+      sim_->defer(h);
     } else {
       ++count_;
     }
   }
 
-  /// Wakes every parked acquirer with granted == false and fails subsequent
-  /// acquires until reopen(). Slots already granted stay granted; their
-  /// releases accumulate in count_ as usual, so the pool is whole again at
-  /// reopen() once every outstanding grant has been returned.
-  void close() {
-    closed_ = true;
-    std::deque<Waiter> woken;
-    woken.swap(waiters_);
-    for (const Waiter& w : woken) sim_->defer(w.handle);
-  }
-
-  void reopen() { closed_ = false; }
-  bool closed() const { return closed_; }
-
-  std::int64_t available() const { return count_; }
-
  private:
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    bool* granted;  // lives in the suspended awaiter frame
-  };
-
   Simulation* sim_;
   std::int64_t count_;
-  bool closed_ = false;
-  std::deque<Waiter> waiters_;
+  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace pagoda::sim

@@ -1,7 +1,7 @@
 // Fault plane tests: plan parsing, deterministic backoff, the watchdog state
-// machine, the closable slot semaphore, node crash/recovery and the
-// drain/reinstate lifecycle — plus a chaos soak that replays randomized fault
-// plans over many seeds and pins the layer's exactly-once invariants.
+// machine, node crash/recovery and the drain/reinstate lifecycle — plus a
+// chaos soak that replays randomized fault plans over many seeds and pins the
+// layer's exactly-once invariants.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -200,34 +200,6 @@ TEST(Watchdog, ResetRevivesADeadNode) {
   EXPECT_FALSE(wd.observe(0, frozen, true));
   EXPECT_TRUE(wd.observe(0, frozen, true));
   EXPECT_EQ(wd.deaths_detected(), 2);
-}
-
-// --- closable semaphore -------------------------------------------------------
-
-sim::Process acquire_once(sim::Semaphore& s, bool& granted, bool& done) {
-  granted = co_await s.acquire();
-  done = true;
-}
-
-TEST(ClosableSemaphore, CloseWakesParkedWaitersUngranted) {
-  sim::Closures fn;
-  sim::Simulation sim;
-  sim::Semaphore s(sim, 1);
-  bool g1 = false, d1 = false, g2 = false, d2 = false;
-  sim.spawn(acquire_once(s, g1, d1));
-  sim.spawn(acquire_once(s, g2, d2));  // parks: only one slot
-  sim.after(sim::microseconds(10.0), fn([&] { s.close(); }));
-  sim.run();
-  EXPECT_TRUE(d1 && g1);   // first grant landed before the close
-  EXPECT_TRUE(d2);         // the parked waiter woke...
-  EXPECT_FALSE(g2);        // ...ungranted
-  // Releases while closed accumulate; reopen restores normal service.
-  s.release();
-  s.reopen();
-  bool g3 = false, d3 = false;
-  sim.spawn(acquire_once(s, g3, d3));
-  sim.run();
-  EXPECT_TRUE(d3 && g3);
 }
 
 }  // namespace

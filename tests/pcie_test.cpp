@@ -14,6 +14,7 @@ namespace pagoda::pcie {
 namespace {
 
 TEST(PcieBus, CopyMovesRealBytes) {
+  sim::Closures fn;
   sim::Simulation sim;
   PcieBus bus(sim, PcieConfig{});
   std::vector<std::byte> src(1024);
@@ -23,7 +24,7 @@ TEST(PcieBus, CopyMovesRealBytes) {
   }
   bool done = false;
   bus.copy(Direction::HostToDevice, dst.data(), src.data(), src.size(),
-           [&] { done = true; });
+           fn([&] { done = true; }));
   // Bytes must NOT be visible before the transfer completes.
   EXPECT_NE(std::memcmp(dst.data(), src.data(), src.size()), 0);
   sim.run();
@@ -32,16 +33,18 @@ TEST(PcieBus, CopyMovesRealBytes) {
 }
 
 TEST(PcieBus, NullPointersSkipDataMovement) {
+  sim::Closures fn;
   sim::Simulation sim;
   PcieBus bus(sim, PcieConfig{});
   bool done = false;
   bus.copy(Direction::DeviceToHost, nullptr, nullptr, 1 << 20,
-           [&] { done = true; });
+           fn([&] { done = true; }));
   sim.run();
   EXPECT_TRUE(done);  // timing-only copies still complete
 }
 
 TEST(PcieBus, DirectionsAreIndependentEngines) {
+  sim::Closures fn;
   sim::Simulation sim;
   PcieConfig cfg;
   cfg.bandwidth_bytes_per_sec = 1e9;
@@ -51,9 +54,9 @@ TEST(PcieBus, DirectionsAreIndependentEngines) {
   sim::Time h2d_done = -1;
   sim::Time d2h_done = -1;
   bus.copy(Direction::HostToDevice, nullptr, nullptr, 1000,
-           [&] { h2d_done = sim.now(); });
+           fn([&] { h2d_done = sim.now(); }));
   bus.copy(Direction::DeviceToHost, nullptr, nullptr, 1000,
-           [&] { d2h_done = sim.now(); });
+           fn([&] { d2h_done = sim.now(); }));
   sim.run();
   // Full duplex: both finish in 1us, not serialized.
   EXPECT_EQ(h2d_done, sim::microseconds(1));
@@ -61,6 +64,7 @@ TEST(PcieBus, DirectionsAreIndependentEngines) {
 }
 
 TEST(PcieBus, SameDirectionCopiesServeFifo) {
+  sim::Closures fn;
   sim::Simulation sim;
   PcieConfig cfg;
   cfg.bandwidth_bytes_per_sec = 1e9;
@@ -70,7 +74,7 @@ TEST(PcieBus, SameDirectionCopiesServeFifo) {
   std::vector<sim::Time> done;
   for (int i = 0; i < 3; ++i) {
     bus.copy(Direction::HostToDevice, nullptr, nullptr, 1000,
-             [&] { done.push_back(sim.now()); });
+             fn([&] { done.push_back(sim.now()); }));
   }
   sim.run();
   ASSERT_EQ(done.size(), 3u);
@@ -108,7 +112,7 @@ TEST(PcieBus, IntraTransactionWriteOrderIsNotGuaranteed) {
     }
     bus.copy_two_regions_unordered(
         Direction::HostToDevice, &gpu.params, &cpu.params, sizeof(int),
-        &gpu.ready, &cpu.ready, sizeof(int), seed, [] {});
+        &gpu.ready, &cpu.ready, sizeof(int), seed);
     sim.run();
     // After completion both regions are consistent...
     EXPECT_EQ(gpu.params, 42);

@@ -246,7 +246,7 @@ TEST(ReadyQueue, CloseWakesEveryWaiterUngrantedInArrivalOrder) {
   sim.run_until(1);
   q.close();
   sim.run();
-  // close() matches sim::Semaphore: deque (arrival) order, not policy order.
+  // close() wakes in deque (arrival) order, not policy order.
   EXPECT_EQ(probe.ungranted, (std::vector<int>{0, 1, 2}));
   EXPECT_TRUE(probe.granted.empty());
   q.reopen();

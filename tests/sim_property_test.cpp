@@ -115,10 +115,10 @@ TEST_P(LinkProperty, CompletionsAreFifoAndWireConserving) {
     const Duration jitter =
         static_cast<Duration>(rng.next_below(static_cast<std::uint64_t>(
             microseconds(50.0))));
-    sim.after(jitter, fn([&link, &completion_order, i, bytes] {
-      link.transfer(bytes, [&completion_order, i] {
-        completion_order.push_back(i);
-      });
+    sim.after(jitter, fn([&fn, &link, &completion_order, i, bytes] {
+      link.transfer(bytes, fn([&completion_order, i] {
+                      completion_order.push_back(i);
+                    }));
     }));
   }
   sim.run();

@@ -808,21 +808,23 @@ TEST(PsResource, SeededScriptCompletesAsRecorded) {
 // --- Link -------------------------------------------------------------------
 
 TEST(Link, LatencyPlusBandwidth) {
+  Closures fn;
   Simulation sim;
   Link link(sim, /*bandwidth=*/1e9, /*latency=*/microseconds(8));
   Time done_at = -1;
-  link.transfer(1000, [&] { done_at = sim.now(); });
+  link.transfer(1000, fn([&] { done_at = sim.now(); }));
   sim.run();
   // 8us latency + 1000B / 1GB/s = 1us.
   EXPECT_EQ(done_at, microseconds(9));
 }
 
 TEST(Link, TransfersServiceInFifoOrder) {
+  Closures fn;
   Simulation sim;
   Link link(sim, 1e9, 0);
   std::vector<Time> done(2, -1);
-  link.transfer(1000, [&] { done[0] = sim.now(); });
-  link.transfer(1000, [&] { done[1] = sim.now(); });
+  link.transfer(1000, fn([&] { done[0] = sim.now(); }));
+  link.transfer(1000, fn([&] { done[1] = sim.now(); }));
   sim.run();
   // One DMA engine: the second transfer waits for the first's wire slot.
   EXPECT_EQ(done[0], microseconds(1));
@@ -830,12 +832,13 @@ TEST(Link, TransfersServiceInFifoOrder) {
 }
 
 TEST(Link, LatencyPipelinesAcrossSmallTransfers) {
+  Closures fn;
   Simulation sim;
   // 1 GB/s, 8us completion latency, 0.5us per-transaction gap.
   Link link(sim, 1e9, microseconds(8), nanoseconds(500));
   std::vector<Time> done;
   for (int i = 0; i < 4; ++i) {
-    link.transfer(100, [&] { done.push_back(sim.now()); });
+    link.transfer(100, fn([&] { done.push_back(sim.now()); }));
   }
   sim.run();
   // Wire slots at 0.5us spacing (gap > 100B/1GBps); each lands 8us after
@@ -851,17 +854,18 @@ TEST(Link, LatencyPipelinesAcrossSmallTransfers) {
 TEST(Link, BusyTimeTracksWireOccupancy) {
   Simulation sim;
   Link link(sim, 1e9, 0);
-  link.transfer(2000, [] {});
-  link.transfer(3000, [] {});
+  link.transfer(2000, {});
+  link.transfer(3000, {});
   sim.run();
   EXPECT_EQ(link.busy_time(), microseconds(5));
 }
 
 TEST(Link, LoneTransferUsesFullBandwidth) {
+  Closures fn;
   Simulation sim;
   Link link(sim, 12e9, microseconds(8));
   Time done_at = -1;
-  link.transfer(12'000'000, [&] { done_at = sim.now(); });  // 12MB
+  link.transfer(12'000'000, fn([&] { done_at = sim.now(); }));  // 12MB
   sim.run();
   EXPECT_EQ(done_at, microseconds(8) + milliseconds(1));
 }

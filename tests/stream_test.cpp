@@ -48,13 +48,14 @@ pcie::PcieConfig test_pcie() {
 }
 
 TEST(Stream, SameDirectionCopiesPipeline) {
+  sim::Closures fn;
   sim::Simulation sim;
   Device dev(sim, GpuSpec::titan_x(), test_pcie());
   Stream s(dev);
   std::vector<sim::Time> done;
   for (int i = 0; i < 3; ++i) {
     s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 1000,
-                   [&] { done.push_back(sim.now()); });
+                   fn([&] { done.push_back(sim.now()); }));
   }
   sim.run();
   ASSERT_EQ(done.size(), 3u);
@@ -66,15 +67,16 @@ TEST(Stream, SameDirectionCopiesPipeline) {
 }
 
 TEST(Stream, DirectionChangeWaitsForPriorCopies) {
+  sim::Closures fn;
   sim::Simulation sim;
   Device dev(sim, GpuSpec::titan_x(), test_pcie());
   Stream s(dev);
   sim::Time h2d_done = -1;
   sim::Time d2h_done = -1;
   s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 1000,
-                 [&] { h2d_done = sim.now(); });
+                 fn([&] { h2d_done = sim.now(); }));
   s.memcpy_async(pcie::Direction::DeviceToHost, nullptr, nullptr, 1000,
-                 [&] { d2h_done = sim.now(); });
+                 fn([&] { d2h_done = sim.now(); }));
   sim.run();
   // The D2H copy starts only after the H2D completed (cross-engine stream
   // order): completion at 3us + (1us wire + 2us latency) = 6us.
@@ -88,19 +90,20 @@ KernelCoro tiny_kernel(WarpCtx& ctx) {
 }
 
 TEST(Stream, KernelWaitsForCopiesAndBlocksFollowingOnes) {
+  sim::Closures fn;
   sim::Simulation sim;
   Device dev(sim, GpuSpec::titan_x(), test_pcie());
   Stream s(dev);
   sim::Time copy1_done = -1;
   sim::Time copy2_done = -1;
   s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 1000,
-                 [&] { copy1_done = sim.now(); });
+                 fn([&] { copy1_done = sim.now(); }));
   KernelLaunchParams p;
   p.fn = tiny_kernel;
   p.threads_per_block = 32;
   auto kernel_trig = s.kernel_async(std::move(p));
   s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 1000,
-                 [&] { copy2_done = sim.now(); });
+                 fn([&] { copy2_done = sim.now(); }));
   sim.run();
   EXPECT_EQ(copy1_done, sim::microseconds(3));
   EXPECT_TRUE(kernel_trig->fired());
@@ -139,6 +142,7 @@ TEST(Stream, SynchronizeOnIdleStreamIsImmediate) {
 }
 
 TEST(Stream, IndependentStreamsShareTheEngineFifo) {
+  sim::Closures fn;
   sim::Simulation sim;
   Device dev(sim, GpuSpec::titan_x(), test_pcie());
   Stream a(dev);
@@ -146,9 +150,9 @@ TEST(Stream, IndependentStreamsShareTheEngineFifo) {
   sim::Time a_done = -1;
   sim::Time b_done = -1;
   a.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 1000,
-                 [&] { a_done = sim.now(); });
+                 fn([&] { a_done = sim.now(); }));
   b.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 1000,
-                 [&] { b_done = sim.now(); });
+                 fn([&] { b_done = sim.now(); }));
   sim.run();
   // One DMA engine per direction: b's copy waits for a's wire slot.
   EXPECT_EQ(a_done, sim::microseconds(3));
@@ -198,7 +202,7 @@ ScriptLog run_mixed_script(bool checked) {
   }
   sim.after(sim::nanoseconds(300.0), fn([&] {
     s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 800,
-                   [&] { note("callback"); });
+                   fn([&] { note("callback"); }));
   }));
   sim.after(sim::nanoseconds(1200.0), fn([&] {
     KernelLaunchParams p;
@@ -276,6 +280,7 @@ TEST(Stream, FaultedCopyHoldsItsWireSlotAndLandsNothing) {
 }
 
 TEST(Stream, CopyPushedFromALandingCallbackWaitsForThatCopy) {
+  sim::Closures fn;
   sim::Simulation sim;
   Device dev(sim, GpuSpec::titan_x(), test_pcie());
   Stream s(dev);
@@ -287,12 +292,14 @@ TEST(Stream, CopyPushedFromALandingCallbackWaitsForThatCopy) {
   sim::Time h2d_done = -1;
   sim::Time d2h_done = -1;
   std::int64_t d2h_started_in_callback = -1;
-  s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 1000, [&] {
-    h2d_done = sim.now();
-    s.memcpy_async(pcie::Direction::DeviceToHost, nullptr, nullptr, 1000,
-                   [&] { d2h_done = sim.now(); });
-    d2h_started_in_callback = d2h.transfers_started();
-  });
+  s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 1000,
+                 fn([&] {
+                   h2d_done = sim.now();
+                   s.memcpy_async(pcie::Direction::DeviceToHost, nullptr,
+                                  nullptr, 1000,
+                                  fn([&] { d2h_done = sim.now(); }));
+                   d2h_started_in_callback = d2h.transfers_started();
+                 }));
   sim.run();
   EXPECT_EQ(h2d_done, sim::microseconds(3));
   // Inside the callback the H2D still counts as in flight, so the D2H waits;
@@ -302,48 +309,112 @@ TEST(Stream, CopyPushedFromALandingCallbackWaitsForThatCopy) {
   EXPECT_EQ(d2h_done, sim::microseconds(6));
 }
 
-// A landing callback small enough to sit inside its op record pushes copies
-// that grow the queue, then reads its captures again: the stream must have
-// moved the callback out of the record first (ASan reports the reuse).
+sim::Process await_and_note(sim::Simulation& sim, Stream& s,
+                            std::vector<std::string>& order,
+                            std::vector<sim::Time>& at) {
+  co_await s.memcpy(pcie::Direction::HostToDevice, nullptr, nullptr, 1000);
+  order.emplace_back("resumed");
+  at.push_back(sim.now());
+}
+
+// A callback copy and an awaited copy land back to back on one stream; the
+// first landing pushes a second callback copy and schedules an event at the
+// second landing instant. A landing action runs inside the link's landing
+// event; an awaited copy's caller is deferred from it, so it resumes after
+// every event already keyed at that instant.
+TEST(Stream, LandingCallbacksEventsAndResumedCallerKeepTheirOrder) {
+  sim::Closures fn;
+  sim::Simulation sim;
+  Device dev(sim, GpuSpec::titan_x(), test_pcie());
+  Stream s(dev);
+  std::vector<std::string> order;
+  std::vector<sim::Time> at;
+  auto note = [&](const char* what) {
+    return fn([&order, &at, &sim, what] {
+      order.emplace_back(what);
+      at.push_back(sim.now());
+    });
+  };
+  const sim::Continuation second_done = note("second");
+  const sim::Continuation event2 = note("event2");
+  const sim::Continuation first_note = note("first");
+  s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 1000,
+                 fn([&] {
+                   first_note();
+                   s.memcpy_async(pcie::Direction::HostToDevice, nullptr,
+                                  nullptr, 1000, second_done);
+                   sim.at(sim::microseconds(4), event2);
+                 }));
+  sim.spawn(await_and_note(sim, s, order, at));
+  sim.at(sim::microseconds(3), note("event"));
+  sim.run();
+  // Wire 0..1us and 1..2us, landing at 3 and 4us; the pushed copy joins the
+  // wire at 3us behind them and lands at 6us.
+  EXPECT_EQ(order, (std::vector<std::string>{"first", "event", "event2",
+                                             "resumed", "second"}));
+  EXPECT_EQ(at, (std::vector<sim::Time>{
+                    sim::microseconds(3), sim::microseconds(3),
+                    sim::microseconds(4), sim::microseconds(4),
+                    sim::microseconds(6)}));
+  EXPECT_TRUE(s.idle());
+}
+
+// A landing continuation pushes copies that grow the queue while its own op
+// is the front record: the stream must not read that record again (ASan
+// reports the reuse).
 TEST(Stream, LandingCallbackMayGrowTheQueue) {
+  sim::Closures fn;
   sim::Simulation sim;
   Device dev(sim, GpuSpec::titan_x(), test_pcie());
   Stream s(dev);
   int landed = 0;
+  const sim::Continuation count = fn([&landed] { ++landed; });
   s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 64,
-                 [&s, &landed] {
+                 fn([&s, &landed, count] {
                    for (int i = 0; i < 4; ++i) {
                      s.memcpy_async(pcie::Direction::HostToDevice, nullptr,
-                                    nullptr, 64, [&landed] { ++landed; });
+                                    nullptr, 64, count);
                    }
                    ++landed;
-                 });
+                 }));
   sim.run();
   EXPECT_EQ(landed, 5);
   EXPECT_TRUE(s.idle());
+}
+
+sim::Process await_copies(Stream& s, int n, sim::Continuation landed) {
+  for (int i = 0; i < n; ++i) {
+    co_await s.memcpy(pcie::Direction::HostToDevice, nullptr, nullptr, 64,
+                      landed);
+  }
 }
 
 TEST(Stream, SteadyStateCopyAllocatesNothing) {
 #ifdef PAGODA_FRAME_POOL_DISABLED
   GTEST_SKIP() << "sanitizer builds keep their own allocator";
 #else
+  sim::Closures fn;
   sim::Simulation sim;
   Device dev(sim, GpuSpec::titan_x(), test_pcie());
   Stream s(dev);
   int landed = 0;
+  const sim::Continuation count = fn([&landed] { ++landed; });
+  // 100 callback copies, then 100 awaited copies, each with a landing
+  // action, per batch.
   auto batch = [&] {
     for (int i = 0; i < 100; ++i) {
       s.memcpy_async(pcie::Direction::HostToDevice, nullptr, nullptr, 64,
-                     [&landed] { ++landed; });
+                     count);
     }
+    sim.spawn(await_copies(s, 100, count));
     sim.run();
   };
   for (int b = 0; b < 10; ++b) batch();  // warm the pools and buffers
   const long before = g_heap_blocks;
   for (int b = 0; b < 100; ++b) batch();
   const long blocks = g_heap_blocks - before;
-  RecordProperty("heap_blocks_per_10000_copies", static_cast<int>(blocks));
-  EXPECT_EQ(landed, 11000);
+  RecordProperty("heap_blocks_per_20000_copies", static_cast<int>(blocks));
+  EXPECT_EQ(landed, 22000);
   EXPECT_EQ(blocks, 0);
 #endif
 }

@@ -507,6 +507,23 @@ event_grep_clean() {
   fi
 }
 
+landing_grep_clean() {
+  # A copy lands through one sim::Continuation, from Link up through
+  # PcieBus and gpu::Stream to every caller: no completion in src/ is a
+  # std::function<void()>, and the Pagoda runtime makes no shared handshake
+  # record (a latch, a flag or an entry snapshot) per copy.
+  echo "==> copy landing grep"
+  local hits
+  hits=$({ grep -rn "std::function<void()>" src || true
+           grep -rnE "make_shared<(sim::Trigger|TaskEntry|bool)>" src/pagoda ||
+             true; })
+  if [[ -n "${hits}" ]]; then
+    echo "error: closure or shared handshake on the copy path:" >&2
+    echo "${hits}" >&2
+    exit 1
+  fi
+}
+
 fleet_gate() {
   # Fleet-scale gate: the 1 -> 1,024 node sweep (bench/fleet_scale) must
   # complete inside a wall-clock budget, and the 256- and 1,024-node points
@@ -627,6 +644,7 @@ power_grep_clean
 vres_grep_clean
 copy_grep_clean
 event_grep_clean
+landing_grep_clean
 wallclock_gate build-release
 fleet_gate build-release
 trace_overhead_gate
