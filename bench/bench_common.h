@@ -1,18 +1,13 @@
 // Shared setup for the per-figure bench binaries.
 //
-// Flags (all optional):
-//   --tasks=N     tasks per benchmark (default: per-bench; paper uses 32K)
-//   --full        use the paper's full task counts (32K; SLUD 273K)
-//   --threads=N   threads per task (default 128, the paper's Fig 5 setting)
-//   --seed=N      workload generation seed
-//   --compute     run kernels in Compute mode (slow; verifies outputs)
-//
-// Any other argument, --tasks below 1 or --threads outside [1, the
-// platform's max threads per block] is a usage error: exit 1 with a message.
+// Every bench takes the options of BenchArgs' table (`--help` lists them):
+// --tasks, --full (the paper's full task counts: 32K, SLUD 273K),
+// --threads, --seed and --compute. A usage error exits 1 before anything
+// runs (see harness/flags.h).
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -24,24 +19,28 @@
 namespace pagoda::bench {
 
 struct BenchArgs {
-  harness::Flags flags;
   int tasks;
-  int threads;
-  bool full;
-  std::uint64_t seed;
-  gpu::ExecMode mode;
+  int threads = 128;
+  bool full = false;
+  std::uint64_t seed = 0x9A60DA;
+  gpu::ExecMode mode = gpu::ExecMode::Model;
 
-  BenchArgs(int argc, char** argv, int default_tasks)
-      : flags(known_flags(argc, argv)),
-        tasks(flags.get_int_in("tasks", default_tasks, 1)),
-        threads(flags.get_int_in(
-            "threads", 128, 1,
-            harness::paper_platform().spec.max_threads_per_block)),
-        full(flags.has("full")),
-        seed(static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA))),
-        mode(flags.has("compute") ? gpu::ExecMode::Compute
-                                  : gpu::ExecMode::Model) {
-    if (full) tasks = 32768;
+  /// `--full` sets the task count to `full_tasks`; 0 leaves it as given.
+  BenchArgs(int argc, char** argv, int default_tasks, int full_tasks = 32768)
+      : tasks(default_tasks) {
+    bool compute = false;
+    using harness::Option;
+    const harness::Options opts(
+        argc, argv,
+        {Option("tasks", &tasks, "tasks per benchmark").range(1),
+         Option("full", &full, "run at the paper's full scale"),
+         Option("threads", &threads, "threads per task")
+             .range(1, harness::paper_platform().spec.max_threads_per_block),
+         Option("seed", &seed, "workload generation seed"),
+         Option("compute", &compute,
+                "run kernels in Compute mode (slow; verifies outputs)")});
+    if (compute) mode = gpu::ExecMode::Compute;
+    if (full && full_tasks > 0) tasks = full_tasks;
     common::tune_allocator_for_batch_runs();
   }
 
@@ -58,18 +57,6 @@ struct BenchArgs {
     baselines::RunConfig r = harness::paper_platform();
     r.mode = mode;
     return r;
-  }
-
- private:
-  static harness::Flags known_flags(int argc, char** argv) {
-    harness::Flags f(argc, argv);
-    const std::string bad =
-        f.unknown({"tasks", "threads", "full", "seed", "compute"});
-    if (!bad.empty()) {
-      std::fprintf(stderr, "error: unknown argument '%s'\n", bad.c_str());
-      std::exit(1);
-    }
-    return f;
   }
 };
 

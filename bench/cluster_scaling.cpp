@@ -108,20 +108,15 @@ void write_outcome_json(std::ostream& os, const Outcome& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::Flags flags(argc, argv);
-  const std::string bad = flags.unknown({"tasks", "seed", "out", "help"});
-  if (!bad.empty()) {
-    std::fprintf(stderr, "error: unknown argument '%s'\n", bad.c_str());
-    return 1;
-  }
-  if (flags.has("help")) {
-    std::printf("cluster_scaling [--tasks=N] [--seed=N] [--out=FILE]\n");
-    return 0;
-  }
-  const int requests = static_cast<int>(flags.get_int("tasks", 4096));
-  const auto seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA));
-  const std::string out_path = flags.get("out", "BENCH_cluster.json");
+  int requests = 4096;
+  std::uint64_t seed = 0x9A60DA;
+  std::string out_path = "BENCH_cluster.json";
+  using harness::Option;
+  const harness::Options opts(
+      argc, argv,
+      {Option("tasks", &requests, "requests per sweep point").range(1),
+       Option("seed", &seed, "arrival and request seed"),
+       Option("out", &out_path, "JSON artifact path")});
 
   // Uniform service demand, open-loop Poisson at a per-GPU constant offered
   // load, 2 ms deadline. The rate sits near one device's serving capacity so

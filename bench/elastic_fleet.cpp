@@ -209,28 +209,22 @@ void write_outcome_json(std::ostream& os, const Outcome& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::Flags flags(argc, argv);
-  const std::string bad = flags.unknown(
-      {"tasks", "seeds", "seed", "gpus", "rate", "out", "help"});
-  if (!bad.empty()) {
-    std::fprintf(stderr, "error: unknown argument '%s'\n", bad.c_str());
-    return 1;
-  }
-  if (flags.has("help")) {
-    std::printf(
-        "elastic_fleet [--tasks=N] [--seeds=N] [--seed=BASE] [--gpus=N] "
-        "[--rate=REQ_PER_S] [--out=FILE]\n");
-    return 0;
-  }
-  const int requests = static_cast<int>(flags.get_int("tasks", 6000));
-  const int num_seeds = static_cast<int>(flags.get_int("seeds", 2));
-  PAGODA_CHECK_MSG(num_seeds >= 1, "--seeds must be >= 1");
-  const int gpus = static_cast<int>(flags.get_int("gpus", 16));
-  PAGODA_CHECK_MSG(gpus >= 4, "--gpus must be >= 4 (the resize plan needs "
-                              "a surplus to shrink away)");
-  const auto base_seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 0xE1A5));
-  const std::string out_path = flags.get("out", "BENCH_migrate.json");
+  int requests = 6000;
+  int num_seeds = 2;
+  int gpus = 16;
+  std::uint64_t base_seed = 0xE1A5;
+  double rate = 150.0e3;
+  std::string out_path = "BENCH_migrate.json";
+  using harness::Option;
+  const harness::Options opts(
+      argc, argv,
+      {Option("tasks", &requests, "requests per run").range(1),
+       Option("seeds", &num_seeds, "seeds per scenario").range(1),
+       Option("seed", &base_seed, "first seed"),
+       Option("gpus", &gpus, "fleet size (the resize plan needs a surplus)")
+           .range(4, 1024),
+       Option("rate", &rate, "mean offered load, requests/s").range(1e3),
+       Option("out", &out_path, "JSON artifact path")});
 
   // Fail fast on unwritable output paths, before any simulation runs.
   std::ofstream json(out_path);
@@ -246,8 +240,7 @@ int main(int argc, char** argv) {
   Scenario proto;
   proto.gpus = gpus;
   proto.requests = requests;
-  proto.rate_per_sec = flags.get_double("rate", 150.0e3);
-  PAGODA_CHECK_MSG(proto.rate_per_sec > 0.0, "--rate must be positive");
+  proto.rate_per_sec = rate;
   proto.interactive.threads_per_task = 64;
   proto.interactive.compute_cycles = 6000.0;
   proto.interactive.stall_cycles = 12000.0;

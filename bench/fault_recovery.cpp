@@ -121,20 +121,15 @@ void write_outcome_json(std::ostream& os, const Outcome& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::Flags flags(argc, argv);
-  const std::string bad = flags.unknown({"tasks", "seed", "out", "help"});
-  if (!bad.empty()) {
-    std::fprintf(stderr, "error: unknown argument '%s'\n", bad.c_str());
-    return 1;
-  }
-  if (flags.has("help")) {
-    std::printf("fault_recovery [--tasks=N] [--seed=N] [--out=FILE]\n");
-    return 0;
-  }
-  const int requests = static_cast<int>(flags.get_int("tasks", 2000));
-  const auto seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA));
-  const std::string out_path = flags.get("out", "BENCH_fault.json");
+  int requests = 2000;
+  std::uint64_t seed = 0x9A60DA;
+  std::string out_path = "BENCH_fault.json";
+  using harness::Option;
+  const harness::Options opts(
+      argc, argv,
+      {Option("tasks", &requests, "requests per sweep point").range(1),
+       Option("seed", &seed, "arrival, request and fault seed"),
+       Option("out", &out_path, "JSON artifact path")});
 
   std::printf("=== availability under fault: %d requests/point, seed %llu "
               "===\n",

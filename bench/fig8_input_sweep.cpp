@@ -16,11 +16,10 @@ using namespace pagoda::harness;
 using pagoda::bench::BenchArgs;
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv, /*default_tasks=*/256);
   // This sweep's tasks are up to 64Ki threads each; unlike the other
   // figures, --full extends the THREAD axis (the paper's 65536-thread
   // column) rather than the task count.
-  if (args.full) args.tasks = args.flags.get_int_in("tasks", 256, 1);
+  const BenchArgs args(argc, argv, /*default_tasks=*/256, /*full_tasks=*/0);
   bench::print_header(
       "Figure 8: Pagoda/HyperQ compute-speedup vs input size and threads",
       args);

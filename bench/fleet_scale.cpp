@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -69,22 +70,17 @@ Outcome run_point(int nodes, int requests, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::Flags flags(argc, argv);
-  const std::string bad =
-      flags.unknown({"tasks-per-node", "seed", "out", "help"});
-  if (!bad.empty()) {
-    std::fprintf(stderr, "error: unknown argument '%s'\n", bad.c_str());
-    return 1;
-  }
-  if (flags.has("help")) {
-    std::printf("fleet_scale [--tasks-per-node=N] [--seed=N] [--out=FILE]\n");
-    return 0;
-  }
-  const int per_node = static_cast<int>(flags.get_int("tasks-per-node", 64));
-  const auto seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA));
-  const std::string out_path = flags.get("out", "BENCH_fleet.json");
-  PAGODA_CHECK_MSG(per_node > 0, "--tasks-per-node must be positive");
+  // The largest point has 1,024 nodes, so per_node x 1024 fits an int.
+  int per_node = 64;
+  std::uint64_t seed = 0x9A60DA;
+  std::string out_path = "BENCH_fleet.json";
+  using harness::Option;
+  const harness::Options opts(
+      argc, argv,
+      {Option("tasks-per-node", &per_node, "requests per node")
+           .range(1, std::numeric_limits<int>::max() / 1024),
+       Option("seed", &seed, "arrival and request seed"),
+       Option("out", &out_path, "JSON artifact path")});
 
   std::printf("=== fleet scale: %d requests/node, seed %llu ===\n", per_node,
               static_cast<unsigned long long>(seed));

@@ -47,6 +47,7 @@
 #include "harness/flags.h"
 #include "obs/collector.h"
 #include "obs/metrics.h"
+#include "pagoda/master_kernel.h"
 
 using namespace pagoda;
 
@@ -135,38 +136,29 @@ void write_outcome_json(std::ostream& os, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::Flags flags(argc, argv);
-  const std::string bad = flags.unknown({"tasks", "threads", "input", "seeds",
-                                         "seed", "spawners", "smms", "oversub",
-                                         "out", "help"});
-  if (!bad.empty()) {
-    std::fprintf(stderr, "error: unknown argument '%s'\n", bad.c_str());
-    return 1;
-  }
-  if (flags.has("help")) {
-    std::printf(
-        "occupancy_virt [--tasks=N] [--threads=N] [--input=SIDE] "
-        "[--seeds=N] [--seed=BASE] [--spawners=N] [--smms=N] [--oversub=F] "
-        "[--out=FILE]\n");
-    return 0;
-  }
-  common::tune_allocator_for_batch_runs();
-
   BenchConfig bc;
-  bc.tasks = static_cast<int>(flags.get_int("tasks", 4096));
-  bc.threads = static_cast<int>(flags.get_int("threads", 32));
-  bc.input_side = static_cast<int>(flags.get_int("input", 96));
-  bc.spawners = static_cast<int>(flags.get_int("spawners", 16));
-  bc.smms = static_cast<int>(flags.get_int("smms", 4));
-  PAGODA_CHECK_MSG(bc.smms >= 1, "--smms must be >= 1");
-  const int num_seeds = static_cast<int>(flags.get_int("seeds", 2));
-  PAGODA_CHECK_MSG(num_seeds >= 1, "--seeds must be >= 1");
-  const auto base_seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA));
-  const double gate = flags.get_double("oversub", 1.5);
-  PAGODA_CHECK_MSG(gate > 1.0, "--oversub must be > 1.0 (the gate compares "
-                               "against the 1.0 static baseline)");
-  const std::string out_path = flags.get("out", "BENCH_vres.json");
+  int num_seeds = 2;
+  std::uint64_t base_seed = 0x9A60DA;
+  double gate = 1.5;
+  std::string out_path = "BENCH_vres.json";
+  const gpu::GpuSpec spec = gpu::GpuSpec::titan_x();
+  using harness::Option;
+  const harness::Options opts(
+      argc, argv,
+      {Option("tasks", &bc.tasks, "tasks per run").range(1),
+       // A DCT block synchronizes, so all its warps share one MTB.
+       Option("threads", &bc.threads, "threads per task")
+           .range(1, runtime::MasterKernel::kExecutorWarps * 32),
+       Option("input", &bc.input_side, "mean frame side").range(1, 256),
+       Option("seeds", &num_seeds, "seeds to run").range(1),
+       Option("seed", &base_seed, "first seed"),
+       Option("spawners", &bc.spawners, "host spawner threads").range(1, 64),
+       Option("smms", &bc.smms, "SMMs on the device").range(1, spec.num_smms),
+       Option("oversub", &gate,
+              "gate factor, compared against the 1.0 static baseline")
+           .above(1.0, 64.0),
+       Option("out", &out_path, "JSON artifact path")});
+  common::tune_allocator_for_batch_runs();
 
   std::ofstream json(out_path);
   if (!json) {
@@ -178,7 +170,6 @@ int main(int argc, char** argv) {
   // The §2-style arithmetic for this workload: a 96-side frame declares
   // 8 KB but its staged band (side x 8 rows x 4 B = 3 KB) rounds to 4 KB,
   // so the model predicts 4 -> 6 co-resident blocks per MTB arena at 1.5x.
-  const gpu::GpuSpec spec = gpu::GpuSpec::titan_x();
   gpu::BlockFootprint declared =
       gpu::BlockFootprint::of(bc.threads, 33, 8 * 1024);
   gpu::BlockFootprint used = declared;

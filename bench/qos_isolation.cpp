@@ -160,31 +160,23 @@ void write_outcome_json(std::ostream& os, const Outcome& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::Flags flags(argc, argv);
-  const std::string bad = flags.unknown(
-      {"tasks", "seeds", "seed", "rate", "out", "trace-spans", "help"});
-  if (!bad.empty()) {
-    std::fprintf(stderr, "error: unknown argument '%s'\n", bad.c_str());
-    return 1;
-  }
-  if (flags.has("help")) {
-    std::printf(
-        "qos_isolation [--tasks=N] [--seeds=N] [--seed=BASE] "
-        "[--rate=REQ_PER_S] [--out=FILE] [--trace-spans=FILE]\n");
-    return 0;
-  }
-  const int requests = static_cast<int>(flags.get_int("tasks", 2048));
-  const int num_seeds = static_cast<int>(flags.get_int("seeds", 5));
-  PAGODA_CHECK_MSG(num_seeds >= 1, "--seeds must be >= 1");
-  const auto base_seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA));
-  const std::string out_path = flags.get("out", "BENCH_sched.json");
-  const bool want_spans = flags.has("trace-spans");
-  const std::string spans_path = flags.get("trace-spans");
-  if (want_spans && spans_path.empty()) {
-    std::fprintf(stderr, "error: --trace-spans needs a file path\n");
-    return 1;
-  }
+  int requests = 2048;
+  int num_seeds = 5;
+  std::uint64_t base_seed = 0x9A60DA;
+  double rate = 300.0e3;
+  std::string out_path = "BENCH_sched.json";
+  std::string spans_path;
+  using harness::Option;
+  const harness::Options opts(
+      argc, argv,
+      {Option("tasks", &requests, "requests per run").range(1),
+       Option("seeds", &num_seeds, "seeds per policy").range(1),
+       Option("seed", &base_seed, "first seed"),
+       Option("rate", &rate, "offered load, requests/s").range(1e3),
+       Option("out", &out_path, "JSON artifact path"),
+       Option("trace-spans", &spans_path,
+              "span dump of the first seed's fifo run")});
+  const bool want_spans = opts.given("trace-spans");
 
   // Fail fast on unwritable output paths, before any simulation runs.
   std::ofstream json(out_path);
@@ -210,8 +202,7 @@ int main(int argc, char** argv) {
   // who waits.
   Scenario proto;
   proto.requests = requests;
-  proto.rate_per_sec = flags.get_double("rate", 300.0e3);
-  PAGODA_CHECK_MSG(proto.rate_per_sec > 0.0, "--rate must be positive");
+  proto.rate_per_sec = rate;
   proto.interactive.threads_per_task = 64;
   proto.interactive.compute_cycles = 6000.0;
   proto.interactive.stall_cycles = 12000.0;

@@ -118,6 +118,14 @@ std::unique_ptr<TaskRuntime> make_runtime(std::string_view name);
 /// Every name make_runtime() accepts, in canonical (comparison-table) order.
 std::span<const std::string_view> all_runtime_names();
 
+/// A --runtime value: one make_runtime() name, a comma list of them, or
+/// "all" (every name, in canonical order). Empty on an unknown name.
+std::vector<std::string> parse_runtimes(std::string_view spec);
+
+/// A --gpus value: a node count in [1, 256] (Titan X nodes) or a comma list
+/// of titanx/k40 spec names. Empty on anything else.
+std::vector<gpu::GpuSpec> parse_fleet(std::string_view spec);
+
 /// The dispatcher config a Cluster run uses: cfg.cluster.dispatcher with
 /// the sched policy and oversub factor of cfg.pagoda (one value end-to-end:
 /// the dispatcher admits in the order the scheduler warps claim), the host

@@ -81,12 +81,6 @@ double Cluster::executor_busy_warp_seconds() const {
   return total;
 }
 
-int Cluster::total_executor_warps() const {
-  int total = 0;
-  for (const auto& n : nodes_) total += n->executor_warp_capacity();
-  return total;
-}
-
 std::vector<NodeConfig> Cluster::homogeneous(int n, NodeConfig proto) {
   PAGODA_CHECK(n >= 1);
   return std::vector<NodeConfig>(static_cast<std::size_t>(n), proto);

@@ -213,7 +213,6 @@ class Cluster {
   /// Sum of per-node executor-warp busy integrals (warp·seconds); cluster
   /// occupancy is this / (elapsed · Σ executor capacity).
   double executor_busy_warp_seconds() const;
-  int total_executor_warps() const;
 
   /// n identical nodes (the homogeneous scaling-sweep configuration).
   static std::vector<NodeConfig> homogeneous(int n, NodeConfig proto = {});

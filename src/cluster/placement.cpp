@@ -183,6 +183,17 @@ constexpr std::array<std::string_view, 7> kPolicyNames = {
     "data-affinity", "power-cap",        "energy-min",
     "vres-aware"};
 
+/// Indexed like kPolicyNames.
+constexpr std::array<std::string_view, kPolicyNames.size()>
+    kPolicyDescriptions = {
+        "rotate over nodes, blind to load (the baseline)",
+        "fewest placed-but-unfinished requests wins",
+        "executor occupancy + outstanding work per unit capacity",
+        "route keyed requests to the node already holding their data",
+        "least-loaded, refuses admission while fleet watts >= the cap",
+        "pack the fewest awake nodes so the governor can sleep the rest",
+        "max virtual slot headroom (pairs with --oversub)"};
+
 }  // namespace
 
 std::unique_ptr<PlacementPolicy> make_policy(std::string_view name) {
@@ -197,5 +208,12 @@ std::unique_ptr<PlacementPolicy> make_policy(std::string_view name) {
 }
 
 std::span<const std::string_view> all_policy_names() { return kPolicyNames; }
+
+std::string_view policy_description(std::string_view name) {
+  for (std::size_t i = 0; i < kPolicyNames.size(); ++i) {
+    if (kPolicyNames[i] == name) return kPolicyDescriptions[i];
+  }
+  return {};
+}
 
 }  // namespace pagoda::cluster

@@ -62,4 +62,7 @@ std::unique_ptr<PlacementPolicy> make_policy(std::string_view name);
 /// Every valid `make_policy` name (for CLI help and sweeps).
 std::span<const std::string_view> all_policy_names();
 
+/// One line on how policy `name` places requests; empty for an unknown name.
+std::string_view policy_description(std::string_view name);
+
 }  // namespace pagoda::cluster

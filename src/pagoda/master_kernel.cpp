@@ -69,12 +69,6 @@ double MasterKernel::scheduler_busy_seconds() const {
   return sched_cycles_ / dev_.spec().clock_hz;
 }
 
-int MasterKernel::free_executor_slots() const {
-  int n = 0;
-  for (const auto& mtb : mtbs_) n += mtb->free_slots;
-  return n;
-}
-
 std::int64_t MasterKernel::shmem_bytes_in_use() const {
   std::int64_t n = 0;
   for (const auto& mtb : mtbs_) n += mtb->shmem.allocated_bytes();

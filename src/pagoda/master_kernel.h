@@ -165,8 +165,6 @@ class MasterKernel {
   /// Executor warp processes alive now: one per slot running a task warp
   /// (a warp's process ends when its slot clears, so 0 once drained).
   int executor_warps_live() const { return executor_warps_live_; }
-  /// Free executor-warp slots across all MTBs.
-  int free_executor_slots() const;
   /// Issue-pipeline time the scheduler warps have consumed, in seconds
   /// (scans, release chains, leases, pSched dispatches). The busy fraction
   /// is this / (elapsed * num_mtbs).

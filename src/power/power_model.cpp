@@ -21,11 +21,9 @@ void SmmPower::touch(sim::Time now) {
   const double dt = sim::to_seconds(now - last_touch_);
   if (dt > 0.0) {
     energy_ += row_watts() * dt;
-    if (off_) {
-      off_res_ += dt;
-    } else if (c_ > 0) {
+    if (!off_ && c_ > 0) {  // node sleep has no residency bucket
       c_res_[static_cast<std::size_t>(c_)] += dt;
-    } else {
+    } else if (!off_) {
       c0_res_[static_cast<std::size_t>(p_)] += dt;
     }
   }
@@ -116,12 +114,6 @@ double SmmPower::c_residency_seconds(int c, sim::Time now) const {
   return r;
 }
 
-double SmmPower::off_residency_seconds(sim::Time now) const {
-  double r = off_res_;
-  if (off_) r += sim::to_seconds(now - last_touch_);
-  return r;
-}
-
 double SmmPower::issued_work(int p, sim::Time now) const {
   (void)now;
   double w = dyn_work_[static_cast<std::size_t>(p)];
@@ -202,14 +194,6 @@ double NodePower::watts(sim::Time now) const {
 double NodePower::s_residency_seconds(int s, sim::Time now) const {
   double r = s_res_[static_cast<std::size_t>(s)];
   if (s == s_) r += sim::to_seconds(now - last_touch_);
-  return r;
-}
-
-double NodePower::c_residency_seconds(int c, sim::Time now) const {
-  double r = 0.0;
-  for (const auto& sp : smms_) {
-    r += c == 0 ? 0.0 : sp->c_residency_seconds(c, now);
-  }
   return r;
 }
 

@@ -71,8 +71,6 @@ class SmmPower {
   double c0_residency_seconds(int p, sim::Time now) const;
   /// Seconds spent parked in C-state c (c >= 1).
   double c_residency_seconds(int c, sim::Time now) const;
-  /// Seconds spent powered off under node sleep.
-  double off_residency_seconds(sim::Time now) const;
   /// Warp-instructions issued while at P-state p.
   double issued_work(int p, sim::Time now) const;
   /// Issue capacity (warp-instructions/second) at the current P-state.
@@ -103,7 +101,6 @@ class SmmPower {
   double busy_snap_ = 0.0;  // pipeline busy_work_seconds at last touch
   std::array<double, kNumPStates> c0_res_{};   // active seconds per P
   std::array<double, kNumCStates> c_res_{};    // parked seconds per C (c>=1)
-  double off_res_ = 0.0;                       // node-sleep seconds
   std::array<double, kNumPStates> dyn_work_{};  // issued work per P
   std::uint64_t transitions_ = 0;
 };
@@ -147,8 +144,7 @@ class NodePower {
   double watts(sim::Time now) const;
   /// Seconds awake (s == 0) or asleep in S-state s (s >= 1).
   double s_residency_seconds(int s, sim::Time now) const;
-  /// Per-node totals over all SMMs.
-  double c_residency_seconds(int c, sim::Time now) const;
+  /// Per-node total over all SMMs.
   double issued_work(sim::Time now) const;
   /// Sum of SMM issue capacities at the current P-state (for utilization).
   double issue_capacity() const;

@@ -1,9 +1,12 @@
 #include "sched/policy.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "common/check.h"
 
@@ -32,6 +35,28 @@ std::optional<PolicyKind> parse_policy_kind(std::string_view name) {
     if (name == to_string(k)) return k;
   }
   return std::nullopt;
+}
+
+std::optional<std::array<double, kNumClasses>> parse_weights(
+    std::string_view spec) {
+  std::array<double, kNumClasses> w{};
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const std::size_t comma = spec.find(',');
+    if ((i + 1 == w.size()) != (comma == std::string_view::npos)) {
+      return std::nullopt;
+    }
+    const std::string part(spec.substr(0, comma));
+    spec.remove_prefix(comma == std::string_view::npos ? spec.size()
+                                                       : comma + 1);
+    errno = 0;
+    char* end = nullptr;
+    w[i] = std::strtod(part.c_str(), &end);
+    if (errno != 0 || part.empty() || end != part.c_str() + part.size() ||
+        !(w[i] > 0.0) || !std::isfinite(w[i])) {
+      return std::nullopt;
+    }
+  }
+  return w;
 }
 
 Policy::Policy(const PolicyConfig& cfg) : cfg_(cfg) {

@@ -76,6 +76,11 @@ constexpr std::string_view to_string(PolicyKind k) {
 
 std::optional<PolicyKind> parse_policy_kind(std::string_view name);
 
+/// WFQ weights "A,B,C" (interactive,standard,batch): three positive finite
+/// numbers. nullopt on anything else.
+std::optional<std::array<double, kNumClasses>> parse_weights(
+    std::string_view spec);
+
 struct PolicyConfig {
   PolicyKind kind = PolicyKind::kFifo;
   /// WFQ per-class weights, indexed by Class. Share of service is

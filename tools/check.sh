@@ -72,6 +72,8 @@ cluster_smoke() {
       "--gpus=2 --faults=crash:0:1e300 --task-timeout-us=1" \
       "--gpus=2 --slo-us=1e300" "--gpus=2 --task-timeout-us=1e300" \
       "--gpus=2 --arrival=bursty:1e-2:4" \
+      "--tasks" "--seed" "--gpus=99999999999" "--policy=least-loaded" \
+      "--arrival=poisson:1000" "--slo-us=5000" "--queue-limit=3" \
       "--workload=DCT --task-threads=1024 --tasks=64"; do
     rc=0
     # shellcheck disable=SC2086  # args is a deliberate word list
@@ -388,6 +390,47 @@ vres_smoke() {
   ("${dir}/tools/pagoda_cli" --list-workloads) | grep -q "shmem/blk"
 }
 
+bench_usage_smoke() {
+  local dir="$1"
+  echo "==> bench usage smoke ${dir}"
+  # A bad bench argument is a usage error (exit 1) before anything runs,
+  # never a CHECK abort or a failed allocation.
+  local args rc
+  for args in "cluster_scaling --tasks=-5" "elastic_fleet --seeds=0" \
+      "elastic_fleet --gpus=99999999999" "fleet_scale --tasks-per-node=0" \
+      "occupancy_virt --threads=0" "qos_isolation --rate=-1" \
+      "fault_recovery --tasks=0"; do
+    rc=0
+    # shellcheck disable=SC2086  # args is a deliberate word list
+    "${dir}/bench/"${args} --out=/tmp/pagoda_usage_smoke.json \
+        >/dev/null 2>&1 || rc=$?
+    if [[ "${rc}" != 1 ]]; then
+      echo "error: ${args} exited ${rc}, want 1" >&2
+      exit 1
+    fi
+  done
+  rm -f /tmp/pagoda_usage_smoke.json
+  # Every table-driven binary's --help exits 0 and lists each option of its
+  # table, as the source declares it.
+  local src table bin help opt
+  for src in tools/*.cpp bench/*.cpp; do
+    table="${src}"
+    if grep -q "BenchArgs args" "${src}"; then table=bench/bench_common.h; fi
+    grep -q 'Option("' "${table}" || continue
+    bin="${dir}/${src%.cpp}"
+    help=$("${bin}" --help) || {
+      echo "error: ${bin} --help failed" >&2
+      exit 1
+    }
+    for opt in help $(grep -o 'Option("[a-z-]*"' "${table}" | cut -d'"' -f2); do
+      if ! grep -qE -- "^  --${opt}(=|\[=| )" <<<"${help}"; then
+        echo "error: ${bin} --help does not list --${opt}" >&2
+        exit 1
+      fi
+    done
+  done
+}
+
 vres_grep_clean() {
   # The virtual plane owns physical resources: only src/pagoda (the
   # backend) and src/vres (the facade) may name the buddy allocator or
@@ -637,6 +680,7 @@ power_smoke build-release
 migrate_smoke build-release
 fleet_smoke build-release
 vres_smoke build-release
+bench_usage_smoke build-release
 engine_grep_clean
 fault_grep_clean
 sched_grep_clean

@@ -10,7 +10,7 @@
 //   pagoda_cli --workload=MM --runtime=HyperQ --profile=profile.json
 //   pagoda_cli --workload=MM --runtime=all               # comparison table
 //   pagoda_cli --workload=MM --runtime=HyperQ,GeMTC,Pagoda
-//   pagoda_cli --list
+//   pagoda_cli --help
 //
 // Prints end-to-end time, occupancy, wire utilization and per-task latency
 // percentiles. `--metrics` adds the full observability snapshot (text report
@@ -20,14 +20,16 @@
 // runtime — the Pagoda protocol trace for Pagoda runtimes, the generic
 // timeline for the rest.
 //
-// This is the only place that parses spec strings: --faults, --power,
-// --governor, --autoscale, --resize and --arrival become the typed
-// baselines::ClusterOptions (an embedded cluster::DispatcherConfig), and the
-// cross-flag rules are cluster::Dispatcher::validate()'s single list, printed
-// here as a usage error. Int flags are range-checked (Flags::get_int_in)
-// before they narrow. Bad input ends in exit 1 (2 for an unparsable
-// number), never in a CHECK abort. The Cluster runtime drives the fleet
-// through cluster::OpenLoopRunner, the run loop every cluster caller shares.
+// Each option is one row of the table in main(): its name, the run-record
+// field it fills (whose initial value is the default), its range or
+// choices, where it applies and its help. The whole command line
+// is checked against the table before anything runs, and --help prints it
+// (harness/flags.h). Spec strings (--faults, --power, --governor,
+// --autoscale, --resize, --arrival, --gpus, --weights, --runtime) go to
+// their typed parsers, whose errors print through Options::reject; the
+// cross-flag rules are cluster::Dispatcher::validate()'s. Bad input ends in
+// exit 1 (2 for an unparsable number or a value outside an option's
+// choices), never in a CHECK abort.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -37,6 +39,7 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "baselines/factories.h"
@@ -58,81 +61,22 @@
 #include "sched/policy.h"
 
 using namespace pagoda;
-using harness::Flags;
+using harness::Option;
 
 namespace {
 
-int list_options() {
-  std::printf("workloads: ");
-  for (const auto wl : workloads::all_workload_names()) {
-    std::printf("%s ", std::string(wl).c_str());
-  }
-  std::printf("\nruntimes:  ");
-  for (const std::string_view rt : baselines::all_runtime_names()) {
-    std::printf("%s ", std::string(rt).c_str());
-  }
-  std::printf("(or a comma list, or \"all\" for a comparison table)\n");
-  std::printf(
-      "flags:     --tasks=N --task-threads=N --blocks=N --seed=N --input=N\n"
-      "           --irregular --dynamic-threads --no-shmem --no-copies\n"
-      "           --compute --batch=N --rows=N --two-copy\n"
-      "           --metrics[=out.json] --metrics-period=US\n"
-      "           --profile[=out.json] --trace=out.csv "
-      "--trace-format=csv|chrome\n"
-      "           --list-workloads   (Table 3 traits per workload)\n"
-      "vres:      --oversub=F  (virtual resource plane, F >= 1.0;\n"
-      "            1.0 = physical reservations, byte-identical baseline)\n"
-      "qos:       --sched-policy=fifo|priority|edf|wfq\n"
-      "           --class=interactive|standard|batch --weights=A,B,C (wfq)\n"
-      "cluster:   --gpus=N | --gpus=titanx,k40,...   (selects the Cluster "
-      "runtime)\n"
-      "           --policy=NAME --arrival=SPEC --slo-us=X --queue-limit=N\n"
-      "           --faults=SPEC --retry-budget=N --task-timeout-us=X\n"
-      "           --trace-spans=out.json   (per-request causal span dump;\n"
-      "            analyze with tools/trace_report)\n"
-      "power:     --power=SPEC --governor=NAME --power-cap-watts=X\n"
-      "           --list-policies   (placement/sched/governor catalog)\n"
-      "elastic:   --migrate   (checkpoint/restore drains instead of "
-      "shedding)\n"
-      "           --autoscale=UTIL[:LOW:HIGH[:MIN]] (needs --migrate "
-      "--power)\n"
-      "           --resize=AT_US:NODES[,...]        (rolling-resize plan)\n"
-      "faults:    comma list of task:P | xfer:P | wedge:P |\n"
-      "           crash:NODE:T_US[:RECOVER_US] |\n"
-      "           degrade:T_US:DUR_US:FACTOR[:NODE] | seed:N\n");
-  std::printf("policies:  ");
-  for (const std::string_view p : cluster::all_policy_names()) {
-    std::printf("%s ", std::string(p).c_str());
-  }
-  std::printf("\narrivals:  %s\n",
-              std::string(cluster::ArrivalConfig::choices()).c_str());
-  return 0;
-}
+// Where an option applies; a given option whose rule fails is a usage error.
+constexpr std::string_view kCluster = "--runtime=Cluster";
+constexpr std::string_view kVirtual =
+    "a single Pagoda, PagodaBatching or Cluster runtime";
+constexpr std::string_view kSingle = "a single --runtime";
+constexpr std::string_view kWfq = "--sched-policy=wfq";
+constexpr std::string_view kPower = "--power=SPEC";
 
-const char* policy_desc(std::string_view name) {
-  if (name == "round-robin") {
-    return "rotate over nodes, blind to load (the baseline)";
-  }
-  if (name == "least-outstanding") {
-    return "fewest placed-but-unfinished requests wins";
-  }
-  if (name == "least-loaded") {
-    return "executor occupancy + outstanding work per unit capacity";
-  }
-  if (name == "data-affinity") {
-    return "route keyed requests to the node already holding their data";
-  }
-  if (name == "power-cap") {
-    return "least-loaded, refuses admission while fleet watts >= the cap";
-  }
-  if (name == "energy-min") {
-    return "pack the fewest awake nodes so the governor can sleep the rest";
-  }
-  if (name == "vres-aware") {
-    return "max virtual slot headroom (pairs with --oversub)";
-  }
-  return "";
-}
+constexpr std::string_view kSchedPolicies[] = {"fifo", "priority", "edf",
+                                               "wfq"};
+constexpr std::string_view kClasses[] = {"interactive", "standard", "batch"};
+constexpr std::string_view kTraceFormats[] = {"csv", "chrome"};
 
 /// --list-policies: every pluggable decision maker — placement policies,
 /// QoS scheduling policies and power governors — with one-line descriptions.
@@ -140,7 +84,8 @@ const char* policy_desc(std::string_view name) {
 int list_policies() {
   std::printf("placement policies (--policy):\n");
   for (const std::string_view p : cluster::all_policy_names()) {
-    std::printf("  %-18s %s\n", std::string(p).c_str(), policy_desc(p));
+    std::printf("  %-18s %s\n", std::string(p).c_str(),
+                std::string(cluster::policy_description(p)).c_str());
   }
   std::printf("\nscheduling policies (--sched-policy):\n");
   std::printf("  %-18s %s\n", "fifo",
@@ -173,97 +118,6 @@ int list_policies() {
               "explicit rolling resize AT_US:NODES[,...]; each shrink "
               "drains, migrates, then S-sleeps one node at a time");
   return 0;
-}
-
-bool is_runtime_name(const std::string& name) {
-  for (const std::string_view rt : baselines::all_runtime_names()) {
-    if (name == rt) return true;
-  }
-  return false;
-}
-
-/// --runtime= value: one name, a comma list, or "all". Empty vector (after
-/// the printed error) on an unknown name.
-std::vector<std::string> parse_runtimes(const std::string& v) {
-  std::vector<std::string> names;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const std::size_t comma = v.find(',', pos);
-    names.push_back(v.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (names.size() == 1 && names[0] == "all") {
-    names.assign(baselines::all_runtime_names().begin(),
-                 baselines::all_runtime_names().end());
-    return names;
-  }
-  for (const std::string& n : names) {
-    if (!is_runtime_name(n)) {
-      std::fprintf(stderr, "error: unknown --runtime '%s'; valid runtimes:",
-                   n.c_str());
-      for (const std::string_view rt : baselines::all_runtime_names()) {
-        std::fprintf(stderr, " %s", std::string(rt).c_str());
-      }
-      std::fprintf(stderr, " all\n");
-      return {};
-    }
-  }
-  return names;
-}
-
-/// --gpus= value: a device count ("4") or a comma list of spec names
-/// ("titanx,k40"). Empty vector on a malformed value.
-std::vector<gpu::GpuSpec> parse_gpus(const std::string& v) {
-  std::vector<gpu::GpuSpec> specs;
-  if (v.find_first_not_of("0123456789") == std::string::npos && !v.empty()) {
-    const int n = std::stoi(v);
-    if (n < 1 || n > 256) return {};
-    specs.assign(static_cast<std::size_t>(n), gpu::GpuSpec::titan_x());
-    return specs;
-  }
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const std::size_t comma = v.find(',', pos);
-    const std::string name = v.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (name == "titanx" || name == "titan_x") {
-      specs.push_back(gpu::GpuSpec::titan_x());
-    } else if (name == "k40" || name == "tesla_k40") {
-      specs.push_back(gpu::GpuSpec::tesla_k40());
-    } else {
-      return {};
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return specs;
-}
-
-/// --weights= value: three comma-separated positive finite doubles
-/// (interactive,standard,batch). nullopt on anything else.
-std::optional<std::array<double, sched::kNumClasses>> parse_weights(
-    const std::string& v) {
-  std::array<double, sched::kNumClasses> w{};
-  std::size_t pos = 0;
-  for (int i = 0; i < sched::kNumClasses; ++i) {
-    const std::size_t comma = v.find(',', pos);
-    const bool last = i == sched::kNumClasses - 1;
-    if (last != (comma == std::string::npos)) return std::nullopt;
-    const std::string part = v.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    errno = 0;
-    char* end = nullptr;
-    w[static_cast<std::size_t>(i)] = std::strtod(part.c_str(), &end);
-    if (errno != 0 || part.empty() || end != part.c_str() + part.size() ||
-        !(w[static_cast<std::size_t>(i)] > 0.0) ||
-        !std::isfinite(w[static_cast<std::size_t>(i)])) {
-      return std::nullopt;
-    }
-    pos = comma + 1;
-  }
-  return w;
 }
 
 /// The widest synchronizing threadblock (threads) the workload generates
@@ -319,27 +173,106 @@ int list_workloads() {
 
 int main(int argc, char** argv) {
   common::tune_allocator_for_batch_runs();
-  const Flags flags(argc, argv);
-  const std::string bad = flags.unknown(
-      {"list", "list-workloads", "list-policies", "help", "workload",
-       "runtime", "tasks", "task-threads", "seed", "input",
-       "blocks", "irregular", "dynamic-threads", "no-shmem", "compute",
-       "no-copies", "batch", "rows", "two-copy", "trace", "trace-format",
-       "metrics", "metrics-period", "profile", "gpus", "policy", "arrival",
-       "slo-us", "queue-limit", "faults", "retry-budget", "task-timeout-us",
-       "sched-policy", "class", "weights", "trace-spans", "power", "governor",
-       "power-cap-watts", "migrate", "autoscale", "resize",
-       "oversub"});
-  if (!bad.empty()) {
-    std::fprintf(stderr, "error: unknown argument '%s' (try --help)\n",
-                 bad.c_str());
-    return 1;
-  }
-  if (flags.has("list") || flags.has("help")) return list_options();
-  if (flags.has("list-workloads")) return list_workloads();
-  if (flags.has("list-policies")) return list_policies();
 
-  const std::string wl = flags.get("workload", "MM");
+  // The run record. Each option writes one field; its value here is the
+  // option's default.
+  baselines::RunConfig rcfg = harness::paper_platform();
+  cluster::DispatcherConfig& dc = rcfg.cluster.dispatcher;
+  workloads::WorkloadConfig wcfg;
+  wcfg.num_tasks = 4096;
+  bool list_wl = false, list_pol = false;
+  bool no_shmem = false, no_copies = false, compute = false;
+  std::string wl = "MM", runtime = "Pagoda", gpus = "1", arrival = "closed";
+  std::string sched_policy = "fifo", task_class = "standard", weights;
+  std::string faults, power, governor = "static", autoscale, resize;
+  std::string metrics_path, profile_path = "profile.json", trace_path;
+  std::string trace_format = "csv", spans_path;
+  int period_us = 20;
+  double slo_us = 0.0, timeout_us = 0.0;
+  // The runtimes CHECK the task shape and TaskTable geometry, so those
+  // bounds come from the platform. No block is wider than the device
+  // allows, so the --blocks bound keeps a task's thread and warp counts
+  // (ints) in range; 1024 rows keep 48 x rows far from int overflow.
+  const int max_tpb = rcfg.spec.max_threads_per_block;
+  const std::string workloads_help =
+      harness::join(workloads::all_workload_names());
+  const std::string runtimes_help =
+      harness::join(baselines::all_runtime_names()) +
+      ", a comma list of them for a comparison table, or all; Cluster with "
+      "--gpus";
+  std::vector<Option> table = {
+      Option("list-workloads", &list_wl, "Table 3 traits per workload"),
+      Option("list-policies", &list_pol, "policy and governor catalog"),
+      Option("workload", &wl, workloads_help),
+      Option("runtime", &runtime, runtimes_help),
+      Option("tasks", &wcfg.num_tasks, "tasks to run").range(1),
+      Option("task-threads", &wcfg.threads_per_task, "threads per task")
+          .range(1, max_tpb),
+      Option("blocks", &wcfg.blocks_per_task, "threadblocks per task")
+          .range(1, std::numeric_limits<int>::max() / max_tpb),
+      Option("seed", &wcfg.seed, "workload and cluster seed"),
+      Option("input", &wcfg.input_scale, "input size; 0: default").range(0),
+      Option("irregular", &wcfg.irregular_sizes, "irregular input sizes"),
+      Option("dynamic-threads", &wcfg.dynamic_threads,
+             "threads per task from its input size"),
+      Option("no-shmem", &no_shmem, "kernels without shared memory"),
+      Option("no-copies", &no_copies, "no input/output data copies"),
+      Option("compute", &compute, "run kernels and verify their outputs"),
+      Option("batch", &rcfg.batch_size, "batch size; 0: auto").range(0),
+      Option("rows", &rcfg.pagoda.rows_per_column, "TaskTable rows per MTB")
+          .range(1, 1024),
+      Option("two-copy", &rcfg.pagoda.two_copy_spawn,
+             "naive two-copy spawn protocol"),
+      Option("oversub", &rcfg.pagoda.oversub, "virtual resource factor")
+          .only(kVirtual),
+      Option("sched-policy", &sched_policy, "QoS order at every layer")
+          .one_of(kSchedPolicies).only(kVirtual),
+      Option("class", &task_class, "QoS class of the tasks")
+          .one_of(kClasses).only(kVirtual),
+      Option("weights", &weights, "positive weights A,B,C of interactive,"
+             "standard,batch").only(kWfq),
+      Option("metrics", &metrics_path, "report; JSON when given a path")
+          .bare().only(kSingle),
+      Option("metrics-period", &period_us, "sample period, us").range(1),
+      Option("profile", &profile_path, "Chrome trace-event file")
+          .bare().only(kSingle),
+      Option("trace", &trace_path, "raw event trace file").only(kSingle),
+      Option("trace-format", &trace_format, "--trace format")
+          .one_of(kTraceFormats),
+      Option("governor", &governor, "static, dvfs or powercap; see "
+             "--list-policies").only(kPower)};
+  // The Cluster runtime's options.
+  for (const Option& o : {
+           Option("gpus", &gpus, "N <= 256, or a comma list of titanx/k40"),
+           Option("policy", &rcfg.cluster.policy, "placement policy")
+               .one_of(cluster::all_policy_names()),
+           Option("arrival", &arrival, cluster::ArrivalConfig::choices()),
+           Option("slo-us", &slo_us, "request deadline, us")
+               .above(0.0, sim::kMaxSpecMicroseconds),
+           Option("queue-limit", &dc.queue_limit, "admission queue bound; "
+                  "0: unbounded").range(0),
+           Option("faults", &faults,
+                  "comma list of task:P xfer:P wedge:P seed:N "
+                  "crash:NODE:T_US[:RECOVER_US] "
+                  "degrade:T_US:DUR_US:FACTOR[:NODE]"),
+           Option("retry-budget", &dc.retry.budget, "retries per request")
+               .range(0),
+           Option("task-timeout-us", &timeout_us, "deadline, us; 0: none")
+               .range(0.0, sim::kMaxSpecMicroseconds),
+           Option("trace-spans", &spans_path, "per-request span dump file"),
+           Option("power", &power, power::PowerSpec::grammar()),
+           Option("power-cap-watts", &dc.power.cap_watts, "fleet cap, W")
+               .above(0.0),
+           Option("migrate", &dc.migration.enabled,
+                  "drains migrate in-flight work instead of shedding it"),
+           Option("autoscale", &autoscale, "UTIL[:LOW:HIGH[:MIN]]"),
+           Option("resize", &resize, "AT_US:NODES[,...]")}) {
+    table.push_back(Option(o).only(kCluster));
+  }
+  const harness::Options opts(argc, argv, std::move(table));
+  if (list_wl) return list_workloads();
+  if (list_pol) return list_policies();
+
   const auto wl_names = workloads::all_workload_names();
   if (std::find(wl_names.begin(), wl_names.end(), wl) == wl_names.end()) {
     std::fprintf(stderr, "error: unknown --workload '%s'; valid workloads:",
@@ -350,175 +283,67 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\n");
     return 1;
   }
-  // Any cluster flag selects the Cluster runtime; --runtime=Cluster works
-  // too (with --gpus defaulting to a single Titan X).
-  const std::vector<std::string> rts = parse_runtimes(
-      flags.get("runtime", flags.has("gpus") ? "Cluster" : "Pagoda"));
-  if (rts.empty()) return 1;
+  // --gpus selects the Cluster runtime; --runtime=Cluster works too (with
+  // --gpus defaulting to a single Titan X).
+  if (!opts.given("runtime") && opts.given("gpus")) runtime = "Cluster";
+  const std::vector<std::string> rts = baselines::parse_runtimes(runtime);
+  if (rts.empty()) opts.reject("runtime", "unknown runtime");
   const bool multi = rts.size() > 1;
-  if (flags.has("gpus") && (multi || rts[0] != "Cluster")) {
-    std::fprintf(stderr, "error: --gpus only applies to --runtime=Cluster\n");
-    return 1;
-  }
-  for (const char* f : {"faults", "retry-budget", "task-timeout-us",
-                        "trace-spans", "power", "governor",
-                        "power-cap-watts", "migrate", "autoscale",
-                        "resize"}) {
-    if (flags.has(f) && (multi || rts[0] != "Cluster")) {
-      std::fprintf(stderr, "error: --%s only applies to --runtime=Cluster\n",
-                   f);
-      return 1;
-    }
-  }
   const std::string rt = rts[0];
   const bool want_cluster = !multi && rt == "Cluster";
   const bool pagoda_rt = rt == "Pagoda" || rt == "PagodaBatching";
+  rcfg.pagoda.sched.kind = *sched::parse_policy_kind(sched_policy);
+  opts.require(kCluster, want_cluster);
+  opts.require(kVirtual, !multi && (pagoda_rt || want_cluster));
+  opts.require(kSingle, !multi);
+  opts.require(kWfq, rcfg.pagoda.sched.kind == sched::PolicyKind::kWfq);
+  opts.require(kPower, opts.given("power"));
 
-  // Every int flag is range-checked here, before it narrows: out-of-range
-  // values are usage errors (exit 1), never a truncation, a silent
-  // "unbounded" or an abort mid-run. The runtimes CHECK the task shape and
-  // TaskTable geometry, so those bounds come from the platform.
-  baselines::RunConfig rcfg = harness::paper_platform();
-  workloads::WorkloadConfig wcfg;
-  wcfg.num_tasks = flags.get_int_in("tasks", 4096, 1);
-  wcfg.threads_per_task = flags.get_int_in("task-threads", 128, 1,
-                                           rcfg.spec.max_threads_per_block);
-  wcfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 0x9A60DA));
-  wcfg.input_scale = flags.get_int_in("input", 0, 0);
-  // No block is wider than the device allows, whatever --task-threads and
-  // --dynamic-threads make it, so this bound keeps a task's thread and warp
-  // counts (ints: TaskParams::warps_total(), the kernels' indexing) in range.
-  wcfg.blocks_per_task =
-      flags.get_int_in("blocks", 1, 1,
-                       std::numeric_limits<int>::max() /
-                           rcfg.spec.max_threads_per_block);
-  wcfg.irregular_sizes = flags.has("irregular");
-  wcfg.dynamic_threads = flags.has("dynamic-threads");
-  wcfg.use_shared_memory = !flags.has("no-shmem");
-
-  rcfg.mode = flags.has("compute") ? gpu::ExecMode::Compute
-                                   : gpu::ExecMode::Model;
-  rcfg.include_data_copies = !flags.has("no-copies");
+  wcfg.use_shared_memory = !no_shmem;
+  rcfg.mode = compute ? gpu::ExecMode::Compute : gpu::ExecMode::Model;
+  rcfg.include_data_copies = !no_copies;
   rcfg.collect_latencies = true;
-  rcfg.batch_size = flags.get_int_in("batch", 0, 0);
-  // TaskTable depth: 1024 rows is 16x the deepest table the ablation
-  // benches sweep, and keeps 48 x rows far from int overflow.
-  const int rows = flags.get_int_in("rows", 32, 1, 1024);
-  rcfg.pagoda.rows_per_column = rows;
-  rcfg.pagoda.two_copy_spawn = flags.has("two-copy");
-  const int period_us = flags.get_int_in("metrics-period", 20, 1);
 
   // Virtual resource plane (DESIGN.md §16): ONE factor drives shared-memory
   // and register virtualization inside every MasterKernel plus virtual
-  // TaskTable-slot admission in the cluster dispatcher. 1.0 (the default)
-  // is byte-identical to physical reservations.
-  const double oversub = flags.get_double("oversub", 1.0);
-  if (flags.has("oversub")) {
-    if (flags.get("oversub", "").empty()) {
-      std::fprintf(stderr,
-                   "error: --oversub needs a factor (e.g. --oversub=1.5)\n");
-      return 1;
-    }
-    if (multi || !(pagoda_rt || rt == "Cluster")) {
-      std::fprintf(stderr,
-                   "error: --oversub needs a single Pagoda, PagodaBatching "
-                   "or Cluster runtime (the virtual resource plane lives in "
-                   "the MasterKernel)\n");
-      return 1;
-    }
-    if (oversub < 1.0) {
-      std::fprintf(stderr,
-                   "error: --oversub must be a finite factor >= 1.0 "
-                   "(1.0 = physical reservations; e.g. --oversub=1.5 "
-                   "admits 1.5x the declared footprints)\n");
-      return 1;
-    }
-  }
-  rcfg.pagoda.oversub = oversub;
-
-  // The virtual TaskTable (oversub x MTB columns x rows) is counted in int
-  // slots. Every --gpus device has at most the paper platform's SMM count,
-  // so its table bounds the factor for every node.
-  const double table_entries = static_cast<double>(rcfg.spec.num_smms) *
-                               runtime::MasterKernel::kMtbsPerSmm *
-                               static_cast<double>(rows);
+  // TaskTable-slot admission in the cluster dispatcher. The virtual
+  // TaskTable (oversub x MTB columns x rows) is counted in int slots; every
+  // --gpus device has at most the paper platform's SMM count, so its table
+  // bounds the factor for every node.
+  const double oversub = rcfg.pagoda.oversub;
+  const int rows = rcfg.pagoda.rows_per_column;
   const double max_oversub =
-      std::floor(std::numeric_limits<int>::max() / table_entries);
-  if (oversub > max_oversub) {
+      std::floor(std::numeric_limits<int>::max() /
+                 (static_cast<double>(rcfg.spec.num_smms) *
+                  runtime::MasterKernel::kMtbsPerSmm * rows));
+  if (oversub < 1.0 || oversub > max_oversub) {
     std::fprintf(stderr,
-                 "error: --oversub=%g with --rows=%d overflows the virtual "
-                 "TaskTable; the factor must be <= %.0f\n",
-                 oversub, rows, max_oversub);
+                 "error: --oversub must be a finite factor >= 1.0 (1.0 = "
+                 "physical reservations) and, with --rows=%d, <= %.0f\n",
+                 rows, max_oversub);
     return 1;
   }
 
-  // QoS scheduling: one --sched-policy flag drives every layer that orders
-  // work (cluster admission, host spawn order, scheduler-warp claim order).
-  const bool qos_flags = flags.has("sched-policy") || flags.has("class") ||
-                         flags.has("weights");
-  if (qos_flags && (multi || !(pagoda_rt || want_cluster))) {
-    std::fprintf(stderr,
-                 "error: --sched-policy/--class/--weights need a single "
-                 "Pagoda, PagodaBatching or Cluster runtime\n");
-    return 1;
-  }
-  rcfg.pagoda.sched.kind = *sched::parse_policy_kind(flags.get_enum(
-      "sched-policy", "fifo", {"fifo", "priority", "edf", "wfq"}));
-  rcfg.task_class = *sched::parse_class(flags.get_enum(
-      "class", "standard", {"interactive", "standard", "batch"}));
-  if (flags.has("weights")) {
-    if (rcfg.pagoda.sched.kind != sched::PolicyKind::kWfq) {
-      std::fprintf(stderr,
-                   "error: --weights only applies to --sched-policy=wfq\n");
-      return 1;
-    }
+  rcfg.task_class = *sched::parse_class(task_class);
+  if (opts.given("weights")) {
     const std::optional<std::array<double, sched::kNumClasses>> w =
-        parse_weights(flags.get("weights"));
-    if (!w.has_value()) {
-      std::fprintf(stderr,
-                   "error: bad --weights '%s' (want three positive numbers: "
-                   "interactive,standard,batch — e.g. --weights=4,2,1)\n",
-                   flags.get("weights").c_str());
-      return 1;
-    }
+        sched::parse_weights(weights);
+    if (!w.has_value()) opts.reject("weights", "not three positive numbers");
     rcfg.pagoda.sched.weights = *w;
   }
   rcfg.cluster.default_class = rcfg.task_class;
 
   // Cluster specs are parsed here, once, into typed values; the cross-plane
-  // rules are Dispatcher::validate()'s. What remains below is flag syntax:
-  // malformed specs and flags given without the plane they refine.
-  const std::string arrival = flags.get("arrival", "closed");
-  const std::string power = flags.get("power");
-  const std::string governor = flags.get("governor", "static");
-  const std::string autoscale = flags.get("autoscale");
-  const std::string resize = flags.get("resize");
+  // rules are Dispatcher::validate()'s.
   if (want_cluster) {
-    cluster::DispatcherConfig& dc = rcfg.cluster.dispatcher;
-    dc.qos = qos_flags;  // arm sched.* export even under fifo
-    rcfg.cluster.specs = parse_gpus(flags.get("gpus", "1"));
-    if (rcfg.cluster.specs.empty()) {
-      std::fprintf(stderr,
-                   "error: bad --gpus value '%s' (want a count or a comma "
-                   "list of titanx/k40)\n",
-                   flags.get("gpus").c_str());
-      return 1;
-    }
-    rcfg.cluster.policy =
-        flags.get_enum("policy", "round-robin", cluster::all_policy_names());
-    // get_enum validates the arrival *kind*; the rate/factor tail still
-    // needs the full parser.
-    flags.get_enum("arrival", "closed",
-                   {"closed", "poisson:RATE", "bursty:RATE[:FACTOR]",
-                    "diurnal:RATE[:FACTOR[:ON_US]]"});
+    // Any QoS option arms sched.* export, even under fifo.
+    dc.qos = opts.given("sched-policy") || opts.given("class") ||
+             opts.given("weights");
+    rcfg.cluster.specs = baselines::parse_fleet(gpus);
+    if (rcfg.cluster.specs.empty()) opts.reject("gpus", "not a fleet");
     const std::optional<cluster::ArrivalConfig> acfg =
         cluster::ArrivalConfig::parse(arrival);
-    if (!acfg.has_value()) {
-      std::fprintf(stderr, "error: bad --arrival '%s'; valid forms: %s\n",
-                   arrival.c_str(),
-                   std::string(cluster::ArrivalConfig::choices()).c_str());
-      return 1;
-    }
+    if (!acfg.has_value()) opts.reject("arrival", "not an arrival process");
     rcfg.cluster.arrival = *acfg;
     // A valid rate can still be too slow for the run: offering every task
     // must fit the time cap on average, or the run cannot complete.
@@ -532,107 +357,35 @@ int main(int argc, char** argv) {
                    sim::to_seconds(rcfg.time_cap));
       return 1;
     }
-    const double slo_us = flags.get_double("slo-us", 0.0);
-    if (slo_us < 0.0 || slo_us > sim::kMaxSpecMicroseconds) {
-      std::fprintf(stderr, "error: --slo-us must be in [0, 1e12]\n");
-      return 1;
-    }
-    if (flags.has("slo-us") && slo_us == 0.0) {
-      std::fprintf(stderr,
-                   "error: --slo-us=0 is ambiguous; omit the flag to disable "
-                   "SLO accounting, or pass a positive deadline "
-                   "(e.g. --slo-us=5000)\n");
-      return 1;
-    }
     dc.default_slo = sim::microseconds(slo_us);
-    dc.queue_limit = flags.get_int_in("queue-limit", 0, 0);
-    rcfg.cluster.seed = wcfg.seed;
+    dc.task_timeout = sim::microseconds(timeout_us);
 
     std::string err;
     std::optional<fault::FaultPlan> plan =
-        fault::FaultPlan::parse(flags.get("faults"), &err);
-    if (!plan.has_value()) {
-      std::fprintf(stderr,
-                   "error: bad --faults spec: %s\n"
-                   "valid forms (comma list): task:P xfer:P wedge:P "
-                   "crash:NODE:T_US[:RECOVER_US] "
-                   "degrade:T_US:DUR_US:FACTOR[:NODE] seed:N\n",
-                   err.c_str());
-      return 1;
-    }
+        fault::FaultPlan::parse(faults, &err);
+    if (!plan.has_value()) opts.reject("faults", err);
     dc.faults = std::move(*plan);
-    const double timeout_us = flags.get_double("task-timeout-us", 0.0);
-    if (timeout_us < 0.0 || timeout_us > sim::kMaxSpecMicroseconds) {
-      std::fprintf(stderr, "error: --task-timeout-us must be in [0, 1e12]\n");
-      return 1;
-    }
-    dc.task_timeout = sim::microseconds(timeout_us);
-    dc.retry.budget = flags.get_int_in("retry-budget", dc.retry.budget, 0);
-
-    // Power plane: --power arms the model; --governor and --power-cap-watts
-    // refine it and are meaningless without it, so they fail fast.
-    if (flags.has("power") && power.empty()) {
-      std::fprintf(stderr,
-                   "error: --power needs a spec (e.g. --power=default or "
-                   "--power=default:floor=2); see --list-policies\n");
-      return 1;
-    }
-    if (!power.empty()) {
+    // Power plane: --power arms the model; --governor refines it.
+    if (opts.given("power")) {
       dc.power.spec = power::PowerSpec::parse(power, &err);
-      if (!dc.power.spec.has_value()) {
-        std::fprintf(stderr, "error: bad --power spec: %s\n", err.c_str());
-        return 1;
-      }
-    }
-    if (flags.has("governor") && power.empty()) {
-      std::fprintf(stderr,
-                   "error: --governor needs the power plane; add "
-                   "--power=SPEC (see --list-policies)\n");
-      return 1;
+      if (!dc.power.spec.has_value()) opts.reject("power", err);
     }
     const std::optional<power::GovernorKind> gov =
         power::parse_governor(governor);
-    if (!gov.has_value()) {
-      std::fprintf(stderr, "error: unknown --governor '%s'; valid governors:",
-                   governor.c_str());
-      for (const std::string_view g : power::all_governor_names()) {
-        std::fprintf(stderr, " %s", std::string(g).c_str());
-      }
-      std::fprintf(stderr, " (see --list-policies)\n");
-      return 1;
-    }
+    if (!gov.has_value()) opts.reject("governor", "unknown governor");
     dc.power.governor = *gov;
-    dc.power.cap_watts = flags.get_double("power-cap-watts", 0.0);
-    if (flags.has("power-cap-watts") && dc.power.cap_watts <= 0.0) {
-      std::fprintf(stderr, "error: --power-cap-watts must be > 0\n");
-      return 1;
-    }
-
     // Elastic plane: --migrate arms checkpoint/restore drains; --autoscale
     // and --resize add a utilization resizer and an explicit plan.
-    dc.migration.enabled = flags.has("migrate");
-    if (flags.has("autoscale")) {
+    if (opts.given("autoscale")) {
       std::optional<migrate::AutoscaleConfig> as =
           migrate::parse_autoscale_spec(autoscale, &err);
-      if (!as.has_value()) {
-        std::fprintf(stderr,
-                     "error: bad --autoscale spec: %s "
-                     "(want UTIL[:LOW:HIGH[:MIN]], e.g. --autoscale=0.6)\n",
-                     err.c_str());
-        return 1;
-      }
+      if (!as.has_value()) opts.reject("autoscale", err);
       dc.autoscale = std::move(*as);
     }
-    if (flags.has("resize")) {
+    if (opts.given("resize")) {
       std::optional<std::vector<migrate::ResizeStep>> steps =
           migrate::parse_resize_spec(resize, &err);
-      if (!steps.has_value()) {
-        std::fprintf(stderr,
-                     "error: bad --resize spec: %s "
-                     "(want AT_US:NODES[,...], e.g. --resize=50000:8)\n",
-                     err.c_str());
-        return 1;
-      }
+      if (!steps.has_value()) opts.reject("resize", err);
       dc.autoscale.plan = std::move(*steps);
     }
 
@@ -667,48 +420,22 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const bool want_metrics = flags.has("metrics");
-  const std::string metrics_path = flags.get("metrics");
-  const bool want_profile = flags.has("profile");
-  const std::string profile_path = flags.get("profile", "profile.json");
-  const bool want_trace = flags.has("trace");
-  const std::string trace_path = flags.get("trace");
-  if (want_trace && trace_path.empty()) {
-    std::fprintf(stderr, "error: --trace needs a path (--trace=out.csv)\n");
-    return 1;
-  }
-  const std::string trace_format = flags.get("trace-format", "csv");
-  if (trace_format != "csv" && trace_format != "chrome") {
-    std::fprintf(stderr, "error: --trace-format must be csv or chrome\n");
-    return 1;
-  }
-  const bool want_spans = flags.has("trace-spans");
-  const std::string spans_path = flags.get("trace-spans");
-  if (want_spans && spans_path.empty()) {
-    std::fprintf(stderr,
-                 "error: --trace-spans needs a path "
-                 "(--trace-spans=spans.json)\n");
-    return 1;
-  }
+  const bool want_metrics = opts.given("metrics");
+  const bool want_profile = opts.given("profile");
+  const bool want_trace = opts.given("trace");
+  const bool want_spans = opts.given("trace-spans");
+  const char* mode = compute ? "compute (verified)" : "model";
+  rcfg.cluster.seed = wcfg.seed;
 
   if (multi) {
-    if (want_metrics || want_profile || want_trace) {
-      std::fprintf(stderr,
-                   "error: --metrics/--profile/--trace need a single "
-                   "--runtime\n");
-      return 1;
-    }
     // One shared config; every scheme runs under the same engine Session
     // parameters. Cluster (if listed) uses its defaults: one device of the
     // configured spec.
-    rcfg.cluster.seed = wcfg.seed;
     std::printf("workload   %s  (%d tasks, %d threads/task%s%s)\n", wl.c_str(),
                 wcfg.num_tasks, wcfg.threads_per_task,
                 wcfg.irregular_sizes ? ", irregular sizes" : "",
                 rcfg.include_data_copies ? "" : ", no data copies");
-    std::printf("mode       %s\n\n",
-                rcfg.mode == gpu::ExecMode::Compute ? "compute (verified)"
-                                                    : "model");
+    std::printf("mode       %s\n\n", mode);
     harness::Table table({"runtime", "time", "speedup", "occupancy",
                           "p50 latency", "p99 latency"});
     double base_time = 0.0;  // first supported runtime anchors the speedups
@@ -743,26 +470,24 @@ int main(int argc, char** argv) {
 
   // Fail fast on unwritable output paths BEFORE the run starts: a bad path
   // must cost an exit 2 up front, not a discarded multi-second simulation.
-  const auto open_output = [](const std::string& path,
-                              const char* flag) -> std::ofstream {
-    std::ofstream out(path);
-    if (!out) {
+  const auto open_output = [](bool wanted, const std::string& path,
+                              const char* flag) {
+    std::ofstream out;
+    if (wanted && !(out.open(path), out)) {
       std::fprintf(stderr, "error: %s: cannot open output path '%s'\n", flag,
                    path.c_str());
       std::exit(2);
     }
     return out;
   };
-  std::optional<std::ofstream> metrics_out;
-  std::optional<std::ofstream> profile_out;
-  std::optional<std::ofstream> trace_out;
-  std::optional<std::ofstream> spans_out;
-  if (want_metrics && !metrics_path.empty()) {
-    metrics_out = open_output(metrics_path, "--metrics");
-  }
-  if (want_profile) profile_out = open_output(profile_path, "--profile");
-  if (want_trace) trace_out = open_output(trace_path, "--trace");
-  if (want_spans) spans_out = open_output(spans_path, "--trace-spans");
+  std::ofstream metrics_out =
+      open_output(want_metrics && !metrics_path.empty(), metrics_path,
+                  "--metrics");
+  std::ofstream profile_out = open_output(want_profile, profile_path,
+                                          "--profile");
+  std::ofstream trace_out = open_output(want_trace, trace_path, "--trace");
+  std::ofstream spans_out = open_output(want_spans, spans_path,
+                                        "--trace-spans");
 
   obs::CollectorConfig ccfg;
   ccfg.sample_period = sim::microseconds(static_cast<double>(period_us));
@@ -802,9 +527,7 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
   }
-  std::printf("mode       %s\n",
-              rcfg.mode == gpu::ExecMode::Compute ? "compute (verified)"
-                                                  : "model");
+  std::printf("mode       %s\n", mode);
   std::printf("time       %.3f ms\n", m.result.elapsed_ms());
   std::printf("occupancy  %.1f%%\n", m.result.occupancy * 100.0);
   std::printf("PCIe wire  H2D %.2f ms busy, D2H %.2f ms busy\n",
@@ -822,12 +545,12 @@ int main(int argc, char** argv) {
       std::printf("\n");
       m.metrics.write_text(std::cout);
     } else {
-      m.metrics.write_json(*metrics_out);
+      m.metrics.write_json(metrics_out);
       std::printf("metrics    -> %s\n", metrics_path.c_str());
     }
   }
   if (want_profile) {
-    collector.timeline().write_chrome_trace(*profile_out);
+    collector.timeline().write_chrome_trace(profile_out);
     std::printf("profile    %zu spans, %zu counter samples -> %s\n",
                 collector.timeline().num_spans(),
                 collector.timeline().num_counter_samples(),
@@ -842,17 +565,17 @@ int main(int argc, char** argv) {
   if (want_trace) {
     if (pagoda_rt) {
       if (trace_format == "chrome") {
-        collector.trace().write_chrome_trace(*trace_out);
+        collector.trace().write_chrome_trace(trace_out);
       } else {
-        collector.trace().write_csv(*trace_out);
+        collector.trace().write_csv(trace_out);
       }
       std::printf("trace      %zu events -> %s\n",
                   collector.trace().events().size(), trace_path.c_str());
     } else {
       if (trace_format == "chrome") {
-        collector.timeline().write_chrome_trace(*trace_out);
+        collector.timeline().write_chrome_trace(trace_out);
       } else {
-        collector.timeline().write_csv(*trace_out);
+        collector.timeline().write_csv(trace_out);
       }
       std::printf("trace      %zu spans -> %s\n",
                   collector.timeline().num_spans(), trace_path.c_str());
@@ -860,7 +583,7 @@ int main(int argc, char** argv) {
   }
   if (want_spans) {
     const obs::RequestTracer& tracer = collector.request_tracer();
-    tracer.write_json(*spans_out);
+    tracer.write_json(spans_out);
     std::printf("spans      %zu requests, %zu dropped -> %s\n",
                 tracer.records().size(), tracer.drops().size(),
                 spans_path.c_str());

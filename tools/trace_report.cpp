@@ -181,23 +181,20 @@ int phase_index(std::string_view name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const pagoda::harness::Flags flags(argc, argv);
-  const std::string bad = flags.unknown({"in", "top", "explain-slo", "help"});
-  if (!bad.empty()) {
-    std::fprintf(stderr, "error: unknown argument '%s' (try --help)\n",
-                 bad.c_str());
-    return 2;
+  std::string in_path;
+  int top_k = 5;
+  bool explain_slo = false;
+  using pagoda::harness::Option;
+  const pagoda::harness::Options opts(
+      argc, argv,
+      {Option("in", &in_path, "pagoda_cli --trace-spans dump to analyze"),
+       Option("top", &top_k, "slowest critical paths to print").range(0),
+       Option("explain-slo", &explain_slo,
+              "name the dominant phase of every SLO casualty")});
+  if (in_path.empty()) {
+    std::fprintf(stderr, "error: --in=FILE is required (try --help)\n");
+    return 1;
   }
-  if (flags.has("help") || !flags.has("in")) {
-    std::printf(
-        "usage: trace_report --in=spans.json [--top=K] [--explain-slo]\n"
-        "analyzes a pagoda_cli --trace-spans dump: per-class/per-phase\n"
-        "attribution, top-K slowest critical paths, and (--explain-slo) the\n"
-        "dominant phase of every SLO casualty.\n");
-    return flags.has("help") ? 0 : 2;
-  }
-  const std::string in_path = flags.get("in");
-  const int top_k = static_cast<int>(flags.get_int("top", 5));
 
   std::ifstream in(in_path);
   if (!in) {
@@ -300,7 +297,7 @@ int main(int argc, char** argv) {
     report.write_top_k(os, top_k);
     std::fputs(os.str().c_str(), stdout);
   }
-  if (flags.has("explain-slo")) {
+  if (explain_slo) {
     std::printf("\n");
     std::ostringstream os;
     report.write_explain_slo(os);
