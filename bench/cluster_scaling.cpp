@@ -114,7 +114,8 @@ int main(int argc, char** argv) {
   using harness::Option;
   const harness::Options opts(
       argc, argv,
-      {Option("tasks", &requests, "requests per sweep point").range(1),
+      {Option("tasks", &requests, "requests per sweep point; its gates "
+              "need the floor").range(98),
        Option("seed", &seed, "arrival and request seed"),
        Option("out", &out_path, "JSON artifact path")});
 

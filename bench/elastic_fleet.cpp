@@ -218,7 +218,8 @@ int main(int argc, char** argv) {
   using harness::Option;
   const harness::Options opts(
       argc, argv,
-      {Option("tasks", &requests, "requests per run").range(1),
+      {Option("tasks", &requests, "requests per run; its gates need the floor")
+           .range(4250),
        Option("seeds", &num_seeds, "seeds per scenario").range(1),
        Option("seed", &base_seed, "first seed"),
        Option("gpus", &gpus, "fleet size (the resize plan needs a surplus)")

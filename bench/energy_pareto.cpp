@@ -211,7 +211,8 @@ int main(int argc, char** argv) {
   using harness::Option;
   const harness::Options opts(
       argc, argv,
-      {Option("tasks", &requests, "requests per run").range(1),
+      {Option("tasks", &requests, "requests per run; its gates need the floor")
+           .range(13),
        Option("seeds", &num_seeds, "seeds per point").range(1),
        Option("seed", &base_seed, "first seed"),
        Option("gpus", &gpus, "fleet size (sleep needs a surplus)")

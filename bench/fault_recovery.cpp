@@ -127,7 +127,8 @@ int main(int argc, char** argv) {
   using harness::Option;
   const harness::Options opts(
       argc, argv,
-      {Option("tasks", &requests, "requests per sweep point").range(1),
+      {Option("tasks", &requests, "requests per sweep point; its gates "
+              "need the floor").range(633),
        Option("seed", &seed, "arrival, request and fault seed"),
        Option("out", &out_path, "JSON artifact path")});
 

@@ -145,7 +145,8 @@ int main(int argc, char** argv) {
   using harness::Option;
   const harness::Options opts(
       argc, argv,
-      {Option("tasks", &bc.tasks, "tasks per run").range(1),
+      {Option("tasks", &bc.tasks, "tasks per run; its gates need the floor")
+           .range(704),
        // A DCT block synchronizes, so all its warps share one MTB.
        Option("threads", &bc.threads, "threads per task")
            .range(1, runtime::MasterKernel::kExecutorWarps * 32),

@@ -169,7 +169,8 @@ int main(int argc, char** argv) {
   using harness::Option;
   const harness::Options opts(
       argc, argv,
-      {Option("tasks", &requests, "requests per run").range(1),
+      {Option("tasks", &requests, "requests per run; its gates need the floor")
+           .range(317),
        Option("seeds", &num_seeds, "seeds per policy").range(1),
        Option("seed", &base_seed, "first seed"),
        Option("rate", &rate, "offered load, requests/s").range(1e3),

@@ -4,9 +4,8 @@
 
 namespace pagoda::cluster {
 
-GpuNode::GpuNode(sim::Simulation& sim, const NodeConfig& cfg, int index)
-    : index_(index),
-      cfg_(cfg),
+GpuNode::GpuNode(sim::Simulation& sim, const NodeConfig& cfg)
+    : cfg_(cfg),
       session_(sim,
                [&] {
                  engine::SessionConfig sc;
@@ -59,9 +58,8 @@ Cluster::Cluster(sim::Simulation& sim, const std::vector<NodeConfig>& nodes)
     : sim_(&sim) {
   PAGODA_CHECK_MSG(!nodes.empty(), "a cluster needs at least one GPU");
   nodes_.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    nodes_.push_back(
-        std::make_unique<GpuNode>(sim, nodes[i], static_cast<int>(i)));
+  for (const NodeConfig& node : nodes) {
+    nodes_.push_back(std::make_unique<GpuNode>(sim, node));
   }
 }
 

@@ -51,17 +51,15 @@ struct NodeConfig {
 
 class GpuNode {
  public:
-  GpuNode(sim::Simulation& sim, const NodeConfig& cfg, int index);
+  GpuNode(sim::Simulation& sim, const NodeConfig& cfg);
   GpuNode(const GpuNode&) = delete;
   GpuNode& operator=(const GpuNode&) = delete;
 
-  int index() const { return index_; }
   /// The node's engine session (shares the cluster-wide Simulation). The
   /// cluster driver attaches observability through it, per node prefix.
   engine::Session& session() { return session_; }
   gpu::Device& device() { return session_.device(); }
   runtime::Runtime& rt() { return session_.rt(); }
-  const NodeConfig& config() const { return cfg_; }
   gpu::Stream& h2d_stream() { return pipe_.h2d_stream(0); }
   gpu::Stream& d2h_stream() { return pipe_.d2h_stream(0); }
 
@@ -176,7 +174,6 @@ class GpuNode {
  private:
   fault::NodeSig live_sig() const;
 
-  int index_;
   NodeConfig cfg_;
   engine::Session session_;
   engine::StagePipeline pipe_;  // the node's dedicated H2D/D2H data streams

@@ -24,14 +24,6 @@ double arithmetic_mean(std::span<const double> values) {
   return sum / static_cast<double>(values.size());
 }
 
-double std_deviation(std::span<const double> values) {
-  if (values.size() < 2) return 0.0;
-  const double mean = arithmetic_mean(values);
-  double acc = 0.0;
-  for (double v : values) acc += (v - mean) * (v - mean);
-  return std::sqrt(acc / static_cast<double>(values.size()));
-}
-
 double percentile(std::span<const double> values, double p) {
   if (values.empty()) return 0.0;
   std::vector<double> sorted(values.begin(), values.end());
@@ -56,23 +48,6 @@ void RunningStats::add(double x) {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n_a = static_cast<double>(count_);
-  const auto n_b = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = n_a + n_b;
-  mean_ += delta * n_b / n_total;
-  m2_ += other.m2_ + delta * delta * n_a * n_b / n_total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }

@@ -13,22 +13,14 @@ double geometric_mean(std::span<const double> values);
 /// Arithmetic mean. Returns 0 for an empty span.
 double arithmetic_mean(std::span<const double> values);
 
-/// Population standard deviation. Returns 0 for spans of size < 2.
-double std_deviation(std::span<const double> values);
-
 /// p-th percentile (0..100) by linear interpolation on a copy of the data.
 double percentile(std::span<const double> values, double p);
 
-/// Online accumulator for min/max/mean/variance without storing samples.
-/// Uses Welford's algorithm; merge() combines independent accumulators
-/// (e.g. per-MTB metric streams) via the parallel variant (Chan et al.).
+/// Online accumulator for min/max/mean/variance without storing samples
+/// (Welford's algorithm).
 class RunningStats {
  public:
   void add(double x);
-
-  /// Folds another accumulator into this one, as if every sample of `other`
-  /// had been add()ed here.
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }

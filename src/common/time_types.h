@@ -24,7 +24,6 @@ inline constexpr Time kTimeMax = std::numeric_limits<Time>::max();
 /// overflow Time, and a sum of a few bounded values stays far inside it.
 inline constexpr double kMaxSpecMicroseconds = 1e12;
 
-constexpr Duration picoseconds(std::int64_t n) { return n; }
 constexpr Duration nanoseconds(double n) {
   return static_cast<Duration>(n * 1e3);
 }
@@ -42,9 +41,6 @@ constexpr double to_milliseconds(Duration d) {
 }
 constexpr double to_microseconds(Duration d) {
   return static_cast<double>(d) * 1e-6;
-}
-constexpr double to_nanoseconds(Duration d) {
-  return static_cast<double>(d) * 1e-3;
 }
 
 }  // namespace pagoda::sim

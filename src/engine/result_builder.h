@@ -41,7 +41,6 @@ class ResultBuilder {
   /// Completion state: whether the driver finished before the time cap, and
   /// its recorded end time.
   void complete(bool done, sim::Time end_time);
-  sim::Time end_time() const { return end_time_; }
 
   /// Accumulates both PCIe wire-busy integrals from a device (call once per
   /// device; cluster drivers call it per node).

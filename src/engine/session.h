@@ -72,14 +72,11 @@ class Session {
   // not "the components are immutable".
   bool has_device() const { return dev_ != nullptr; }
   gpu::Device& device() const;
-  bool has_rt() const { return rt_ != nullptr; }
   runtime::Runtime& rt() const;
   /// The device's PCIe bus (requires a device); used by the fault layer to
   /// arm per-node transfer-fault hooks and bandwidth-degradation windows.
   pcie::PcieBus& pcie() const { return device().pcie(); }
-  bool has_cpu() const { return cpu_ != nullptr; }
   host::CpuCluster& cpu() const;
-  obs::Collector* collector() const { return collector_; }
 
   /// Attaches whatever this session built to `c` (device, then runtime,
   /// then cpu — the canonical order). Called by the constructor when the

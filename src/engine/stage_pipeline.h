@@ -51,9 +51,6 @@ class StagePipeline {
   /// supports the wave-orchestration half (pool sizes must be 0).
   StagePipeline(Session& session, const Config& cfg);
 
-  sim::Simulation& sim() { return *sim_; }
-  int spawner_threads() const { return spawner_threads_; }
-
   gpu::Stream& h2d_stream(std::size_t key) {
     return h2d_pool_[key % h2d_pool_.size()];
   }

@@ -31,15 +31,6 @@ constexpr const char* to_string(FailureCause c) {
   return "?";
 }
 
-/// Result of one attempt, as seen by the recovery layer.
-struct AttemptOutcome {
-  bool ok = true;
-  FailureCause cause = FailureCause::kNone;
-
-  static constexpr AttemptOutcome success() { return {true, FailureCause::kNone}; }
-  static constexpr AttemptOutcome failure(FailureCause c) { return {false, c}; }
-};
-
 /// Detected health of a node, as maintained by the dispatcher's watchdog.
 /// Distinct from the injection-side ground truth (GpuNode::alive): between a
 /// crash being injected and the watchdog noticing, a node is !alive yet
@@ -49,14 +40,5 @@ enum class NodeHealth {
   kDraining,  // administratively draining: finishes in-flight, takes no new
   kDead,      // watchdog-declared failed; in-flight work was redispatched
 };
-
-constexpr const char* to_string(NodeHealth h) {
-  switch (h) {
-    case NodeHealth::kHealthy: return "healthy";
-    case NodeHealth::kDraining: return "draining";
-    case NodeHealth::kDead: return "dead";
-  }
-  return "?";
-}
 
 }  // namespace pagoda::fault

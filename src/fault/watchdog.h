@@ -55,7 +55,6 @@ class Watchdog {
   int misses(int node) const { return nodes_[idx(node)].misses; }
   std::int64_t probes() const { return probes_; }
   std::int64_t deaths_detected() const { return deaths_; }
-  const WatchdogConfig& config() const { return cfg_; }
 
  private:
   struct NodeState {

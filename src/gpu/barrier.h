@@ -33,7 +33,6 @@ class BlockBarrier {
     arrived_ = 0;
   }
 
-  int participants() const { return participants_; }
 
   /// Awaitable: the calling warp arrives; the last arrival releases all.
   /// `co_await barrier.arrive_and_wait();`

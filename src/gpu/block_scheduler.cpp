@@ -72,7 +72,6 @@ void BlockDispatcher::start_block(const KernelExecutionPtr& e, Smm& smm,
   const BlockFootprint f = p.footprint();
   smm.reserve(f);
   blocks_started_ += 1;
-  resident_blocks_ += 1;
 
   auto run = std::make_shared<BlockRun>(*sim_, p.warps_per_block());
   run->exec = e;
@@ -119,8 +118,6 @@ sim::Process BlockDispatcher::warp_runner(std::shared_ptr<BlockRun> run,
 
 void BlockDispatcher::finish_block(const std::shared_ptr<BlockRun>& run) {
   run->smm->release(run->footprint);
-  blocks_finished_ += 1;
-  resident_blocks_ -= 1;
   KernelExecution& e = *run->exec;
   e.blocks_finished += 1;
   if (e.finished()) {

@@ -61,9 +61,6 @@ class BlockDispatcher {
 
   std::int64_t grids_launched() const { return grids_launched_; }
   std::int64_t blocks_started() const { return blocks_started_; }
-  std::int64_t blocks_finished() const { return blocks_finished_; }
-  /// Threadblocks currently resident across all SMMs (TB-slot occupancy).
-  int resident_blocks() const { return resident_blocks_; }
   /// Threadblocks of pending grids not yet placed (launch queue depth).
   std::int64_t unplaced_blocks() const;
 
@@ -94,8 +91,6 @@ class BlockDispatcher {
 
   std::int64_t grids_launched_ = 0;
   std::int64_t blocks_started_ = 0;
-  std::int64_t blocks_finished_ = 0;
-  int resident_blocks_ = 0;
   std::function<void(const GridRecord&)> grid_observer_;
 };
 

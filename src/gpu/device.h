@@ -1,12 +1,11 @@
-// The modeled GPU: SMMs, device memory, PCIe endpoints and the native
-// threadblock dispatcher, all driven by one Simulation.
+// The modeled GPU: SMMs, PCIe endpoints and the native threadblock
+// dispatcher, all driven by one Simulation.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "gpu/block_scheduler.h"
-#include "gpu/device_memory.h"
 #include "gpu/gpu_spec.h"
 #include "gpu/smm.h"
 #include "pcie/pcie_bus.h"
@@ -17,16 +16,14 @@ namespace pagoda::gpu {
 class Device {
  public:
   Device(sim::Simulation& sim, GpuSpec spec,
-         pcie::PcieConfig pcie_cfg = pcie::PcieConfig{},
-         std::int64_t memory_bytes = 12LL * 1024 * 1024 * 1024)
+         pcie::PcieConfig pcie_cfg = pcie::PcieConfig{})
       : sim_(&sim),
         spec_(spec),
-        arena_(memory_bytes),
         bus_(sim, pcie_cfg),
         dispatcher_(sim, spec) {
     smms_.reserve(static_cast<std::size_t>(spec_.num_smms));
     for (int i = 0; i < spec_.num_smms; ++i) {
-      smms_.push_back(std::make_unique<Smm>(sim, spec_, i));
+      smms_.push_back(std::make_unique<Smm>(sim, spec_));
     }
     dispatcher_.attach(smms_);
   }
@@ -37,7 +34,6 @@ class Device {
   const GpuSpec& spec() const { return spec_; }
   Smm& smm(int i) { return *smms_[static_cast<std::size_t>(i)]; }
   int num_smms() const { return spec_.num_smms; }
-  DeviceArena& memory() { return arena_; }
   pcie::PcieBus& pcie() { return bus_; }
   BlockDispatcher& dispatcher() { return dispatcher_; }
 
@@ -59,7 +55,6 @@ class Device {
   sim::Simulation* sim_;
   GpuSpec spec_;
   std::vector<std::unique_ptr<Smm>> smms_;
-  DeviceArena arena_;
   pcie::PcieBus bus_;
   BlockDispatcher dispatcher_;
 };

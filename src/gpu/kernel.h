@@ -50,13 +50,6 @@ class [[nodiscard]] KernelCoro {
   using Handle = std::coroutine_handle<promise_type>;
 
   KernelCoro(KernelCoro&& o) noexcept : handle_(std::exchange(o.handle_, {})) {}
-  KernelCoro& operator=(KernelCoro&& o) noexcept {
-    if (this != &o) {
-      if (handle_) handle_.destroy();
-      handle_ = std::exchange(o.handle_, {});
-    }
-    return *this;
-  }
   KernelCoro(const KernelCoro&) = delete;
   KernelCoro& operator=(const KernelCoro&) = delete;
   ~KernelCoro() {
@@ -131,17 +124,7 @@ class WarpCtx {
   /// syncBlock(): threadblock-wide barrier. `co_await ctx.sync_block();`
   /// suspends the warp; the runtime resumes it when all warps of the block
   /// have arrived.
-  auto sync_block() {
-    struct Awaiter {
-      WarpCtx* ctx;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<>) noexcept {
-        ctx->at_barrier_ = true;
-      }
-      void await_resume() const noexcept { ctx->at_barrier_ = false; }
-    };
-    return Awaiter{this};
-  }
+  std::suspend_always sync_block() { return {}; }
 
   // --- cost accounting ---------------------------------------------------
   /// Adds `cycles` of warp-issue work to the current segment. Issue work
@@ -160,9 +143,6 @@ class WarpCtx {
   /// Takes and clears the accumulated stall charge (runtime-side).
   double take_stall() { return std::exchange(pending_stall_cycles_, 0.0); }
 
-  /// True when the last suspension was a syncBlock (vs completion).
-  bool at_barrier() const { return at_barrier_; }
-
   /// True when the kernel should execute real loop bodies.
   bool compute() const { return mode == ExecMode::Compute; }
 
@@ -172,7 +152,6 @@ class WarpCtx {
  private:
   double pending_cycles_ = 0.0;
   double pending_stall_cycles_ = 0.0;
-  bool at_barrier_ = false;
   const CostModel* costs_ = &kDefaultCostModel;
 };
 

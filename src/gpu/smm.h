@@ -45,10 +45,9 @@ struct BlockFootprint {
 
 class Smm {
  public:
-  Smm(sim::Simulation& sim, const GpuSpec& spec, int index)
+  Smm(sim::Simulation& sim, const GpuSpec& spec)
       : sim_(&sim),
         spec_(&spec),
-        index_(index),
         pipeline_(sim, spec.issue_width * spec.clock_hz, spec.clock_hz),
         free_warps_(spec.warps_per_smm),
         free_blocks_(spec.max_blocks_per_smm),
@@ -57,8 +56,6 @@ class Smm {
         free_registers_(spec.registers_per_smm) {}
   Smm(const Smm&) = delete;
   Smm& operator=(const Smm&) = delete;
-
-  int index() const { return index_; }
 
   /// The issue pipeline; work units are cycles of warp instructions.
   /// (PsResource uses work-units/second, so submit cycles directly — the
@@ -150,7 +147,6 @@ class Smm {
 
   int free_warps() const { return free_warps_; }
   int resident_warps() const { return spec_->warps_per_smm - free_warps_; }
-  std::int64_t free_shared_mem() const { return free_shared_mem_; }
 
   /// ∫ resident-warp dt, for achieved-occupancy reporting.
   double resident_warp_seconds() const { return resident_integral_current(); }
@@ -178,7 +174,6 @@ class Smm {
 
   sim::Simulation* sim_;
   const GpuSpec* spec_;
-  int index_;
   sim::PsResource pipeline_;
 
   int free_warps_;

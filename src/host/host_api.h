@@ -43,7 +43,6 @@ class CpuCluster {
   auto run(double ops) { return pool_.execute(ops); }
 
   int cores() const { return cores_; }
-  double core_ops_per_sec() const { return core_ops_per_sec_; }
   double busy_core_seconds() const {
     return pool_.busy_work_seconds() / core_ops_per_sec_;
   }

@@ -98,7 +98,6 @@ class Autoscaler {
   void start();
 
   const Stats& stats() const { return stats_; }
-  const AutoscaleConfig& config() const { return cfg_; }
   /// Nodes currently serving traffic (awake and not draining toward sleep).
   int serving_nodes() const;
 

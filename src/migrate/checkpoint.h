@@ -47,15 +47,6 @@ enum class SafePoint : std::uint8_t {
   kTableParked = 2  // TaskTable entry revoked before a warp claimed it
 };
 
-constexpr std::string_view to_string(SafePoint p) {
-  switch (p) {
-    case SafePoint::kQueued: return "queued";
-    case SafePoint::kStaged: return "staged";
-    case SafePoint::kTableParked: return "table_parked";
-  }
-  return "?";
-}
-
 /// The in-memory checkpoint. `fn` is process-local and deliberately excluded
 /// from the byte image (a real system ships a kernel symbol id and re-binds
 /// it at restore; the restoring dispatcher re-injects the pointer the same

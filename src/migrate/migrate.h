@@ -48,7 +48,6 @@ class MigrationManager {
 
   explicit MigrationManager(MigrationConfig cfg) : cfg_(cfg) {}
 
-  const MigrationConfig& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
 
   /// One attempt captured: counts the safe point and the transfer charge.

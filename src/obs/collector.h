@@ -72,9 +72,7 @@ class Collector {
   Collector& operator=(const Collector&) = delete;
 
   MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
   Timeline& timeline() { return timeline_; }
-  const Timeline& timeline() const { return timeline_; }
   bool timeline_enabled() const { return cfg_.timeline; }
   bool trace_enabled() const { return cfg_.trace || cfg_.timeline; }
   bool spans_enabled() const { return cfg_.spans; }
@@ -82,7 +80,6 @@ class Collector {
   /// hands it to the Dispatcher; finish() folds it into the timeline when
   /// both are enabled.
   RequestTracer& request_tracer() { return tracer_; }
-  const RequestTracer& request_tracer() const { return tracer_; }
   /// The Pagoda protocol trace recorded when trace_enabled(). Valid for the
   /// Collector's lifetime. Only the default-prefix ("") runtime feeds it —
   /// TaskIds from different devices would collide in one recorder.

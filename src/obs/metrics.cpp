@@ -37,23 +37,6 @@ double MetricsRegistry::gauge_value(std::string_view name, double def) const {
   return it == gauges_.end() ? def : it->second.value();
 }
 
-double MetricsRegistry::stat_mean(std::string_view name, double def) const {
-  const auto it = stats_.find(std::string(name));
-  return it == stats_.end() ? def : it->second.stats().mean();
-}
-
-double MetricsRegistry::stat_max(std::string_view name, double def) const {
-  const auto it = stats_.find(std::string(name));
-  return it == stats_.end() ? def : it->second.stats().max();
-}
-
-void MetricsRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  stats_.clear();
-  histograms_.clear();
-}
-
 std::string format_metric_double(double v) {
   // Normalize the zero sign so -0.0 and 0.0 snapshot identically.
   if (v == 0.0) v = 0.0;

@@ -51,7 +51,6 @@ class Gauge {
 class Stat {
  public:
   void add(double x) { rs_.add(x); }
-  void merge(const Stat& o) { rs_.merge(o.rs_); }
   const RunningStats& stats() const { return rs_; }
 
  private:
@@ -98,15 +97,11 @@ class MetricsRegistry {
   /// Value lookups for report columns; `def` when the name is absent.
   std::int64_t counter_value(std::string_view name, std::int64_t def = 0) const;
   double gauge_value(std::string_view name, double def = 0.0) const;
-  /// Mean / max of a sampled stat.
-  double stat_mean(std::string_view name, double def = 0.0) const;
-  double stat_max(std::string_view name, double def = 0.0) const;
 
   bool empty() const {
     return counters_.empty() && gauges_.empty() && stats_.empty() &&
            histograms_.empty();
   }
-  void clear();
 
   /// Stable-ordered JSON snapshot: keys sorted lexicographically, doubles
   /// printed with a fixed format — byte-identical across identical runs.

@@ -76,16 +76,6 @@ void Timeline::async_span(std::string_view name, std::uint64_t id,
       end});
 }
 
-void Timeline::clear() {
-  spans_.clear();
-  instants_.clear();
-  counter_samples_.clear();
-  counter_last_time_.clear();
-  flows_.clear();
-  async_spans_.clear();
-  dropped_events_ = 0;
-}
-
 namespace {
 
 void write_json_string(std::ostream& os, std::string_view s) {

@@ -67,7 +67,6 @@ class Timeline {
     return spans_.empty() && instants_.empty() && counter_samples_.empty() &&
            flows_.empty() && async_spans_.empty();
   }
-  void clear();
 
   /// Hard cap on buffered events (spans + instants + counter samples +
   /// flows + async spans) so long cluster runs can't grow the trace buffer
@@ -121,7 +120,6 @@ class Timeline {
     sim::Time end;
   };
   const std::vector<Span>& spans() const { return spans_; }
-  const std::vector<Flow>& flows() const { return flows_; }
   const std::vector<CounterSample>& counter_samples() const {
     return counter_samples_;
   }

@@ -264,26 +264,6 @@ sim::Task<> Runtime::wait(TaskHandle h) {
   }
 }
 
-sim::Task<std::size_t> Runtime::wait_any(std::vector<TaskHandle> handles) {
-  PAGODA_CHECK_MSG(!handles.empty(), "wait_any on an empty handle set");
-  while (true) {
-    co_await sim().delay(hc_.event_query);
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      if (is_done_cpu_view(handles[i])) co_return i;
-    }
-    // Timeout path, as in wait(): flush the last task and refresh the CPU
-    // view of the whole table (any of the handles may have finished).
-    co_await spawn_lock_.acquire();
-    co_await flush_last_locked();
-    co_await copy_back_all_locked();
-    spawn_lock_.release();
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      if (is_done_cpu_view(handles[i])) co_return i;
-    }
-    co_await sim().delay(cfg_.wait_poll);
-  }
-}
-
 sim::Task<bool> Runtime::try_revoke(TaskHandle h) {
   PAGODA_CHECK_MSG(h.owner == uid_,
                    "TaskHandle presented to a Runtime that did not issue it");

@@ -92,11 +92,6 @@ class Runtime {
   /// Waits until every spawned task has finished.
   sim::Task<> wait_all();
 
-  /// Extension beyond the paper's Table 1: waits until at least one of the
-  /// given tasks has finished; returns the index of a finished handle.
-  /// Useful for work-stealing host loops over heterogeneous task groups.
-  sim::Task<std::size_t> wait_any(std::vector<TaskHandle> handles);
-
   /// Extension for live migration: attempts to pull a spawned task back off
   /// the GPU before any scheduler warp claims it. Issues ONE entry-sized H2D
   /// transaction on the table stream; stream ordering guarantees that by its
@@ -134,9 +129,6 @@ class Runtime {
     mk_.set_trace_recorder(trace);
   }
   gpu::Device& device() { return dev_; }
-  /// Identity stamped into every TaskHandle this Runtime issues; wait/check
-  /// abort on a handle carrying a different uid.
-  std::uint64_t uid() const { return uid_; }
   const PagodaConfig& config() const { return cfg_; }
   /// Physical TaskTable capacity (entries). Layers above src/pagoda reason
   /// about capacity through this (or a virtual scaling of it) rather than

@@ -92,7 +92,6 @@ class ShmemAllocator {
   bool check_invariants() const;
 
  private:
-  int levels() const { return levels_; }
   std::int32_t level_block_size(int level) const {
     return arena_bytes_ >> level;
   }

@@ -20,14 +20,6 @@ std::string_view trace_kind_name(TraceKind kind) {
   return "?";
 }
 
-std::vector<TraceEvent> TraceRecorder::for_task(TaskId task) const {
-  std::vector<TraceEvent> out;
-  for (const TraceEvent& e : events_) {
-    if (e.task == task) out.push_back(e);
-  }
-  return out;
-}
-
 void TraceRecorder::write_csv(std::ostream& os) const {
   os << "time_us,kind,task,aux\n";
   for (const TraceEvent& e : events_) {

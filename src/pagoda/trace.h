@@ -52,10 +52,6 @@ class TraceRecorder {
   }
 
   const std::vector<TraceEvent>& events() const { return events_; }
-  void clear() { events_.clear(); }
-
-  /// Events of one task, in record order.
-  std::vector<TraceEvent> for_task(TaskId task) const;
 
   /// CSV dump: time_us,kind,task,aux
   void write_csv(std::ostream& os) const;

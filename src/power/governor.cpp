@@ -30,10 +30,6 @@ std::optional<GovernorKind> parse_governor(std::string_view name) {
   return std::nullopt;
 }
 
-std::string_view governor_name(GovernorKind k) {
-  return kGovernorNames[static_cast<std::size_t>(k)];
-}
-
 std::string_view governor_description(GovernorKind k) {
   switch (k) {
     case GovernorKind::kStatic:

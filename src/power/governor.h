@@ -46,7 +46,6 @@ enum class GovernorKind { kStatic, kDvfs, kPowerCap };
 /// Valid `--governor` names, in display order.
 std::span<const std::string_view> all_governor_names();
 std::optional<GovernorKind> parse_governor(std::string_view name);
-std::string_view governor_name(GovernorKind k);
 /// One-line description for --list-policies.
 std::string_view governor_description(GovernorKind k);
 
@@ -125,7 +124,6 @@ class PowerGovernor {
   void on_sla_warning(sim::Time now);
 
   const Stats& stats() const { return stats_; }
-  const PlaneConfig& config() const { return cfg_; }
 
  private:
   void schedule_tick();

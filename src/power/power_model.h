@@ -42,10 +42,6 @@ class SmmPower {
  public:
   SmmPower(sim::Simulation& sim, const PowerSpec& spec, gpu::Smm& smm);
 
-  int p_state() const { return p_; }
-  int c_state() const { return c_; }
-  bool node_asleep() const { return off_; }
-
   /// Pipeline has queued work, or a C-state wake-up is still in flight.
   bool busy(sim::Time now) const {
     return smm_->pipeline().active_jobs() > 0 || wake_until_ >= now;

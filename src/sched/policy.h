@@ -111,7 +111,6 @@ class Policy {
   Policy() = default;
   explicit Policy(const PolicyConfig& cfg);
 
-  PolicyKind kind() const { return cfg_.kind; }
   /// True when the policy is arrival-order: callers may keep their legacy
   /// fast path (and byte-identical event order) without consulting before().
   bool fifo() const { return cfg_.kind == PolicyKind::kFifo; }

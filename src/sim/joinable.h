@@ -27,7 +27,6 @@ class Joinable {
   Joinable() = default;
   explicit Joinable(std::shared_ptr<ProcessState> st) : state_(std::move(st)) {}
 
-  bool valid() const { return state_ != nullptr; }
   bool done() const { return state_->done; }
 
   /// Awaitable: suspends the caller until the process completes. Completes

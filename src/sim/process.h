@@ -70,10 +70,6 @@ class [[nodiscard]] Process {
     if (handle_ && state_ && !state_->spawned) handle_.destroy();
   }
 
-  bool done() const { return state_->done; }
-
-  Joinable joinable() const { return Joinable(state_); }
-
  private:
   friend class Simulation;
   Process(Handle h, std::shared_ptr<ProcessState> s)

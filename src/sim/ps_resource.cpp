@@ -50,7 +50,6 @@ void PsResource::advance_virtual_time() {
   const double rate = current_rate();
   virtual_time_ += rate * dt;
   busy_integral_ += std::min(capacity_, n * max_job_rate_) * dt;
-  job_integral_ += n * dt;
   last_update_ = now;
 }
 
@@ -115,11 +114,6 @@ double PsResource::busy_work_seconds() const {
   const double dt = to_seconds(sim_->now() - last_update_);
   const double n = static_cast<double>(jobs_.size());
   return busy_integral_ + std::min(capacity_, n * max_job_rate_) * dt;
-}
-
-double PsResource::job_seconds() const {
-  const double dt = to_seconds(sim_->now() - last_update_);
-  return job_integral_ + static_cast<double>(jobs_.size()) * dt;
 }
 
 }  // namespace pagoda::sim

@@ -68,9 +68,6 @@ class PsResource {
   /// min(C, n·r_max). Used for occupancy/utilization reporting.
   double busy_work_seconds() const;
 
-  /// ∫ n(t) dt in job·seconds (time-average active jobs = this / elapsed).
-  double job_seconds() const;
-
   double capacity() const { return capacity_; }
   double max_job_rate() const { return max_job_rate_; }
 
@@ -104,7 +101,6 @@ class PsResource {
   std::uint64_t next_seq_ = 1;
 
   double busy_integral_ = 0.0;  // work-unit·seconds of utilized capacity
-  double job_integral_ = 0.0;   // job·seconds
 
   /// Completed jobs' handles, reused across completion events so the hot
   /// path (every SMM instruction segment) does not allocate a fresh vector

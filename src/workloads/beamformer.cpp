@@ -14,6 +14,8 @@ namespace pagoda::workloads {
 namespace {
 
 constexpr int kDefaultWidth = 2048;
+// Irregular widths reach 1.75x, rounded up to 64; the rounding stays an int.
+constexpr int kMaxWidth = 1227133477;
 constexpr int kChannels = 4;
 constexpr int kTaps = 64;
 
@@ -61,7 +63,8 @@ class BeamFormerWorkload final : public Workload {
                           .irregular = false,
                           .may_use_shared = false,
                           .needs_sync = false,
-                          .default_registers = 34};
+                          .default_registers = 34,
+                          .max_input = kMaxWidth};
   }
 
   void do_generate(const WorkloadConfig& cfg) override {

@@ -15,6 +15,7 @@ namespace pagoda::workloads {
 namespace {
 
 constexpr int kDefaultSide = 128;
+constexpr int kMaxSide = 46340;  // side * side pixels stay an int
 constexpr int kK = 5;  // filter side
 constexpr int kHalo = kK / 2;
 
@@ -63,7 +64,8 @@ class ConvolutionWorkload final : public Workload {
                           .irregular = false,
                           .may_use_shared = false,
                           .needs_sync = false,
-                          .default_registers = 25};
+                          .default_registers = 25,
+                          .max_input = kMaxSide};
   }
 
   void do_generate(const WorkloadConfig& cfg) override {

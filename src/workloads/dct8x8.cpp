@@ -22,6 +22,9 @@ namespace pagoda::workloads {
 namespace {
 
 constexpr int kDefaultSide = 128;
+// Irregular frames reach 1.5x the side, rounded up to 8; side * side pixels
+// stay an int (46336^2 < 2^31).
+constexpr int kMaxSide = 30891;
 constexpr std::int32_t kShmemBytes = 8 * 1024;
 
 struct DctArgs {
@@ -131,7 +134,8 @@ class Dct8x8Workload final : public Workload {
                           .irregular = false,
                           .may_use_shared = true,
                           .needs_sync = true,
-                          .default_registers = 33};
+                          .default_registers = 33,
+                          .max_input = kMaxSide};
   }
 
   void do_generate(const WorkloadConfig& cfg) override {

@@ -1,7 +1,5 @@
 #include "workloads/des_core.h"
 
-#include "common/check.h"
-
 namespace pagoda::workloads {
 namespace {
 
@@ -169,24 +167,6 @@ std::uint64_t triple_des_decrypt_block(std::uint64_t block,
                                        const TripleDesKey& key) {
   return des_decrypt_block(
       des_encrypt_block(des_decrypt_block(block, key.k3), key.k2), key.k1);
-}
-
-void triple_des_encrypt_ecb(std::span<const std::uint64_t> in,
-                            std::span<std::uint64_t> out,
-                            const TripleDesKey& key) {
-  PAGODA_CHECK(in.size() == out.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = triple_des_encrypt_block(in[i], key);
-  }
-}
-
-void triple_des_decrypt_ecb(std::span<const std::uint64_t> in,
-                            std::span<std::uint64_t> out,
-                            const TripleDesKey& key) {
-  PAGODA_CHECK(in.size() == out.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = triple_des_decrypt_block(in[i], key);
-  }
 }
 
 }  // namespace pagoda::workloads

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 namespace pagoda::workloads {
 
@@ -32,14 +31,5 @@ std::uint64_t triple_des_encrypt_block(std::uint64_t block,
                                        const TripleDesKey& key);
 std::uint64_t triple_des_decrypt_block(std::uint64_t block,
                                        const TripleDesKey& key);
-
-/// ECB over a buffer of whole 8-byte blocks (the parallel-friendly mode the
-/// benchmark uses: each GPU thread owns a disjoint set of blocks).
-void triple_des_encrypt_ecb(std::span<const std::uint64_t> in,
-                            std::span<std::uint64_t> out,
-                            const TripleDesKey& key);
-void triple_des_decrypt_ecb(std::span<const std::uint64_t> in,
-                            std::span<std::uint64_t> out,
-                            const TripleDesKey& key);
 
 }  // namespace pagoda::workloads

@@ -17,6 +17,8 @@ namespace pagoda::workloads {
 namespace {
 
 constexpr int kDefaultWidth = 2048;
+// Irregular widths reach 1.75x, rounded up to 64; the rounding stays an int.
+constexpr int kMaxWidth = 1227133477;
 constexpr int kTaps = 32;      // N_col in the paper's kernel
 constexpr int kDownFactor = 8;  // N_samp
 
@@ -119,7 +121,8 @@ class FilterBankWorkload final : public Workload {
                           .irregular = false,
                           .may_use_shared = false,
                           .needs_sync = true,
-                          .default_registers = 21};
+                          .default_registers = 21,
+                          .max_input = kMaxWidth};
   }
 
   void do_generate(const WorkloadConfig& cfg) override {

@@ -23,6 +23,7 @@ namespace pagoda::workloads {
 namespace {
 
 constexpr int kDefaultSide = 64;
+constexpr int kMaxSide = 46340;  // side * side pixels stay an int
 constexpr int kMaxIter = 1024;
 constexpr double kOpsPerIter = 7.0;  // 2 muls, 3 adds, compare, loop
 
@@ -101,7 +102,8 @@ class MandelbrotWorkload final : public Workload {
                           .irregular = true,
                           .may_use_shared = false,
                           .needs_sync = false,
-                          .default_registers = 28};
+                          .default_registers = 28,
+                          .max_input = kMaxSide};
   }
 
   void do_generate(const WorkloadConfig& cfg) override {

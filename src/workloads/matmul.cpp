@@ -18,6 +18,9 @@ namespace pagoda::workloads {
 namespace {
 
 constexpr int kDefaultN = 64;
+// Irregular matrices reach 1.5x n, rounded up to 8; n * n elements stay an
+// int (46336^2 < 2^31).
+constexpr int kMaxN = 30891;
 constexpr int kTile = 16;
 constexpr std::int32_t kShmemBytes = 2 * kTile * kTile * 4;  // 2 KB
 
@@ -89,7 +92,8 @@ class MatMulWorkload final : public Workload {
                           .irregular = false,
                           .may_use_shared = true,
                           .needs_sync = true,
-                          .default_registers = 30};
+                          .default_registers = 30,
+                          .max_input = kMaxN};
   }
 
   void do_generate(const WorkloadConfig& cfg) override {

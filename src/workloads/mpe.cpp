@@ -4,6 +4,8 @@
 // synchronization) and MatrixMul (shared memory). 8K tasks each by default
 // (32K total); tasks are interleaved round-robin so the runtimes see a
 // genuinely mixed stream.
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -23,11 +25,17 @@ class MpeWorkload final : public Workload {
   }
 
   WorkloadTraits traits() const override {
+    // Every application takes the same input scale.
+    int max_input = std::numeric_limits<int>::max();
+    for (const auto& sub : subs_) {
+      max_input = std::min(max_input, sub->traits().max_input);
+    }
     return WorkloadTraits{.name = "MPE",
                           .irregular = true,
                           .may_use_shared = true,
                           .needs_sync = true,
-                          .default_registers = 30};
+                          .default_registers = 30,
+                          .max_input = max_input};
   }
 
   void do_generate(const WorkloadConfig& cfg) override {

@@ -22,6 +22,9 @@ namespace pagoda::workloads {
 namespace {
 
 constexpr int kDefaultFront = 32;  // 32x32 matrices (Table 3)
+// Fronts reach n/2 + n - 1, rounded down to 8; n * n elements stay an int
+// (46336^2 < 2^31).
+constexpr int kMaxFront = 30896;
 
 struct LuArgs {
   float* m;  // n*n, factored in place (L below diagonal, U on/above)
@@ -84,7 +87,8 @@ class SparseLuWorkload final : public Workload {
                           .irregular = true,
                           .may_use_shared = false,
                           .needs_sync = false,
-                          .default_registers = 17};
+                          .default_registers = 17,
+                          .max_input = kMaxFront};
   }
 
   void do_generate(const WorkloadConfig& cfg) override {

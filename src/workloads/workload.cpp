@@ -9,6 +9,8 @@
 namespace pagoda::workloads {
 
 void Workload::generate(const WorkloadConfig& cfg) {
+  PAGODA_CHECK_MSG(cfg.input_scale <= traits().max_input,
+                   "input_scale over the workload's max_input");
   do_generate(cfg);
   mode_ = cfg.mode;
   max_wave_ = 0;
@@ -20,24 +22,6 @@ bool Workload::verify() const {
                    "verify() needs a Compute-mode workload: Model mode "
                    "generates shapes only");
   return do_verify();
-}
-
-std::int64_t Workload::total_h2d_bytes() const {
-  std::int64_t total = 0;
-  for (const TaskSpec& t : tasks()) total += t.h2d_bytes;
-  return total;
-}
-
-std::int64_t Workload::total_d2h_bytes() const {
-  std::int64_t total = 0;
-  for (const TaskSpec& t : tasks()) total += t.d2h_bytes;
-  return total;
-}
-
-double Workload::total_cpu_ops() const {
-  double total = 0;
-  for (const TaskSpec& t : tasks()) total += t.cpu_ops;
-  return total;
 }
 
 namespace {

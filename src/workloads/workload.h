@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -71,6 +72,10 @@ struct WorkloadTraits {
   bool may_use_shared = false;   // Table 3 "May benefit from shared memory"
   bool needs_sync = false;       // Table 3 "Requires threadblock sync"
   int default_registers = 32;    // Table 3 "Default Register Count"
+  /// Largest WorkloadConfig::input_scale whose int size arithmetic (pixel
+  /// and element counts of the largest task, irregular sizes included)
+  /// holds. generate() CHECKs it; pagoda_cli rejects a larger --input.
+  int max_input = std::numeric_limits<int>::max();
 };
 
 class Workload {
@@ -105,13 +110,6 @@ class Workload {
   /// workload was generated in Compute mode (a Model-mode workload has no
   /// outputs to check); subclasses implement do_verify().
   bool verify() const;
-
-  std::string_view name() const { return traits().name; }
-
-  /// Total data volumes and CPU ops over all tasks (for reporting).
-  std::int64_t total_h2d_bytes() const;
-  std::int64_t total_d2h_bytes() const;
-  double total_cpu_ops() const;
 
  protected:
   /// Subclass hook: rebuild inputs and the task list. Payload only when

@@ -40,14 +40,12 @@ TEST(Metrics, CounterGaugeStatBasics) {
   EXPECT_EQ(reg.counter_value("a.events"), 5);
   EXPECT_EQ(reg.counter_value("missing", -7), -7);
   EXPECT_DOUBLE_EQ(reg.gauge_value("a.level"), 0.5);
-  EXPECT_DOUBLE_EQ(reg.stat_mean("a.samples"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.stat_max("a.samples"), 3.0);
+  EXPECT_DOUBLE_EQ(reg.stat("a.samples").stats().mean(), 2.0);
+  EXPECT_DOUBLE_EQ(reg.stat("a.samples").stats().max(), 3.0);
   EXPECT_TRUE(reg.has_counter("a.events"));
   EXPECT_FALSE(reg.has_counter("a.level"));
   EXPECT_TRUE(reg.has_gauge("a.level"));
   EXPECT_TRUE(reg.has_stat("a.samples"));
-  reg.clear();
-  EXPECT_TRUE(reg.empty());
 }
 
 TEST(Metrics, HistogramLog2Bucketing) {

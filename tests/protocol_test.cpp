@@ -229,53 +229,6 @@ TEST(TaskTableProtocol, ThreadblockGranularityHandlesWideTasks) {
   rt.shutdown();
 }
 
-// --- wait_any (API extension) -------------------------------------------------
-
-struct SlowArgs {
-  int* counter;
-  double cycles;
-};
-
-gpu::KernelCoro slow_kernel(gpu::WarpCtx& ctx) {
-  if (ctx.warp_in_task == 0 && ctx.compute()) {
-    ctx.args_as<SlowArgs>().counter[0] += 1;
-  }
-  ctx.charge(ctx.args_as<SlowArgs>().cycles);
-  co_return;
-}
-
-sim::Process wait_any_user(Runtime& rt, int* counts, std::size_t& first,
-                           bool& done) {
-  std::vector<TaskHandle> handles;
-  for (int t = 0; t < 3; ++t) {
-    TaskParams p;
-    p.fn = slow_kernel;
-    p.threads_per_block = 32;
-    // Task 1 is much shorter than tasks 0 and 2.
-    p.set_args(SlowArgs{&counts[t], t == 1 ? 100.0 : 4.0e6});
-    handles.push_back(co_await rt.task_spawn(p));
-  }
-  first = co_await rt.wait_any(handles);
-  co_await rt.wait_all();
-  done = true;
-}
-
-TEST(TaskTableProtocol, WaitAnyReturnsAFinishedTask) {
-  Simulation sim;
-  Device dev(sim, GpuSpec::titan_x());
-  Runtime rt(dev);
-  rt.start();
-  int counts[3] = {0, 0, 0};
-  std::size_t first = 99;
-  bool done = false;
-  sim.spawn(wait_any_user(rt, counts, first, done));
-  sim.run_until(sim::seconds(5.0));
-  ASSERT_TRUE(done);
-  EXPECT_EQ(first, 1u);  // the short task finishes first
-  for (const int c : counts) EXPECT_EQ(c, 1);
-  rt.shutdown();
-}
-
 // --- two-copy ablation correctness -------------------------------------------
 
 TEST(TaskTableProtocol, TwoCopySpawnExecutesEveryTaskOnce) {

@@ -743,7 +743,6 @@ TEST(PsResource, BusyIntegralTracksUtilizedCapacity) {
   sim.spawn(ps_job(res, 1.0, [] {}));
   sim.run();
   EXPECT_NEAR(res.busy_work_seconds(), 2.0, 1e-9);
-  EXPECT_NEAR(res.job_seconds(), 2.0, 1e-9);
 }
 
 TEST(PsResource, ManyJobsCompleteExactly) {

@@ -3,13 +3,23 @@
 
 #include <array>
 #include <cmath>
-#include <vector>
+#include <span>
 
 #include "common/rng.h"
 #include "common/stats.h"
 
 namespace pagoda {
 namespace {
+
+/// Two-pass population standard deviation (0 for fewer than 2 values): the
+/// oracle RunningStats' online variance is checked against.
+double std_deviation(std::span<const double> values) {
+  if (values.size() < 2) return 0.0;
+  const double mean = arithmetic_mean(values);
+  double acc = 0.0;
+  for (double v : values) acc += (v - mean) * (v - mean);
+  return std::sqrt(acc / static_cast<double>(values.size()));
+}
 
 TEST(Stats, GeometricMean) {
   const std::array<double, 3> v{1.0, 8.0, 8.0};
@@ -51,7 +61,7 @@ TEST(Stats, RunningStats) {
 
 TEST(Stats, RunningStatsVarianceMatchesBatchFormula) {
   // Welford's online variance must agree with the two-pass population
-  // formula used by std_deviation().
+  // formula.
   const std::array<double, 6> v{2.0, 4.0, 4.0, 4.0, 5.0, 7.0};
   RunningStats rs;
   for (const double x : v) rs.add(x);
@@ -69,53 +79,6 @@ TEST(Stats, RunningStatsVarianceDegenerateCases) {
   rs.add(3.0);
   rs.add(3.0);
   EXPECT_NEAR(rs.variance(), 0.0, 1e-12);  // constant stream
-}
-
-TEST(Stats, RunningStatsMergeEqualsCombinedStream) {
-  // Chan et al. parallel merge: splitting a stream across accumulators and
-  // merging must match feeding the whole stream into one accumulator.
-  SplitMix64 g(1234);
-  std::vector<double> all;
-  RunningStats a;
-  RunningStats b;
-  RunningStats combined;
-  for (int i = 0; i < 100; ++i) {
-    const double x = g.next_double() * 50.0 - 10.0;
-    all.push_back(x);
-    (i < 37 ? a : b).add(x);
-    combined.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), combined.variance(), 1e-9);
-  EXPECT_NEAR(a.stddev(), combined.stddev(), 1e-9);
-  EXPECT_EQ(a.min(), combined.min());
-  EXPECT_EQ(a.max(), combined.max());
-  const double sd = std_deviation(all);
-  EXPECT_NEAR(a.stddev(), sd, 1e-9);
-}
-
-TEST(Stats, RunningStatsMergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(5.0);
-  RunningStats empty;
-  RunningStats a_copy = a;
-  a_copy.merge(empty);  // merging an empty accumulator is a no-op
-  EXPECT_EQ(a_copy.count(), a.count());
-  EXPECT_NEAR(a_copy.mean(), a.mean(), 1e-12);
-  EXPECT_NEAR(a_copy.variance(), a.variance(), 1e-12);
-  EXPECT_EQ(a_copy.min(), a.min());
-  EXPECT_EQ(a_copy.max(), a.max());
-
-  RunningStats into_empty;
-  into_empty.merge(a);  // merging INTO an empty one adopts the other side
-  EXPECT_EQ(into_empty.count(), a.count());
-  EXPECT_NEAR(into_empty.mean(), a.mean(), 1e-12);
-  EXPECT_NEAR(into_empty.variance(), a.variance(), 1e-12);
-  EXPECT_EQ(into_empty.min(), a.min());
-  EXPECT_EQ(into_empty.max(), a.max());
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

@@ -222,14 +222,16 @@ TEST(Trace, ForTaskFiltersAndKindNamesAreStable) {
   trace.record(10, TraceKind::kSpawned, 2);
   trace.record(20, TraceKind::kSpawned, 3);
   trace.record(30, TraceKind::kCompleted, 2);
-  const auto t2 = trace.for_task(2);
-  ASSERT_EQ(t2.size(), 2u);
-  EXPECT_EQ(t2[0].kind, TraceKind::kSpawned);
-  EXPECT_EQ(t2[1].kind, TraceKind::kCompleted);
+  // Events stay in record order, each with its task.
+  const std::vector<TraceEvent>& ev = trace.events();
+  ASSERT_EQ(ev.size(), 3u);
+  EXPECT_EQ(ev[0].task, 2);
+  EXPECT_EQ(ev[0].kind, TraceKind::kSpawned);
+  EXPECT_EQ(ev[1].task, 3);
+  EXPECT_EQ(ev[2].task, 2);
+  EXPECT_EQ(ev[2].kind, TraceKind::kCompleted);
   EXPECT_EQ(trace_kind_name(TraceKind::kWarpDispatched), "warp_dispatched");
   EXPECT_EQ(trace_kind_name(TraceKind::kCopyBack), "copy_back");
-  trace.clear();
-  EXPECT_TRUE(trace.events().empty());
 }
 
 }  // namespace

@@ -3,10 +3,32 @@
 // accounting methods the harness relies on.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string_view>
+
 #include "workloads/workload.h"
 
 namespace pagoda::workloads {
 namespace {
+
+// Whole-workload totals of the per-task copy volumes and CPU ops.
+std::int64_t total_h2d_bytes(const Workload& wl) {
+  std::int64_t total = 0;
+  for (const TaskSpec& t : wl.tasks()) total += t.h2d_bytes;
+  return total;
+}
+
+std::int64_t total_d2h_bytes(const Workload& wl) {
+  std::int64_t total = 0;
+  for (const TaskSpec& t : wl.tasks()) total += t.d2h_bytes;
+  return total;
+}
+
+double total_cpu_ops(const Workload& wl) {
+  double total = 0;
+  for (const TaskSpec& t : wl.tasks()) total += t.cpu_ops;
+  return total;
+}
 
 TEST(DynamicThreads, ProportionalWarpGranularClamped) {
   EXPECT_EQ(dynamic_thread_count(128, 1.0), 128);
@@ -143,19 +165,36 @@ TEST(WorkloadConfig, TotalsAggregateAcrossTasks) {
   cfg.num_tasks = 10;
   cfg.mode = gpu::ExecMode::Model;
   wl->generate(cfg);
-  const auto tasks = wl->tasks();
-  std::int64_t h2d = 0;
-  std::int64_t d2h = 0;
-  double ops = 0;
-  for (const TaskSpec& t : tasks) {
-    h2d += t.h2d_bytes;
-    d2h += t.d2h_bytes;
-    ops += t.cpu_ops;
+  // Every CONV task has the default 128 x 128 frame.
+  EXPECT_EQ(total_h2d_bytes(*wl), 10LL * 128 * 128 * 4);
+  EXPECT_EQ(total_d2h_bytes(*wl), 10LL * 128 * 128 * 4);
+  EXPECT_DOUBLE_EQ(total_cpu_ops(*wl), 10 * wl->tasks()[0].cpu_ops);
+}
+
+TEST(WorkloadConfig, InputBoundHoldsTheIntSizeArithmetic) {
+  // At each workload's max_input every task's copy volume and op count is
+  // non-negative with and without irregular sizes; one more is refused.
+  for (const std::string_view name : all_workload_names()) {
+    auto wl = make_workload(name);
+    const int bound = wl->traits().max_input;
+    for (const bool irregular : {false, true}) {
+      WorkloadConfig cfg;
+      cfg.num_tasks = 1;
+      cfg.input_scale = bound;
+      cfg.irregular_sizes = irregular;
+      wl->generate(cfg);
+      for (const TaskSpec& t : wl->tasks()) {
+        EXPECT_GE(t.h2d_bytes, 0) << name;
+        EXPECT_GE(t.d2h_bytes, 0) << name;
+        EXPECT_GE(t.cpu_ops, 0.0) << name;
+      }
+    }
+    if (bound < std::numeric_limits<int>::max()) {
+      WorkloadConfig over;
+      over.input_scale = bound + 1;
+      EXPECT_DEATH(wl->generate(over), "max_input") << name;
+    }
   }
-  EXPECT_EQ(wl->total_h2d_bytes(), h2d);
-  EXPECT_EQ(wl->total_d2h_bytes(), d2h);
-  EXPECT_DOUBLE_EQ(wl->total_cpu_ops(), ops);
-  EXPECT_EQ(h2d, 10LL * 128 * 128 * 4);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 # Full local verification: a Release build + test run, then an
 # address+undefined sanitizer build + test run. Mirrors what CI expects.
 #
-#   tools/check.sh            # both passes
+#   tools/check.sh            # both passes, then tools/dead_code.sh
 #   tools/check.sh --fast     # Release pass only
 #   PAGODA_SANITIZE="address" tools/check.sh  # override the sanitizer list
 set -euo pipefail
@@ -74,7 +74,10 @@ cluster_smoke() {
       "--gpus=2 --arrival=bursty:1e-2:4" \
       "--tasks" "--seed" "--gpus=99999999999" "--policy=least-loaded" \
       "--arrival=poisson:1000" "--slo-us=5000" "--queue-limit=3" \
-      "--workload=DCT --task-threads=1024 --tasks=64"; do
+      "--workload=DCT --task-threads=1024 --tasks=64" \
+      "--workload=CONV --input=46341" "--workload=MB --input=46341" \
+      "--workload=DCT --input=30892" "--workload=MM --input=30892" \
+      "--workload=MPE --input=30892"; do
     rc=0
     # shellcheck disable=SC2086  # args is a deliberate word list
     "${dir}/tools/pagoda_cli" ${args} --workload=MM --tasks=32 \
@@ -394,12 +397,16 @@ bench_usage_smoke() {
   local dir="$1"
   echo "==> bench usage smoke ${dir}"
   # A bad bench argument is a usage error (exit 1) before anything runs,
-  # never a CHECK abort or a failed allocation.
+  # never a CHECK abort or a failed allocation. A --tasks below a bench's
+  # floor is one too: its gates cannot hold there.
   local args rc
   for args in "cluster_scaling --tasks=-5" "elastic_fleet --seeds=0" \
       "elastic_fleet --gpus=99999999999" "fleet_scale --tasks-per-node=0" \
       "occupancy_virt --threads=0" "qos_isolation --rate=-1" \
-      "fault_recovery --tasks=0"; do
+      "fault_recovery --tasks=0" "cluster_scaling --tasks=97" \
+      "fault_recovery --tasks=632" "qos_isolation --tasks=316" \
+      "energy_pareto --tasks=12" "elastic_fleet --tasks=4249" \
+      "occupancy_virt --tasks=703"; do
     rc=0
     # shellcheck disable=SC2086  # args is a deliberate word list
     "${dir}/bench/"${args} --out=/tmp/pagoda_usage_smoke.json \
@@ -786,6 +793,8 @@ if [[ "${1:-}" != "--fast" ]]; then
       --out=/tmp/pagoda_sched_b.json >/dev/null
   cmp /tmp/pagoda_sched_a.json /tmp/pagoda_sched_b.json
   rm -f /tmp/pagoda_sched_a.json /tmp/pagoda_sched_b.json
+  # Linker-proved dead code stays at zero (about 6 minutes on 4 cores).
+  tools/dead_code.sh /tmp/pagoda_dead_code
 fi
 
 echo "==> all checks passed"

@@ -211,7 +211,9 @@ int main(int argc, char** argv) {
       Option("blocks", &wcfg.blocks_per_task, "threadblocks per task")
           .range(1, std::numeric_limits<int>::max() / max_tpb),
       Option("seed", &wcfg.seed, "workload and cluster seed"),
-      Option("input", &wcfg.input_scale, "input size; 0: default").range(0),
+      Option("input", &wcfg.input_scale,
+             "input size; 0: default; at most the workload's bound")
+          .range(0),
       Option("irregular", &wcfg.irregular_sizes, "irregular input sizes"),
       Option("dynamic-threads", &wcfg.dynamic_threads,
              "threads per task from its input size"),
@@ -281,6 +283,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, " %s", std::string(name).c_str());
     }
     std::fprintf(stderr, "\n");
+    return 1;
+  }
+  const int max_input = workloads::make_workload(wl)->traits().max_input;
+  if (wcfg.input_scale > max_input) {
+    std::fprintf(stderr,
+                 "error: --input=%d is over %s's bound of %d (the largest "
+                 "task's int pixel or element count)\n",
+                 wcfg.input_scale, wl.c_str(), max_input);
     return 1;
   }
   // --gpus selects the Cluster runtime; --runtime=Cluster works too (with
