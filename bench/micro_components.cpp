@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <coroutine>
+#include <vector>
 
 #include "common/rng.h"
 #include "engine/session.h"
@@ -72,6 +73,54 @@ void BM_EventQueueThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueThroughput);
+
+/// One of 1,000 events in flight; each firing re-arms it with the next
+/// delay until it has fired `left` times.
+struct SpreadFirer {
+  sim::Simulation* sim;
+  const std::vector<sim::Duration>* delays;
+  std::size_t next;
+  int left;
+  void hit() {
+    if (--left == 0) return;
+    next = (next + 1) % delays->size();
+    sim->after((*delays)[next],
+               sim::Continuation::member<&SpreadFirer::hit>(this));
+  }
+};
+
+// The hold model with delays spread log-uniformly from 1 ns to 1 ms, so the
+// queue keeps keys in twenty buckets at once (the runs' mix of defers,
+// warp stalls, PCIe copies and request timeouts).
+void BM_EventQueueThroughputSpread(benchmark::State& state) {
+  engine::SessionConfig no_device;  // the event queue alone
+  no_device.device = false;
+  SplitMix64 rng(3);
+  std::vector<sim::Duration> delays(4096);
+  for (sim::Duration& d : delays) {
+    const sim::Duration base = sim::Duration{1000} << rng.next_below(20);
+    d = base + static_cast<sim::Duration>(
+                   rng.next_below(static_cast<std::uint64_t>(base)));
+  }
+  constexpr int kInFlight = 1000;
+  constexpr int kFiringsEach = 10;
+  std::vector<SpreadFirer> firers(kInFlight);
+  for (auto _ : state) {
+    engine::Session session(no_device);
+    sim::Simulation& sim = session.sim();
+    for (int i = 0; i < kInFlight; ++i) {
+      SpreadFirer& f = firers[static_cast<std::size_t>(i)];
+      f = SpreadFirer{&sim, &delays, static_cast<std::size_t>(i) * 4,
+                      kFiringsEach};
+      sim.after(delays[f.next],
+                sim::Continuation::member<&SpreadFirer::hit>(&f));
+    }
+    sim.run();
+    benchmark::DoNotOptimize(firers.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kInFlight * kFiringsEach);
+}
+BENCHMARK(BM_EventQueueThroughputSpread);
 
 void BM_PsResourceChurn(benchmark::State& state) {
   engine::SessionConfig no_device;  // the event queue alone

@@ -8,7 +8,7 @@
 // then taskSpawn it; a completion observer plays the nested wait()-then-
 // copy-output task, issuing the D2H transfer as soon as the task finishes.
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "baselines/factories.h"
 #include "engine/result_builder.h"
@@ -37,7 +37,9 @@ struct RunState {
   engine::Session session;
   engine::StagePipeline pipe;
   engine::ResultBuilder marks;  // spawn -> completion times
-  std::unordered_map<runtime::TaskId, int> entry_to_idx;
+  /// Task index of the last spawn into each TaskTable entry, indexed by
+  /// id - kFirstTaskId; -1 before the entry's first spawn.
+  std::vector<int> entry_to_idx;
   int outstanding_d2h = 0;
   bool draining = false;
   sim::Trigger drained;
@@ -70,7 +72,9 @@ struct RunState {
         spawns_cv(session.sim()),
         data_slots(session.sim(), 8),
         input_copies(tasks.size()),
-        sched_policy(cfg.pagoda.sched) {}
+        sched_policy(cfg.pagoda.sched) {
+    entry_to_idx.assign(static_cast<std::size_t>(rt().table_capacity()), -1);
+  }
 
   sim::Simulation& sim() { return session.sim(); }
   runtime::Runtime& rt() { return session.rt(); }
@@ -98,7 +102,8 @@ runtime::TaskParams tagged_params(const RunState& st, int idx) {
 sim::Process spawn_one(RunState& st, int idx) {
   const runtime::TaskHandle h =
       co_await st.rt().task_spawn(tagged_params(st, idx));
-  st.entry_to_idx[h.id] = idx;
+  st.entry_to_idx[static_cast<std::size_t>(h.id - runtime::kFirstTaskId)] =
+      idx;
   st.marks.mark_start(idx, st.sim().now());
   st.pending_spawns -= 1;
   if (st.pending_spawns == 0) st.spawns_cv.notify_all();
@@ -161,9 +166,9 @@ sim::Process controller(RunState& st, workloads::Workload& w, int batch,
   // Completion observer: record latency and issue the output copy.
   st.rt().set_completion_observer(
       [&st](runtime::TaskId id, sim::Time t) {
-        const auto it = st.entry_to_idx.find(id);
-        if (it == st.entry_to_idx.end()) return;
-        const int idx = it->second;
+        const int idx = st.entry_to_idx[static_cast<std::size_t>(
+            id - runtime::kFirstTaskId)];
+        if (idx < 0) return;
         st.marks.mark_end(idx, t);
         const TaskSpec& spec = st.tasks[static_cast<std::size_t>(idx)];
         if (st.cfg.include_data_copies && spec.d2h_bytes > 0) {

@@ -19,10 +19,14 @@ MasterKernel::MasterKernel(gpu::Device& dev, TaskTable& gpu_table,
     : dev_(dev),
       gpu_table_(gpu_table),
       cfg_(cfg),
-      arena_bytes_(arena_bytes_for(dev.spec())) {
+      arena_bytes_(arena_bytes_for(dev.spec())),
+      waiting_successor_column_(static_cast<std::size_t>(gpu_table.size()),
+                                kNoColumn) {
   PAGODA_CHECK_MSG(gpu_table.columns() ==
                        dev.num_smms() * kMtbsPerSmm,
                    "TaskTable must have one column per MTB");
+  PAGODA_CHECK_MSG(gpu_table.columns() <= kNoColumn,
+                   "a TaskTable column must fit in a byte");
 }
 
 MasterKernel::~MasterKernel() {
@@ -60,9 +64,9 @@ double MasterKernel::executor_busy_warp_seconds(int mtb_index) const {
                                  sim::to_seconds(now - mtb.busy_last_touch);
 }
 
-sim::Task<> MasterKernel::sched_charge(Mtb& mtb, double cycles) {
+gpu::Smm::IssueAwaiter MasterKernel::sched_charge(Mtb& mtb, double cycles) {
   sched_cycles_ += cycles;
-  co_await mtb.smm->execute(cycles);
+  return mtb.smm->execute(cycles);
 }
 
 double MasterKernel::scheduler_busy_seconds() const {
@@ -183,12 +187,16 @@ void MasterKernel::on_entry_copied(TaskId id) {
   if (!running_) return;
   trace(TraceKind::kEntryCopied, id);
   wake_scheduler(mtb_of_column(gpu_table_.column_of(id)));
-  if (const auto it = waiting_successor_column_.find(id);
-      it != waiting_successor_column_.end()) {
-    const int col = it->second;
-    waiting_successor_column_.erase(it);
-    wake_scheduler(mtb_of_column(col));
-  }
+  wake_waiting_successor(id);
+}
+
+void MasterKernel::wake_waiting_successor(TaskId id) {
+  std::uint8_t& waiting = waiting_successor_column_[static_cast<std::size_t>(
+      id - kFirstTaskId)];
+  if (waiting == kNoColumn) return;
+  const int col = waiting;
+  waiting = kNoColumn;
+  wake_scheduler(mtb_of_column(col));
 }
 
 // --- scheduler warp (Algorithm 1, lines 2-28) -------------------------------
@@ -229,18 +237,14 @@ sim::Task<bool> MasterKernel::scan_once(Mtb& mtb) {
         wake_scheduler(mtb_of_column(gpu_table_.column_of(prev_id)));
         // This entry just reached (-1, 0); its own successor (if already
         // copied) can now be processed.
-        if (const auto it = waiting_successor_column_.find(id);
-            it != waiting_successor_column_.end()) {
-          const int col = it->second;
-          waiting_successor_column_.erase(it);
-          wake_scheduler(mtb_of_column(col));
-        }
+        wake_waiting_successor(id);
         progress = true;
       } else {
         // The previous task is not yet in (-1, 0): the paper's polling
         // scheduler retries (threadfence + continue); register for a wake
         // when it transitions.
-        waiting_successor_column_[prev_id] = mtb.column;
+        waiting_successor_column_[static_cast<std::size_t>(
+            prev_id - kFirstTaskId)] = static_cast<std::uint8_t>(mtb.column);
       }
     }
 

@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "gpu/device.h"
@@ -280,8 +279,9 @@ class MasterKernel {
   sim::Duration stall_to_time(double cycles) const;
 
   /// Charges `cycles` to the MTB's SMM pipeline on the scheduler warp's
-  /// behalf, accumulating them for scheduler_busy_seconds().
-  sim::Task<> sched_charge(Mtb& mtb, double cycles);
+  /// behalf, accumulating them for scheduler_busy_seconds(); the scheduler
+  /// warp awaits the result.
+  gpu::Smm::IssueAwaiter sched_charge(Mtb& mtb, double cycles);
 
   sim::Process scheduler_warp(Mtb& mtb);
   sim::Process executor_warp(Mtb& mtb, int slot_index);
@@ -305,7 +305,12 @@ class MasterKernel {
   /// polling scheduler warp just retries; in the event-driven simulation we
   /// record "column of S is waiting for P" and wake it when P transitions.
   /// This replaces polling only — the retry's cycle cost is still charged.
-  std::unordered_map<TaskId, int> waiting_successor_column_;
+  /// Indexed by id - kFirstTaskId; kNoColumn when no successor waits. A
+  /// byte per entry: a fleet node holds one such table.
+  static constexpr std::uint8_t kNoColumn = 0xFF;
+  std::vector<std::uint8_t> waiting_successor_column_;
+  /// Wakes the column waiting for `id` to reach (-1, 0), if any.
+  void wake_waiting_successor(TaskId id);
 
   std::int64_t tasks_scheduled_ = 0;
   std::int64_t tasks_completed_ = 0;

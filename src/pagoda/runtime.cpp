@@ -29,7 +29,8 @@ Runtime::Runtime(gpu::Device& dev, host::HostCosts host_costs,
       mk_(dev, gpu_table_, cfg_),
       table_stream_(dev),
       spawn_lock_(dev.sim(), 1),
-      staging_(static_cast<std::size_t>(cpu_table_.size())) {}
+      staging_(static_cast<std::size_t>(cpu_table_.size())),
+      free_entries_(cpu_table_.columns(), cpu_table_.rows()) {}
 
 Runtime::~Runtime() { shutdown(); }
 
@@ -63,24 +64,9 @@ void Runtime::validate(const TaskParams& p, const gpu::GpuSpec& spec) {
                    "taskSpawn: used-shmem hint without declared shared memory");
 }
 
-int Runtime::scan_cpu_for_free() {
-  // Walk entries round-robin across *columns* first: consecutive spawns land
-  // in different MTBs, so their scheduler warps work concurrently (§4.3).
-  const int n = cpu_table_.size();
-  const int cols = cpu_table_.columns();
-  const int rows = cpu_table_.rows();
-  for (int step = 0; step < n; ++step) {
-    const int pos = (cursor_ + step) % n;
-    const int col = pos % cols;
-    const int row = pos / cols;
-    const int idx = col * rows + row;
-    const TaskId id = static_cast<TaskId>(idx) + kFirstTaskId;
-    if (cpu_table_.status(id).ready == kReadyFree) {
-      cursor_ = (pos + 1) % n;
-      return idx;
-    }
-  }
-  return -1;
+void Runtime::free_cpu_entry(TaskId id) {
+  cpu_table_.status(id).ready = kReadyFree;
+  free_entries_.set(id - kFirstTaskId, true);
 }
 
 sim::Task<TaskHandle> Runtime::task_spawn(TaskParams params) {
@@ -92,17 +78,18 @@ sim::Task<TaskHandle> Runtime::task_spawn(TaskParams params) {
   co_await sim().delay(hc_.task_spawn_fill + hc_.memcpy_setup);
 
   co_await spawn_lock_.acquire();
-  int idx = scan_cpu_for_free();
+  int idx = free_entries_.next(cursor_);
   while (idx < 0) {
     // All CPU-side ready fields are non-zero: lazy aggregate copy-back
     // (§4.2, "Lazy Aggregate TaskTable Updates").
     co_await flush_last_locked();
     co_await copy_back_all_locked();
-    idx = scan_cpu_for_free();
+    idx = free_entries_.next(cursor_);
     if (idx < 0) co_await sim().delay(cfg_.wait_poll);
   }
 
   const TaskId id = static_cast<TaskId>(idx) + kFirstTaskId;
+  free_entries_.set(idx, false);
   cpu_table_.params(id) = params;
   EntryStatus& entry = cpu_table_.status(id);
   entry.sched = 0;
@@ -209,7 +196,7 @@ sim::Task<> Runtime::copy_back_all_locked() {
     EntryStatus& ce =
         cpu_table_.status(static_cast<TaskId>(idx) + kFirstTaskId);
     if (ce.ready != kReadyFree && staging_[u].ready == kReadyFree) {
-      ce.ready = kReadyFree;
+      free_cpu_entry(static_cast<TaskId>(idx) + kFirstTaskId);
       trace(TraceKind::kCopyBack, static_cast<TaskId>(idx) + kFirstTaskId);
     }
   }
@@ -224,12 +211,10 @@ sim::Task<> Runtime::copy_back_entry_locked(TaskId id) {
   co_await table_stream_.memcpy(
       pcie::Direction::DeviceToHost, nullptr, nullptr, sizeof(TaskEntry),
       sim::Continuation::member<&EntryLanding::copy_back>(&landing));
-  if (gen == generation_[idx] && staging_[idx].ready == kReadyFree) {
-    EntryStatus& ce = cpu_table_.status(id);
-    if (ce.ready != kReadyFree) {
-      ce.ready = kReadyFree;
-      trace(TraceKind::kCopyBack, id);
-    }
+  if (gen == generation_[idx] && staging_[idx].ready == kReadyFree &&
+      cpu_table_.status(id).ready != kReadyFree) {
+    free_cpu_entry(id);
+    trace(TraceKind::kCopyBack, id);
   }
 }
 
@@ -289,7 +274,7 @@ sim::Task<bool> Runtime::try_revoke(TaskHandle h) {
       pcie::Direction::HostToDevice, nullptr, nullptr, kEntryCopyBytes,
       sim::Continuation::member<&EntryLanding::revoke>(&landing));
   if (landing.won) {
-    cpu_table_.status(h.id).ready = kReadyFree;
+    free_cpu_entry(h.id);
     generation_[idx] += 1;  // the revoked handle must report done, not alias
     stats_.revokes += 1;
     trace(TraceKind::kRevoked, h.id);

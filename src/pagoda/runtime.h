@@ -144,7 +144,8 @@ class Runtime {
 
  private:
   sim::Simulation& sim() { return dev_.sim(); }
-  int scan_cpu_for_free();
+  /// Marks a CPU-side entry free (ready = 0) for the spawn search.
+  void free_cpu_entry(TaskId id);
   bool is_done_cpu_view(const TaskHandle& h) const;
 
   // All *_locked members require spawn_lock_ held.
@@ -173,7 +174,7 @@ class Runtime {
   gpu::Stream table_stream_;
   sim::Semaphore spawn_lock_;    // serializes spawner/waiter critical sections
   std::optional<TaskId> last_spawned_;  // task awaiting release by successor
-  int cursor_ = 0;
+  int cursor_ = 0;  // the spawn search's next position in free_entries_
   Stats stats_;
   TraceRecorder* trace_ = nullptr;
 
@@ -185,6 +186,8 @@ class Runtime {
   /// charged whole TaskEntry bytes; the host only ever reads these.
   std::vector<EntryStatus> staging_;
   void land_statuses();  // every staging_ entry <- the GPU table
+  /// The CPU table's free entries (ready == 0), in spawn search order.
+  FreeEntries free_entries_;
 
   /// An entry copy in flight: the entry as it was at issue.
   struct EntryCopy {

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -202,6 +203,60 @@ class TaskTable {
   int rows_;
   std::vector<EntryStatus> status_;  // column-major, index id - kFirstTaskId
   std::vector<std::unique_ptr<TaskParams[]>> param_rows_;  // [row][column]
+};
+
+/// The free entries of a table, in the spawn search's order: round-robin
+/// across columns first, so consecutive spawns land in different MTBs and
+/// their scheduler warps work concurrently (§4.3). Search position
+/// `row * columns + column` holds the entry of index `column * rows + row`
+/// (its TaskId minus kFirstTaskId); one bit per position, set when free.
+class FreeEntries {
+ public:
+  /// Every entry starts free.
+  FreeEntries(int columns, int rows)
+      : columns_(columns),
+        rows_(rows),
+        words_(static_cast<std::size_t>(columns * rows + 63) / 64,
+               ~std::uint64_t{0}) {
+    if (const int tail = columns * rows % 64; tail != 0) {
+      words_.back() = (std::uint64_t{1} << tail) - 1;
+    }
+  }
+
+  void set(int idx, bool free) {
+    const int pos = idx % rows_ * columns_ + idx / rows_;
+    const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+    std::uint64_t& word = words_[static_cast<std::size_t>(pos / 64)];
+    word = free ? word | bit : word & ~bit;
+  }
+
+  /// Index of the first free entry at or after search position `cursor`,
+  /// wrapping around, and moves `cursor` past it; -1 (cursor unchanged)
+  /// when no entry is free.
+  int next(int& cursor) const {
+    int pos = first_from(cursor);
+    if (pos < 0) pos = first_from(0);
+    if (pos < 0) return -1;
+    cursor = pos + 1 == columns_ * rows_ ? 0 : pos + 1;
+    return pos % columns_ * rows_ + pos / columns_;
+  }
+
+ private:
+  /// First free search position at or after `pos`, or -1.
+  int first_from(int pos) const {
+    std::size_t w = static_cast<std::size_t>(pos / 64);
+    if (w == words_.size()) return -1;
+    std::uint64_t word = words_[w] & (~std::uint64_t{0} << (pos % 64));
+    while (word == 0) {
+      if (++w == words_.size()) return -1;
+      word = words_[w];
+    }
+    return static_cast<int>(w) * 64 + std::countr_zero(word);
+  }
+
+  int columns_;
+  int rows_;
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace pagoda::runtime

@@ -17,9 +17,9 @@ Joinable Simulation::spawn(Process p, EventKey key) {
   return Joinable(p.state_);
 }
 
-bool Simulation::step() {
-  if (queue_.empty()) return false;
-  EventQueue::Popped e = queue_.pop();
+bool Simulation::run_next(Time until) {
+  EventQueue::Popped e{};
+  if (!queue_.pop_due(until, e)) return false;
   now_ = e.at;
   seq_ = e.seq;
   e.run();
@@ -27,14 +27,15 @@ bool Simulation::step() {
 }
 
 Time Simulation::run() {
-  while (step()) {
+  while (run_next(kTimeMax)) {
   }
   return now_;
 }
 
 void Simulation::run_until(Time t) {
   PAGODA_CHECK(t >= now_);
-  while (queue_.next_time() <= t) step();
+  while (run_next(t)) {
+  }
   now_ = t;
 }
 

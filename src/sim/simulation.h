@@ -118,11 +118,14 @@ class Simulation {
   void run_until(Time t);
 
   /// Runs a single event if one exists; returns false when drained.
-  bool step();
+  bool step() { return run_next(kTimeMax); }
 
   std::size_t pending_events() const { return queue_.size(); }
 
  private:
+  /// Runs the next event if it is due at or before `until`.
+  bool run_next(Time until);
+
   Time now_ = 0;
   std::uint64_t seq_ = 0;  // of the event now running
   EventQueue queue_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -42,6 +43,69 @@ TaskParams counting_task(int* slot, int threads, int blocks, bool sync,
   p.shared_mem_bytes = shmem;
   p.set_args(CounterArgs{slot});
   return p;
+}
+
+// --- the spawn search: next free entry, columns first --------------------
+
+/// The spawn search as a plain walk: search position `pos` stands for the
+/// entry of index (pos % columns) * rows + pos / columns.
+int walk_for_free(const std::vector<bool>& free, int columns, int rows,
+                  int& cursor) {
+  const int n = columns * rows;
+  for (int step = 0; step < n; ++step) {
+    const int pos = (cursor + step) % n;
+    const int idx = pos % columns * rows + pos / columns;
+    if (free[static_cast<std::size_t>(idx)]) {
+      cursor = (pos + 1) % n;
+      return idx;
+    }
+  }
+  return -1;
+}
+
+// FreeEntries returns the walk's sequence of entries (and leaves the cursor
+// where the walk does) over random free/busy patterns, table shapes from one
+// entry to the Titan X's 1536 and densities from nearly empty to full.
+TEST(FreeEntries, MatchesTheColumnFirstWalk) {
+  const std::pair<int, int> shapes[] = {{1, 1},  {1, 32}, {48, 1}, {3, 5},
+                                        {7, 9},  {2, 32}, {48, 32}};
+  SplitMix64 rng(7);
+  for (const auto& [columns, rows] : shapes) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const int n = columns * rows;
+      const std::uint64_t busy_pct = rng.next_below(101);
+      std::vector<bool> free(static_cast<std::size_t>(n), true);
+      FreeEntries entries(columns, rows);
+      for (int idx = 0; idx < n; ++idx) {
+        if (rng.next_below(100) < busy_pct) {
+          free[static_cast<std::size_t>(idx)] = false;
+          entries.set(idx, false);
+        }
+      }
+      int walk_cursor = static_cast<int>(rng.next_below(
+          static_cast<std::uint64_t>(n)));
+      int cursor = walk_cursor;
+      for (int op = 0; op < 4 * n + 8; ++op) {
+        if (rng.next_below(3) == 0) {
+          // Free or take a random entry, as a copy-back or a spawn would.
+          const int idx = static_cast<int>(
+              rng.next_below(static_cast<std::uint64_t>(n)));
+          const bool now_free = rng.next_below(2) == 0;
+          free[static_cast<std::size_t>(idx)] = now_free;
+          entries.set(idx, now_free);
+          continue;
+        }
+        const int want = walk_for_free(free, columns, rows, walk_cursor);
+        ASSERT_EQ(entries.next(cursor), want)
+            << columns << "x" << rows << " trial " << trial << " op " << op;
+        ASSERT_EQ(cursor, walk_cursor);
+        if (want >= 0) {
+          free[static_cast<std::size_t>(want)] = false;  // spawned into
+          entries.set(want, false);
+        }
+      }
+    }
+  }
 }
 
 // --- Fig 2: a task is not scheduled until its successor's copy arrives ----

@@ -158,11 +158,15 @@ TEST(EventQueueStress, RandomScheduleAndCancel) {
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
-// The indexed heap plus same-time lane against an ordered reference: random
+// The bucket queue plus same-time lane against an ordered reference: random
 // future and same-time schedules, resumes at reserved keys (which must sort
 // ahead of later same-time pushes), cancels of live, fired and recycled-slot
 // ids, retimes earlier, later and to the same time, and pops. Every pop must
 // be the reference's minimum (at, seq), and size() must match throughout.
+// Most offsets are short (the lane and the low buckets); one schedule in
+// eight lands up to 2^40 ps out, log-uniformly, so every bucket up to bit 40
+// fills and refills cascade through several levels. Halfway through, one
+// event jumps to near 2^62 and the queue drains past it.
 TEST(EventQueueStress, MatchesAnOrderedReference) {
   using Key = std::pair<Time, std::uint64_t>;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
@@ -180,13 +184,41 @@ TEST(EventQueueStress, MatchesAnOrderedReference) {
       return it;
     };
     auto random_time = [&] {
-      return rng.next() % 2 == 0
-                 ? last.first
-                 : last.first + static_cast<Time>(rng.next_below(50));
+      const std::uint64_t how = rng.next_below(8);
+      if (how < 4) return last.first;
+      if (how < 7) return last.first + static_cast<Time>(rng.next_below(50));
+      const std::uint64_t span = std::uint64_t{1} << rng.next_below(41);
+      return last.first + static_cast<Time>(rng.next_below(span));
+    };
+    auto pop_and_check = [&](int op) {
+      const EventQueue::Popped p = q.pop();
+      const Key want = *model.begin();
+      ASSERT_EQ(Key(p.at, p.seq), want) << "seed " << seed << " op " << op;
+      model.erase(model.begin());
+      for (auto it = live.begin(); it != live.end(); ++it) {
+        if (it->second == want) {
+          dead.push_back(it->first);
+          live.erase(it);
+          break;
+        }
+      }
+      last = want;
     };
     for (int op = 0; op < 5000; ++op) {
       const std::uint64_t r = rng.next_below(100);
-      if (r < 30) {
+      if (op == 2500) {
+        const Time at =
+            (Time{1} << 62) + static_cast<Time>(rng.next_below(1000));
+        const Key key{at, next_seq++};
+        live[q.schedule(at, q.reserve_seq(), std::noop_coroutine())] = key;
+        model.insert(key);
+        while (!model.empty()) {
+          pop_and_check(op);
+          if (HasFatalFailure()) return;
+        }
+        ASSERT_TRUE(q.empty());
+        ASSERT_EQ(last, key);
+      } else if (r < 30) {
         const Time at = random_time();
         const Key key{at, next_seq++};
         const EventId id =
@@ -233,18 +265,8 @@ TEST(EventQueueStress, MatchesAnOrderedReference) {
         live.erase(it);
         live[id] = key;
       } else if (!model.empty()) {
-        const EventQueue::Popped p = q.pop();
-        const Key want = *model.begin();
-        ASSERT_EQ(Key(p.at, p.seq), want) << "seed " << seed << " op " << op;
-        model.erase(model.begin());
-        for (auto it = live.begin(); it != live.end(); ++it) {
-          if (it->second == want) {
-            dead.push_back(it->first);
-            live.erase(it);
-            break;
-          }
-        }
-        last = want;
+        pop_and_check(op);
+        if (HasFatalFailure()) return;
       }
       ASSERT_EQ(q.size(), model.size()) << "seed " << seed << " op " << op;
       ASSERT_EQ(q.next_time(), model.empty() ? kTimeMax : model.begin()->first);

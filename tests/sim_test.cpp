@@ -251,6 +251,31 @@ TEST(Simulation, RunUntilStopsAtTime) {
   EXPECT_EQ(hits, 2);
 }
 
+// run_until stops short of a far event (its bucket already scanned), parks
+// the clock, and later schedules land between the clock and that event:
+// at the parked time itself, in a lower bucket and in the far event's own.
+TEST(Simulation, RunUntilThenScheduleBeforeThePendingEvent) {
+  Closures fn;
+  Simulation sim;
+  std::vector<int> order;
+  const Time far = Time{3} << 39;  // bits 40 and 39
+  const Time park = Time{1} << 39;
+  sim.at(far, fn([&] { order.push_back(5); }));
+  sim.at(10, fn([&] { order.push_back(1); }));
+  sim.run_until(park);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.now(), park);
+  sim.at(far - (Time{1} << 30), fn([&] { order.push_back(4); }));
+  sim.at(park + 3, fn([&] { order.push_back(3); }));
+  sim.defer(fn([&] { order.push_back(2); }));
+  sim.run_until(park + 1);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.now(), park + 1);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.now(), far);
+}
+
 TEST(EventQueue, PoppedCarriesItsSeqAndReservationsSkipOne) {
   Closures fn;
   EventQueue q;

@@ -580,14 +580,17 @@ fleet_gate() {
   # must peak under RSS budgets (idle nodes back no shared-memory arenas,
   # copy-back mirrors, dispatcher records, executor warp frames, named
   # barriers or TaskTable parameter rows they never reached).
+  # The sweep's JSON goes to /tmp, so a check run leaves the tree clean;
+  # README says how to regenerate the committed BENCH_fleet.json.
   local dir="$1"
   local budget_s=120
   local rss_budget_256_mb=110
   local rss_budget_1024_mb=380
+  local json=/tmp/pagoda_BENCH_fleet.json
   echo "==> fleet-scale gate (bench/fleet_scale, 1->1024 nodes)"
   local t0 t1 elapsed
   t0=$(date +%s%N)
-  "${dir}/bench/fleet_scale" --out=BENCH_fleet.json >/dev/null
+  "${dir}/bench/fleet_scale" --out="${json}" >/dev/null
   t1=$(date +%s%N)
   elapsed=$(awk -v a="$t0" -v b="$t1" 'BEGIN{printf "%.1f", (b-a)/1e9}')
   echo "    sweep completed in ${elapsed}s (budget ${budget_s}s)"
@@ -597,7 +600,7 @@ fleet_gate() {
   fi
   python3 -c '
 import json, sys
-sweep = {p["nodes"]: p for p in json.load(open("BENCH_fleet.json"))["sweep"]}
+sweep = {p["nodes"]: p for p in json.load(open(sys.argv[3]))["sweep"]}
 ok = True
 for nodes, budget in ((256, float(sys.argv[1])), (1024, float(sys.argv[2]))):
     if nodes not in sweep:
@@ -608,7 +611,7 @@ for nodes, budget in ((256, float(sys.argv[1])), (1024, float(sys.argv[2]))):
     print(f"    {nodes} nodes peak RSS {rss:.1f} MB (budget {budget:.0f} MB)")
     ok = ok and rss <= budget
 sys.exit(0 if ok else 1)
-' "${rss_budget_256_mb}" "${rss_budget_1024_mb}" || {
+' "${rss_budget_256_mb}" "${rss_budget_1024_mb}" "${json}" || {
     echo "error: fleet_scale peak RSS over budget (256 nodes ${rss_budget_256_mb} MB, 1024 nodes ${rss_budget_1024_mb} MB)" >&2
     exit 1
   }
@@ -643,8 +646,11 @@ wallclock_gate() {
   # that still filled payload fails it. Before that re-base the budget was
   # a raw 6.68 s (8.357 s pre-engine-refactor baseline / 1.25).
   # The first run's stdout must match tests/golden/fig5_overall_4096.txt
-  # byte for byte: a hot-path change may not move a figure.
+  # byte for byte: a hot-path change may not move a figure. The timings go
+  # to /tmp, so a check run leaves the tree clean; README says how to
+  # regenerate the committed BENCH_wallclock.json.
   local dir="$1"
+  local json=/tmp/pagoda_BENCH_wallclock.json
   local baseline_s=8.357  # pre-engine-refactor seed, for the speedup field
   local budget_s=1.70     # 1.5 x 1.136 s
   echo "==> wall-clock gate (fig5_overall --tasks=4096, median of 3)"
@@ -667,8 +673,8 @@ wallclock_gate() {
   printf '{\n  "bench": "fig5_overall",\n  "tasks": 4096,\n  "runs_s": [%s, %s, %s],\n  "median_s": %s,\n  "budget_s": %s,\n  "pre_refactor_baseline_s": %s,\n  "speedup": %s\n}\n' \
     "${runs[0]}" "${runs[1]}" "${runs[2]}" "${median}" "${budget_s}" "${baseline_s}" \
     "$(awk -v b="${baseline_s}" -v m="${median}" 'BEGIN{printf "%.2f", b/m}')" \
-    > BENCH_wallclock.json
-  echo "    runs: ${runs[*]} -> median ${median}s (budget ${budget_s}s)"
+    > "${json}"
+  echo "    runs: ${runs[*]} -> median ${median}s (budget ${budget_s}s; ${json})"
   if awk -v m="${median}" -v b="${budget_s}" 'BEGIN{exit !(m > b)}'; then
     echo "error: fig5_overall median ${median}s exceeds ${budget_s}s" >&2
     exit 1
