@@ -15,10 +15,10 @@
 //                    inter-node transfer on the PCIe layer, and restored on
 //                    a surviving node as the SAME request. CHECK-enforced:
 //                    nothing is lost (shed == dropped == 0, the exactly-once
-//                    ledger balances), at least one attempt actually
-//                    migrated, and availability — completions inside their
-//                    SLO over everything offered — stays >= 99% through the
-//                    resize.
+//                    ledger balances). Gated: at least one attempt actually
+//                    migrated, both plan steps fired, and availability —
+//                    completions inside their SLO over everything offered —
+//                    stays >= 99% through the resize.
 //
 //   diurnal day    — the same MMPP-2 peak/trough request stream run twice:
 //                    once over the static full fleet (power metered, every
@@ -26,8 +26,12 @@
 //                    the autoscaler, which drains + S-sleeps the surplus at
 //                    the trough and wakes it for the peak. CHECK-enforced:
 //                    identical per-class goodput (both runs are lossless by
-//                    construction) and measurably fewer joules per request
-//                    than the static fleet (>= 1.15x, every seed).
+//                    construction). Gated: the trough sleeps nodes, and the
+//                    day costs measurably fewer joules per request than the
+//                    static fleet (>= 1.15x, every seed).
+//
+// A gate is a verdict on this run's results, not a simulator invariant, and
+// it is not monotone in --tasks: a miss prints `gate failed: ...` and exits 1.
 //
 // Emits BENCH_migrate.json, byte-identical across reruns with the same
 // flags (the check.sh determinism gate diffs two fresh runs).
@@ -218,7 +222,9 @@ int main(int argc, char** argv) {
   using harness::Option;
   const harness::Options opts(
       argc, argv,
-      {Option("tasks", &requests, "requests per run; its gates need the floor")
+      {Option("tasks", &requests,
+              "requests per run; its gates need the floor, and above it "
+              "they are not monotone in --tasks (a failed gate exits 1)")
            .range(4250),
        Option("seeds", &num_seeds, "seeds per scenario").range(1),
        Option("seed", &base_seed, "first seed"),
@@ -297,12 +303,11 @@ int main(int argc, char** argv) {
                 rz.inter_p99_us);
     PAGODA_CHECK_MSG(rz.shed == 0 && rz.dropped == 0,
                      "rolling resize must not lose a single request");
-    PAGODA_CHECK_MSG(rz.checkpoints > 0 && rz.restores == rz.checkpoints,
-                     "the resize must exercise live migration");
-    PAGODA_CHECK_MSG(rz.resize_events == 2,
-                     "both plan steps must fire");
-    PAGODA_CHECK_MSG(rz.availability >= 0.99,
-                     "availability must stay >= 99% through the resize");
+    harness::gate(rz.checkpoints > 0 && rz.restores == rz.checkpoints,
+                  "the resize must exercise live migration");
+    harness::gate(rz.resize_events == 2, "both plan steps must fire");
+    harness::gate(rz.availability >= 0.99,
+                  "availability must stay >= 99% through the resize");
     if (rz.availability < worst_avail) worst_avail = rz.availability;
     if (!first) json << ",\n";
     first = false;
@@ -352,14 +357,14 @@ int main(int argc, char** argv) {
     PAGODA_CHECK_MSG(ela.inter_completed == base.inter_completed &&
                          ela.batch_completed == base.batch_completed,
                      "per-class goodput must match the static fleet");
-    PAGODA_CHECK_MSG(ela.nodes_slept > 0,
-                     "the autoscaler must sleep the diurnal trough");
+    harness::gate(ela.nodes_slept > 0,
+                  "the autoscaler must sleep the diurnal trough");
     const double gain = base.joules_per_request / ela.joules_per_request;
     if (!have_worst || gain < worst_gain) worst_gain = gain;
     have_worst = true;
-    PAGODA_CHECK_MSG(gain >= 1.15,
-                     "the autoscaled day must spend measurably fewer joules "
-                     "per request than the static full fleet");
+    harness::gate(gain >= 1.15,
+                  "the autoscaled day must spend measurably fewer joules "
+                  "per request than the static full fleet");
   }
   json << "\n  ],\n  \"worst_energy_gain\": "
        << obs::format_metric_double(worst_gain)

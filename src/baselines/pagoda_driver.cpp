@@ -132,8 +132,10 @@ sim::Process spawner(RunState& st, std::span<const int> indices) {
       k.cost = static_cast<double>(p.warps_total());
       k.seq = static_cast<std::uint64_t>(i);
     }
+    std::vector<int> positions(keys.size());
+    st.sched_policy.order(keys, positions);
     reordered.reserve(indices.size());
-    for (const int pos : st.sched_policy.order(keys)) {
+    for (const int pos : positions) {
       st.sched_policy.served(keys[static_cast<std::size_t>(pos)]);
       reordered.push_back(indices[static_cast<std::size_t>(pos)]);
     }

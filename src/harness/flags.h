@@ -6,8 +6,9 @@
 // given a value, a value out of range or an option where it does not apply
 // exits 1 with one `error:` line; an unparsable number or a value outside
 // the choices exits 2 (`invalid value for --NAME: 'VALUE'`); `--help`
-// prints the table and exits 0. `Flags` is the older by-name lookup that
-// perfbench still uses.
+// prints the table and exits 0. A bench whose result gate fails prints one
+// `gate failed:` line and exits 1 (`gate`). `Flags` is the older by-name
+// lookup that perfbench still uses.
 #pragma once
 
 #include <algorithm>
@@ -289,6 +290,17 @@ class Options {
   std::vector<std::string> defaults_;  // per row, before parsing
   std::vector<std::string_view> given_;
 };
+
+/// A bench's verdict on its own results, for a gate that a legal input can
+/// miss (one not monotone in the input's scale): unless `holds`, prints one
+/// `gate failed: WHAT` line and exits 1. A broken invariant of the simulator
+/// stays a PAGODA_CHECK.
+inline void gate(bool holds, std::string_view what) {
+  if (holds) return;
+  std::fprintf(stderr, "gate failed: %.*s\n", static_cast<int>(what.size()),
+               what.data());
+  std::exit(1);
+}
 
 /// By-name lookup over the raw arguments, for callers without a table.
 class Flags {

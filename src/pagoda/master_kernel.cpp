@@ -27,6 +27,8 @@ MasterKernel::MasterKernel(gpu::Device& dev, TaskTable& gpu_table,
                    "TaskTable must have one column per MTB");
   PAGODA_CHECK_MSG(gpu_table.columns() <= kNoColumn,
                    "a TaskTable column must fit in a byte");
+  PAGODA_CHECK_MSG(gpu_table.rows() == cfg.rows_per_column,
+                   "TaskTable must have rows_per_column rows");
 }
 
 MasterKernel::~MasterKernel() {
@@ -205,70 +207,70 @@ sim::Process MasterKernel::scheduler_warp(Mtb& mtb) {
   while (running_) {
     const std::uint64_t seq = mtb.sched_seq;
     heartbeats_ += 1;
-    const bool progress = co_await scan_once(mtb);
+    bool progress = false;
+    // Cost of one pass over the column: the scheduler warp's 32 threads scan
+    // the 32 rows in parallel.
+    co_await sched_charge(mtb, cfg_.scan_pass_cycles);
+    // The pass visits only the rows the actionable mask names, in row order.
+    // A row outside the mask neither suspends nor writes, so no event runs
+    // between two visited rows and skipping the others is exact; the mask is
+    // re-read after every visit, since a visit may await or release a later
+    // row of this column.
+    for (int row = gpu_table_.next_actionable(mtb.column, 0);
+         row >= 0 && running_;
+         row = gpu_table_.next_actionable(mtb.column, row + 1)) {
+      const TaskId id = gpu_table_.id_of(mtb.column, row);
+
+      // Lines 5-13: a ready field holding a taskId releases the *previous*
+      // task — its parameters are known complete because its copy
+      // transaction preceded this entry's on the stream.
+      if (const TaskId prev_id = gpu_table_.status(id).ready;
+          prev_id > kReadyScheduling) {
+        if (gpu_table_.status(prev_id).ready == kReadyParamsCopied) {
+          co_await sched_charge(mtb, cfg_.release_chain_cycles);
+          gpu_table_.set_status(prev_id, {kReadyScheduling, 1});
+          gpu_table_.set_status(id, {kReadyParamsCopied, 0});
+          trace(TraceKind::kReleased, prev_id, mtb.column);
+          // prev may live in another MTB's column: wake its scheduler warp.
+          wake_scheduler(mtb_of_column(gpu_table_.column_of(prev_id)));
+          // This entry just reached (-1, 0); its own successor (if already
+          // copied) can now be processed.
+          wake_waiting_successor(id);
+          progress = true;
+        } else {
+          // The previous task is not yet in (-1, 0): the paper's polling
+          // scheduler retries (threadfence + continue); register for a wake
+          // when it transitions.
+          waiting_successor_column_[static_cast<std::size_t>(
+              prev_id - kFirstTaskId)] = static_cast<std::uint8_t>(mtb.column);
+        }
+      }
+
+      // Lines 14-28: claim an entry whose sched flag is set. Under fifo the
+      // claim happens here, inline, in raw row-scan order — the paper's
+      // behavior, preserved byte-for-byte. Other policies only collect the
+      // claimable rows; the ordered claim pass below decides the order.
+      if (const EntryStatus entry = gpu_table_.status(id); entry.sched == 1) {
+        if (mtb.claim_policy.fifo()) {
+          gpu_table_.set_status(id, {entry.ready, 0});
+          trace(TraceKind::kScheduled, id, mtb.column);
+          if (claim_observer_) claim_observer_(id, dev_.sim().now());
+          co_await schedule_entry(mtb, row);
+          progress = true;
+        } else {
+          mtb.claim_rows.push_back(row);
+        }
+      }
+    }
+    if (!mtb.claim_rows.empty()) {
+      const bool claimed = co_await claim_in_policy_order(mtb);
+      progress = progress || claimed;
+    }
     if (!running_) break;
     if (!progress && mtb.sched_seq == seq) {
       co_await mtb.sched_cv.wait();
     }
   }
-}
-
-sim::Task<bool> MasterKernel::scan_once(Mtb& mtb) {
-  bool progress = false;
-  // Cost of one pass over the column: the scheduler warp's 32 threads scan
-  // the 32 rows in parallel.
-  co_await sched_charge(mtb, cfg_.scan_pass_cycles);
-  for (int row = 0; row < cfg_.rows_per_column && running_; ++row) {
-    const TaskId id = gpu_table_.id_of(mtb.column, row);
-    EntryStatus& entry = gpu_table_.status(id);
-
-    // Lines 5-13: a ready field holding a taskId releases the *previous*
-    // task — its parameters are known complete because its copy transaction
-    // preceded this entry's on the stream.
-    if (entry.ready > kReadyScheduling) {
-      const TaskId prev_id = entry.ready;
-      EntryStatus& prev = gpu_table_.status(prev_id);
-      if (prev.ready == kReadyParamsCopied) {
-        co_await sched_charge(mtb, cfg_.release_chain_cycles);
-        prev = {kReadyScheduling, 1};
-        entry = {kReadyParamsCopied, 0};
-        trace(TraceKind::kReleased, prev_id, mtb.column);
-        // prev may live in another MTB's column: wake its scheduler warp.
-        wake_scheduler(mtb_of_column(gpu_table_.column_of(prev_id)));
-        // This entry just reached (-1, 0); its own successor (if already
-        // copied) can now be processed.
-        wake_waiting_successor(id);
-        progress = true;
-      } else {
-        // The previous task is not yet in (-1, 0): the paper's polling
-        // scheduler retries (threadfence + continue); register for a wake
-        // when it transitions.
-        waiting_successor_column_[static_cast<std::size_t>(
-            prev_id - kFirstTaskId)] = static_cast<std::uint8_t>(mtb.column);
-      }
-    }
-
-    // Lines 14-28: claim an entry whose sched flag is set. Under fifo the
-    // claim happens here, inline, in raw row-scan order — the paper's
-    // behavior, preserved byte-for-byte. Other policies only collect the
-    // claimable rows; the ordered claim pass below decides the order.
-    if (entry.sched == 1) {
-      if (mtb.claim_policy.fifo()) {
-        entry.sched = 0;
-        trace(TraceKind::kScheduled, id, mtb.column);
-        if (claim_observer_) claim_observer_(id, dev_.sim().now());
-        co_await schedule_entry(mtb, row);
-        progress = true;
-      } else {
-        mtb.claim_rows.push_back(row);
-      }
-    }
-  }
-  if (!mtb.claim_rows.empty()) {
-    const bool claimed = co_await claim_in_policy_order(mtb);
-    progress = progress || claimed;
-  }
-  co_return progress;
 }
 
 sched::SchedKey MasterKernel::claim_key(const Mtb& mtb, int row) const {
@@ -291,26 +293,27 @@ sched::SchedKey MasterKernel::claim_key(const Mtb& mtb, int row) const {
 // identically in Model and Compute modes, so timing stays mode-independent.
 sim::Task<bool> MasterKernel::claim_in_policy_order(Mtb& mtb) {
   co_await sched_charge(mtb, cfg_.claim_select_cycles);
-  std::vector<sched::SchedKey> keys;
-  keys.reserve(mtb.claim_rows.size());
-  for (const int row : mtb.claim_rows) keys.push_back(claim_key(mtb, row));
-  const std::vector<int> order = mtb.claim_policy.order(keys);
-  std::vector<int> rows;
-  rows.swap(mtb.claim_rows);
+  mtb.claim_keys.clear();
+  for (const int row : mtb.claim_rows) {
+    mtb.claim_keys.push_back(claim_key(mtb, row));
+  }
+  mtb.claim_order.resize(mtb.claim_rows.size());
+  mtb.claim_policy.order(mtb.claim_keys, mtb.claim_order);
   bool progress = false;
-  for (const int i : order) {
+  for (const int i : mtb.claim_order) {
     if (!running_) break;
-    const int row = rows[static_cast<std::size_t>(i)];
+    const int row = mtb.claim_rows[static_cast<std::size_t>(i)];
     const TaskId id = gpu_table_.id_of(mtb.column, row);
-    EntryStatus& entry = gpu_table_.status(id);
+    const EntryStatus entry = gpu_table_.status(id);
     if (entry.sched != 1) continue;  // resolved while a prior claim awaited
-    entry.sched = 0;
-    mtb.claim_policy.served(keys[static_cast<std::size_t>(i)]);
+    gpu_table_.set_status(id, {entry.ready, 0});
+    mtb.claim_policy.served(mtb.claim_keys[static_cast<std::size_t>(i)]);
     trace(TraceKind::kScheduled, id, mtb.column);
     if (claim_observer_) claim_observer_(id, dev_.sim().now());
     co_await schedule_entry(mtb, row);
     progress = true;
   }
+  mtb.claim_rows.clear();
   co_return progress;
 }
 
@@ -503,7 +506,7 @@ sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
                          "MTB register budget freed more than it held");
       }
       // Frees the entry; the CPU learns lazily.
-      gpu_table_.status(id).ready = kReadyFree;
+      gpu_table_.set_status(id, {kReadyFree, gpu_table_.status(id).sched});
       tasks_completed_ += 1;
       heartbeats_ += 1;
       trace(TraceKind::kCompleted, id, mtb.column);

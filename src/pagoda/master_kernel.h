@@ -256,9 +256,13 @@ class MasterKernel {
 
     // Claim-order policy state (per MTB so WFQ virtual time is a per-queue
     // quantity, like the dispatcher's per-cluster instance) and the scratch
-    // row list the non-fifo claim pass collects into.
+    // the non-fifo claim pass fills: the claimable rows a scan collected,
+    // their keys and their serve order. Reused, so a pass allocates nothing
+    // once they have grown to the column's busiest pass.
     sched::Policy claim_policy;
     std::vector<int> claim_rows;
+    std::vector<sched::SchedKey> claim_keys;
+    std::vector<int> claim_order;
 
     Mtb(sim::Simulation& sim, int rows, std::int32_t arena_bytes,
         const PagodaConfig& cfg, std::int64_t reg_virtual_capacity)
@@ -283,9 +287,9 @@ class MasterKernel {
   /// warp awaits the result.
   gpu::Smm::IssueAwaiter sched_charge(Mtb& mtb, double cycles);
 
+  /// Algorithm 1, lines 2-28: one scan pass per wake, in this frame.
   sim::Process scheduler_warp(Mtb& mtb);
   sim::Process executor_warp(Mtb& mtb, int slot_index);
-  sim::Task<bool> scan_once(Mtb& mtb);
   sim::Task<bool> claim_in_policy_order(Mtb& mtb);
   sched::SchedKey claim_key(const Mtb& mtb, int row) const;
   sim::Task<> schedule_entry(Mtb& mtb, int row);

@@ -65,7 +65,7 @@ void Runtime::validate(const TaskParams& p, const gpu::GpuSpec& spec) {
 }
 
 void Runtime::free_cpu_entry(TaskId id) {
-  cpu_table_.status(id).ready = kReadyFree;
+  cpu_table_.set_status(id, {kReadyFree, cpu_table_.status(id).sched});
   free_entries_.set(id - kFirstTaskId, true);
 }
 
@@ -91,8 +91,6 @@ sim::Task<TaskHandle> Runtime::task_spawn(TaskParams params) {
   const TaskId id = static_cast<TaskId>(idx) + kFirstTaskId;
   free_entries_.set(idx, false);
   cpu_table_.params(id) = params;
-  EntryStatus& entry = cpu_table_.status(id);
-  entry.sched = 0;
   generation_[static_cast<std::size_t>(idx)] += 1;
   const std::uint64_t gen = generation_[static_cast<std::size_t>(idx)];
   stats_.tasks_spawned += 1;
@@ -102,15 +100,15 @@ sim::Task<TaskHandle> Runtime::task_spawn(TaskParams params) {
     // §4.2.1 ablation: copy the parameters, then (stream-ordered, so the
     // parameters are guaranteed to land first) a second transaction sets
     // the task schedulable. Two memcpys per task instead of one.
-    entry.ready = kReadyParamsCopied;
+    cpu_table_.set_status(id, {kReadyParamsCopied, 0});
     copy_entry_to_gpu_locked(id);
-    entry.ready = kReadyScheduling;
-    entry.sched = 1;
+    cpu_table_.set_status(id, {kReadyScheduling, 1});
     co_await sim().delay(hc_.memcpy_setup);
     copy_entry_to_gpu_locked(id);
   } else {
-    entry.ready = last_spawned_.has_value() ? *last_spawned_
-                                            : kReadyParamsCopied;
+    cpu_table_.set_status(
+        id, {last_spawned_.has_value() ? *last_spawned_ : kReadyParamsCopied,
+             0});
     last_spawned_ = id;
     copy_entry_to_gpu_locked(id);
   }
@@ -149,7 +147,7 @@ sim::Task<> Runtime::flush_last_locked() {
   co_await copy_back_entry_locked(id);
   const std::size_t idx = static_cast<std::size_t>(id - kFirstTaskId);
   if (staging_[idx].ready == kReadyParamsCopied && staging_[idx].sched == 0) {
-    cpu_table_.status(id) = {kReadyScheduling, 1};
+    cpu_table_.set_status(id, {kReadyScheduling, 1});
     last_spawned_.reset();
     stats_.flushes += 1;
     trace(TraceKind::kFlushed, id);
@@ -167,13 +165,13 @@ void Runtime::land_statuses() {
 }
 
 void Runtime::EntryLanding::revoke() {
-  EntryStatus& ge = rt->gpu_table_.status(id);
+  const EntryStatus ge = rt->gpu_table_.status(id);
   const bool released_unclaimed =
       ge.ready == kReadyScheduling && ge.sched == 1;
   const bool parked_last = ge.ready == kReadyParamsCopied && ge.sched == 0 &&
                            rt->last_spawned_ == id;
   if (released_unclaimed || parked_last) {
-    ge = {kReadyFree, 0};
+    rt->gpu_table_.set_status(id, {kReadyFree, 0});
     if (parked_last) rt->last_spawned_.reset();
     won = true;
   }
@@ -193,7 +191,7 @@ sim::Task<> Runtime::copy_back_all_locked() {
   for (int idx = 0; idx < cpu_table_.size(); ++idx) {
     const auto u = static_cast<std::size_t>(idx);
     if (gens[u] != generation_[u]) continue;
-    EntryStatus& ce =
+    const EntryStatus& ce =
         cpu_table_.status(static_cast<TaskId>(idx) + kFirstTaskId);
     if (ce.ready != kReadyFree && staging_[u].ready == kReadyFree) {
       free_cpu_entry(static_cast<TaskId>(idx) + kFirstTaskId);

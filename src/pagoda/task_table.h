@@ -8,7 +8,12 @@
 // (7) ready field, (8) sched flag. The table stores them split by reader:
 //  * fields 7–8 (`EntryStatus`) in one dense column-major array, allocated
 //    at construction — the scheduler warps' scan, the copy-backs and every
-//    host-side done check read only these;
+//    host-side done check read only these. Beside it sits the actionable
+//    mask: one bit per entry, set iff the entry gives a scheduler pass work
+//    (`actionable()`), ceil(rows/64) words per column. Status words are
+//    written only through set_status() or store(), which keep the bit;
+//    next_actionable() finds a column's next set bit, so a pass visits only
+//    the rows it acts on (DESIGN.md §4, item 10);
 //  * fields 1–6 (`TaskParams`) in row blocks of columns() entries, each
 //    backed the first time a mutable params() reaches its row. Spawns fill
 //    columns first, so a lightly loaded table backs only its first rows.
@@ -116,6 +121,13 @@ struct EntryStatus {
   std::int32_t sched = 0;
 };
 
+/// True when a scheduler pass acts on the entry: its ready field names a
+/// predecessor to release (Algorithm 1, lines 5-13) or its sched flag is set
+/// (lines 14-28). A pass skips every other entry without a cycle or a write.
+constexpr bool actionable(const EntryStatus& st) {
+  return st.ready > kReadyScheduling || st.sched == 1;
+}
+
 /// Fields 1–8: a full TaskTable entry, the unit copied over PCIe.
 struct TaskEntry {
   TaskParams params;
@@ -131,8 +143,11 @@ class TaskTable {
   TaskTable(int columns, int rows)
       : columns_(columns),
         rows_(rows),
+        words_per_column_((rows + 63) / 64),
         status_(static_cast<std::size_t>(columns) *
                 static_cast<std::size_t>(rows)),
+        actionable_(static_cast<std::size_t>(columns) *
+                    static_cast<std::size_t>(words_per_column_)),
         param_rows_(static_cast<std::size_t>(rows)) {
     PAGODA_CHECK(columns > 0 && rows > 0);
   }
@@ -152,12 +167,37 @@ class TaskTable {
     return id >= kFirstTaskId && id < kFirstTaskId + size();
   }
 
-  EntryStatus& status(TaskId id) {
+  const EntryStatus& status(TaskId id) const {
     PAGODA_CHECK_MSG(valid_id(id), "bad task id");
     return status_[static_cast<std::size_t>(id - kFirstTaskId)];
   }
-  const EntryStatus& status(TaskId id) const {
-    return const_cast<TaskTable*>(this)->status(id);
+  /// The one writer of the status words besides store(); keeps the entry's
+  /// actionable bit.
+  void set_status(TaskId id, EntryStatus st) {
+    PAGODA_CHECK_MSG(valid_id(id), "bad task id");
+    const int idx = id - kFirstTaskId;
+    status_[static_cast<std::size_t>(idx)] = st;
+    const int row = idx % rows_;
+    std::uint64_t& word =
+        actionable_[static_cast<std::size_t>(idx / rows_ * words_per_column_ +
+                                             row / 64)];
+    const std::uint64_t bit = std::uint64_t{1} << (row % 64);
+    word = actionable(st) ? word | bit : word & ~bit;
+  }
+
+  /// The lowest row at or after `row` in `column` whose entry is
+  /// actionable(), or -1 when there is none.
+  int next_actionable(int column, int row) const {
+    if (row >= rows_) return -1;
+    const std::uint64_t* words =
+        &actionable_[static_cast<std::size_t>(column * words_per_column_)];
+    int w = row / 64;
+    std::uint64_t word = words[w] & (~std::uint64_t{0} << (row % 64));
+    while (word == 0) {
+      if (++w == words_per_column_) return -1;
+      word = words[w];
+    }
+    return w * 64 + std::countr_zero(word);
   }
 
   /// Backs the entry's row block on first use.
@@ -183,7 +223,7 @@ class TaskTable {
   }
   void store(TaskId id, const TaskEntry& entry) {
     params(id) = entry.params;
-    status(id) = {entry.ready, entry.sched};
+    set_status(id, {entry.ready, entry.sched});
   }
 
   /// Parameter row blocks backed so far (host-memory observability).
@@ -201,7 +241,11 @@ class TaskTable {
 
   int columns_;
   int rows_;
+  int words_per_column_;
   std::vector<EntryStatus> status_;  // column-major, index id - kFirstTaskId
+  /// Bit `row % 64` of word `column * words_per_column_ + row / 64` is
+  /// actionable(status of (column, row)).
+  std::vector<std::uint64_t> actionable_;
   std::vector<std::unique_ptr<TaskParams[]>> param_rows_;  // [row][column]
 };
 

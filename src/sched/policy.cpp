@@ -105,16 +105,19 @@ double Policy::peek_tag(Class cls) const {
   return std::max(vtime_, last_finish_[index(cls)]);
 }
 
-std::vector<int> Policy::order(std::span<SchedKey> keys) {
-  std::vector<int> idx(keys.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  if (fifo()) return idx;  // arrival order, no tag churn
+void Policy::order(std::span<SchedKey> keys, std::span<int> out) {
+  PAGODA_CHECK(out.size() == keys.size());
+  std::iota(out.begin(), out.end(), 0);
+  if (fifo()) return;  // arrival order, no tag churn
   for (SchedKey& k : keys) admit(k);
-  std::stable_sort(idx.begin(), idx.end(), [&](int a, int b) {
-    return before(keys[static_cast<std::size_t>(a)],
-                  keys[static_cast<std::size_t>(b)]);
+  // Ties under before() break on the index: a total order whose sort is the
+  // stable one, without std::stable_sort's temporary buffer.
+  std::sort(out.begin(), out.end(), [&](int a, int b) {
+    const SchedKey& ka = keys[static_cast<std::size_t>(a)];
+    const SchedKey& kb = keys[static_cast<std::size_t>(b)];
+    if (before(ka, kb)) return true;
+    return !before(kb, ka) && a < b;
   });
-  return idx;
 }
 
 std::uint32_t deadline_to_us(sim::Time deadline) {

@@ -23,7 +23,6 @@
 #include <optional>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "common/time_types.h"
 
@@ -131,10 +130,11 @@ class Policy {
   /// mutating state. Returns 0 for non-WFQ policies.
   double peek_tag(Class cls) const;
 
-  /// Serve order for a batch: admits each key in index order, then returns
-  /// the indices stable-sorted by before(). The caller claims in the
-  /// returned order and reports each claim via served().
-  std::vector<int> order(std::span<SchedKey> keys);
+  /// Serve order for a batch: admits each key in index order, then writes
+  /// into `out` (sized like `keys`, owned by the caller) the indices
+  /// stable-sorted by before(). The caller claims in that order and reports
+  /// each claim via served(). Allocates nothing.
+  void order(std::span<SchedKey> keys, std::span<int> out);
 
  private:
   PolicyConfig cfg_{};

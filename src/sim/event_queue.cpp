@@ -29,13 +29,15 @@ EventId encode(std::uint32_t slot, std::uint32_t gen) {
 
 }  // namespace
 
-EventQueue::EventQueue() { add_chunks(); }
-
 void EventQueue::add_chunks() {
-  // A bucket's chunks hold its keys with less than one chunk to spare, and a
-  // refill holds one more chunk while it empties a bucket: this many chunks
-  // never run out while the slab holds every pending event.
-  const std::size_t chunks = nodes_.size() / kChunk + kBuckets + 2;
+  // A bucket's chunks hold its keys with less than one chunk to spare, at
+  // most min(slab, kBuckets) buckets hold keys, and a refill holds one more
+  // chunk while it empties a bucket: this many chunks never run out while
+  // the slab holds every pending event. The pool grows with the slab, so a
+  // new queue holds none.
+  const std::size_t slab = nodes_.size();
+  const std::size_t chunks =
+      slab / kChunk + std::min<std::size_t>(slab, kBuckets) + 2;
   while (below_.size() < chunks) {
     below_.push_back(free_chunk_);
     free_chunk_ = static_cast<std::uint32_t>(below_.size() - 1);
@@ -86,10 +88,7 @@ std::uint32_t EventQueue::pending_slot(EventId id) const {
 }
 
 void EventQueue::bucket_push(const Key& key) {
-  // The highest bit at which the key's time differs from the base; the key
-  // is later than the base, so that bit is set in `at` and clear in `base_`.
-  const auto b = static_cast<std::uint32_t>(
-      std::bit_width(static_cast<std::uint64_t>(key.at ^ base_)) - 1);
+  const std::uint32_t b = bucket_of(key.at);
   Bucket& bucket = buckets_[b];
   const std::uint32_t off = bucket.size % kChunk;
   if (off == 0) {  // the top chunk is full, or there is none: stack one
@@ -221,10 +220,17 @@ bool EventQueue::cancel(EventId id) {
 EventId EventQueue::retime(EventId id, Time at) {
   const std::uint32_t slot = pending_slot(id);
   PAGODA_CHECK_MSG(slot != kFree, "retime of an event that is not pending");
+  PAGODA_CHECK_MSG(at >= base_, "event scheduled before the last popped one");
   Node& n = nodes_[slot];
   n.gen += 1;  // retires `id` (and the lane entry, if it sat in the lane)
   if (n.bucket == kInLane) {
     trim_lane();
+  } else if (at != base_ && bucket_of(at) == n.bucket) {
+    // The key stays in its bucket. A bucket is unordered, so rewriting the
+    // key where it sits pops in the order a remove and a push would give.
+    keys_[n.pos].at = at;
+    keys_[n.pos].seq = next_seq_++;
+    return encode(slot, n.gen);
   } else {
     bucket_remove(slot);
   }

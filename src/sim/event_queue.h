@@ -17,15 +17,16 @@
 // time first differs from the base at bit b (a 64-bit mask finds the lowest
 // non-empty one with one countr_zero). Each slot records its key's bucket
 // and position, so cancel() moves the bucket's last key into the hole and
-// retime() does that and pushes the new key: nothing sifts, and a bucket
-// never holds a stale key. When the lane below runs dry, pop_due() scans
+// retime() does that and pushes the new key, or, when the new time falls in
+// the same bucket, rewrites the key where it sits: nothing sifts, and a
+// bucket never holds a stale key. When the lane below runs dry, pop_due() scans
 // the lowest non-empty bucket for its minimum time, makes that the base and
 // redistributes the bucket's keys (each move takes a key to a strictly
 // lower bucket, or to the lane). Only a pop moves the base, so it never
 // passes the simulation's clock. A bucket is a stack of fixed-size chunks
-// drawn from one pool that grows with the slab, so steady-state scheduling
-// performs no per-event heap allocation, however late a bucket is first
-// used.
+// drawn from one pool that grows with the slab (a new queue holds none), so
+// steady-state scheduling performs no per-event heap allocation, however
+// late a bucket is first used.
 //
 // Same-time lane: the keys whose time equals the base wait in a vector
 // sorted by seq. A push at the base time with a seq above the lane's last
@@ -88,7 +89,7 @@ static_assert(sizeof(Continuation) == 16 && std::is_trivial_v<Continuation>);
 
 class EventQueue {
  public:
-  EventQueue();
+  EventQueue() = default;
 
   /// Schedules `body` at key (at, seq); `seq` comes from reserve_seq()
   /// (just now, for a plain schedule). `at` must not be below the time of
@@ -192,6 +193,12 @@ class EventQueue {
   /// Slot of a pending event's id, or kFree when the id is not pending.
   std::uint32_t pending_slot(EventId id) const;
   EventId push(Time at, std::uint64_t seq, std::uint32_t slot);
+  /// The bucket of a time later than the base: the highest bit at which it
+  /// differs from the base (set in `at`, clear in `base_`).
+  std::uint32_t bucket_of(Time at) const {
+    return static_cast<std::uint32_t>(
+        std::bit_width(static_cast<std::uint64_t>(at ^ base_)) - 1);
+  }
   void bucket_push(const Key& key);
   /// Takes `slot`'s key out of its bucket, moving the bucket's last key
   /// into the hole.

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/rng.h"
 #include "gpu/device.h"
 #include "pagoda/runtime.h"
 #include "sim/process.h"
@@ -696,7 +697,7 @@ TEST(TaskTable, IdMappingRoundTrips) {
       EXPECT_GE(id, kFirstTaskId);
       EXPECT_EQ(t.column_of(id), c);
       EXPECT_EQ(t.row_of(id), r);
-      t.status(id).ready = id;
+      t.set_status(id, {id, 0});
       EXPECT_EQ(t.status(t.id_of(c, r)).ready, id);
     }
   }
@@ -749,6 +750,96 @@ TEST(TaskTable, StoreLoadRoundTrips) {
                         kMaxArgBytes),
             0);
   EXPECT_EQ(t.rows_backed(), 1);
+}
+
+// The actionable mask against the predicate it caches, after every status
+// write of random protocol sequences: spawn (CPU side), entry landing
+// (store), release of a predecessor, claim, completion, copy-back/revoke
+// (back to free) and flush. Row counts straddle the 64-bit word edges.
+TEST(TaskTable, ActionableMaskMatchesThePredicate) {
+  for (const int rows : {1, 4, 32, 33, 64, 1024}) {
+    SCOPED_TRACE(rows);
+    constexpr int kColumns = 3;
+    TaskTable t(kColumns, rows);
+    SplitMix64 rng(static_cast<std::uint64_t>(rows));
+    auto random_id = [&] {
+      return kFirstTaskId + static_cast<TaskId>(rng.next_below(
+                                static_cast<std::uint64_t>(t.size())));
+    };
+    // An entry whose status satisfies `pred`, or 0 after a few misses.
+    auto find = [&](auto pred) {
+      for (int tries = 0; tries < 64; ++tries) {
+        const TaskId id = random_id();
+        if (pred(t.status(id))) return id;
+      }
+      return TaskId{0};
+    };
+    auto check = [&] {
+      for (int c = 0; c < kColumns; ++c) {
+        int next = t.next_actionable(c, 0);
+        for (int r = 0; r < rows; ++r) {
+          if (actionable(t.status(t.id_of(c, r)))) {
+            ASSERT_EQ(next, r) << "column " << c;
+            next = t.next_actionable(c, r + 1);
+          }
+        }
+        ASSERT_EQ(next, -1) << "column " << c;
+      }
+    };
+    TaskId last = 0;
+    for (int op = 0; op < 1500; ++op) {
+      switch (rng.next_below(6)) {
+        case 0:  // spawn into a free entry, naming the last spawned one
+          if (const TaskId id = find([](const EntryStatus& st) {
+                return st.ready == kReadyFree;
+              })) {
+            t.set_status(id, {last != 0 && last != id ? last
+                                                      : kReadyParamsCopied,
+                              0});
+            last = id;
+          }
+          break;
+        case 1: {  // an entry copy lands (any encoding, either flag)
+          TaskEntry e;
+          e.ready = static_cast<std::int32_t>(rng.next_in(-1, 2)) == 2
+                        ? random_id()
+                        : static_cast<std::int32_t>(rng.next_in(-1, 1));
+          e.sched = static_cast<std::int32_t>(rng.next_below(2));
+          t.store(random_id(), e);
+          break;
+        }
+        case 2:  // a scheduler pass releases a predecessor
+          if (const TaskId id = find([](const EntryStatus& st) {
+                return st.ready > kReadyScheduling;
+              })) {
+            t.set_status(t.status(id).ready, {kReadyScheduling, 1});
+            check();
+            t.set_status(id, {kReadyParamsCopied, 0});
+          }
+          break;
+        case 3:  // a claim clears the sched flag
+          if (const TaskId id = find(
+                  [](const EntryStatus& st) { return st.sched == 1; })) {
+            t.set_status(id, {t.status(id).ready, 0});
+          }
+          break;
+        case 4:  // the last warp completes a claimed task
+          if (const TaskId id = find([](const EntryStatus& st) {
+                return st.ready == kReadyScheduling && st.sched == 0;
+              })) {
+            t.set_status(id, {kReadyFree, 0});
+          }
+          break;
+        default:  // a copy-back or revoke frees, a flush releases
+          t.set_status(random_id(), rng.next_below(2) == 0
+                                        ? EntryStatus{kReadyFree, 0}
+                                        : EntryStatus{kReadyScheduling, 1});
+          break;
+      }
+      check();
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(TaskTable, ParamsBlobRoundTrips) {

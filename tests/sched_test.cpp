@@ -143,10 +143,13 @@ TEST(SchedPolicy, OrderIsStableAndPolicyDriven) {
   std::vector<SchedKey> keys = {
       key(Class::kBatch, 0), key(Class::kInteractive, 1),
       key(Class::kBatch, 2), key(Class::kInteractive, 3)};
-  EXPECT_EQ(p.order(keys), (std::vector<int>{1, 3, 0, 2}));
+  std::vector<int> order(keys.size());
+  p.order(keys, order);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 0, 2}));
 
   Policy fifo;
-  EXPECT_EQ(fifo.order(keys), (std::vector<int>{0, 1, 2, 3}));
+  fifo.order(keys, order);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 // --- ReadyQueue ---------------------------------------------------------------

@@ -557,6 +557,23 @@ event_grep_clean() {
   fi
 }
 
+scheduler_grep_clean() {
+  # A scheduler pass runs in the scheduler warp's own frame (no sim::Task
+  # per scan), and a claim pass orders its rows into scratch the caller
+  # owns (Policy::order returns no std::vector).
+  echo "==> scheduler pass grep"
+  local hits
+  hits=$({ grep -nE "sim::Task<[^>]*>[[:space:]]+scan" src/pagoda/master_kernel.h ||
+             true
+           grep -nE "std::vector<[^>]*>[[:space:]]+order[[:space:]]*\(" \
+               src/sched/policy.h || true; })
+  if [[ -n "${hits}" ]]; then
+    echo "error: a scan-pass task frame or a vector-returning Policy::order:" >&2
+    echo "${hits}" >&2
+    exit 1
+  fi
+}
+
 landing_grep_clean() {
   # A copy lands through one sim::Continuation, from Link up through
   # PcieBus and gpu::Stream to every caller: no completion in src/ is a
@@ -701,6 +718,7 @@ power_grep_clean
 vres_grep_clean
 copy_grep_clean
 event_grep_clean
+scheduler_grep_clean
 landing_grep_clean
 wallclock_gate build-release
 fleet_gate build-release
