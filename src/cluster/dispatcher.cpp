@@ -85,7 +85,9 @@ Dispatcher::Dispatcher(Cluster& cluster,
     ns.slots = std::make_unique<sched::ReadyQueue>(cluster.sim(),
                                                    ns.slot_capacity,
                                                    sched_policy_);
-    ns.records.resize(static_cast<std::size_t>(node.capacity()));
+    const runtime::TaskTable& table = node.rt().cpu_table();
+    ns.records = runtime::EntryRows<std::unique_ptr<NodeState::Record>>(
+        table.columns(), table.rows());
     ns.activity = std::make_unique<sim::Condition>(cluster.sim());
     node.rt().set_completion_observer(
         [this, i](runtime::TaskId id, sim::Time) { on_task_complete(i, id); });
@@ -407,16 +409,16 @@ void Dispatcher::leave(int node_index, Attempt a, Held held, Exit exit,
   }
 }
 
-Dispatcher::Attempt Dispatcher::take_record(NodeState& ns, std::size_t idx) {
-  const std::unique_ptr<NodeState::Record> rec = std::move(ns.records[idx]);
+Dispatcher::Attempt Dispatcher::take_record(NodeState& ns, int idx) {
+  const std::unique_ptr<NodeState::Record> rec = std::move(ns.records.at(idx));
   // A no-op when the deadline is the event firing right now.
   if (rec->deadline) sim().cancel(rec->deadline->event);
   ns.tracked -= 1;
   return std::move(rec->att);
 }
 
-void Dispatcher::park_wedged(int node_index, NodeState& ns, std::size_t idx) {
-  const std::unique_ptr<NodeState::Record> rec = std::move(ns.records[idx]);
+void Dispatcher::park_wedged(int node_index, NodeState& ns, int idx) {
+  const std::unique_ptr<NodeState::Record> rec = std::move(ns.records.at(idx));
   ns.tracked -= 1;  // GPU-side the work IS done; only the deadline is owed
   wedged_.emplace(rec->uid, Wedged{node_index, std::move(rec->deadline),
                                    std::move(rec->att)});
@@ -470,7 +472,7 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
   ns.peak_staged = std::max(ns.peak_staged, ns.staged);
   // The grant rode purely virtual headroom when more slots are out than
   // the table physically holds.
-  if (ns.granted > static_cast<int>(ns.records.size())) {
+  if (ns.granted > ns.records.size()) {
     stats_.vres_over_admissions += 1;
   }
   check_slots(ns);
@@ -546,9 +548,9 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
     leave(node_index, std::move(a), Held::kSpawned, Exit::kRedispatch);
     co_return;
   }
-  const std::size_t idx =
-      static_cast<std::size_t>(h.id - runtime::kFirstTaskId);
-  if (ns.records[idx] != nullptr) {
+  const int idx = h.id - runtime::kFirstTaskId;
+  std::unique_ptr<NodeState::Record>& slot = ns.records.at(idx);
+  if (slot != nullptr) {
     // A crash swallowed the completion of the entry's previous task. With
     // oversub > 1 a spawn can reach the freed entry before that record's
     // deadline fires (even after recovery): park it to await the deadline.
@@ -556,8 +558,8 @@ sim::Process Dispatcher::serve(Attempt a, int node_index) {
                      "TaskTable entry reused while tracked, with no deadline");
     park_wedged(node_index, ns, idx);
   }
-  ns.records[idx] = std::make_unique<NodeState::Record>();
-  NodeState::Record& rec = *ns.records[idx];
+  slot = std::make_unique<NodeState::Record>();
+  NodeState::Record& rec = *slot;
   rec.uid = a.uid;
   rec.handle = h;
   if (cfg_.task_timeout > 0) {
@@ -584,11 +586,12 @@ void Dispatcher::on_task_complete(int node_index, runtime::TaskId id) {
   // watchdog's node-death sweep.
   if (!node.alive()) return;
   NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
-  const std::size_t idx = static_cast<std::size_t>(id - runtime::kFirstTaskId);
+  const int idx = id - runtime::kFirstTaskId;
   PAGODA_CHECK(idx < ns.records.size());
-  if (ns.records[idx] == nullptr) return;  // not a dispatcher task
+  const std::unique_ptr<NodeState::Record>& rec = ns.records[idx];
+  if (rec == nullptr) return;  // not a dispatcher task
   if (watchdog_ != nullptr) {
-    const NodeState::Record& r = *ns.records[idx];
+    const NodeState::Record& r = *rec;
     if (cfg_.faults.wedges(r.uid, r.att.attempt)) {
       // Slot wedge: the completion is swallowed. The TaskTable entry is
       // already free GPU-side and may be reused.
@@ -630,13 +633,14 @@ void Dispatcher::on_task_claimed(int node_index, runtime::TaskId id,
   // until a deadline or the death sweep resolves it.
   if (!cluster_->node(node_index).alive()) return;
   NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
-  const std::size_t idx = static_cast<std::size_t>(id - runtime::kFirstTaskId);
-  if (idx >= ns.records.size() || ns.records[idx] == nullptr) return;
-  tracer_->on_claimed(ns.records[idx]->uid, now);
+  const int idx = id - runtime::kFirstTaskId;
+  if (idx >= ns.records.size()) return;
+  const std::unique_ptr<NodeState::Record>& rec = ns.records[idx];
+  if (rec == nullptr) return;
+  tracer_->on_claimed(rec->uid, now);
 }
 
-void Dispatcher::on_deadline(int node_index, std::size_t idx,
-                             std::uint64_t uid) {
+void Dispatcher::on_deadline(int node_index, int idx, std::uint64_t uid) {
   NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
   Attempt a;
   if (const auto it = wedged_.find(uid); it != wedged_.end()) {
@@ -798,11 +802,12 @@ void Dispatcher::node_failed(int node_index) {
   ns.slots->close();
   // Sweep tracked in-flight attempts onto healthy peers, exactly once each,
   // without charging their retry budget — the requests did nothing wrong.
-  for (std::size_t idx = 0; idx < ns.records.size(); ++idx) {
-    if (ns.records[idx] == nullptr) continue;
-    leave(node_index, take_record(ns, idx), Held::kSpawned,
-          Exit::kRedispatch);
-  }
+  ns.records.for_each(
+      [&](int idx, const std::unique_ptr<NodeState::Record>& rec) {
+        if (rec == nullptr) return;
+        leave(node_index, take_record(ns, idx), Held::kSpawned,
+              Exit::kRedispatch);
+      });
   for (auto it = wedged_.begin(); it != wedged_.end();) {
     if (it->second.node != node_index) {
       ++it;
@@ -847,13 +852,14 @@ void Dispatcher::drain_node(int node_index) {
   // Spawned-but-unclaimed attempts: race the scheduler warps host-side.
   // Claimed/executing tasks lose the race deterministically and run to
   // completion on this node — they are never checkpointed.
-  for (std::size_t idx = 0; idx < ns.records.size(); ++idx) {
-    if (ns.records[idx] == nullptr) continue;
-    sim().spawn(migrate_revoke(node_index, idx, ns.records[idx]->uid));
-  }
+  ns.records.for_each(
+      [&](int idx, const std::unique_ptr<NodeState::Record>& rec) {
+        if (rec == nullptr) return;
+        sim().spawn(migrate_revoke(node_index, idx, rec->uid));
+      });
 }
 
-sim::Process Dispatcher::migrate_revoke(int node_index, std::size_t idx,
+sim::Process Dispatcher::migrate_revoke(int node_index, int idx,
                                         std::uint64_t uid) {
   GpuNode& node = cluster_->node(node_index);
   NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
@@ -1135,7 +1141,7 @@ void Dispatcher::export_metrics(obs::MetricsRegistry& m) const {
     int over_peak = 0;
     for (const NodeState& ns : node_state_) {
       virt_slots += ns.slot_capacity;
-      phys_slots += static_cast<std::int64_t>(ns.records.size());
+      phys_slots += ns.records.size();
       over_peak = std::max(over_peak, ns.peak_staged);
     }
     m.counter("vres.slots.virtual").set(virt_slots);

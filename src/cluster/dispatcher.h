@@ -91,6 +91,7 @@
 #include "fault/watchdog.h"
 #include "migrate/autoscaler.h"
 #include "migrate/migrate.h"
+#include "pagoda/entry_rows.h"
 #include "power/governor.h"
 #include "sched/policy.h"
 #include "sched/ready_queue.h"
@@ -262,6 +263,11 @@ class Dispatcher {
   void reinstate_node(int node_index);
 
   const Stats& stats() const { return stats_; }
+  /// Request-record rows the node has backed (host-memory observability).
+  int record_rows_backed(int node_index) const {
+    return node_state_[static_cast<std::size_t>(node_index)]
+        .records.rows_backed();
+  }
   const ClassStats& class_stats(sched::Class c) const {
     return cls_stats_[static_cast<std::size_t>(sched::index(c))];
   }
@@ -351,7 +357,7 @@ class Dispatcher {
   struct Deadline {
     Dispatcher* disp;
     int node;
-    std::size_t idx;
+    int idx;
     std::uint64_t uid;
     sim::EventId event = 0;
     /// May free this Deadline (the attempt's teardown does).
@@ -364,7 +370,9 @@ class Dispatcher {
     /// entry reuse is safe because a record is erased at resolution, before
     /// the slot semaphore lets the next request claim the entry. A record is
     /// allocated at spawn and freed by take_record()/park_wedged(); null
-    /// means the entry holds no tracked attempt.
+    /// means the entry holds no tracked attempt. Stored like the table, in
+    /// spawn order one row at a time (runtime::EntryRows): size() is the
+    /// node's physical capacity, backed or not.
     struct Record {
       std::uint64_t uid = 0;
       std::unique_ptr<Deadline> deadline;  // null = none armed
@@ -373,10 +381,11 @@ class Dispatcher {
       runtime::TaskHandle handle{};
       Attempt att;
     };
-    std::vector<std::unique_ptr<Record>> records;
+    runtime::EntryRows<std::unique_ptr<Record>> records;
     /// Whether entry `idx` still tracks attempt `uid` (not resolved since).
-    bool holds(std::size_t idx, std::uint64_t uid) const {
-      return records[idx] != nullptr && records[idx]->uid == uid;
+    bool holds(int idx, std::uint64_t uid) const {
+      const std::unique_ptr<Record>& rec = records[idx];
+      return rec != nullptr && rec->uid == uid;
     }
     /// Non-null records — attempts spawned and still owed GPU progress.
     /// This is the watchdog's "holds work" signal, so wedged attempts are
@@ -477,17 +486,17 @@ class Dispatcher {
              fault::FailureCause cause = fault::FailureCause::kNodeCrash);
   /// Tears down a tracked record: cancels its deadline, clears it and
   /// un-counts it from `tracked`. Returns the attempt it held.
-  Attempt take_record(NodeState& ns, std::size_t idx);
+  Attempt take_record(NodeState& ns, int idx);
   /// Moves a tracked record whose completion will never arrive into
   /// wedged_, keeping its deadline (and its slot) until that fires.
-  void park_wedged(int node_index, NodeState& ns, std::size_t idx);
+  void park_wedged(int node_index, NodeState& ns, int idx);
   /// The slot accounting bounds, CHECKed after every change.
   static void check_slots(const NodeState& ns);
   void on_task_complete(int node_index, runtime::TaskId id);
   /// Claim-observer hook (tracing only): resolves the claimed TaskTable
   /// entry to its request uid and stamps the warp_wait -> exec boundary.
   void on_task_claimed(int node_index, runtime::TaskId id, sim::Time now);
-  void on_deadline(int node_index, std::size_t idx, std::uint64_t uid);
+  void on_deadline(int node_index, int idx, std::uint64_t uid);
   /// Routes a failed attempt to retry-vs-shed; leave() has already returned
   /// everything it held.
   void attempt_failed(Attempt a, fault::FailureCause cause);
@@ -499,8 +508,7 @@ class Dispatcher {
   /// try_revoke race and, on a win, unwinds the record and checkpoints the
   /// attempt at the table-parked safe point. Re-validates the record around
   /// the await — completion, death sweep or timeout may resolve it first.
-  sim::Process migrate_revoke(int node_index, std::size_t idx,
-                              std::uint64_t uid);
+  sim::Process migrate_revoke(int node_index, int idx, std::uint64_t uid);
   /// Checkpoints one captured attempt, charges its node-resident state over
   /// the source's D2H link (the migrate_xfer trace phase), round-trips the
   /// byte image (the image is load-bearing: restore reads IT, not the live

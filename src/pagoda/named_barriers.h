@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/check.h"
 #include "gpu/barrier.h"
@@ -38,6 +39,10 @@ class NamedBarrierPool {
     PAGODA_CHECK_MSG(has_free(), "named barrier pool exhausted");
     free_count_ -= 1;
     const int id = free_ids_[static_cast<std::size_t>(free_count_)];
+    // Ids lease lowest-first, so barriers_ grows one id at a time.
+    if (id >= static_cast<int>(barriers_.size())) {
+      barriers_.resize(static_cast<std::size_t>(id) + 1);
+    }
     auto& b = barriers_[static_cast<std::size_t>(id)];
     if (b == nullptr) b = std::make_unique<gpu::BlockBarrier>(*sim_);
     b->reset(participants);
@@ -57,7 +62,8 @@ class NamedBarrierPool {
   /// The barrier of a leased id.
   gpu::BlockBarrier& barrier(int id) {
     PAGODA_CHECK(id >= 0 && id < kNumBarriers);
-    PAGODA_CHECK_MSG(barriers_[static_cast<std::size_t>(id)] != nullptr,
+    PAGODA_CHECK_MSG(id < static_cast<int>(barriers_.size()) &&
+                         barriers_[static_cast<std::size_t>(id)] != nullptr,
                      "named barrier used before its first lease");
     return *barriers_[static_cast<std::size_t>(id)];
   }
@@ -71,7 +77,8 @@ class NamedBarrierPool {
 
  private:
   sim::Simulation* sim_;
-  std::array<std::unique_ptr<gpu::BlockBarrier>, kNumBarriers> barriers_;
+  /// By id, grown to the highest id leased so far.
+  std::vector<std::unique_ptr<gpu::BlockBarrier>> barriers_;
   std::array<std::int8_t, kNumBarriers> free_ids_{};  // stack; top at the end
   int free_count_ = kNumBarriers;
 };

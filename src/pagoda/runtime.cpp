@@ -1,5 +1,8 @@
 #include "pagoda/runtime.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/check.h"
 
 namespace pagoda::runtime {
@@ -25,11 +28,11 @@ Runtime::Runtime(gpu::Device& dev, host::HostCosts host_costs,
                  cfg.rows_per_column),
       gpu_table_(dev.num_smms() * MasterKernel::kMtbsPerSmm,
                  cfg.rows_per_column),
-      generation_(static_cast<std::size_t>(cpu_table_.size()), 0),
+      generation_(cpu_table_.columns(), cpu_table_.rows()),
       mk_(dev, gpu_table_, cfg_),
       table_stream_(dev),
       spawn_lock_(dev.sim(), 1),
-      staging_(static_cast<std::size_t>(cpu_table_.size())),
+      landed_free_(gpu_table_.free_words()),
       free_entries_(cpu_table_.columns(), cpu_table_.rows()) {}
 
 Runtime::~Runtime() { shutdown(); }
@@ -91,8 +94,8 @@ sim::Task<TaskHandle> Runtime::task_spawn(TaskParams params) {
   const TaskId id = static_cast<TaskId>(idx) + kFirstTaskId;
   free_entries_.set(idx, false);
   cpu_table_.params(id) = params;
-  generation_[static_cast<std::size_t>(idx)] += 1;
-  const std::uint64_t gen = generation_[static_cast<std::size_t>(idx)];
+  const std::uint64_t gen = ++stamp_;
+  generation_.at(idx) = gen;
   stats_.tasks_spawned += 1;
   trace(TraceKind::kSpawned, id);
 
@@ -144,9 +147,8 @@ sim::Task<> Runtime::flush_last_locked() {
   // landed, not yet released — release it by writing (1, 1).
   if (!last_spawned_.has_value()) co_return;
   const TaskId id = *last_spawned_;
-  co_await copy_back_entry_locked(id);
-  const std::size_t idx = static_cast<std::size_t>(id - kFirstTaskId);
-  if (staging_[idx].ready == kReadyParamsCopied && staging_[idx].sched == 0) {
+  const EntryStatus staged = co_await copy_back_entry_locked(id);
+  if (staged.ready == kReadyParamsCopied && staged.sched == 0) {
     cpu_table_.set_status(id, {kReadyScheduling, 1});
     last_spawned_.reset();
     stats_.flushes += 1;
@@ -159,9 +161,8 @@ sim::Task<> Runtime::flush_last_locked() {
 }
 
 void Runtime::land_statuses() {
-  for (std::size_t i = 0; i < staging_.size(); ++i) {
-    staging_[i] = gpu_table_.status(static_cast<TaskId>(i) + kFirstTaskId);
-  }
+  const std::vector<std::uint64_t>& gpu_free = gpu_table_.free_words();
+  std::copy(gpu_free.begin(), gpu_free.end(), landed_free_.begin());
 }
 
 void Runtime::EntryLanding::revoke() {
@@ -179,54 +180,60 @@ void Runtime::EntryLanding::revoke() {
 
 sim::Task<> Runtime::copy_back_all_locked() {
   stats_.aggregate_copybacks += 1;
-  std::vector<std::uint64_t>& gens = copy_back_gens_;
-  gens.assign(generation_.begin(), generation_.end());
+  const std::uint64_t started = stamp_;
   co_await sim().delay(hc_.memcpy_setup);
   co_await table_stream_.memcpy(
       pcie::Direction::DeviceToHost, nullptr, nullptr,
-      staging_.size() * sizeof(TaskEntry),
+      static_cast<std::size_t>(cpu_table_.size()) * sizeof(TaskEntry),
       sim::Continuation::member<&Runtime::land_statuses>(this));
-  // Apply: only transitions to Free, and only for entries the host did not
-  // re-spawn into while the copy was in flight.
-  for (int idx = 0; idx < cpu_table_.size(); ++idx) {
-    const auto u = static_cast<std::size_t>(idx);
-    if (gens[u] != generation_[u]) continue;
-    const EntryStatus& ce =
-        cpu_table_.status(static_cast<TaskId>(idx) + kFirstTaskId);
-    if (ce.ready != kReadyFree && staging_[u].ready == kReadyFree) {
-      free_cpu_entry(static_cast<TaskId>(idx) + kFirstTaskId);
-      trace(TraceKind::kCopyBack, static_cast<TaskId>(idx) + kFirstTaskId);
+  // Apply, in TaskId order: an entry busy here and free on the device at
+  // the landing becomes free, unless the host re-spawned into it (or revoked
+  // it) while the copy was in flight. A busy entry sits on a backed row, so
+  // only backed rows are visited.
+  const std::vector<std::uint64_t>& cpu_free = cpu_table_.free_words();
+  const int words = cpu_table_.words_per_column();
+  for (int column = 0; column < cpu_table_.columns(); ++column) {
+    for (int k = 0; k < words; ++k) {
+      const auto w = static_cast<std::size_t>(column * words + k);
+      for (std::uint64_t bits = landed_free_[w] & ~cpu_free[w]; bits != 0;
+           bits &= bits - 1) {
+        const TaskId id =
+            cpu_table_.id_of(column, k * 64 + std::countr_zero(bits));
+        if (generation_[id - kFirstTaskId] > started) continue;
+        free_cpu_entry(id);
+        trace(TraceKind::kCopyBack, id);
+      }
     }
   }
 }
 
-sim::Task<> Runtime::copy_back_entry_locked(TaskId id) {
+sim::Task<EntryStatus> Runtime::copy_back_entry_locked(TaskId id) {
   stats_.single_copybacks += 1;
-  const std::size_t idx = static_cast<std::size_t>(id - kFirstTaskId);
+  const int idx = id - kFirstTaskId;
   const std::uint64_t gen = generation_[idx];
   co_await sim().delay(hc_.memcpy_setup);
   EntryLanding landing{this, id};
   co_await table_stream_.memcpy(
       pcie::Direction::DeviceToHost, nullptr, nullptr, sizeof(TaskEntry),
       sim::Continuation::member<&EntryLanding::copy_back>(&landing));
-  if (gen == generation_[idx] && staging_[idx].ready == kReadyFree &&
+  if (gen == generation_[idx] && landing.staged.ready == kReadyFree &&
       cpu_table_.status(id).ready != kReadyFree) {
     free_cpu_entry(id);
     trace(TraceKind::kCopyBack, id);
   }
+  co_return landing.staged;
 }
 
 bool Runtime::is_done_cpu_view(const TaskHandle& h) const {
   PAGODA_CHECK_MSG(h.owner == uid_,
                    "TaskHandle presented to a Runtime that did not issue it");
   PAGODA_CHECK(cpu_table_.valid_id(h.id));
-  const std::size_t idx = static_cast<std::size_t>(h.id - kFirstTaskId);
   // Recycled handle (a later spawn reused the entry): the original task is
   // necessarily done — the entry could only be reissued after it freed — so
   // report done WITHOUT consulting the entry, which now describes a
   // different, possibly still-running task. Cluster-level retries depend on
   // wait() never blocking on a successor's completion here.
-  if (generation_[idx] != h.generation) return true;
+  if (generation_[h.id - kFirstTaskId] != h.generation) return true;
   return cpu_table_.status(h.id).ready == kReadyFree;
 }
 
@@ -252,7 +259,7 @@ sim::Task<bool> Runtime::try_revoke(TaskHandle h) {
                    "TaskHandle presented to a Runtime that did not issue it");
   PAGODA_CHECK(cpu_table_.valid_id(h.id));
   co_await spawn_lock_.acquire();
-  const std::size_t idx = static_cast<std::size_t>(h.id - kFirstTaskId);
+  const int idx = h.id - kFirstTaskId;
   if (generation_[idx] != h.generation ||
       cpu_table_.status(h.id).ready == kReadyFree) {
     // Recycled or already observed finished: nothing left to revoke.
@@ -273,7 +280,7 @@ sim::Task<bool> Runtime::try_revoke(TaskHandle h) {
       sim::Continuation::member<&EntryLanding::revoke>(&landing));
   if (landing.won) {
     free_cpu_entry(h.id);
-    generation_[idx] += 1;  // the revoked handle must report done, not alias
+    generation_.at(idx) = ++stamp_;  // the revoked handle reports done
     stats_.revokes += 1;
     trace(TraceKind::kRevoked, h.id);
   } else {
@@ -288,16 +295,7 @@ sim::Task<> Runtime::wait_all() {
     co_await spawn_lock_.acquire();
     co_await flush_last_locked();
     co_await copy_back_all_locked();
-    bool all_done = !last_spawned_.has_value();
-    if (all_done) {
-      for (int idx = 0; idx < cpu_table_.size(); ++idx) {
-        if (cpu_table_.status(static_cast<TaskId>(idx) + kFirstTaskId).ready !=
-            kReadyFree) {
-          all_done = false;
-          break;
-        }
-      }
-    }
+    const bool all_done = !last_spawned_.has_value() && cpu_table_.all_free();
     spawn_lock_.release();
     if (all_done) co_return;
     co_await sim().delay(cfg_.wait_poll);

@@ -34,16 +34,17 @@
 #include "gpu/device.h"
 #include "gpu/stream.h"
 #include "host/host_api.h"
+#include "pagoda/entry_rows.h"
 #include "pagoda/master_kernel.h"
 #include "pagoda/task_table.h"
 #include "sim/task.h"
 
 namespace pagoda::runtime {
 
-/// Handle returned by task_spawn. The generation disambiguates recycled
-/// TaskTable entries and the owner uid pins the handle to the Runtime that
-/// issued it (host-side bookkeeping only; the wire protocol is unchanged
-/// from the paper). A handle whose entry has been recycled reports done —
+/// Handle returned by task_spawn. The generation (the spawn's stamp, see
+/// Runtime) disambiguates recycled TaskTable entries and the owner uid pins
+/// the handle to the Runtime that issued it (host-side bookkeeping only;
+/// the wire protocol is unchanged from the paper). A handle whose entry has been recycled reports done —
 /// it never aliases the later task now occupying the entry — and a handle
 /// presented to a different Runtime (a multi-GPU routing bug) aborts.
 struct TaskHandle {
@@ -138,6 +139,8 @@ class Runtime {
   /// GPU-side mirror of the TaskTable (observability: per-state occupancy
   /// and spawn-pipeline depth are read from here, never written).
   const TaskTable& gpu_table() const { return gpu_table_; }
+  /// Host-side per-entry rows backed so far (host-memory observability).
+  int stamp_rows_backed() const { return generation_.rows_backed(); }
 
   /// Validation used by task_spawn; exposed for tests.
   static void validate(const TaskParams& p, const gpu::GpuSpec& spec);
@@ -151,7 +154,8 @@ class Runtime {
   // All *_locked members require spawn_lock_ held.
   sim::Task<> flush_last_locked();
   sim::Task<> copy_back_all_locked();
-  sim::Task<> copy_back_entry_locked(TaskId id);
+  /// Returns the entry's device status as the copy landed it.
+  sim::Task<EntryStatus> copy_back_entry_locked(TaskId id);
   void copy_entry_to_gpu_locked(TaskId id);
 
   gpu::Device& dev_;
@@ -160,9 +164,12 @@ class Runtime {
   PagodaConfig cfg_;
   TaskTable cpu_table_;
   TaskTable gpu_table_;
-  std::vector<std::uint64_t> generation_;
-  /// copy_back_all_locked()'s snapshot of generation_, reused per call.
-  std::vector<std::uint64_t> copy_back_gens_;
+  /// Each spawn and each revoke takes the next runtime-wide stamp and
+  /// writes it to its entry here; 0 = never spawned into. A handle carries
+  /// its spawn's stamp, so a changed stamp means the entry was recycled,
+  /// and an aggregate copy-back skips the entries stamped after it began.
+  std::uint64_t stamp_ = 0;
+  EntryRows<std::uint64_t> generation_;
   MasterKernel mk_;
   /// All TaskTable traffic (H2D entry copies AND D2H status copy-backs)
   /// rides one stream. Stream ordering is load-bearing twice over: (a) a
@@ -181,11 +188,12 @@ class Runtime {
   void trace(TraceKind kind, TaskId task, std::int32_t aux = 0) {
     if (trace_ != nullptr) trace_->record(sim().now(), kind, task, aux);
   }
-  /// D2H landing area for copy-backs: the two status words of each entry,
-  /// gathered from the GPU table at the landing instant. The wire is still
-  /// charged whole TaskEntry bytes; the host only ever reads these.
-  std::vector<EntryStatus> staging_;
-  void land_statuses();  // every staging_ entry <- the GPU table
+  /// What an aggregate copy-back keeps of the device table it lands: the
+  /// device mirror's free mask (TaskTable::free_words()) at the landing
+  /// instant. The wire is still charged whole TaskEntry bytes for the whole
+  /// table.
+  std::vector<std::uint64_t> landed_free_;
+  void land_statuses();  // landed_free_ <- the GPU table's free mask
   /// The CPU table's free entries (ready == 0), in spawn search order.
   FreeEntries free_entries_;
 
@@ -203,11 +211,9 @@ class Runtime {
   struct EntryLanding {
     Runtime* rt;
     TaskId id;
-    bool won = false;  // revoke() freed the entry before a claim
-    void copy_back() {
-      rt->staging_[static_cast<std::size_t>(id - kFirstTaskId)] =
-          rt->gpu_table_.status(id);
-    }
+    bool won = false;     // revoke() freed the entry before a claim
+    EntryStatus staged{};  // copy_back()'s landed device status
+    void copy_back() { staged = rt->gpu_table_.status(id); }
     void revoke();  // frees a released-but-unclaimed or parked-last entry
   };
 };

@@ -17,12 +17,15 @@ ShmemAllocator::ShmemAllocator(std::int32_t arena_bytes,
   PAGODA_CHECK(arena_bytes >= granularity);
   levels_ = std::countr_zero(static_cast<std::uint32_t>(arena_bytes)) -
             std::countr_zero(static_cast<std::uint32_t>(granularity));
+}
+
+void ShmemAllocator::back_tree() {
   // Complete binary tree with levels_+1 levels: 2^(levels_+1) - 1 nodes.
   // For 32 KB / 512 B: levels_ = 6, 127 nodes — the paper's "128 nodes,
   // small enough to fit in the shared memory".
-  marked_.assign((1u << (levels_ + 1)) - 1, false);
+  marked_.assign(static_cast<std::size_t>(node_count()), false);
   alloc_size_at_offset_.assign(
-      static_cast<std::size_t>(arena_bytes / granularity), 0);
+      static_cast<std::size_t>(arena_bytes_ / granularity_), 0);
 }
 
 std::int32_t ShmemAllocator::block_size_for(std::int32_t bytes) const {
@@ -57,6 +60,7 @@ std::optional<std::int32_t> ShmemAllocator::allocate(std::int32_t bytes) {
     alloc_failures_ += 1;
     return std::nullopt;
   }
+  if (marked_.empty()) back_tree();
   const std::int32_t block = block_size_for(bytes);
   const int level = level_of_size(block);
   // Search the level for an unmarked node. (On the GPU the 32 threads of the
@@ -89,7 +93,8 @@ void ShmemAllocator::deallocate(std::int32_t offset) {
   PAGODA_CHECK(offset >= 0 && offset < arena_bytes_ &&
                offset % granularity_ == 0);
   const std::size_t slot = static_cast<std::size_t>(offset / granularity_);
-  const std::int32_t block = alloc_size_at_offset_[slot];
+  const std::int32_t block =
+      alloc_size_at_offset_.empty() ? 0 : alloc_size_at_offset_[slot];
   PAGODA_CHECK_MSG(block > 0, "deallocating an unallocated offset");
   alloc_size_at_offset_[slot] = 0;
   allocated_bytes_ -= block;
@@ -136,6 +141,7 @@ bool ShmemAllocator::check_invariants() const {
 std::int32_t ShmemAllocator::largest_free_block() const {
   // Top-down: the first level holding any unmarked node holds the largest
   // allocatable block (an unmarked node's subtree is entirely free).
+  if (marked_.empty()) return arena_bytes_;  // nothing ever allocated
   for (int level = 0; level <= levels_; ++level) {
     const int first = first_node_of_level(level);
     for (int node = first; node < first + nodes_in_level(level); ++node) {

@@ -56,7 +56,7 @@ class ShmemAllocator {
   std::int32_t arena_bytes() const { return arena_bytes_; }
   std::int32_t granularity() const { return granularity_; }
   std::int32_t allocated_bytes() const { return allocated_bytes_; }
-  int node_count() const { return static_cast<int>(marked_.size()); }
+  int node_count() const { return (1 << (levels_ + 1)) - 1; }
 
   // --- observability counters (buddy-arena pressure) ----------------------
   /// High-water mark of allocated_bytes() over the arena's lifetime.
@@ -103,11 +103,14 @@ class ShmemAllocator {
   }
 
   void mark_descendants(int node, bool mark);
+  /// Builds the (all-free) tree; allocate() calls it first, so an arena
+  /// that never serves a block holds none.
+  void back_tree();
 
   std::int32_t arena_bytes_;
   std::int32_t granularity_;
   int levels_;                 // tree has levels_ + 1 levels (root = level 0)
-  std::vector<bool> marked_;   // node -> allocated?
+  std::vector<bool> marked_;   // node -> allocated? (empty until backed)
   std::vector<std::int32_t> alloc_size_at_offset_;  // per-leaf-offset block size
   std::vector<std::int32_t> deferred_;              // offsets awaiting free
   std::int32_t allocated_bytes_ = 0;

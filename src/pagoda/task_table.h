@@ -5,18 +5,22 @@
 // Each entry holds the task descriptor fields of §4.2 — (1) #threadblocks,
 // (2) threads per threadblock, (3) kernel pointer, (4) shared-memory bytes
 // per threadblock, (5) sync flag, (6) task inputs (parameter blob),
-// (7) ready field, (8) sched flag. The table stores them split by reader:
-//  * fields 7–8 (`EntryStatus`) in one dense column-major array, allocated
-//    at construction — the scheduler warps' scan, the copy-backs and every
-//    host-side done check read only these. Beside it sits the actionable
-//    mask: one bit per entry, set iff the entry gives a scheduler pass work
-//    (`actionable()`), ceil(rows/64) words per column. Status words are
-//    written only through set_status() or store(), which keep the bit;
-//    next_actionable() finds a column's next set bit, so a pass visits only
-//    the rows it acts on (DESIGN.md §4, item 10);
-//  * fields 1–6 (`TaskParams`) in row blocks of columns() entries, each
-//    backed the first time a mutable params() reaches its row. Spawns fill
-//    columns first, so a lightly loaded table backs only its first rows.
+// (7) ready field, (8) sched flag. The table stores them split by reader,
+// each in an EntryRows store (pagoda/entry_rows.h): in the spawn search's
+// order, one row block of columns() entries backed the first time a write
+// reaches its row. Spawns fill columns first, so a lightly loaded table
+// backs only its first rows, and an unbacked entry reads as a free, idle
+// one. TaskIds stay column-major; only the storage follows the search.
+//  * fields 7–8 (`EntryStatus`): the scheduler warps' scan, the copy-backs
+//    and every host-side done check read only these. Beside them sit two
+//    masks of one bit per entry, ceil(rows/64) words per column: the
+//    actionable mask, set iff the entry gives a scheduler pass work
+//    (`actionable()`), and the free mask, set iff its ready field is 0.
+//    Status words are written only through set_status() or store(), which
+//    keep both bits. next_actionable() finds a column's next set bit, so a
+//    pass visits only the rows it acts on (DESIGN.md §4, item 10); an
+//    aggregate copy-back lands and compares free masks, not status words;
+//  * fields 1–6 (`TaskParams`): what a claim and an executor warp read.
 // `TaskEntry` (all eight fields, 240 B) is the unit a PCIe copy charges and
 // carries: load() gathers one, store() scatters one. The spawn copy lands
 // both regions in one completion callback, so the GPU never sees the status
@@ -43,11 +47,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "common/check.h"
 #include "gpu/kernel.h"
+#include "pagoda/entry_rows.h"
 
 namespace pagoda::runtime {
 
@@ -144,12 +148,12 @@ class TaskTable {
       : columns_(columns),
         rows_(rows),
         words_per_column_((rows + 63) / 64),
-        status_(static_cast<std::size_t>(columns) *
-                static_cast<std::size_t>(rows)),
+        status_(columns, rows),
         actionable_(static_cast<std::size_t>(columns) *
                     static_cast<std::size_t>(words_per_column_)),
-        param_rows_(static_cast<std::size_t>(rows)) {
-    PAGODA_CHECK(columns > 0 && rows > 0);
+        free_(actionable_.size()),
+        params_(columns, rows) {
+    for (std::size_t w = 0; w < free_.size(); ++w) free_[w] = full_word(w);
   }
 
   int columns() const { return columns_; }
@@ -161,28 +165,32 @@ class TaskTable {
     PAGODA_CHECK(column >= 0 && column < columns_ && row >= 0 && row < rows_);
     return static_cast<TaskId>(column * rows_ + row) + kFirstTaskId;
   }
-  int column_of(TaskId id) const { return (id - kFirstTaskId) / rows_; }
-  int row_of(TaskId id) const { return (id - kFirstTaskId) % rows_; }
+  int column_of(TaskId id) const {
+    return status_.column_of(id - kFirstTaskId);
+  }
+  int row_of(TaskId id) const { return status_.row_of(id - kFirstTaskId); }
   bool valid_id(TaskId id) const {
     return id >= kFirstTaskId && id < kFirstTaskId + size();
   }
 
   const EntryStatus& status(TaskId id) const {
     PAGODA_CHECK_MSG(valid_id(id), "bad task id");
-    return status_[static_cast<std::size_t>(id - kFirstTaskId)];
+    return status_[id - kFirstTaskId];
   }
   /// The one writer of the status words besides store(); keeps the entry's
-  /// actionable bit.
+  /// actionable and free bits.
   void set_status(TaskId id, EntryStatus st) {
     PAGODA_CHECK_MSG(valid_id(id), "bad task id");
     const int idx = id - kFirstTaskId;
-    status_[static_cast<std::size_t>(idx)] = st;
-    const int row = idx % rows_;
-    std::uint64_t& word =
-        actionable_[static_cast<std::size_t>(idx / rows_ * words_per_column_ +
-                                             row / 64)];
+    status_.at(idx) = st;
+    const int column = status_.column_of(idx);
+    const int row = idx - column * rows_;
+    const auto w =
+        static_cast<std::size_t>(column * words_per_column_ + row / 64);
     const std::uint64_t bit = std::uint64_t{1} << (row % 64);
-    word = actionable(st) ? word | bit : word & ~bit;
+    actionable_[w] = actionable(st) ? actionable_[w] | bit
+                                    : actionable_[w] & ~bit;
+    free_[w] = st.ready == kReadyFree ? free_[w] | bit : free_[w] & ~bit;
   }
 
   /// The lowest row at or after `row` in `column` whose entry is
@@ -200,21 +208,15 @@ class TaskTable {
     return w * 64 + std::countr_zero(word);
   }
 
-  /// Backs the entry's row block on first use.
+  /// Backs the entry's parameter row on first use.
   TaskParams& params(TaskId id) {
-    auto& block = param_rows_[static_cast<std::size_t>(row_checked(id))];
-    if (block == nullptr) {
-      block = std::make_unique<TaskParams[]>(
-          static_cast<std::size_t>(columns_));
-    }
-    return block[static_cast<std::size_t>(column_of(id))];
+    PAGODA_CHECK_MSG(valid_id(id), "bad task id");
+    return params_.at(id - kFirstTaskId);
   }
   /// An entry on an unbacked row reads as idle default parameters.
   const TaskParams& params(TaskId id) const {
-    static const TaskParams kIdle{};
-    const auto& block = param_rows_[static_cast<std::size_t>(row_checked(id))];
-    return block == nullptr ? kIdle
-                            : block[static_cast<std::size_t>(column_of(id))];
+    PAGODA_CHECK_MSG(valid_id(id), "bad task id");
+    return params_[id - kFirstTaskId];
   }
 
   TaskEntry load(TaskId id) const {
@@ -226,27 +228,41 @@ class TaskTable {
     set_status(id, {entry.ready, entry.sched});
   }
 
-  /// Parameter row blocks backed so far (host-memory observability).
-  int rows_backed() const {
-    int n = 0;
-    for (const auto& block : param_rows_) n += block != nullptr ? 1 : 0;
-    return n;
+  /// The free mask: bit `row % 64` of word `column * words_per_column() +
+  /// row / 64` is set iff (column, row)'s ready field is kReadyFree. Words
+  /// ascend in TaskId order.
+  const std::vector<std::uint64_t>& free_words() const { return free_; }
+  int words_per_column() const { return words_per_column_; }
+  bool all_free() const {
+    for (std::size_t w = 0; w < free_.size(); ++w) {
+      if (free_[w] != full_word(w)) return false;
+    }
+    return true;
   }
 
+  /// Row blocks backed so far (host-memory observability).
+  int rows_backed() const { return params_.rows_backed(); }
+  int status_rows_backed() const { return status_.rows_backed(); }
+
  private:
-  int row_checked(TaskId id) const {
-    PAGODA_CHECK_MSG(valid_id(id), "bad task id");
-    return row_of(id);
+  /// Mask word `w` with every row it covers set.
+  std::uint64_t full_word(std::size_t w) const {
+    const int first_row =
+        static_cast<int>(w % static_cast<std::size_t>(words_per_column_)) * 64;
+    const int n = rows_ - first_row < 64 ? rows_ - first_row : 64;
+    return n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
   }
 
   int columns_;
   int rows_;
   int words_per_column_;
-  std::vector<EntryStatus> status_;  // column-major, index id - kFirstTaskId
+  EntryRows<EntryStatus> status_;
   /// Bit `row % 64` of word `column * words_per_column_ + row / 64` is
-  /// actionable(status of (column, row)).
+  /// actionable(status of (column, row)) ...
   std::vector<std::uint64_t> actionable_;
-  std::vector<std::unique_ptr<TaskParams[]>> param_rows_;  // [row][column]
+  /// ... and, in the same layout, whether its ready field is kReadyFree.
+  std::vector<std::uint64_t> free_;
+  EntryRows<TaskParams> params_;
 };
 
 /// The free entries of a table, in the spawn search's order: round-robin

@@ -96,9 +96,10 @@ class SlotCondition {
   /// Stands in for spawning make(0..slots-1) now; each made on first hand-off.
   void spawn_deferred(std::function<Process(int)> make) {
     make_ = std::move(make);
+    order_.reserve(keys_.size());
     for (int s = 0; s < static_cast<int>(keys_.size()); ++s) {
       key(s) = sim_->reserve_event();
-      order_.push_back(s);
+      order_.push_back(static_cast<std::int8_t>(s));
     }
   }
 
@@ -109,7 +110,7 @@ class SlotCondition {
     key(slot) = now;
     auto after = [this](EventKey k, int s) { return k < key(s); };
     order_.insert(std::upper_bound(order_.begin(), order_.end(), now, after),
-                  slot);
+                  static_cast<std::int8_t>(slot));
   }
 
   /// The waker set `slot`'s flag (see the class comment).
@@ -153,9 +154,9 @@ class SlotCondition {
   }
 
   Simulation* sim_;
-  std::vector<EventKey> keys_;  // by slot
-  std::vector<int> order_;      // retired slots, in key order
-  std::uint64_t handed_ = 0;    // retired slots handed work, by bit
+  std::vector<EventKey> keys_;      // by slot
+  std::vector<std::int8_t> order_;  // retired slots, in key order
+  std::uint64_t handed_ = 0;        // retired slots handed work, by bit
   std::function<Process(int)> make_;
 };
 

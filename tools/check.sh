@@ -601,8 +601,8 @@ fleet_gate() {
   # README says how to regenerate the committed BENCH_fleet.json.
   local dir="$1"
   local budget_s=120
-  local rss_budget_256_mb=110
-  local rss_budget_1024_mb=380
+  local rss_budget_256_mb=56
+  local rss_budget_1024_mb=211
   local json=/tmp/pagoda_BENCH_fleet.json
   echo "==> fleet-scale gate (bench/fleet_scale, 1->1024 nodes)"
   local t0 t1 elapsed
