@@ -85,20 +85,13 @@ int main(int argc, char** argv) {
     Table table({"scheduling cost scale", "spawn-bound (64^2)",
                  "GPU-bound (128^2, no copies)"});
     for (const double scale : {0.5, 1.0, 4.0}) {
-      auto scaled = [&](baselines::RunConfig rcfg) {
-        rcfg.pagoda.scan_pass_cycles *= scale;
-        rcfg.pagoda.release_chain_cycles *= scale;
-        rcfg.pagoda.dispatch_cycles_per_warp *= scale;
-        rcfg.pagoda.shmem_alloc_cycles *= scale;
-        rcfg.pagoda.shmem_sweep_cycles *= scale;
-        rcfg.pagoda.barrier_mgmt_cycles *= scale;
-        return rcfg;
-      };
+      baselines::RunConfig light_r = args.rcfg();
+      light_r.pagoda.sched_cost_scale = scale;
       const Measurement light =
-          run_experiment(wl, "Pagoda", args.wcfg(), scaled(args.rcfg()));
+          run_experiment(wl, "Pagoda", args.wcfg(), light_r);
       workloads::WorkloadConfig heavy_w = args.wcfg();
       heavy_w.input_scale = 128;
-      baselines::RunConfig heavy_r = scaled(args.rcfg());
+      baselines::RunConfig heavy_r = light_r;
       heavy_r.include_data_copies = false;
       const Measurement heavy =
           run_experiment(wl, "Pagoda", heavy_w, heavy_r);

@@ -325,7 +325,6 @@ int main(int argc, char** argv) {
     Scenario elastic = stat;
     elastic.migrate = true;
     elastic.autoscale.enabled = true;
-    elastic.autoscale.target_util = 0.60;
     elastic.autoscale.low_watermark = 0.30;
     elastic.autoscale.high_watermark = 0.85;
     elastic.autoscale.min_nodes = 2;

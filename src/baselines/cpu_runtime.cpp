@@ -17,10 +17,7 @@ namespace pagoda::baselines {
 namespace {
 
 /// Calibration of the CPU model (see harness/calibration.h for discussion):
-/// effective scalar-op throughput per core and the per-task pool handoff.
-// A counted "op" is a multiply-accumulate plus its loads; scalar code on the
-// 2.6 GHz Xeon sustains ~1.3 of those per cycle on these kernels.
-constexpr double kCoreOpsPerSec = 3.5e9;
+/// the per-task pool handoff. A core's throughput is host::kCoreOpsPerSec.
 constexpr double kDispatchOps = 8000.0;  // ~2.3 us pthread pool handoff
 
 /// Executes a task's kernel functionally on the host (Compute mode): the
@@ -72,7 +69,6 @@ struct CpuState {
           engine::SessionConfig sc;
           sc.device = false;
           sc.cpu_cores = cores;
-          sc.cpu_core_ops_per_sec = kCoreOpsPerSec;
           sc.host = cfg.host;
           sc.collector = cfg.collector;
           return sc;

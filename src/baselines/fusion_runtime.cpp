@@ -44,7 +44,6 @@ gpu::KernelCoro fused_kernel(gpu::WarpCtx& ctx) {
   sub.threads_per_block = ctx.threads_per_block;  // 256, redistributed work
   sub.num_blocks = 1;
   sub.mode = ctx.mode;
-  sub.set_costs(&ctx.costs());
   sub.args = tp.args.data();
   sub.shared_mem = ctx.shared_mem;
 

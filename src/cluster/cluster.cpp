@@ -16,7 +16,8 @@ GpuNode::GpuNode(sim::Simulation& sim, const NodeConfig& cfg)
                  sc.pagoda = cfg.pagoda;
                  return sc;
                }()),
-      pipe_(session_, {.h2d_streams = 1, .d2h_streams = 1}) {}
+      h2d_(session_.device()),
+      d2h_(session_.device()) {}
 
 fault::NodeSig GpuNode::live_sig() const {
   const runtime::MasterKernel& mk = session_.rt().master_kernel();

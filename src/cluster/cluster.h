@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "engine/session.h"
-#include "engine/stage_pipeline.h"
 #include "fault/fault.h"
 #include "fault/watchdog.h"
 #include "gpu/device.h"
@@ -60,8 +59,8 @@ class GpuNode {
   engine::Session& session() { return session_; }
   gpu::Device& device() { return session_.device(); }
   runtime::Runtime& rt() { return session_.rt(); }
-  gpu::Stream& h2d_stream() { return pipe_.h2d_stream(0); }
-  gpu::Stream& d2h_stream() { return pipe_.d2h_stream(0); }
+  gpu::Stream& h2d_stream() { return h2d_; }
+  gpu::Stream& d2h_stream() { return d2h_; }
 
   // --- load signals for placement policies ------------------------------
   /// Requests placed on this node and not yet finalized (queued for a
@@ -176,7 +175,8 @@ class GpuNode {
 
   NodeConfig cfg_;
   engine::Session session_;
-  engine::StagePipeline pipe_;  // the node's dedicated H2D/D2H data streams
+  gpu::Stream h2d_;  // the node's dedicated data streams
+  gpu::Stream d2h_;
   std::unique_ptr<power::NodePower> power_;  // nullptr = power plane off
   bool alive_ = true;
   fault::NodeHealth health_ = fault::NodeHealth::kHealthy;

@@ -220,12 +220,11 @@ std::string Dispatcher::validate(const DispatcherConfig& cfg, int num_nodes,
 sim::Process Dispatcher::flush_timer(int node_index) {
   GpuNode& node = cluster_->node(node_index);
   NodeState& ns = node_state_[static_cast<std::size_t>(node_index)];
-  const sim::Duration quiet = node.rt().config().wait_poll;
   while (true) {
     while (ns.spawn_epoch == 0) co_await ns.activity->wait();
     while (node.outstanding() > 0) {
       const std::uint64_t seen = ns.spawn_epoch;
-      co_await sim().delay(quiet);
+      co_await sim().delay(runtime::Runtime::kWaitPoll);
       if (ns.spawn_epoch == seen && node.outstanding() > 0) {
         // No spawn for a whole quiet period: the release chain has stalled.
         // wait_all flushes the stranded task and keeps playing lazy

@@ -27,11 +27,9 @@ void Session::build(const SessionConfig& cfg) {
   }
   if (cfg.cpu_cores > 0) {
     cpu_ = std::make_unique<host::CpuCluster>(*sim_, cfg.cpu_cores,
-                                              cfg.cpu_core_ops_per_sec);
+                                              host::kCoreOpsPerSec);
   }
-  if (cfg.collector != nullptr) {
-    attach_collector(*cfg.collector, cfg.collector_prefix);
-  }
+  if (cfg.collector != nullptr) attach_collector(*cfg.collector);
 }
 
 gpu::Device& Session::device() const {

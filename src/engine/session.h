@@ -47,13 +47,10 @@ struct SessionConfig {
   runtime::PagodaConfig pagoda{};
   /// Build a host::CpuCluster with this many cores (0 = none).
   int cpu_cores = 0;
-  double cpu_core_ops_per_sec = 0.0;
-  /// When set, the constructor attaches everything it builds (see
-  /// attach_collector). Multi-session drivers leave this null and attach
-  /// later, at the point their pre-port code did.
+  /// When set, the constructor attaches everything it builds, unprefixed
+  /// (see attach_collector). Multi-session drivers leave this null and
+  /// attach later, at the point their pre-port code did.
   obs::Collector* collector = nullptr;
-  /// Metric/track name prefix ("" single device, "dev00." cluster nodes).
-  std::string collector_prefix;
 };
 
 class Session {
@@ -79,8 +76,10 @@ class Session {
   host::CpuCluster& cpu() const;
 
   /// Attaches whatever this session built to `c` (device, then runtime,
-  /// then cpu — the canonical order). Called by the constructor when the
-  /// config carries a collector; callable exactly once per session.
+  /// then cpu — the canonical order), naming metrics and tracks with
+  /// `prefix` ("" single device, "dev00." cluster nodes). Called by the
+  /// constructor when the config carries a collector; callable exactly once
+  /// per session.
   void attach_collector(obs::Collector& c, const std::string& prefix = "");
 
   /// Launches the Pagoda MasterKernel (no-op without a runtime).

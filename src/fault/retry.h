@@ -13,12 +13,15 @@
 
 namespace pagoda::fault {
 
+/// Nominal delay after the first failed attempt, its growth per further
+/// attempt, and the cap the growth stops at.
+inline constexpr sim::Duration kBackoffBase = sim::microseconds(50.0);
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr sim::Duration kBackoffMax = sim::microseconds(5000.0);
+
 struct RetryConfig {
   /// Retries per request beyond the first attempt; 0 disables retry.
   int budget = 3;
-  sim::Duration base = sim::microseconds(50.0);
-  double multiplier = 2.0;
-  sim::Duration max = sim::microseconds(5000.0);
   /// Jitter width: the nominal delay is scaled by a factor drawn
   /// deterministically from (1-jitter, 1]. 0 disables jitter.
   double jitter = 0.5;
@@ -29,13 +32,13 @@ struct RetryConfig {
 /// failed. Pure: same (config, uid, attempt) -> same delay, always.
 inline sim::Duration backoff(const RetryConfig& cfg, std::uint64_t uid,
                              int attempt) {
-  double nominal = static_cast<double>(cfg.base);
+  double nominal = static_cast<double>(kBackoffBase);
   for (int i = 1; i < attempt; ++i) {
-    nominal *= cfg.multiplier;
-    if (nominal >= static_cast<double>(cfg.max)) break;
+    nominal *= kBackoffMultiplier;
+    if (nominal >= static_cast<double>(kBackoffMax)) break;
   }
-  if (nominal > static_cast<double>(cfg.max))
-    nominal = static_cast<double>(cfg.max);
+  if (nominal > static_cast<double>(kBackoffMax))
+    nominal = static_cast<double>(kBackoffMax);
   if (cfg.jitter > 0.0) {
     const std::uint64_t h = hash_index(cfg.seed ^ 0x7A5CF004ULL,
                                        uid * 64 + static_cast<std::uint64_t>(attempt));

@@ -99,7 +99,6 @@ sim::Process BlockDispatcher::warp_runner(std::shared_ptr<BlockRun> run,
   ctx.mode = p.mode;
   ctx.args = p.args.data();
   ctx.shared_mem = std::span<std::byte>(run->shared_mem);
-  ctx.set_costs(p.costs);
 
   KernelCoro coro = p.fn(ctx);
   while (true) {

@@ -146,13 +146,12 @@ class WarpCtx {
   /// True when the kernel should execute real loop bodies.
   bool compute() const { return mode == ExecMode::Compute; }
 
-  const CostModel& costs() const { return *costs_; }
-  void set_costs(const CostModel* costs) { costs_ = costs; }
+  /// The cycle costs kernels charge with (the one model every runtime uses).
+  const CostModel& costs() const { return kDefaultCostModel; }
 
  private:
   double pending_cycles_ = 0.0;
   double pending_stall_cycles_ = 0.0;
-  const CostModel* costs_ = &kDefaultCostModel;
 };
 
 /// Result of driving a warp for one segment.

@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "gpu/cost_model.h"
 #include "gpu/kernel.h"
 #include "gpu/smm.h"
 #include "sim/sync.h"
@@ -23,7 +22,6 @@ struct KernelLaunchParams {
   int regs_per_thread = 32;
   std::int64_t shared_mem_bytes = 0;
   ExecMode mode = ExecMode::Compute;
-  const CostModel* costs = &kDefaultCostModel;
 
   BlockFootprint footprint() const {
     return BlockFootprint::of(threads_per_block, regs_per_thread,

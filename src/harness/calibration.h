@@ -9,9 +9,19 @@
 //     ≈ 2 us; kernel launch ≈ 5 us.
 //   * Xeon E5-2660: 2.6 GHz, ~2.3 sustained scalar IPC -> ~6 Gops/s/core.
 //
-// The default values live in the structs they configure (PcieConfig,
-// HostCosts, CostModel, PagodaConfig, cpu_runtime.cpp); this header
-// re-exports the experiment-wide bundle so benches share one source.
+// Where the defaults live:
+//   * gpu/cost_model.h     CostModel: per-instruction issue/stall cycles
+//                          (gpu::kDefaultCostModel, the one model in use);
+//   * host/host_api.h      HostCosts (driver call costs, swept by
+//                          bench/sensitivity) and kCoreOpsPerSec, the
+//                          speed of a simulated Xeon core;
+//   * pcie/pcie_bus.h      PcieConfig: bandwidth, DMA latency and gap;
+//   * pagoda/master_kernel.h  MasterKernel::k*Cycles, the scheduler-warp
+//                          costs (scaled by PagodaConfig::sched_cost_scale);
+//   * pagoda/runtime.h     Runtime::kWaitPoll, the lazy-update poll timeout;
+//   * baselines/cpu_runtime.cpp  kDispatchOps, the pthread pool handoff.
+// This header re-exports the experiment-wide bundle so benches share one
+// source.
 #pragma once
 
 #include "baselines/task_runtime.h"

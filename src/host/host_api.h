@@ -18,8 +18,6 @@ struct HostCosts {
   sim::Duration kernel_launch = sim::microseconds(5.0);
   /// CPU time to set up one cudaMemcpyAsync (independent of size).
   sim::Duration memcpy_setup = sim::microseconds(3.0);
-  /// CPU time for a cudaMalloc/cudaFree pair, amortized per call.
-  sim::Duration malloc_cost = sim::microseconds(10.0);
   /// CPU time to poll a device flag / cudaEventQuery.
   sim::Duration event_query = sim::microseconds(1.0);
   /// CPU time for Pagoda's host-side taskSpawn bookkeeping (find a free
@@ -27,6 +25,12 @@ struct HostCosts {
   /// writes plus function-call overhead.
   sim::Duration task_spawn_fill = sim::nanoseconds(300.0);
 };
+
+/// Effective scalar-op throughput per core of the paper's Xeon, the speed
+/// engine::Session builds every CpuCluster with. A counted "op" is a
+/// multiply-accumulate plus its loads; scalar code on the 2.6 GHz Xeon
+/// sustains ~1.3 of those per cycle on these kernels.
+inline constexpr double kCoreOpsPerSec = 3.5e9;
 
 /// A 20-core CPU for the PThreads baseline (2x Intel Xeon E5-2660, 10 cores
 /// each at 2.6 GHz). Tasks execute serially on one core; the pool is a

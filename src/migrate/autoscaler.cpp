@@ -9,6 +9,10 @@ namespace pagoda::migrate {
 
 namespace {
 
+constexpr int kUpTicks = 2;     // consecutive hot checks before growing
+constexpr int kDownTicks = 6;   // consecutive cold checks before shrinking
+constexpr int kSleepState = 3;  // S-state for parked nodes
+
 bool parse_double(std::string_view s, double* out) {
   const char* end = s.data() + s.size();
   auto [p, ec] = std::from_chars(s.data(), end, *out);
@@ -44,7 +48,8 @@ std::optional<AutoscaleConfig> parse_autoscale_spec(std::string_view spec,
     *error = "expected UTIL[:LOW:HIGH[:MIN]]";
     return std::nullopt;
   }
-  if (!parse_double(parts[0], &cfg.target_util)) {
+  double target_util = 0.0;
+  if (!parse_double(parts[0], &target_util)) {
     *error = "bad target utilization";
     return std::nullopt;
   }
@@ -56,8 +61,8 @@ std::optional<AutoscaleConfig> parse_autoscale_spec(std::string_view spec,
     }
   } else {
     // Derive a symmetric band around the target.
-    cfg.low_watermark = cfg.target_util * 0.5;
-    cfg.high_watermark = (1.0 + cfg.target_util) * 0.5;
+    cfg.low_watermark = target_util * 0.5;
+    cfg.high_watermark = (1.0 + target_util) * 0.5;
   }
   if (parts.size() == 4) {
     std::int64_t min_nodes = 0;
@@ -68,7 +73,7 @@ std::optional<AutoscaleConfig> parse_autoscale_spec(std::string_view spec,
     }
     cfg.min_nodes = static_cast<int>(min_nodes);
   }
-  if (!(cfg.target_util > 0.0 && cfg.target_util < 1.0)) {
+  if (!(target_util > 0.0 && target_util < 1.0)) {
     *error = "target utilization must be in (0, 1)";
     return std::nullopt;
   }
@@ -122,9 +127,7 @@ Autoscaler::Autoscaler(sim::Simulation& sim, AutoscaleConfig cfg,
                        power::FleetControl& fleet)
     : sim_(&sim), cfg_(std::move(cfg)), fleet_(&fleet) {
   PAGODA_CHECK_MSG(cfg_.armed(), "autoscaler constructed but not armed");
-  PAGODA_CHECK(cfg_.period > 0);
   PAGODA_CHECK(cfg_.min_nodes >= 1);
-  PAGODA_CHECK(cfg_.up_ticks >= 1 && cfg_.down_ticks >= 1);
   pending_sleep_.assign(static_cast<std::size_t>(fleet_->num_nodes()), false);
 }
 
@@ -135,7 +138,8 @@ void Autoscaler::start() {
 }
 
 void Autoscaler::schedule_tick() {
-  sim_->after(cfg_.period, sim::Continuation::member<&Autoscaler::tick>(this));
+  sim_->after(power::kGovernorPeriod,
+              sim::Continuation::member<&Autoscaler::tick>(this));
 }
 
 void Autoscaler::tick() {
@@ -160,7 +164,7 @@ void Autoscaler::finish_pending_sleeps() {
   for (int i = 0; i < fleet_->num_nodes(); ++i) {
     if (!pending_sleep_[static_cast<std::size_t>(i)]) continue;
     if (fleet_->node_outstanding(i) != 0) continue;
-    power::sleep_drained_node(*fleet_, i, cfg_.sleep_state);
+    power::sleep_drained_node(*fleet_, i, kSleepState);
     pending_sleep_[static_cast<std::size_t>(i)] = false;
     ++stats_.nodes_slept;
   }
@@ -173,9 +177,9 @@ int Autoscaler::desired_nodes() const {
   if (plan_target_ >= 0) {
     desired = plan_target_;
   } else if (cfg_.enabled) {
-    if (hot_ticks_ >= cfg_.up_ticks) {
+    if (hot_ticks_ >= kUpTicks) {
       desired = serving + 1;
-    } else if (cold_ticks_ >= cfg_.down_ticks) {
+    } else if (cold_ticks_ >= kDownTicks) {
       desired = serving - 1;
     }
   }

@@ -1,14 +1,16 @@
 // Autoscaler: a traffic-driven fleet resizer behind the power plane's
 // FleetControl window, built like the governors — a deterministic
-// PeriodicCheck on a fixed virtual-time cadence whose decisions are pure
-// functions of simulation state.
+// PeriodicCheck on the governor's virtual-time cadence
+// (power::kGovernorPeriod) whose decisions are pure functions of
+// simulation state.
 //
 // Two drive modes, composable:
 //
 //   utilization  target-utilization with hysteresis. util = outstanding /
-//                capacity over serving nodes; `up_ticks` consecutive checks
-//                above the high watermark grow the fleet by one node,
-//                `down_ticks` below the low watermark shrink it by one.
+//                capacity over serving nodes; 2 consecutive checks above
+//                the high watermark grow the fleet by one node, 6 below the
+//                low watermark shrink it by one (autoscaler.cpp's kUpTicks
+//                and kDownTicks).
 //                Asymmetric on purpose: waking is cheap and latency-critical,
 //                sleeping costs a drain-migration, so scale-up reacts fast
 //                and scale-down waits out noise.
@@ -53,22 +55,18 @@ struct AutoscaleConfig {
   /// Arms utilization-driven scaling. A pure plan run (resize rehearsal)
   /// leaves this false and only follows `plan`.
   bool enabled = false;
-  double target_util = 0.60;     // informational midpoint of the band
   double high_watermark = 0.85;  // util above this counts toward scale-up
   double low_watermark = 0.30;   // util below this counts toward scale-down
-  int up_ticks = 2;              // consecutive hot checks before growing
-  int down_ticks = 6;            // consecutive cold checks before shrinking
   int min_nodes = 1;             // never shrink below this
-  int sleep_state = 3;           // S-state for parked nodes
-  sim::Duration period = sim::microseconds(50);
   /// Explicit resize schedule, strictly increasing `at`.
   std::vector<ResizeStep> plan;
 
   bool armed() const { return enabled || !plan.empty(); }
 };
 
-/// `--autoscale=UTIL[:LOW:HIGH[:MIN]]` -> config with enabled=true.
-/// Returns nullopt (with a message in *error) on a malformed spec.
+/// `--autoscale=UTIL[:LOW:HIGH[:MIN]]` -> config with enabled=true. UTIL
+/// alone sets the band [UTIL/2, (1+UTIL)/2]. Returns nullopt (with a
+/// message in *error) on a malformed spec.
 std::optional<AutoscaleConfig> parse_autoscale_spec(std::string_view spec,
                                                     std::string* error);
 

@@ -45,8 +45,6 @@ std::string format_metric_double(double v) {
   return buf;
 }
 
-namespace {
-
 void write_json_string(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char c : s) {
@@ -55,8 +53,6 @@ void write_json_string(std::ostream& os, std::string_view s) {
   }
   os << '"';
 }
-
-}  // namespace
 
 void MetricsRegistry::write_json(std::ostream& os) const {
   os << "{\n  \"counters\": {";

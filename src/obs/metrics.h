@@ -121,4 +121,8 @@ class MetricsRegistry {
 /// via %.9g). Exposed so tests can pin the formatting contract.
 std::string format_metric_double(double v);
 
+/// Writes `s` as a JSON string literal; escapes only '"' and '\\'. Shared by
+/// the registry snapshot and the Chrome trace writer.
+void write_json_string(std::ostream& os, std::string_view s);
+
 }  // namespace pagoda::obs

@@ -76,19 +76,6 @@ void Timeline::async_span(std::string_view name, std::uint64_t id,
       end});
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void Timeline::write_chrome_trace(std::ostream& os) const {
   os << "[";
   bool first = true;

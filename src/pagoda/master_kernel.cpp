@@ -67,6 +67,7 @@ double MasterKernel::executor_busy_warp_seconds(int mtb_index) const {
 }
 
 gpu::Smm::IssueAwaiter MasterKernel::sched_charge(Mtb& mtb, double cycles) {
+  cycles *= cfg_.sched_cost_scale;
   sched_cycles_ += cycles;
   return mtb.smm->execute(cycles);
 }
@@ -211,7 +212,7 @@ sim::Process MasterKernel::scheduler_warp(Mtb& mtb) {
     bool progress = false;
     // Cost of one pass over the column: the scheduler warp's 32 threads scan
     // the 32 rows in parallel.
-    co_await sched_charge(mtb, cfg_.scan_pass_cycles);
+    co_await sched_charge(mtb, kScanPassCycles);
     // The pass visits only the rows the actionable mask names, in row order.
     // A row outside the mask neither suspends nor writes, so no event runs
     // between two visited rows and skipping the others is exact; the mask is
@@ -228,7 +229,7 @@ sim::Process MasterKernel::scheduler_warp(Mtb& mtb) {
       if (const TaskId prev_id = gpu_table_.status(id).ready;
           prev_id > kReadyScheduling) {
         if (gpu_table_.status(prev_id).ready == kReadyParamsCopied) {
-          co_await sched_charge(mtb, cfg_.release_chain_cycles);
+          co_await sched_charge(mtb, kReleaseChainCycles);
           gpu_table_.set_status(prev_id, {kReadyScheduling, 1});
           gpu_table_.set_status(id, {kReadyParamsCopied, 0});
           trace(TraceKind::kReleased, prev_id, mtb.column);
@@ -290,10 +291,10 @@ sched::SchedKey MasterKernel::claim_key(const Mtb& mtb, int row) const {
 // policy comparator, then claim them one by one. schedule_entry may block
 // (pSched waits for executor warps), during which an entry can be resolved
 // by a release chain on another warp — hence the sched == 1 re-check per
-// claim. The selection itself is charged claim_select_cycles once per pass,
+// claim. The selection itself is charged kClaimSelectCycles once per pass,
 // identically in Model and Compute modes, so timing stays mode-independent.
 sim::Task<bool> MasterKernel::claim_in_policy_order(Mtb& mtb) {
-  co_await sched_charge(mtb, cfg_.claim_select_cycles);
+  co_await sched_charge(mtb, kClaimSelectCycles);
   ClaimState& c = *mtb.claims;
   c.keys.clear();
   for (const int row : c.rows) c.keys.push_back(claim_key(mtb, row));
@@ -367,7 +368,7 @@ sim::Task<> MasterKernel::schedule_entry(Mtb& mtb, int row) {
         if (!running_) co_return;
         mtb.groups[static_cast<std::size_t>(block)].bar_id =
             mtb.barriers.acquire(p.warps_per_block());
-        co_await sched_charge(mtb, cfg_.barrier_mgmt_cycles);
+        co_await sched_charge(mtb, kBarrierMgmtCycles);
       }
       if (p.shared_mem_bytes > 0) {
         // Lines 20-24: sweep deferred deallocations, then try to allocate;
@@ -375,12 +376,12 @@ sim::Task<> MasterKernel::schedule_entry(Mtb& mtb, int row) {
         while (running_) {
           if (mtb.shmem.has_deferred()) {
             shmem_blocks_swept_ += mtb.shmem.sweep_deferred();
-            co_await sched_charge(mtb, cfg_.shmem_sweep_cycles);
+            co_await sched_charge(mtb, kShmemSweepCycles);
           }
           const std::uint64_t seq = mtb.sched_seq;
           const auto res =
               mtb.shmem.allocate(p.shared_mem_bytes, p.shmem_used_bytes());
-          co_await sched_charge(mtb, cfg_.shmem_alloc_cycles);
+          co_await sched_charge(mtb, kShmemAllocCycles);
           if (res.has_value()) {
             WarpGroup& bs = mtb.groups[static_cast<std::size_t>(block)];
             bs.sm_offset = *res;
@@ -437,7 +438,7 @@ sim::Task<> MasterKernel::psched(Mtb& mtb, int row, int base_warp, int count,
     }
     if (placed > 0) {
       warps_dispatched_ += placed;
-      co_await sched_charge(mtb, cfg_.dispatch_cycles_per_warp * placed);
+      co_await sched_charge(mtb, kDispatchCyclesPerWarp * placed);
       mtb.executors.notify_all();
       continue;
     }
@@ -468,7 +469,6 @@ sim::Process MasterKernel::executor_warp(Mtb& mtb, int slot_index) {
     ctx.threads_per_block = p.threads_per_block;
     ctx.num_blocks = p.num_blocks;
     ctx.mode = cfg_.mode;
-    ctx.set_costs(cfg_.costs);
     ctx.args = p.args.data();
     if (slot.sm_index >= 0) {
       const std::int32_t sm_bytes =

@@ -53,16 +53,10 @@
 
 namespace pagoda::runtime {
 
-/// Tunables for the Pagoda runtime; scheduling costs are in GPU cycles and
-/// are charged to the MTB's SMM pipeline.
+/// Tunables for the Pagoda runtime.
 struct PagodaConfig {
   int rows_per_column = 32;              // paper: 32 TaskTable rows per MTB
   gpu::ExecMode mode = gpu::ExecMode::Compute;
-  const gpu::CostModel* costs = &gpu::kDefaultCostModel;
-
-  /// Host-side polling cadence of wait/waitAll before forcing a copy-back
-  /// (the paper's timeout on lazy TaskTable updates).
-  sim::Duration wait_poll = sim::microseconds(20.0);
 
   /// Ablation of §6.4: dispatch at threadblock granularity — pSched places a
   /// threadblock's warps only when enough executor warps are free for ALL of
@@ -81,7 +75,7 @@ struct PagodaConfig {
   /// pending TaskTable entry a scheduler warp claims first within a scan.
   /// fifo keeps the paper's raw column-scan order on the legacy code path
   /// (byte-identical event stream); other policies defer claims to a
-  /// comparator-ordered pass charged claim_select_cycles.
+  /// comparator-ordered pass charged MasterKernel::kClaimSelectCycles.
   sched::PolicyConfig sched{};
 
   /// Virtual-resource oversubscription factor (DESIGN.md §16). 1.0 (the
@@ -93,14 +87,9 @@ struct PagodaConfig {
   /// a claim that does not fit waits, as it does at F == 1.
   double oversub = 1.0;
 
-  // GPU-side scheduling cost constants (cycles on the SMM pipeline).
-  double scan_pass_cycles = 16.0;          // one scan of the 32-row column
-  double release_chain_cycles = 8.0;       // prev-task release (lines 6-13)
-  double claim_select_cycles = 8.0;        // non-fifo claim-order selection
-  double dispatch_cycles_per_warp = 8.0;   // pSched slot claim + fill
-  double shmem_alloc_cycles = 24.0;        // buddy-tree search + marking
-  double shmem_sweep_cycles = 16.0;        // deferred deallocation sweep
-  double barrier_mgmt_cycles = 6.0;        // named barrier lease
+  /// Factor on every scheduler-warp cycle cost (MasterKernel::k*Cycles);
+  /// the scheduler-cost sensitivity ablation sweeps it.
+  double sched_cost_scale = 1.0;
 };
 
 class MasterKernel {
@@ -111,6 +100,16 @@ class MasterKernel {
   /// The per-MTB shared-memory arena on the Titan X (96 KB SMM: 2 x 32 KB
   /// arenas + the remainder for scheduling structures, per §4.1).
   static constexpr std::int32_t kArenaBytes = 32 * 1024;
+
+  // Scheduler-warp costs in GPU cycles on the MTB's SMM pipeline, each
+  // scaled by PagodaConfig::sched_cost_scale when charged.
+  static constexpr double kScanPassCycles = 16.0;        // one column scan
+  static constexpr double kReleaseChainCycles = 8.0;     // lines 6-13
+  static constexpr double kClaimSelectCycles = 8.0;      // non-fifo order
+  static constexpr double kDispatchCyclesPerWarp = 8.0;  // pSched claim+fill
+  static constexpr double kShmemAllocCycles = 24.0;      // buddy search+mark
+  static constexpr double kShmemSweepCycles = 16.0;      // deferred dealloc
+  static constexpr double kBarrierMgmtCycles = 6.0;      // named barrier lease
 
   /// Arena size for an arbitrary architecture: the largest power of two
   /// that leaves ~1/3 of the SMM's shared memory for the two MTBs' own
@@ -291,9 +290,9 @@ class MasterKernel {
   Mtb& mtb_of_column(int column) { return *mtbs_[static_cast<std::size_t>(column)]; }
   sim::Duration stall_to_time(double cycles) const;
 
-  /// Charges `cycles` to the MTB's SMM pipeline on the scheduler warp's
-  /// behalf, accumulating them for scheduler_busy_seconds(); the scheduler
-  /// warp awaits the result.
+  /// Charges `cycles` x sched_cost_scale to the MTB's SMM pipeline on the
+  /// scheduler warp's behalf, accumulating them for
+  /// scheduler_busy_seconds(); the scheduler warp awaits the result.
   gpu::Smm::IssueAwaiter sched_charge(Mtb& mtb, double cycles);
 
   /// Algorithm 1, lines 2-28: one scan pass per wake, in this frame.

@@ -88,7 +88,7 @@ sim::Task<TaskHandle> Runtime::task_spawn(TaskParams params) {
     co_await flush_last_locked();
     co_await copy_back_all_locked();
     idx = free_entries_.next(cursor_);
-    if (idx < 0) co_await sim().delay(cfg_.wait_poll);
+    if (idx < 0) co_await sim().delay(kWaitPoll);
   }
 
   const TaskId id = static_cast<TaskId>(idx) + kFirstTaskId;
@@ -250,7 +250,7 @@ sim::Task<> Runtime::wait(TaskHandle h) {
     co_await copy_back_entry_locked(h.id);
     spawn_lock_.release();
     if (is_done_cpu_view(h)) co_return;
-    co_await sim().delay(cfg_.wait_poll);
+    co_await sim().delay(kWaitPoll);
   }
 }
 
@@ -263,7 +263,6 @@ sim::Task<bool> Runtime::try_revoke(TaskHandle h) {
   if (generation_[idx] != h.generation ||
       cpu_table_.status(h.id).ready == kReadyFree) {
     // Recycled or already observed finished: nothing left to revoke.
-    stats_.revoke_declines += 1;
     spawn_lock_.release();
     co_return false;
   }
@@ -283,8 +282,6 @@ sim::Task<bool> Runtime::try_revoke(TaskHandle h) {
     generation_.at(idx) = ++stamp_;  // the revoked handle reports done
     stats_.revokes += 1;
     trace(TraceKind::kRevoked, h.id);
-  } else {
-    stats_.revoke_declines += 1;
   }
   spawn_lock_.release();
   co_return landing.won;
@@ -298,7 +295,7 @@ sim::Task<> Runtime::wait_all() {
     const bool all_done = !last_spawned_.has_value() && cpu_table_.all_free();
     spawn_lock_.release();
     if (all_done) co_return;
-    co_await sim().delay(cfg_.wait_poll);
+    co_await sim().delay(kWaitPoll);
   }
 }
 

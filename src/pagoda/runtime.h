@@ -56,14 +56,17 @@ struct TaskHandle {
 
 class Runtime {
  public:
+  /// Host-side polling cadence of wait/waitAll before forcing a copy-back
+  /// (the paper's timeout on lazy TaskTable updates).
+  static constexpr sim::Duration kWaitPoll = sim::microseconds(20.0);
+
   struct Stats {
     std::int64_t tasks_spawned = 0;
     std::int64_t entry_copies = 0;      // H2D, one per task in steady state
     std::int64_t aggregate_copybacks = 0;
     std::int64_t single_copybacks = 0;
     std::int64_t flushes = 0;
-    std::int64_t revokes = 0;          // try_revoke won the race
-    std::int64_t revoke_declines = 0;  // task claimed/chained/finished first
+    std::int64_t revokes = 0;  // try_revoke won the race
   };
 
   Runtime(gpu::Device& dev, host::HostCosts host_costs = {},

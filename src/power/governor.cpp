@@ -47,7 +47,6 @@ PowerGovernor::PowerGovernor(sim::Simulation& sim, PlaneConfig cfg,
                              FleetControl& fleet)
     : sim_(&sim), cfg_(std::move(cfg)), fleet_(&fleet) {
   PAGODA_CHECK_MSG(cfg_.enabled(), "governor requires a power spec");
-  PAGODA_CHECK(cfg_.period > 0);
   last_issued_.assign(static_cast<std::size_t>(fleet_->num_nodes()), 0.0);
 }
 
@@ -67,7 +66,7 @@ void PowerGovernor::start() {
 }
 
 void PowerGovernor::schedule_tick() {
-  sim_->after(cfg_.period,
+  sim_->after(kGovernorPeriod,
               sim::Continuation::member<&PowerGovernor::tick>(this));
 }
 

@@ -49,6 +49,9 @@ std::optional<GovernorKind> parse_governor(std::string_view name);
 /// One-line description for --list-policies.
 std::string_view governor_description(GovernorKind k);
 
+/// The governor's PeriodicCheck cadence.
+inline constexpr sim::Duration kGovernorPeriod = sim::microseconds(50);
+
 /// Everything the dispatcher needs to hand the power plane; lives here so
 /// config structs outside src/power never name a power-state mutator.
 struct PlaneConfig {
@@ -61,8 +64,6 @@ struct PlaneConfig {
   double cap_watts = 0.0;
   /// Arms S-state sleep management (set by the energy-min placement path).
   bool manage_sleep = false;
-  /// PeriodicCheck cadence.
-  sim::Duration period = sim::microseconds(50);
 
   bool enabled() const { return spec.has_value(); }
 };

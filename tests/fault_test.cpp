@@ -132,16 +132,16 @@ TEST(RetryBackoff, DeterministicGrowthWithCapAndJitter) {
     const sim::Duration d = backoff(cfg, 17, attempt);
     EXPECT_EQ(d, backoff(cfg, 17, attempt));  // pure
     // Jitter scales the nominal by (1-jitter, 1]: bound both sides.
-    double nominal = static_cast<double>(cfg.base);
-    for (int i = 1; i < attempt; ++i) nominal *= cfg.multiplier;
-    if (nominal > static_cast<double>(cfg.max))
-      nominal = static_cast<double>(cfg.max);
+    double nominal = static_cast<double>(kBackoffBase);
+    for (int i = 1; i < attempt; ++i) nominal *= kBackoffMultiplier;
+    if (nominal > static_cast<double>(kBackoffMax))
+      nominal = static_cast<double>(kBackoffMax);
     EXPECT_LE(static_cast<double>(d), nominal);
     EXPECT_GT(static_cast<double>(d), nominal * (1.0 - cfg.jitter));
     prev_nominal = nominal;
   }
   // Attempt 10 nominal hit the cap.
-  EXPECT_EQ(prev_nominal, static_cast<double>(cfg.max));
+  EXPECT_EQ(prev_nominal, static_cast<double>(kBackoffMax));
   // Different uids de-synchronize (the thundering-herd fix).
   EXPECT_NE(backoff(cfg, 17, 2), backoff(cfg, 18, 2));
 }
@@ -149,10 +149,10 @@ TEST(RetryBackoff, DeterministicGrowthWithCapAndJitter) {
 TEST(RetryBackoff, ZeroJitterIsExactExponential) {
   RetryConfig cfg;
   cfg.jitter = 0.0;
-  EXPECT_EQ(backoff(cfg, 0, 1), cfg.base);
-  EXPECT_EQ(backoff(cfg, 0, 2), cfg.base * 2);
-  EXPECT_EQ(backoff(cfg, 0, 3), cfg.base * 4);
-  EXPECT_EQ(backoff(cfg, 0, 20), cfg.max);
+  EXPECT_EQ(backoff(cfg, 0, 1), kBackoffBase);
+  EXPECT_EQ(backoff(cfg, 0, 2), kBackoffBase * 2);
+  EXPECT_EQ(backoff(cfg, 0, 3), kBackoffBase * 4);
+  EXPECT_EQ(backoff(cfg, 0, 20), kBackoffMax);
 }
 
 // --- watchdog state machine ---------------------------------------------------

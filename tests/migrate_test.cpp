@@ -153,8 +153,8 @@ TEST(AutoscaleSpec, ParsesValidForms) {
   const auto util = parse_autoscale_spec("0.6", &err);
   ASSERT_TRUE(util.has_value()) << err;
   EXPECT_TRUE(util->enabled);
-  EXPECT_DOUBLE_EQ(util->target_util, 0.6);
-  EXPECT_LT(util->low_watermark, util->high_watermark);
+  EXPECT_DOUBLE_EQ(util->low_watermark, 0.3);   // UTIL / 2
+  EXPECT_DOUBLE_EQ(util->high_watermark, 0.8);  // (1 + UTIL) / 2
 
   const auto full = parse_autoscale_spec("0.5:0.2:0.9:3", &err);
   ASSERT_TRUE(full.has_value()) << err;
@@ -425,7 +425,6 @@ TEST(Autoscaler, SleepsTheTroughAndStaysLossless) {
   rs.rate_per_sec = 40.0e3;  // light load: most of the fleet is surplus
   rs.power = true;
   rs.autoscale.enabled = true;
-  rs.autoscale.target_util = 0.6;
   rs.autoscale.low_watermark = 0.3;
   rs.autoscale.high_watermark = 0.85;
   rs.autoscale.min_nodes = 1;
@@ -443,7 +442,6 @@ TEST(Autoscaler, ComposesWithDvfsGovernor) {
   rs.power = true;
   rs.governor = power::GovernorKind::kDvfs;
   rs.autoscale.enabled = true;
-  rs.autoscale.target_util = 0.6;
   rs.autoscale.low_watermark = 0.3;
   rs.autoscale.high_watermark = 0.85;
   rs.autoscale.min_nodes = 1;
@@ -459,7 +457,6 @@ TEST(Autoscaler, DeterministicAcrossReruns) {
   rs.requests = 384;
   rs.power = true;
   rs.autoscale.enabled = true;
-  rs.autoscale.target_util = 0.6;
   rs.autoscale.low_watermark = 0.3;
   rs.autoscale.high_watermark = 0.85;
   rs.autoscale.min_nodes = 1;

@@ -382,7 +382,7 @@ TEST(Collector, PowerTransitionsAddNoSamplesOffTheClock) {
 
   const sim::Time last_event =
       sim::milliseconds(m.metrics.gauge_value("run.elapsed_ms")) +
-      rcfg.cluster.dispatcher.power.period;
+      power::kGovernorPeriod;
   const long max_ticks =
       static_cast<long>(last_event / CollectorConfig{}.sample_period) + 1;
   const long ticks = counts.at("cluster.in_flight");

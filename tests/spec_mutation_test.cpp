@@ -134,7 +134,6 @@ TEST(SpecMutation, AutoscaleSpec) {
            EXPECT_FALSE(err.empty());
            return;
          }
-         EXPECT_TRUE(a->target_util > 0.0 && a->target_util < 1.0);
          EXPECT_TRUE(a->low_watermark >= 0.0 &&
                      a->low_watermark < a->high_watermark &&
                      a->high_watermark <= 1.0);

@@ -438,6 +438,65 @@ bench_usage_smoke() {
   done
 }
 
+cli_options_smoke() {
+  local dir="$1"
+  echo "==> cli options smoke ${dir}"
+  # The pagoda_cli options no other step passes: each run exits 0 and two
+  # runs agree byte for byte, on stdout and on the file the option writes.
+  local args i rc file=/tmp/pagoda_cli_opt.json
+  for args in "--runtime=GeMTC" "--dynamic-threads" "--no-shmem" \
+      "--no-copies" "--two-copy" "--metrics --metrics-period=50" \
+      "--profile=${file}" "--trace=${file} --trace-format=chrome"; do
+    for i in a b; do
+      rc=0
+      # shellcheck disable=SC2086  # args is a deliberate word list
+      "${dir}/tools/pagoda_cli" ${args} --workload=MM --tasks=64 \
+          >"/tmp/pagoda_cli_opt_${i}.out" || rc=$?
+      if [[ "${rc}" != 0 ]]; then
+        echo "error: pagoda_cli ${args} exited ${rc}, want 0" >&2
+        exit 1
+      fi
+      if [[ "${args}" == *"${file}"* ]]; then
+        mv "${file}" "/tmp/pagoda_cli_opt_${i}.json"
+      fi
+    done
+    cmp /tmp/pagoda_cli_opt_a.out /tmp/pagoda_cli_opt_b.out
+    if [[ "${args}" == *"${file}"* ]]; then
+      cmp /tmp/pagoda_cli_opt_a.json /tmp/pagoda_cli_opt_b.json
+    fi
+    rm -f /tmp/pagoda_cli_opt_[ab].out /tmp/pagoda_cli_opt_[ab].json
+  done
+}
+
+cli_options_grep() {
+  # Every option pagoda_cli declares is passed by some invocation here
+  # (comment lines do not count), so none goes unrun.
+  echo "==> cli options coverage grep"
+  local code opt missing=""
+  code=$(grep -v '^[[:space:]]*#' tools/check.sh)
+  for opt in $(grep -o 'Option("[a-z-]*"' tools/pagoda_cli.cpp | cut -d'"' -f2); do
+    grep -qE -- "--${opt}([^a-z-]|$)" <<<"${code}" || missing+=" --${opt}"
+  done
+  if [[ -n "${missing}" ]]; then
+    echo "error: pagoda_cli options no check.sh step runs:${missing}" >&2
+    exit 1
+  fi
+}
+
+ablation_golden() {
+  # The scheduler-cost sweep of bench/ablation_pagoda (and its other
+  # ablations) must print tests/golden/ablation_pagoda.txt byte for byte.
+  local dir="$1"
+  echo "==> ablation golden (ablation_pagoda --tasks=16384)"
+  "${dir}/bench/ablation_pagoda" --tasks=16384 >/tmp/pagoda_ablation.txt
+  if ! cmp /tmp/pagoda_ablation.txt tests/golden/ablation_pagoda.txt; then
+    echo "error: ablation_pagoda --tasks=16384 stdout diverged from" \
+      "tests/golden/ablation_pagoda.txt" >&2
+    exit 1
+  fi
+  rm -f /tmp/pagoda_ablation.txt
+}
+
 vres_grep_clean() {
   # The virtual plane owns physical resources: only src/pagoda (the
   # backend) and src/vres (the facade) may name the buddy allocator or
@@ -711,6 +770,8 @@ migrate_smoke build-release
 fleet_smoke build-release
 vres_smoke build-release
 bench_usage_smoke build-release
+cli_options_smoke build-release
+cli_options_grep
 engine_grep_clean
 fault_grep_clean
 sched_grep_clean
@@ -721,6 +782,7 @@ event_grep_clean
 scheduler_grep_clean
 landing_grep_clean
 wallclock_gate build-release
+ablation_golden build-release
 fleet_gate build-release
 trace_overhead_gate
 
